@@ -10,6 +10,7 @@ import argparse
 import csv
 import glob as globmod
 import json
+import math
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
@@ -32,6 +33,7 @@ from .model import Severity, load_style_families, validate_dataset
 from .protocol import run_session
 from .receval import DEFAULT_K, evaluate_model, load_recommendations, normalize_name
 from .reports import analyze_dataset
+from .scoring import build_score_matrix, normalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -162,29 +164,27 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         diag.error(str(exc), code="IO")
         return EXIT_IO
 
-    beverage_names = {b.name for b in dataset.beverages}
     by_id = dataset.beverage_index()
-    scorecards: dict[str, dict[str, float]] = {j: {} for j in dataset.judges}
     for review in dataset.reviews:
-        beverage = by_id.get(review.beverage_id)
-        if beverage is None:
+        if review.beverage_id not in by_id:
             diag.warning(
                 f"scorecard references unknown beverage {review.beverage_id!r}; row ignored",
                 code="DANGLING_REF",
             )
-            continue
-        card = scorecards.setdefault(review.judge_id, {})
-        card.setdefault(normalize_name(beverage.name), review.raw_score)
-
+    matrix = build_score_matrix(dataset)
     if args.normalized:
-        for judge, card in scorecards.items():
-            tenths = {n: round(s * 10) for n, s in card.items()}
-            if not tenths:
-                continue
-            lo, hi = min(tenths.values()), max(tenths.values())
-            scorecards[judge] = {
-                n: ((t - lo) / (hi - lo) if hi > lo else 0.5) for n, t in tenths.items()
-            }
+        try:
+            matrix = normalize(matrix)
+        except DegenerateRowError as exc:
+            diag.warning(f"{exc}; their scores map to 0.5", code="DEGENERATE")
+            matrix = normalize(matrix, lenient=True)
+    # plain floats: _display needs repr() of a Python float
+    keys = [normalize_name(b.name) for b in dataset.beverages]
+    scorecards = {
+        judge: {key: score for key, score in zip(keys, row) if not math.isnan(score)}
+        for judge, row in zip(matrix.judges, matrix.cells.tolist())
+    }
+    beverage_names = {b.name for b in dataset.beverages}
 
     paths = sorted(globmod.glob(args.recs_glob))
     if not paths:
@@ -270,6 +270,15 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beerfed",
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("scorecards", help="scorecard CSV")
     p_ev.add_argument("beverages", help="beverage list CSV")
     p_ev.add_argument("--out", required=True, help="metric table CSV path (JSON written alongside)")
-    p_ev.add_argument("--k", type=int, default=DEFAULT_K, help="recommendation list size")
+    p_ev.add_argument("--k", type=_positive_int, default=DEFAULT_K, help="recommendation list size")
     p_ev.add_argument("--strict", action="store_true",
                       help="fail (exit 5) on unreadable recommendation files")
     p_ev.add_argument("--profiles", default=None, help="consumer profile JSON (validated only)")

@@ -31,6 +31,7 @@ from .model import (
     NoteTag,
     Review,
     StyleFamily,
+    _json_bool,
     bucket_style,
     derive_note_tags,
 )
@@ -125,7 +126,7 @@ def parse_beverages_csv(
 ) -> list[Beverage]:
     """Ingest a beverage list: rows come back style-bucketed and ready to
     band, with errors reported by file line and column."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -210,7 +211,7 @@ class ScorecardRow:
 
 
 def parse_scorecards_csv(path: str | Path) -> list[ScorecardRow]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -394,7 +395,7 @@ def _profile_from_dict(entry: dict) -> ParticipantProfile:
     try:
         return ParticipantProfile(
             id=str(entry["id"]),
-            is_expert=bool(entry.get("is_expert", False)),
+            is_expert=_json_bool(entry, "is_expert", f"participant {entry.get('id')!r}"),
             leader_probability=float(entry.get("leader_probability", 0.0)),
             freeload_probability=float(entry.get("freeload_probability", 0.0)),
             availability_probability=float(entry.get("availability_probability", 1.0)),
@@ -472,7 +473,7 @@ def load_session_config(
             blackout_windows=[tuple(w) for w in raw.get("blackout_windows", [])],
             cost_params=cost_params,
             base_quality_range=tuple(raw.get("base_quality_range", (2.5, 4.8))),
-            include_amateurs=bool(raw.get("include_amateurs", False)),
+            include_amateurs=_json_bool(raw, "include_amateurs", str(path)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None

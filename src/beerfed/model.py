@@ -116,6 +116,15 @@ def validate_families(families: list[StyleFamily]) -> StyleFamily:
     return fallbacks[0]
 
 
+def _json_bool(entry: dict, key: str, where: str) -> bool:
+    """A JSON flag defaulting to false; anything but true/false is a
+    ConfigurationError (bool("false") would silently be True)."""
+    value = entry.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{where}: {key} must be true or false, got {value!r}")
+    return value
+
+
 def load_style_families(path: str | Path) -> list[StyleFamily]:
     """Load a family configuration file: a JSON list of
     {"name": ..., "patterns": [...], "fallback": bool?} objects."""
@@ -134,7 +143,7 @@ def load_style_families(path: str | Path) -> list[StyleFamily]:
             StyleFamily(
                 name=str(entry["name"]),
                 patterns=tuple(patterns),
-                fallback=bool(entry.get("fallback", False)),
+                fallback=_json_bool(entry, "fallback", f"family {entry['name']!r}"),
             )
         )
     validate_families(families)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -77,7 +78,11 @@ def validate_recs(
     earlier slot, and carries an integer rank in 1..k not used before.
     When several rules are broken, the reported reason follows that order.
     """
-    known = {normalize_name(n) for n in beverage_names}
+    return _verdicts(recs, {normalize_name(n) for n in beverage_names}, k)
+
+
+def _verdicts(recs: RecommendationSet, known: set[str], k: int) -> list[SlotVerdict]:
+    """validate_recs against an already normalized master-name set."""
     seen_names: set[str] = set()
     seen_ranks: set[int] = set()
     verdicts = []
@@ -111,27 +116,6 @@ Scorecards = Mapping[str, Scorecard]  # judge id -> scorecard
 RecsByProfile = Mapping[str, RecommendationSet]
 
 
-def _valid_slots(
-    recs_by_profile: RecsByProfile,
-    judge_ids: list[str],
-    beverage_names: set[str],
-    k: int,
-) -> dict[str, list[tuple[int, str]]]:
-    """Per judge: (rank, normalized name) for each valid slot."""
-    out: dict[str, list[tuple[int, str]]] = {}
-    for judge in judge_ids:
-        recs = recs_by_profile.get(judge)
-        picks: list[tuple[int, str]] = []
-        if recs is not None:
-            verdicts = validate_recs(recs, beverage_names, k)
-            for verdict in verdicts:
-                if verdict.valid:
-                    slot = recs.slots[verdict.slot_index]
-                    picks.append((slot.rank, normalize_name(slot.beverage_name)))
-        out[judge] = picks
-    return out
-
-
 def top_k_set(scorecard: Scorecard, k: int) -> set[str]:
     """The judge's fixed top-k beverage set: score descending, ties at the
     cut resolved by name ascending."""
@@ -139,17 +123,72 @@ def top_k_set(scorecard: Scorecard, k: int) -> set[str]:
     return {name for name, _ in ordered[:k]}
 
 
-def _require_judges(scorecards: Scorecards) -> list[str]:
-    if not scorecards:
-        raise ValueError("at least one scorecard is required")
-    return sorted(scorecards)
+@dataclass
+class _Terms:
+    """Raw terms of the five metrics for one model across all judges."""
+
+    judges: int
+    k: int
+    valid: int = 0
+    hits: int = 0
+    ratings: list[float] = field(default_factory=list)  # per valid scored slot
+    percentiles: list[float] = field(default_factory=list)  # per-judge means
+    ndcgs: list[float] = field(default_factory=list)  # per judge
+
+    def share(self, count: int) -> float:
+        """count over the J*K recommendation slots."""
+        if not self.judges:
+            raise ValueError("at least one scorecard is required")
+        return count / (self.judges * self.k)
 
 
-def coverage_of_verdicts(verdicts, n_profiles: int, k: int = DEFAULT_K) -> float:
-    """Coverage from pre-computed verdicts: valid slots / (J*K)."""
-    if n_profiles <= 0 or k <= 0:
-        raise ValueError("n_profiles and k must be positive")
-    return sum(1 for v in verdicts if v.valid) / (n_profiles * k)
+def _mean(values: list[float], empty: float | None = None) -> float | None:
+    return sum(values) / len(values) if values else empty
+
+
+def _one_pass(
+    recs_by_profile: RecsByProfile,
+    scorecards: Scorecards,
+    beverage_names: set[str],
+    k: int,
+    tie_mode: str = "fixed",
+) -> _Terms:
+    """Validate each judge's set once and collect the terms of all five
+    metrics against that judge's own scorecard."""
+    if tie_mode not in ("fixed", "threshold"):
+        raise ValueError(f"unknown tie_mode {tie_mode!r}")
+    known = {normalize_name(n) for n in beverage_names}
+    terms = _Terms(len(scorecards), k)
+    for judge in sorted(scorecards):
+        card = scorecards[judge]
+        recs = recs_by_profile.get(judge)
+        verdicts = [] if recs is None else _verdicts(recs, known, k)
+        picks = [
+            (recs.slots[v.slot_index].rank, normalize_name(v.beverage_name))
+            for v in verdicts
+            if v.valid
+        ]
+        scored = [name for _, name in picks if name in card]
+        ascending = sorted(card.values())
+        ideal = ascending[::-1][:k]
+        terms.valid += len(picks)
+        terms.ratings.extend(card[name] for name in scored)
+        if tie_mode == "fixed":
+            terms.hits += len(top_k_set(card, k).intersection(scored))
+        else:  # anything scoring at least the k-th best score
+            terms.hits += sum(card[name] >= ideal[-1] for name in scored)
+        if len(card) >= 2 and scored:  # mid-ranked: ties count half
+            values = []
+            for name in scored:
+                below = bisect_left(ascending, card[name])
+                tied_others = bisect_right(ascending, card[name]) - below - 1
+                values.append((below + 0.5 * tied_others) / (len(card) - 1))
+            terms.percentiles.append(_mean(values))
+        relevance = {rank: card.get(name, 0.0) for rank, name in picks}
+        dcg = sum(relevance.get(i, 0.0) / math.log2(i + 1) for i in range(1, k + 1))
+        idcg = sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
+        terms.ndcgs.append(dcg / idcg if idcg > 0 else 0.0)
+    return terms
 
 
 def coverage(
@@ -159,10 +198,8 @@ def coverage(
     k: int = DEFAULT_K,
 ) -> float:
     """Fraction of the J*K recommendation slots that are valid."""
-    judges = _require_judges(scorecards)
-    slots = _valid_slots(recs_by_profile, judges, beverage_names, k)
-    valid = sum(len(v) for v in slots.values())
-    return valid / (len(judges) * k)
+    terms = _one_pass(recs_by_profile, scorecards, beverage_names, k)
+    return terms.share(terms.valid)
 
 
 def mean_rating(
@@ -173,25 +210,7 @@ def mean_rating(
 ) -> float | None:
     """Mean of the owning judge's raw score over all valid slots; None when
     no valid slot has a score (undefined, not zero)."""
-    judges = sorted(scorecards)
-    slots = _valid_slots(recs_by_profile, judges, beverage_names, k)
-    ratings = [
-        scorecards[judge][name]
-        for judge in judges
-        for _, name in slots[judge]
-        if name in scorecards[judge]
-    ]
-    return sum(ratings) / len(ratings) if ratings else None
-
-
-def _percentile_within(scorecard: Scorecard, name: str) -> float | None:
-    n = len(scorecard)
-    if n < 2 or name not in scorecard:
-        return None
-    score = scorecard[name]
-    lower = sum(1 for s in scorecard.values() if s < score)
-    equal_others = sum(1 for other, s in scorecard.items() if s == score and other != name)
-    return (lower + 0.5 * equal_others) / (n - 1)
+    return _mean(_one_pass(recs_by_profile, scorecards, beverage_names, k).ratings)
 
 
 def mean_percentile(
@@ -203,18 +222,7 @@ def mean_percentile(
     """Where valid slots sit within each judge's own ranking (1.0 = the
     judge's unique favourite, 0.0 = their unique least favourite; ties
     mid-ranked), averaged per judge and then across judges."""
-    judges = sorted(scorecards)
-    slots = _valid_slots(recs_by_profile, judges, beverage_names, k)
-    per_judge = []
-    for judge in judges:
-        values = [
-            p
-            for _, name in slots[judge]
-            if (p := _percentile_within(scorecards[judge], name)) is not None
-        ]
-        if values:
-            per_judge.append(sum(values) / len(values))
-    return sum(per_judge) / len(per_judge) if per_judge else None
+    return _mean(_one_pass(recs_by_profile, scorecards, beverage_names, k).percentiles)
 
 
 def hit_at_k(
@@ -230,22 +238,8 @@ def hit_at_k(
     cut broken by name); "threshold" counts anything scoring at least the
     k-th best score as a hit.
     """
-    if tie_mode not in ("fixed", "threshold"):
-        raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    judges = _require_judges(scorecards)
-    slots = _valid_slots(recs_by_profile, judges, beverage_names, k)
-    hits = 0
-    for judge in judges:
-        card = scorecards[judge]
-        if tie_mode == "fixed":
-            top = top_k_set(card, k)
-            hits += sum(1 for _, name in slots[judge] if name in top)
-        else:
-            cutoff = sorted(card.values(), reverse=True)[: k][-1] if card else math.inf
-            hits += sum(
-                1 for _, name in slots[judge] if card.get(name, -math.inf) >= cutoff
-            )
-    return hits / (len(judges) * k)
+    terms = _one_pass(recs_by_profile, scorecards, beverage_names, k, tie_mode)
+    return terms.share(terms.hits)
 
 
 def ndcg_at_k(
@@ -257,17 +251,7 @@ def ndcg_at_k(
     """Mean over judges of DCG/IDCG, with the judge's raw score as the
     relevance of each valid slot (0 for invalid or unscored slots) and the
     judge's k best scores as the ideal."""
-    judges = sorted(scorecards)
-    slots = _valid_slots(recs_by_profile, judges, beverage_names, k)
-    per_judge = []
-    for judge in judges:
-        card = scorecards[judge]
-        relevance = {rank: card.get(name, 0.0) for rank, name in slots[judge]}
-        dcg = sum(relevance.get(i, 0.0) / math.log2(i + 1) for i in range(1, k + 1))
-        ideal = sorted(card.values(), reverse=True)[:k]
-        idcg = sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
-        per_judge.append(dcg / idcg if idcg > 0 else 0.0)
-    return sum(per_judge) / len(per_judge) if per_judge else 0.0
+    return _mean(_one_pass(recs_by_profile, scorecards, beverage_names, k).ndcgs, 0.0)
 
 
 QUANTIZATION_TOL = 1e-9
@@ -314,16 +298,17 @@ def evaluate_model(
         model_id = next(
             (r.model_id for r in recs_by_profile.values() if r.model_id), "unknown"
         )
-    cov = coverage(recs_by_profile, scorecards, beverage_names, k)
+    terms = _one_pass(recs_by_profile, scorecards, beverage_names, k, tie_mode)
+    cov = terms.share(terms.valid)
     if cov == 0.0:
         return MetricReport(model_id, None, None, None, None, 0.0,
                             len(scorecards), k)
     return MetricReport(
         model_id=model_id,
-        mean_rating=mean_rating(recs_by_profile, scorecards, beverage_names, k),
-        mean_percentile=mean_percentile(recs_by_profile, scorecards, beverage_names, k),
-        hit_rate=hit_at_k(recs_by_profile, scorecards, beverage_names, k, tie_mode),
-        ndcg=ndcg_at_k(recs_by_profile, scorecards, beverage_names, k),
+        mean_rating=_mean(terms.ratings),
+        mean_percentile=_mean(terms.percentiles),
+        hit_rate=terms.share(terms.hits),
+        ndcg=_mean(terms.ndcgs),
         coverage=cov,
         n_profiles=len(scorecards),
         k=k,

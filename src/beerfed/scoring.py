@@ -21,20 +21,8 @@ from .model import Dataset, NoteTag
 
 @dataclass
 class ScoreMatrix:
-    """Raw 1-5 scores; rows follow the judge list, columns the beverage list."""
-
-    judges: list[str]
-    beverages: list[str]
-    cells: np.ndarray
-
-    def filled(self) -> np.ndarray:
-        return ~np.isnan(self.cells)
-
-
-@dataclass
-class NormalizedMatrix:
-    """Per-judge rescaled scores, same shape conventions. Min-max cells lie
-    in [0, 1]; the z-score variant is unbounded by design (not clipped)."""
+    """Judges x beverages scores (raw 1-5, or per-judge normalized); rows
+    follow the judge list, columns the beverage list."""
 
     judges: list[str]
     beverages: list[str]
@@ -68,7 +56,7 @@ def build_score_matrix(dataset: Dataset) -> ScoreMatrix:
 
 def normalize(
     matrix: ScoreMatrix, lenient: bool = False, method: str = "minmax"
-) -> NormalizedMatrix:
+) -> ScoreMatrix:
     """Per-judge normalization of raw scores.
 
     The default min-max rescales each judge's filled cells by that judge's
@@ -104,7 +92,7 @@ def normalize(
             out[i, mask] = (vals - vals.mean()) / vals.std(ddof=1)
     if degenerate:
         raise DegenerateRowError(degenerate)
-    return NormalizedMatrix(list(matrix.judges), list(matrix.beverages), out)
+    return ScoreMatrix(list(matrix.judges), list(matrix.beverages), out)
 
 
 @dataclass(frozen=True)
@@ -127,7 +115,7 @@ class AggregateRanking:
 
 
 def aggregate(
-    matrix: ScoreMatrix | NormalizedMatrix,
+    matrix: ScoreMatrix,
     names: Mapping[str, str] | None = None,
 ) -> AggregateRanking:
     """Mean score per beverage over filled cells, sorted descending
@@ -229,7 +217,7 @@ def agreement(
 
 
 def per_style_distribution(
-    norm: NormalizedMatrix,
+    norm: ScoreMatrix,
     dataset: Dataset,
     family_order: list[str] | None = None,
 ) -> dict[str, list[float]]:

@@ -108,12 +108,15 @@ def oracle_valid_slots(slots_by_profile, judges, names, k=5):
     return valid, total
 
 
-def oracle_metrics(slots_by_profile, scorecards, names, k=5):
+def oracle_metrics(slots_by_profile, scorecards, names, k=5, tie_mode="fixed"):
     """All five recommendation metrics by direct enumeration.
 
     scorecards: {judge: {normalized_name: raw_score}}; returns a dict with
     keys coverage, mean_rating, mean_percentile, hit, ndcg (None where the
-    metric is undefined).
+    metric is undefined). Hit@k counts a slot whose beverage is in the
+    judge's k-sized top list (tie_mode "fixed": ties at the cut broken by
+    name) or is beaten by fewer than k of the judge's beverages
+    ("threshold").
     """
     judges = sorted(scorecards)
     valid, total = oracle_valid_slots(slots_by_profile, judges, names, k)
@@ -148,7 +151,10 @@ def oracle_metrics(slots_by_profile, scorecards, names, k=5):
     hits = 0
     for judge in judges:
         card = scorecards[judge]
-        top = {n for n, _ in sorted(card.items(), key=lambda kv: (-kv[1], kv[0]))[:k]}
+        if tie_mode == "fixed":
+            top = {n for n, _ in sorted(card.items(), key=lambda kv: (-kv[1], kv[0]))[:k]}
+        else:
+            top = {n for n, s in card.items() if sum(1 for v in card.values() if v > s) < k}
         hits += sum(1 for _, nn in valid[judge] if nn in top)
     hit = hits / (len(judges) * k)
 

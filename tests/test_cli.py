@@ -126,6 +126,30 @@ class TestSimulate:
             pytest.skip("running as root, permission bits are not enforced")
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"federation": [dict(CONFIG["federation"][0], is_expert="false"), *CONFIG["federation"][1:]]},
+            {"include_amateurs": "false"},
+        ],
+    )
+    def test_string_boolean_exits_2(self, tmp_path, capsys, override):
+        config = write_config(tmp_path, **override)
+        assert cli.main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_string_fallback_flag_exits_2(self, tmp_path, capsys):
+        families = tmp_path / "families.json"
+        families.write_text(
+            json.dumps([{"name": "Specialty and hybrid styles", "patterns": [], "fallback": "true"}]),
+            encoding="utf-8",
+        )
+        config = write_config(tmp_path)
+        rc = cli.main(["simulate", str(config), "--out", str(tmp_path / "x"), "--families", str(families)])
+        assert rc == 2
+        assert "fallback must be true or false" in capsys.readouterr().err
+
     def test_json_errors_mode(self, tmp_path, capsys):
         cfg = dict(CONFIG)
         cfg["federation"] = [{"id": "A", "is_expert": True, "leader_probability": 0.9}]
@@ -181,6 +205,21 @@ class TestAnalyze:
         )
         assert rc == 0
         assert (tmp_path / "rep" / "report.json").exists()
+
+    def test_utf8_bom_inputs_match_plain_run(self, sim_outputs, tmp_path):
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for name in ("scorecards.csv", "beverages.csv"):
+            (bom / name).write_bytes(b"\xef\xbb\xbf" + (sim_outputs / name).read_bytes())
+        for src, out in ((sim_outputs, tmp_path / "plain"), (bom, tmp_path / "from_bom")):
+            rc = cli.main(
+                ["analyze", str(src / "scorecards.csv"), str(src / "beverages.csv"), "--out-dir", str(out)]
+            )
+            assert rc == 0
+        plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert plain == sorted(p.name for p in (tmp_path / "from_bom").iterdir())
+        for name in plain:
+            assert read_all(tmp_path / "from_bom" / name) == read_all(tmp_path / "plain" / name)
 
     def test_analyze_deterministic(self, sim_outputs, tmp_path):
         a, b = tmp_path / "rep_a", tmp_path / "rep_b"
@@ -316,3 +355,70 @@ class TestEvalRecs:
         assert rc == 0
         row = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1]
         assert float(row[1]) <= 1.0  # ratings now on the normalized scale
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_a_usage_error(self, sim_outputs, tmp_path, eval_env, capsys, k):
+        out = tmp_path / "table.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "eval-recs", str(eval_env / "*.json"),
+                    str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+                    "--out", str(out), "--k", k,
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be a positive integer" in err
+        assert not out.exists()
+
+
+class TestEvalRecsDegenerateJudge:
+    BEVERAGES = (
+        "brewery,beer_name,beer_style,abv_percent\n"
+        "P,Alpha Ale,Pale Ale,5.0\n"
+        "P,Beta Bock,Bock,6.5\n"
+        "P,Gamma Gose,Gose,4.2\n"
+        "P,Delta Dunkel,Dunkel,5.1\n"
+    )
+    # judge A rates everything 3.0; B spans 1.0..5.0
+    SCORECARDS = (
+        "judge_id,beer_name,raw_score\n"
+        "A,Alpha Ale,3.0\nA,Beta Bock,3.0\nA,Gamma Gose,3.0\nA,Delta Dunkel,3.0\n"
+        "B,Alpha Ale,1.0\nB,Beta Bock,2.0\nB,Gamma Gose,3.0\nB,Delta Dunkel,5.0\n"
+    )
+
+    def run(self, tmp_path, *flags):
+        (tmp_path / "beverages.csv").write_text(self.BEVERAGES, encoding="utf-8")
+        (tmp_path / "scorecards.csv").write_text(self.SCORECARDS, encoding="utf-8")
+        recs = make_rec_file(
+            tmp_path, "model-x", {"A": ["Alpha Ale", "Beta Bock"], "B": ["Delta Dunkel", "Gamma Gose"]}
+        )
+        out = tmp_path / "table.csv"
+        rc = cli.main(
+            [
+                "--json-errors", "eval-recs", str(recs),
+                str(tmp_path / "scorecards.csv"), str(tmp_path / "beverages.csv"),
+                "--out", str(out), *flags,
+            ]
+        )
+        assert rc == 0
+        return json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))[0]
+
+    def warnings(self, capsys):
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        return [r for r in records if r.get("code") == "DEGENERATE"]
+
+    def test_normalized_warns_and_maps_to_half(self, tmp_path, capsys):
+        row = self.run(tmp_path, "--normalized")
+        (warning,) = self.warnings(capsys)
+        assert warning["level"] == "warning"
+        assert "judge(s): A;" in warning["message"]
+        # A's four cells map to 0.5; B normalizes to 0, 0.25, 0.5, 1
+        assert row["mean_rating"] == (0.5 + 0.5 + 1.0 + 0.5) / 4
+        assert row["coverage"] == 4 / 10
+
+    def test_raw_scores_do_not_warn(self, tmp_path, capsys):
+        row = self.run(tmp_path)
+        assert self.warnings(capsys) == []
+        assert row["mean_rating"] == (3.0 + 3.0 + 5.0 + 3.0) / 4

@@ -257,6 +257,22 @@ class TestSessionConfigFile:
         with pytest.raises(ConfigurationError):
             load_session_config(write(tmp_path, "c.json", json.dumps(body)))
 
+    def test_json_booleans_load(self, tmp_path):
+        body = self.config_body(include_amateurs=True)
+        body["federation"][1]["is_expert"] = False
+        config = load_session_config(write(tmp_path, "c.json", json.dumps(body)))
+        assert config.include_amateurs is True
+        assert [p.is_expert for p in config.federation] == [True, False]
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_boolean_flag_rejected(self, tmp_path, value):
+        body = self.config_body()
+        body["federation"][1]["is_expert"] = value
+        with pytest.raises(ConfigurationError, match="is_expert must be true or false"):
+            load_session_config(write(tmp_path, "c.json", json.dumps(body)))
+        with pytest.raises(ConfigurationError, match="include_amateurs must be true or false"):
+            load_session_config(write(tmp_path, "c.json", json.dumps(self.config_body(include_amateurs=value))))
+
     def test_pool_and_pool_csv_mutually_exclusive(self, tmp_path):
         body = self.config_body(pool_csv="pool.csv")
         with pytest.raises(ConfigurationError):

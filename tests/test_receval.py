@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from beerfed import receval
 from beerfed.errors import IngestError
 from beerfed.receval import (
     MetricReport,
@@ -9,7 +10,6 @@ from beerfed.receval import (
     RecommendationSlot,
     VerdictReason,
     coverage,
-    coverage_of_verdicts,
     evaluate_model,
     hit_at_k,
     load_recommendations,
@@ -116,13 +116,6 @@ class TestCoverage:
 
     def test_zero_coverage(self):
         assert coverage({}, self.scorecards(), NAMES) == 0.0
-
-    def test_coverage_of_precomputed_verdicts(self):
-        verdicts = []
-        for i in range(3):
-            recs = recs_of("Alpha", "Beta", "Gamma", "Delta", profile=f"J{i}")
-            verdicts.extend(validate_recs(recs, NAMES))
-        assert coverage_of_verdicts(verdicts, n_profiles=3) == pytest.approx(12 / 15)
 
 
 class TestMeanRating:
@@ -392,20 +385,30 @@ class TestRecommendationFiles:
 
 class TestOracleEquivalence:
     def test_random_instances_match_brute_force(self, rng):
+        # exact equality: the evaluator sums the same terms in the same order
         for _ in range(120):
             recs, slots, cards, names = random_rec_instance(
                 rng, n_judges=int(rng.integers(1, 4)), n_beverages=int(rng.integers(7, 9))
             )
-            expected = oracle_metrics(slots, cards, names)
-            report = evaluate_model(recs, cards, names, model_id="m")
-            assert report.coverage == pytest.approx(expected["coverage"], abs=1e-9)
-            for mine, theirs in [
-                (report.mean_rating, expected["mean_rating"]),
-                (report.mean_percentile, expected["mean_percentile"]),
-                (report.hit_rate, expected["hit"]),
-                (report.ndcg, expected["ndcg"]),
-            ]:
-                if theirs is None:
-                    assert mine is None
-                else:
-                    assert mine == pytest.approx(theirs, abs=1e-9)
+            for tie_mode in ("fixed", "threshold"):
+                expected = oracle_metrics(slots, cards, names, tie_mode=tie_mode)
+                report = evaluate_model(recs, cards, names, model_id="m", tie_mode=tie_mode)
+                assert report.coverage == expected["coverage"]
+                assert report.mean_rating == expected["mean_rating"]
+                assert report.mean_percentile == expected["mean_percentile"]
+                assert report.hit_rate == expected["hit"]
+                assert report.ndcg == expected["ndcg"]
+
+    def test_each_set_validated_once(self, rng, monkeypatch):
+        calls = []
+        core = receval._verdicts
+
+        def counting(recs, known, k):
+            calls.append(recs.profile_id)
+            return core(recs, known, k)
+
+        monkeypatch.setattr(receval, "_verdicts", counting)
+        recs, _, cards, names = random_rec_instance(rng, n_judges=4)
+        del recs["J2"]  # a profile without a set is never validated
+        evaluate_model(recs, cards, names, model_id="m")
+        assert sorted(calls) == ["J0", "J1", "J3"]
