@@ -32,6 +32,7 @@ from .model import (
     Review,
     StyleFamily,
     _json_bool,
+    _json_number,
     bucket_style,
     derive_note_tags,
 )
@@ -387,24 +388,31 @@ _CONFIG_KEYS = {
 def _profile_from_dict(entry: dict) -> ParticipantProfile:
     if not isinstance(entry, dict) or "id" not in entry:
         raise ConfigurationError("each federation entry must be an object with an id")
+    where = f"participant {entry['id']!r}"
     unknown = set(entry) - _PROFILE_KEYS
     if unknown:
-        raise ConfigurationError(
-            f"participant {entry.get('id')!r}: unknown key(s) {sorted(unknown)}"
-        )
-    try:
-        return ParticipantProfile(
-            id=str(entry["id"]),
-            is_expert=_json_bool(entry, "is_expert", f"participant {entry.get('id')!r}"),
-            leader_probability=float(entry.get("leader_probability", 0.0)),
-            freeload_probability=float(entry.get("freeload_probability", 0.0)),
-            availability_probability=float(entry.get("availability_probability", 1.0)),
-            score_bias=dict(entry.get("score_bias", {})),
-            score_noise_sd=float(entry.get("score_noise_sd", 0.0)),
-            score_floor_affinity=float(entry.get("score_floor_affinity", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"participant {entry.get('id')!r}: {exc}") from None
+        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
+    bias = entry.get("score_bias", {})
+    if not isinstance(bias, dict):
+        raise ConfigurationError(f"{where}: score_bias must be an object, got {bias!r}")
+    return ParticipantProfile(
+        id=str(entry["id"]),
+        is_expert=_json_bool(entry, "is_expert", where),
+        leader_probability=_json_number(entry, "leader_probability", where, 0.0),
+        freeload_probability=_json_number(entry, "freeload_probability", where, 0.0),
+        availability_probability=_json_number(entry, "availability_probability", where, 1.0),
+        score_bias={family: _json_number(bias, family, f"{where}: score_bias") for family in bias},
+        score_noise_sd=_json_number(entry, "score_noise_sd", where, 0.0),
+        score_floor_affinity=_json_number(entry, "score_floor_affinity", where, 0.0),
+    )
+
+
+def _json_pair(value, where: str, *, integer: bool = False) -> tuple:
+    """A [low, high] JSON list of two numbers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigurationError(f"{where} must be a [low, high] pair, got {value!r}")
+    pair = dict(zip(("low", "high"), value))
+    return tuple(_json_number(pair, key, where, integer=integer) for key in ("low", "high"))
 
 
 def load_session_config(
@@ -425,6 +433,9 @@ def load_session_config(
         raise ConfigurationError(f"{path}: unknown key(s) {sorted(unknown)}")
     if "seed" not in raw or "federation" not in raw:
         raise ConfigurationError(f"{path}: seed and federation are required")
+    for key in ("federation", "pool", "blackout_windows"):
+        if not isinstance(raw.get(key, []), list):
+            raise ConfigurationError(f"{path}: {key} must be a list, got {raw[key]!r}")
 
     federation = [_profile_from_dict(e) for e in raw["federation"]]
 
@@ -447,7 +458,7 @@ def load_session_config(
                         str(entry.get("brewery", "")),
                         str(entry.get("beer_name", "")),
                         str(entry.get("beer_style", "")),
-                        entry.get("abv_percent"),
+                        _json_number(entry, "abv_percent", f"{path}: pool entry {i}"),
                         str(entry.get("ingredients", "") or ""),
                         str(entry.get("tags", "") or ""),
                         families,
@@ -457,26 +468,34 @@ def load_session_config(
             except IngestError as exc:
                 raise ConfigurationError(f"{path}: pool entry {i}: {exc}") from None
 
+    cost = raw.get("cost_params", {})
+    if not isinstance(cost, dict):
+        raise ConfigurationError(f"{path}: cost_params must be an object, got {cost!r}")
     try:
-        cost_params = CostParams(**raw.get("cost_params", {}))
+        cost_params = CostParams(
+            **{key: _json_number(cost, key, f"{path}: cost_params") for key in cost}
+        )
     except TypeError as exc:
         raise ConfigurationError(f"{path}: cost_params: {exc}") from None
 
-    try:
-        config = SessionConfig(
-            federation=federation,
-            pool=pool,
-            seed=raw["seed"],
-            clock_start=int(raw.get("clock_start", 17 * 60)),
-            clock_end=int(raw.get("clock_end", 23 * 60)),
-            round_duration=int(raw.get("round_duration", 5)),
-            blackout_windows=[tuple(w) for w in raw.get("blackout_windows", [])],
-            cost_params=cost_params,
-            base_quality_range=tuple(raw.get("base_quality_range", (2.5, 4.8))),
-            include_amateurs=_json_bool(raw, "include_amateurs", str(path)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+    where = str(path)
+    config = SessionConfig(
+        federation=federation,
+        pool=pool,
+        seed=_json_number(raw, "seed", where, integer=True),
+        clock_start=_json_number(raw, "clock_start", where, 17 * 60, integer=True),
+        clock_end=_json_number(raw, "clock_end", where, 23 * 60, integer=True),
+        round_duration=_json_number(raw, "round_duration", where, 5, integer=True),
+        blackout_windows=[
+            _json_pair(w, f"{path}: blackout_windows[{i}]", integer=True)
+            for i, w in enumerate(raw.get("blackout_windows", []))
+        ],
+        cost_params=cost_params,
+        base_quality_range=_json_pair(
+            raw.get("base_quality_range", [2.5, 4.8]), f"{path}: base_quality_range"
+        ),
+        include_amateurs=_json_bool(raw, "include_amateurs", where),
+    )
     config.validate()
     return config
 

@@ -125,6 +125,22 @@ def _json_bool(entry: dict, key: str, where: str) -> bool:
     return value
 
 
+def _json_number(entry: dict, key: str, where: str, default=None, *, integer: bool = False):
+    """A JSON number (``default`` when the key is absent) as a float, or as
+    an int when ``integer``; booleans, strings, null, NaN, infinities and
+    fractional integers are a ConfigurationError (no silent coercion)."""
+    value = entry.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = int(value) if integer else float(value)
+        except (OverflowError, ValueError):  # NaN, infinity, beyond float range
+            number = None
+        if number is not None and number == value and (integer or math.isfinite(number)):
+            return number
+    kind = "an integer" if integer else "a finite number"
+    raise ConfigurationError(f"{where}: {key} must be {kind}, got {value!r}")
+
+
 def load_style_families(path: str | Path) -> list[StyleFamily]:
     """Load a family configuration file: a JSON list of
     {"name": ..., "patterns": [...], "fallback": bool?} objects."""

@@ -4,16 +4,28 @@ inter-judge agreement, divisiveness, and the real-vs-artificial tag report.
 Matrices are judges x beverages with NaN for missing cells; every statistic
 runs over filled cells only (no imputation). Raw scores sit on a 0.1 grid,
 so min-max normalization is done on integer tenths and stays exact.
+
+Agreement is exact for the same reason. Each judge's scores are coded as
+levels (at most 41 on the grid), so mid-ranks come from level counts and
+are multiples of 0.5: every centred rank is a multiple of 0.5 and every
+Spearman dot product an exactly summed multiple of 0.25. Only numpy's
+fixed ``corrcoef`` steps round (scale by 1/(n-1), divide by the y then
+the x standard deviation, clip), and they are the same steps for one
+correlation matrix of all fully scored judges (read from its lower
+triangle) as for a two-column ``corrcoef`` of one pair's ranks, so both
+paths give the textbook rank-then-correlate value bit for bit. Kendall's
+tau-b (Kendall 1945) needs only integer pair counts: concordant,
+discordant and tied pairs come from the pair's level contingency table and
+its cumulative sums, leaving one rounded expression,
+(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import DegenerateRowError, InsufficientDataError
 from .model import Dataset, NoteTag
@@ -182,6 +194,42 @@ class AgreementMatrix:
 MIN_COMMON_BEVERAGES = 3
 
 
+def _midranks(counts: np.ndarray) -> np.ndarray:
+    """Mid-rank of each level from how many cells sit on it: tied cells
+    share the mean of the ranks they span."""
+    return np.cumsum(counts) - counts + (counts + 1) / 2
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho of two level-coded vectors; NaN if either is constant."""
+    cx, cy = np.bincount(x), np.bincount(y)
+    if cx.max() == x.size or cy.max() == y.size:
+        return np.nan
+    ranks = np.column_stack((_midranks(cx)[x], _midranks(cy)[y]))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b of two level-coded vectors from their contingency
+    table; NaN if either is constant."""
+    nx, ny = x.max() + 1, y.max() + 1
+    table = np.bincount(x * ny + y, minlength=nx * ny).reshape(nx, ny)
+    rows, cols, cells = table.sum(axis=1), table.sum(axis=0), table.ravel()
+    tot = x.size * (x.size - 1) // 2
+    xtie = int(rows @ (rows - 1)) // 2
+    ytie = int(cols @ (cols - 1)) // 2
+    if xtie == tot or ytie == tot:
+        return np.nan
+    ntie = int(cells @ (cells - 1)) // 2
+    # prefix[a, b]: cells with x level <= a and y level <= b, so
+    # prefix[-1, b] - prefix[a, b] have x level > a and y level <= b
+    prefix = table.cumsum(axis=0).cumsum(axis=1)
+    dis = int((table[:, 1:] * (prefix[-1, :-1] - prefix[:, :-1])).sum())
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return min(1.0, max(-1.0, float(tau)))
+
+
 def agreement(
     matrix: ScoreMatrix,
     method: str = "spearman",
@@ -189,30 +237,41 @@ def agreement(
 ) -> AgreementMatrix:
     """Pairwise rank correlation between judges over commonly scored
     beverages (ties mid-ranked). Pairs sharing fewer than ``min_common``
-    beverages are undefined (NaN). ``method`` is "spearman" or "kendall".
+    beverages, or over which either judge is constant, are undefined
+    (NaN). ``method`` is "spearman" or "kendall" (tau-b).
     """
     if method not in ("spearman", "kendall"):
         raise ValueError(f"unknown agreement method {method!r}")
     n = len(matrix.judges)
     values = np.full((n, n), np.nan)
     filled = matrix.filled()
+    # each filled cell as the index of its value among its judge's
+    # distinct values (order-preserving; at most 41 on the raw grid)
+    codes = np.zeros(matrix.cells.shape, dtype=np.intp)
     for i in range(n):
-        values[i, i] = 1.0
+        codes[i, filled[i]] = np.unique(matrix.cells[i, filled[i]], return_inverse=True)[1]
+
+    # judges who scored every beverage, not all alike: their Spearman
+    # pairs come from one correlation matrix of the row mid-ranks
+    dense = np.zeros(n, dtype=bool)
+    if method == "spearman" and filled.shape[1] >= min_common:
+        dense = filled.all(axis=1) & (codes.max(axis=1, initial=0) > 0)
+    rows = np.flatnonzero(dense)
+    if rows.size > 1:
+        ranks = np.array([_midranks(np.bincount(codes[i]))[codes[i]] for i in rows])
+        lower = np.tril(np.corrcoef(ranks), -1)
+        values[np.ix_(rows, rows)] = lower + lower.T
+
+    kernel = _spearman if method == "spearman" else _kendall_tau_b
+    for i in range(n):
         for j in range(i + 1, n):
-            common = filled[i] & filled[j]
-            if common.sum() < min_common:
+            if dense[i] and dense[j]:
                 continue
-            x = matrix.cells[i, common]
-            y = matrix.cells[j, common]
-            # a constant row over the common subset has no defined rank
-            # correlation; keep NaN without scipy's warning chatter
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                if method == "spearman":
-                    rho = _scipy_stats.spearmanr(x, y)[0]
-                else:
-                    rho = _scipy_stats.kendalltau(x, y)[0]
-            values[i, j] = values[j, i] = float(rho)
+            common = filled[i] & filled[j]
+            if common.sum() < max(min_common, 2):
+                continue
+            values[i, j] = values[j, i] = kernel(codes[i, common], codes[j, common])
+    np.fill_diagonal(values, 1.0)
     return AgreementMatrix(list(matrix.judges), values)
 
 

@@ -76,6 +76,29 @@ def oracle_spearman(x, y):
     return num / den
 
 
+def oracle_kendall_tau_b(x, y):
+    """Kendall's tau-b by enumerating every pair of items: (concordant -
+    discordant) / sqrt((pairs - x ties) * (pairs - y ties)), where a pair
+    tied in both counts in both tie totals; NaN if either side is all ties."""
+    n = len(x)
+    concordant = discordant = x_ties = y_ties = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx, dy = x[i] - x[j], y[i] - y[j]
+            if dx == 0:
+                x_ties += 1
+            if dy == 0:
+                y_ties += 1
+            if dx * dy > 0:
+                concordant += 1
+            elif dx * dy < 0:
+                discordant += 1
+    pairs = n * (n - 1) // 2
+    if x_ties == pairs or y_ties == pairs:
+        return float("nan")
+    return (concordant - discordant) / math.sqrt((pairs - x_ties) * (pairs - y_ties))
+
+
 def oracle_valid_slots(slots_by_profile, judges, names, k=5):
     """Re-derive slot validity by direct enumeration.
 

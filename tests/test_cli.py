@@ -1,10 +1,15 @@
 import csv
 import json
 import os
+import shutil
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import beerfed
 from beerfed import cli
 from beerfed.receval import ModelRecommendations, RecommendationSet, RecommendationSlot, recommendations_to_json
 
@@ -149,6 +154,36 @@ class TestSimulate:
         rc = cli.main(["simulate", str(config), "--out", str(tmp_path / "x"), "--families", str(families)])
         assert rc == 2
         assert "fallback must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("federation", 0, "score_bias"), {"Stout & porter": "high"},
+             "score_bias: Stout & porter must be a finite number, got 'high'"),
+            (("federation", 0, "score_noise_sd"), float("nan"),
+             "score_noise_sd must be a finite number, got nan"),
+            (("seed",), True, "seed must be an integer, got True"),
+            (("clock_start",), 660.9, "clock_start must be an integer, got 660.9"),
+            (("round_duration",), "5", "round_duration must be an integer, got '5'"),
+            (("federation", 0, "leader_probability"), "0.5",
+             "leader_probability must be a finite number, got '0.5'"),
+        ],
+        ids=["bias-string", "noise-nan", "seed-bool", "clock-fraction", "duration-string", "leader-string"],
+    )
+    def test_untyped_number_in_calibration_config_exits_2(self, tmp_path, capsys, path, value, message):
+        data = Path(beerfed.__file__).parent / "data"
+        shutil.copy(data / "calibration_beverages.csv", tmp_path)
+        body = json.loads((data / "calibration_session.json").read_text(encoding="utf-8"))
+        *parents, key = path
+        target = body
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        config = tmp_path / "session.json"
+        config.write_text(json.dumps(body), encoding="utf-8")
+        assert cli.main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_json_errors_mode(self, tmp_path, capsys):
         cfg = dict(CONFIG)
@@ -422,3 +457,24 @@ class TestEvalRecsDegenerateJudge:
         row = self.run(tmp_path)
         assert self.warnings(capsys) == []
         assert row["mean_rating"] == (3.0 + 3.0 + 5.0 + 3.0) / 4
+
+
+def test_cli_runs_without_scipy(sim_outputs, tmp_path):
+    """Start-up stays numpy-only: analyze with either agreement method
+    leaves no scipy module behind."""
+    script = (
+        "import sys, beerfed\n"
+        "from beerfed import cli\n"
+        "scorecards, beverages, out = sys.argv[1:]\n"
+        "for method in ('spearman', 'kendall'):\n"
+        "    argv = ['analyze', scorecards, beverages, '--out-dir', out + method, '--agreement', method]\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(sim_outputs / "scorecards.csv"),
+         str(sim_outputs / "beverages.csv"), str(tmp_path / "rep-")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"

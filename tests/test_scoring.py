@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from beerfed.errors import DegenerateRowError, InsufficientDataError
 from beerfed.model import Beverage, Dataset, NoteTag, Review
 from beerfed.scoring import (
+    MIN_COMMON_BEVERAGES,
     ScoreMatrix,
     agreement,
     aggregate,
@@ -18,6 +21,7 @@ from beerfed.scoring import (
 from genutil import random_dataset
 from oracles import (
     oracle_aggregate,
+    oracle_kendall_tau_b,
     oracle_normalize,
     oracle_sample_sd,
     oracle_spearman,
@@ -189,6 +193,120 @@ class TestAgreement:
     def test_kendall_flag(self):
         m = matrix_from_rows([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
         assert agreement(m, method="kendall").pair("J0", "J1") == pytest.approx(1.0)
+
+
+def random_tied_matrix(rng, n_judges, n_beverages, missing_rate):
+    """Scores on a narrow stretch of the 0.1 grid (many ties), with missing
+    cells and now and then a judge who gives one score to everything."""
+    lo = int(rng.integers(10, 46))
+    cells = rng.integers(lo, lo + int(rng.integers(1, 6)), size=(n_judges, n_beverages)) / 10
+    if rng.random() < 0.2:
+        cells[int(rng.integers(n_judges))] = lo / 10
+    cells[rng.random(cells.shape) < missing_rate] = nan
+    return matrix_from_rows(cells)
+
+
+ORACLES = {"spearman": oracle_spearman, "kendall": oracle_kendall_tau_b}
+
+
+def expected_pair(m, i, j, method):
+    """The oracle's value for judges i, j over their common beverages, NaN
+    where agreement is undefined."""
+    common = ~np.isnan(m.cells[i]) & ~np.isnan(m.cells[j])
+    x, y = m.cells[i, common].tolist(), m.cells[j, common].tolist()
+    if len(x) < MIN_COMMON_BEVERAGES or len(set(x)) < 2 or len(set(y)) < 2:
+        return nan
+    return ORACLES[method](x, y)
+
+
+class TestAgreementKernels:
+    """Exactness of the level-count kernels: independent oracles, values
+    frozen from scipy.stats, and no warnings on undefined pairs."""
+
+    # computed with scipy 1.17.1 spearmanr / kendalltau on MIXED_ROWS
+    MIXED_ROWS = [
+        [3.8, 4.2, 2.9, 4.2, 3.1, 4.8, 2.9, 3.5, 4.0, 1.7],
+        [3.5, 4.0, 3.0, 4.4, 3.0, 4.6, 3.2, 3.9, 4.0, 2.2],
+        [4.1, nan, 2.5, 3.9, nan, 5.0, 2.5, 3.3, 3.3, nan],
+    ]
+    FROZEN = {
+        "spearman": {(0, 1): 0.9509202453987731, (0, 2): 0.8624216160156493,
+                     (1, 2): 0.7637626158259735},
+        "kendall": {(0, 1): 0.8604651162790699, (0, 2): 0.7694837640638654,
+                    (1, 2): 0.6508140266182865},
+    }
+
+    @pytest.mark.parametrize("method", ["spearman", "kendall"])
+    def test_frozen_scipy_values(self, method):
+        a = agreement(matrix_from_rows(self.MIXED_ROWS), method=method)
+        for (i, j), value in self.FROZEN[method].items():
+            assert a.values[i, j] == value
+            assert a.values[j, i] == value
+
+    def test_full_rows_take_scipy_division_order(self):
+        # spearmanr(x, y) divides by the y deviation first; here that is
+        # one ulp away from dividing by the x deviation first
+        m = matrix_from_rows([
+            [4.0, 3.5, 4.5, 5.0, 2.0, 3.3, 1.5, 1.4, 3.7, 1.1, 3.9],
+            [4.3, 1.6, 3.7, 2.6, 4.6, 4.7, 3.3, 3.3, 3.9, 3.3, 4.0],
+        ])
+        a = agreement(m)
+        assert a.values[0, 1] == a.values[1, 0] == 0.04587349021359835
+
+    @pytest.mark.parametrize("method", ["spearman", "kendall"])
+    def test_matches_oracle_on_tied_matrices_with_missing_cells(self, rng, method):
+        for _ in range(40):
+            m = random_tied_matrix(
+                rng, int(rng.integers(2, 6)), int(rng.integers(1, 16)), rng.uniform(0.0, 0.4)
+            )
+            got = agreement(m, method=method).values
+            for i in range(len(m.judges)):
+                for j in range(i + 1, len(m.judges)):
+                    expected = expected_pair(m, i, j, method)
+                    if np.isnan(expected):
+                        assert np.isnan(got[i, j]) and np.isnan(got[j, i])
+                    else:
+                        assert got[i, j] == got[j, i] == pytest.approx(expected, abs=1e-12)
+
+    def test_bit_identical_to_scipy_per_pair(self, rng):
+        stats = pytest.importorskip("scipy.stats")
+        for _ in range(60):
+            m = random_tied_matrix(
+                rng, int(rng.integers(2, 7)), int(rng.integers(3, 40)),
+                rng.choice([0.0, rng.uniform(0.0, 0.4)]),
+            )
+            filled = m.filled()
+            for method, reference in (("spearman", stats.spearmanr), ("kendall", stats.kendalltau)):
+                got = agreement(m, method=method).values
+                for i in range(len(m.judges)):
+                    for j in range(i + 1, len(m.judges)):
+                        common = filled[i] & filled[j]
+                        if common.sum() < MIN_COMMON_BEVERAGES:
+                            assert np.isnan(got[i, j])
+                            continue
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore")  # constant input
+                            expected = reference(m.cells[i, common], m.cells[j, common])[0]
+                        assert np.array_equal(got[i, j], expected, equal_nan=True)
+                        assert np.array_equal(got[j, i], expected, equal_nan=True)
+
+    @pytest.mark.parametrize("method", ["spearman", "kendall"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[3.0, 3.0, 3.0, 3.0], [1.0, 2.0, 3.0, 4.0]],
+            [[1.0, 2.0, 3.0, nan], [nan, 2.0, 1.0, 4.0]],
+            [[nan, nan, nan, nan], [1.0, 2.0, 3.0, 4.0]],
+            [[1.0], [2.0]],
+        ],
+        ids=["constant-judge", "two-common", "all-nan-row", "one-column"],
+    )
+    def test_undefined_pairs_are_nan_without_warnings(self, method, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = agreement(matrix_from_rows(rows), method=method).values
+        assert values[0, 0] == values[1, 1] == 1.0
+        assert np.isnan(values[0, 1]) and np.isnan(values[1, 0])
 
 
 class TestPerStyleDistribution:
