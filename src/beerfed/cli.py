@@ -1,13 +1,14 @@
 """Command-line surface: simulate / analyze / eval-recs.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 data
-validation error, 5 strict-mode evaluation error.
+validation error, 5 strict-mode evaluation error. ``main`` turns every
+failure into its exit code and diagnostic code through ``EXIT_TABLE``;
+only eval-recs' --strict handler returns 5 itself.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import glob as globmod
 import json
 import math
@@ -18,6 +19,7 @@ from pathlib import Path
 from . import __version__
 from .errors import (
     ConfigurationError,
+    DatasetValidationError,
     DegenerateRowError,
     IngestError,
     InsufficientDataError,
@@ -27,6 +29,7 @@ from .io import (
     load_dataset,
     load_session_config,
     parse_profiles_json,
+    write_csv,
     write_session_outputs,
 )
 from .model import Severity, load_style_families, validate_dataset
@@ -40,6 +43,16 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_STRICT_EVAL = 5
+
+# main() reports the first entry the raised exception is an instance of
+EXIT_TABLE: dict[type[Exception], tuple[int, str]] = {
+    ConfigurationError: (EXIT_CONFIG, "CONFIG"),
+    IngestError: (EXIT_VALIDATION, "INGEST"),
+    DatasetValidationError: (EXIT_VALIDATION, "VALIDATION"),
+    DegenerateRowError: (EXIT_VALIDATION, "DEGENERATE"),
+    InsufficientDataError: (EXIT_VALIDATION, "DEGENERATE"),
+    OSError: (EXIT_IO, "IO"),
+}
 
 
 class Diagnostics:
@@ -69,26 +82,29 @@ def _load_families(path: str | None):
     return load_style_families(path) if path else None
 
 
-def cmd_simulate(args, diag: Diagnostics) -> int:
-    try:
-        families = _load_families(args.families)
-        config = load_session_config(args.config, families)
-        if args.seed is not None:
-            config.seed = args.seed
-            config.validate()
-    except ConfigurationError as exc:
-        diag.error(str(exc), code="CONFIG")
-        return EXIT_CONFIG
-    except OSError as exc:
-        diag.error(str(exc), code="IO")
-        return EXIT_IO
+def _checked_dataset(args, diag: Diagnostics, lenient: bool = False):
+    """Load the families and the dataset, validate the dataset once and
+    report every finding; error-severity findings raise
+    DatasetValidationError unless ``lenient``. Returns (families, dataset,
+    violations)."""
+    families = _load_families(args.families)
+    dataset = load_dataset(args.beverages, args.scorecards, families)
+    violations = validate_dataset(dataset)
+    for v in violations:
+        level = "warning" if (lenient or v.severity is Severity.WARNING) else "error"
+        diag.emit(level, f"{v.subject}: {v.message}", code=v.code)
+    blocking = sorted({v.code for v in violations if v.severity is Severity.ERROR})
+    if blocking and not lenient:
+        raise DatasetValidationError(f"dataset validation failed: {', '.join(blocking)}")
+    return families, dataset, violations
 
+
+def cmd_simulate(args, diag: Diagnostics) -> int:
+    config = load_session_config(args.config, _load_families(args.families))
+    if args.seed is not None:
+        config.seed = args.seed
     result = run_session(config)
-    try:
-        paths = write_session_outputs(result, args.out)
-    except OSError as exc:
-        diag.error(str(exc), code="IO")
-        return EXIT_IO
+    paths = write_session_outputs(result, args.out)
     diag.emit(
         "info",
         f"simulated {len(result.rounds)} rounds "
@@ -100,44 +116,16 @@ def cmd_simulate(args, diag: Diagnostics) -> int:
 
 
 def cmd_analyze(args, diag: Diagnostics) -> int:
-    try:
-        families = _load_families(args.families)
-        dataset = load_dataset(args.beverages, args.scorecards, families)
-    except ConfigurationError as exc:
-        diag.error(str(exc), code="CONFIG")
-        return EXIT_CONFIG
-    except IngestError as exc:
-        diag.error(str(exc), code="INGEST")
-        return EXIT_VALIDATION
-    except OSError as exc:
-        diag.error(str(exc), code="IO")
-        return EXIT_IO
-
-    violations = validate_dataset(dataset)
-    for v in violations:
-        level = "warning" if (args.lenient or v.severity is Severity.WARNING) else "error"
-        diag.emit(level, f"{v.subject}: {v.message}", code=v.code)
-    blocking = [v for v in violations if v.severity is Severity.ERROR]
-    if blocking and not args.lenient:
-        codes = sorted({v.code for v in blocking})
-        diag.error(f"dataset validation failed: {', '.join(codes)}", code="VALIDATION")
-        return EXIT_VALIDATION
-
-    try:
-        _, paths = analyze_dataset(
-            dataset,
-            args.out_dir,
-            families=families,
-            lenient=args.lenient,
-            agreement_method=args.agreement,
-            norm_method=args.norm,
-        )
-    except (DegenerateRowError, InsufficientDataError) as exc:
-        diag.error(str(exc), code="DEGENERATE")
-        return EXIT_VALIDATION
-    except OSError as exc:
-        diag.error(str(exc), code="IO")
-        return EXIT_IO
+    families, dataset, violations = _checked_dataset(args, diag, lenient=args.lenient)
+    paths = analyze_dataset(
+        dataset,
+        args.out_dir,
+        violations,
+        families=families,
+        lenient=args.lenient,
+        agreement_method=args.agreement,
+        norm_method=args.norm,
+    )
     diag.emit("info", f"wrote {len(paths)} report files to {Path(args.out_dir)}")
     return EXIT_OK
 
@@ -149,28 +137,10 @@ def _display(value: float | None) -> str:
 
 
 def cmd_eval_recs(args, diag: Diagnostics) -> int:
-    try:
-        families = _load_families(args.families)
-        dataset = load_dataset(args.beverages, args.scorecards, families)
-        if args.profiles:
-            parse_profiles_json(args.profiles)
-    except ConfigurationError as exc:
-        diag.error(str(exc), code="CONFIG")
-        return EXIT_CONFIG
-    except IngestError as exc:
-        diag.error(str(exc), code="INGEST")
-        return EXIT_VALIDATION
-    except OSError as exc:
-        diag.error(str(exc), code="IO")
-        return EXIT_IO
+    _, dataset, _ = _checked_dataset(args, diag)
+    if args.profiles:
+        parse_profiles_json(args.profiles)
 
-    by_id = dataset.beverage_index()
-    for review in dataset.reviews:
-        if review.beverage_id not in by_id:
-            diag.warning(
-                f"scorecard references unknown beverage {review.beverage_id!r}; row ignored",
-                code="DANGLING_REF",
-            )
     matrix = build_score_matrix(dataset)
     if args.normalized:
         try:
@@ -230,42 +200,32 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         "Coverage",
     ]
     out_path = Path(args.out)
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for r in rows:
-                writer.writerow(
-                    [
-                        r.model_id,
-                        _display(r.mean_rating),
-                        _display(r.mean_percentile),
-                        _display(r.hit_rate),
-                        _display(r.ndcg),
-                        _display(r.coverage),
-                    ]
-                )
-        json_path = out_path.with_suffix(".json")
-        json_path.write_text(
-            canonical_json(
-                [
-                    {
-                        "model": r.model_id,
-                        "mean_rating": r.mean_rating,
-                        "mean_percentile": r.mean_percentile,
-                        f"hit_at_{args.k}": r.hit_rate,
-                        f"ndcg_at_{args.k}": r.ndcg,
-                        "coverage": r.coverage,
-                    }
-                    for r in rows
-                ]
-            ),
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        diag.error(str(exc), code="IO")
-        return EXIT_IO
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(
+        out_path,
+        header,
+        [
+            [r.model_id, *map(_display, (r.mean_rating, r.mean_percentile, r.hit_rate, r.ndcg, r.coverage))]
+            for r in rows
+        ],
+    )
+    json_path = out_path.with_suffix(".json")
+    json_path.write_text(
+        canonical_json(
+            [
+                {
+                    "model": r.model_id,
+                    "mean_rating": r.mean_rating,
+                    "mean_percentile": r.mean_percentile,
+                    f"hit_at_{args.k}": r.hit_rate,
+                    f"ndcg_at_{args.k}": r.ndcg,
+                    "coverage": r.coverage,
+                }
+                for r in rows
+            ]
+        ),
+        encoding="utf-8",
+    )
     diag.emit("info", f"evaluated {len(rows)} model(s) -> {out_path}, {json_path}")
     return EXIT_OK
 
@@ -334,7 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     diag = Diagnostics(args.json_errors)
-    return args.func(args, diag)
+    try:
+        return args.func(args, diag)
+    except tuple(EXIT_TABLE) as exc:
+        exit_code, code = next(v for kind, v in EXIT_TABLE.items() if isinstance(exc, kind))
+        diag.error(str(exc), code=code)
+        return exit_code
 
 
 if __name__ == "__main__":

@@ -12,19 +12,27 @@ class ConfigurationError(BeerfedError):
 class IngestError(BeerfedError):
     """Malformed input file content (CLI exit 4).
 
-    Carries optional 1-based file line number and column name so CLI
-    diagnostics can point at the offending cell.
+    Carries the optional file, 1-based file line number and column name so
+    CLI diagnostics can point at the offending cell.
     """
 
-    def __init__(self, message: str, *, row: int | None = None, column: str | None = None):
+    def __init__(
+        self, message: str, *, path=None, row: int | None = None, column: str | None = None
+    ):
+        super().__init__(message)
+        self.path = path  # the CSV reader sets it on errors raised while it is open
         self.row = row
         self.column = column
-        prefix = ""
-        if row is not None:
-            prefix += f"row {row}"
-        if column is not None:
-            prefix += f"{', ' if prefix else ''}column {column}"
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+
+    def __str__(self) -> str:
+        cell = [f"row {self.row}"] if self.row is not None else []
+        if self.column is not None:
+            cell.append(f"column {self.column}")
+        return ": ".join(str(p) for p in (self.path, ", ".join(cell), self.args[0]) if p)
+
+
+class DatasetValidationError(BeerfedError):
+    """Dataset validation found error-severity violations (CLI exit 4)."""
 
 
 class DegenerateRowError(BeerfedError):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,6 +34,7 @@ from .model import (
     StyleFamily,
     _json_bool,
     _json_number,
+    _read_json,
     bucket_style,
     derive_note_tags,
 )
@@ -51,7 +53,7 @@ def beverage_id_for(producer: str, name: str) -> str:
     return f"{normalize_name(producer)}::{normalize_name(name)}"
 
 
-def _parse_tags(raw: str, row: int, column: str) -> frozenset[NoteTag]:
+def _parse_tags(raw: str, row: int | None, column: str) -> frozenset[NoteTag]:
     tags = set()
     for part in raw.split(";"):
         part = part.strip()
@@ -83,6 +85,45 @@ def _check_header(
         raise IngestError(f"unknown column(s): {', '.join(unknown)}", row=1)
 
 
+@contextmanager
+def _csv_records(path: str | Path, required: Sequence[str], optional: Sequence[str]):
+    """Open a UTF-8 CSV file (a leading byte-order mark is accepted), check
+    its header and give an iterator of ``(line, cell)`` over the non-blank
+    rows, where ``cell(column)`` reads one field of the current row ("" for
+    an optional column the file lacks). A row with the wrong field count, undecodable bytes
+    and every other IngestError raised inside the ``with`` block name the
+    file."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError("file is empty (expected a header row)", row=1)
+            _check_header(header, required, optional)
+            idx = {h.strip(): i for i, h in enumerate(header)}
+
+            def records():
+                for record in reader:
+                    if not any(c.strip() for c in record):
+                        continue
+                    if len(record) != len(header):
+                        raise IngestError(
+                            f"expected {len(header)} fields, found {len(record)}",
+                            row=reader.line_num,
+                        )
+                    yield reader.line_num, lambda column: record[idx[column]] if column in idx else ""
+
+            yield records()
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} (byte 0x{exc.object[exc.start]:02x})"
+        raise IngestError(f"not UTF-8 text: {reason}", path=path) from None
+    except csv.Error as exc:
+        raise IngestError(f"malformed CSV: {exc}", path=path) from None
+    except IngestError as exc:
+        exc.path = path
+        raise
+
+
 def _beverage_from_fields(
     producer: str,
     name: str,
@@ -91,7 +132,7 @@ def _beverage_from_fields(
     ingredients_raw: str,
     tags_raw: str,
     families: list[StyleFamily] | None,
-    row: int,
+    row: int | None,
 ) -> Beverage:
     if not producer.strip():
         raise IngestError("brewery must not be empty", row=row, column="brewery")
@@ -127,28 +168,10 @@ def parse_beverages_csv(
 ) -> list[Beverage]:
     """Ingest a beverage list: rows come back style-bucketed and ready to
     band, with errors reported by file line and column."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("file is empty (expected a header row)", row=1) from None
-        _check_header(header, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL)
-        idx = {h.strip(): i for i, h in enumerate(header)}
-        beverages = []
-        seen: set[tuple[str, str]] = set()
-        for record in reader:
-            if not record or all(not c.strip() for c in record):
-                continue
-            row = reader.line_num
-            if len(record) != len(header):
-                raise IngestError(
-                    f"expected {len(header)} fields, found {len(record)}", row=row
-                )
-
-            def cell(column: str, default: str = "") -> str:
-                return record[idx[column]] if column in idx else default
-
+    beverages = []
+    seen: set[tuple[str, str]] = set()
+    with _csv_records(path, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL) as records:
+        for row, cell in records:
             beverage = _beverage_from_fields(
                 cell("brewery"),
                 cell("beer_name"),
@@ -171,13 +194,19 @@ def parse_beverages_csv(
     return beverages
 
 
-def _format_abv(abv: float) -> str:
-    return repr(float(abv))
-
-
 def _format_score(score: float) -> str:
     tenths = round(score * 10)
     return f"{tenths // 10}.{tenths % 10}"
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """The one CSV writer: UTF-8, LF line endings and a header row; the csv
+    module writes None as an empty cell, floats by repr and other values
+    by str()."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_beverages_csv(beverages: Iterable[Beverage], path: str | Path) -> None:
@@ -189,16 +218,16 @@ def write_beverages_csv(beverages: Iterable[Beverage], path: str | Path) -> None
         header.append("ingredients")
     if with_tags:
         header.append("tags")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for b in beverages:
-            record = [b.producer, b.name, b.raw_style, _format_abv(b.abv)]
-            if with_ingredients:
-                record.append(";".join(sorted(b.ingredients or ())))
-            if with_tags:
-                record.append(";".join(sorted(t.value for t in b.note_tags)))
-            writer.writerow(record)
+
+    def record(b: Beverage) -> list:
+        cells = [b.producer, b.name, b.raw_style, float(b.abv)]
+        if with_ingredients:
+            cells.append(";".join(sorted(b.ingredients or ())))
+        if with_tags:
+            cells.append(";".join(sorted(t.value for t in b.note_tags)))
+        return cells
+
+    write_csv(path, header, map(record, beverages))
 
 
 @dataclass(frozen=True)
@@ -212,27 +241,9 @@ class ScorecardRow:
 
 
 def parse_scorecards_csv(path: str | Path) -> list[ScorecardRow]:
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("file is empty (expected a header row)", row=1) from None
-        _check_header(header, SCORECARD_COLUMNS, SCORECARD_OPTIONAL)
-        idx = {h.strip(): i for i, h in enumerate(header)}
-        rows = []
-        for record in reader:
-            if not record or all(not c.strip() for c in record):
-                continue
-            line = reader.line_num
-            if len(record) != len(header):
-                raise IngestError(
-                    f"expected {len(header)} fields, found {len(record)}", row=line
-                )
-
-            def cell(column: str, default: str = "") -> str:
-                return record[idx[column]] if column in idx else default
-
+    rows = []
+    with _csv_records(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as records:
+        for line, cell in records:
             judge_id = cell("judge_id").strip()
             if not judge_id:
                 raise IngestError("judge_id must not be empty", row=line, column="judge_id")
@@ -276,18 +287,18 @@ def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
         header.append("tags")
     if with_notes:
         header.append("note")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in dataset.reviews:
-            beverage = by_id.get(r.beverage_id)
-            name = beverage.name if beverage else r.beverage_id
-            record = [r.judge_id, name, _format_score(r.raw_score)]
-            if with_tags:
-                record.append(";".join(sorted(t.value for t in r.note_tags)))
-            if with_notes:
-                record.append(r.note_text or "")
-            writer.writerow(record)
+
+    def record(r: Review) -> list:
+        beverage = by_id.get(r.beverage_id)
+        name = beverage.name if beverage else r.beverage_id
+        cells = [r.judge_id, name, _format_score(r.raw_score)]
+        if with_tags:
+            cells.append(";".join(sorted(t.value for t in r.note_tags)))
+        if with_notes:
+            cells.append(r.note_text or "")
+        return cells
+
+    write_csv(path, header, map(record, dataset.reviews))
 
 
 def build_dataset(beverages: list[Beverage], rows: list[ScorecardRow]) -> Dataset:
@@ -335,17 +346,17 @@ def load_dataset(
 ) -> Dataset:
     beverages = parse_beverages_csv(beverages_path, families)
     rows = parse_scorecards_csv(scorecards_path)
-    return build_dataset(beverages, rows)
+    try:
+        return build_dataset(beverages, rows)
+    except IngestError as exc:  # an ambiguous name, at a scorecard row
+        exc.path = scorecards_path
+        raise
 
 
 def parse_profiles_json(path: str | Path) -> list[dict]:
     """Consumer profile file: a JSON array of objects with unique
     profile_id; the remaining fields are free-form description."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"invalid JSON: {exc}") from None
+    raw = _read_json(path, IngestError)
     if not isinstance(raw, list):
         raise IngestError("profile file must be a JSON array")
     seen = set()
@@ -421,11 +432,7 @@ def load_session_config(
     """Load a session config file; a pool_csv path is resolved relative to
     the config file's directory."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+    raw = _read_json(path, ConfigurationError)
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: session config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -442,9 +449,11 @@ def load_session_config(
     if ("pool" in raw) == ("pool_csv" in raw):
         raise ConfigurationError(f"{path}: exactly one of pool / pool_csv is required")
     if "pool_csv" in raw:
-        pool_path = (path.parent / raw["pool_csv"]).resolve()
+        pool_csv = raw["pool_csv"]
+        if not isinstance(pool_csv, str) or "\0" in pool_csv:
+            raise ConfigurationError(f"{path}: pool_csv must be a file path string, got {pool_csv!r}")
         try:
-            pool = parse_beverages_csv(pool_path, families)
+            pool = parse_beverages_csv((path.parent / pool_csv).resolve(), families)
         except IngestError as exc:
             raise ConfigurationError(f"{path}: pool_csv: {exc}") from None
     else:
@@ -462,7 +471,7 @@ def load_session_config(
                         str(entry.get("ingredients", "") or ""),
                         str(entry.get("tags", "") or ""),
                         families,
-                        i,
+                        None,
                     )
                 )
             except IngestError as exc:

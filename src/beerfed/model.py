@@ -141,11 +141,21 @@ def _json_number(entry: dict, key: str, where: str, default=None, *, integer: bo
     raise ConfigurationError(f"{where}: {key} must be {kind}, got {value!r}")
 
 
+def _read_json(path: str | Path, error: type[Exception]):
+    """The parsed content of a UTF-8 JSON file. Undecodable bytes, invalid
+    JSON and nesting too deep to parse raise ``error`` naming the file; a
+    file that cannot be opened raises OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise error(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_style_families(path: str | Path) -> list[StyleFamily]:
     """Load a family configuration file: a JSON list of
     {"name": ..., "patterns": [...], "fallback": bool?} objects."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path, ConfigurationError)
     if not isinstance(raw, list):
         raise ConfigurationError("family configuration must be a JSON list")
     families = []

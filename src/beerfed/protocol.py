@@ -210,7 +210,8 @@ def generate_score(
     value = base_quality + bias + rng.standard_normal() * profile.score_noise_sd
     if profile.score_floor_affinity > 0 and rng.random() < profile.score_floor_affinity:
         value = 1.0
-    tenths = min(50, max(10, round(value * 10)))
+    # clamp before rounding: a huge bias or noise sd overflows value * 10
+    tenths = round(min(5.0, max(1.0, value)) * 10)
     return tenths / 10.0
 
 

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import IngestError
+from .model import _read_json
 
 DEFAULT_K = 5
 
@@ -333,6 +334,10 @@ def parse_recommendations_json(text: str, source: str = "<memory>") -> ModelReco
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestError(f"{source}: invalid JSON: {exc}") from None
+    return _recommendations_from(raw, source)
+
+
+def _recommendations_from(raw, source: str) -> ModelRecommendations:
     if not isinstance(raw, dict) or "model_id" not in raw or "profiles" not in raw:
         raise IngestError(f"{source}: expected an object with model_id and profiles")
     model_id = str(raw["model_id"])
@@ -346,8 +351,11 @@ def parse_recommendations_json(text: str, source: str = "<memory>") -> ModelReco
         profile_id = str(entry["profile_id"])
         if profile_id in out.sets:
             raise IngestError(f"{source}: duplicate profile_id {profile_id!r}")
+        items = entry.get("recommendations", [])
+        if not isinstance(items, list):
+            raise IngestError(f"{source}: recommendations must be a list")
         slots = []
-        for item in entry.get("recommendations", []):
+        for item in items:
             if not isinstance(item, dict):
                 raise IngestError(f"{source}: recommendations must be objects")
             rank = item.get("rank")
@@ -367,8 +375,7 @@ def parse_recommendations_json(text: str, source: str = "<memory>") -> ModelReco
 
 
 def load_recommendations(path: str | Path) -> ModelRecommendations:
-    with open(path, encoding="utf-8") as fh:
-        return parse_recommendations_json(fh.read(), source=str(path))
+    return _recommendations_from(_read_json(path, IngestError), str(path))
 
 
 def recommendations_to_json(recs: ModelRecommendations) -> str:

@@ -8,13 +8,12 @@ real-vs-artificial tag comparison and any validation findings.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .io import canonical_json
+from .io import canonical_json, write_csv
 from .model import (
     ABV_BAND_EDGES,
     DEFAULT_STYLE_FAMILIES,
@@ -22,7 +21,6 @@ from .model import (
     StyleFamily,
     Violation,
     classify_abv,
-    validate_dataset,
 )
 from .scoring import (
     agreement,
@@ -47,16 +45,6 @@ TABLE_NAMES = (
 )
 
 TOP_N = 10
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if np.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
 
 
 def build_analysis_report(
@@ -179,14 +167,6 @@ def build_analysis_report(
     }
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def write_report_tables(
     report: dict, out_dir: str | Path, violations: list[Violation] | None = None
 ) -> dict[str, Path]:
@@ -194,55 +174,25 @@ def write_report_tables(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
-
-    def table(name: str, header: list[str], rows: list[list]) -> None:
-        paths[name] = out / f"{name}.csv"
-        _write_csv(paths[name], header, rows)
-
-    table(
-        "style_counts",
-        ["family", "count"],
-        [[r["family"], r["count"]] for r in report["style_counts"]],
-    )
-    table(
-        "abv_bands",
-        ["band", "count"],
-        [[r["band"], r["count"]] for r in report["abv_bands"]],
-    )
-    table(
-        "judge_stats",
-        ["judge", "mean", "sd", "count"],
-        [[r["judge"], r["mean"], r["sd"], r["count"]] for r in report["judge_stats"]],
-    )
-    judges = report["agreement"]["judges"]
-    table(
-        "agreement",
-        ["judge", *judges],
-        [
-            [judge, *row]
-            for judge, row in zip(judges, report["agreement"]["values"])
-        ],
-    )
     rank_header = ["rank", "beverage", "score", "reviews"]
-    table(
-        "top10",
-        rank_header,
-        [[r["rank"], r["beverage"], r["score"], r["reviews"]] for r in report["top10"]],
-    )
-    table(
-        "bottom10",
-        rank_header,
-        [[r["rank"], r["beverage"], r["score"], r["reviews"]] for r in report["bottom10"]],
-    )
-    table(
-        "per_style",
-        ["family", "score"],
-        [[r["family"], r["score"]] for r in report["per_style_rows"]],
-    )
-    table(
-        "divisive",
-        ["beverage", "sd", "range", "reviews"],
-        [[r["beverage"], r["sd"], r["range"], r["reviews"]] for r in report["divisive"]],
+    for name, header, rows in (
+        ("style_counts", ["family", "count"], report["style_counts"]),
+        ("abv_bands", ["band", "count"], report["abv_bands"]),
+        ("judge_stats", ["judge", "mean", "sd", "count"], report["judge_stats"]),
+        ("top10", rank_header, report["top10"]),
+        ("bottom10", rank_header, report["bottom10"]),
+        ("per_style", ["family", "score"], report["per_style_rows"]),
+        ("divisive", ["beverage", "sd", "range", "reviews"], report["divisive"]),
+    ):
+        paths[name] = out / f"{name}.csv"
+        write_csv(paths[name], header, [[r[c] for c in header] for r in rows])
+    # judge ids are data, so the agreement matrix is written by position
+    judges = report["agreement"]["judges"]
+    paths["agreement"] = out / "agreement.csv"
+    write_csv(
+        paths["agreement"],
+        ["judge", *judges],
+        [[judge, *row] for judge, row in zip(judges, report["agreement"]["values"])],
     )
 
     payload = dict(report)
@@ -258,14 +208,14 @@ def write_report_tables(
 def analyze_dataset(
     dataset: Dataset,
     out_dir: str | Path,
+    violations: list[Violation],
     families: list[StyleFamily] | None = None,
     lenient: bool = False,
     agreement_method: str = "spearman",
     norm_method: str = "minmax",
-) -> tuple[list[Violation], dict[str, Path]]:
-    """Validate, build and write the full report; the caller decides what
-    to do about the returned violations."""
-    violations = validate_dataset(dataset)
+) -> dict[str, Path]:
+    """Build and write the full report, recording the caller's validation
+    findings in report.json; returns the paths by name."""
     report = build_analysis_report(
         dataset,
         families=families,
@@ -273,5 +223,4 @@ def analyze_dataset(
         agreement_method=agreement_method,
         norm_method=norm_method,
     )
-    paths = write_report_tables(report, out_dir, violations)
-    return violations, paths
+    return write_report_tables(report, out_dir, violations)

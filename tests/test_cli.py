@@ -1,16 +1,19 @@
 import csv
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import beerfed
-from beerfed import cli
+from beerfed import cli, errors
 from beerfed.receval import ModelRecommendations, RecommendationSet, RecommendationSlot, recommendations_to_json
 
 CONFIG = {
@@ -407,6 +410,31 @@ class TestEvalRecs:
         assert "usage:" in err and "must be a positive integer" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"model_id": "caf\xe9", "profiles": []}'.encode("latin-1"),
+            b'{"model_id": "m", "profiles": [{"profile_id": "A", "recommendations": 5}]}',
+        ],
+        ids=["latin-1", "recommendations-not-a-list"],
+    )
+    def test_unparseable_rec_file_skipped_or_strict_5(self, sim_outputs, tmp_path, eval_env, capsys, body):
+        bad = eval_env / "bad.json"
+        bad.write_bytes(body)
+        argv = [
+            "--json-errors", "eval-recs", str(eval_env / "*.json"),
+            str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+            "--out", str(tmp_path / "table.csv"),
+        ]
+        assert cli.main(argv) == 0
+        (skip,) = [r for r in error_records(capsys) if r.get("code") == "EVAL"]
+        assert skip["level"] == "warning" and str(bad) in skip["message"]
+        assert len((tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()) == 5
+
+        assert cli.main([*argv, "--strict"]) == 5
+        (failure,) = [r for r in error_records(capsys) if r.get("code") == "EVAL"]
+        assert failure["level"] == "error" and str(bad) in failure["message"]
+
 
 class TestEvalRecsDegenerateJudge:
     BEVERAGES = (
@@ -478,3 +506,260 @@ def test_cli_runs_without_scipy(sim_outputs, tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def error_records(capsys):
+    return [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+
+
+def analyze_argv(scorecards, beverages, out):
+    return ["analyze", str(scorecards), str(beverages), "--out-dir", str(out)]
+
+
+def eval_argv(scorecards, beverages, out):
+    return ["eval-recs", str(out / "*.json"), str(scorecards), str(beverages), "--out", str(out / "t.csv")]
+
+
+class TestInputBoundary:
+    """Inputs that ended in a traceback, or that analyze and eval-recs
+    judged differently, now exit through the one exit table."""
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "eval-recs"])
+    def test_invalid_families_json_exits_2(self, sim_outputs, tmp_path, capsys, command):
+        families = tmp_path / "families.json"
+        families.write_text('[{"name": ', encoding="utf-8")
+        tables = (sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv", tmp_path / "out")
+        argv = {
+            "simulate": ["simulate", str(tmp_path / "session.json"), "--out", str(tmp_path / "out")],
+            "analyze": analyze_argv(*tables),
+            "eval-recs": eval_argv(*tables),
+        }[command]
+        assert cli.main(["--json-errors", *argv, "--families", str(families)]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert f"{families}: invalid JSON" in record["message"]
+
+    @pytest.mark.parametrize("argv", [analyze_argv, eval_argv])
+    def test_latin1_scorecard_exits_4_naming_the_file(self, sim_outputs, tmp_path, capsys, argv):
+        cards = tmp_path / "latin1.csv"
+        cards.write_bytes(
+            (sim_outputs / "scorecards.csv").read_bytes() + "A,Caf\xe9 Cr\xe8me,3.5\n".encode("latin-1")
+        )
+        assert cli.main(["--json-errors", *argv(cards, sim_outputs / "beverages.csv", tmp_path / "out")]) == 4
+        (record,) = error_records(capsys)
+        assert record["code"] == "INGEST"
+        assert record["message"].startswith(f"{cards}: not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "extra_beverage, bad_file, where",
+        [
+            ("P,Odd One,Gose,strong", "beverages", "row 22, column abv_percent: abv_percent 'strong'"),
+            ("Q,Batch 00,Gose,4.0", "scorecards", "column beer_name: beverage name 'Batch 00' is ambiguous"),
+        ],
+        ids=["bad-abv", "ambiguous-name"],
+    )
+    def test_every_csv_ingest_error_names_its_file(self, sim_outputs, tmp_path, capsys, extra_beverage, bad_file, where):
+        beverages = tmp_path / "beverages.csv"
+        beverages.write_text(
+            (sim_outputs / "beverages.csv").read_text(encoding="utf-8") + extra_beverage + "\n",
+            encoding="utf-8",
+        )
+        cards = sim_outputs / "scorecards.csv"
+        argv = ["--json-errors", *analyze_argv(cards, beverages, tmp_path / "out")]
+        assert cli.main(argv) == 4
+        (record,) = error_records(capsys)
+        path = {"beverages": beverages, "scorecards": cards}[bad_file]
+        assert record["message"].startswith(f"{path}: ") and where in record["message"]
+
+    def test_oversized_csv_field_exits_4(self, sim_outputs, tmp_path, capsys):
+        cards = tmp_path / "huge.csv"
+        cards.write_text('judge_id,beer_name,raw_score\nA,"' + "x" * 200_000 + '",3.0\n', encoding="utf-8")
+        argv = analyze_argv(cards, sim_outputs / "beverages.csv", tmp_path / "out")
+        assert cli.main(["--json-errors", *argv]) == 4
+        (record,) = error_records(capsys)
+        assert record["code"] == "INGEST" and record["message"].startswith(f"{cards}: malformed CSV")
+
+    @pytest.mark.parametrize("argv", [analyze_argv, eval_argv])
+    @pytest.mark.parametrize(
+        "extra_row, code",
+        [(None, "DUP_REVIEW"), ("A,Imaginary Pils,3.0", "DANGLING_REF")],
+        ids=["duplicate", "unknown-beverage"],
+    )
+    def test_both_commands_block_the_same_dataset(self, sim_outputs, tmp_path, capsys, argv, extra_row, code):
+        lines = (sim_outputs / "scorecards.csv").read_text(encoding="utf-8").splitlines()
+        cards = tmp_path / "cards.csv"
+        cards.write_text("\n".join([*lines, extra_row or lines[1]]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        make_rec_file(out, "model-x", {"A": ["Batch 00"]})
+        assert cli.main(["--json-errors", *argv(cards, sim_outputs / "beverages.csv", out)]) == 4
+        records = error_records(capsys)
+        assert [r["code"] for r in records if r["level"] == "error"] == [code, "VALIDATION"]
+        assert sorted(p.name for p in out.iterdir()) == ["model-x.json"]  # nothing written
+
+    @pytest.mark.parametrize("argv", [analyze_argv, eval_argv])
+    def test_validate_dataset_runs_once_per_call(self, sim_outputs, tmp_path, monkeypatch, argv):
+        calls = []
+        validate = cli.validate_dataset
+        for module in [m for name, m in sys.modules.items() if name.startswith("beerfed")]:
+            if getattr(module, "validate_dataset", None) is validate:
+                monkeypatch.setattr(module, "validate_dataset", lambda d: calls.append(1) or validate(d))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(argv(sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv", out)) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("value", [5, None, "pool\u0000.csv"], ids=["number", "null", "nul-byte"])
+    def test_pool_csv_must_be_a_path_string(self, tmp_path, capsys, value):
+        body = {k: v for k, v in CONFIG.items() if k != "pool"}
+        body["pool_csv"] = value
+        config = tmp_path / "session.json"
+        config.write_text(json.dumps(body), encoding="utf-8")
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert f"pool_csv must be a file path string, got {value!r}" in record["message"]
+
+    @pytest.mark.parametrize("key, value", [("score_bias", {"Stout & porter": 1.7e308}), ("score_noise_sd", 1e308)])
+    def test_huge_score_offsets_clamp_instead_of_overflowing(self, tmp_path, key, value):
+        federation = [dict(CONFIG["federation"][0], **{key: value}), *CONFIG["federation"][1:]]
+        config = write_config(tmp_path, federation=federation)
+        assert cli.main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 0
+
+    def test_inline_pool_error_names_entry_not_a_row(self, tmp_path, capsys):
+        pool = [dict(CONFIG["pool"][0], tags="bogus"), *CONFIG["pool"][1:]]
+        config = write_config(tmp_path, pool=pool)
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        (record,) = error_records(capsys)
+        assert record["message"].startswith(f"{config}: pool entry 0: column tags: unknown tag 'bogus'")
+
+
+class TestExitTable:
+    def test_every_package_error_has_a_row(self):
+        kinds = [
+            v for v in vars(errors).values()
+            if isinstance(v, type) and issubclass(v, errors.BeerfedError) and v is not errors.BeerfedError
+        ]
+        assert kinds and all(kind in cli.EXIT_TABLE for kind in kinds)
+
+    CODES = (0, 2, 3, 4, 5)
+
+    @staticmethod
+    def argv_for(code, tmp):
+        """One way to reach each documented exit code."""
+        assert cli.main(["simulate", str(write_config(tmp)), "--out", str(tmp / "sim")]) == 0
+        tables = (tmp / "sim" / "scorecards.csv", tmp / "sim" / "beverages.csv")
+        write_text(tmp / "recs" / "broken.json", "{")
+        return {
+            0: analyze_argv(*tables, tmp / "rep"),
+            2: ["simulate", str(write_config(tmp, seed=-1)), "--out", str(tmp / "x")],
+            3: ["simulate", str(tmp / "missing.json"), "--out", str(tmp / "x")],
+            4: analyze_argv(tables[1], tables[1], tmp / "rep"),  # a beverage list as scorecards
+            5: [*eval_argv(*tables, tmp / "recs"), "--strict"],
+        }[code]
+
+    def test_docstring_lists_the_codes_tested_and_tabled(self):
+        documented = {int(c) for c in re.findall(r"\b(\d) [A-Za-z]", cli.__doc__)}
+        assert documented == set(self.CODES)
+        assert {code for code, _ in cli.EXIT_TABLE.values()} <= documented
+
+    @pytest.mark.parametrize("code", CODES)
+    def test_each_documented_exit_code_is_produced(self, tmp_path, code):
+        assert cli.main(self.argv_for(code, tmp_path)) == code
+
+
+def write_text(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+PROPERTY_BEVERAGES = (
+    "brewery,beer_name,beer_style,abv_percent\n"
+    "P,Alpha Ale,Pale Ale,5.0\nQ,Beta Bock,Bock,6.5\nR,Gamma Gose,Gose,4.2\n"
+)
+
+# scorecard-shaped text, mostly valid cells, so examples get past the
+# parser and reach validation and the analysis itself
+scorecard_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["A", "B", "C"] * 8 + [" ", "judge_id"]),
+        st.sampled_from(["Alpha Ale", "beta  bock", "Gamma Gose"] * 8 + ["Delta Dunkel", ""]),
+        st.sampled_from(["1", "1.0", "2.5", "3.5", "4.9", "5.0"] * 8 + ["5.1", "0.9", "3.25", "x", ""]),
+    ),
+    max_size=10,
+).map(lambda rows: "judge_id,beer_name,raw_score\n" + "".join(",".join(r) + "\n" for r in rows))
+scorecard_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.tuples(scorecard_rows, st.sampled_from(["utf-8", "utf-8-sig", "latin-1", "utf-16"])).map(
+        lambda pair: pair[0].encode(pair[1], errors="replace")
+    ),
+    st.tuples(scorecard_rows, st.binary(max_size=8)).map(lambda pair: pair[0].encode() + pair[1]),
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([0, 1, -1, 0.5, 1e308, -1e308, 2**64, "", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+PROPERTY_CONFIG = {
+    "seed": 3,
+    "clock_start": 600,
+    "clock_end": 660,
+    "round_duration": 5,
+    "federation": [
+        {"id": "A", "is_expert": True, "leader_probability": 0.5, "score_noise_sd": 0.5,
+         "score_bias": {"Gose": 0.5}},
+        {"id": "B", "is_expert": True, "leader_probability": 0.5},
+        {"id": "C", "freeload_probability": 0.5, "availability_probability": 0.5},
+    ],
+    "pool": [
+        {"brewery": "P", "beer_name": f"Batch {i}", "beer_style": style, "abv_percent": 4.5 + i}
+        for i, style in enumerate(["Gose", "Stout", "Pils"])
+    ],
+}
+# where one arbitrary JSON value replaces (or adds) a field of a valid config
+CONFIG_FIELDS = [
+    (key,) for key in (*PROPERTY_CONFIG, "blackout_windows", "cost_params", "base_quality_range",
+                       "include_amateurs", "pool_csv", "unknown")
+] + [
+    ("federation", 0, key) for key in (*PROPERTY_CONFIG["federation"][0], "availability_probability",
+                                       "freeload_probability", "score_floor_affinity")
+] + [("federation", 0, "score_bias", "Gose"), ("cost_params", "politeness_decay")] + [
+    ("pool", 0, key) for key in (*PROPERTY_CONFIG["pool"][0], "tags", "ingredients")
+]
+
+
+@st.composite
+def session_configs(draw):
+    if draw(st.integers(0, 3)) == 0:
+        return draw(json_values)
+    body = json.loads(json.dumps(PROPERTY_CONFIG))
+    *parents, key = draw(st.sampled_from(CONFIG_FIELDS))
+    target = body
+    for step in parents:
+        target = target[step] if isinstance(target, list) else target.setdefault(step, {})
+    target[key] = draw(json_values)
+    if key == "pool_csv":
+        del body["pool"]
+    return body
+
+
+class TestInputProperties:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=scorecard_bytes, lenient=st.booleans())
+    def test_any_scorecard_bytes_exit_0_or_4(self, data, lenient):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cards = tmp / "scorecards.csv"
+            cards.write_bytes(data)
+            argv = analyze_argv(cards, write_text(tmp / "beverages.csv", PROPERTY_BEVERAGES), tmp / "rep")
+            assert cli.main(["--json-errors", *argv, *(["--lenient"] if lenient else [])]) in (0, 4)
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(body=session_configs())
+    def test_any_json_config_exits_0_2_or_3(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_text(Path(tmp) / "session.json", json.dumps(body))
+            assert cli.main(["--json-errors", "simulate", str(config), "--out", str(Path(tmp) / "sim")]) in (0, 2, 3)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from beerfed.model import validate_dataset
 from beerfed.reports import analyze_dataset, build_analysis_report
 
 
@@ -41,7 +42,8 @@ class TestBuildReport:
 
 class TestWriteTables:
     def test_files_and_content(self, tiny_dataset, tmp_path):
-        violations, paths = analyze_dataset(tiny_dataset, tmp_path)
+        violations = validate_dataset(tiny_dataset)
+        paths = analyze_dataset(tiny_dataset, tmp_path, violations)
         assert violations == []
         assert len(paths) == 9
 
@@ -63,7 +65,8 @@ class TestWriteTables:
         # drop two of b5's three reviews so it falls below the minimum
         kept = [r for r in tiny_dataset.reviews if r.beverage_id != "b5" or r.judge_id == "A"]
         tiny_dataset.reviews = kept
-        violations, paths = analyze_dataset(tiny_dataset, tmp_path, lenient=True)
+        violations = validate_dataset(tiny_dataset)
+        paths = analyze_dataset(tiny_dataset, tmp_path, violations, lenient=True)
         assert [v.code for v in violations] == ["MISSING_REVIEWS"]
         report = json.loads(paths["report"].read_text(encoding="utf-8"))
         assert [v["code"] for v in report["violations"]] == ["MISSING_REVIEWS"]
@@ -74,7 +77,7 @@ class TestWriteTables:
             r for r in tiny_dataset.reviews
             if not (r.judge_id == "C" and r.beverage_id in ("b0", "b1", "b2", "b3"))
         ]
-        _, paths = analyze_dataset(tiny_dataset, tmp_path, lenient=True)
+        paths = analyze_dataset(tiny_dataset, tmp_path, validate_dataset(tiny_dataset), lenient=True)
         with open(paths["agreement"], encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][3] == ""  # A vs C undefined
