@@ -29,12 +29,19 @@ from .io import (
     load_dataset,
     load_session_config,
     parse_profiles_json,
+    staged_outputs,
     write_csv,
     write_session_outputs,
 )
 from .model import Severity, load_style_families, validate_dataset
 from .protocol import run_session
-from .receval import DEFAULT_K, evaluate_model, load_recommendations, normalize_name
+from .receval import (
+    DEFAULT_K,
+    JudgeIndex,
+    evaluate_model,
+    load_recommendations,
+    normalize_name,
+)
 from .reports import analyze_dataset
 from .scoring import build_score_matrix, normalize
 
@@ -150,10 +157,13 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
             matrix = normalize(matrix, lenient=True)
     # plain floats: _display needs repr() of a Python float
     keys = [normalize_name(b.name) for b in dataset.beverages]
-    scorecards = {
-        judge: {key: score for key, score in zip(keys, row) if not math.isnan(score)}
-        for judge, row in zip(matrix.judges, matrix.cells.tolist())
-    }
+    scorecards = JudgeIndex(
+        {
+            judge: {key: score for key, score in zip(keys, row) if not math.isnan(score)}
+            for judge, row in zip(matrix.judges, matrix.cells.tolist())
+        },
+        args.k,
+    )
     beverage_names = {b.name for b in dataset.beverages}
 
     paths = sorted(globmod.glob(args.recs_glob))
@@ -200,32 +210,32 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         "Coverage",
     ]
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out_path,
-        header,
-        [
-            [r.model_id, *map(_display, (r.mean_rating, r.mean_percentile, r.hit_rate, r.ndcg, r.coverage))]
-            for r in rows
-        ],
-    )
     json_path = out_path.with_suffix(".json")
-    json_path.write_text(
-        canonical_json(
+    with staged_outputs(out_path.parent) as staging:
+        write_csv(
+            staging / out_path.name,
+            header,
             [
-                {
-                    "model": r.model_id,
-                    "mean_rating": r.mean_rating,
-                    "mean_percentile": r.mean_percentile,
-                    f"hit_at_{args.k}": r.hit_rate,
-                    f"ndcg_at_{args.k}": r.ndcg,
-                    "coverage": r.coverage,
-                }
+                [r.model_id, *map(_display, (r.mean_rating, r.mean_percentile, r.hit_rate, r.ndcg, r.coverage))]
                 for r in rows
-            ]
-        ),
-        encoding="utf-8",
-    )
+            ],
+        )
+        (staging / json_path.name).write_text(
+            canonical_json(
+                [
+                    {
+                        "model": r.model_id,
+                        "mean_rating": r.mean_rating,
+                        "mean_percentile": r.mean_percentile,
+                        f"hit_at_{args.k}": r.hit_rate,
+                        f"ndcg_at_{args.k}": r.ndcg,
+                        "coverage": r.coverage,
+                    }
+                    for r in rows
+                ]
+            ),
+            encoding="utf-8",
+        )
     diag.emit("info", f"evaluated {len(rows)} model(s) -> {out_path}, {json_path}")
     return EXIT_OK
 

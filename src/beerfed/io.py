@@ -13,17 +13,29 @@ Beverage name is the join key between scorecards and beverage lists,
 matched case-insensitively with collapsed whitespace. Serializers emit a
 canonical form (fixed column order, LF line endings, trailing newline,
 sorted JSON keys) so parse -> serialize round-trips byte-identically.
+
+A scorecard file repeats few distinct values (a 100-judge session has
+1,440 names and 41 scores over 144,000 rows), so ingest validates each
+distinct raw score, name and tags cell once, and joins each distinct name
+to its beverage once. Only successes are remembered: a bad or ambiguous
+value is never cached, so its error still names the first row and column
+that carry it. Output directories are written through ``staged_outputs``,
+all files or none.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, IngestError
 from .model import (
@@ -88,11 +100,12 @@ def _check_header(
 @contextmanager
 def _csv_records(path: str | Path, required: Sequence[str], optional: Sequence[str]):
     """Open a UTF-8 CSV file (a leading byte-order mark is accepted), check
-    its header and give an iterator of ``(line, cell)`` over the non-blank
-    rows, where ``cell(column)`` reads one field of the current row ("" for
-    an optional column the file lacks). A row with the wrong field count, undecodable bytes
-    and every other IngestError raised inside the ``with`` block name the
-    file."""
+    its header and give an iterator of ``(line, fields)`` over the non-blank
+    rows, where ``fields`` holds the row's cells in ``required`` then
+    ``optional`` order ("" for an optional column the file lacks). Column
+    positions are resolved once per file. A row with the wrong field count,
+    undecodable bytes and every other IngestError raised inside the
+    ``with`` block name the file."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -100,18 +113,22 @@ def _csv_records(path: str | Path, required: Sequence[str], optional: Sequence[s
             if header is None:
                 raise IngestError("file is empty (expected a header row)", row=1)
             _check_header(header, required, optional)
+            width = len(header)
             idx = {h.strip(): i for i, h in enumerate(header)}
+            # a column the file lacks reads the "" appended after the last field
+            pick = itemgetter(*(idx.get(c, width) for c in (*required, *optional)))
 
             def records():
                 for record in reader:
-                    if not any(c.strip() for c in record):
+                    if not "".join(record).strip():
                         continue
-                    if len(record) != len(header):
+                    if len(record) != width:
                         raise IngestError(
-                            f"expected {len(header)} fields, found {len(record)}",
+                            f"expected {width} fields, found {len(record)}",
                             row=reader.line_num,
                         )
-                    yield reader.line_num, lambda column: record[idx[column]] if column in idx else ""
+                    record.append("")
+                    yield reader.line_num, pick(record)
 
             yield records()
     except UnicodeDecodeError as exc:
@@ -171,17 +188,8 @@ def parse_beverages_csv(
     beverages = []
     seen: set[tuple[str, str]] = set()
     with _csv_records(path, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL) as records:
-        for row, cell in records:
-            beverage = _beverage_from_fields(
-                cell("brewery"),
-                cell("beer_name"),
-                cell("beer_style"),
-                cell("abv_percent"),
-                cell("ingredients"),
-                cell("tags"),
-                families,
-                row,
-            )
+        for row, fields in records:
+            beverage = _beverage_from_fields(*fields, families, row)
             key = (normalize_name(beverage.producer), normalize_name(beverage.name))
             if key in seen:
                 raise IngestError(
@@ -207,6 +215,27 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+@contextmanager
+def staged_outputs(out_dir: str | Path) -> Iterator[Path]:
+    """Write a set of files into ``out_dir`` all-or-nothing.
+
+    Creates ``out_dir`` if needed and yields a fresh temporary directory
+    inside it (so every move stays on one file system) for the block to
+    write into. Only when the block finishes are the files moved into
+    ``out_dir``, each with ``os.replace``; the temporary directory is
+    removed either way, so a failed write adds no file to ``out_dir``.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield staging
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def write_beverages_csv(beverages: Iterable[Beverage], path: str | Path) -> None:
@@ -241,41 +270,57 @@ class ScorecardRow:
 
 
 def parse_scorecards_csv(path: str | Path) -> list[ScorecardRow]:
+    """Ingest a scorecard file, validating each distinct raw score, name
+    and tags cell once (errors still name their first row)."""
     rows = []
+    scores: dict[str, float] = {}
+    names: dict[str, str] = {}
+    tag_sets: dict[str, frozenset[NoteTag]] = {}
     with _csv_records(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as records:
-        for line, cell in records:
-            judge_id = cell("judge_id").strip()
+        for line, (judge_id, name_raw, score_cell, tags_raw, note) in records:
+            judge_id = judge_id.strip()
             if not judge_id:
                 raise IngestError("judge_id must not be empty", row=line, column="judge_id")
-            name = cell("beer_name")
-            if not name.strip():
-                raise IngestError("beer_name must not be empty", row=line, column="beer_name")
-            score_raw = cell("raw_score").strip()
-            if not _SCORE_RE.match(score_raw):
-                raise IngestError(
-                    f"raw_score {score_raw!r} must be a number with at most one decimal",
-                    row=line,
-                    column="raw_score",
-                )
-            score = float(score_raw)
-            if not (1.0 <= score <= 5.0):
-                raise IngestError(
-                    f"raw_score must lie in [1, 5], got {score_raw}",
-                    row=line,
-                    column="raw_score",
-                )
-            note = cell("note").strip() or None
+            name = names.get(name_raw)
+            if name is None:
+                if not name_raw.strip():
+                    raise IngestError("beer_name must not be empty", row=line, column="beer_name")
+                name = names[name_raw] = " ".join(name_raw.split())
+            score = scores.get(score_cell)
+            if score is None:
+                score = scores[score_cell] = _parse_score(score_cell, line)
+            tags = tag_sets.get(tags_raw)
+            if tags is None:
+                tags = tag_sets[tags_raw] = _parse_tags(tags_raw, line, "tags")
             rows.append(
                 ScorecardRow(
                     judge_id=judge_id,
-                    beer_name=" ".join(name.split()),
+                    beer_name=name,
                     raw_score=score,
-                    tags=_parse_tags(cell("tags"), line, "tags"),
-                    note=note,
+                    tags=tags,
+                    note=note.strip() or None,
                     line=line,
                 )
             )
     return rows
+
+
+def _parse_score(cell: str, line: int) -> float:
+    score_raw = cell.strip()
+    if not _SCORE_RE.match(score_raw):
+        raise IngestError(
+            f"raw_score {score_raw!r} must be a number with at most one decimal",
+            row=line,
+            column="raw_score",
+        )
+    score = float(score_raw)
+    if not (1.0 <= score <= 5.0):
+        raise IngestError(
+            f"raw_score must lie in [1, 5], got {score_raw}",
+            row=line,
+            column="raw_score",
+        )
+    return score
 
 
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
@@ -313,18 +358,21 @@ def build_dataset(beverages: list[Beverage], rows: list[ScorecardRow]) -> Datase
     for b in beverages:
         by_name.setdefault(normalize_name(b.name), []).append(b)
 
+    ids: dict[str, str] = {}  # display name -> beverage id, once per name
     reviews = []
     for row in rows:
-        key = normalize_name(row.beer_name)
-        matches = by_name.get(key, [])
-        if len(matches) > 1:
-            producers = ", ".join(sorted(b.producer for b in matches))
-            raise IngestError(
-                f"beverage name {row.beer_name!r} is ambiguous (produced by {producers})",
-                row=row.line,
-                column="beer_name",
-            )
-        beverage_id = matches[0].id if matches else key
+        beverage_id = ids.get(row.beer_name)
+        if beverage_id is None:
+            key = normalize_name(row.beer_name)
+            matches = by_name.get(key, [])
+            if len(matches) > 1:
+                producers = ", ".join(sorted(b.producer for b in matches))
+                raise IngestError(
+                    f"beverage name {row.beer_name!r} is ambiguous (produced by {producers})",
+                    row=row.line,
+                    column="beer_name",
+                )
+            beverage_id = ids[row.beer_name] = matches[0].id if matches else key
         tags = row.tags if row.tags else derive_note_tags(row.note)
         reviews.append(
             Review(
@@ -519,37 +567,37 @@ def round_log_lines(result: SessionResult) -> list[str]:
 
 def write_session_outputs(result: SessionResult, out_dir: str | Path) -> dict[str, Path]:
     """Write beverages.csv, scorecards.csv, session_log.jsonl and
-    session_summary.json into out_dir; returns the paths by name."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "beverages": out / "beverages.csv",
-        "scorecards": out / "scorecards.csv",
-        "session_log": out / "session_log.jsonl",
-        "session_summary": out / "session_summary.json",
-    }
-    write_beverages_csv(result.sampled_beverages(), paths["beverages"])
-    write_scorecards_csv(result.dataset, paths["scorecards"])
-    paths["session_log"].write_text(
-        "".join(line + "\n" for line in round_log_lines(result)), encoding="utf-8"
-    )
-    # per-round total cost over time: the two costs move in opposite
-    # directions, whether they balance is left for the reader to judge
-    per_round_total = [r.broadcast_cost + r.comprehension_cost for r in result.rounds]
-    summary = {
-        "seed": result.config.seed,
-        "clock_start": result.config.clock_start,
-        "clock_end": result.config.clock_end,
-        "round_duration": result.config.round_duration,
-        "rounds": len(result.rounds),
-        "beverages_sampled": len(result.rounds),
-        "skips": [{"clock": s.clock, "reason": s.reason} for s in result.skips],
-        "judges": result.dataset.judges,
-        "costs": {
-            "broadcast_total": sum(r.broadcast_cost for r in result.rounds),
-            "comprehension_total": sum(r.comprehension_cost for r in result.rounds),
-            "per_round_total": per_round_total,
-        },
-    }
-    paths["session_summary"].write_text(canonical_json(summary), encoding="utf-8")
-    return paths
+    session_summary.json into out_dir, all or none of them; returns the
+    paths by name."""
+    with staged_outputs(out_dir) as out:
+        paths = {
+            "beverages": out / "beverages.csv",
+            "scorecards": out / "scorecards.csv",
+            "session_log": out / "session_log.jsonl",
+            "session_summary": out / "session_summary.json",
+        }
+        write_beverages_csv(result.sampled_beverages(), paths["beverages"])
+        write_scorecards_csv(result.dataset, paths["scorecards"])
+        paths["session_log"].write_text(
+            "".join(line + "\n" for line in round_log_lines(result)), encoding="utf-8"
+        )
+        # per-round total cost over time: the two costs move in opposite
+        # directions, whether they balance is left for the reader to judge
+        per_round_total = [r.broadcast_cost + r.comprehension_cost for r in result.rounds]
+        summary = {
+            "seed": result.config.seed,
+            "clock_start": result.config.clock_start,
+            "clock_end": result.config.clock_end,
+            "round_duration": result.config.round_duration,
+            "rounds": len(result.rounds),
+            "beverages_sampled": len(result.rounds),
+            "skips": [{"clock": s.clock, "reason": s.reason} for s in result.skips],
+            "judges": result.dataset.judges,
+            "costs": {
+                "broadcast_total": sum(r.broadcast_cost for r in result.rounds),
+                "comprehension_total": sum(r.comprehension_cost for r in result.rounds),
+                "per_round_total": per_round_total,
+            },
+        }
+        paths["session_summary"].write_text(canonical_json(summary), encoding="utf-8")
+    return {name: Path(out_dir) / p.name for name, p in paths.items()}

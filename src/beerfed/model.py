@@ -143,11 +143,19 @@ def _json_number(entry: dict, key: str, where: str, default=None, *, integer: bo
 
 def _read_json(path: str | Path, error: type[Exception]):
     """The parsed content of a UTF-8 JSON file. Undecodable bytes, invalid
-    JSON and nesting too deep to parse raise ``error`` naming the file; a
-    file that cannot be opened raises OSError."""
+    JSON, nesting too deep to parse and a ``\\u`` escape that leaves a lone
+    surrogate (text no UTF-8 output can hold) raise ``error`` naming the
+    file; a file that cannot be opened raises OSError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            text = fh.read()
+            value = json.loads(text)
+            if "\\u" in text:  # decoded UTF-8 holds no surrogate; only escapes can
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+            return value
+        except UnicodeEncodeError as exc:
+            char = exc.object[exc.start]
+            raise error(f"{path}: invalid JSON: lone surrogate \\u{ord(char):04x} in a string") from None
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
             raise error(f"{path}: invalid JSON: {exc}") from None
 
@@ -245,6 +253,10 @@ def score_tenths(raw_score: float) -> int:
     return tenths
 
 
+# the 41 valid raw scores, exactly as float() parses "1.0" ... "5.0"
+_GRID_SCORES = frozenset(t / 10 for t in range(10, 51))
+
+
 @dataclass(frozen=True)
 class Review:
     judge_id: str
@@ -254,6 +266,8 @@ class Review:
     note_text: str | None = None
 
     def __post_init__(self):
+        if self.raw_score in _GRID_SCORES:
+            return
         if not (SCORE_MIN <= self.raw_score <= SCORE_MAX):
             raise ValueError(
                 f"raw score must lie in [{SCORE_MIN}, {SCORE_MAX}], got {self.raw_score!r}"

@@ -13,6 +13,15 @@ five quality metrics are computed from the raw, unnormalised scores:
   nDCG@k           rank-discounted relevance vs the judge's ideal ordering,
                    averaged across judges
   coverage         valid slots / (J*K)
+
+Everything the metrics need from a judge's scorecard depends only on the
+scorecard and k, so it is computed once per run in a ``JudgeIndex``: the
+ascending scores (bisect gives mid-rank percentiles), the fixed top-k set
+from ``top_k_set``, the k-th best score (the threshold-mode cutoff) and
+the IDCG, the discounted sum of the k best scores (Jarvelin & Kekalainen
+2002). Each value comes from the same expression, in the same order, that
+a per-model pass would evaluate, so results are bit-identical whether a
+caller passes the index or a plain mapping (which is indexed on the spot).
 """
 
 from __future__ import annotations
@@ -23,7 +32,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import IngestError
 from .model import _read_json
@@ -124,6 +134,62 @@ def top_k_set(scorecard: Scorecard, k: int) -> set[str]:
     return {name for name, _ in ordered[:k]}
 
 
+@dataclass(frozen=True)
+class _JudgeEntry:
+    """What the metrics read from one judge's scorecard for a given k."""
+
+    card: Scorecard
+    ascending: tuple[float, ...]
+    top: frozenset[str]  # the fixed top-k set
+    cutoff: float  # the k-th best score (threshold-mode Hit@k)
+    idcg: float
+
+
+class JudgeIndex(Mapping[str, Scorecard]):
+    """Immutable per-run index of judges' scorecards for one k.
+
+    A mapping from judge id to scorecard, in sorted judge order, that also
+    holds each judge's sorted scores, fixed top-k set, threshold cutoff and
+    IDCG, so evaluating many models against the same scorecards sorts each
+    scorecard once instead of once per model. Build it once and pass it
+    wherever a ``Scorecards`` mapping is accepted.
+    """
+
+    __slots__ = ("k", "_entries")
+
+    def __init__(self, scorecards: Scorecards, k: int):
+        entries = {}
+        for judge in sorted(scorecards):
+            card = MappingProxyType(dict(scorecards[judge]))  # later edits cannot desync it
+            ascending = tuple(sorted(card.values()))
+            ideal = ascending[::-1][:k]
+            entries[judge] = _JudgeEntry(
+                card=card,
+                ascending=ascending,
+                top=frozenset(top_k_set(card, k)),
+                cutoff=ideal[-1] if ideal else math.inf,
+                idcg=sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1)),
+            )
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getitem__(self, judge: str) -> Scorecard:
+        return self._entries[judge].card
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entries(self) -> Iterator[tuple[str, _JudgeEntry]]:
+        """(judge, entry) pairs in sorted judge order."""
+        return iter(self._entries.items())
+
+
 @dataclass
 class _Terms:
     """Raw terms of the five metrics for one model across all judges."""
@@ -155,13 +221,16 @@ def _one_pass(
     tie_mode: str = "fixed",
 ) -> _Terms:
     """Validate each judge's set once and collect the terms of all five
-    metrics against that judge's own scorecard."""
+    metrics against that judge's indexed scorecard (a plain mapping, or an
+    index built for another k, is indexed here first)."""
     if tie_mode not in ("fixed", "threshold"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
+    if not (isinstance(scorecards, JudgeIndex) and scorecards.k == k):
+        scorecards = JudgeIndex(scorecards, k)
     known = {normalize_name(n) for n in beverage_names}
     terms = _Terms(len(scorecards), k)
-    for judge in sorted(scorecards):
-        card = scorecards[judge]
+    for judge, entry in scorecards.entries():
+        card, ascending = entry.card, entry.ascending
         recs = recs_by_profile.get(judge)
         verdicts = [] if recs is None else _verdicts(recs, known, k)
         picks = [
@@ -170,14 +239,12 @@ def _one_pass(
             if v.valid
         ]
         scored = [name for _, name in picks if name in card]
-        ascending = sorted(card.values())
-        ideal = ascending[::-1][:k]
         terms.valid += len(picks)
         terms.ratings.extend(card[name] for name in scored)
         if tie_mode == "fixed":
-            terms.hits += len(top_k_set(card, k).intersection(scored))
+            terms.hits += len(entry.top.intersection(scored))
         else:  # anything scoring at least the k-th best score
-            terms.hits += sum(card[name] >= ideal[-1] for name in scored)
+            terms.hits += sum(card[name] >= entry.cutoff for name in scored)
         if len(card) >= 2 and scored:  # mid-ranked: ties count half
             values = []
             for name in scored:
@@ -187,8 +254,7 @@ def _one_pass(
             terms.percentiles.append(_mean(values))
         relevance = {rank: card.get(name, 0.0) for rank, name in picks}
         dcg = sum(relevance.get(i, 0.0) / math.log2(i + 1) for i in range(1, k + 1))
-        idcg = sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1))
-        terms.ndcgs.append(dcg / idcg if idcg > 0 else 0.0)
+        terms.ndcgs.append(dcg / entry.idcg if entry.idcg > 0 else 0.0)
     return terms
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import canonical_json, write_csv
+from .io import canonical_json, staged_outputs, write_csv
 from .model import (
     ABV_BAND_EDGES,
     DEFAULT_STYLE_FAMILIES,
@@ -170,39 +170,39 @@ def build_analysis_report(
 def write_report_tables(
     report: dict, out_dir: str | Path, violations: list[Violation] | None = None
 ) -> dict[str, Path]:
-    """Write the eight CSV tables plus report.json; returns paths by name."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    rank_header = ["rank", "beverage", "score", "reviews"]
-    for name, header, rows in (
-        ("style_counts", ["family", "count"], report["style_counts"]),
-        ("abv_bands", ["band", "count"], report["abv_bands"]),
-        ("judge_stats", ["judge", "mean", "sd", "count"], report["judge_stats"]),
-        ("top10", rank_header, report["top10"]),
-        ("bottom10", rank_header, report["bottom10"]),
-        ("per_style", ["family", "score"], report["per_style_rows"]),
-        ("divisive", ["beverage", "sd", "range", "reviews"], report["divisive"]),
-    ):
-        paths[name] = out / f"{name}.csv"
-        write_csv(paths[name], header, [[r[c] for c in header] for r in rows])
-    # judge ids are data, so the agreement matrix is written by position
-    judges = report["agreement"]["judges"]
-    paths["agreement"] = out / "agreement.csv"
-    write_csv(
-        paths["agreement"],
-        ["judge", *judges],
-        [[judge, *row] for judge, row in zip(judges, report["agreement"]["values"])],
-    )
+    """Write the eight CSV tables plus report.json, all or none of them;
+    returns paths by name."""
+    with staged_outputs(out_dir) as out:
+        paths: dict[str, Path] = {}
+        rank_header = ["rank", "beverage", "score", "reviews"]
+        for name, header, rows in (
+            ("style_counts", ["family", "count"], report["style_counts"]),
+            ("abv_bands", ["band", "count"], report["abv_bands"]),
+            ("judge_stats", ["judge", "mean", "sd", "count"], report["judge_stats"]),
+            ("top10", rank_header, report["top10"]),
+            ("bottom10", rank_header, report["bottom10"]),
+            ("per_style", ["family", "score"], report["per_style_rows"]),
+            ("divisive", ["beverage", "sd", "range", "reviews"], report["divisive"]),
+        ):
+            paths[name] = out / f"{name}.csv"
+            write_csv(paths[name], header, [[r[c] for c in header] for r in rows])
+        # judge ids are data, so the agreement matrix is written by position
+        judges = report["agreement"]["judges"]
+        paths["agreement"] = out / "agreement.csv"
+        write_csv(
+            paths["agreement"],
+            ["judge", *judges],
+            [[judge, *row] for judge, row in zip(judges, report["agreement"]["values"])],
+        )
 
-    payload = dict(report)
-    payload["violations"] = [
-        {"code": v.code, "severity": v.severity.value, "subject": v.subject, "message": v.message}
-        for v in (violations or [])
-    ]
-    paths["report"] = out / "report.json"
-    paths["report"].write_text(canonical_json(payload), encoding="utf-8")
-    return paths
+        payload = dict(report)
+        payload["violations"] = [
+            {"code": v.code, "severity": v.severity.value, "subject": v.subject, "message": v.message}
+            for v in (violations or [])
+        ]
+        paths["report"] = out / "report.json"
+        paths["report"].write_text(canonical_json(payload), encoding="utf-8")
+    return {name: Path(out_dir) / p.name for name, p in paths.items()}
 
 
 def analyze_dataset(

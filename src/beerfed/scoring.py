@@ -17,7 +17,9 @@ paths give the textbook rank-then-correlate value bit for bit. Kendall's
 tau-b (Kendall 1945) needs only integer pair counts: concordant,
 discordant and tied pairs come from the pair's level contingency table and
 its cumulative sums, leaving one rounded expression,
-(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie).
+(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie). One ``bincount`` builds
+the tables of a judge against all later judges, so the per-pair work is
+whole-array arithmetic on integers and the rounding is unchanged.
 """
 
 from __future__ import annotations
@@ -55,14 +57,16 @@ def build_score_matrix(dataset: Dataset) -> ScoreMatrix:
     beverages = [b.id for b in dataset.beverages]
     jdx = {j: i for i, j in enumerate(judges)}
     bdx = {b: i for i, b in enumerate(beverages)}
+    reviews = dataset.reviews
+    n = len(reviews)
+    j = np.fromiter((jdx.get(r.judge_id, -1) for r in reviews), np.intp, n)
+    b = np.fromiter((bdx.get(r.beverage_id, -1) for r in reviews), np.intp, n)
+    scores = np.fromiter((r.raw_score for r in reviews), float, n)
+    known = (j >= 0) & (b >= 0)
+    flat = j[known] * len(beverages) + b[known]
     cells = np.full((len(judges), len(beverages)), np.nan)
-    for review in dataset.reviews:
-        j = jdx.get(review.judge_id)
-        b = bdx.get(review.beverage_id)
-        if j is None or b is None:
-            continue
-        if np.isnan(cells[j, b]):
-            cells[j, b] = review.raw_score
+    _, first = np.unique(flat, return_index=True)  # index of each cell's first review
+    cells.flat[flat[first]] = scores[known][first]
     return ScoreMatrix(judges, beverages, cells)
 
 
@@ -209,25 +213,38 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
-def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
-    """Kendall's tau-b of two level-coded vectors from their contingency
-    table; NaN if either is constant."""
-    nx, ny = x.max() + 1, y.max() + 1
-    table = np.bincount(x * ny + y, minlength=nx * ny).reshape(nx, ny)
-    rows, cols, cells = table.sum(axis=1), table.sum(axis=0), table.ravel()
-    tot = x.size * (x.size - 1) // 2
-    xtie = int(rows @ (rows - 1)) // 2
-    ytie = int(cols @ (cols - 1)) // 2
-    if xtie == tot or ytie == tot:
-        return np.nan
-    ntie = int(cells @ (cells - 1)) // 2
-    # prefix[a, b]: cells with x level <= a and y level <= b, so
-    # prefix[-1, b] - prefix[a, b] have x level > a and y level <= b
-    prefix = table.cumsum(axis=0).cumsum(axis=1)
-    dis = int((table[:, 1:] * (prefix[-1, :-1] - prefix[:, :-1])).sum())
+# table cells one Kendall bincount may build: bounds memory for a matrix
+# off the 0.1 grid, whose judges can have far more than 41 levels
+_KENDALL_TABLE_CELLS = 1 << 22
+
+
+def _kendall_tau_b(
+    x: np.ndarray, x_filled: np.ndarray, ys: np.ndarray, ys_filled: np.ndarray,
+    levels: int, min_common: int,
+) -> np.ndarray:
+    """Kendall's tau-b of one level-coded row against each row of ``ys``
+    over their common cells, from the pair's level contingency table (all
+    tables from one ``bincount``, offset per pair); NaN where fewer than
+    ``min_common`` cells (at least 2) are common or either row is constant
+    over them. Codes must lie below ``levels``."""
+    size = levels * levels
+    pair = np.arange(len(ys))[:, None] * size
+    cells = (pair + x * levels + ys)[x_filled & ys_filled]
+    tables = np.bincount(cells, minlength=len(ys) * size).reshape(-1, levels, levels)
+    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+    n = rows.sum(axis=1)
+    tot = n * (n - 1) // 2
+    xtie = (rows * (rows - 1)).sum(axis=1) // 2
+    ytie = (cols * (cols - 1)).sum(axis=1) // 2
+    ntie = (np.einsum("pab,pab->p", tables, tables) - n) // 2
+    # below[p, a, b]: cells with x level > a and y level <= b
+    below = tables[:, :0:-1].cumsum(axis=1)[:, ::-1].cumsum(axis=2)
+    dis = np.einsum("pab,pab->p", tables[:, :-1, 1:], below[:, :, :-1])
     con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
-    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
-    return min(1.0, max(-1.0, float(tau)))
+    ok = (n >= max(min_common, 2)) & (xtie < tot) & (ytie < tot)
+    tau = np.full(len(ys), np.nan)
+    tau[ok] = con_minus_dis[ok] / np.sqrt(tot[ok] - xtie[ok]) / np.sqrt(tot[ok] - ytie[ok])
+    return np.clip(tau, -1.0, 1.0)
 
 
 def agreement(
@@ -262,15 +279,24 @@ def agreement(
         lower = np.tril(np.corrcoef(ranks), -1)
         values[np.ix_(rows, rows)] = lower + lower.T
 
-    kernel = _spearman if method == "spearman" else _kendall_tau_b
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dense[i] and dense[j]:
-                continue
-            common = filled[i] & filled[j]
-            if common.sum() < max(min_common, 2):
-                continue
-            values[i, j] = values[j, i] = kernel(codes[i, common], codes[j, common])
+    if method == "kendall":
+        levels = int(codes.max(initial=0)) + 1
+        step = max(1, _KENDALL_TABLE_CELLS // (levels * levels))
+        for i in range(n):
+            for lo in range(i + 1, n, step):
+                hi = min(lo + step, n)
+                values[i, lo:hi] = values[lo:hi, i] = _kendall_tau_b(
+                    codes[i], filled[i], codes[lo:hi], filled[lo:hi], levels, min_common
+                )
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if dense[i] and dense[j]:
+                    continue
+                common = filled[i] & filled[j]
+                if common.sum() < max(min_common, 2):
+                    continue
+                values[i, j] = values[j, i] = _spearman(codes[i, common], codes[j, common])
     np.fill_diagonal(values, 1.0)
     return AgreementMatrix(list(matrix.judges), values)
 

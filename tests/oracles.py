@@ -99,6 +99,22 @@ def oracle_kendall_tau_b(x, y):
     return (concordant - discordant) / math.sqrt((pairs - x_ties) * (pairs - y_ties))
 
 
+def oracle_score_matrix(judges, beverage_ids, reviews):
+    """judges x beverages raw scores by a per-review loop: the first review
+    of a (judge, beverage) pair wins, reviews naming an unknown judge or
+    beverage are skipped, and unscored cells are NaN."""
+    cells = [[math.nan] * len(beverage_ids) for _ in judges]
+    row_of = {j: i for i, j in enumerate(judges)}
+    col_of = {b: i for i, b in enumerate(beverage_ids)}
+    for review in reviews:
+        if review.judge_id in row_of and review.beverage_id in col_of:
+            row = cells[row_of[review.judge_id]]
+            col = col_of[review.beverage_id]
+            if math.isnan(row[col]):
+                row[col] = review.raw_score
+    return cells
+
+
 def oracle_valid_slots(slots_by_profile, judges, names, k=5):
     """Re-derive slot validity by direct enumeration.
 

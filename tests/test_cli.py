@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import beerfed
-from beerfed import cli, errors
+from beerfed import cli, errors, receval
 from beerfed.receval import ModelRecommendations, RecommendationSet, RecommendationSlot, recommendations_to_json
 
 CONFIG = {
@@ -415,8 +415,9 @@ class TestEvalRecs:
         [
             '{"model_id": "caf\xe9", "profiles": []}'.encode("latin-1"),
             b'{"model_id": "m", "profiles": [{"profile_id": "A", "recommendations": 5}]}',
+            b'{"model_id": "m\\ud800", "profiles": []}',
         ],
-        ids=["latin-1", "recommendations-not-a-list"],
+        ids=["latin-1", "recommendations-not-a-list", "lone-surrogate"],
     )
     def test_unparseable_rec_file_skipped_or_strict_5(self, sim_outputs, tmp_path, eval_env, capsys, body):
         bad = eval_env / "bad.json"
@@ -434,6 +435,23 @@ class TestEvalRecs:
         assert cli.main([*argv, "--strict"]) == 5
         (failure,) = [r for r in error_records(capsys) if r.get("code") == "EVAL"]
         assert failure["level"] == "error" and str(bad) in failure["message"]
+
+
+    def test_each_scorecard_ranked_once_per_run(self, sim_outputs, tmp_path, eval_env, monkeypatch):
+        calls = []
+        top_k_set = receval.top_k_set
+        monkeypatch.setattr(receval, "top_k_set", lambda card, k: calls.append(k) or top_k_set(card, k))
+        (eval_env / "model-offlist.json").unlink()  # three models left
+        rc = cli.main(
+            [
+                "eval-recs", str(eval_env / "*.json"),
+                str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+                "--out", str(tmp_path / "table.csv"),
+            ]
+        )
+        assert rc == 0
+        assert len((tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()) == 4
+        assert calls == [5, 5, 5]  # once per judge A, B, C, not once per (model, judge)
 
 
 class TestEvalRecsDegenerateJudge:
@@ -609,6 +627,17 @@ class TestInputBoundary:
         assert cli.main(argv(sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv", out)) == 0
         assert len(calls) == 1
 
+    def test_lone_surrogate_in_config_exits_2_before_writing(self, tmp_path, capsys):
+        federation = [dict(CONFIG["federation"][0], id="\ud800x"), *CONFIG["federation"][1:]]
+        config = write_config(tmp_path, federation=federation)
+        assert "\\ud800x" in config.read_text(encoding="utf-8")
+        out = tmp_path / "sim"
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(out)]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG" and record["message"].startswith(f"{config}: ")
+        assert "surrogate" in record["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [5, None, "pool\u0000.csv"], ids=["number", "null", "nul-byte"])
     def test_pool_csv_must_be_a_path_string(self, tmp_path, capsys, value):
         body = {k: v for k, v in CONFIG.items() if k != "pool"}
@@ -632,6 +661,54 @@ class TestInputBoundary:
         assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "x")]) == 2
         (record,) = error_records(capsys)
         assert record["message"].startswith(f"{config}: pool entry 0: column tags: unknown tag 'bogus'")
+
+
+class TestAllOrNothingOutputs:
+    """Each command moves its files into place only once all are written."""
+
+    @staticmethod
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    @staticmethod
+    def eval_argv(sim_outputs, tmp_path):
+        recs = tmp_path / "recs"
+        recs.mkdir()
+        make_rec_file(recs, "model-x", {"A": ["Batch 00"]})
+        return ["eval-recs", str(recs / "*.json"), str(sim_outputs / "scorecards.csv"),
+                str(sim_outputs / "beverages.csv"), "--out", str(tmp_path / "eval" / "metrics.csv")]
+
+    def test_simulate_failing_mid_write_leaves_no_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "sim"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier run", encoding="utf-8")
+        monkeypatch.setattr(beerfed.io, "write_scorecards_csv", self.disk_full)  # after beverages.csv
+        assert cli.main(["simulate", str(write_config(tmp_path)), "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+    def test_analyze_failing_mid_write_leaves_no_file(self, sim_outputs, tmp_path, monkeypatch):
+        write_csv, calls = beerfed.reports.write_csv, []
+
+        def third_fails(*args):
+            calls.append(1)
+            return self.disk_full() if len(calls) == 3 else write_csv(*args)
+
+        monkeypatch.setattr(beerfed.reports, "write_csv", third_fails)
+        out = tmp_path / "rep"
+        assert cli.main(analyze_argv(sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv", out)) == 3
+        assert list(out.iterdir()) == []
+
+    def test_eval_recs_failing_before_the_json_leaves_no_csv(self, sim_outputs, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "canonical_json", self.disk_full)  # the CSV is already written
+        assert cli.main(self.eval_argv(sim_outputs, tmp_path)) == 3
+        assert list((tmp_path / "eval").iterdir()) == []
+
+    def test_successful_runs_leave_no_staging_entry(self, sim_outputs, tmp_path):
+        assert sorted(p.name for p in sim_outputs.iterdir()) == [
+            "beverages.csv", "scorecards.csv", "session_log.jsonl", "session_summary.json",
+        ]
+        assert cli.main(self.eval_argv(sim_outputs, tmp_path)) == 0
+        assert sorted(p.name for p in (tmp_path / "eval").iterdir()) == ["metrics.csv", "metrics.json"]
 
 
 class TestExitTable:

@@ -1,9 +1,13 @@
-"""Byte-identity guard: the paper workload's simulate -> analyze -> eval-recs
-outputs must hash to the digests committed in bench/golden.json.
+"""Byte-identity guard: the simulate -> analyze -> eval-recs outputs of the
+paper and sparse workloads must hash to the digests committed in
+bench/golden.json.
 
 The inputs and the command lines come from the benchmark's own
 bench/workloads.py and bench/run.py (imported, never edited), so this test
-and the benchmark check the same 15 files.
+and the benchmark check the same 15 files per workload. Sparse covers the
+paths the timed workloads skip: Kendall agreement with missing cells,
+z-score normalization, eval-recs --normalized and --hit-ties threshold,
+and a malformed recommendation file.
 """
 
 import hashlib
@@ -11,6 +15,8 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from beerfed import cli
 
@@ -24,14 +30,16 @@ bench_run = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_run)
 
 
-def test_paper_pipeline_matches_golden_digests(tmp_path):
-    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["paper"]
-    assert golden["seed"] == workloads.DEFAULT_SEEDS["paper"]
-    inputs = workloads.generate("paper", golden["seed"], tmp_path / "inputs")
+@pytest.mark.parametrize("workload", ["paper", "sparse"])
+def test_pipeline_matches_golden_digests(tmp_path, workload):
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))[workload]
+    assert golden["seed"] == workloads.DEFAULT_SEEDS[workload]
+    inputs = workloads.generate(workload, golden["seed"], tmp_path / "inputs")
     out = tmp_path / "out"
 
     assert cli.main(bench_run.cli_args("simulate", inputs, out)) == 0
-    workloads.write_paper_models(inputs.recs_dir, out / "sim" / "scorecards.csv")
+    if workload == "paper":  # its models are built from the simulated scorecards
+        workloads.write_paper_models(inputs.recs_dir, out / "sim" / "scorecards.csv")
     assert cli.main(bench_run.cli_args("analyze", inputs, out)) == 0
     assert cli.main(bench_run.cli_args("eval", inputs, out)) == 0
 

@@ -122,6 +122,33 @@ class TestScorecards:
         with pytest.raises(IngestError):
             parse_scorecards_csv(write(tmp_path, "s.csv", text))
 
+    @pytest.mark.parametrize(
+        "bad_row,column",
+        [
+            ("B,Night Shift,4.25,,", "raw_score"),
+            ("B,Night Shift,5.5,,", "raw_score"),
+            ("B,  ,4.0,,", "beer_name"),
+            ("B,Night Shift,4.0,fake_tag,", "tags"),
+        ],
+    )
+    def test_repeated_bad_cell_names_its_first_row(self, tmp_path, bad_row, column):
+        # rows 2-3 are good, the bad cell first appears on line 4 and again on line 6
+        text = "\n".join(
+            ["judge_id,beer_name,raw_score,tags,note", "A,Night Shift,4.0,,", "A,Mango Sour,4.0,,",
+             bad_row, "A,Morning Shift,4.0,,", bad_row, ""]
+        )
+        with pytest.raises(IngestError) as exc:
+            parse_scorecards_csv(write(tmp_path, "s.csv", text))
+        assert (exc.value.row, exc.value.column) == (4, column)
+
+    def test_repeated_cells_parse_like_distinct_ones(self, tmp_path):
+        text = "judge_id,beer_name,raw_score,tags\nA, Night  Shift ,4.0,real_flavour\n , ,\t, \nB, Night  Shift , 4.0 ,real_flavour\n"
+        rows = parse_scorecards_csv(write(tmp_path, "s.csv", text))
+        assert [(r.judge_id, r.beer_name, r.raw_score, r.tags, r.note, r.line) for r in rows] == [
+            ("A", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None, 2),
+            ("B", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None, 4),  # the blank line 3 is skipped
+        ]
+
     def test_note_derives_tags_when_tags_absent(self, tmp_path):
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
         rows = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS))
@@ -161,6 +188,14 @@ class TestDatasetJoin:
                 write(tmp_path, "b.csv", beverages), write(tmp_path, "s.csv", SCORECARDS)
             )
         assert "ambiguous" in str(exc.value)
+
+    def test_ambiguous_name_names_its_first_row(self, tmp_path):
+        beverages = BEVERAGES + "Other Brewing,Night Shift,Gose,4.0\n"
+        scorecards = "judge_id,beer_name,raw_score\nA,Mango Sour,4.0\nA,night shift,4.0\nB,Night Shift,3.0\n"
+        with pytest.raises(IngestError) as exc:
+            load_dataset(write(tmp_path, "b.csv", beverages), write(tmp_path, "s.csv", scorecards))
+        assert (exc.value.row, exc.value.column) == (3, "beer_name")
+        assert exc.value.path == tmp_path / "s.csv"
 
 
 class TestRoundTrips:

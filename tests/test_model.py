@@ -155,6 +155,17 @@ class TestReviewInvariants:
             Review("A", "b", 3.85)
         assert Review("A", "b", 3.8).raw_score == 3.8
 
+    @pytest.mark.parametrize("score", [3.65, 0.95, 5.1, 0.0, float("nan"), float("inf")])
+    def test_off_grid_out_of_range_and_nan_rejected(self, score):
+        with pytest.raises(ValueError):
+            Review("A", "b", score)
+
+    def test_grid_scores_and_near_grid_values_accepted(self):
+        for t in range(10, 51):
+            score = float(f"{t // 10}.{t % 10}")  # as the scorecard parser reads it
+            assert Review("A", "b", score).raw_score == score
+        assert Review("A", "b", 3.8 + 1e-9).raw_score == 3.8 + 1e-9  # within the grid tolerance
+
     def test_score_tenths(self):
         assert score_tenths(3.8) == 38
         assert score_tenths(1.0) == 10

@@ -5,6 +5,7 @@ import pytest
 from beerfed import receval
 from beerfed.errors import IngestError
 from beerfed.receval import (
+    JudgeIndex,
     MetricReport,
     RecommendationSet,
     RecommendationSlot,
@@ -412,3 +413,41 @@ class TestOracleEquivalence:
         del recs["J2"]  # a profile without a set is never validated
         evaluate_model(recs, cards, names, model_id="m")
         assert sorted(calls) == ["J0", "J1", "J3"]
+
+
+class TestJudgeIndex:
+    def test_is_an_immutable_mapping_of_the_scorecards(self):
+        cards = {"B": card(Alpha=3.0), "A": card(Beta=4.0, Gamma=2.0)}
+        index = JudgeIndex(cards, 5)
+        assert list(index) == ["A", "B"]
+        assert dict(index) == cards and len(index) == 2 and index.k == 5
+        with pytest.raises(AttributeError):
+            index.k = 3
+
+    @pytest.mark.parametrize("tie_mode", ["fixed", "threshold"])
+    def test_index_and_plain_mapping_give_equal_reports(self, rng, tie_mode):
+        for trial in range(80):
+            recs, slots, cards, names = random_rec_instance(rng, n_judges=int(rng.integers(1, 5)))
+            if trial % 2:  # heavily tied: three score levels per card
+                cards = {j: {n: int(rng.integers(30, 33)) / 10 for n in c} for j, c in cards.items()}
+            if trial % 5 == 0:
+                cards["J0"] = {}  # an empty card
+            for k in (3, 5, 40):  # 40 exceeds every card
+                plain = evaluate_model(recs, cards, names, k, "m", tie_mode)
+                assert evaluate_model(recs, JudgeIndex(cards, k), names, k, "m", tie_mode) == plain
+                # an index built for another k is rebuilt, never misread
+                assert evaluate_model(recs, JudgeIndex(cards, 5 if k != 5 else 3), names, k, "m", tie_mode) == plain
+                expected = oracle_metrics(slots, cards, names, k, tie_mode)
+                assert (plain.coverage, plain.mean_rating, plain.mean_percentile, plain.hit_rate, plain.ndcg) == (
+                    expected["coverage"], expected["mean_rating"], expected["mean_percentile"],
+                    expected["hit"], expected["ndcg"],
+                )
+
+    def test_each_scorecard_sorted_once_per_index(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(receval, "top_k_set", lambda c, k: calls.append(1) or top_k_set(c, k))
+        recs, _, cards, names = random_rec_instance(rng, n_judges=4)
+        index = JudgeIndex(cards, 5)
+        for _ in range(3):
+            evaluate_model(recs, index, names, model_id="m")
+        assert len(calls) == 4

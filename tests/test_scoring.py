@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from beerfed.errors import DegenerateRowError, InsufficientDataError
 from beerfed.model import Beverage, Dataset, NoteTag, Review
+from beerfed import scoring
 from beerfed.scoring import (
     MIN_COMMON_BEVERAGES,
     ScoreMatrix,
@@ -24,6 +25,7 @@ from oracles import (
     oracle_kendall_tau_b,
     oracle_normalize,
     oracle_sample_sd,
+    oracle_score_matrix,
     oracle_spearman,
 )
 
@@ -36,6 +38,28 @@ def matrix_from_rows(rows, judges=None, beverages=None):
 
 
 nan = float("nan")
+
+
+class TestBuildScoreMatrix:
+    def test_matches_per_review_oracle_with_duplicates_and_dangling_refs(self, rng):
+        for trial in range(40):
+            ds = random_dataset(
+                rng, int(rng.integers(1, 6)), int(rng.integers(1, 12)), rng.uniform(0.0, 0.5)
+            )
+            for _ in range(int(rng.integers(0, 6))):  # repeats of a scored pair, later score differs
+                first = ds.reviews[int(rng.integers(len(ds.reviews)))]
+                ds.reviews.append(Review(first.judge_id, first.beverage_id, 5.0 if first.raw_score < 5.0 else 1.0))
+            ds.reviews.insert(0, Review("ghost judge", ds.beverages[0].id, 2.0))
+            ds.reviews.insert(int(rng.integers(len(ds.reviews))), Review(ds.judges[0], "ghost beer", 2.0))
+            if trial % 7 == 0:
+                ds.reviews = []
+            m = build_score_matrix(ds)
+            assert m.judges == ds.judges and m.beverages == [b.id for b in ds.beverages]
+            expected = oracle_score_matrix(ds.judges, m.beverages, ds.reviews)
+            assert np.array_equal(m.cells, np.array(expected).reshape(m.cells.shape), equal_nan=True)
+
+    def test_empty_dataset(self):
+        assert build_score_matrix(Dataset()).cells.shape == (0, 0)
 
 
 class TestNormalize:
@@ -267,6 +291,19 @@ class TestAgreementKernels:
                         assert np.isnan(got[i, j]) and np.isnan(got[j, i])
                     else:
                         assert got[i, j] == got[j, i] == pytest.approx(expected, abs=1e-12)
+
+    def test_chunked_kendall_tables_give_the_same_values(self, rng, monkeypatch):
+        # many levels per judge (off the 0.1 grid), so a small table budget
+        # splits each judge's later judges over several bincount calls
+        cells = rng.integers(0, 60, size=(9, 40)) / 7.0
+        cells[rng.random(cells.shape) < 0.2] = nan
+        m = matrix_from_rows(cells)
+        whole = agreement(m, method="kendall").values
+        monkeypatch.setattr(scoring, "_KENDALL_TABLE_CELLS", 2 * 60 * 60)
+        assert np.array_equal(agreement(m, method="kendall").values, whole, equal_nan=True)
+        for i in range(9):
+            for j in range(i + 1, 9):
+                assert whole[i, j] == pytest.approx(expected_pair(m, i, j, "kendall"), abs=1e-12, nan_ok=True)
 
     def test_bit_identical_to_scipy_per_pair(self, rng):
         stats = pytest.importorskip("scipy.stats")
