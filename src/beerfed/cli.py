@@ -144,6 +144,10 @@ def _display(value: float | None) -> str:
 
 
 def cmd_eval_recs(args, diag: Diagnostics) -> int:
+    out_path = Path(args.out)
+    json_path = out_path.with_suffix(".json")
+    if json_path == out_path:
+        raise ConfigurationError(f"--out {out_path}: the JSON table would overwrite the CSV table there")
     _, dataset, _ = _checked_dataset(args, diag)
     if args.profiles:
         parse_profiles_json(args.profiles)
@@ -173,11 +177,12 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
     for path in paths:
         try:
             recs = load_recommendations(path)
-        except (IngestError, OSError) as exc:
+        except (IngestError, OSError) as exc:  # an IngestError's message names the file
+            reason = str(exc) if isinstance(exc, IngestError) else f"{path}: {exc.strerror or exc}"
             if args.strict:
-                diag.error(f"{path}: {exc}", code="EVAL")
+                diag.error(reason, code="EVAL")
                 return EXIT_STRICT_EVAL
-            diag.warning(f"skipping {path}: {exc}", code="EVAL")
+            diag.warning(f"skipping {reason}", code="EVAL")
             continue
         known = set(scorecards)
         for extra in sorted(set(recs.sets) - known):
@@ -209,8 +214,6 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         f"nDCG@{args.k}",
         "Coverage",
     ]
-    out_path = Path(args.out)
-    json_path = out_path.with_suffix(".json")
     with staged_outputs(out_path.parent) as staging:
         write_csv(
             staging / out_path.name,

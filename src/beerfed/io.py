@@ -15,12 +15,13 @@ canonical form (fixed column order, LF line endings, trailing newline,
 sorted JSON keys) so parse -> serialize round-trips byte-identically.
 
 A scorecard file repeats few distinct values (a 100-judge session has
-1,440 names and 41 scores over 144,000 rows), so ingest validates each
-distinct raw score, name and tags cell once, and joins each distinct name
-to its beverage once. Only successes are remembered: a bad or ambiguous
-value is never cached, so its error still names the first row and column
-that carry it. Output directories are written through ``staged_outputs``,
-all files or none.
+1,440 names and 41 scores over 144,000 rows), so ingest reads it in one
+pass into a columnar ``ReviewTable``: each distinct raw judge, name, score,
+tags and note cell is validated and coded once, and each distinct name is
+joined to its beverage once. Only successes are remembered: a bad or
+ambiguous value is never cached, so its error still names the first row
+and column that carry it. Output directories are written through
+``staged_outputs``, all files or none.
 """
 
 from __future__ import annotations
@@ -32,17 +33,19 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, IngestError
 from .model import (
     Beverage,
     Dataset,
     NoteTag,
-    Review,
+    ReviewTable,
     StyleFamily,
     _json_bool,
     _json_number,
@@ -202,11 +205,6 @@ def parse_beverages_csv(
     return beverages
 
 
-def _format_score(score: float) -> str:
-    tenths = round(score * 10)
-    return f"{tenths // 10}.{tenths % 10}"
-
-
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
     """The one CSV writer: UTF-8, LF line endings and a header row; the csv
     module writes None as an empty cell, floats by repr and other values
@@ -233,7 +231,10 @@ def staged_outputs(out_dir: str | Path) -> Iterator[Path]:
     try:
         yield staging
         for path in sorted(staging.iterdir()):
-            os.replace(path, out / path.name)
+            try:
+                os.replace(path, out / path.name)
+            except OSError as exc:  # name the caller's path, not the staging one
+                raise OSError(exc.errno, exc.strerror, str(out / path.name)) from None
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
@@ -259,50 +260,55 @@ def write_beverages_csv(beverages: Iterable[Beverage], path: str | Path) -> None
     write_csv(path, header, map(record, beverages))
 
 
-@dataclass(frozen=True)
-class ScorecardRow:
-    judge_id: str
-    beer_name: str
-    raw_score: float
-    tags: frozenset[NoteTag]
-    note: str | None
-    line: int
-
-
-def parse_scorecards_csv(path: str | Path) -> list[ScorecardRow]:
-    """Ingest a scorecard file, validating each distinct raw score, name
-    and tags cell once (errors still name their first row)."""
-    rows = []
-    scores: dict[str, float] = {}
-    names: dict[str, str] = {}
-    tag_sets: dict[str, frozenset[NoteTag]] = {}
+def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]]:
+    """Ingest a scorecard file in one pass, validating and coding each
+    distinct raw judge, name, score and tags cell once (errors still name
+    their first row); a row with a note but no tags takes the tags its note
+    implies. Returns the reviews, naming each beverage by its display name
+    until ``build_dataset`` joins it, and the line where each display name
+    first appears."""
+    judge_of, name_of, score_of, tags_of, note_of = {}, {}, {}, {}, {}  # raw cell -> code (score: value)
+    judge_ids, names = {}, {}  # vocabulary -> code
+    tag_sets: dict[frozenset[NoteTag], int] = {frozenset(): 0}
+    note_texts: dict[str | None, int] = {None: 0}
+    first_lines: list[int] = []
+    judge, beverage, score, tags, notes = [], [], [], [], []
     with _csv_records(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as records:
-        for line, (judge_id, name_raw, score_cell, tags_raw, note) in records:
-            judge_id = judge_id.strip()
-            if not judge_id:
-                raise IngestError("judge_id must not be empty", row=line, column="judge_id")
-            name = names.get(name_raw)
-            if name is None:
+        for line, (judge_raw, name_raw, score_cell, tags_raw, note_raw) in records:
+            j = judge_of.get(judge_raw)
+            if j is None:
+                if not judge_raw.strip():
+                    raise IngestError("judge_id must not be empty", row=line, column="judge_id")
+                j = judge_of[judge_raw] = judge_ids.setdefault(judge_raw.strip(), len(judge_ids))
+            b = name_of.get(name_raw)
+            if b is None:
                 if not name_raw.strip():
                     raise IngestError("beer_name must not be empty", row=line, column="beer_name")
-                name = names[name_raw] = " ".join(name_raw.split())
-            score = scores.get(score_cell)
-            if score is None:
-                score = scores[score_cell] = _parse_score(score_cell, line)
-            tags = tag_sets.get(tags_raw)
-            if tags is None:
-                tags = tag_sets[tags_raw] = _parse_tags(tags_raw, line, "tags")
-            rows.append(
-                ScorecardRow(
-                    judge_id=judge_id,
-                    beer_name=name,
-                    raw_score=score,
-                    tags=tags,
-                    note=note.strip() or None,
-                    line=line,
-                )
-            )
-    return rows
+                name = " ".join(name_raw.split())
+                if name not in names:
+                    first_lines.append(line)
+                b = name_of[name_raw] = names.setdefault(name, len(names))
+            value = score_of.get(score_cell)
+            if value is None:
+                value = score_of[score_cell] = _parse_score(score_cell, line)
+            t = tags_of.get(tags_raw)
+            if t is None:
+                t = tags_of[tags_raw] = tag_sets.setdefault(_parse_tags(tags_raw, line, "tags"), len(tag_sets))
+            n = note_of.get(note_raw)
+            if n is None:
+                n = note_of[note_raw] = note_texts.setdefault(note_raw.strip() or None, len(note_texts))
+            if n and not t:  # a note without tags: derive them from the note
+                t = tag_sets.setdefault(derive_note_tags(note_raw), len(tag_sets))
+            judge.append(j)
+            beverage.append(b)
+            score.append(value)
+            tags.append(t)
+            notes.append(n)
+    table = ReviewTable(
+        tuple(judge_ids), tuple(names), tuple(tag_sets), tuple(note_texts),
+        *(np.array(codes, dtype=np.intp) for codes in (judge, beverage, tags, notes)), np.array(score),
+    )
+    return table, tuple(first_lines)
 
 
 def _parse_score(cell: str, line: int) -> float:
@@ -324,67 +330,51 @@ def _parse_score(cell: str, line: int) -> float:
 
 
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
+    table = dataset.reviews
     by_id = dataset.beverage_index()
-    with_tags = any(r.note_tags for r in dataset.reviews)
-    with_notes = any(r.note_text for r in dataset.reviews)
+    values, score_codes = np.unique(table.score, return_inverse=True)  # the 41 grid scores
     header = list(SCORECARD_COLUMNS)
-    if with_tags:
-        header.append("tags")
-    if with_notes:
-        header.append("note")
-
-    def record(r: Review) -> list:
-        beverage = by_id.get(r.beverage_id)
-        name = beverage.name if beverage else r.beverage_id
-        cells = [r.judge_id, name, _format_score(r.raw_score)]
-        if with_tags:
-            cells.append(";".join(sorted(t.value for t in r.note_tags)))
-        if with_notes:
-            cells.append(r.note_text or "")
-        return cells
-
-    write_csv(path, header, map(record, dataset.reviews))
+    columns = [  # (cell text per vocabulary entry, per-row codes)
+        (table.judge_ids, table.judge),
+        ([by_id[b].name if b in by_id else b for b in table.beverage_ids], table.beverage),
+        ([f"{v:.1f}" for v in values.tolist()], score_codes),
+    ]
+    for column, cells, codes in (
+        ("tags", [";".join(sorted(t.value for t in tags)) for tags in table.tag_sets], table.tags),
+        ("note", [note or "" for note in table.note_texts], table.notes),
+    ):
+        if any(cell for cell, n in zip(cells, np.bincount(codes, minlength=len(cells))) if n):
+            header.append(column)
+            columns.append((cells, codes))
+    write_csv(path, header, zip(*(map(cells.__getitem__, codes.tolist()) for cells, codes in columns)))
 
 
-def build_dataset(beverages: list[Beverage], rows: list[ScorecardRow]) -> Dataset:
-    """Join scorecard rows onto a beverage list by normalized name.
+def build_dataset(beverages: list[Beverage], scorecards: tuple[ReviewTable, tuple[int, ...]]) -> Dataset:
+    """Join parsed scorecards onto a beverage list by normalized name, once
+    per distinct name.
 
     Rows naming a beverage that is not on the list keep the unmatched name
     as their reference so validation can flag them (DANGLING_REF) instead
     of dropping data silently. Ambiguous names (same normalized name from
-    two producers) are a hard ingest error.
+    two producers) are a hard ingest error at the name's first row.
     """
     by_name: dict[str, list[Beverage]] = {}
     for b in beverages:
         by_name.setdefault(normalize_name(b.name), []).append(b)
 
-    ids: dict[str, str] = {}  # display name -> beverage id, once per name
-    reviews = []
-    for row in rows:
-        beverage_id = ids.get(row.beer_name)
-        if beverage_id is None:
-            key = normalize_name(row.beer_name)
-            matches = by_name.get(key, [])
-            if len(matches) > 1:
-                producers = ", ".join(sorted(b.producer for b in matches))
-                raise IngestError(
-                    f"beverage name {row.beer_name!r} is ambiguous (produced by {producers})",
-                    row=row.line,
-                    column="beer_name",
-                )
-            beverage_id = ids[row.beer_name] = matches[0].id if matches else key
-        tags = row.tags if row.tags else derive_note_tags(row.note)
-        reviews.append(
-            Review(
-                judge_id=row.judge_id,
-                beverage_id=beverage_id,
-                raw_score=row.raw_score,
-                note_tags=tags,
-                note_text=row.note,
-            )
-        )
-    judges = sorted({r.judge_id for r in rows})
-    return Dataset(beverages=beverages, reviews=reviews, judges=judges)
+    table, first_lines = scorecards
+    ids: dict[str, int] = {}  # beverage id -> code; names differing in case share one
+    codes = []
+    for name, line in zip(table.beverage_ids, first_lines):
+        key = normalize_name(name)
+        matches = by_name.get(key, [])
+        if len(matches) > 1:
+            producers = ", ".join(sorted(b.producer for b in matches))
+            raise IngestError(f"beverage name {name!r} is ambiguous (produced by {producers})",
+                              row=line, column="beer_name")
+        codes.append(ids.setdefault(matches[0].id if matches else key, len(ids)))
+    table = replace(table, beverage_ids=tuple(ids), beverage=np.array(codes, dtype=np.intp)[table.beverage])
+    return Dataset(beverages, table, sorted(table.judge_ids))
 
 
 def load_dataset(
@@ -393,9 +383,9 @@ def load_dataset(
     families: list[StyleFamily] | None = None,
 ) -> Dataset:
     beverages = parse_beverages_csv(beverages_path, families)
-    rows = parse_scorecards_csv(scorecards_path)
+    scorecards = parse_scorecards_csv(scorecards_path)
     try:
-        return build_dataset(beverages, rows)
+        return build_dataset(beverages, scorecards)
     except IngestError as exc:  # an ambiguous name, at a scorecard row
         exc.path = scorecards_path
         raise
@@ -578,9 +568,8 @@ def write_session_outputs(result: SessionResult, out_dir: str | Path) -> dict[st
         }
         write_beverages_csv(result.sampled_beverages(), paths["beverages"])
         write_scorecards_csv(result.dataset, paths["scorecards"])
-        paths["session_log"].write_text(
-            "".join(line + "\n" for line in round_log_lines(result)), encoding="utf-8"
-        )
+        with open(paths["session_log"], "w", encoding="utf-8") as fh:  # line by line: no copy of the log
+            fh.writelines(line + "\n" for line in round_log_lines(result))
         # per-round total cost over time: the two costs move in opposite
         # directions, whether they balance is left for the reader to judge
         per_round_total = [r.broadcast_cost + r.comprehension_cost for r in result.rounds]

@@ -13,7 +13,11 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError
 
@@ -292,11 +296,73 @@ def derive_note_tags(note_text: str | None) -> frozenset[NoteTag]:
     return frozenset(tags) if tags else frozenset({NoteTag.OTHER})
 
 
+def positions(values: Sequence, order: Sequence) -> np.ndarray:
+    """Each value's place in ``order`` (its last, if repeated), or -1."""
+    where = {v: i for i, v in enumerate(order)}
+    return np.fromiter(map(where.get, values, repeat(-1)), np.intp, len(values))
+
+
+@dataclass(frozen=True, eq=False)
+class ReviewTable(Sequence[Review]):
+    """Reviews as read-only columns over small vocabularies: row ``i`` is
+    judge ``judge_ids[judge[i]]`` scoring beverage
+    ``beverage_ids[beverage[i]]`` at ``score[i]``, tagged
+    ``tag_sets[tags[i]]``, with note ``note_texts[notes[i]]``. A join or
+    check on a vocabulary runs once per distinct value and reaches the rows
+    by one array lookup; indexing builds ``Review``s on demand."""
+
+    judge_ids: tuple[str, ...]
+    beverage_ids: tuple[str, ...]
+    tag_sets: tuple[frozenset[NoteTag], ...]
+    note_texts: tuple[str | None, ...]
+    judge: np.ndarray
+    beverage: np.ndarray
+    tags: np.ndarray
+    notes: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.judge, self.beverage, self.tags, self.notes, self.score):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_reviews(cls, reviews: Iterable[Review]) -> ReviewTable:
+        """The table of ``reviews``, each vocabulary in first-seen order."""
+        reviews = list(reviews)
+        columns = ([r.judge_id for r in reviews], [r.beverage_id for r in reviews],
+                   [r.note_tags for r in reviews], [r.note_text for r in reviews])
+        vocabularies = [tuple(dict.fromkeys(column)) for column in columns]
+        return cls(*vocabularies, *map(positions, columns, vocabularies),
+                   np.array([r.raw_score for r in reviews], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, index: int) -> Review:
+        row = range(len(self))[index]  # IndexError, negative indices
+        return Review(self.judge_ids[self.judge[row]], self.beverage_ids[self.beverage[row]],
+                      float(self.score[row]), self.tag_sets[self.tags[row]], self.note_texts[self.notes[row]])
+
+    def __eq__(self, other) -> bool:
+        """Equal to a table or list holding equal reviews in the same order,
+        whatever order its vocabularies are in."""
+        if not isinstance(other, (ReviewTable, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class Dataset:
+    """Beverages, judges and every review as one ``ReviewTable`` (given
+    ``Review`` objects, ``reviews`` stores them as a table)."""
+
     beverages: list[Beverage] = field(default_factory=list)
-    reviews: list[Review] = field(default_factory=list)
+    reviews: ReviewTable | Iterable[Review] = ()
     judges: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.reviews, ReviewTable):
+            self.reviews = ReviewTable.from_reviews(self.reviews)
 
     def beverage_index(self) -> dict[str, Beverage]:
         return {b.id: b for b in self.beverages}
@@ -344,30 +410,17 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     never mutates the dataset, so it is idempotent.
     """
     violations: set[Violation] = set()
-    by_id = dataset.beverage_index()
-    judges = set(dataset.judges)
+    table = dataset.reviews
+    known_judge = positions(table.judge_ids, dataset.judges) >= 0
+    known_beverage = positions(table.beverage_ids, [b.id for b in dataset.beverages]) >= 0
 
-    review_counts: Counter[str] = Counter()
-    seen_pairs: Counter[tuple[str, str]] = Counter()
-    for review in dataset.reviews:
-        seen_pairs[(review.judge_id, review.beverage_id)] += 1
-        dangling = []
-        if review.beverage_id not in by_id:
-            dangling.append(f"unknown beverage {review.beverage_id!r}")
-        else:
-            review_counts[review.beverage_id] += 1
-        if review.judge_id not in judges:
-            dangling.append(f"unknown judge {review.judge_id!r}")
-        if dangling:
-            violations.add(
-                Violation(
-                    DANGLING_REF,
-                    f"{review.judge_id}:{review.beverage_id}",
-                    "review references " + " and ".join(dangling),
-                )
-            )
-
-    for (judge_id, beverage_id), count in seen_pairs.items():
+    # every distinct (judge, beverage) pair once, with its review count
+    width = max(1, len(table.beverage_ids))
+    pairs, counts = np.unique(table.judge * width + table.beverage, return_counts=True)
+    judge, beverage = np.divmod(pairs, width)
+    flagged = (counts > 1) | ~known_judge[judge] | ~known_beverage[beverage]
+    for j, b, count in zip(judge[flagged].tolist(), beverage[flagged].tolist(), counts[flagged].tolist()):
+        judge_id, beverage_id = table.judge_ids[j], table.beverage_ids[b]
         if count > 1:
             violations.add(
                 Violation(
@@ -376,7 +429,22 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
                     f"{count} reviews for the same (judge, beverage) pair",
                 )
             )
+        dangling = []
+        if not known_beverage[b]:
+            dangling.append(f"unknown beverage {beverage_id!r}")
+        if not known_judge[j]:
+            dangling.append(f"unknown judge {judge_id!r}")
+        if dangling:
+            violations.add(
+                Violation(
+                    DANGLING_REF,
+                    f"{judge_id}:{beverage_id}",
+                    "review references " + " and ".join(dangling),
+                )
+            )
 
+    per_code = np.bincount(table.beverage, minlength=len(table.beverage_ids))
+    review_counts = dict(zip(table.beverage_ids, per_code.tolist()))
     for beverage in dataset.beverages:
         n = review_counts.get(beverage.id, 0)
         if n < MIN_REVIEWS_PER_BEVERAGE:

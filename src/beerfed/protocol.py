@@ -310,22 +310,19 @@ def run_round(state: SessionState) -> RoundRecord | Omitted:
         [(p.id, p.leader_probability) for p in config.experts()], rng
     )
 
-    available: list[ParticipantProfile] = []
-    for profile in config.federation:
-        if profile.id == leader_id:
-            continue
-        if rng.random() < profile.availability_probability:
-            available.append(profile)
+    # one array draw gives the same uniforms as that many scalar draws
+    others = [p for p in config.federation if p.id != leader_id]
+    available = [
+        p for p, u in zip(others, rng.random(len(others)).tolist()) if u < p.availability_probability
+    ]
     if not available:
         omitted = Omitted(clock, OMIT_NO_PARTICIPANTS)
         state.skips.append(omitted)
         return omitted
 
-    procurers = []
-    for profile in available:
-        freeloads = rng.random() < profile.freeload_probability
-        if not freeloads:
-            procurers.append(profile.id)
+    procurers = [
+        p.id for p, u in zip(available, rng.random(len(available)).tolist()) if not u < p.freeload_probability
+    ]
     if not procurers:
         # Someone has to fetch the sample: promote one freeloader.
         procurers = [available[int(rng.integers(len(available)))].id]

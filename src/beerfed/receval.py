@@ -89,11 +89,13 @@ def validate_recs(
     earlier slot, and carries an integer rank in 1..k not used before.
     When several rules are broken, the reported reason follows that order.
     """
-    return _verdicts(recs, {normalize_name(n) for n in beverage_names}, k)
+    verdicts = _verdicts(recs, {normalize_name(n) for n in beverage_names}, k)
+    return verdicts + [SlotVerdict(i, False, VerdictReason.MISSING) for i in range(len(verdicts), k)]
 
 
 def _verdicts(recs: RecommendationSet, known: set[str], k: int) -> list[SlotVerdict]:
-    """validate_recs against an already normalized master-name set."""
+    """validate_recs against an already normalized master-name set, without
+    the MISSING padding (k may be far larger than any set)."""
     seen_names: set[str] = set()
     seen_ranks: set[int] = set()
     verdicts = []
@@ -117,8 +119,6 @@ def _verdicts(recs: RecommendationSet, known: set[str], k: int) -> list[SlotVerd
         verdicts.append(
             SlotVerdict(i, reason is VerdictReason.OK, reason, slot.beverage_name)
         )
-    for i in range(len(recs.slots), k):
-        verdicts.append(SlotVerdict(i, False, VerdictReason.MISSING))
     return verdicts
 
 
@@ -252,8 +252,9 @@ def _one_pass(
                 tied_others = bisect_right(ascending, card[name]) - below - 1
                 values.append((below + 0.5 * tied_others) / (len(card) - 1))
             terms.percentiles.append(_mean(values))
+        # ranks 1..k without a valid pick add +0.0, so only the picks' ranks are summed
         relevance = {rank: card.get(name, 0.0) for rank, name in picks}
-        dcg = sum(relevance.get(i, 0.0) / math.log2(i + 1) for i in range(1, k + 1))
+        dcg = sum(relevance[i] / math.log2(i + 1) for i in sorted(relevance))
         terms.ndcgs.append(dcg / entry.idcg if entry.idcg > 0 else 0.0)
     return terms
 
@@ -342,7 +343,11 @@ class MetricReport:
         for label, value in (("coverage", self.coverage), ("hit rate", self.hit_rate)):
             if value is None:
                 continue
-            if abs(value * denom - round(value * denom)) > QUANTIZATION_TOL:
+            # value * denom, exactly as p * denom / q since k may exceed float range:
+            # how far it lies from the nearest integer
+            p, q = value.as_integer_ratio()
+            off = p * denom % q
+            if min(off, q - off) / q > QUANTIZATION_TOL:
                 raise ValueError(
                     f"{label} {value!r} is not a multiple of 1/{denom}"
                 )

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DegenerateRowError, InsufficientDataError
-from .model import Dataset, NoteTag
+from .model import Dataset, NoteTag, positions
 
 
 @dataclass
@@ -55,18 +55,14 @@ def build_score_matrix(dataset: Dataset) -> ScoreMatrix:
     """
     judges = list(dataset.judges)
     beverages = [b.id for b in dataset.beverages]
-    jdx = {j: i for i, j in enumerate(judges)}
-    bdx = {b: i for i, b in enumerate(beverages)}
-    reviews = dataset.reviews
-    n = len(reviews)
-    j = np.fromiter((jdx.get(r.judge_id, -1) for r in reviews), np.intp, n)
-    b = np.fromiter((bdx.get(r.beverage_id, -1) for r in reviews), np.intp, n)
-    scores = np.fromiter((r.raw_score for r in reviews), float, n)
+    table = dataset.reviews
+    j = positions(table.judge_ids, judges)[table.judge]
+    b = positions(table.beverage_ids, beverages)[table.beverage]
     known = (j >= 0) & (b >= 0)
     flat = j[known] * len(beverages) + b[known]
     cells = np.full((len(judges), len(beverages)), np.nan)
     _, first = np.unique(flat, return_index=True)  # index of each cell's first review
-    cells.flat[flat[first]] = scores[known][first]
+    cells.flat[flat[first]] = table.score[known][first]
     return ScoreMatrix(judges, beverages, cells)
 
 
@@ -384,25 +380,24 @@ def tag_report(dataset: Dataset) -> list[TagFamilyComparison]:
     finding check real_mean >= artificial_mean; it is reported, never
     enforced.
     """
+    table = dataset.reviews
     family_of = {b.id: b.style_family for b in dataset.beverages}
-    real: dict[str, list[float]] = {}
-    artificial: dict[str, list[float]] = {}
-    for review in dataset.reviews:
-        family = family_of.get(review.beverage_id)
-        if family is None:
-            continue
-        if NoteTag.REAL_FLAVOUR in review.note_tags:
-            real.setdefault(family, []).append(review.raw_score)
-        if NoteTag.ARTIFICIAL_FLAVOUR in review.note_tags:
-            artificial.setdefault(family, []).append(review.raw_score)
+    names = sorted({family_of[b] for b in table.beverage_ids if b in family_of})
+    row_family = positions([family_of.get(b) for b in table.beverage_ids], names)[table.beverage]
+    real: dict[str, np.ndarray] = {}
+    artificial: dict[str, np.ndarray] = {}
+    for tag, scores in ((NoteTag.REAL_FLAVOUR, real), (NoteTag.ARTIFICIAL_FLAVOUR, artificial)):
+        tagged = np.array([tag in s for s in table.tag_sets], dtype=bool)[table.tags] & (row_family >= 0)
+        for f in np.unique(row_family[tagged]).tolist():
+            scores[names[f]] = table.score[tagged & (row_family == f)]  # in review order
 
     report = []
     for family in sorted(set(real) | set(artificial)):
-        r = real.get(family, [])
-        a = artificial.get(family, [])
-        r_mean = float(np.mean(r)) if r else None
-        a_mean = float(np.mean(a)) if a else None
-        comparable = bool(r and a)
+        r = real.get(family, ())
+        a = artificial.get(family, ())
+        r_mean = float(np.mean(r)) if len(r) else None
+        a_mean = float(np.mean(a)) if len(a) else None
+        comparable = bool(len(r) and len(a))
         report.append(
             TagFamilyComparison(
                 family=family,

@@ -12,6 +12,12 @@ FAMILIES = [
 ]
 
 
+def with_reviews(dataset, reviews):
+    """The dataset's beverages and judges with ``reviews`` in place of its
+    own (a dataset's reviews are read-only)."""
+    return Dataset(dataset.beverages, list(reviews), dataset.judges)
+
+
 def random_scores(rng, n, lo=10, hi=50):
     """n raw scores on the 0.1 grid."""
     return [int(rng.integers(lo, hi + 1)) / 10 for _ in range(n)]

@@ -5,7 +5,10 @@ sharing no code with the package, so tests can cross-check the pipeline
 against a second derivation of the same definitions.
 """
 
+import csv
+import io
 import math
+import re
 
 
 def oname(s):
@@ -209,3 +212,103 @@ def oracle_metrics(slots_by_profile, scorecards, names, k=5, tie_mode="fixed"):
 
     return {"coverage": coverage, "mean_rating": mean_rating,
             "mean_percentile": mean_percentile, "hit": hit, "ndcg": ndcg}
+
+
+def _collapse(s):
+    return " ".join(s.split())
+
+
+def _note_tags(note):
+    """Tags implied by a note: real / artificial by whole word, else other."""
+    tags = {tag for word, tag in (("real", "real_flavour"), ("artificial", "artificial_flavour"))
+            if re.search(rf"\b{word}\b", note, re.IGNORECASE)}
+    return tags or {"other"}
+
+
+def oracle_load_dataset(beverages, scorecards_path):
+    """The scorecard ingest one row at a time, for well-formed files: each
+    row becomes (judge, beverage id, score, tag values, note) on its own,
+    blank rows are skipped, tags come from the tags cell or else from the
+    note, and a name joins the beverage whose collapsed casefolded name
+    equals its own (an unmatched name keeps that key as its reference).
+
+    ``beverages`` is the parsed beverage list (objects with id and name);
+    returns (judges sorted, list of review tuples)."""
+    with open(scorecards_path, encoding="utf-8-sig", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if any((v or "").strip() for v in r.values())]
+    reviews = []
+    for row in rows:
+        key = _collapse(row["beer_name"]).casefold()
+        matches = [b.id for b in beverages if _collapse(b.name).casefold() == key]
+        tags = {p.strip() for p in (row.get("tags") or "").split(";") if p.strip()}
+        note = (row.get("note") or "").strip() or None
+        if not tags and note:
+            tags = _note_tags(note)
+        score = float(row["raw_score"].strip())
+        reviews.append((row["judge_id"].strip(), matches[0] if matches else key, score, tags, note))
+    return sorted({r[0] for r in reviews}), reviews
+
+
+def oracle_validate_dataset(beverages, judges, reviews):
+    """The dataset shape rules by a per-review loop; reviews are
+    (judge, beverage id, ...) tuples and the result is the sorted list of
+    (code, subject, message) findings."""
+    found = set()
+    ids = {b.id for b in beverages}
+    pair_counts, review_counts = {}, {}
+    for judge, beverage, *_ in reviews:
+        pair_counts[judge, beverage] = pair_counts.get((judge, beverage), 0) + 1
+        dangling = []
+        if beverage in ids:
+            review_counts[beverage] = review_counts.get(beverage, 0) + 1
+        else:
+            dangling.append(f"unknown beverage {beverage!r}")
+        if judge not in judges:
+            dangling.append(f"unknown judge {judge!r}")
+        if dangling:
+            found.add(("DANGLING_REF", f"{judge}:{beverage}", "review references " + " and ".join(dangling)))
+    for (judge, beverage), n in pair_counts.items():
+        if n > 1:
+            found.add(("DUP_REVIEW", f"{judge}:{beverage}", f"{n} reviews for the same (judge, beverage) pair"))
+    for b in beverages:
+        n = review_counts.get(b.id, 0)
+        if n < 2:
+            found.add(("MISSING_REVIEWS", b.id, f"beverage has {n} review(s), expected at least 2"))
+        if not 0.5 <= b.abv <= 12.5:
+            found.add(("ABV_RANGE_WARN", b.id, f"abv {b.abv} outside the observed range [0.5, 12.5]"))
+    producers = [b.producer for b in beverages]
+    for producer in set(producers):
+        if producers.count(producer) > 4:
+            found.add(("PRODUCER_LIMIT_WARN", producer,
+                       f"producer presents {producers.count(producer)} beverages, limit is 4"))
+    return sorted(found)
+
+
+def oracle_scorecards_csv(beverages, reviews):
+    """Scorecard CSV text written one review at a time: a beverage's
+    display name (or its reference if unknown), the score to one decimal,
+    the optional tags / note columns only when some review has one."""
+    name_of = {b.id: b.name for b in beverages}
+    with_tags = any(r[3] for r in reviews)
+    with_notes = any(r[4] for r in reviews)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["judge_id", "beer_name", "raw_score"] + ["tags"] * with_tags + ["note"] * with_notes)
+    for judge, beverage, score, tags, note in reviews:
+        row = [judge, name_of.get(beverage, beverage), "%.1f" % score]
+        row += [";".join(sorted(tags))] * with_tags + [note or ""] * with_notes
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def oracle_tag_report(beverages, reviews):
+    """{family: (real scores, artificial scores)} for families with at
+    least one tagged review, scores in review order."""
+    family_of = {b.id: b.style_family for b in beverages}
+    out = {}
+    for _, beverage, score, tags, _ in reviews:
+        if beverage in family_of:
+            for i, tag in enumerate(("real_flavour", "artificial_flavour")):
+                if tag in tags:
+                    out.setdefault(family_of[beverage], ([], []))[i].append(score)
+    return out

@@ -430,10 +430,10 @@ def test_c10_end_to_end(tmp_path):
     }
 
     # six synthetic recommenders built from the generated scorecards
-    rows = parse_scorecards_csv(sim / "scorecards.csv")
     cards = {}
-    for row in rows:
-        cards.setdefault(row.judge_id, {})[row.beer_name] = row.raw_score
+    reviews, _ = parse_scorecards_csv(sim / "scorecards.csv")
+    for review in reviews:  # beverages named by display name
+        cards.setdefault(review.judge_id, {})[review.beverage_id] = review.raw_score
 
     def tops(judge, n=5, worst=False):
         ordered = sorted(cards[judge].items(), key=lambda kv: (-kv[1], kv[0]))

@@ -437,6 +437,77 @@ class TestEvalRecs:
         assert failure["level"] == "error" and str(bad) in failure["message"]
 
 
+    @pytest.mark.parametrize("k", [10**9, 10**400], ids=["1e9", "1e400"])
+    def test_huge_k_runs_in_bounded_memory(self, sim_outputs, tmp_path, eval_env, k):
+        # unused slots must cost nothing: the child's address space is
+        # capped, so a regression fails here instead of exhausting memory
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from beerfed import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "table.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "eval-recs", str(eval_env / "*.json"),
+             str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+             "--out", str(out), "--k", str(k)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+        assert rows[0][3] == f"Hit@{k}" and len(rows) == 5
+
+    def test_out_ending_in_json_is_rejected(self, sim_outputs, tmp_path, eval_env, capsys):
+        # the JSON table goes to --out with a .json suffix: here the CSV itself
+        out = tmp_path / "metrics.json"
+        rc = cli.main(
+            [
+                "eval-recs", str(eval_env / "*.json"),
+                str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: the JSON table would overwrite the CSV table" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_rec_file_errors_name_the_file_once(self, sim_outputs, tmp_path, eval_env, capsys, strict):
+        bad = eval_env / "bad.json"
+        bad.write_text('{"model_id": "m", "profiles": 5}', encoding="utf-8")
+        (eval_env / "dir.json").mkdir()
+        argv = [
+            "--json-errors", "eval-recs", str(eval_env / "*.json"),
+            str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+            "--out", str(tmp_path / "table.csv"), *(["--strict"] if strict else []),
+        ]
+        rc = cli.main(argv)
+        messages = [r["message"] for r in error_records(capsys) if r.get("code") == "EVAL"]
+        if strict:
+            assert rc == 5 and messages == [f"{bad}: profiles must be a list"]
+        else:
+            assert rc == 0 and messages == [
+                f"skipping {bad}: profiles must be a list",
+                f"skipping {eval_env / 'dir.json'}: Is a directory",
+            ]
+
+    def test_out_that_is_a_directory_names_it(self, sim_outputs, tmp_path, eval_env, capsys):
+        out = tmp_path / "table.csv"
+        out.mkdir()
+        rc = cli.main(
+            [
+                "eval-recs", str(eval_env / "*.json"),
+                str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"Is a directory: '{out}'" in err and ".staging" not in err
+
     def test_each_scorecard_ranked_once_per_run(self, sim_outputs, tmp_path, eval_env, monkeypatch):
         calls = []
         top_k_set = receval.top_k_set
@@ -774,6 +845,31 @@ scorecard_bytes = st.one_of(
     st.tuples(scorecard_rows, st.binary(max_size=8)).map(lambda pair: pair[0].encode() + pair[1]),
 )
 
+PROPERTY_SCORECARDS = (
+    "judge_id,beer_name,raw_score\n"
+    "A,Alpha Ale,4.0\nB,Alpha Ale,3.5\nC,Alpha Ale,2.0\nA,Beta Bock,2.0\nB,Beta Bock,4.5\n"
+    "A,Gamma Gose,1.5\nC,Gamma Gose,3.0\n"
+)
+# beverage-list-shaped text, mostly valid cells, so examples reach the join,
+# validation and the analysis
+beverage_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["P", "Q", "R"] * 4 + [" ", ""]),
+        st.sampled_from(["Alpha Ale", "beta  bock", "Gamma Gose"] * 4 + ["Delta Dunkel", ""]),
+        st.sampled_from(["Pale Ale", "Bock", "Gose", "", "Imperial Stout"]),
+        st.sampled_from(["5.0", "4.2", "0.3", "13"] * 4 + ["0", "101", "nan", "inf", "-1", "x", "", "1e308"]),
+        st.sampled_from(["", "", "real_flavour", "other;artificial_flavour", "bogus"]),
+    ),
+    max_size=8,
+).map(lambda rows: "brewery,beer_name,beer_style,abv_percent,tags\n" + "".join(",".join(r) + "\n" for r in rows))
+beverage_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.tuples(beverage_rows, st.sampled_from(["utf-8", "utf-8-sig", "latin-1", "utf-16"])).map(
+        lambda pair: pair[0].encode(pair[1], errors="replace")
+    ),
+    st.tuples(beverage_rows, st.binary(max_size=8)).map(lambda pair: pair[0].encode() + pair[1]),
+)
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
     | st.sampled_from([0, 1, -1, 0.5, 1e308, -1e308, 2**64, "", "x"]),
@@ -832,6 +928,16 @@ class TestInputProperties:
             cards = tmp / "scorecards.csv"
             cards.write_bytes(data)
             argv = analyze_argv(cards, write_text(tmp / "beverages.csv", PROPERTY_BEVERAGES), tmp / "rep")
+            assert cli.main(["--json-errors", *argv, *(["--lenient"] if lenient else [])]) in (0, 4)
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=beverage_bytes, lenient=st.booleans())
+    def test_any_beverage_bytes_exit_0_or_4(self, data, lenient):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            beverages = tmp / "beverages.csv"
+            beverages.write_bytes(data)
+            argv = analyze_argv(write_text(tmp / "scorecards.csv", PROPERTY_SCORECARDS), beverages, tmp / "rep")
             assert cli.main(["--json-errors", *argv, *(["--lenient"] if lenient else [])]) in (0, 4)
 
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from beerfed.errors import ConfigurationError, IngestError
@@ -13,7 +14,15 @@ from beerfed.io import (
     write_beverages_csv,
     write_scorecards_csv,
 )
-from beerfed.model import AbvBand, NoteTag, validate_dataset
+from beerfed.model import AbvBand, Dataset, NoteTag, Review, validate_dataset
+from beerfed.scoring import build_score_matrix, tag_report
+from oracles import (
+    oracle_load_dataset,
+    oracle_scorecards_csv,
+    oracle_score_matrix,
+    oracle_tag_report,
+    oracle_validate_dataset,
+)
 
 BEVERAGES = """brewery,beer_name,beer_style,abv_percent
 Brewery52,Mango Sour,Fruited Sour,4.5
@@ -106,10 +115,10 @@ class TestIngestBeverages:
 
 class TestScorecards:
     def test_parse_rows(self, tmp_path):
-        rows = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS))
+        rows, _ = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS))
         assert len(rows) == 6
         assert rows[0].raw_score == 4.8
-        assert rows[3].tags == {NoteTag.ARTIFICIAL_FLAVOUR}
+        assert rows[3].note_tags == {NoteTag.ARTIFICIAL_FLAVOUR}
 
     def test_two_decimal_score_rejected(self, tmp_path):
         text = "judge_id,beer_name,raw_score\nA,X,4.25\n"
@@ -142,12 +151,16 @@ class TestScorecards:
         assert (exc.value.row, exc.value.column) == (4, column)
 
     def test_repeated_cells_parse_like_distinct_ones(self, tmp_path):
-        text = "judge_id,beer_name,raw_score,tags\nA, Night  Shift ,4.0,real_flavour\n , ,\t, \nB, Night  Shift , 4.0 ,real_flavour\n"
-        rows = parse_scorecards_csv(write(tmp_path, "s.csv", text))
-        assert [(r.judge_id, r.beer_name, r.raw_score, r.tags, r.note, r.line) for r in rows] == [
-            ("A", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None, 2),
-            ("B", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None, 4),  # the blank line 3 is skipped
+        text = ("judge_id,beer_name,raw_score,tags\nA, Night  Shift ,4.0,real_flavour\n , ,\t, \n"
+                "B, Night  Shift , 4.0 ,real_flavour\nB,Dark Star,4.0,real_flavour\n")
+        table, first_lines = parse_scorecards_csv(write(tmp_path, "s.csv", text))
+        # before the join a review names its beverage by display name
+        assert [(r.judge_id, r.beverage_id, r.raw_score, r.note_tags, r.note_text) for r in table] == [
+            ("A", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),
+            ("B", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),  # the blank line 3 is skipped
+            ("B", "Dark Star", 4.0, {NoteTag.REAL_FLAVOUR}, None),
         ]
+        assert first_lines == (2, 5)  # lines are physical: the blank line 3 still counts
 
     def test_note_derives_tags_when_tags_absent(self, tmp_path):
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
@@ -196,6 +209,74 @@ class TestDatasetJoin:
             load_dataset(write(tmp_path, "b.csv", beverages), write(tmp_path, "s.csv", scorecards))
         assert (exc.value.row, exc.value.column) == (3, "beer_name")
         assert exc.value.path == tmp_path / "s.csv"
+
+
+def review_tuples(dataset):
+    return [
+        (r.judge_id, r.beverage_id, r.raw_score, {t.value for t in r.note_tags}, r.note_text)
+        for r in dataset.reviews
+    ]
+
+
+def random_scorecards(rng):
+    """Scorecard text with repeated and differently spelled judges and
+    names (some naming no beverage), duplicate pairs, tags and notes in
+    any column order, blank rows and sometimes a byte-order mark."""
+    cells = {
+        "judge_id": ["A", " A", "B ", "C", "dana"],
+        "beer_name": ["Mango Sour", "  mango   SOUR ", "Night Shift", "NIGHT SHIFT", "Morning Shift",
+                      "Ghost Brew", "ghost  brew"],
+        "raw_score": ["1", "1.0", "2.5", " 3.7 ", "4", "4.9", "5.0"],
+        "tags": ["", "", "real_flavour", "artificial_flavour;other", " other ", "real_flavour;artificial_flavour"],
+        "note": ["", "", "a real treat", "Artificial!", "  ", "plain", "really artificial"],
+    }
+    columns = ["judge_id", "beer_name", "raw_score"] + [c for c in ("tags", "note") if rng.random() < 0.6]
+    columns = [columns[i] for i in rng.permutation(len(columns))]
+    lines = [",".join(columns)]
+    for _ in range(int(rng.integers(0, 40))):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", ",,", "  "])))
+        lines.append(",".join(cells[c][int(rng.integers(len(cells[c])))] for c in columns))
+    return ("\ufeff" if rng.random() < 0.3 else "") + "\n".join(lines) + "\n"
+
+
+class TestColumnarIngestOracle:
+    """The one-pass table ingest against a row-by-row oracle."""
+
+    def test_random_scorecards_match_row_by_row_ingest(self, tmp_path, rng):
+        beverages_path = write(tmp_path, "b.csv", BEVERAGES)
+        beverages = parse_beverages_csv(beverages_path)
+        ids = [b.id for b in beverages]
+        for _ in range(150):
+            cards = write(tmp_path, "s.csv", random_scorecards(rng))
+            dataset = load_dataset(beverages_path, cards)
+            judges, reviews = oracle_load_dataset(beverages, cards)
+            assert review_tuples(dataset) == reviews
+            assert dataset.judges == judges and len(dataset.reviews) == len(reviews)
+            found = [(v.code, v.subject, v.message) for v in validate_dataset(dataset)]
+            assert found == oracle_validate_dataset(beverages, judges, reviews)
+            expected = oracle_score_matrix(judges, ids, [Review(*r[:3]) for r in reviews])
+            assert np.array_equal(build_score_matrix(dataset).cells, np.array(expected).reshape(len(judges), len(ids)), equal_nan=True)
+            write_scorecards_csv(dataset, tmp_path / "out.csv")
+            assert (tmp_path / "out.csv").read_text(encoding="utf-8") == oracle_scorecards_csv(beverages, reviews)
+            means = {t.family: (t.real_mean, t.artificial_mean, t.real_count, t.artificial_count)
+                     for t in tag_report(dataset)}
+            assert means == {
+                family: (*(float(np.mean(s)) if s else None for s in pair), *map(len, pair))
+                for family, pair in oracle_tag_report(beverages, reviews).items()
+            }
+
+    def test_reviews_view_is_read_only_and_rebuilds_reviews(self, tiny_dataset):
+        reviews = tiny_dataset.reviews
+        assert len(reviews) == 18 and reviews[-1] == reviews[17] and list(reviews)[:2] == [reviews[0], reviews[1]]
+        rebuilt = Dataset(tiny_dataset.beverages, list(reviews), tiny_dataset.judges)
+        assert rebuilt.reviews == reviews and rebuilt == tiny_dataset
+        assert Dataset(tiny_dataset.beverages, list(reviews)[1:], tiny_dataset.judges) != tiny_dataset
+        with pytest.raises(IndexError):
+            reviews[18]
+        with pytest.raises(ValueError):
+            tiny_dataset.reviews.score[0] = 1.0
+        assert not hasattr(reviews, "append")
 
 
 class TestRoundTrips:

@@ -8,6 +8,7 @@ from beerfed.model import (
     FALLBACK_FAMILY_NAME,
     AbvBand,
     Beverage,
+    Dataset,
     NoteTag,
     Review,
     StyleFamily,
@@ -20,7 +21,8 @@ from beerfed.model import (
     score_tenths,
     validate_dataset,
 )
-from oracles import oracle_classify_band
+from genutil import random_dataset, with_reviews
+from oracles import oracle_classify_band, oracle_validate_dataset
 
 
 class TestClassifyAbv:
@@ -195,52 +197,67 @@ class TestValidateDataset:
         assert validate_dataset(tiny_dataset) == []
 
     def test_single_review_flagged(self, tiny_dataset):
-        tiny_dataset.reviews = [r for r in tiny_dataset.reviews if not (r.beverage_id == "b5" and r.judge_id != "A")]
-        codes = _codes(validate_dataset(tiny_dataset))
+        kept = [r for r in tiny_dataset.reviews if not (r.beverage_id == "b5" and r.judge_id != "A")]
+        codes = _codes(validate_dataset(with_reviews(tiny_dataset, kept)))
         assert codes == ["MISSING_REVIEWS"]
 
     def test_duplicate_review_flagged(self, tiny_dataset):
-        tiny_dataset.reviews.append(Review("A", "b0", 4.0))
-        codes = _codes(validate_dataset(tiny_dataset))
+        dataset = with_reviews(tiny_dataset, [*tiny_dataset.reviews, Review("A", "b0", 4.0)])
+        codes = _codes(validate_dataset(dataset))
         assert codes == ["DUP_REVIEW"]
 
     def test_dangling_references_flagged(self, tiny_dataset):
-        tiny_dataset.reviews.append(Review("A", "ghost", 3.0))
-        tiny_dataset.reviews.append(Review("Z", "b0", 3.0))
-        codes = _codes(validate_dataset(tiny_dataset))
+        extra = [Review("A", "ghost", 3.0), Review("Z", "b0", 3.0)]
+        codes = _codes(validate_dataset(with_reviews(tiny_dataset, [*tiny_dataset.reviews, *extra])))
         assert codes.count("DANGLING_REF") == 2
 
     def test_abv_warning_outside_observed_range(self, tiny_dataset):
         tiny_dataset.beverages.append(
             Beverage("b9", "Alpha Brewing", "Thin Air", "Pale Ale", "Pale ale & IPA", 0.4)
         )
-        tiny_dataset.reviews.extend([Review("A", "b9", 3.0), Review("B", "b9", 3.2)])
-        violations = validate_dataset(tiny_dataset)
+        extra = [Review("A", "b9", 3.0), Review("B", "b9", 3.2)]
+        violations = validate_dataset(with_reviews(tiny_dataset, [*tiny_dataset.reviews, *extra]))
         assert _codes(violations) == ["ABV_RANGE_WARN"]
         assert violations[0].severity.value == "warning"
 
     def test_producer_limit_warning(self, tiny_dataset):
+        reviews = list(tiny_dataset.reviews)
         for i in range(3):
             bid = f"extra{i}"
             tiny_dataset.beverages.append(
                 Beverage(bid, "Alpha Brewing", f"Extra {i}", "Pilsner", "Lager & pils", 5.0)
             )
-            tiny_dataset.reviews.extend([Review("A", bid, 3.0), Review("B", bid, 3.1)])
-        violations = validate_dataset(tiny_dataset)
+            reviews.extend([Review("A", bid, 3.0), Review("B", bid, 3.1)])
+        violations = validate_dataset(with_reviews(tiny_dataset, reviews))
         assert _codes(violations) == ["PRODUCER_LIMIT_WARN"]
         assert violations[0].subject == "Alpha Brewing"
 
     def test_order_independent_and_idempotent(self, tiny_dataset, rng):
-        tiny_dataset.reviews.append(Review("A", "ghost", 3.0))
+        reviews = [*tiny_dataset.reviews, Review("A", "ghost", 3.0)]
         tiny_dataset.beverages.append(
             Beverage("b9", "Solo Works", "Lone Star", "Gose", "Gose", 20.0)
         )
-        baseline = validate_dataset(tiny_dataset)
-        assert baseline == validate_dataset(tiny_dataset)
+        dataset = with_reviews(tiny_dataset, reviews)
+        baseline = validate_dataset(dataset)
+        assert baseline == validate_dataset(dataset)
         for _ in range(5):
-            rng.shuffle(tiny_dataset.reviews)
+            rng.shuffle(reviews)
             rng.shuffle(tiny_dataset.beverages)
-            assert validate_dataset(tiny_dataset) == baseline
+            assert validate_dataset(with_reviews(tiny_dataset, reviews)) == baseline
+
+    def test_matches_per_review_oracle_on_hand_built_datasets(self, rng):
+        for _ in range(60):
+            ds = random_dataset(rng, int(rng.integers(1, 5)), int(rng.integers(0, 9)), rng.uniform(0.0, 0.6))
+            reviews = list(ds.reviews)
+            for _ in range(int(rng.integers(0, 8))):  # duplicates, unknown judges and beverages
+                r = reviews[int(rng.integers(len(reviews)))] if reviews else Review("J0", "ghost", 3.0)
+                judge = r.judge_id if rng.random() < 0.5 else f"stranger{int(rng.integers(2))}"
+                beverage = r.beverage_id if rng.random() < 0.5 else f"ghost{int(rng.integers(2))}"
+                reviews.insert(int(rng.integers(len(reviews) + 1)), Review(judge, beverage, 2.0))
+            judges = [j for j in ds.judges if rng.random() < 0.8]  # judges with reviews left off the list
+            found = [(v.code, v.subject, v.message) for v in validate_dataset(Dataset(ds.beverages, reviews, judges))]
+            tuples = [(r.judge_id, r.beverage_id) for r in reviews]
+            assert found == oracle_validate_dataset(ds.beverages, judges, tuples)
 
     def test_violations_sort_deterministically(self):
         a = Violation("DUP_REVIEW", "x", "m")

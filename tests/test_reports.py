@@ -5,6 +5,7 @@ import pytest
 
 from beerfed.model import validate_dataset
 from beerfed.reports import analyze_dataset, build_analysis_report
+from genutil import with_reviews
 
 
 @pytest.fixture
@@ -64,20 +65,20 @@ class TestWriteTables:
     def test_violations_recorded_in_report_json(self, tiny_dataset, tmp_path):
         # drop two of b5's three reviews so it falls below the minimum
         kept = [r for r in tiny_dataset.reviews if r.beverage_id != "b5" or r.judge_id == "A"]
-        tiny_dataset.reviews = kept
-        violations = validate_dataset(tiny_dataset)
-        paths = analyze_dataset(tiny_dataset, tmp_path, violations, lenient=True)
+        dataset = with_reviews(tiny_dataset, kept)
+        violations = validate_dataset(dataset)
+        paths = analyze_dataset(dataset, tmp_path, violations, lenient=True)
         assert [v.code for v in violations] == ["MISSING_REVIEWS"]
         report = json.loads(paths["report"].read_text(encoding="utf-8"))
         assert [v["code"] for v in report["violations"]] == ["MISSING_REVIEWS"]
 
     def test_undefined_agreement_cell_is_empty_string(self, tiny_dataset, tmp_path):
         # judges sharing fewer than three beverages have no defined agreement
-        tiny_dataset.reviews = [
+        dataset = with_reviews(tiny_dataset, [
             r for r in tiny_dataset.reviews
             if not (r.judge_id == "C" and r.beverage_id in ("b0", "b1", "b2", "b3"))
-        ]
-        paths = analyze_dataset(tiny_dataset, tmp_path, validate_dataset(tiny_dataset), lenient=True)
+        ])
+        paths = analyze_dataset(dataset, tmp_path, validate_dataset(dataset), lenient=True)
         with open(paths["agreement"], encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][3] == ""  # A vs C undefined

@@ -19,7 +19,7 @@ from beerfed.scoring import (
     per_style_distribution,
     tag_report,
 )
-from genutil import random_dataset
+from genutil import random_dataset, with_reviews
 from oracles import (
     oracle_aggregate,
     oracle_kendall_tau_b,
@@ -46,13 +46,15 @@ class TestBuildScoreMatrix:
             ds = random_dataset(
                 rng, int(rng.integers(1, 6)), int(rng.integers(1, 12)), rng.uniform(0.0, 0.5)
             )
+            reviews = list(ds.reviews)
             for _ in range(int(rng.integers(0, 6))):  # repeats of a scored pair, later score differs
-                first = ds.reviews[int(rng.integers(len(ds.reviews)))]
-                ds.reviews.append(Review(first.judge_id, first.beverage_id, 5.0 if first.raw_score < 5.0 else 1.0))
-            ds.reviews.insert(0, Review("ghost judge", ds.beverages[0].id, 2.0))
-            ds.reviews.insert(int(rng.integers(len(ds.reviews))), Review(ds.judges[0], "ghost beer", 2.0))
+                first = reviews[int(rng.integers(len(reviews)))]
+                reviews.append(Review(first.judge_id, first.beverage_id, 5.0 if first.raw_score < 5.0 else 1.0))
+            reviews.insert(0, Review("ghost judge", ds.beverages[0].id, 2.0))
+            reviews.insert(int(rng.integers(len(reviews))), Review(ds.judges[0], "ghost beer", 2.0))
             if trial % 7 == 0:
-                ds.reviews = []
+                reviews = []
+            ds = with_reviews(ds, reviews)
             m = build_score_matrix(ds)
             assert m.judges == ds.judges and m.beverages == [b.id for b in ds.beverages]
             expected = oracle_score_matrix(ds.judges, m.beverages, ds.reviews)
