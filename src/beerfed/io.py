@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .model import (
     StyleFamily,
     _json_bool,
     _json_number,
+    _json_str,
     _read_json,
-    bucket_style,
     derive_note_tags,
+    style_bucketer,
 )
 from .protocol import CostParams, ParticipantProfile, SessionConfig, SessionResult
 from .receval import normalize_name
@@ -151,7 +152,7 @@ def _beverage_from_fields(
     abv_raw,
     ingredients_raw: str,
     tags_raw: str,
-    families: list[StyleFamily] | None,
+    bucket: Callable[[str], StyleFamily],
     row: int | None,
 ) -> Beverage:
     if not producer.strip():
@@ -176,7 +177,7 @@ def _beverage_from_fields(
         producer=producer.strip(),
         name=" ".join(name.split()),
         raw_style=raw_style.strip(),
-        style_family=bucket_style(raw_style, families).name,
+        style_family=bucket(raw_style).name,
         abv=abv,
         ingredients=ingredients,
         note_tags=_parse_tags(tags_raw, row, "tags"),
@@ -188,11 +189,12 @@ def parse_beverages_csv(
 ) -> list[Beverage]:
     """Ingest a beverage list: rows come back style-bucketed and ready to
     band, with errors reported by file line and column."""
+    bucket = style_bucketer(families)
     beverages = []
     seen: set[tuple[str, str]] = set()
     with _csv_records(path, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL) as records:
         for row, fields in records:
-            beverage = _beverage_from_fields(*fields, families, row)
+            beverage = _beverage_from_fields(*fields, bucket, row)
             key = (normalize_name(beverage.producer), normalize_name(beverage.name))
             if key in seen:
                 raise IngestError(
@@ -401,7 +403,7 @@ def parse_profiles_json(path: str | Path) -> list[dict]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "profile_id" not in entry:
             raise IngestError(f"profile entry {i} must be an object with a profile_id")
-        pid = str(entry["profile_id"])
+        pid = _json_str(entry, "profile_id", f"profile entry {i}", IngestError)
         if pid in seen:
             raise IngestError(f"duplicate profile_id {pid!r}")
         seen.add(pid)
@@ -437,7 +439,8 @@ _CONFIG_KEYS = {
 def _profile_from_dict(entry: dict) -> ParticipantProfile:
     if not isinstance(entry, dict) or "id" not in entry:
         raise ConfigurationError("each federation entry must be an object with an id")
-    where = f"participant {entry['id']!r}"
+    pid = _json_str(entry, "id", "federation entry")
+    where = f"participant {pid!r}"
     unknown = set(entry) - _PROFILE_KEYS
     if unknown:
         raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
@@ -445,7 +448,7 @@ def _profile_from_dict(entry: dict) -> ParticipantProfile:
     if not isinstance(bias, dict):
         raise ConfigurationError(f"{where}: score_bias must be an object, got {bias!r}")
     return ParticipantProfile(
-        id=str(entry["id"]),
+        id=pid,
         is_expert=_json_bool(entry, "is_expert", where),
         leader_probability=_json_number(entry, "leader_probability", where, 0.0),
         freeload_probability=_json_number(entry, "freeload_probability", where, 0.0),
@@ -495,6 +498,7 @@ def load_session_config(
         except IngestError as exc:
             raise ConfigurationError(f"{path}: pool_csv: {exc}") from None
     else:
+        bucket = style_bucketer(families)
         pool = []
         for i, entry in enumerate(raw["pool"]):
             if not isinstance(entry, dict):
@@ -508,7 +512,7 @@ def load_session_config(
                         _json_number(entry, "abv_percent", f"{path}: pool entry {i}"),
                         str(entry.get("ingredients", "") or ""),
                         str(entry.get("tags", "") or ""),
-                        families,
+                        bucket,
                         None,
                     )
                 )
@@ -551,8 +555,37 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+class _ReviewSuffixes(dict):
+    """(judge, score) -> that review's encoded ``"judge", "raw_score": score}``
+    tail, each encoded once."""
+
+    def __missing__(self, review: tuple[str, float]) -> str:
+        text = self[review] = f'{json.dumps(review[0])}, "raw_score": {json.dumps(review[1])}}}'
+        return text
+
+
 def round_log_lines(result: SessionResult) -> list[str]:
-    return [json.dumps(r.to_json_dict(), sort_keys=True) for r in result.rounds]
+    """One line per round, the bytes of ``json.dumps(record.to_json_dict(),
+    sort_keys=True)``. The round-level fields go through ``json.dumps``;
+    each review is the round's ``{"beverage_id": ..., "judge_id": `` prefix
+    and its memoised ``(judge, score)`` suffix."""
+    suffix = _ReviewSuffixes().__getitem__
+    lines = []
+    for r in result.rounds:
+        head = json.dumps({
+            "index": r.index,
+            "clock": r.clock,
+            "leader_id": r.leader_id,
+            "beverage_id": r.beverage_id,
+            "procurers": sorted(r.procurers),
+            "reviewers": sorted(r.reviewers),
+            "broadcast_cost": r.broadcast_cost,
+            "comprehension_cost": r.comprehension_cost,
+        }, sort_keys=True)
+        prefix = f'{{"beverage_id": {json.dumps(r.beverage_id)}, "judge_id": '
+        reviews = ", ".join(map(prefix.__add__, map(suffix, zip(r.review_judges, r.review_scores))))
+        lines.append(f'{head[:-1]}, "reviews": [{reviews}]}}')  # "reviews" sorts after every other key
+    return lines
 
 
 def write_session_outputs(result: SessionResult, out_dir: str | Path) -> dict[str, Path]:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -129,6 +129,15 @@ def _json_bool(entry: dict, key: str, where: str) -> bool:
     return value
 
 
+def _json_str(entry: dict, key: str, where: str, error: type[Exception] = ConfigurationError) -> str:
+    """A required JSON string; a number, null, list or other value is an
+    ``error`` (str(7) would silently be "7", str(None) "None")."""
+    value = entry.get(key)
+    if not isinstance(value, str):
+        raise error(f"{where}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _json_number(entry: dict, key: str, where: str, default=None, *, integer: bool = False):
     """A JSON number (``default`` when the key is absent) as a float, or as
     an int when ``integer``; booleans, strings, null, NaN, infinities and
@@ -174,18 +183,37 @@ def load_style_families(path: str | Path) -> list[StyleFamily]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigurationError(f"family entry {i} must be an object with a name")
+        name = _json_str(entry, "name", f"family entry {i}")
         patterns = entry.get("patterns", [])
         if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
-            raise ConfigurationError(f"family {entry['name']!r}: patterns must be a list of strings")
+            raise ConfigurationError(f"family {name!r}: patterns must be a list of strings")
         families.append(
             StyleFamily(
-                name=str(entry["name"]),
+                name=name,
                 patterns=tuple(patterns),
-                fallback=_json_bool(entry, "fallback", f"family {entry['name']!r}"),
+                fallback=_json_bool(entry, "fallback", f"family {name!r}"),
             )
         )
     validate_families(families)
     return families
+
+
+def style_bucketer(families: list[StyleFamily] | None = None) -> Callable[[str], StyleFamily]:
+    """Validate ``families`` (default: ``DEFAULT_STYLE_FAMILIES``) once and
+    return the ``bucket_style`` that assigns raw styles to them."""
+    if families is None:
+        families = DEFAULT_STYLE_FAMILIES
+    fallback = validate_families(families)
+
+    def bucket(raw_style: str) -> StyleFamily:
+        needle = raw_style.casefold()
+        if needle:
+            for family in families:
+                if any(p.casefold() in needle for p in family.patterns):
+                    return family
+        return fallback
+
+    return bucket
 
 
 def bucket_style(raw_style: str, families: list[StyleFamily] | None = None) -> StyleFamily:
@@ -195,15 +223,7 @@ def bucket_style(raw_style: str, families: list[StyleFamily] | None = None) -> S
     order; anything unmatched (including empty styles) goes to the
     fallback family, so this never fails.
     """
-    if families is None:
-        families = DEFAULT_STYLE_FAMILIES
-    fallback = validate_families(families)
-    needle = raw_style.casefold()
-    if needle:
-        for family in families:
-            if any(p.casefold() in needle for p in family.patterns):
-                return family
-    return fallback
+    return style_bucketer(families)(raw_style)
 
 
 PURE_INGREDIENTS = frozenset({"water", "yeast", "malt", "hops"})

@@ -24,17 +24,28 @@ seeded with the session's 64-bit seed, consumed in this fixed order:
       draw, plus one uniform iff that profile's score_floor_affinity > 0.
 
 Identical configs (seed included) therefore produce byte-identical logs.
+
+Steps 2b, 2c and 2f take their draws as arrays: PCG64 gives the same values,
+and leaves the same state, for ``rng.random(n)`` or
+``rng.standard_normal(n)`` as for n scalar calls (O'Neill 2014, "PCG",
+HMC-CS-2014-0905; pinned on the installed numpy by the tests). Step 2f
+draws its normals in blocks, each ending at a reviewer with floor affinity,
+who then draws the uniform: a round in which no reviewer has floor affinity
+draws one block of normals, and every round consumes the stream in exactly
+the order above.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import Beverage, Dataset, Review
+from .model import Beverage, Dataset, Review, ReviewTable, positions
 
 PROB_SUM_TOL = 1e-9
 
@@ -173,6 +184,21 @@ class SessionConfig:
             raise ConfigurationError("pool beverage ids must be unique")
 
 
+def _leader_table(probabilities: Sequence[float]) -> list[float]:
+    """Cumulative leader probabilities, summed in order."""
+    acc, table = 0.0, []
+    for p in probabilities:
+        acc += p
+        table.append(acc)
+    return table
+
+
+def _elect(table: list[float], rng: np.random.Generator) -> int:
+    """The first position whose cumulative probability exceeds one uniform
+    draw, or the last when the draw reaches the total."""
+    return min(bisect_right(table, rng.random()), len(table) - 1)
+
+
 def elect_leader(experts: Sequence[tuple[str, float]], rng: np.random.Generator) -> str:
     """Categorical draw over (id, probability) pairs; consumes one uniform."""
     if not experts:
@@ -183,13 +209,37 @@ def elect_leader(experts: Sequence[tuple[str, float]], rng: np.random.Generator)
     total = sum(p for _, p in experts)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ConfigurationError(f"leader probabilities must sum to 1, got {total!r}")
-    r = rng.random()
-    acc = 0.0
-    for pid, p in experts:
-        acc += p
-        if r < acc:
-            return pid
-    return experts[-1][0]
+    return experts[_elect(_leader_table([p for _, p in experts]), rng)][0]
+
+
+def _draw_scores(
+    base_quality: float,
+    bias: np.ndarray,
+    noise_sd: np.ndarray,
+    floor_affinity: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Step 2f for one beverage's reviewers, given as arrays in federation
+    order: each score is clamp(round_0.1(base + style bias + gaussian
+    noise), 1, 5), or the scale floor with probability score_floor_affinity.
+
+    The normals are drawn in blocks that end at each reviewer with floor
+    affinity, who then draws its uniform, so the stream is consumed in the
+    documented per-reviewer order.
+    """
+    floor = np.zeros(len(noise_sd), dtype=bool)
+    noise, start = [], 0
+    for i in np.flatnonzero(floor_affinity > 0).tolist():
+        noise.append(rng.standard_normal(i + 1 - start))
+        floor[i] = rng.random() < floor_affinity[i]
+        start = i + 1
+    noise.append(rng.standard_normal(len(noise_sd) - start))
+    # a huge bias or noise sd overflows to +-inf, which the clamp absorbs;
+    # fmax/fmin clamp a NaN to the floor, as Python's max/min did
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (base_quality + bias) + np.concatenate(noise) * noise_sd
+    value[floor] = 1.0
+    return np.rint(np.fmin(5.0, np.fmax(1.0, value)) * 10) / 10
 
 
 def generate_score(
@@ -207,12 +257,8 @@ def generate_score(
     if not (1.0 <= base_quality <= 5.0):
         raise ValueError(f"base_quality must lie in [1, 5], got {base_quality!r}")
     bias = profile.score_bias.get(beverage.style_family, 0.0)
-    value = base_quality + bias + rng.standard_normal() * profile.score_noise_sd
-    if profile.score_floor_affinity > 0 and rng.random() < profile.score_floor_affinity:
-        value = 1.0
-    # clamp before rounding: a huge bias or noise sd overflows value * 10
-    tenths = round(min(5.0, max(1.0, value)) * 10)
-    return tenths / 10.0
+    reviewer = np.array([[bias], [profile.score_noise_sd], [profile.score_floor_affinity]], dtype=float)
+    return float(_draw_scores(base_quality, *reviewer, rng)[0])  # a round with one reviewer
 
 
 @dataclass(frozen=True)
@@ -227,15 +273,27 @@ class SessionExhausted(Exception):
 
 @dataclass
 class RoundRecord:
+    """One round as logged; its reviews are two parallel columns, every
+    reviewer in federation order and that reviewer's score."""
+
     index: int
     clock: int
     leader_id: str
     beverage_id: str
     procurers: frozenset[str]
-    reviewers: frozenset[str]
-    reviews: list[Review]
+    review_judges: tuple[str, ...]
+    review_scores: tuple[float, ...]
     broadcast_cost: float
     comprehension_cost: float
+
+    @property
+    def reviewers(self) -> frozenset[str]:
+        return frozenset(self.review_judges)
+
+    @property
+    def reviews(self) -> list[Review]:
+        """The round's reviews, built on demand."""
+        return [Review(j, self.beverage_id, s) for j, s in zip(self.review_judges, self.review_scores)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,6 +316,46 @@ class RoundRecord:
         }
 
 
+@dataclass(frozen=True)
+class Roster:
+    """A validated federation as arrays in federation order, built once per
+    session: each member's probabilities and score parameters, each pool
+    style family's bias per member, and the experts' cumulative leader
+    table."""
+
+    ids: tuple[str, ...]
+    availability: np.ndarray
+    freeload: np.ndarray
+    noise_sd: np.ndarray
+    floor_affinity: np.ndarray
+    bias: dict[str, np.ndarray]
+    experts: tuple[int, ...]
+    leader_table: list[float]
+    others: dict[int, np.ndarray]  # expert position -> every other position
+
+    @classmethod
+    def of(cls, config: SessionConfig) -> Roster:
+        federation = config.federation
+        experts = tuple(i for i, p in enumerate(federation) if p.is_expert)
+        everyone = np.arange(len(federation))
+
+        def column(values) -> np.ndarray:
+            return np.array(list(values), dtype=float)
+
+        return cls(
+            ids=tuple(p.id for p in federation),
+            availability=column(p.availability_probability for p in federation),
+            freeload=column(p.freeload_probability for p in federation),
+            noise_sd=column(p.score_noise_sd for p in federation),
+            floor_affinity=column(p.score_floor_affinity for p in federation),
+            bias={family: column(p.score_bias.get(family, 0.0) for p in federation)
+                  for family in {b.style_family for b in config.pool}},
+            experts=experts,
+            leader_table=_leader_table([federation[i].leader_probability for i in experts]),
+            others={i: np.delete(everyone, i) for i in experts},
+        )
+
+
 @dataclass
 class SessionState:
     config: SessionConfig
@@ -265,6 +363,7 @@ class SessionState:
     pool: list[Beverage]
     base_quality: dict[str, float]
     clock: int
+    roster: Roster
     round_index: int = 0
     skips: list[Omitted] = field(default_factory=list)
 
@@ -280,6 +379,7 @@ def new_session_state(config: SessionConfig) -> SessionState:
         pool=list(config.pool),
         base_quality=base_quality,
         clock=config.clock_start,
+        roster=Roster.of(config),
     )
 
 
@@ -296,6 +396,7 @@ def run_round(state: SessionState) -> RoundRecord | Omitted:
     no-participant skips are kept in the session's skip list.
     """
     config = state.config
+    roster = state.roster
     rng = state.rng
     if not state.pool:
         raise SessionExhausted(f"beverage pool exhausted at clock {state.clock}")
@@ -306,51 +407,41 @@ def run_round(state: SessionState) -> RoundRecord | Omitted:
     if _in_blackout(clock, config.blackout_windows):
         return Omitted(clock, OMIT_BLACKOUT)
 
-    leader_id = elect_leader(
-        [(p.id, p.leader_probability) for p in config.experts()], rng
-    )
+    leader = roster.experts[_elect(roster.leader_table, rng)]
 
-    # one array draw gives the same uniforms as that many scalar draws
-    others = [p for p in config.federation if p.id != leader_id]
-    available = [
-        p for p, u in zip(others, rng.random(len(others)).tolist()) if u < p.availability_probability
-    ]
-    if not available:
+    others = roster.others[leader]
+    present = np.zeros(len(roster.ids), dtype=bool)
+    present[others] = rng.random(len(others)) < roster.availability[others]
+    available = np.flatnonzero(present)
+    if not len(available):
         omitted = Omitted(clock, OMIT_NO_PARTICIPANTS)
         state.skips.append(omitted)
         return omitted
 
-    procurers = [
-        p.id for p, u in zip(available, rng.random(len(available)).tolist()) if not u < p.freeload_probability
-    ]
-    if not procurers:
+    procurers = available[rng.random(len(available)) >= roster.freeload[available]]
+    if not len(procurers):
         # Someone has to fetch the sample: promote one freeloader.
-        procurers = [available[int(rng.integers(len(available)))].id]
+        procurers = available[[int(rng.integers(len(available)))]]
 
     beverage = state.pool.pop(int(rng.integers(len(state.pool))))
 
-    reviewer_ids = {leader_id} | {p.id for p in available}
-    reviews = [
-        Review(
-            judge_id=profile.id,
-            beverage_id=beverage.id,
-            raw_score=generate_score(
-                profile, beverage, state.base_quality[beverage.id], rng
-            ),
-        )
-        for profile in config.federation
-        if profile.id in reviewer_ids
-    ]
+    present[leader] = True
+    reviewers = np.flatnonzero(present)
+    scores = _draw_scores(
+        state.base_quality[beverage.id], roster.bias[beverage.style_family][reviewers],
+        roster.noise_sd[reviewers], roster.floor_affinity[reviewers], rng,
+    )
 
     broadcast, comprehension = communication_costs(state.round_index, config.cost_params)
+    ids = roster.ids
     record = RoundRecord(
         index=state.round_index,
         clock=clock,
-        leader_id=leader_id,
+        leader_id=ids[leader],
         beverage_id=beverage.id,
-        procurers=frozenset(procurers),
-        reviewers=frozenset(reviewer_ids),
-        reviews=reviews,
+        procurers=frozenset(ids[i] for i in procurers.tolist()),
+        review_judges=tuple(ids[i] for i in reviewers.tolist()),
+        review_scores=tuple(scores.tolist()),
         broadcast_cost=broadcast,
         comprehension_cost=comprehension,
     )
@@ -388,8 +479,14 @@ def run_session(config: SessionConfig) -> SessionResult:
         for p in config.federation
         if p.is_expert or config.include_amateurs
     ]
-    keep = set(judge_ids)
-    reviews = [r for record in rounds for r in record.reviews if r.judge_id in keep]
+    # the session's reviews as columns: round r's reviews name beverage r
+    judge = positions(list(chain.from_iterable(r.review_judges for r in rounds)), judge_ids)
+    beverage = np.repeat(np.arange(len(rounds)), [len(r.review_judges) for r in rounds])
+    score = np.fromiter(chain.from_iterable(r.review_scores for r in rounds), float, len(judge))
+    keep = judge >= 0
+    untagged = np.zeros(np.count_nonzero(keep), dtype=np.intp)
+    reviews = ReviewTable(tuple(judge_ids), tuple(r.beverage_id for r in rounds), (frozenset(),), (None,),
+                          judge[keep], beverage[keep], untagged, untagged, score[keep])
     by_id = {b.id: b for b in config.pool}
     beverages = [by_id[record.beverage_id] for record in rounds]
     dataset = Dataset(beverages=beverages, reviews=reviews, judges=judge_ids)

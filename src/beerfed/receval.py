@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import IngestError
-from .model import _read_json
+from .model import _json_str, _read_json
 
 DEFAULT_K = 5
 
@@ -411,7 +411,7 @@ def parse_recommendations_json(text: str, source: str = "<memory>") -> ModelReco
 def _recommendations_from(raw, source: str) -> ModelRecommendations:
     if not isinstance(raw, dict) or "model_id" not in raw or "profiles" not in raw:
         raise IngestError(f"{source}: expected an object with model_id and profiles")
-    model_id = str(raw["model_id"])
+    model_id = _json_str(raw, "model_id", source, IngestError)
     profiles = raw["profiles"]
     if not isinstance(profiles, list):
         raise IngestError(f"{source}: profiles must be a list")
@@ -419,7 +419,7 @@ def _recommendations_from(raw, source: str) -> ModelRecommendations:
     for entry in profiles:
         if not isinstance(entry, dict) or "profile_id" not in entry:
             raise IngestError(f"{source}: each profile needs a profile_id")
-        profile_id = str(entry["profile_id"])
+        profile_id = _json_str(entry, "profile_id", source, IngestError)
         if profile_id in out.sets:
             raise IngestError(f"{source}: duplicate profile_id {profile_id!r}")
         items = entry.get("recommendations", [])
@@ -434,9 +434,11 @@ def _recommendations_from(raw, source: str) -> ModelRecommendations:
                 rank = int(rank)
             if not isinstance(rank, int) or isinstance(rank, bool):
                 rank = None
+            name = item.get("beverage_name", "")
             slots.append(
                 RecommendationSlot(
-                    beverage_name=str(item.get("beverage_name", "")),
+                    # a non-string name is NOT_IN_LIST, like a missing one
+                    beverage_name=name if isinstance(name, str) else "",
                     rank=rank,
                     justification=str(item.get("justification", "")),
                 )

@@ -7,8 +7,11 @@ against a second derivation of the same definitions.
 
 import csv
 import io
+import json
 import math
 import re
+
+import numpy as np
 
 
 def oname(s):
@@ -312,3 +315,64 @@ def oracle_tag_report(beverages, reviews):
                 if tag in tags:
                     out.setdefault(family_of[beverage], ([], []))[i].append(score)
     return out
+
+
+def oracle_run_session(config):
+    """A session in the documented draw order, one scalar draw at a time:
+    each reviewer's score from its own normal draw (then a uniform iff it
+    has floor affinity), clamped and rounded with Python floats, and each
+    round logged through ``json.dumps``. Returns (round-log lines, kept
+    reviews as (judge, beverage, score), skips as (clock, reason))."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    lo, hi = config.base_quality_range
+    base = {b.id: lo + (hi - lo) * rng.random() for b in config.pool}
+    pool = list(config.pool)
+    federation = config.federation
+    experts = [p for p in federation if p.is_expert]
+    kept = {p.id for p in federation if p.is_expert or config.include_amateurs}
+    cost = config.cost_params
+    lines, reviews, skips = [], [], []
+    clock, index = config.clock_start, 0
+    while clock < config.clock_end and pool:
+        now, clock = clock, clock + config.round_duration
+        if any(a <= now < b for a, b in config.blackout_windows):
+            continue
+        r, acc, leader = rng.random(), 0.0, experts[-1]
+        for p in experts:
+            acc += p.leader_probability
+            if r < acc:
+                leader = p
+                break
+        available = [p for p in federation if p.id != leader.id and rng.random() < p.availability_probability]
+        if not available:
+            skips.append((now, "SKIPPED_NO_PARTICIPANTS"))
+            continue
+        procurers = [p.id for p in available if not rng.random() < p.freeload_probability]
+        if not procurers:
+            procurers = [available[int(rng.integers(len(available)))].id]
+        beverage = pool.pop(int(rng.integers(len(pool))))
+        present = {leader.id} | {p.id for p in available}
+        cells = []
+        for p in federation:
+            if p.id not in present:
+                continue
+            value = base[beverage.id] + p.score_bias.get(beverage.style_family, 0.0) + rng.standard_normal() * p.score_noise_sd
+            if p.score_floor_affinity > 0 and rng.random() < p.score_floor_affinity:
+                value = 1.0
+            score = round(min(5.0, max(1.0, value)) * 10) / 10.0
+            cells.append({"judge_id": p.id, "beverage_id": beverage.id, "raw_score": score})
+            if p.id in kept:
+                reviews.append((p.id, beverage.id, score))
+        lines.append(json.dumps({
+            "index": index,
+            "clock": now,
+            "leader_id": leader.id,
+            "beverage_id": beverage.id,
+            "procurers": sorted(procurers),
+            "reviewers": sorted(present),
+            "reviews": cells,
+            "broadcast_cost": cost.broadcast_base * (1.0 + cost.politeness_initial * cost.politeness_decay**index),
+            "comprehension_cost": cost.comprehension_base * (1.0 + cost.comprehension_growth * index),
+        }, sort_keys=True))
+        index += 1
+    return lines, reviews, skips

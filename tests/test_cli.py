@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,14 @@ class TestSimulate:
         assert rc == 2
         assert "fallback must be true or false" in capsys.readouterr().err
 
+    def test_non_string_family_name_exits_2(self, tmp_path, capsys):
+        families = tmp_path / "families.json"
+        families.write_text(json.dumps([{"name": 5, "patterns": []}]), encoding="utf-8")
+        config = write_config(tmp_path)
+        rc = cli.main(["simulate", str(config), "--out", str(tmp_path / "x"), "--families", str(families)])
+        assert rc == 2
+        assert "family entry 0: name must be a string, got 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "path, value, message",
         [
@@ -170,8 +179,11 @@ class TestSimulate:
             (("round_duration",), "5", "round_duration must be an integer, got '5'"),
             (("federation", 0, "leader_probability"), "0.5",
              "leader_probability must be a finite number, got '0.5'"),
+            (("federation", 0, "id"), None, "id must be a string, got None"),
+            (("federation", 0, "id"), 7, "id must be a string, got 7"),
         ],
-        ids=["bias-string", "noise-nan", "seed-bool", "clock-fraction", "duration-string", "leader-string"],
+        ids=["bias-string", "noise-nan", "seed-bool", "clock-fraction", "duration-string", "leader-string",
+             "id-null", "id-number"],
     )
     def test_untyped_number_in_calibration_config_exits_2(self, tmp_path, capsys, path, value, message):
         data = Path(beerfed.__file__).parent / "data"
@@ -416,8 +428,10 @@ class TestEvalRecs:
             '{"model_id": "caf\xe9", "profiles": []}'.encode("latin-1"),
             b'{"model_id": "m", "profiles": [{"profile_id": "A", "recommendations": 5}]}',
             b'{"model_id": "m\\ud800", "profiles": []}',
+            b'{"model_id": 5, "profiles": []}',
+            b'{"model_id": "m", "profiles": [{"profile_id": ["A"], "recommendations": []}]}',
         ],
-        ids=["latin-1", "recommendations-not-a-list", "lone-surrogate"],
+        ids=["latin-1", "recommendations-not-a-list", "lone-surrogate", "model-id-number", "profile-id-list"],
     )
     def test_unparseable_rec_file_skipped_or_strict_5(self, sim_outputs, tmp_path, eval_env, capsys, body):
         bad = eval_env / "bad.json"
@@ -436,6 +450,23 @@ class TestEvalRecs:
         (failure,) = [r for r in error_records(capsys) if r.get("code") == "EVAL"]
         assert failure["level"] == "error" and str(bad) in failure["message"]
 
+
+    def test_non_string_beverage_name_is_not_in_list(self, tmp_path):
+        # 5 must never match the beverage named "5": it is a NOT_IN_LIST slot
+        config = write_config(tmp_path, pool=[dict(CONFIG["pool"][0], beer_name="5"), *CONFIG["pool"][1:]])
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", str(config), "--out", str(sim)]) == 0
+        recs = tmp_path / "recs"
+        recs.mkdir()
+        for model_id, name in (("as-string", "5"), ("as-number", 5)):
+            body = {"model_id": model_id,
+                    "profiles": [{"profile_id": "A", "recommendations": [{"beverage_name": name, "rank": 1}]}]}
+            (recs / f"{model_id}.json").write_text(json.dumps(body), encoding="utf-8")
+        out = tmp_path / "table.csv"
+        argv = ["eval-recs", str(recs / "*.json"), str(sim / "scorecards.csv"), str(sim / "beverages.csv")]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        rows = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+        assert {r["model"]: r["coverage"] for r in rows} == {"as-string": 1 / 15, "as-number": 0.0}
 
     @pytest.mark.parametrize("k", [10**9, 10**400], ids=["1e9", "1e400"])
     def test_huge_k_runs_in_bounded_memory(self, sim_outputs, tmp_path, eval_env, k):
@@ -721,10 +752,21 @@ class TestInputBoundary:
         assert f"pool_csv must be a file path string, got {value!r}" in record["message"]
 
     @pytest.mark.parametrize("key, value", [("score_bias", {"Stout & porter": 1.7e308}), ("score_noise_sd", 1e308)])
-    def test_huge_score_offsets_clamp_instead_of_overflowing(self, tmp_path, key, value):
-        federation = [dict(CONFIG["federation"][0], **{key: value}), *CONFIG["federation"][1:]]
-        config = write_config(tmp_path, federation=federation)
-        assert cli.main(["simulate", str(config), "--out", str(tmp_path / "x")]) == 0
+    def test_huge_score_offsets_clamp_instead_of_overflowing(self, tmp_path, capsys, key, value):
+        # on both ways of drawing a round's noise: one block, and blocks
+        # that end at each floor-affinity reviewer's uniform; 120 rounds of
+        # three reviewers make a draw past the overflow point all but certain
+        pool = [dict(CONFIG["pool"][i % 2 + 4], beer_name=f"Stout {i}") for i in range(120)]
+        for affinity in (0.0, 0.5):
+            federation = [dict(p, **{key: value}, score_floor_affinity=affinity) for p in CONFIG["federation"]]
+            config = write_config(tmp_path, federation=federation, pool=pool)
+            out = tmp_path / f"affinity-{affinity}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an overflow warning fails the run
+                assert cli.main(["--json-errors", "simulate", str(config), "--out", str(out)]) == 0
+            assert {record["level"] for record in error_records(capsys)} == {"info"}  # nothing but progress
+            log = (out / "session_log.jsonl").read_text(encoding="utf-8")
+            assert '"raw_score": 5.0' in log or '"raw_score": 1.0' in log
 
     def test_inline_pool_error_names_entry_not_a_row(self, tmp_path, capsys):
         pool = [dict(CONFIG["pool"][0], tags="bogus"), *CONFIG["pool"][1:]]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from beerfed import model
 from beerfed.errors import ConfigurationError, IngestError
 from beerfed.io import (
     build_dataset,
@@ -322,6 +323,12 @@ class TestProfilesFile:
         with pytest.raises(IngestError):
             parse_profiles_json(path)
 
+    def test_non_string_id_rejected(self, tmp_path):
+        # 7 and "7" were once the same profile
+        path = write(tmp_path, "p.json", json.dumps([{"profile_id": 7}, {"profile_id": "8"}]))
+        with pytest.raises(IngestError, match="profile entry 0: profile_id must be a string, got 7"):
+            parse_profiles_json(path)
+
 
 class TestSessionConfigFile:
     def config_body(self, **overrides):
@@ -341,6 +348,19 @@ class TestSessionConfigFile:
         }
         body.update(overrides)
         return body
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["pool", "pool_csv"])
+    def test_families_validated_once_per_load(self, tmp_path, monkeypatch, inline):
+        calls = []
+        validate = model.validate_families
+        monkeypatch.setattr(model, "validate_families", lambda families: calls.append(1) or validate(families))
+        body = self.config_body()
+        if not inline:
+            write(tmp_path, "pool.csv", BEVERAGES)
+            del body["pool"]
+            body["pool_csv"] = "pool.csv"
+        config = load_session_config(write(tmp_path, "c.json", json.dumps(body)))
+        assert len(config.pool) == (2 if inline else 3) and len(calls) == 1
 
     def test_inline_pool(self, tmp_path):
         path = write(tmp_path, "c.json", json.dumps(self.config_body()))

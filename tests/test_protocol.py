@@ -1,12 +1,15 @@
+import json
 import math
+import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from beerfed.errors import ConfigurationError
 from beerfed.io import round_log_lines
-from beerfed.model import Beverage
+from beerfed.model import Beverage, Dataset
 from beerfed.protocol import (
     OMIT_BLACKOUT,
     OMIT_NO_PARTICIPANTS,
@@ -16,6 +19,7 @@ from beerfed.protocol import (
     RoundRecord,
     SessionConfig,
     SessionExhausted,
+    SessionResult,
     communication_costs,
     default_federation,
     elect_leader,
@@ -24,6 +28,7 @@ from beerfed.protocol import (
     run_round,
     run_session,
 )
+from oracles import oracle_run_session
 
 
 def pool_of(n, family="Pale ale & IPA"):
@@ -272,3 +277,86 @@ class TestRunSession:
     def test_blackouts_outside_clock_rejected(self):
         with pytest.raises(ConfigurationError):
             run_session(simple_config(pool_of(2), blackout_windows=[(100, 200)]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_numpy_pcg64_block_draws_equal_scalar_draws(seed):
+    # the batched draw order rests on this: one array draw of n values
+    # gives the same values, and leaves the same state, as n scalar draws
+    chunks = random.Random(seed).choices([("standard_normal", n) for n in (0, 1, 5, 100)]
+                                         + [("random", n) for n in (0, 1, 5, 100)], k=40)
+    block, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for method, n in chunks:
+        values = getattr(block, method)(n)
+        assert values.tolist() == [getattr(scalar, method)() for _ in range(n)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+
+FAMILIES = ["Pale ale & IPA", "Stout & porter", "Gose"]
+
+
+def random_config(seed):
+    """A small valid session with random probabilities, floor affinities,
+    blackouts, amateurs and, now and then, a bias or noise sd so large that
+    the score overflows before it is clamped."""
+    r = random.Random(seed)
+    federation = []
+    for i in range(r.randint(1, 9)):
+        federation.append(ParticipantProfile(
+            f"M{i}",
+            is_expert=i == 0 or r.random() < 0.4,
+            availability_probability=r.choice([0.0, 0.4, 0.8, 1.0]),
+            freeload_probability=r.choice([0.0, 0.5, 1.0]),
+            score_floor_affinity=r.choice([0.0, 0.0, 0.0, 0.1, 0.5, 1.0]),
+            score_noise_sd=1e308 if r.random() < 0.03 else r.choice([0.0, 0.6, 1.5]),
+            score_bias={f: r.choice([1.7e308, -1.7e308]) if r.random() < 0.03 else r.choice([-1.0, 0.5])
+                        for f in r.sample(FAMILIES, r.randint(0, 2))},
+        ))
+    weights = [r.choice([0.0, 1.0, 2.5]) if p.is_expert else 0.0 for p in federation]
+    weights[0] = 1.0
+    federation = [replace(p, leader_probability=w / sum(weights)) for p, w in zip(federation, weights)]
+    end = r.randint(30, 300)
+    blackouts = [(b, min(end, b + r.randint(1, 40))) for b in sorted(r.sample(range(end), r.randint(0, 2)))]
+    pool = [Beverage(f"p{i}", "Pool Co", f"Pool {i}", "x", r.choice(FAMILIES), 5.0) for i in range(r.randint(0, 60))]
+    return SessionConfig(federation=federation, pool=pool, seed=r.getrandbits(64), clock_start=0,
+                         clock_end=end, round_duration=r.randint(1, 6), blackout_windows=blackouts,
+                         include_amateurs=r.random() < 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_session_matches_per_reviewer_oracle():
+    seen = Counter()
+    for seed in range(150):
+        config = random_config(seed)
+        result = run_session(config)
+        lines, reviews, skips = oracle_run_session(config)
+        assert round_log_lines(result) == lines
+        assert [(r.judge_id, r.beverage_id, r.raw_score) for r in result.dataset.reviews] == reviews
+        assert [(s.clock, s.reason) for s in result.skips] == skips
+        # what the random configs exercised
+        by_id = {p.id: p for p in config.federation}
+        rounds = [json.loads(line) for line in lines]
+        with_floor = [any(by_id[j].score_floor_affinity > 0 for j in rec["reviewers"]) for rec in rounds]
+        seen["mixed floor and no-floor rounds"] += len(set(with_floor)) == 2
+        seen["blackouts"] += bool(config.blackout_windows) and bool(rounds)
+        seen["skips"] += bool(skips)
+        seen["freeloader promoted"] += any(by_id[rec["procurers"][0]].freeload_probability == 1.0 for rec in rounds)
+        seen["amateurs kept"] += config.include_amateurs and any(not by_id[j].is_expert for j, *_ in reviews)
+        seen["huge bias or sd"] += any(
+            p.score_noise_sd > 1e300 or any(abs(b) > 1e300 for b in p.score_bias.values()) for p in config.federation
+        ) and bool(rounds)
+    assert min(seen.values()) >= 5 and len(seen) == 6, seen
+
+
+def test_round_log_writer_matches_json_dumps():
+    ids = ['quote"d', "back\\slash", "caf\u00e9 \u4e2d", "ctl\x00\x1f\n\t\x7f", "line\u2028sep", "\U0001f37a"]
+    federation = [expert(pid, 1.0 if i == 0 else 0.0) for i, pid in enumerate(ids)]
+    pool = [Beverage(pid + "!", "Pool Co", f"Pool {i}", "Test Ale", "Gose", 5.0) for i, pid in enumerate(ids)]
+    costs = CostParams(politeness_initial=1e308, broadcast_base=1e308, comprehension_growth=1e308)
+    config = simple_config(pool, federation=federation, cost_params=costs)
+    result = run_session(config)
+    empty = RoundRecord(9, 0, ids[0], ids[1], frozenset(), (), (), 0.5, 2.0)
+    result = SessionResult(config, [*result.rounds, empty], [], Dataset())
+    expected = [json.dumps(r.to_json_dict(), sort_keys=True) for r in result.rounds]
+    assert round_log_lines(result) == expected
+    assert len(expected) == len(ids) + 1 and all("Infinity" in line for line in expected[2:-1])
