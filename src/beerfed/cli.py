@@ -28,7 +28,6 @@ from .io import (
     canonical_json,
     load_dataset,
     load_session_config,
-    parse_profiles_json,
     staged_outputs,
     write_csv,
     write_session_outputs,
@@ -60,6 +59,17 @@ EXIT_TABLE: dict[type[Exception], tuple[int, str]] = {
     InsufficientDataError: (EXIT_VALIDATION, "DEGENERATE"),
     OSError: (EXIT_IO, "IO"),
 }
+
+
+# the eval-recs table after its model column, as (CSV header, JSON key,
+# MetricReport field); {k} stands for --k
+METRIC_COLUMNS = (
+    ("Mean rating", "mean_rating", "mean_rating"),
+    ("Mean percentile", "mean_percentile", "mean_percentile"),
+    ("Hit@{k}", "hit_at_{k}", "hit_rate"),
+    ("nDCG@{k}", "ndcg_at_{k}", "ndcg"),
+    ("Coverage", "coverage", "coverage"),
+)
 
 
 class Diagnostics:
@@ -149,8 +159,6 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
     if json_path == out_path:
         raise ConfigurationError(f"--out {out_path}: the JSON table would overwrite the CSV table there")
     _, dataset, _ = _checked_dataset(args, diag)
-    if args.profiles:
-        parse_profiles_json(args.profiles)
 
     matrix = build_score_matrix(dataset)
     if args.normalized:
@@ -206,39 +214,15 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         )
     )
 
-    header = [
-        "Model",
-        "Mean rating",
-        "Mean percentile",
-        f"Hit@{args.k}",
-        f"nDCG@{args.k}",
-        "Coverage",
-    ]
+    columns = [(h.format(k=args.k), key.format(k=args.k), field) for h, key, field in METRIC_COLUMNS]
+    table = [{"model": r.model_id, **{key: getattr(r, field) for _, key, field in columns}} for r in rows]
     with staged_outputs(out_path.parent) as staging:
         write_csv(
             staging / out_path.name,
-            header,
-            [
-                [r.model_id, *map(_display, (r.mean_rating, r.mean_percentile, r.hit_rate, r.ndcg, r.coverage))]
-                for r in rows
-            ],
+            ["Model", *(header for header, _, _ in columns)],
+            [[r.model_id, *(_display(getattr(r, field)) for _, _, field in columns)] for r in rows],
         )
-        (staging / json_path.name).write_text(
-            canonical_json(
-                [
-                    {
-                        "model": r.model_id,
-                        "mean_rating": r.mean_rating,
-                        "mean_percentile": r.mean_percentile,
-                        f"hit_at_{args.k}": r.hit_rate,
-                        f"ndcg_at_{args.k}": r.ndcg,
-                        "coverage": r.coverage,
-                    }
-                    for r in rows
-                ]
-            ),
-            encoding="utf-8",
-        )
+        (staging / json_path.name).write_text(canonical_json(table), encoding="utf-8")
     diag.emit("info", f"evaluated {len(rows)} model(s) -> {out_path}, {json_path}")
     return EXIT_OK
 
@@ -294,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--k", type=_positive_int, default=DEFAULT_K, help="recommendation list size")
     p_ev.add_argument("--strict", action="store_true",
                       help="fail (exit 5) on unreadable recommendation files")
-    p_ev.add_argument("--profiles", default=None, help="consumer profile JSON (validated only)")
     p_ev.add_argument("--families", default=None, help="style family config JSON")
     p_ev.add_argument("--normalized", action="store_true",
                       help="evaluate against per-judge min-max normalized scores")

@@ -2,7 +2,19 @@
 
 
 class BeerfedError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors. ``str()`` joins the
+    input file the error was found in (``path``: its reader sets it on
+    errors raised while the file is open), the ``location`` within that
+    file and the message parts, leaving out empty ones."""
+
+    location = ""
+
+    def __init__(self, *message: str, path=None):
+        super().__init__(*message)
+        self.path = path
+
+    def __str__(self) -> str:
+        return ": ".join(str(p) for p in (self.path, self.location, *self.args) if p)
 
 
 class ConfigurationError(BeerfedError):
@@ -12,23 +24,23 @@ class ConfigurationError(BeerfedError):
 class IngestError(BeerfedError):
     """Malformed input file content (CLI exit 4).
 
-    Carries the optional file, 1-based file line number and column name so
-    CLI diagnostics can point at the offending cell.
+    Carries the optional 1-based file line number and column name so CLI
+    diagnostics can point at the offending cell.
     """
 
     def __init__(
-        self, message: str, *, path=None, row: int | None = None, column: str | None = None
+        self, *message: str, path=None, row: int | None = None, column: str | None = None
     ):
-        super().__init__(message)
-        self.path = path  # the CSV reader sets it on errors raised while it is open
+        super().__init__(*message, path=path)
         self.row = row
         self.column = column
 
-    def __str__(self) -> str:
+    @property
+    def location(self) -> str:
         cell = [f"row {self.row}"] if self.row is not None else []
         if self.column is not None:
             cell.append(f"column {self.column}")
-        return ": ".join(str(p) for p in (self.path, ", ".join(cell), self.args[0]) if p)
+        return ", ".join(cell)
 
 
 class DatasetValidationError(BeerfedError):

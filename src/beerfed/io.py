@@ -49,6 +49,7 @@ from .model import (
     StyleFamily,
     _json_bool,
     _json_number,
+    _json_pair,
     _json_str,
     _read_json,
     derive_note_tags,
@@ -333,7 +334,7 @@ def _parse_score(cell: str, line: int) -> float:
 
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
     table = dataset.reviews
-    by_id = dataset.beverage_index()
+    by_id = {b.id: b for b in dataset.beverages}
     values, score_codes = np.unique(table.score, return_inverse=True)  # the 41 grid scores
     header = list(SCORECARD_COLUMNS)
     columns = [  # (cell text per vocabulary entry, per-row codes)
@@ -393,23 +394,6 @@ def load_dataset(
         raise
 
 
-def parse_profiles_json(path: str | Path) -> list[dict]:
-    """Consumer profile file: a JSON array of objects with unique
-    profile_id; the remaining fields are free-form description."""
-    raw = _read_json(path, IngestError)
-    if not isinstance(raw, list):
-        raise IngestError("profile file must be a JSON array")
-    seen = set()
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "profile_id" not in entry:
-            raise IngestError(f"profile entry {i} must be an object with a profile_id")
-        pid = _json_str(entry, "profile_id", f"profile entry {i}", IngestError)
-        if pid in seen:
-            raise IngestError(f"duplicate profile_id {pid!r}")
-        seen.add(pid)
-    return raw
-
-
 _PROFILE_KEYS = {
     "id",
     "is_expert",
@@ -420,6 +404,9 @@ _PROFILE_KEYS = {
     "score_noise_sd",
     "score_floor_affinity",
 }
+
+# the inline pool's text fields, in _beverage_from_fields order
+_POOL_TEXT = ("brewery", "beer_name", "beer_style", "ingredients", "tags")
 
 _CONFIG_KEYS = {
     "seed",
@@ -459,95 +446,76 @@ def _profile_from_dict(entry: dict) -> ParticipantProfile:
     )
 
 
-def _json_pair(value, where: str, *, integer: bool = False) -> tuple:
-    """A [low, high] JSON list of two numbers."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigurationError(f"{where} must be a [low, high] pair, got {value!r}")
-    pair = dict(zip(("low", "high"), value))
-    return tuple(_json_number(pair, key, where, integer=integer) for key in ("low", "high"))
-
-
 def load_session_config(
     path: str | Path, families: list[StyleFamily] | None = None
 ) -> SessionConfig:
     """Load a session config file; a pool_csv path is resolved relative to
     the config file's directory."""
     path = Path(path)
-    raw = _read_json(path, ConfigurationError)
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: session config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown key(s) {sorted(unknown)}")
-    if "seed" not in raw or "federation" not in raw:
-        raise ConfigurationError(f"{path}: seed and federation are required")
-    for key in ("federation", "pool", "blackout_windows"):
-        if not isinstance(raw.get(key, []), list):
-            raise ConfigurationError(f"{path}: {key} must be a list, got {raw[key]!r}")
+    with _read_json(path, ConfigurationError) as raw:
+        if not isinstance(raw, dict):
+            raise ConfigurationError("session config must be a JSON object")
+        unknown = set(raw) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigurationError(f"unknown key(s) {sorted(unknown)}")
+        if "seed" not in raw or "federation" not in raw:
+            raise ConfigurationError("seed and federation are required")
+        for key in ("federation", "pool", "blackout_windows"):
+            if not isinstance(raw.get(key, []), list):
+                raise ConfigurationError(f"{key} must be a list, got {raw[key]!r}")
 
-    federation = [_profile_from_dict(e) for e in raw["federation"]]
+        federation = [_profile_from_dict(e) for e in raw["federation"]]
 
-    if ("pool" in raw) == ("pool_csv" in raw):
-        raise ConfigurationError(f"{path}: exactly one of pool / pool_csv is required")
-    if "pool_csv" in raw:
-        pool_csv = raw["pool_csv"]
-        if not isinstance(pool_csv, str) or "\0" in pool_csv:
-            raise ConfigurationError(f"{path}: pool_csv must be a file path string, got {pool_csv!r}")
-        try:
-            pool = parse_beverages_csv((path.parent / pool_csv).resolve(), families)
-        except IngestError as exc:
-            raise ConfigurationError(f"{path}: pool_csv: {exc}") from None
-    else:
-        bucket = style_bucketer(families)
-        pool = []
-        for i, entry in enumerate(raw["pool"]):
-            if not isinstance(entry, dict):
-                raise ConfigurationError(f"{path}: pool entry {i} must be an object")
+        if ("pool" in raw) == ("pool_csv" in raw):
+            raise ConfigurationError("exactly one of pool / pool_csv is required")
+        if "pool_csv" in raw:
+            pool_csv = raw["pool_csv"]
+            if not isinstance(pool_csv, str) or "\0" in pool_csv:
+                raise ConfigurationError(f"pool_csv must be a file path string, got {pool_csv!r}")
             try:
-                pool.append(
-                    _beverage_from_fields(
-                        str(entry.get("brewery", "")),
-                        str(entry.get("beer_name", "")),
-                        str(entry.get("beer_style", "")),
-                        _json_number(entry, "abv_percent", f"{path}: pool entry {i}"),
-                        str(entry.get("ingredients", "") or ""),
-                        str(entry.get("tags", "") or ""),
-                        bucket,
-                        None,
-                    )
-                )
+                pool = parse_beverages_csv((path.parent / pool_csv).resolve(), families)
             except IngestError as exc:
-                raise ConfigurationError(f"{path}: pool entry {i}: {exc}") from None
+                raise ConfigurationError(f"pool_csv: {exc}") from None
+        else:
+            bucket = style_bucketer(families)
+            pool = []
+            for i, entry in enumerate(raw["pool"]):
+                where = f"pool entry {i}"
+                if not isinstance(entry, dict):
+                    raise ConfigurationError(f"{where} must be an object")
+                text = {key: "" for key in _POOL_TEXT} | entry  # an absent text field reads ""
+                brewery, name, style, ingredients, tags = (_json_str(text, key, where) for key in _POOL_TEXT)
+                abv = _json_number(entry, "abv_percent", where)
+                try:
+                    beverage = _beverage_from_fields(brewery, name, style, abv, ingredients, tags, bucket, None)
+                except IngestError as exc:
+                    raise ConfigurationError(f"{where}: {exc}") from None
+                pool.append(beverage)
 
-    cost = raw.get("cost_params", {})
-    if not isinstance(cost, dict):
-        raise ConfigurationError(f"{path}: cost_params must be an object, got {cost!r}")
-    try:
-        cost_params = CostParams(
-            **{key: _json_number(cost, key, f"{path}: cost_params") for key in cost}
+        cost = raw.get("cost_params", {})
+        if not isinstance(cost, dict):
+            raise ConfigurationError(f"cost_params must be an object, got {cost!r}")
+        try:
+            cost_params = CostParams(**{key: _json_number(cost, key, "cost_params") for key in cost})
+        except TypeError as exc:
+            raise ConfigurationError(f"cost_params: {exc}") from None
+
+        config = SessionConfig(
+            federation=federation,
+            pool=pool,
+            seed=_json_number(raw, "seed", "", integer=True),
+            clock_start=_json_number(raw, "clock_start", "", 17 * 60, integer=True),
+            clock_end=_json_number(raw, "clock_end", "", 23 * 60, integer=True),
+            round_duration=_json_number(raw, "round_duration", "", 5, integer=True),
+            blackout_windows=[
+                _json_pair(w, f"blackout_windows[{i}]", integer=True)
+                for i, w in enumerate(raw.get("blackout_windows", []))
+            ],
+            cost_params=cost_params,
+            base_quality_range=_json_pair(raw.get("base_quality_range", [2.5, 4.8]), "base_quality_range"),
+            include_amateurs=_json_bool(raw, "include_amateurs", ""),
         )
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: cost_params: {exc}") from None
-
-    where = str(path)
-    config = SessionConfig(
-        federation=federation,
-        pool=pool,
-        seed=_json_number(raw, "seed", where, integer=True),
-        clock_start=_json_number(raw, "clock_start", where, 17 * 60, integer=True),
-        clock_end=_json_number(raw, "clock_end", where, 23 * 60, integer=True),
-        round_duration=_json_number(raw, "round_duration", where, 5, integer=True),
-        blackout_windows=[
-            _json_pair(w, f"{path}: blackout_windows[{i}]", integer=True)
-            for i, w in enumerate(raw.get("blackout_windows", []))
-        ],
-        cost_params=cost_params,
-        base_quality_range=_json_pair(
-            raw.get("base_quality_range", [2.5, 4.8]), f"{path}: base_quality_range"
-        ),
-        include_amateurs=_json_bool(raw, "include_amateurs", where),
-    )
-    config.validate()
+        config.validate()
     return config
 
 
@@ -599,7 +567,7 @@ def write_session_outputs(result: SessionResult, out_dir: str | Path) -> dict[st
             "session_log": out / "session_log.jsonl",
             "session_summary": out / "session_summary.json",
         }
-        write_beverages_csv(result.sampled_beverages(), paths["beverages"])
+        write_beverages_csv(result.dataset.beverages, paths["beverages"])
         write_scorecards_csv(result.dataset, paths["scorecards"])
         with open(paths["session_log"], "w", encoding="utf-8") as fh:  # line by line: no copy of the log
             fh.writelines(line + "\n" for line in round_log_lines(result))

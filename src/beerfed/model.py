@@ -12,14 +12,15 @@ import json
 import math
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import BeerfedError, ConfigurationError
 
 FALLBACK_FAMILY_NAME = "Specialty and hybrid styles"
 
@@ -117,6 +118,9 @@ def validate_families(families: list[StyleFamily]) -> StyleFamily:
             f"the fallback family must be named {FALLBACK_FAMILY_NAME!r}, "
             f"got {fallbacks[0].name!r}"
         )
+    for family in families:
+        if not all(p.strip() for p in family.patterns):  # "" or " " would match every style
+            raise ConfigurationError(f"family {family.name!r}: patterns must not be empty or blank")
     return fallbacks[0]
 
 
@@ -125,16 +129,17 @@ def _json_bool(entry: dict, key: str, where: str) -> bool:
     ConfigurationError (bool("false") would silently be True)."""
     value = entry.get(key, False)
     if not isinstance(value, bool):
-        raise ConfigurationError(f"{where}: {key} must be true or false, got {value!r}")
+        raise ConfigurationError(where, f"{key} must be true or false, got {value!r}")
     return value
 
 
-def _json_str(entry: dict, key: str, where: str, error: type[Exception] = ConfigurationError) -> str:
+def _json_str(entry: dict, key: str, where: str, error: type[BeerfedError] = ConfigurationError) -> str:
     """A required JSON string; a number, null, list or other value is an
-    ``error`` (str(7) would silently be "7", str(None) "None")."""
+    ``error`` (str(7) would silently be "7", str(None) "None") naming the
+    key after ``where``, its place in the file ("" at the top level)."""
     value = entry.get(key)
     if not isinstance(value, str):
-        raise error(f"{where}: {key} must be a string, got {value!r}")
+        raise error(where, f"{key} must be a string, got {value!r}")
     return value
 
 
@@ -151,50 +156,64 @@ def _json_number(entry: dict, key: str, where: str, default=None, *, integer: bo
         if number is not None and number == value and (integer or math.isfinite(number)):
             return number
     kind = "an integer" if integer else "a finite number"
-    raise ConfigurationError(f"{where}: {key} must be {kind}, got {value!r}")
+    raise ConfigurationError(where, f"{key} must be {kind}, got {value!r}")
 
 
-def _read_json(path: str | Path, error: type[Exception]):
-    """The parsed content of a UTF-8 JSON file. Undecodable bytes, invalid
-    JSON, nesting too deep to parse and a ``\\u`` escape that leaves a lone
-    surrogate (text no UTF-8 output can hold) raise ``error`` naming the
-    file; a file that cannot be opened raises OSError."""
+def _json_pair(value, where: str, *, integer: bool = False) -> tuple:
+    """A [low, high] JSON list of two numbers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigurationError(f"{where} must be a [low, high] pair, got {value!r}")
+    pair = dict(zip(("low", "high"), value))
+    return tuple(_json_number(pair, key, where, integer=integer) for key in ("low", "high"))
+
+
+@contextmanager
+def _read_json(path: str | Path, error: type[BeerfedError]) -> Iterator:
+    """Give the parsed content of a UTF-8 JSON file to the ``with`` block
+    that reads it; every BeerfedError raised here or in the block names the
+    file. Undecodable bytes, invalid JSON, nesting too deep to parse and a
+    ``\\u`` escape that leaves a lone surrogate (text no UTF-8 output can
+    hold) raise ``error``; a file that cannot be opened raises OSError."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
             value = json.loads(text)
             if "\\u" in text:  # decoded UTF-8 holds no surrogate; only escapes can
                 json.dumps(value, ensure_ascii=False).encode("utf-8")
-            return value
         except UnicodeEncodeError as exc:
             char = exc.object[exc.start]
-            raise error(f"{path}: invalid JSON: lone surrogate \\u{ord(char):04x} in a string") from None
+            raise error(f"invalid JSON: lone surrogate \\u{ord(char):04x} in a string", path=path) from None
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
-            raise error(f"{path}: invalid JSON: {exc}") from None
+            raise error(f"invalid JSON: {exc}", path=path) from None
+    try:
+        yield value
+    except BeerfedError as exc:
+        exc.path = path
+        raise
 
 
 def load_style_families(path: str | Path) -> list[StyleFamily]:
     """Load a family configuration file: a JSON list of
     {"name": ..., "patterns": [...], "fallback": bool?} objects."""
-    raw = _read_json(path, ConfigurationError)
-    if not isinstance(raw, list):
-        raise ConfigurationError("family configuration must be a JSON list")
-    families = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigurationError(f"family entry {i} must be an object with a name")
-        name = _json_str(entry, "name", f"family entry {i}")
-        patterns = entry.get("patterns", [])
-        if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
-            raise ConfigurationError(f"family {name!r}: patterns must be a list of strings")
-        families.append(
-            StyleFamily(
-                name=name,
-                patterns=tuple(patterns),
-                fallback=_json_bool(entry, "fallback", f"family {name!r}"),
+    with _read_json(path, ConfigurationError) as raw:
+        if not isinstance(raw, list):
+            raise ConfigurationError("family configuration must be a JSON list")
+        families = []
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, dict) or "name" not in entry:
+                raise ConfigurationError(f"family entry {i} must be an object with a name")
+            name = _json_str(entry, "name", f"family entry {i}")
+            patterns = entry.get("patterns", [])
+            if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
+                raise ConfigurationError(f"family {name!r}: patterns must be a list of strings")
+            families.append(
+                StyleFamily(
+                    name=name,
+                    patterns=tuple(patterns),
+                    fallback=_json_bool(entry, "fallback", f"family {name!r}"),
+                )
             )
-        )
-    validate_families(families)
+        validate_families(families)
     return families
 
 
@@ -266,21 +285,6 @@ class Beverage:
         return classify_abv(self.abv)
 
 
-def score_tenths(raw_score: float) -> int:
-    """Raw score as an integer count of tenths (3.8 -> 38).
-
-    Scores live on a 0.1 grid; integer tenths keep later arithmetic exact.
-    """
-    tenths = round(raw_score * 10)
-    if abs(raw_score * 10 - tenths) > 1e-6:
-        raise ValueError(f"raw score {raw_score!r} is not on the 0.1 grid")
-    return tenths
-
-
-# the 41 valid raw scores, exactly as float() parses "1.0" ... "5.0"
-_GRID_SCORES = frozenset(t / 10 for t in range(10, 51))
-
-
 @dataclass(frozen=True)
 class Review:
     judge_id: str
@@ -290,13 +294,12 @@ class Review:
     note_text: str | None = None
 
     def __post_init__(self):
-        if self.raw_score in _GRID_SCORES:
-            return
         if not (SCORE_MIN <= self.raw_score <= SCORE_MAX):
             raise ValueError(
                 f"raw score must lie in [{SCORE_MIN}, {SCORE_MAX}], got {self.raw_score!r}"
             )
-        score_tenths(self.raw_score)
+        if abs(self.raw_score * 10 - round(self.raw_score * 10)) > 1e-6:
+            raise ValueError(f"raw score {self.raw_score!r} is not on the 0.1 grid")
 
 
 _REAL_WORD = re.compile(r"\breal\b", re.IGNORECASE)
@@ -383,9 +386,6 @@ class Dataset:
     def __post_init__(self):
         if not isinstance(self.reviews, ReviewTable):
             self.reviews = ReviewTable.from_reviews(self.reviews)
-
-    def beverage_index(self) -> dict[str, Beverage]:
-        return {b.id: b for b in self.beverages}
 
 
 class Severity(str, enum.Enum):

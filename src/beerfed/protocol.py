@@ -456,10 +456,6 @@ class SessionResult:
     skips: list[Omitted]
     dataset: Dataset
 
-    def sampled_beverages(self) -> list[Beverage]:
-        by_id = {b.id: b for b in self.config.pool}
-        return [by_id[r.beverage_id] for r in self.rounds]
-
 
 def run_session(config: SessionConfig) -> SessionResult:
     """Run a full session: rounds are attempted every round_duration minutes

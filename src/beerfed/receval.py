@@ -26,7 +26,6 @@ caller passes the index or a plain mapping (which is indexed on the spot).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -393,82 +392,49 @@ class ModelRecommendations:
     sets: dict[str, RecommendationSet] = field(default_factory=dict)
 
 
-def parse_recommendations_json(text: str, source: str = "<memory>") -> ModelRecommendations:
-    """Parse a recommendation file body into per-profile sets.
+def load_recommendations(path: str | Path) -> ModelRecommendations:
+    """Read a recommendation file into per-profile sets.
 
     Schema: {"model_id": ..., "profiles": [{"profile_id": ...,
     "recommendations": [{"beverage_name", "rank", "justification"}]}]}.
-    Structural problems raise IngestError; content problems (bad names,
-    ranks, duplicates) are preserved for validate_recs to flag.
+    Structural problems raise IngestError naming the file; content
+    problems (bad names, ranks, duplicates) are preserved for validate_recs
+    to flag.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{source}: invalid JSON: {exc}") from None
-    return _recommendations_from(raw, source)
-
-
-def _recommendations_from(raw, source: str) -> ModelRecommendations:
-    if not isinstance(raw, dict) or "model_id" not in raw or "profiles" not in raw:
-        raise IngestError(f"{source}: expected an object with model_id and profiles")
-    model_id = _json_str(raw, "model_id", source, IngestError)
-    profiles = raw["profiles"]
-    if not isinstance(profiles, list):
-        raise IngestError(f"{source}: profiles must be a list")
-    out = ModelRecommendations(model_id)
-    for entry in profiles:
-        if not isinstance(entry, dict) or "profile_id" not in entry:
-            raise IngestError(f"{source}: each profile needs a profile_id")
-        profile_id = _json_str(entry, "profile_id", source, IngestError)
-        if profile_id in out.sets:
-            raise IngestError(f"{source}: duplicate profile_id {profile_id!r}")
-        items = entry.get("recommendations", [])
-        if not isinstance(items, list):
-            raise IngestError(f"{source}: recommendations must be a list")
-        slots = []
-        for item in items:
-            if not isinstance(item, dict):
-                raise IngestError(f"{source}: recommendations must be objects")
-            rank = item.get("rank")
-            if isinstance(rank, float) and rank.is_integer():
-                rank = int(rank)
-            if not isinstance(rank, int) or isinstance(rank, bool):
-                rank = None
-            name = item.get("beverage_name", "")
-            slots.append(
-                RecommendationSlot(
-                    # a non-string name is NOT_IN_LIST, like a missing one
-                    beverage_name=name if isinstance(name, str) else "",
-                    rank=rank,
-                    justification=str(item.get("justification", "")),
+    with _read_json(path, IngestError) as raw:
+        if not isinstance(raw, dict) or "model_id" not in raw or "profiles" not in raw:
+            raise IngestError("expected an object with model_id and profiles")
+        model_id = _json_str(raw, "model_id", "", IngestError)
+        profiles = raw["profiles"]
+        if not isinstance(profiles, list):
+            raise IngestError("profiles must be a list")
+        out = ModelRecommendations(model_id)
+        for entry in profiles:
+            if not isinstance(entry, dict) or "profile_id" not in entry:
+                raise IngestError("each profile needs a profile_id")
+            profile_id = _json_str(entry, "profile_id", "", IngestError)
+            if profile_id in out.sets:
+                raise IngestError(f"duplicate profile_id {profile_id!r}")
+            items = entry.get("recommendations", [])
+            if not isinstance(items, list):
+                raise IngestError("recommendations must be a list")
+            slots = []
+            for item in items:
+                if not isinstance(item, dict):
+                    raise IngestError("recommendations must be objects")
+                rank = item.get("rank")
+                if isinstance(rank, float) and rank.is_integer():
+                    rank = int(rank)
+                if not isinstance(rank, int) or isinstance(rank, bool):
+                    rank = None
+                name = item.get("beverage_name", "")
+                slots.append(
+                    RecommendationSlot(
+                        # a non-string name is NOT_IN_LIST, like a missing one
+                        beverage_name=name if isinstance(name, str) else "",
+                        rank=rank,
+                        justification=str(item.get("justification", "")),
+                    )
                 )
-            )
-        out.sets[profile_id] = RecommendationSet(model_id, profile_id, slots)
+            out.sets[profile_id] = RecommendationSet(model_id, profile_id, slots)
     return out
-
-
-def load_recommendations(path: str | Path) -> ModelRecommendations:
-    return _recommendations_from(_read_json(path, IngestError), str(path))
-
-
-def recommendations_to_json(recs: ModelRecommendations) -> str:
-    """Canonical serialization (sorted keys, two-space indent, trailing
-    newline) so parse -> serialize round-trips byte-identically."""
-    payload = {
-        "model_id": recs.model_id,
-        "profiles": [
-            {
-                "profile_id": pid,
-                "recommendations": [
-                    {
-                        "beverage_name": s.beverage_name,
-                        "justification": s.justification,
-                        "rank": s.rank,
-                    }
-                    for s in recs.sets[pid].slots
-                ],
-            }
-            for pid in sorted(recs.sets)
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

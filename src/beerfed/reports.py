@@ -23,6 +23,7 @@ from .model import (
     classify_abv,
 )
 from .scoring import (
+    AggregateRanking,
     agreement,
     aggregate,
     build_score_matrix,
@@ -33,18 +34,14 @@ from .scoring import (
     tag_report,
 )
 
-TABLE_NAMES = (
-    "style_counts",
-    "abv_bands",
-    "judge_stats",
-    "agreement",
-    "top10",
-    "bottom10",
-    "per_style",
-    "divisive",
-)
+TOP_N = 10  # rows in the top10 and bottom10 tables
 
-TOP_N = 10
+
+def _ranking_rows(ranking: AggregateRanking) -> list[dict]:
+    return [
+        {"rank": i + 1, "beverage": e.name, "score": e.score, "reviews": e.review_count}
+        for i, e in enumerate(ranking.entries)
+    ]
 
 
 def build_analysis_report(
@@ -53,7 +50,6 @@ def build_analysis_report(
     lenient: bool = False,
     agreement_method: str = "spearman",
     norm_method: str = "minmax",
-    top_n: int = TOP_N,
 ) -> dict:
     """Compute every report table from a dataset.
 
@@ -91,15 +87,7 @@ def build_analysis_report(
     divisive = divisiveness(matrix, names=names)
     tags = tag_report(dataset)
 
-    ranking_rows = [
-        {
-            "rank": i + 1,
-            "beverage": e.name,
-            "score": e.score,
-            "reviews": e.review_count,
-        }
-        for i, e in enumerate(norm_ranking.entries)
-    ]
+    ranking_rows = _ranking_rows(norm_ranking)
 
     return {
         "meta": {
@@ -124,8 +112,8 @@ def build_analysis_report(
             ],
         },
         "ranking": ranking_rows,
-        "top10": ranking_rows[:top_n],
-        "bottom10": ranking_rows[-top_n:][::-1],
+        "top10": ranking_rows[:TOP_N],
+        "bottom10": ranking_rows[-TOP_N:][::-1],
         "per_style": {
             family: scores for family, scores in per_style.items()
         },
@@ -143,15 +131,7 @@ def build_analysis_report(
             }
             for d in divisive
         ],
-        "raw_ranking": [
-            {
-                "rank": i + 1,
-                "beverage": e.name,
-                "score": e.score,
-                "reviews": e.review_count,
-            }
-            for i, e in enumerate(raw_ranking.entries)
-        ],
+        "raw_ranking": _ranking_rows(raw_ranking),
         "tag_report": [
             {
                 "family": t.family,

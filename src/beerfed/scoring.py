@@ -119,12 +119,6 @@ class RankedBeverage:
 class AggregateRanking:
     entries: list[RankedBeverage]
 
-    def top(self, n: int) -> list[RankedBeverage]:
-        return self.entries[:n]
-
-    def bottom(self, n: int) -> list[RankedBeverage]:
-        return self.entries[-n:]
-
 
 def aggregate(
     matrix: ScoreMatrix,
@@ -191,7 +185,7 @@ class AgreementMatrix:
         return float(self.values[i, j])
 
 
-MIN_COMMON_BEVERAGES = 3
+MIN_COMMON_BEVERAGES = 3  # at least 2: rank correlation needs two cells
 
 
 def _midranks(counts: np.ndarray) -> np.ndarray:
@@ -215,13 +209,12 @@ _KENDALL_TABLE_CELLS = 1 << 22
 
 
 def _kendall_tau_b(
-    x: np.ndarray, x_filled: np.ndarray, ys: np.ndarray, ys_filled: np.ndarray,
-    levels: int, min_common: int,
+    x: np.ndarray, x_filled: np.ndarray, ys: np.ndarray, ys_filled: np.ndarray, levels: int
 ) -> np.ndarray:
     """Kendall's tau-b of one level-coded row against each row of ``ys``
     over their common cells, from the pair's level contingency table (all
     tables from one ``bincount``, offset per pair); NaN where fewer than
-    ``min_common`` cells (at least 2) are common or either row is constant
+    ``MIN_COMMON_BEVERAGES`` cells are common or either row is constant
     over them. Codes must lie below ``levels``."""
     size = levels * levels
     pair = np.arange(len(ys))[:, None] * size
@@ -237,21 +230,18 @@ def _kendall_tau_b(
     below = tables[:, :0:-1].cumsum(axis=1)[:, ::-1].cumsum(axis=2)
     dis = np.einsum("pab,pab->p", tables[:, :-1, 1:], below[:, :, :-1])
     con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
-    ok = (n >= max(min_common, 2)) & (xtie < tot) & (ytie < tot)
+    ok = (n >= MIN_COMMON_BEVERAGES) & (xtie < tot) & (ytie < tot)
     tau = np.full(len(ys), np.nan)
     tau[ok] = con_minus_dis[ok] / np.sqrt(tot[ok] - xtie[ok]) / np.sqrt(tot[ok] - ytie[ok])
     return np.clip(tau, -1.0, 1.0)
 
 
-def agreement(
-    matrix: ScoreMatrix,
-    method: str = "spearman",
-    min_common: int = MIN_COMMON_BEVERAGES,
-) -> AgreementMatrix:
+def agreement(matrix: ScoreMatrix, method: str = "spearman") -> AgreementMatrix:
     """Pairwise rank correlation between judges over commonly scored
-    beverages (ties mid-ranked). Pairs sharing fewer than ``min_common``
-    beverages, or over which either judge is constant, are undefined
-    (NaN). ``method`` is "spearman" or "kendall" (tau-b).
+    beverages (ties mid-ranked). Pairs sharing fewer than
+    ``MIN_COMMON_BEVERAGES`` beverages, or over which either judge is
+    constant, are undefined (NaN). ``method`` is "spearman" or "kendall"
+    (tau-b).
     """
     if method not in ("spearman", "kendall"):
         raise ValueError(f"unknown agreement method {method!r}")
@@ -267,7 +257,7 @@ def agreement(
     # judges who scored every beverage, not all alike: their Spearman
     # pairs come from one correlation matrix of the row mid-ranks
     dense = np.zeros(n, dtype=bool)
-    if method == "spearman" and filled.shape[1] >= min_common:
+    if method == "spearman" and filled.shape[1] >= MIN_COMMON_BEVERAGES:
         dense = filled.all(axis=1) & (codes.max(axis=1, initial=0) > 0)
     rows = np.flatnonzero(dense)
     if rows.size > 1:
@@ -282,7 +272,7 @@ def agreement(
             for lo in range(i + 1, n, step):
                 hi = min(lo + step, n)
                 values[i, lo:hi] = values[lo:hi, i] = _kendall_tau_b(
-                    codes[i], filled[i], codes[lo:hi], filled[lo:hi], levels, min_common
+                    codes[i], filled[i], codes[lo:hi], filled[lo:hi], levels
                 )
     else:
         for i in range(n):
@@ -290,7 +280,7 @@ def agreement(
                 if dense[i] and dense[j]:
                     continue
                 common = filled[i] & filled[j]
-                if common.sum() < max(min_common, 2):
+                if common.sum() < MIN_COMMON_BEVERAGES:
                     continue
                 values[i, j] = values[j, i] = _spearman(codes[i, common], codes[j, common])
     np.fill_diagonal(values, 1.0)

@@ -1,5 +1,7 @@
 """Seeded random-instance generators shared by property and acceptance tests."""
 
+import json
+
 from beerfed.model import Beverage, Dataset, Review
 from beerfed.receval import RecommendationSet, RecommendationSlot
 
@@ -97,3 +99,14 @@ def random_rec_instance(rng, n_judges=3, k=5, n_beverages=None):
         slots_by_profile[j] = [(s.beverage_name, s.rank) for s in slots]
 
     return recs_by_profile, slots_by_profile, scorecards, set(names)
+
+
+def write_rec_file(path, model_id, picks_by_judge):
+    """Write a recommendation file: each judge's picks as slots ranked
+    1, 2, ... in list order."""
+    profiles = [
+        {"profile_id": judge, "recommendations": [{"beverage_name": n, "rank": i + 1} for i, n in enumerate(picks)]}
+        for judge, picks in picks_by_judge.items()
+    ]
+    path.write_text(json.dumps({"model_id": model_id, "profiles": profiles}), encoding="utf-8")
+    return path

@@ -25,15 +25,9 @@ from beerfed.protocol import (
     elect_leader,
     run_session,
 )
-from beerfed.receval import (
-    ModelRecommendations,
-    RecommendationSet,
-    RecommendationSlot,
-    evaluate_model,
-    recommendations_to_json,
-)
+from beerfed.receval import evaluate_model
 from beerfed.scoring import ScoreMatrix, build_score_matrix, judge_stats, normalize
-from genutil import random_rec_instance, random_scores
+from genutil import random_rec_instance, random_scores, write_rec_file
 from oracles import oracle_metrics, oracle_sample_sd, oracle_spearman
 
 
@@ -78,13 +72,7 @@ def _table1_fixture(tmp_path):
     recdir.mkdir()
 
     def emit(model_id, picks_by_judge):
-        sets = {
-            j: RecommendationSet(model_id, j, [RecommendationSlot(n, i + 1) for i, n in enumerate(picks)])
-            for j, picks in picks_by_judge.items()
-        }
-        (recdir / f"{model_id}.json").write_text(
-            recommendations_to_json(ModelRecommendations(model_id, sets)), encoding="utf-8"
-        )
+        write_rec_file(recdir / f"{model_id}.json", model_id, picks_by_judge)
 
     emit("model-01", {j: tops(j) for j in "ABC"})
     emit("model-02", {j: names[5:10] for j in "ABC"})
@@ -452,13 +440,7 @@ def test_c10_end_to_end(tmp_path):
         "model-06": {j: tops(j)[:3] + ["Phantom Pour", "Mystery Mash"] for j in cards},
     }
     for model_id, picks_by_judge in specs.items():
-        sets = {
-            j: RecommendationSet(model_id, j, [RecommendationSlot(n, i + 1) for i, n in enumerate(picks)])
-            for j, picks in picks_by_judge.items()
-        }
-        (recdir / f"{model_id}.json").write_text(
-            recommendations_to_json(ModelRecommendations(model_id, sets)), encoding="utf-8"
-        )
+        write_rec_file(recdir / f"{model_id}.json", model_id, picks_by_judge)
 
     out = tmp_path / "metrics.csv"
     rc = cli.main(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import beerfed
 from beerfed import cli, errors, receval
-from beerfed.receval import ModelRecommendations, RecommendationSet, RecommendationSlot, recommendations_to_json
+from genutil import write_rec_file
 
 CONFIG = {
     "seed": 42,
@@ -293,17 +294,7 @@ class TestAnalyze:
 
 
 def make_rec_file(tmp_path, model_id, picks_by_judge):
-    sets = {
-        judge: RecommendationSet(
-            model_id, judge, [RecommendationSlot(n, i + 1) for i, n in enumerate(picks)]
-        )
-        for judge, picks in picks_by_judge.items()
-    }
-    path = tmp_path / f"{model_id}.json"
-    path.write_text(
-        recommendations_to_json(ModelRecommendations(model_id, sets)), encoding="utf-8"
-    )
-    return path
+    return write_rec_file(tmp_path / f"{model_id}.json", model_id, picks_by_judge)
 
 
 def top_names(scorecards_csv, judge, n=5):
@@ -775,6 +766,53 @@ class TestInputBoundary:
         (record,) = error_records(capsys)
         assert record["message"].startswith(f"{config}: pool entry 0: column tags: unknown tag 'bogus'")
 
+    @pytest.mark.parametrize(
+        "key, value", [("brewery", 5), ("beer_name", None), ("beer_style", ["IPA"]), ("ingredients", 7), ("tags", False)]
+    )
+    def test_inline_pool_text_must_be_a_string(self, tmp_path, capsys, key, value):
+        # each was once written out through str(): a beer named None, of style ['IPA']
+        pool = [dict(CONFIG["pool"][0], **{key: value}), *CONFIG["pool"][1:]]
+        config = write_config(tmp_path, pool=pool)
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert record["message"] == f"{config}: pool entry 0: {key} must be a string, got {value!r}"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"bogus": 1}, "participant 'A': unknown key(s) ['bogus']"),
+            ({"score_bias": 5}, "participant 'A': score_bias must be an object, got 5"),
+        ],
+        ids=["unknown-key", "score-bias-number"],
+    )
+    def test_federation_errors_name_the_config(self, tmp_path, capsys, entry, message):
+        config = write_config(tmp_path, federation=[dict(CONFIG["federation"][0], **entry), *CONFIG["federation"][1:]])
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG" and record["message"] == f"{config}: {message}"
+
+    FALLBACK = {"name": "Specialty and hybrid styles", "patterns": [], "fallback": True}
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ({"name": "Dark"}, "family configuration must be a JSON list"),
+            ([{"name": "Dark", "patterns": ["stout"]}], "exactly one family must be flagged as fallback, found 0"),
+            # "" and " " are substrings of every (multi-word) style
+            ([{"name": "All", "patterns": ["stout", ""]}, FALLBACK], "family 'All': patterns must not be empty or blank"),
+            ([{"name": "All", "patterns": [" "]}, FALLBACK], "family 'All': patterns must not be empty or blank"),
+        ],
+        ids=["not-a-list", "no-fallback", "empty-pattern", "blank-pattern"],
+    )
+    def test_family_file_errors_name_the_file(self, tmp_path, capsys, body, message):
+        families = write_text(tmp_path / "families.json", json.dumps(body))
+        argv = ["simulate", str(write_config(tmp_path)), "--out", str(tmp_path / "x"), "--families", str(families)]
+        assert cli.main(["--json-errors", *argv]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG" and record["message"] == f"{families}: {message}"
+
 
 class TestAllOrNothingOutputs:
     """Each command moves its files into place only once all are written."""
@@ -822,6 +860,26 @@ class TestAllOrNothingOutputs:
         ]
         assert cli.main(self.eval_argv(sim_outputs, tmp_path)) == 0
         assert sorted(p.name for p in (tmp_path / "eval").iterdir()) == ["metrics.csv", "metrics.json"]
+
+
+def parser_flags(parser):
+    """Every --flag of ``parser`` and of its subcommands but argparse's --help."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+    return flags
+
+
+def test_readme_documents_exactly_the_parser_flags():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    flags = parser_flags(cli.build_parser())
+    assert sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", readme)) == []
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)  # code blocks may hold other tools' flags
+    backticked = {f for span in re.findall(r"`([^`]+)`", prose) for f in re.findall(r"--[a-z][\w-]*", span)}
+    assert sorted(backticked - flags) == []
 
 
 class TestExitTable:

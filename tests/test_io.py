@@ -10,7 +10,6 @@ from beerfed.io import (
     load_dataset,
     load_session_config,
     parse_beverages_csv,
-    parse_profiles_json,
     parse_scorecards_csv,
     write_beverages_csv,
     write_scorecards_csv,
@@ -304,30 +303,6 @@ class TestRoundTrips:
         again = tmp_path / "s_again.csv"
         write_scorecards_csv(dataset2, again)
         assert again.read_text(encoding="utf-8") == canonical
-
-
-class TestProfilesFile:
-    def test_parse(self, tmp_path):
-        path = write(
-            tmp_path,
-            "p.json",
-            json.dumps([{"profile_id": "A", "preferences": "malt-driven"}]),
-        )
-        profiles = parse_profiles_json(path)
-        assert profiles[0]["profile_id"] == "A"
-
-    def test_duplicate_id_rejected(self, tmp_path):
-        path = write(
-            tmp_path, "p.json", json.dumps([{"profile_id": "A"}, {"profile_id": "A"}])
-        )
-        with pytest.raises(IngestError):
-            parse_profiles_json(path)
-
-    def test_non_string_id_rejected(self, tmp_path):
-        # 7 and "7" were once the same profile
-        path = write(tmp_path, "p.json", json.dumps([{"profile_id": 7}, {"profile_id": "8"}]))
-        with pytest.raises(IngestError, match="profile entry 0: profile_id must be a string, got 7"):
-            parse_profiles_json(path)
 
 
 class TestSessionConfigFile:

@@ -18,7 +18,6 @@ from beerfed.model import (
     classify_abv,
     derive_note_tags,
     load_style_families,
-    score_tenths,
     validate_dataset,
 )
 from genutil import random_dataset, with_reviews
@@ -167,10 +166,6 @@ class TestReviewInvariants:
             score = float(f"{t // 10}.{t % 10}")  # as the scorecard parser reads it
             assert Review("A", "b", score).raw_score == score
         assert Review("A", "b", 3.8 + 1e-9).raw_score == 3.8 + 1e-9  # within the grid tolerance
-
-    def test_score_tenths(self):
-        assert score_tenths(3.8) == 38
-        assert score_tenths(1.0) == 10
 
 
 class TestDeriveNoteTags:

@@ -1,3 +1,5 @@
+import json
+from dataclasses import asdict
 from itertools import permutations
 
 import pytest
@@ -18,8 +20,6 @@ from beerfed.receval import (
     mean_rating,
     ndcg_at_k,
     normalize_name,
-    parse_recommendations_json,
-    recommendations_to_json,
     top_k_set,
     validate_recs,
 )
@@ -354,34 +354,51 @@ class TestRecommendationFiles:
 }
 """
 
-    def test_parse_and_canonical_roundtrip(self):
-        recs = parse_recommendations_json(self.BODY)
+    @staticmethod
+    def load(tmp_path, body):
+        path = tmp_path / "recs.json"
+        path.write_text(body, encoding="utf-8")
+        return load_recommendations(path)
+
+    def test_parse_and_canonical_roundtrip(self, tmp_path):
+        recs = self.load(tmp_path, self.BODY)
         assert recs.model_id == "model-01"
         assert recs.sets["A"].slots[0].rank == 1
-        canonical = recommendations_to_json(recs)
-        assert recommendations_to_json(parse_recommendations_json(canonical)) == canonical
+        assert recs.sets["A"].slots[0].justification == "fits"
+        # what the loader keeps, written back in the file schema, loads to the same sets
+        canonical = json.dumps(
+            {
+                "model_id": recs.model_id,
+                "profiles": [
+                    {"profile_id": pid, "recommendations": [asdict(slot) for slot in rec_set.slots]}
+                    for pid, rec_set in recs.sets.items()
+                ],
+            },
+            sort_keys=True,
+        )
+        assert self.load(tmp_path, canonical) == recs
 
-    def test_malformed_json_raises(self):
-        with pytest.raises(IngestError):
-            parse_recommendations_json("{not json")
+    def test_malformed_json_raises(self, tmp_path):
+        with pytest.raises(IngestError, match="recs.json: invalid JSON"):
+            self.load(tmp_path, "{not json")
 
-    def test_missing_keys_raise(self):
-        with pytest.raises(IngestError):
-            parse_recommendations_json('{"profiles": []}')
+    def test_missing_keys_raise(self, tmp_path):
+        with pytest.raises(IngestError, match="recs.json: expected an object with model_id and profiles"):
+            self.load(tmp_path, '{"profiles": []}')
 
-    def test_non_integer_rank_becomes_bad_rank_not_crash(self):
+    def test_non_integer_rank_becomes_bad_rank_not_crash(self, tmp_path):
         body = (
             '{"model_id": "m", "profiles": [{"profile_id": "A", "recommendations":'
             ' [{"beverage_name": "Alpha", "rank": "second"}]}]}'
         )
-        recs = parse_recommendations_json(body)
+        recs = self.load(tmp_path, body)
         verdicts = validate_recs(recs.sets["A"], NAMES)
         assert verdicts[0].reason == VerdictReason.BAD_RANK
 
     def test_load_from_disk(self, tmp_path):
-        path = tmp_path / "recs.json"
-        path.write_text(self.BODY, encoding="utf-8")
-        assert load_recommendations(path).model_id == "model-01"
+        recs = self.load(tmp_path, self.BODY)
+        assert recs.model_id == "model-01"
+        assert recs.sets["A"].slots[0].rank == 1
 
 
 class TestOracleEquivalence:
