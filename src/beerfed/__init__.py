@@ -3,6 +3,23 @@ the analytics and recommendation-evaluation pipeline built on top of it."""
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS starts a thread pool when numpy loads, sized from these
+# variables, and reads them only then. beerfed's one BLAS call is a small
+# corrcoef, so unless the user chose a size (or numpy is already loaded),
+# numpy loads single-threaded and the variable is taken away again: child
+# processes and later code see the environment as the user left it.
+if "numpy" not in _sys.modules and not any(
+    name in _os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .model import (
     AbvBand,
     Beverage,

@@ -483,6 +483,9 @@ def load_session_config(
                 where = f"pool entry {i}"
                 if not isinstance(entry, dict):
                     raise ConfigurationError(f"{where} must be an object")
+                unknown = set(entry) - {*_POOL_TEXT, "abv_percent"}
+                if unknown:
+                    raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
                 text = {key: "" for key in _POOL_TEXT} | entry  # an absent text field reads ""
                 brewery, name, style, ingredients, tags = (_json_str(text, key, where) for key in _POOL_TEXT)
                 abv = _json_number(entry, "abv_percent", where)

@@ -203,6 +203,9 @@ def load_style_families(path: str | Path) -> list[StyleFamily]:
             if not isinstance(entry, dict) or "name" not in entry:
                 raise ConfigurationError(f"family entry {i} must be an object with a name")
             name = _json_str(entry, "name", f"family entry {i}")
+            unknown = set(entry) - {"name", "patterns", "fallback"}
+            if unknown:
+                raise ConfigurationError(f"family {name!r}: unknown key(s) {sorted(unknown)}")
             patterns = entry.get("patterns", [])
             if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
                 raise ConfigurationError(f"family {name!r}: patterns must be a list of strings")

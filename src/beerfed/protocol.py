@@ -164,6 +164,16 @@ class SessionConfig:
             raise ConfigurationError(
                 f"expert leader probabilities must sum to 1, got {total!r}"
             )
+        # a round needs an elected leader and one present non-leader
+        if not any(
+            p.leader_probability > 0
+            and any(q is not p and q.availability_probability > 0 for q in self.federation)
+            for p in experts
+        ):
+            raise ConfigurationError(
+                "no round can take place: no expert who can lead (leader_probability > 0) "
+                "has another member with availability_probability > 0"
+            )
         if self.round_duration <= 0:
             raise ConfigurationError("round_duration must be positive")
         if not (0 <= self.clock_start < self.clock_end <= MINUTES_PER_DAY):

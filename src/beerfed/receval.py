@@ -16,12 +16,14 @@ five quality metrics are computed from the raw, unnormalised scores:
 
 Everything the metrics need from a judge's scorecard depends only on the
 scorecard and k, so it is computed once per run in a ``JudgeIndex``: the
-ascending scores (bisect gives mid-rank percentiles), the fixed top-k set
-from ``top_k_set``, the k-th best score (the threshold-mode cutoff) and
-the IDCG, the discounted sum of the k best scores (Jarvelin & Kekalainen
-2002). Each value comes from the same expression, in the same order, that
-a per-model pass would evaluate, so results are bit-identical whether a
-caller passes the index or a plain mapping (which is indexed on the spot).
+ascending scores (bisect gives mid-rank percentiles), the k-th best score
+(the threshold-mode cutoff), the fixed top-k set (``top_k_set``'s order,
+applied only to the names scoring at or above the cutoff, which hold its
+first k) and the IDCG, the discounted sum of the k best scores (Jarvelin &
+Kekalainen 2002). Each value comes from the same expression, in the same
+order, that a per-model pass would evaluate, so results are bit-identical
+whether a caller passes the index or a plain mapping (which is indexed on
+the spot).
 """
 
 from __future__ import annotations
@@ -162,11 +164,14 @@ class JudgeIndex(Mapping[str, Scorecard]):
             card = MappingProxyType(dict(scorecards[judge]))  # later edits cannot desync it
             ascending = tuple(sorted(card.values()))
             ideal = ascending[::-1][:k]
+            cutoff = ideal[-1] if ideal else math.inf
+            ahead = sorted((name for name, score in card.items() if score >= cutoff),
+                           key=lambda name: (-card[name], name))
             entries[judge] = _JudgeEntry(
                 card=card,
                 ascending=ascending,
-                top=frozenset(top_k_set(card, k)),
-                cutoff=ideal[-1] if ideal else math.inf,
+                top=frozenset(ahead[:k]),
+                cutoff=cutoff,
                 idcg=sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1)),
             )
         object.__setattr__(self, "k", k)

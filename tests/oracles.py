@@ -121,6 +121,21 @@ def oracle_score_matrix(judges, beverage_ids, reviews):
     return cells
 
 
+def oracle_column_stats(cells):
+    """Per column of a judges x beverages array, one column at a time: its
+    filled values in judge order, then (count, mean, sample sd, max - min),
+    with None where the column has too few values. Same numpy reductions on
+    each column alone, so a grouped version must match it exactly."""
+    out = []
+    for col in np.asarray(cells, dtype=float).T:
+        vals = col[~np.isnan(col)]
+        mean = float(vals.mean()) if vals.size else None
+        sd = float(vals.std(ddof=1)) if vals.size > 1 else None
+        spread = float(vals.max() - vals.min()) if vals.size > 1 else None
+        out.append((int(vals.size), mean, sd, spread))
+    return out
+
+
 def oracle_valid_slots(slots_by_profile, judges, names, k=5):
     """Re-derive slot validity by direct enumeration.
 
@@ -315,6 +330,17 @@ def oracle_tag_report(beverages, reviews):
                 if tag in tags:
                     out.setdefault(family_of[beverage], ([], []))[i].append(score)
     return out
+
+
+def oracle_round_possible(config):
+    """Whether any round of the session can take place: some expert can be
+    elected leader and some other member can be present beside them."""
+    members = config.federation
+    return any(
+        leader.is_expert and leader.leader_probability > 0
+        and any(other.availability_probability > 0 for other in members if other.id != leader.id)
+        for leader in members
+    )
 
 
 def oracle_run_session(config):

@@ -9,8 +9,10 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from beerfed import cli
+from beerfed.errors import ConfigurationError
 from beerfed.io import (
     load_session_config,
     parse_scorecards_csv,
@@ -28,7 +30,7 @@ from beerfed.protocol import (
 from beerfed.receval import evaluate_model
 from beerfed.scoring import ScoreMatrix, build_score_matrix, judge_stats, normalize
 from genutil import random_rec_instance, random_scores, write_rec_file
-from oracles import oracle_metrics, oracle_sample_sd, oracle_spearman
+from oracles import oracle_metrics, oracle_round_possible, oracle_sample_sd, oracle_spearman
 
 
 def ok(n, message):
@@ -246,10 +248,15 @@ def _random_config(rng):
 
 def test_c05_protocol_invariants():
     rng = np.random.default_rng(555)
-    sessions = 0
+    sessions = rejected = 0
     rounds_seen = 0
     for _ in range(200):
         config = _random_config(rng)
+        if not oracle_round_possible(config):  # a lone expert
+            with pytest.raises(ConfigurationError, match="no round can take place"):
+                run_session(config)
+            rejected += 1
+            continue
         result = run_session(config)
 
         sampled = [r.beverage_id for r in result.rounds]
@@ -271,8 +278,8 @@ def test_c05_protocol_invariants():
         assert round_log_lines(rerun) == round_log_lines(result)
         sessions += 1
         rounds_seen += len(result.rounds)
-    assert sessions == 200
-    ok(5, f"200 sessions / {rounds_seen} rounds: no-replacement, blackout soundness, freeloader accounting, byte-identical reruns")
+    assert sessions + rejected == 200 and sessions > rejected > 0
+    ok(5, f"{sessions} sessions / {rounds_seen} rounds ({rejected} with no possible round rejected): no-replacement, blackout soundness, freeloader accounting, byte-identical reruns")
 
 
 # --------------------------------------------------------------------------

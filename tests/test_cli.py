@@ -532,8 +532,8 @@ class TestEvalRecs:
 
     def test_each_scorecard_ranked_once_per_run(self, sim_outputs, tmp_path, eval_env, monkeypatch):
         calls = []
-        top_k_set = receval.top_k_set
-        monkeypatch.setattr(receval, "top_k_set", lambda card, k: calls.append(k) or top_k_set(card, k))
+        entry = receval._JudgeEntry
+        monkeypatch.setattr(receval, "_JudgeEntry", lambda **fields: calls.append(fields) or entry(**fields))
         (eval_env / "model-offlist.json").unlink()  # three models left
         rc = cli.main(
             [
@@ -544,7 +544,7 @@ class TestEvalRecs:
         )
         assert rc == 0
         assert len((tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()) == 4
-        assert calls == [5, 5, 5]  # once per judge A, B, C, not once per (model, judge)
+        assert len(calls) == 3  # once per judge A, B, C, not once per (model, judge)
 
 
 class TestEvalRecsDegenerateJudge:
@@ -617,6 +617,27 @@ def test_cli_runs_without_scipy(sim_outputs, tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_import_loads_blas_single_threaded_unless_the_user_chose(setting):
+    if setting and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a 2-thread BLAS pool needs 2 CPUs")
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(beerfed.__file__).resolve().parents[1])
+    if setting:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    script = "import os, beerfed; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    threads, variable = done.stdout.split()
+    if setting is None:  # one thread, and the environment as the user left it
+        assert (int(threads), variable) == (1, "None")
+    else:
+        assert int(threads) > 1 and variable == setting
 
 
 def error_records(capsys):
@@ -779,6 +800,34 @@ class TestInputBoundary:
         assert record["message"] == f"{config}: pool entry 0: {key} must be a string, got {value!r}"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, value", [("ingredient", "water;malt"), ("tag", "real_flavour")])
+    def test_inline_pool_unknown_key_names_the_entry(self, tmp_path, capsys, key, value):
+        # typos of ingredients / tags, once dropped without a word
+        pool = [*CONFIG["pool"][:3], dict(CONFIG["pool"][3], **{key: value}), *CONFIG["pool"][4:]]
+        config = write_config(tmp_path, pool=pool)
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert record["message"] == f"{config}: pool entry 3: unknown key(s) ['{key}']"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "federation",
+        [
+            [{"id": "A", "is_expert": True, "leader_probability": 1.0}],
+            [{"id": "A", "is_expert": True, "leader_probability": 1.0}, {"id": "D", "availability_probability": 0.0}],
+        ],
+        ids=["lone-expert", "companion-never-available"],
+    )
+    def test_federation_in_which_no_round_can_take_place(self, tmp_path, capsys, federation):
+        # a round needs a present non-leader: these once skipped every round and exited 0
+        config = write_config(tmp_path, federation=federation)
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "x")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert record["message"].startswith(f"{config}: no round can take place")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "entry, message",
         [
@@ -803,8 +852,10 @@ class TestInputBoundary:
             # "" and " " are substrings of every (multi-word) style
             ([{"name": "All", "patterns": ["stout", ""]}, FALLBACK], "family 'All': patterns must not be empty or blank"),
             ([{"name": "All", "patterns": [" "]}, FALLBACK], "family 'All': patterns must not be empty or blank"),
+            # a typo of patterns, once dropped without a word
+            ([{"name": "Dark", "pattern": ["x"]}, FALLBACK], "family 'Dark': unknown key(s) ['pattern']"),
         ],
-        ids=["not-a-list", "no-fallback", "empty-pattern", "blank-pattern"],
+        ids=["not-a-list", "no-fallback", "empty-pattern", "blank-pattern", "unknown-key"],
     )
     def test_family_file_errors_name_the_file(self, tmp_path, capsys, body, message):
         families = write_text(tmp_path / "families.json", json.dumps(body))

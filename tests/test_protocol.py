@@ -28,7 +28,7 @@ from beerfed.protocol import (
     run_round,
     run_session,
 )
-from oracles import oracle_run_session
+from oracles import oracle_round_possible, oracle_run_session
 
 
 def pool_of(n, family="Pale ale & IPA"):
@@ -172,7 +172,7 @@ class TestRunRound:
     def test_no_available_participants_skips(self):
         federation = [
             expert("A", 1.0),
-            ParticipantProfile("D", availability_probability=0.0),
+            ParticipantProfile("D", availability_probability=1e-12),  # a round is possible, if never likely
         ]
         config = simple_config(pool_of(2), federation=federation)
         state = new_session_state(config)
@@ -328,6 +328,11 @@ def test_run_session_matches_per_reviewer_oracle():
     seen = Counter()
     for seed in range(150):
         config = random_config(seed)
+        if not oracle_round_possible(config):
+            with pytest.raises(ConfigurationError, match="no round can take place"):
+                run_session(config)
+            seen["no round possible, rejected"] += 1
+            continue
         result = run_session(config)
         lines, reviews, skips = oracle_run_session(config)
         assert round_log_lines(result) == lines
@@ -345,7 +350,7 @@ def test_run_session_matches_per_reviewer_oracle():
         seen["huge bias or sd"] += any(
             p.score_noise_sd > 1e300 or any(abs(b) > 1e300 for b in p.score_bias.values()) for p in config.federation
         ) and bool(rounds)
-    assert min(seen.values()) >= 5 and len(seen) == 6, seen
+    assert min(seen.values()) >= 5 and len(seen) == 7, seen
 
 
 def test_round_log_writer_matches_json_dumps():

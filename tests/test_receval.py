@@ -449,7 +449,14 @@ class TestJudgeIndex:
                 cards = {j: {n: int(rng.integers(30, 33)) / 10 for n in c} for j, c in cards.items()}
             if trial % 5 == 0:
                 cards["J0"] = {}  # an empty card
+            elif trial % 5 == 1:
+                cards["J0"] = dict.fromkeys(cards["J0"], 3.5)  # all ties
+            elif trial % 5 == 2:  # for k 3 and 5, the cut falls inside a tie of five
+                last_first = list(reversed(cards["J0"]))
+                cards["J0"] = {n: 4.5 if i < 2 else 4.0 if i < 7 else 2.0 for i, n in enumerate(last_first)}
             for k in (3, 5, 40):  # 40 exceeds every card
+                for judge, entry in JudgeIndex(cards, k).entries():
+                    assert entry.top == frozenset(top_k_set(cards[judge], k))
                 plain = evaluate_model(recs, cards, names, k, "m", tie_mode)
                 assert evaluate_model(recs, JudgeIndex(cards, k), names, k, "m", tie_mode) == plain
                 # an index built for another k is rebuilt, never misread
@@ -462,7 +469,8 @@ class TestJudgeIndex:
 
     def test_each_scorecard_sorted_once_per_index(self, rng, monkeypatch):
         calls = []
-        monkeypatch.setattr(receval, "top_k_set", lambda c, k: calls.append(1) or top_k_set(c, k))
+        entry = receval._JudgeEntry
+        monkeypatch.setattr(receval, "_JudgeEntry", lambda **fields: calls.append(1) or entry(**fields))
         recs, _, cards, names = random_rec_instance(rng, n_judges=4)
         index = JudgeIndex(cards, 5)
         for _ in range(3):

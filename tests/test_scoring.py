@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from beerfed.errors import DegenerateRowError, InsufficientDataError
-from beerfed.model import Beverage, Dataset, NoteTag, Review
+from beerfed.model import DEFAULT_STYLE_FAMILIES, Beverage, Dataset, NoteTag, Review
 from beerfed import scoring
 from beerfed.scoring import (
     MIN_COMMON_BEVERAGES,
@@ -22,6 +22,7 @@ from beerfed.scoring import (
 from genutil import random_dataset, with_reviews
 from oracles import (
     oracle_aggregate,
+    oracle_column_stats,
     oracle_kendall_tau_b,
     oracle_normalize,
     oracle_sample_sd,
@@ -38,6 +39,7 @@ def matrix_from_rows(rows, judges=None, beverages=None):
 
 
 nan = float("nan")
+FAMILY_ORDER = [f.name for f in DEFAULT_STYLE_FAMILIES]
 
 
 class TestBuildScoreMatrix:
@@ -122,6 +124,23 @@ class TestNormalize:
         assert out.min() == 0.0
         assert out.max() == 1.0
         assert ((0.0 <= out) & (out <= 1.0)).all()
+
+
+class TestColumnStats:
+    @pytest.mark.parametrize("values", ["raw", "minmax", "zscore"])
+    def test_grouped_reductions_equal_the_per_column_loop(self, rng, values):
+        for trial in range(60):
+            n_judges = 300 if trial == 0 else int(rng.integers(1, 40))  # 300 reaches pairwise blocks
+            cells = rng.integers(10, 51, size=(n_judges, int(rng.integers(1, 30)))) / 10
+            cells[rng.random(cells.shape) < rng.uniform(0.0, 0.9)] = nan
+            m = matrix_from_rows(cells)
+            if values != "raw":
+                m = normalize(m, lenient=True, method=values)
+            grouped = zip(*(a.tolist() for a in scoring._column_stats(m.cells)))
+            got = [
+                (n, *(None if np.isnan(v) else v for v in stats)) for n, *stats in grouped
+            ]
+            assert got == oracle_column_stats(m.cells)
 
 
 class TestAggregate:
@@ -352,7 +371,7 @@ class TestPerStyleDistribution:
     def test_grouping_and_order(self, tiny_dataset):
         m = build_score_matrix(tiny_dataset)
         n = normalize(m)
-        groups = per_style_distribution(n, tiny_dataset)
+        groups = per_style_distribution(n, tiny_dataset, FAMILY_ORDER)
         assert len(groups["Stout & porter"]) == 2
         assert groups["Stout & porter"] == sorted(groups["Stout & porter"], reverse=True)
         assert groups["Gose"] == []
@@ -377,7 +396,7 @@ class TestPerStyleDistribution:
         fam_means = {f: sum(v) / len(v) for f, v in fam_means.items()}
         assert max(fam_means, key=fam_means.get) == "Stout & porter"
 
-        groups = per_style_distribution(normalize(m), tiny_dataset)
+        groups = per_style_distribution(normalize(m), tiny_dataset, FAMILY_ORDER)
         means = {f: sum(v) / len(v) for f, v in groups.items() if v}
         assert max(means, key=means.get) == "Stout & porter"
 
@@ -398,10 +417,6 @@ class TestDivisiveness:
         entries = divisiveness(m)
         assert entries[-1].beverage_id == "b0"
         assert entries[-1].sd == 0.0
-
-    def test_top_n_slice(self):
-        m = matrix_from_rows([[1.0, 2.0, 3.0], [5.0, 3.0, 3.2]])
-        assert len(divisiveness(m, top_n=2)) == 2
 
     def test_permutation_invariant(self, rng):
         ds = random_dataset(rng, n_judges=3, n_beverages=8)
