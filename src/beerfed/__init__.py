@@ -28,8 +28,6 @@ from .model import (
     Review,
     StyleFamily,
     Violation,
-    bucket_style,
-    check_reinheitsgebot,
     classify_abv,
     validate_dataset,
 )
@@ -38,11 +36,7 @@ from .protocol import (
     ParticipantProfile,
     RoundRecord,
     SessionConfig,
-    SessionExhausted,
     communication_costs,
-    elect_leader,
-    generate_score,
-    run_round,
     run_session,
 )
 from .receval import (
@@ -51,12 +45,7 @@ from .receval import (
     RecommendationSet,
     RecommendationSlot,
     SlotVerdict,
-    coverage,
     evaluate_model,
-    hit_at_k,
-    mean_percentile,
-    mean_rating,
-    ndcg_at_k,
     validate_recs,
 )
 from .scoring import (
@@ -73,7 +62,6 @@ from .scoring import (
 )
 
 __all__ = [
-    "__version__",
     "AbvBand",
     "AggregateRanking",
     "Beverage",
@@ -89,30 +77,20 @@ __all__ = [
     "RoundRecord",
     "ScoreMatrix",
     "SessionConfig",
-    "SessionExhausted",
     "SlotVerdict",
     "StyleFamily",
     "Violation",
-    "agreement",
+    "__version__",
     "aggregate",
-    "bucket_style",
+    "agreement",
     "build_score_matrix",
-    "check_reinheitsgebot",
     "classify_abv",
     "communication_costs",
-    "coverage",
     "divisiveness",
-    "elect_leader",
     "evaluate_model",
-    "generate_score",
-    "hit_at_k",
     "judge_stats",
-    "mean_percentile",
-    "mean_rating",
-    "ndcg_at_k",
     "normalize",
     "per_style_distribution",
-    "run_round",
     "run_session",
     "tag_report",
     "validate_dataset",

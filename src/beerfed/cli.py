@@ -161,6 +161,9 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
     _, dataset, _ = _checked_dataset(args, diag)
 
     matrix = build_score_matrix(dataset)
+    if not matrix.judges:
+        raise InsufficientDataError("no judge has a scorecard to evaluate recommendations against",
+                                    path=args.scorecards)
     if args.normalized:
         try:
             matrix = normalize(matrix)

@@ -536,8 +536,9 @@ class _ReviewSuffixes(dict):
 
 
 def round_log_lines(result: SessionResult) -> list[str]:
-    """One line per round, the bytes of ``json.dumps(record.to_json_dict(),
-    sort_keys=True)``. The round-level fields go through ``json.dumps``;
+    """One line per round, the bytes ``json.dumps(..., sort_keys=True)``
+    gives for the round as a dict (``round_dict`` in ``tests/oracles.py`` is
+    that reference). The round-level fields go through ``json.dumps``;
     each review is the round's ``{"beverage_id": ..., "judge_id": `` prefix
     and its memoised ``(judge, score)`` suffix."""
     suffix = _ReviewSuffixes().__getitem__

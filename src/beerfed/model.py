@@ -1,8 +1,8 @@
 """Domain types and taxonomy rules for collaborative tasting datasets.
 
 Covers the beverage/review data model, ABV strength bands, style-family
-bucketing (config-driven, with a mandatory fallback family), the
-four-ingredient purity predicate, and dataset validation.
+bucketing (config-driven, with a mandatory fallback family) and dataset
+validation.
 """
 
 from __future__ import annotations
@@ -222,7 +222,10 @@ def load_style_families(path: str | Path) -> list[StyleFamily]:
 
 def style_bucketer(families: list[StyleFamily] | None = None) -> Callable[[str], StyleFamily]:
     """Validate ``families`` (default: ``DEFAULT_STYLE_FAMILIES``) once and
-    return the ``bucket_style`` that assigns raw styles to them."""
+    return the function that assigns a raw style to the first matching
+    family: case-insensitive substring search in configured priority order.
+    Anything unmatched, the empty style included, goes to the fallback
+    family, so the function never fails."""
     if families is None:
         families = DEFAULT_STYLE_FAMILIES
     fallback = validate_families(families)
@@ -236,36 +239,6 @@ def style_bucketer(families: list[StyleFamily] | None = None) -> Callable[[str],
         return fallback
 
     return bucket
-
-
-def bucket_style(raw_style: str, families: list[StyleFamily] | None = None) -> StyleFamily:
-    """Assign a raw style string to the first matching family.
-
-    Matching is case-insensitive substring search in configured priority
-    order; anything unmatched (including empty styles) goes to the
-    fallback family, so this never fails.
-    """
-    return style_bucketer(families)(raw_style)
-
-
-PURE_INGREDIENTS = frozenset({"water", "yeast", "malt", "hops"})
-CORIANDER = "coriander"
-
-
-def check_reinheitsgebot(
-    ingredients: set[str] | frozenset[str] | None,
-    allow_coriander: bool = False,
-) -> bool | None:
-    """Four-ingredient purity predicate: water, yeast, malt, hops (plus
-    coriander under the historic exception flag).
-
-    Returns None ("unknown") when ingredient data is missing or empty,
-    which is distinct from False.
-    """
-    if not ingredients:
-        return None
-    allowed = PURE_INGREDIENTS | ({CORIANDER} if allow_coriander else set())
-    return all(i.strip().casefold() in allowed for i in ingredients)
 
 
 @dataclass(frozen=True)

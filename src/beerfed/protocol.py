@@ -4,8 +4,8 @@ A session runs a rotating-leader protocol: each round an expert is elected
 leader by a categorical draw, the available federation members procure one
 beverage from the pool (without replacement), everyone present reviews it
 (freeloaders review without procuring), and the two communication costs are
-charged. Rounds whose clock falls in a blackout window are omitted from the
-record entirely.
+charged. ``run_session`` holds the round loop and its blackout and skip
+rules.
 
 Determinism contract: all randomness comes from a single PCG64 generator
 seeded with the session's 64-bit seed, consumed in this fixed order:
@@ -45,11 +45,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import Beverage, Dataset, Review, ReviewTable, positions
+from .model import Beverage, Dataset, ReviewTable, positions
 
 PROB_SUM_TOL = 1e-9
 
-OMIT_BLACKOUT = "BLACKOUT"
 OMIT_NO_PARTICIPANTS = "SKIPPED_NO_PARTICIPANTS"
 
 MINUTES_PER_DAY = 24 * 60
@@ -78,23 +77,6 @@ class ParticipantProfile:
         _check_probability(self.score_floor_affinity, f"{self.id}: score_floor_affinity")
         if self.score_noise_sd < 0:
             raise ConfigurationError(f"{self.id}: score_noise_sd must be >= 0")
-
-
-def default_federation() -> list[ParticipantProfile]:
-    """Three experts with the standard 0.1 / 0.8 / 0.1 leader weights plus
-    five calibration amateurs (whose reviews are excluded from analytics)."""
-    experts = [
-        ParticipantProfile("A", is_expert=True, leader_probability=0.1, score_noise_sd=0.35),
-        ParticipantProfile("B", is_expert=True, leader_probability=0.8, score_noise_sd=0.9,
-                           score_floor_affinity=0.06),
-        ParticipantProfile("C", is_expert=True, leader_probability=0.1, score_noise_sd=0.55),
-    ]
-    amateurs = [
-        ParticipantProfile(pid, availability_probability=0.75,
-                           freeload_probability=0.5, score_noise_sd=0.8)
-        for pid in ("D", "E", "F", "G", "H")
-    ]
-    return experts + amateurs
 
 
 @dataclass(frozen=True)
@@ -209,19 +191,6 @@ def _elect(table: list[float], rng: np.random.Generator) -> int:
     return min(bisect_right(table, rng.random()), len(table) - 1)
 
 
-def elect_leader(experts: Sequence[tuple[str, float]], rng: np.random.Generator) -> str:
-    """Categorical draw over (id, probability) pairs; consumes one uniform."""
-    if not experts:
-        raise ConfigurationError("cannot elect a leader from an empty expert list")
-    for pid, p in experts:
-        if p < 0:
-            raise ConfigurationError(f"negative leader probability for {pid!r}")
-    total = sum(p for _, p in experts)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ConfigurationError(f"leader probabilities must sum to 1, got {total!r}")
-    return experts[_elect(_leader_table([p for _, p in experts]), rng)][0]
-
-
 def _draw_scores(
     base_quality: float,
     bias: np.ndarray,
@@ -252,33 +221,10 @@ def _draw_scores(
     return np.rint(np.fmin(5.0, np.fmax(1.0, value)) * 10) / 10
 
 
-def generate_score(
-    profile: ParticipantProfile,
-    beverage: Beverage,
-    base_quality: float,
-    rng: np.random.Generator,
-) -> float:
-    """One synthetic raw score on the 0.1 grid, clamped to [1, 5].
-
-    score = clamp(round_0.1(base + style bias + gaussian noise), 1, 5);
-    profiles with score_floor_affinity > 0 additionally slam the score to
-    the scale floor with that probability (judges who punish hard).
-    """
-    if not (1.0 <= base_quality <= 5.0):
-        raise ValueError(f"base_quality must lie in [1, 5], got {base_quality!r}")
-    bias = profile.score_bias.get(beverage.style_family, 0.0)
-    reviewer = np.array([[bias], [profile.score_noise_sd], [profile.score_floor_affinity]], dtype=float)
-    return float(_draw_scores(base_quality, *reviewer, rng)[0])  # a round with one reviewer
-
-
 @dataclass(frozen=True)
 class Omitted:
     clock: int
     reason: str
-
-
-class SessionExhausted(Exception):
-    """Raised when a round is attempted with an empty beverage pool."""
 
 
 @dataclass
@@ -299,31 +245,6 @@ class RoundRecord:
     @property
     def reviewers(self) -> frozenset[str]:
         return frozenset(self.review_judges)
-
-    @property
-    def reviews(self) -> list[Review]:
-        """The round's reviews, built on demand."""
-        return [Review(j, self.beverage_id, s) for j, s in zip(self.review_judges, self.review_scores)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "clock": self.clock,
-            "leader_id": self.leader_id,
-            "beverage_id": self.beverage_id,
-            "procurers": sorted(self.procurers),
-            "reviewers": sorted(self.reviewers),
-            "reviews": [
-                {
-                    "judge_id": r.judge_id,
-                    "beverage_id": r.beverage_id,
-                    "raw_score": r.raw_score,
-                }
-                for r in self.reviews
-            ],
-            "broadcast_cost": self.broadcast_cost,
-            "comprehension_cost": self.comprehension_cost,
-        }
 
 
 @dataclass(frozen=True)
@@ -367,99 +288,6 @@ class Roster:
 
 
 @dataclass
-class SessionState:
-    config: SessionConfig
-    rng: np.random.Generator
-    pool: list[Beverage]
-    base_quality: dict[str, float]
-    clock: int
-    roster: Roster
-    round_index: int = 0
-    skips: list[Omitted] = field(default_factory=list)
-
-
-def new_session_state(config: SessionConfig) -> SessionState:
-    config.validate()
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    lo, hi = config.base_quality_range
-    base_quality = {b.id: lo + (hi - lo) * rng.random() for b in config.pool}
-    return SessionState(
-        config=config,
-        rng=rng,
-        pool=list(config.pool),
-        base_quality=base_quality,
-        clock=config.clock_start,
-        roster=Roster.of(config),
-    )
-
-
-def _in_blackout(clock: int, windows: list[tuple[int, int]]) -> bool:
-    return any(lo <= clock < hi for lo, hi in windows)
-
-
-def run_round(state: SessionState) -> RoundRecord | Omitted:
-    """Execute one round attempt at the current clock.
-
-    Returns a RoundRecord, or an Omitted marker for blackout/no-participant
-    rounds (the clock still advances); raises SessionExhausted once the
-    pool is empty. Blackout omissions are dropped from the record entirely;
-    no-participant skips are kept in the session's skip list.
-    """
-    config = state.config
-    roster = state.roster
-    rng = state.rng
-    if not state.pool:
-        raise SessionExhausted(f"beverage pool exhausted at clock {state.clock}")
-
-    clock = state.clock
-    state.clock += config.round_duration
-
-    if _in_blackout(clock, config.blackout_windows):
-        return Omitted(clock, OMIT_BLACKOUT)
-
-    leader = roster.experts[_elect(roster.leader_table, rng)]
-
-    others = roster.others[leader]
-    present = np.zeros(len(roster.ids), dtype=bool)
-    present[others] = rng.random(len(others)) < roster.availability[others]
-    available = np.flatnonzero(present)
-    if not len(available):
-        omitted = Omitted(clock, OMIT_NO_PARTICIPANTS)
-        state.skips.append(omitted)
-        return omitted
-
-    procurers = available[rng.random(len(available)) >= roster.freeload[available]]
-    if not len(procurers):
-        # Someone has to fetch the sample: promote one freeloader.
-        procurers = available[[int(rng.integers(len(available)))]]
-
-    beverage = state.pool.pop(int(rng.integers(len(state.pool))))
-
-    present[leader] = True
-    reviewers = np.flatnonzero(present)
-    scores = _draw_scores(
-        state.base_quality[beverage.id], roster.bias[beverage.style_family][reviewers],
-        roster.noise_sd[reviewers], roster.floor_affinity[reviewers], rng,
-    )
-
-    broadcast, comprehension = communication_costs(state.round_index, config.cost_params)
-    ids = roster.ids
-    record = RoundRecord(
-        index=state.round_index,
-        clock=clock,
-        leader_id=ids[leader],
-        beverage_id=beverage.id,
-        procurers=frozenset(ids[i] for i in procurers.tolist()),
-        review_judges=tuple(ids[i] for i in reviewers.tolist()),
-        review_scores=tuple(scores.tolist()),
-        broadcast_cost=broadcast,
-        comprehension_cost=comprehension,
-    )
-    state.round_index += 1
-    return record
-
-
-@dataclass
 class SessionResult:
     config: SessionConfig
     rounds: list[RoundRecord]
@@ -468,17 +296,65 @@ class SessionResult:
 
 
 def run_session(config: SessionConfig) -> SessionResult:
-    """Run a full session: rounds are attempted every round_duration minutes
-    until the pool is exhausted or the clock window closes."""
-    state = new_session_state(config)
+    """Run a full session: a round is attempted every round_duration minutes
+    from clock_start until the pool is empty or the clock window closes.
+
+    A round whose clock falls in a blackout window is dropped from the
+    record entirely and draws nothing. A round in which no non-leader
+    member turns up takes no beverage and is kept in ``skips`` as
+    SKIPPED_NO_PARTICIPANTS. Round indices, and so the communication
+    costs, count only the rounds that take place.
+    """
+    config.validate()
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    lo, hi = config.base_quality_range
+    base_quality = {b.id: lo + (hi - lo) * rng.random() for b in config.pool}
+    roster = Roster.of(config)
+    ids = roster.ids
+    pool = list(config.pool)
     rounds: list[RoundRecord] = []
-    while state.clock < config.clock_end:
-        try:
-            outcome = run_round(state)
-        except SessionExhausted:
+    skips: list[Omitted] = []
+    for clock in range(config.clock_start, config.clock_end, config.round_duration):
+        if not pool:
             break
-        if isinstance(outcome, RoundRecord):
-            rounds.append(outcome)
+        if any(start <= clock < end for start, end in config.blackout_windows):
+            continue
+
+        leader = roster.experts[_elect(roster.leader_table, rng)]
+        others = roster.others[leader]
+        present = np.zeros(len(ids), dtype=bool)
+        present[others] = rng.random(len(others)) < roster.availability[others]
+        available = np.flatnonzero(present)
+        if not len(available):
+            skips.append(Omitted(clock, OMIT_NO_PARTICIPANTS))
+            continue
+
+        procurers = available[rng.random(len(available)) >= roster.freeload[available]]
+        if not len(procurers):
+            # Someone has to fetch the sample: promote one freeloader.
+            procurers = available[[int(rng.integers(len(available)))]]
+
+        beverage = pool.pop(int(rng.integers(len(pool))))
+
+        present[leader] = True
+        reviewers = np.flatnonzero(present)
+        scores = _draw_scores(
+            base_quality[beverage.id], roster.bias[beverage.style_family][reviewers],
+            roster.noise_sd[reviewers], roster.floor_affinity[reviewers], rng,
+        )
+
+        broadcast, comprehension = communication_costs(len(rounds), config.cost_params)
+        rounds.append(RoundRecord(
+            index=len(rounds),
+            clock=clock,
+            leader_id=ids[leader],
+            beverage_id=beverage.id,
+            procurers=frozenset(ids[i] for i in procurers.tolist()),
+            review_judges=tuple(ids[i] for i in reviewers.tolist()),
+            review_scores=tuple(scores.tolist()),
+            broadcast_cost=broadcast,
+            comprehension_cost=comprehension,
+        ))
 
     judge_ids = [
         p.id
@@ -496,4 +372,4 @@ def run_session(config: SessionConfig) -> SessionResult:
     by_id = {b.id: b for b in config.pool}
     beverages = [by_id[record.beverage_id] for record in rounds]
     dataset = Dataset(beverages=beverages, reviews=reviews, judges=judge_ids)
-    return SessionResult(config=config, rounds=rounds, skips=state.skips, dataset=dataset)
+    return SessionResult(config=config, rounds=rounds, skips=skips, dataset=dataset)

@@ -17,13 +17,14 @@ five quality metrics are computed from the raw, unnormalised scores:
 Everything the metrics need from a judge's scorecard depends only on the
 scorecard and k, so it is computed once per run in a ``JudgeIndex``: the
 ascending scores (bisect gives mid-rank percentiles), the k-th best score
-(the threshold-mode cutoff), the fixed top-k set (``top_k_set``'s order,
-applied only to the names scoring at or above the cutoff, which hold its
-first k) and the IDCG, the discounted sum of the k best scores (Jarvelin &
-Kekalainen 2002). Each value comes from the same expression, in the same
-order, that a per-model pass would evaluate, so results are bit-identical
-whether a caller passes the index or a plain mapping (which is indexed on
-the spot).
+(the threshold-mode cutoff), the fixed top-k set (score descending, ties at
+the cut by name ascending; ``top_k_set`` in ``tests/oracles.py`` is its
+reference, and the index applies that order only to the names scoring at
+or above the cutoff, which hold its first k) and the IDCG, the discounted
+sum of the k best scores (Jarvelin & Kekalainen 2002). Each value comes
+from the same expression, in the same order, that a per-model pass would
+evaluate, so ``evaluate_model`` gives bit-identical results whether a
+caller passes the index or a plain mapping (which is indexed on the spot).
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class VerdictReason(str, Enum):
     NOT_IN_LIST = "NOT_IN_LIST"
     DUPLICATE = "DUPLICATE"
     BAD_RANK = "BAD_RANK"
-    MISSING = "MISSING"
 
 
 @dataclass(frozen=True)
@@ -84,19 +84,18 @@ def validate_recs(
 ) -> list[SlotVerdict]:
     """Judge every slot of a recommendation set, never repairing it.
 
-    Produces max(k, len(slots)) verdicts; sets shorter than k are padded
-    with MISSING. A slot is valid iff its name matches the master list
-    (case-insensitive, whitespace-normalized), has not appeared in an
-    earlier slot, and carries an integer rank in 1..k not used before.
-    When several rules are broken, the reported reason follows that order.
+    Produces one verdict per given slot, so the cost does not depend on k;
+    the set's missing slots number ``max(0, k - len(verdicts))``. A slot is
+    valid iff its name matches the master list (case-insensitive,
+    whitespace-normalized), has not appeared in an earlier slot, and carries
+    an integer rank in 1..k not used before. When several rules are broken,
+    the reported reason follows that order.
     """
-    verdicts = _verdicts(recs, {normalize_name(n) for n in beverage_names}, k)
-    return verdicts + [SlotVerdict(i, False, VerdictReason.MISSING) for i in range(len(verdicts), k)]
+    return _verdicts(recs, {normalize_name(n) for n in beverage_names}, k)
 
 
 def _verdicts(recs: RecommendationSet, known: set[str], k: int) -> list[SlotVerdict]:
-    """validate_recs against an already normalized master-name set, without
-    the MISSING padding (k may be far larger than any set)."""
+    """validate_recs against an already normalized master-name set."""
     seen_names: set[str] = set()
     seen_ranks: set[int] = set()
     verdicts = []
@@ -126,13 +125,6 @@ def _verdicts(recs: RecommendationSet, known: set[str], k: int) -> list[SlotVerd
 Scorecard = Mapping[str, float]  # normalized beverage name -> raw score
 Scorecards = Mapping[str, Scorecard]  # judge id -> scorecard
 RecsByProfile = Mapping[str, RecommendationSet]
-
-
-def top_k_set(scorecard: Scorecard, k: int) -> set[str]:
-    """The judge's fixed top-k beverage set: score descending, ties at the
-    cut resolved by name ascending."""
-    ordered = sorted(scorecard.items(), key=lambda kv: (-kv[1], kv[0]))
-    return {name for name, _ in ordered[:k]}
 
 
 @dataclass(frozen=True)
@@ -213,8 +205,8 @@ class _Terms:
         return count / (self.judges * self.k)
 
 
-def _mean(values: list[float], empty: float | None = None) -> float | None:
-    return sum(values) / len(values) if values else empty
+def _mean(values: list[float]) -> float | None:
+    return sum(values) / len(values) if values else None
 
 
 def _one_pass(
@@ -263,69 +255,6 @@ def _one_pass(
     return terms
 
 
-def coverage(
-    recs_by_profile: RecsByProfile,
-    scorecards: Scorecards,
-    beverage_names: set[str],
-    k: int = DEFAULT_K,
-) -> float:
-    """Fraction of the J*K recommendation slots that are valid."""
-    terms = _one_pass(recs_by_profile, scorecards, beverage_names, k)
-    return terms.share(terms.valid)
-
-
-def mean_rating(
-    recs_by_profile: RecsByProfile,
-    scorecards: Scorecards,
-    beverage_names: set[str],
-    k: int = DEFAULT_K,
-) -> float | None:
-    """Mean of the owning judge's raw score over all valid slots; None when
-    no valid slot has a score (undefined, not zero)."""
-    return _mean(_one_pass(recs_by_profile, scorecards, beverage_names, k).ratings)
-
-
-def mean_percentile(
-    recs_by_profile: RecsByProfile,
-    scorecards: Scorecards,
-    beverage_names: set[str],
-    k: int = DEFAULT_K,
-) -> float | None:
-    """Where valid slots sit within each judge's own ranking (1.0 = the
-    judge's unique favourite, 0.0 = their unique least favourite; ties
-    mid-ranked), averaged per judge and then across judges."""
-    return _mean(_one_pass(recs_by_profile, scorecards, beverage_names, k).percentiles)
-
-
-def hit_at_k(
-    recs_by_profile: RecsByProfile,
-    scorecards: Scorecards,
-    beverage_names: set[str],
-    k: int = DEFAULT_K,
-    tie_mode: str = "fixed",
-) -> float:
-    """Valid slots whose beverage lands in the judge's top-k, over J*K.
-
-    ``tie_mode`` "fixed" uses the deterministic k-sized set (ties at the
-    cut broken by name); "threshold" counts anything scoring at least the
-    k-th best score as a hit.
-    """
-    terms = _one_pass(recs_by_profile, scorecards, beverage_names, k, tie_mode)
-    return terms.share(terms.hits)
-
-
-def ndcg_at_k(
-    recs_by_profile: RecsByProfile,
-    scorecards: Scorecards,
-    beverage_names: set[str],
-    k: int = DEFAULT_K,
-) -> float:
-    """Mean over judges of DCG/IDCG, with the judge's raw score as the
-    relevance of each valid slot (0 for invalid or unscored slots) and the
-    judge's k best scores as the ideal."""
-    return _mean(_one_pass(recs_by_profile, scorecards, beverage_names, k).ndcgs, 0.0)
-
-
 QUANTIZATION_TOL = 1e-9
 
 
@@ -362,18 +291,18 @@ def evaluate_model(
     scorecards: Scorecards,
     beverage_names: set[str],
     k: int = DEFAULT_K,
-    model_id: str | None = None,
+    *,
+    model_id: str,
     tie_mode: str = "fixed",
 ) -> MetricReport:
     """Compose the five metrics for one model across all profiles.
 
     With zero valid slots only coverage (0.0) is defined; the other four
-    report as None rather than a misleading zero.
+    report as None rather than a misleading zero. ``tie_mode`` "fixed"
+    counts a hit against the judge's k-sized top set (ties at the cut
+    broken by name); "threshold" counts anything scoring at least the
+    judge's k-th best score.
     """
-    if model_id is None:
-        model_id = next(
-            (r.model_id for r in recs_by_profile.values() if r.model_id), "unknown"
-        )
     terms = _one_pass(recs_by_profile, scorecards, beverage_names, k, tie_mode)
     cov = terms.share(terms.valid)
     if cov == 0.0:

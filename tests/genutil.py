@@ -88,7 +88,7 @@ def random_rec_instance(rng, n_judges=3, k=5, n_beverages=None):
 
         r = rng.random()
         if r < 0.12 and slots:
-            slots = slots[:-1]  # short set -> MISSING
+            slots = slots[:-1]  # short set: one slot missing
         elif r < 0.2:
             slots[-1] = RecommendationSlot(slots[0].beverage_name, k)  # duplicate name
         elif r < 0.26:

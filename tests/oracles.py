@@ -168,6 +168,13 @@ def oracle_valid_slots(slots_by_profile, judges, names, k=5):
     return valid, total
 
 
+def top_k_set(scorecard, k):
+    """The judge's fixed top-k beverage set: score descending, ties at the
+    cut resolved by name ascending (the reference for ``JudgeIndex``)."""
+    ordered = sorted(scorecard.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {name for name, _ in ordered[:k]}
+
+
 def oracle_metrics(slots_by_profile, scorecards, names, k=5, tie_mode="fixed"):
     """All five recommendation metrics by direct enumeration.
 
@@ -402,3 +409,22 @@ def oracle_run_session(config):
         }, sort_keys=True))
         index += 1
     return lines, reviews, skips
+
+
+def round_dict(record):
+    """A ``RoundRecord`` as the dict whose ``json.dumps(..., sort_keys=True)``
+    bytes ``round_log_lines`` writes."""
+    return {
+        "index": record.index,
+        "clock": record.clock,
+        "leader_id": record.leader_id,
+        "beverage_id": record.beverage_id,
+        "procurers": sorted(record.procurers),
+        "reviewers": sorted(record.reviewers),
+        "reviews": [
+            {"judge_id": judge, "beverage_id": record.beverage_id, "raw_score": score}
+            for judge, score in zip(record.review_judges, record.review_scores)
+        ],
+        "broadcast_cost": record.broadcast_cost,
+        "comprehension_cost": record.comprehension_cost,
+    }

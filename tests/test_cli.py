@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.resources
 import json
 import os
 import re
@@ -864,6 +865,57 @@ class TestInputBoundary:
         (record,) = error_records(capsys)
         assert record["code"] == "CONFIG" and record["message"] == f"{families}: {message}"
 
+    def test_eval_recs_without_scorecards_exits_4_before_reading_recs(self, tmp_path, capsys, monkeypatch):
+        # header-only files pass the dataset gate, but no judge has a scorecard
+        beverages = write_text(tmp_path / "beverages.csv", "brewery,beer_name,beer_style,abv_percent\n")
+        scorecards = write_text(tmp_path / "scorecards.csv", "judge_id,beer_name,raw_score\n")
+        make_rec_file(tmp_path, "model-x", {"A": ["Alpha Ale"]})
+        read = []
+        monkeypatch.setattr(cli, "load_recommendations", read.append)
+        out = tmp_path / "eval" / "t.csv"
+        argv = ["eval-recs", str(tmp_path / "*.json"), str(scorecards), str(beverages), "--out", str(out)]
+        assert cli.main(["--json-errors", *argv]) == 4
+        (record,) = error_records(capsys)
+        assert record["code"] == "DEGENERATE" and record["message"].startswith(f"{scorecards}: ")
+        assert read == [] and not (tmp_path / "eval").exists()
+        assert cli.main(analyze_argv(scorecards, beverages, tmp_path / "rep")) == 0
+
+
+class TestShortSessionsNeedLenient:
+    """A session can simulate cleanly and still leave every judge with a
+    single score level: plain analyze then stops on DEGENERATE rows, while
+    analyze --lenient and eval-recs run."""
+
+    def check(self, tmp_path, capsys, config):
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", str(config), "--out", str(sim)]) == 0
+        tables = (sim / "scorecards.csv", sim / "beverages.csv")
+        capsys.readouterr()
+        assert cli.main(["--json-errors", *analyze_argv(*tables, tmp_path / "rep")]) == 4
+        findings = {(r["level"], r.get("code")) for r in error_records(capsys) if r["level"] != "info"}
+        assert findings == {("error", "DEGENERATE")}
+        assert cli.main([*analyze_argv(*tables, tmp_path / "rep"), "--lenient"]) == 0
+        recs = tmp_path / "recs"
+        recs.mkdir()
+        name = next(csv.DictReader(tables[0].read_text(encoding="utf-8").splitlines()))["beer_name"]
+        make_rec_file(recs, "model-x", {"A": [name]})
+        assert cli.main([*eval_argv(*tables, recs)]) == 0
+
+    def test_one_round_calibration_session(self, tmp_path, capsys):
+        data = importlib.resources.files("beerfed.data")
+        body = json.loads((data / "calibration_session.json").read_text(encoding="utf-8"))
+        body.update(clock_start=660, clock_end=668, blackout_windows=[])
+        write_text(tmp_path / body["pool_csv"], (data / body["pool_csv"]).read_text(encoding="utf-8"))
+        config = write_text(tmp_path / "session.json", json.dumps(body))
+        self.check(tmp_path, capsys, config)
+        log = (tmp_path / "sim" / "session_log.jsonl").read_text(encoding="utf-8")
+        assert len(log.splitlines()) == 1
+
+    def test_zero_noise_flat_quality_session(self, tmp_path, capsys):
+        federation = [{**judge, "score_noise_sd": 0.0} for judge in CONFIG["federation"]]
+        config = write_config(tmp_path, federation=federation, base_quality_range=[3.5, 3.5])
+        self.check(tmp_path, capsys, config)
+
 
 class TestAllOrNothingOutputs:
     """Each command moves its files into place only once all are written."""
@@ -1070,6 +1122,59 @@ def session_configs(draw):
     return body
 
 
+def replaced(body, path):
+    """A strategy for ``body`` with the value at ``path`` (keys and list
+    indices) replaced by one arbitrary JSON value."""
+    def put(value):
+        copy = json.loads(json.dumps(body))
+        *parents, key = path
+        target = copy
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        return copy
+    return json_values.map(put)
+
+
+def json_files(body, paths):
+    """Arbitrary JSON values, or ``body`` with one of ``paths`` replaced."""
+    return st.one_of(json_values, *(replaced(body, path) for path in paths))
+
+
+REC_BODY = {
+    "model_id": "m",
+    "profiles": [{"profile_id": "A", "recommendations": [
+        {"beverage_name": "Alpha Ale", "rank": 1, "justification": ""},
+        {"beverage_name": "Gamma Gose", "rank": 2},
+    ]}],
+}
+SLOT = ("profiles", 0, "recommendations", 0)
+
+
+def rec_files():
+    return json_files(REC_BODY, [
+        ("model_id",), ("profiles",), ("profiles", 0), ("profiles", 0, "profile_id"),
+        ("profiles", 0, "recommendations"), SLOT, *((*SLOT, key) for key in ("beverage_name", "rank", "justification")),
+    ])
+
+
+FAMILIES_BODY = [
+    {"name": "Dark", "patterns": ["stout", "bock"]},
+    {"name": "Specialty and hybrid styles", "patterns": [], "fallback": True},
+]
+
+
+@st.composite
+def family_files(draw):
+    if draw(st.booleans()):  # arbitrary families ahead of the fallback, mostly valid
+        family = st.fixed_dictionaries({"name": st.text(max_size=8), "patterns": st.lists(st.text(max_size=6), max_size=3)})
+        return draw(st.lists(family, max_size=4)) + FAMILIES_BODY[1:]
+    return draw(json_files(FAMILIES_BODY, [
+        (0,), (0, "name"), (0, "patterns"), (0, "patterns", 0), (0, "fallback"), (0, "unknown"),
+        (1, "name"), (1, "fallback"), (1, "patterns"),
+    ]))
+
+
 class TestInputProperties:
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=scorecard_bytes, lenient=st.booleans())
@@ -1097,3 +1202,25 @@ class TestInputProperties:
         with tempfile.TemporaryDirectory() as tmp:
             config = write_text(Path(tmp) / "session.json", json.dumps(body))
             assert cli.main(["--json-errors", "simulate", str(config), "--out", str(Path(tmp) / "sim")]) in (0, 2, 3)
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(body=rec_files(), strict=st.booleans())
+    def test_any_json_rec_file_exits_0_or_strict_5(self, body, strict):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_text(tmp / "recs" / "model.json", json.dumps(body))
+            tables = (write_text(tmp / "scorecards.csv", PROPERTY_SCORECARDS),
+                      write_text(tmp / "beverages.csv", PROPERTY_BEVERAGES))
+            argv = ["--json-errors", *eval_argv(*tables, tmp / "recs"), *(["--strict"] if strict else [])]
+            assert cli.main(argv) in ((0, 5) if strict else (0,))
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(body=family_files())
+    def test_any_json_families_exits_0_or_2(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            families = write_text(tmp / "families.json", json.dumps(body))
+            tables = (write_text(tmp / "scorecards.csv", PROPERTY_SCORECARDS),
+                      write_text(tmp / "beverages.csv", PROPERTY_BEVERAGES))
+            argv = [*analyze_argv(*tables, tmp / "rep"), "--lenient", "--families", str(families)]
+            assert cli.main(["--json-errors", *argv]) in (0, 2)

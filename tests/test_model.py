@@ -13,11 +13,10 @@ from beerfed.model import (
     Review,
     StyleFamily,
     Violation,
-    bucket_style,
-    check_reinheitsgebot,
     classify_abv,
     derive_note_tags,
     load_style_families,
+    style_bucketer,
     validate_dataset,
 )
 from genutil import random_dataset, with_reviews
@@ -57,22 +56,22 @@ class TestClassifyAbv:
 
 class TestBucketStyle:
     def test_ipa_lands_in_pale_ale_family(self):
-        assert bucket_style("West Coast IPA").name == "Pale ale & IPA"
+        assert style_bucketer()("West Coast IPA").name == "Pale ale & IPA"
 
     def test_unknown_style_falls_back(self):
-        assert bucket_style("Iron Brew").name == FALLBACK_FAMILY_NAME
+        assert style_bucketer()("Iron Brew").name == FALLBACK_FAMILY_NAME
 
     def test_empty_style_falls_back(self):
-        assert bucket_style("").name == FALLBACK_FAMILY_NAME
+        assert style_bucketer()("").name == FALLBACK_FAMILY_NAME
 
     def test_fruited_sour_is_sour_not_fruit(self):
-        assert bucket_style("Fruited Sour").name == "Sour & wild ale"
+        assert style_bucketer()("Fruited Sour").name == "Sour & wild ale"
 
     def test_match_is_case_insensitive(self):
-        assert bucket_style("HAZY ipa").name == "Pale ale & IPA"
+        assert style_bucketer()("HAZY ipa").name == "Pale ale & IPA"
 
     def test_deterministic_given_config(self):
-        results = {bucket_style("Raspberry Saison").name for _ in range(5)}
+        results = {style_bucketer()("Raspberry Saison").name for _ in range(5)}
         assert results == {"Saison & farmhouse"}
 
     def test_default_config_shape(self):
@@ -84,7 +83,7 @@ class TestBucketStyle:
     def test_families_without_fallback_rejected(self):
         families = [StyleFamily("Only", ("x",))]
         with pytest.raises(ConfigurationError):
-            bucket_style("anything", families)
+            style_bucketer(families)
 
     def test_two_fallbacks_rejected(self):
         families = [
@@ -92,7 +91,7 @@ class TestBucketStyle:
             StyleFamily("Other", (), fallback=True),
         ]
         with pytest.raises(ConfigurationError):
-            bucket_style("anything", families)
+            style_bucketer(families)
 
 
 class TestFamilyConfigFile:
@@ -104,8 +103,8 @@ class TestFamilyConfigFile:
         )
         families = load_style_families(path)
         assert [f.name for f in families] == ["Dark", FALLBACK_FAMILY_NAME]
-        assert bucket_style("Imperial Stout", families).name == "Dark"
-        assert bucket_style("Kviek IPA", families).name == FALLBACK_FAMILY_NAME
+        assert style_bucketer(families)("Imperial Stout").name == "Dark"
+        assert style_bucketer(families)("Kviek IPA").name == FALLBACK_FAMILY_NAME
 
     def test_misnamed_fallback_rejected(self, tmp_path):
         path = tmp_path / "families.json"
@@ -122,26 +121,6 @@ class TestFamilyConfigFile:
         )
         with pytest.raises(ConfigurationError):
             load_style_families(path)
-
-
-class TestReinheitsgebot:
-    def test_four_ingredients_pass(self):
-        assert check_reinheitsgebot({"water", "yeast", "malt", "hops"}) is True
-
-    def test_coriander_allowed_only_with_flag(self):
-        ingredients = {"water", "yeast", "malt", "hops", "coriander"}
-        assert check_reinheitsgebot(ingredients, allow_coriander=True) is True
-        assert check_reinheitsgebot(ingredients) is False
-
-    def test_extra_ingredient_fails(self):
-        assert check_reinheitsgebot({"water", "yeast", "malt", "hops", "mango"}) is False
-
-    def test_missing_data_is_unknown_not_false(self):
-        assert check_reinheitsgebot(None) is None
-        assert check_reinheitsgebot(set()) is None
-
-    def test_normalizes_case_and_whitespace(self):
-        assert check_reinheitsgebot({" Water", "YEAST", "malt ", "Hops"}) is True
 
 
 class TestReviewInvariants:

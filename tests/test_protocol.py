@@ -11,24 +11,20 @@ from beerfed.errors import ConfigurationError
 from beerfed.io import round_log_lines
 from beerfed.model import Beverage, Dataset
 from beerfed.protocol import (
-    OMIT_BLACKOUT,
     OMIT_NO_PARTICIPANTS,
     CostParams,
     Omitted,
     ParticipantProfile,
     RoundRecord,
     SessionConfig,
-    SessionExhausted,
     SessionResult,
+    _draw_scores,
+    _elect,
+    _leader_table,
     communication_costs,
-    default_federation,
-    elect_leader,
-    generate_score,
-    new_session_state,
-    run_round,
     run_session,
 )
-from oracles import oracle_round_possible, oracle_run_session
+from oracles import oracle_round_possible, oracle_run_session, round_dict
 
 
 def pool_of(n, family="Pale ale & IPA"):
@@ -42,77 +38,96 @@ def expert(pid, prob, **kw):
     return ParticipantProfile(pid, is_expert=True, leader_probability=prob, **kw)
 
 
+def default_federation():
+    """Three experts with the standard 0.1 / 0.8 / 0.1 leader weights plus
+    five calibration amateurs (whose reviews are excluded from analytics)."""
+    experts = [
+        ParticipantProfile("A", is_expert=True, leader_probability=0.1, score_noise_sd=0.35),
+        ParticipantProfile("B", is_expert=True, leader_probability=0.8, score_noise_sd=0.9,
+                           score_floor_affinity=0.06),
+        ParticipantProfile("C", is_expert=True, leader_probability=0.1, score_noise_sd=0.55),
+    ]
+    amateurs = [
+        ParticipantProfile(pid, availability_probability=0.75,
+                           freeload_probability=0.5, score_noise_sd=0.8)
+        for pid in ("D", "E", "F", "G", "H")
+    ]
+    return experts + amateurs
+
+
 class TestElectLeader:
     def test_degenerate_distribution(self, rng):
-        experts = [("A", 0.0), ("B", 1.0), ("C", 0.0)]
-        assert all(elect_leader(experts, rng) == "B" for _ in range(50))
+        table = _leader_table([0.0, 1.0, 0.0])
+        assert all(_elect(table, rng) == 1 for _ in range(50))
 
-    def test_sum_above_one_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            elect_leader([("A", 0.5), ("B", 0.6)], rng)
+    def test_sum_above_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="must sum to 1"):
+            run_session(simple_config(pool_of(2), federation=[expert("A", 0.5), expert("B", 0.6)]))
 
-    def test_sum_below_one_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            elect_leader([("A", 0.5), ("B", 0.4)], rng)
+    def test_sum_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="must sum to 1"):
+            run_session(simple_config(pool_of(2), federation=[expert("A", 0.5), expert("B", 0.4)]))
 
-    def test_empty_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            elect_leader([], rng)
+    def test_empty_rejected(self):
+        federation = [ParticipantProfile("D"), ParticipantProfile("E")]
+        with pytest.raises(ConfigurationError, match="at least one expert"):
+            run_session(simple_config(pool_of(2), federation=federation))
 
     def test_frequencies_match_weights(self):
         # independent tally over a fixed-seed stream
         rng = np.random.Generator(np.random.PCG64(99))
-        experts = [("A", 0.1), ("B", 0.8), ("C", 0.1)]
+        weights = [0.1, 0.8, 0.1]
+        table = _leader_table(weights)
         n = 20_000
-        tally = Counter(elect_leader(experts, rng) for _ in range(n))
-        for pid, p in experts:
+        tally = Counter(_elect(table, rng) for _ in range(n))
+        for i, p in enumerate(weights):
             bound = 3 * math.sqrt(p * (1 - p) / n)
-            assert abs(tally[pid] / n - p) <= bound
+            assert abs(tally[i] / n - p) <= bound
 
     def test_advances_rng_deterministically(self):
         a = np.random.Generator(np.random.PCG64(5))
         b = np.random.Generator(np.random.PCG64(5))
-        seq_a = [elect_leader([("A", 0.3), ("B", 0.7)], a) for _ in range(100)]
-        seq_b = [elect_leader([("A", 0.3), ("B", 0.7)], b) for _ in range(100)]
+        table = _leader_table([0.3, 0.7])
+        seq_a = [_elect(table, a) for _ in range(100)]
+        seq_b = [_elect(table, b) for _ in range(100)]
         assert seq_a == seq_b
 
 
 class TestGenerateScore:
+    """The score kernel, one array per reviewer parameter."""
+
     def test_zero_noise_is_identity(self, rng):
-        profile = ParticipantProfile("A")
-        bev = pool_of(1)[0]
-        assert generate_score(profile, bev, 3.7, rng) == 3.7
+        zeros = np.zeros(3)
+        assert _draw_scores(3.7, zeros, zeros, zeros, rng).tolist() == [3.7] * 3
 
     def test_clamped_at_scale_top(self, rng):
-        profile = ParticipantProfile("A", score_bias={"Pale ale & IPA": 1.0})
-        bev = pool_of(1)[0]
-        assert generate_score(profile, bev, 5.0, rng) == 5.0
+        zeros = np.zeros(1)
+        assert _draw_scores(5.0, np.ones(1), zeros, zeros, rng).tolist() == [5.0]
 
-    def test_bias_applies_per_family(self, rng):
-        profile = ParticipantProfile("A", score_bias={"Stout & porter": 0.5})
-        ipa = pool_of(1)[0]
+    def test_bias_applies_per_family(self):
+        federation = [expert("A", 1.0, score_bias={"Stout & porter": 0.5}), ParticipantProfile("B")]
         stout = Beverage("s", "Pool Co", "S", "Stout", "Stout & porter", 9.0)
-        assert generate_score(profile, ipa, 3.0, rng) == 3.0
-        assert generate_score(profile, stout, 3.0, rng) == 3.5
+        config = simple_config([pool_of(1)[0], stout], federation=federation, base_quality_range=(3.0, 3.0))
+        scores = {(r.beverage_id, j): s for r in run_session(config).rounds
+                  for j, s in zip(r.review_judges, r.review_scores)}
+        assert scores == {("p0", "A"): 3.0, ("p0", "B"): 3.0, ("s", "A"): 3.5, ("s", "B"): 3.0}
 
     def test_result_on_grid_and_in_range(self, rng):
-        profile = ParticipantProfile("B", score_noise_sd=1.5, score_floor_affinity=0.1)
-        bev = pool_of(1)[0]
-        for _ in range(500):
-            s = generate_score(profile, bev, 3.8, rng)
+        n = 500
+        scores = _draw_scores(3.8, np.zeros(n), np.full(n, 1.5), np.full(n, 0.1), rng)
+        for s in scores.tolist():
             assert 1.0 <= s <= 5.0
             assert round(s * 10) == pytest.approx(s * 10)
 
     def test_noisy_profile_reaches_scale_floor(self):
         rng = np.random.Generator(np.random.PCG64(7))
-        profile = ParticipantProfile("B", score_noise_sd=1.5)
-        bev = pool_of(1)[0]
-        scores = [generate_score(profile, bev, 3.5, rng) for _ in range(1000)]
-        assert 1.0 in scores
+        n = 1000
+        scores = _draw_scores(3.5, np.zeros(n), np.full(n, 1.5), np.zeros(n), rng)
+        assert 1.0 in scores.tolist()
 
-    def test_base_quality_out_of_range_rejected(self, rng):
-        with pytest.raises(ValueError):
-            generate_score(ParticipantProfile("A"), pool_of(1)[0], 0.5, rng)
+    def test_base_quality_out_of_range_rejected(self):
+        with pytest.raises(ConfigurationError, match="base_quality_range"):
+            run_session(simple_config(pool_of(1), base_quality_range=(0.5, 0.5)))
 
 
 class TestCommunicationCosts:
@@ -155,30 +170,31 @@ def simple_config(pool, seed=11, **kw):
 
 
 class TestRunRound:
+    """Single rounds: sessions whose clock window spans one or two rounds."""
+
     def test_blackout_round_is_omitted(self):
-        config = simple_config(pool_of(3), clock_start=600, blackout_windows=[(720, 780)])
-        state = new_session_state(config)
-        state.clock = 750  # 12:30, mid-lunch
-        outcome = run_round(state)
-        assert outcome == Omitted(750, OMIT_BLACKOUT)
-        assert state.skips == []  # dropped from the record entirely
-        assert len(state.pool) == 3
+        config = simple_config(pool_of(3), clock_start=750, clock_end=760, blackout_windows=[(750, 755)])
+        result = run_session(config)
+        assert result.skips == []  # dropped from the record entirely
+        assert [(r.index, r.clock) for r in result.rounds] == [(0, 755)]
+        # the blacked-out round drew nothing and took no beverage
+        assert result.rounds == run_session(simple_config(pool_of(3), clock_start=755, clock_end=760)).rounds
 
     def test_empty_pool_exhausts(self):
-        state = new_session_state(simple_config(pool_of(0)))
-        with pytest.raises(SessionExhausted):
-            run_round(state)
+        result = run_session(simple_config(pool_of(0)))
+        assert (result.rounds, result.skips) == ([], [])
+        # the pool runs out before the clock window closes
+        result = run_session(simple_config(pool_of(1), clock_end=610))
+        assert [r.clock for r in result.rounds] == [600] and result.skips == []
 
     def test_no_available_participants_skips(self):
         federation = [
             expert("A", 1.0),
             ParticipantProfile("D", availability_probability=1e-12),  # a round is possible, if never likely
         ]
-        config = simple_config(pool_of(2), federation=federation)
-        state = new_session_state(config)
-        outcome = run_round(state)
-        assert outcome == Omitted(600, OMIT_NO_PARTICIPANTS)
-        assert state.skips == [outcome]
+        result = run_session(simple_config(pool_of(2), federation=federation, clock_end=605))
+        assert result.rounds == []
+        assert result.skips == [Omitted(600, OMIT_NO_PARTICIPANTS)]
 
     def test_freeloader_accounting_hand_case(self):
         # 8 participants; the leader plus 3 available others review, 2 of
@@ -193,12 +209,11 @@ class TestRunRound:
             ParticipantProfile("X3", availability_probability=0.0),
             ParticipantProfile("X4", availability_probability=0.0),
         ]
-        config = simple_config(pool_of(2), federation=federation)
-        record = run_round(new_session_state(config))
+        (record,) = run_session(simple_config(pool_of(2), federation=federation, clock_end=605)).rounds
         assert isinstance(record, RoundRecord)
         assert record.leader_id == "L"
         assert record.reviewers == {"L", "F1", "F2", "P1"}
-        assert len(record.reviews) == 4
+        assert len(record.review_judges) == len(record.review_scores) == 4
         assert record.procurers == {"P1"}
         assert len(record.procurers) == 1 < len(record.reviewers)
         assert "L" not in record.procurers
@@ -209,7 +224,7 @@ class TestRunRound:
             ParticipantProfile("F1", availability_probability=1.0, freeload_probability=1.0),
             ParticipantProfile("F2", availability_probability=1.0, freeload_probability=1.0),
         ]
-        record = run_round(new_session_state(simple_config(pool_of(1), federation=federation)))
+        (record,) = run_session(simple_config(pool_of(1), federation=federation, clock_end=605)).rounds
         assert len(record.procurers) == 1
         assert record.procurers <= {"F1", "F2"}
 
@@ -255,7 +270,7 @@ class TestRunSession:
         assert result.dataset.judges == ["A", "B", "C"]
         assert {r.judge_id for r in result.dataset.reviews} <= {"A", "B", "C"}
         # the round log still carries everyone
-        all_reviewers = {r.judge_id for rec in result.rounds for r in rec.reviews}
+        all_reviewers = {judge for rec in result.rounds for judge in rec.review_judges}
         assert all_reviewers - {"A", "B", "C"}
 
     def test_amateurs_included_when_asked(self):
@@ -362,6 +377,6 @@ def test_round_log_writer_matches_json_dumps():
     result = run_session(config)
     empty = RoundRecord(9, 0, ids[0], ids[1], frozenset(), (), (), 0.5, 2.0)
     result = SessionResult(config, [*result.rounds, empty], [], Dataset())
-    expected = [json.dumps(r.to_json_dict(), sort_keys=True) for r in result.rounds]
+    expected = [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
     assert round_log_lines(result) == expected
     assert len(expected) == len(ids) + 1 and all("Infinity" in line for line in expected[2:-1])

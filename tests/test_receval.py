@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import beerfed
 from beerfed import receval
 from beerfed.errors import IngestError
 from beerfed.receval import (
@@ -12,19 +17,13 @@ from beerfed.receval import (
     RecommendationSet,
     RecommendationSlot,
     VerdictReason,
-    coverage,
     evaluate_model,
-    hit_at_k,
     load_recommendations,
-    mean_percentile,
-    mean_rating,
-    ndcg_at_k,
     normalize_name,
-    top_k_set,
     validate_recs,
 )
 from genutil import random_rec_instance
-from oracles import oracle_metrics
+from oracles import oracle_metrics, top_k_set
 
 NAMES = {"Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta", "Eta", "Theta"}
 
@@ -42,6 +41,10 @@ def card(**scores):
     return {normalize_name(k): v for k, v in scores.items()}
 
 
+def report(recs, cards, names=NAMES, **kw):
+    return evaluate_model(recs, cards, names, model_id="m", **kw)
+
+
 class TestValidateRecs:
     def test_all_valid(self):
         verdicts = validate_recs(recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon"), NAMES)
@@ -49,10 +52,10 @@ class TestValidateRecs:
         assert all(v.valid for v in verdicts)
 
     def test_short_set_padded_with_missing(self):
+        # one verdict per given slot; the fifth slot is missing, by count
         verdicts = validate_recs(recs_of("Alpha", "Beta", "Gamma", "Delta"), NAMES)
-        assert len(verdicts) == 5
-        assert [v.reason for v in verdicts[:4]] == [VerdictReason.OK] * 4
-        assert verdicts[4].reason == VerdictReason.MISSING
+        assert len(verdicts) == 4 and max(0, 5 - len(verdicts)) == 1
+        assert [v.reason for v in verdicts] == [VerdictReason.OK] * 4
         assert sum(v.valid for v in verdicts) == 4
 
     def test_duplicate_marks_later_occurrence_only(self):
@@ -96,6 +99,21 @@ class TestValidateRecs:
         assert len(verdicts) == 6
         assert verdicts[5].reason == VerdictReason.BAD_RANK
 
+    def test_huge_k_returns_in_bounded_memory(self):
+        # the child's address space is capped, so a verdict per unused slot
+        # fails here instead of exhausting memory
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+            "from beerfed.receval import RecommendationSet, RecommendationSlot, validate_recs\n"
+            "recs = RecommendationSet('m', 'J0', [RecommendationSlot('Alpha', 1), RecommendationSlot('Beta', 10**9)])\n"
+            "print([v.reason.value for v in validate_recs(recs, {'Alpha', 'Beta'}, k=10**9)])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "['OK', 'OK']"
+
 
 class TestCoverage:
     def scorecards(self):
@@ -104,7 +122,7 @@ class TestCoverage:
 
     def test_full_coverage(self):
         recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon", profile=f"J{i}") for i in range(3)}
-        assert coverage(recs, self.scorecards(), NAMES) == 1.0
+        assert report(recs, self.scorecards()).coverage == 1.0
 
     def test_thirteen_of_fifteen(self):
         recs = {
@@ -112,51 +130,51 @@ class TestCoverage:
             "J1": recs_of("Alpha", "Beta", "Gamma", "Delta", "Alpha"),  # one duplicate
             "J2": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon"),
         }
-        assert coverage(recs, self.scorecards(), NAMES) == pytest.approx(13 / 15, abs=0)
-        assert coverage(recs, self.scorecards(), NAMES) * 15 == pytest.approx(13, abs=1e-9)
+        assert report(recs, self.scorecards()).coverage == pytest.approx(13 / 15, abs=0)
+        assert report(recs, self.scorecards()).coverage * 15 == pytest.approx(13, abs=1e-9)
 
     def test_zero_coverage(self):
-        assert coverage({}, self.scorecards(), NAMES) == 0.0
+        assert report({}, self.scorecards()).coverage == 0.0
 
 
 class TestMeanRating:
     def test_single_valid_slot(self):
         recs = {"J0": recs_of("Alpha", ranks=[1])}
         cards = {"J0": card(Alpha=4.8, Beta=2.0)}
-        assert mean_rating(recs, cards, NAMES) == pytest.approx(4.8)
+        assert report(recs, cards).mean_rating == pytest.approx(4.8)
 
     def test_two_slots_average(self):
         recs = {"J0": recs_of("Alpha", "Beta")}
         cards = {"J0": card(Alpha=4.0, Beta=3.0)}
-        assert mean_rating(recs, cards, NAMES) == pytest.approx(3.5)
+        assert report(recs, cards).mean_rating == pytest.approx(3.5)
 
     def test_all_invalid_is_undefined(self):
         recs = {"J0": recs_of("Nope", "Nada")}
         cards = {"J0": card(Alpha=4.0, Beta=3.0)}
-        assert mean_rating(recs, cards, NAMES) is None
+        assert report(recs, cards).mean_rating is None
 
     def test_unscored_valid_slot_excluded(self):
         recs = {"J0": recs_of("Alpha", "Beta")}
         cards = {"J0": card(Alpha=4.0)}  # judge never scored Beta
-        assert mean_rating(recs, cards, NAMES) == pytest.approx(4.0)
+        assert report(recs, cards).mean_rating == pytest.approx(4.0)
 
 
 class TestMeanPercentile:
     def test_unique_top_is_one(self):
         recs = {"J0": recs_of("Alpha", ranks=[1])}
         cards = {"J0": card(Alpha=5.0, Beta=4.0, Gamma=3.0, Delta=2.0)}
-        assert mean_percentile(recs, cards, NAMES) == pytest.approx(1.0)
+        assert report(recs, cards).mean_percentile == pytest.approx(1.0)
 
     def test_unique_bottom_is_zero(self):
         recs = {"J0": recs_of("Delta", ranks=[1])}
         cards = {"J0": card(Alpha=5.0, Beta=4.0, Gamma=3.0, Delta=2.0)}
-        assert mean_percentile(recs, cards, NAMES) == pytest.approx(0.0)
+        assert report(recs, cards).mean_percentile == pytest.approx(0.0)
 
     def test_midrank_tie(self):
         # tied with one other, both above the remaining two of n=4
         recs = {"J0": recs_of("Alpha", ranks=[1])}
         cards = {"J0": card(Alpha=4.0, Beta=4.0, Gamma=3.0, Delta=2.0)}
-        assert mean_percentile(recs, cards, NAMES) == pytest.approx((2 + 0.5) / 3)
+        assert report(recs, cards).mean_percentile == pytest.approx((2 + 0.5) / 3)
 
     def test_judge_mean_then_judges_mean(self):
         recs = {
@@ -165,7 +183,7 @@ class TestMeanPercentile:
         }
         base = card(Alpha=5.0, Beta=4.0, Gamma=3.0, Delta=2.0)
         cards = {"J0": dict(base), "J1": dict(base)}
-        assert mean_percentile(recs, cards, NAMES) == pytest.approx(0.5)
+        assert report(recs, cards).mean_percentile == pytest.approx(0.5)
 
 
 class TestHitAtK:
@@ -177,7 +195,7 @@ class TestHitAtK:
 
     def test_exact_top_five_everywhere(self):
         recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon", profile=f"J{i}") for i in range(3)}
-        assert hit_at_k(recs, self.cards(), NAMES) == 1.0
+        assert report(recs, self.cards()).hit_rate == 1.0
 
     def test_five_of_fifteen(self):
         recs = {
@@ -185,7 +203,7 @@ class TestHitAtK:
             "J1": recs_of("Zeta", ranks=[1]),
             "J2": recs_of("Zeta", ranks=[1]),
         }
-        assert hit_at_k(recs, self.cards(), NAMES) == pytest.approx(5 / 15)
+        assert report(recs, self.cards()).hit_rate == pytest.approx(5 / 15)
 
     def test_two_of_fifteen(self):
         recs = {
@@ -193,7 +211,7 @@ class TestHitAtK:
             "J1": recs_of("Beta", ranks=[1]),
             "J2": recs_of("Zeta", ranks=[1]),
         }
-        assert hit_at_k(recs, self.cards(), NAMES) == pytest.approx(2 / 15)
+        assert report(recs, self.cards()).hit_rate == pytest.approx(2 / 15)
 
     def test_tie_at_cut_is_deterministic_by_name(self):
         scorecard = card(Alpha=5.0, Beta=4.0, Gamma=3.0, Delta=2.0, Epsilon=2.0, Zeta=2.0)
@@ -202,8 +220,8 @@ class TestHitAtK:
         assert top_k_set(scorecard, 5) == {"alpha", "beta", "gamma", "delta", "epsilon"}
         recs = {"J0": recs_of("Zeta", ranks=[1])}
         cards = {"J0": scorecard}
-        assert hit_at_k(recs, cards, NAMES) == 0.0
-        assert hit_at_k(recs, cards, NAMES, tie_mode="threshold") == pytest.approx(1 / 5)
+        assert report(recs, cards).hit_rate == 0.0
+        assert report(recs, cards, tie_mode="threshold").hit_rate == pytest.approx(1 / 5)
 
 
 class TestNdcgAtK:
@@ -212,11 +230,7 @@ class TestNdcgAtK:
 
     def test_ideal_order_is_one(self):
         recs = {"J0": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon")}
-        assert ndcg_at_k(recs, self.cards(), NAMES) == pytest.approx(1.0)
-
-    def test_all_invalid_is_zero(self):
-        recs = {"J0": recs_of("Nope", "Nada", "Never", "Nil", "Null")}
-        assert ndcg_at_k(recs, self.cards(), NAMES) == 0.0
+        assert report(recs, self.cards()).ndcg == pytest.approx(1.0)
 
     def test_ascending_order_value_frozen_from_oracle(self):
         # brute force over all 120 orderings confirms the ascending
@@ -235,13 +249,13 @@ class TestNdcgAtK:
         assert min_value == pytest.approx(0.7222433789799553, abs=1e-12)
 
         recs = {"J0": recs_of("Epsilon", "Delta", "Gamma", "Beta", "Alpha")}
-        assert ndcg_at_k(recs, self.cards(), NAMES) == pytest.approx(min_value, abs=1e-12)
+        assert report(recs, self.cards()).ndcg == pytest.approx(min_value, abs=1e-12)
 
     def test_bounded_by_one(self, rng):
         for _ in range(40):
             recs, _, cards, names = random_rec_instance(rng)
-            v = ndcg_at_k(recs, cards, names)
-            assert -1e-12 <= v <= 1.0 + 1e-12
+            v = report(recs, cards, names).ndcg
+            assert v is None or -1e-12 <= v <= 1.0 + 1e-12
 
 
 class TestEvaluateModel:
@@ -277,6 +291,13 @@ class TestEvaluateModel:
         assert report.hit_rate is None
         assert report.ndcg is None
 
+    def test_model_id_is_required_and_keyword_only(self):
+        recs = {"J0": recs_of("Alpha", ranks=[1])}
+        with pytest.raises(TypeError):
+            evaluate_model(recs, self.cards(), NAMES)
+        with pytest.raises(TypeError):
+            evaluate_model(recs, self.cards(), NAMES, 5, "m")
+
     def test_quantization_guard_rejects_corrupt_state(self):
         with pytest.raises(ValueError):
             MetricReport("bad", 4.0, 0.5, hit_rate=0.3, ndcg=0.8, coverage=1.0, n_profiles=3, k=5)
@@ -287,7 +308,7 @@ class TestEvaluateModel:
             judge = sorted(cards)[0]
             slots = list(recs[judge].slots)
             verdicts = validate_recs(recs[judge], names)
-            invalid = [v for v in verdicts if not v.valid and v.reason != VerdictReason.MISSING]
+            invalid = [v for v in verdicts if not v.valid]
             if not invalid:
                 continue
             before = evaluate_model(recs, cards, names, model_id="m")
@@ -457,10 +478,10 @@ class TestJudgeIndex:
             for k in (3, 5, 40):  # 40 exceeds every card
                 for judge, entry in JudgeIndex(cards, k).entries():
                     assert entry.top == frozenset(top_k_set(cards[judge], k))
-                plain = evaluate_model(recs, cards, names, k, "m", tie_mode)
-                assert evaluate_model(recs, JudgeIndex(cards, k), names, k, "m", tie_mode) == plain
+                plain = report(recs, cards, names, k=k, tie_mode=tie_mode)
+                assert report(recs, JudgeIndex(cards, k), names, k=k, tie_mode=tie_mode) == plain
                 # an index built for another k is rebuilt, never misread
-                assert evaluate_model(recs, JudgeIndex(cards, 5 if k != 5 else 3), names, k, "m", tie_mode) == plain
+                assert report(recs, JudgeIndex(cards, 5 if k != 5 else 3), names, k=k, tie_mode=tie_mode) == plain
                 expected = oracle_metrics(slots, cards, names, k, tie_mode)
                 assert (plain.coverage, plain.mean_rating, plain.mean_percentile, plain.hit_rate, plain.ndcg) == (
                     expected["coverage"], expected["mean_rating"], expected["mean_percentile"],
