@@ -15,25 +15,30 @@ canonical form (fixed column order, LF line endings, trailing newline,
 sorted JSON keys) so parse -> serialize round-trips byte-identically.
 
 A scorecard file repeats few distinct values (a 100-judge session has
-1,440 names and 41 scores over 144,000 rows), so ingest reads it in one
-pass into a columnar ``ReviewTable``: each distinct raw judge, name, score,
-tags and note cell is validated and coded once, and each distinct name is
-joined to its beverage once. Only successes are remembered: a bad or
-ambiguous value is never cached, so its error still names the first row
-and column that carry it. Output directories are written through
-``staged_outputs``, all files or none.
+1,440 names and 41 scores over 144,000 rows), so ingest reads it in
+bounded blocks of whole lines, a column at a time (split by ``str.split``
+while no line needs csv quoting rules), into a columnar ``ReviewTable``:
+each distinct raw cell is validated and coded once, an error naming the
+first non-blank row that holds it, and each distinct name is joined to its
+beverage once. Output directories are written through ``staged_outputs``,
+all files or none.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
+from io import StringIO
+from itertools import chain, count, islice, repeat
+from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -103,14 +108,13 @@ def _check_header(
 
 
 @contextmanager
-def _csv_records(path: str | Path, required: Sequence[str], optional: Sequence[str]):
-    """Open a UTF-8 CSV file (a leading byte-order mark is accepted), check
-    its header and give an iterator of ``(line, fields)`` over the non-blank
-    rows, where ``fields`` holds the row's cells in ``required`` then
-    ``optional`` order ("" for an optional column the file lacks). Column
-    positions are resolved once per file. A row with the wrong field count,
-    undecodable bytes and every other IngestError raised inside the
-    ``with`` block name the file."""
+def _csv_file(path: str | Path, required: Sequence[str], optional: Sequence[str]):
+    """Open a UTF-8 CSV file (a leading byte-order mark is accepted) and
+    check its header. Yields the open file, the ``csv.reader`` that read the
+    header, the header's field count and the position of each ``required``
+    then ``optional`` column (the field count for an optional column the
+    file lacks). Undecodable bytes, malformed CSV and every IngestError
+    raised inside the ``with`` block name the file."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -118,24 +122,8 @@ def _csv_records(path: str | Path, required: Sequence[str], optional: Sequence[s
             if header is None:
                 raise IngestError("file is empty (expected a header row)", row=1)
             _check_header(header, required, optional)
-            width = len(header)
             idx = {h.strip(): i for i, h in enumerate(header)}
-            # a column the file lacks reads the "" appended after the last field
-            pick = itemgetter(*(idx.get(c, width) for c in (*required, *optional)))
-
-            def records():
-                for record in reader:
-                    if not "".join(record).strip():
-                        continue
-                    if len(record) != width:
-                        raise IngestError(
-                            f"expected {width} fields, found {len(record)}",
-                            row=reader.line_num,
-                        )
-                    record.append("")
-                    yield reader.line_num, pick(record)
-
-            yield records()
+            yield fh, reader, len(header), [idx.get(c, len(header)) for c in (*required, *optional)]
     except UnicodeDecodeError as exc:
         reason = f"{exc.reason} (byte 0x{exc.object[exc.start]:02x})"
         raise IngestError(f"not UTF-8 text: {reason}", path=path) from None
@@ -144,6 +132,26 @@ def _csv_records(path: str | Path, required: Sequence[str], optional: Sequence[s
     except IngestError as exc:
         exc.path = path
         raise
+
+
+def _records(reader, width: int, positions: Sequence[int], before: int = 0) -> Iterator[tuple[int, tuple]]:
+    """``(line, the cells at positions)`` per non-blank record of a reader
+    that starts after line ``before``; a position past the last cell reads
+    "". A record without ``width`` fields is an IngestError."""
+    pick = itemgetter(*positions)
+    for record in reader:
+        if not "".join(record).strip():
+            continue
+        if len(record) != width:
+            raise IngestError(f"expected {width} fields, found {len(record)}", row=before + reader.line_num)
+        record.append("")
+        yield before + reader.line_num, pick(record)
+
+
+def _nonblank(cell: str, row: int | None, column: str) -> str:
+    if not cell.strip():
+        raise IngestError(f"{column} must not be empty", row=row, column=column)
+    return cell
 
 
 def _beverage_from_fields(
@@ -156,10 +164,8 @@ def _beverage_from_fields(
     bucket: Callable[[str], StyleFamily],
     row: int | None,
 ) -> Beverage:
-    if not producer.strip():
-        raise IngestError("brewery must not be empty", row=row, column="brewery")
-    if not name.strip():
-        raise IngestError("beer_name must not be empty", row=row, column="beer_name")
+    _nonblank(producer, row, "brewery")
+    _nonblank(name, row, "beer_name")
     try:
         abv = float(abv_raw)
     except (TypeError, ValueError):
@@ -193,8 +199,8 @@ def parse_beverages_csv(
     bucket = style_bucketer(families)
     beverages = []
     seen: set[tuple[str, str]] = set()
-    with _csv_records(path, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL) as records:
-        for row, fields in records:
+    with _csv_file(path, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL) as (_, reader, width, positions):
+        for row, fields in _records(reader, width, positions):
             beverage = _beverage_from_fields(*fields, bucket, row)
             key = (normalize_name(beverage.producer), normalize_name(beverage.name))
             if key in seen:
@@ -263,54 +269,108 @@ def write_beverages_csv(beverages: Iterable[Beverage], path: str | Path) -> None
     write_csv(path, header, map(record, beverages))
 
 
+_BLOCK = 1 << 18  # characters per scorecard block: a 144,000-row file read whole costs ~30 MB more
+_CSV_BLOCK_ROWS = 8192  # records per block once csv.reader reads the file
+
+
+def _scorecard_blocks(fh, reader, width: int, positions: Sequence[int]) -> Iterator[tuple[list, Sequence]]:
+    """The rest of a scorecard file, a block at a time, as each column's
+    cells (None for a column the file lacks) and each row's line. A block
+    with no quote or carriage return, no line over csv's field limit and
+    ``width - 1`` commas on every line is split as ``csv.reader`` would
+    split it. The first block that is not, and all after it, are read by
+    ``csv.reader``; a fault it raises comes after the rows before it."""
+    limit, line = csv.field_size_limit(), reader.line_num + 1
+    while block := fh.read(_BLOCK):
+        block += fh.readline()
+        text = block.removesuffix("\n")
+        rows = text.split("\n")
+        if ('"' in block or "\r" in block or max(map(len, rows)) > limit
+                or set(map(str.count, rows, repeat(","))) != {width - 1}):
+            break
+        n = len(rows)
+        del rows  # before the cells exist: the two together would be the memory peak
+        cells = text.replace("\n", ",").split(",")
+        yield [cells[p::width] if p < width else None for p in positions], range(line, line + n)
+        line += n
+    else:
+        return
+    records = _records(csv.reader(chain(StringIO(block, newline=""), fh)), width, positions, line - 1)
+    while True:
+        cells, lines, fault = [], [], None
+        try:
+            for row, fields in islice(records, _CSV_BLOCK_ROWS):
+                cells += fields
+                lines.append(row)
+        except (csv.Error, UnicodeDecodeError, IngestError) as exc:
+            fault = exc
+        yield [cells[c::len(positions)] for c in range(len(positions))], lines
+        if fault:
+            raise fault
+        if len(lines) < _CSV_BLOCK_ROWS:
+            return
+
+
 def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]]:
-    """Ingest a scorecard file in one pass, validating and coding each
-    distinct raw judge, name, score and tags cell once (errors still name
-    their first row); a row with a note but no tags takes the tags its note
-    implies. Returns the reviews, naming each beverage by its display name
-    until ``build_dataset`` joins it, and the line where each display name
-    first appears."""
-    judge_of, name_of, score_of, tags_of, note_of = {}, {}, {}, {}, {}  # raw cell -> code (score: value)
-    judge_ids, names = {}, {}  # vocabulary -> code
-    tag_sets: dict[frozenset[NoteTag], int] = {frozenset(): 0}
-    note_texts: dict[str | None, int] = {None: 0}
-    first_lines: list[int] = []
-    judge, beverage, score, tags, notes = [], [], [], [], []
-    with _csv_records(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as records:
-        for line, (judge_raw, name_raw, score_cell, tags_raw, note_raw) in records:
-            j = judge_of.get(judge_raw)
-            if j is None:
-                if not judge_raw.strip():
-                    raise IngestError("judge_id must not be empty", row=line, column="judge_id")
-                j = judge_of[judge_raw] = judge_ids.setdefault(judge_raw.strip(), len(judge_ids))
-            b = name_of.get(name_raw)
-            if b is None:
-                if not name_raw.strip():
-                    raise IngestError("beer_name must not be empty", row=line, column="beer_name")
-                name = " ".join(name_raw.split())
-                if name not in names:
-                    first_lines.append(line)
-                b = name_of[name_raw] = names.setdefault(name, len(names))
-            value = score_of.get(score_cell)
-            if value is None:
-                value = score_of[score_cell] = _parse_score(score_cell, line)
-            t = tags_of.get(tags_raw)
-            if t is None:
-                t = tags_of[tags_raw] = tag_sets.setdefault(_parse_tags(tags_raw, line, "tags"), len(tag_sets))
-            n = note_of.get(note_raw)
-            if n is None:
-                n = note_of[note_raw] = note_texts.setdefault(note_raw.strip() or None, len(note_texts))
-            if n and not t:  # a note without tags: derive them from the note
-                t = tag_sets.setdefault(derive_note_tags(note_raw), len(tag_sets))
-            judge.append(j)
-            beverage.append(b)
-            score.append(value)
-            tags.append(t)
-            notes.append(n)
-    table = ReviewTable(
-        tuple(judge_ids), tuple(names), tuple(tag_sets), tuple(note_texts),
-        *(np.array(codes, dtype=np.intp) for codes in (judge, beverage, tags, notes)), np.array(score),
-    )
+    """Ingest a scorecard file a block and a column at a time (errors name
+    the earliest faulty row, then column); blank rows are skipped and a row
+    with a note but no tags takes the tags its note implies. Returns the
+    reviews, naming each beverage by its display name until
+    ``build_dataset`` joins it, and the line where each display name first
+    appears."""
+    parsers = (lambda cell, line: _nonblank(cell, line, "judge_id").strip(),
+               lambda cell, line: " ".join(_nonblank(cell, line, "beer_name").split()),
+               _parse_score, partial(_parse_tags, column="tags"), lambda cell, line: cell.strip() or None)
+    vocabs = judge_ids, names, _, tag_sets, note_texts = {}, {}, None, {frozenset(): 0}, {None: 0}  # value -> code
+    firsts = [{} for _ in parsers]  # raw cell -> its raw code, the row it first appears on
+    raws = [[np.empty(0, np.int32)] for _ in parsers]  # each block's raw codes
+    line_blocks, start, fault = [np.empty(0, np.int32)], 0, None
+    with _csv_file(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as (fh, reader, width, positions):
+        try:
+            for cells, lines in _scorecard_blocks(fh, reader, width, positions):
+                for first, raw, col in zip(firsts, raws, cells):
+                    raw.append(np.full(len(lines), first.setdefault("", start), np.int32) if col is None
+                               else np.fromiter(map(first.setdefault, col, count(start)), np.int32, len(col)))
+                line_blocks.append(np.asarray(lines, np.int32))
+                start += len(lines)
+        except (csv.Error, UnicodeDecodeError, IngestError) as exc:  # reported unless a faulty cell comes first
+            fault = exc
+        lines = np.concatenate(line_blocks)
+        for k, raw in enumerate(raws):  # one column's blocks at a time: memory is the bound here
+            raws[k] = np.concatenate(raw)
+        kept = ~np.logical_and.reduce([np.isin(raw, [code for cell, code in first.items() if not cell.strip()])
+                                       for first, raw in zip(firsts, raws)])  # not a blank row
+        codes, faults, first_lines = [], [], []
+        for k, (parse, vocab, first, raw) in enumerate(zip(parsers, vocabs, firsts, raws)):
+            lookup, bad = np.zeros(start, np.intp if vocab is not None else float), {}  # a score is its own code
+            for cell, code in first.items():  # in the order of first rows
+                try:
+                    value = parse(cell, int(lines[code]))
+                except IngestError as exc:
+                    bad[code] = exc
+                    continue
+                lookup[code] = value if vocab is None else vocab.setdefault(value, len(vocab))
+                if vocab is names and len(names) > len(first_lines):
+                    first_lines.append(int(lines[code]))
+            hit = np.flatnonzero(np.isin(raw, list(bad)) & kept)  # bad cells on non-blank rows
+            if hit.size:
+                faults.append((int(hit[0]), k, bad[int(raw[hit[0]])]))
+            codes.append(lookup[raw if kept.all() else raw[kept]])
+            raws[k] = None
+        if faults:
+            row, _, exc = min(faults, key=itemgetter(0, 1))
+            exc.row = int(lines[row])
+            raise exc
+        if fault:
+            raise fault
+    judge, name, score, tags, notes = codes
+    derive, texts = (tags == 0) & (notes != 0), tuple(note_texts)  # a note without tags: the tags it implies
+    if derive.any():
+        derived = np.zeros(len(texts), np.intp)
+        for n in np.unique(notes[derive]).tolist():
+            derived[n] = tag_sets.setdefault(derive_note_tags(texts[n]), len(tag_sets))
+        tags = np.where(derive, derived[notes], tags)
+    table = ReviewTable(tuple(judge_ids), tuple(names), tuple(tag_sets), texts, judge, name, tags, notes, score)
     return table, tuple(first_lines)
 
 
@@ -332,7 +392,15 @@ def _parse_score(cell: str, line: int) -> float:
     return score
 
 
+def _csv_cell(cell: str) -> str:
+    """``cell`` as ``csv.writer`` writes it beside another (alone, "" is quoted)."""
+    out = StringIO()
+    csv.writer(out, lineterminator="\n").writerow((cell, ""))
+    return out.getvalue()[:-2]
+
+
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
+    """``write_csv``'s bytes, streamed from each distinct cell quoted once."""
     table = dataset.reviews
     by_id = {b.id: b for b in dataset.beverages}
     values, score_codes = np.unique(table.score, return_inverse=True)  # the 41 grid scores
@@ -349,7 +417,12 @@ def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
         if any(cell for cell, n in zip(cells, np.bincount(codes, minlength=len(cells))) if n):
             header.append(column)
             columns.append((cells, codes))
-    write_csv(path, header, zip(*(map(cells.__getitem__, codes.tolist()) for cells, codes in columns)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        ends = [","] * (len(columns) - 1) + ["\n"]  # each cell carries the separator after it
+        pieces = [np.array([_csv_cell(cell) + end for cell in cells], dtype=object)[codes]  # by reference
+                  for (cells, codes), end in zip(columns, ends)]
+        fh.writelines(map("".join, zip(*pieces)))
 
 
 def build_dataset(beverages: list[Beverage], scorecards: tuple[ReviewTable, tuple[int, ...]]) -> Dataset:
@@ -523,7 +596,26 @@ def load_session_config(
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) +
+    "\\n"``, without the pure-Python encoder ``indent`` forces on it."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    """Containers indented by hand around C-encoded leaves."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is int or (kind is float and math.isfinite(obj)):
+        return kind.__repr__(obj)
+    inner = newline + "  "
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        items, brackets = [f"{encode_basestring(key)}: {_encode(obj[key], inner)}" for key in sorted(obj)], "{}"
+    elif kind in (list, tuple) and obj:
+        items, brackets = [_encode(item, inner) for item in obj], "[]"
+    else:  # enums, non-finite floats, empty containers, other keys; a JSON string holds no raw newline
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", newline)
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 class _ReviewSuffixes(dict):

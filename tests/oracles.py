@@ -2,7 +2,11 @@
 
 Everything here is written with plain dict/loop arithmetic, deliberately
 sharing no code with the package, so tests can cross-check the pipeline
-against a second derivation of the same definitions.
+against a second derivation of the same definitions. The one exception is
+``oracle_parse_scorecards``, the package's former row-by-row scorecard
+ingest: it shares the header check, ``csv.reader`` loop and cell validators
+with ``beerfed.io``, so it checks the tokenizing, coding and error order of
+the block-and-column ingest, not the validators.
 """
 
 import csv
@@ -272,6 +276,61 @@ def oracle_load_dataset(beverages, scorecards_path):
         score = float(row["raw_score"].strip())
         reviews.append((row["judge_id"].strip(), matches[0] if matches else key, score, tags, note))
     return sorted({r[0] for r in reviews}), reviews
+
+
+def oracle_parse_scorecards(path):
+    """``parse_scorecards_csv`` one ``csv.reader`` row at a time, validating
+    and coding each distinct raw judge, name, score and tags cell once
+    (errors still name their first row); a row with a note but no tags
+    takes the tags its note implies. Returns the ReviewTable and the line
+    where each display name first appears."""
+    from beerfed.io import (SCORECARD_COLUMNS, SCORECARD_OPTIONAL, _csv_file, _parse_score, _parse_tags,
+                            _records)
+    from beerfed.errors import IngestError
+    from beerfed.model import ReviewTable, derive_note_tags
+
+    judge_of, name_of, score_of, tags_of, note_of = {}, {}, {}, {}, {}  # raw cell -> code (score: value)
+    judge_ids, names = {}, {}  # vocabulary -> code
+    tag_sets = {frozenset(): 0}
+    note_texts = {None: 0}
+    first_lines = []
+    judge, beverage, score, tags, notes = [], [], [], [], []
+    with _csv_file(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as (_, reader, width, positions):
+        for line, (judge_raw, name_raw, score_cell, tags_raw, note_raw) in _records(reader, width, positions):
+            j = judge_of.get(judge_raw)
+            if j is None:
+                if not judge_raw.strip():
+                    raise IngestError("judge_id must not be empty", row=line, column="judge_id")
+                j = judge_of[judge_raw] = judge_ids.setdefault(judge_raw.strip(), len(judge_ids))
+            b = name_of.get(name_raw)
+            if b is None:
+                if not name_raw.strip():
+                    raise IngestError("beer_name must not be empty", row=line, column="beer_name")
+                name = " ".join(name_raw.split())
+                if name not in names:
+                    first_lines.append(line)
+                b = name_of[name_raw] = names.setdefault(name, len(names))
+            value = score_of.get(score_cell)
+            if value is None:
+                value = score_of[score_cell] = _parse_score(score_cell, line)
+            t = tags_of.get(tags_raw)
+            if t is None:
+                t = tags_of[tags_raw] = tag_sets.setdefault(_parse_tags(tags_raw, line, "tags"), len(tag_sets))
+            n = note_of.get(note_raw)
+            if n is None:
+                n = note_of[note_raw] = note_texts.setdefault(note_raw.strip() or None, len(note_texts))
+            if n and not t:  # a note without tags: derive them from the note
+                t = tag_sets.setdefault(derive_note_tags(note_raw), len(tag_sets))
+            judge.append(j)
+            beverage.append(b)
+            score.append(value)
+            tags.append(t)
+            notes.append(n)
+    table = ReviewTable(
+        tuple(judge_ids), tuple(names), tuple(tag_sets), tuple(note_texts),
+        *(np.array(codes, dtype=np.intp) for codes in (judge, beverage, tags, notes)), np.array(score, dtype=float),
+    )
+    return table, tuple(first_lines)
 
 
 def oracle_validate_dataset(beverages, judges, reviews):

@@ -712,6 +712,15 @@ class TestInputBoundary:
         (record,) = error_records(capsys)
         assert record["code"] == "INGEST" and record["message"].startswith(f"{cards}: malformed CSV")
 
+    def test_unquoted_oversized_csv_field_exits_4(self, sim_outputs, tmp_path, capsys):
+        cards = tmp_path / "huge.csv"
+        cards.write_text("judge_id,beer_name,raw_score\nA," + "x" * 200_000 + ",3.0\n", encoding="utf-8")
+        argv = analyze_argv(cards, sim_outputs / "beverages.csv", tmp_path / "out")
+        assert cli.main(["--json-errors", *argv]) == 4
+        (record,) = error_records(capsys)
+        assert record["code"] == "INGEST"
+        assert record["message"].startswith(f"{cards}: malformed CSV: field larger than field limit")
+
     @pytest.mark.parametrize("argv", [analyze_argv, eval_argv])
     @pytest.mark.parametrize(
         "extra_row, code",

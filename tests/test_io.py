@@ -1,12 +1,19 @@
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import beerfed.io
 from beerfed import model
 from beerfed.errors import ConfigurationError, IngestError
 from beerfed.io import (
+    beverage_id_for,
     build_dataset,
+    canonical_json,
     load_dataset,
     load_session_config,
     parse_beverages_csv,
@@ -14,10 +21,11 @@ from beerfed.io import (
     write_beverages_csv,
     write_scorecards_csv,
 )
-from beerfed.model import AbvBand, Dataset, NoteTag, Review, validate_dataset
+from beerfed.model import AbvBand, Beverage, Dataset, NoteTag, Review, derive_note_tags, style_bucketer, validate_dataset
 from beerfed.scoring import build_score_matrix, tag_report
 from oracles import (
     oracle_load_dataset,
+    oracle_parse_scorecards,
     oracle_scorecards_csv,
     oracle_score_matrix,
     oracle_tag_report,
@@ -218,26 +226,107 @@ def review_tuples(dataset):
     ]
 
 
-def random_scorecards(rng):
+SCORECARD_STYLES = ("plain", "quote_all", "crlf", "bom")
+
+
+def random_scorecards(rng, style="plain", faults=0):
     """Scorecard text with repeated and differently spelled judges and
-    names (some naming no beverage), duplicate pairs, tags and notes in
-    any column order, blank rows and sometimes a byte-order mark."""
+    names (some naming no beverage), duplicate pairs, tags and notes (some
+    holding commas, quotes or line breaks) in any column order, and blank
+    rows. ``style`` writes it through ``csv.writer``: "plain" (cells quoted
+    only where needed, LF lines, sometimes a byte-order mark), "quote_all"
+    (every cell quoted), "crlf" (CRLF lines) or "bom" (always a byte-order
+    mark). Each of ``faults`` rows gets a bad score, a blank judge or
+    name, a name with a bare carriage return (which csv.writer leaves
+    unquoted), an unknown tag, or a missing or extra cell."""
     cells = {
         "judge_id": ["A", " A", "B ", "C", "dana"],
         "beer_name": ["Mango Sour", "  mango   SOUR ", "Night Shift", "NIGHT SHIFT", "Morning Shift",
                       "Ghost Brew", "ghost  brew"],
         "raw_score": ["1", "1.0", "2.5", " 3.7 ", "4", "4.9", "5.0"],
         "tags": ["", "", "real_flavour", "artificial_flavour;other", " other ", "real_flavour;artificial_flavour"],
-        "note": ["", "", "a real treat", "Artificial!", "  ", "plain", "really artificial"],
+        "note": ["", "", "a real treat", "Artificial!", "  ", "plain", "really artificial",
+                 'tart, "real" mango', "two\nlines", "crlf\r\nreal"],
     }
     columns = ["judge_id", "beer_name", "raw_score"] + [c for c in ("tags", "note") if rng.random() < 0.6]
     columns = [columns[i] for i in rng.permutation(len(columns))]
-    lines = [",".join(columns)]
+    rows, data = [columns], []
     for _ in range(int(rng.integers(0, 40))):
         if rng.random() < 0.1:
-            lines.append(str(rng.choice(["", ",,", "  "])))
-        lines.append(",".join(cells[c][int(rng.integers(len(cells[c])))] for c in columns))
-    return ("\ufeff" if rng.random() < 0.3 else "") + "\n".join(lines) + "\n"
+            rows.append([[], ["  "], [""] * len(columns), [" ", "\t"] + [""] * (len(columns) - 2)][int(rng.integers(4))])
+        data.append([cells[c][int(rng.integers(len(cells[c])))] for c in columns])
+        rows.append(data[-1])
+    bad = {"raw_score": ["4.25", "0.9", "five", " "], "judge_id": ["", "  "], "beer_name": [" ", "bare\rreturn"],
+           "tags": ["fake_tag", "other;nope"]}
+    for _ in range(faults if data else 0):
+        row = data[int(rng.integers(len(data)))]
+        kinds = [c for c in columns if c in bad] + ["short", "long"]
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append("extra")
+        elif columns.index(kind) < len(row):  # the cell is still there
+            row[columns.index(kind)] = bad[kind][int(rng.integers(len(bad[kind])))]
+    out = io.StringIO()
+    quoting = csv.QUOTE_ALL if style == "quote_all" else csv.QUOTE_MINIMAL
+    csv.writer(out, lineterminator="\r\n" if style == "crlf" else "\n", quoting=quoting).writerows(rows)
+    bom = style == "bom" or (style == "plain" and rng.random() < 0.3)
+    return "\ufeff" * bom + out.getvalue()
+
+
+def ingest_outcome(parse, path):
+    """What a scorecard parser makes of a file: the error text, or every
+    review with the judge, name and note vocabularies in order, the set of
+    tag sets and each name's first line."""
+    try:
+        table, first_lines = parse(path)
+    except IngestError as exc:
+        return str(exc)
+    return list(table), table.judge_ids, table.beverage_ids, table.note_texts, set(table.tag_sets), first_lines
+
+
+class TestBlockIngestOracle:
+    """The block-and-column scorecard ingest against the row-by-row
+    reference, on files written four ways and read in blocks of a line or a
+    few lines as well as the real size."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), style=st.sampled_from(SCORECARD_STYLES),
+           faults=st.sampled_from([0, 0, 1, 2]), block=st.sampled_from([1, 40, beerfed.io._BLOCK]),
+           csv_rows=st.sampled_from([1, 3, beerfed.io._CSV_BLOCK_ROWS]))
+    def test_matches_row_by_row_reference(self, tmp_path, seed, style, faults, block, csv_rows):
+        path = write(tmp_path, "s.csv", random_scorecards(np.random.default_rng(seed), style, faults))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(beerfed.io, "_BLOCK", block)
+            patch.setattr(beerfed.io, "_CSV_BLOCK_ROWS", csv_rows)
+            assert ingest_outcome(parse_scorecards_csv, path) == ingest_outcome(oracle_parse_scorecards, path)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [[], [(20_000, "judge_id")], [(35_000, "raw_score"), (36_000, "short")],
+         [(33_000, "short"), (35_000, "raw_score")], [(20_000, "tags"), (20_000, "raw_score")]],
+        ids=["clean", "plain-block-fault", "csv-fault-first", "field-count-first", "column-order"],
+    )
+    def test_multi_block_file_matches_reference(self, tmp_path, faults):
+        rows = [["judge_id", "beer_name", "raw_score", "tags"]]
+        rows += [[f"J{i % 97}", f"Beverage {i % 1440:04d}", f"{1 + i % 41 / 10:.1f}", ""] for i in range(40_000)]
+        rows[15_000] = [" ", "", "", ""]  # the first blank row, in a later plain block
+        rows[30_000][1] = 'Beverage "0000"'  # the first quoted cell: csv.reader from here
+        for row, kind in faults:
+            if kind == "short":
+                rows[row].pop()
+            else:
+                rows[row][rows[0].index(kind)] = {"judge_id": " ", "raw_score": "6.0", "tags": "fake"}[kind]
+        path = tmp_path / "s.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        text = path.read_text(encoding="utf-8")
+        assert min(text.index('"'), text.index("\n ,,,\n")) > beerfed.io._BLOCK
+        assert all(text.index("\n" + ",".join(rows[row]) + "\n") > beerfed.io._BLOCK for row, _ in faults)
+        outcome = ingest_outcome(parse_scorecards_csv, path)
+        assert outcome == ingest_outcome(oracle_parse_scorecards, path)
+        assert isinstance(outcome, str) == bool(faults)
 
 
 class TestColumnarIngestOracle:
@@ -247,8 +336,8 @@ class TestColumnarIngestOracle:
         beverages_path = write(tmp_path, "b.csv", BEVERAGES)
         beverages = parse_beverages_csv(beverages_path)
         ids = [b.id for b in beverages]
-        for _ in range(150):
-            cards = write(tmp_path, "s.csv", random_scorecards(rng))
+        for i in range(150):
+            cards = write(tmp_path, "s.csv", random_scorecards(rng, SCORECARD_STYLES[i % 4]))
             dataset = load_dataset(beverages_path, cards)
             judges, reviews = oracle_load_dataset(beverages, cards)
             assert review_tuples(dataset) == reviews
@@ -258,7 +347,7 @@ class TestColumnarIngestOracle:
             expected = oracle_score_matrix(judges, ids, [Review(*r[:3]) for r in reviews])
             assert np.array_equal(build_score_matrix(dataset).cells, np.array(expected).reshape(len(judges), len(ids)), equal_nan=True)
             write_scorecards_csv(dataset, tmp_path / "out.csv")
-            assert (tmp_path / "out.csv").read_text(encoding="utf-8") == oracle_scorecards_csv(beverages, reviews)
+            assert (tmp_path / "out.csv").read_bytes().decode("utf-8") == oracle_scorecards_csv(beverages, reviews)
             means = {t.family: (t.real_mean, t.artificial_mean, t.real_count, t.artificial_count)
                      for t in tag_report(dataset)}
             assert means == {
@@ -303,6 +392,88 @@ class TestRoundTrips:
         again = tmp_path / "s_again.csv"
         write_scorecards_csv(dataset2, again)
         assert again.read_text(encoding="utf-8") == canonical
+
+
+TEXT_PIECES = ["Stout", "ale", " ", ",", '"', "\n", "\r\n", ";", "é", "Ærø", "日本", "🍺", "x"]
+
+
+def random_text(rng, pieces=TEXT_PIECES):
+    return "".join(pieces[int(i)] for i in rng.integers(len(pieces), size=int(rng.integers(1, 8))))
+
+
+def random_text_dataset(rng):
+    """Beverages and reviews already in the form ingest gives them, whose
+    producers, names, styles, judges and notes hold commas, quotes, LF and
+    CRLF line breaks, semicolons and non-ASCII text."""
+    bucket = style_bucketer(None)
+    tags = list(NoteTag)
+    beverages = {}
+    for i in range(int(rng.integers(1, 8))):
+        producer, style = random_text(rng).strip() or "P", random_text(rng).strip()
+        name = " ".join(f"{random_text(rng)} {i}".split())
+        if name.casefold() not in beverages:  # every name joins one beverage
+            ingredients = frozenset(filter(None, (random_text(rng, TEXT_PIECES[:-1]).replace(";", "").strip()
+                                                  for _ in range(int(rng.integers(3))))))
+            beverages[name.casefold()] = Beverage(
+                id=beverage_id_for(producer, name), producer=producer, name=name, raw_style=style,
+                style_family=bucket(style).name, abv=float(rng.uniform(0.1, 100.0)), ingredients=ingredients or None,
+                note_tags=frozenset(t for t in tags if rng.random() < 0.3),
+            )
+    beverages = list(beverages.values())
+    judges = [j for j in (random_text(rng).strip() for _ in range(3)) if j] or ["J"]
+    reviews = []
+    for _ in range(int(rng.integers(0, 12))):
+        note = random_text(rng).strip() if rng.random() < 0.5 else None
+        tagged = frozenset(t for t in tags if rng.random() < 0.3)
+        reviews.append(Review(judges[int(rng.integers(len(judges)))], beverages[int(rng.integers(len(beverages)))].id,
+                              int(rng.integers(10, 51)) / 10, tagged or derive_note_tags(note), note or None))
+    return Dataset(beverages, reviews, sorted({r.judge_id for r in reviews}))
+
+
+class TestWriterReaderRoundTrip:
+    """Written, then read back by the other side: the beverage and
+    scorecard writers quote what the readers, csv.reader included, need."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_parse_of_written_dataset_is_the_dataset(self, tmp_path, seed):
+        dataset = random_text_dataset(np.random.default_rng(seed))
+        write_beverages_csv(dataset.beverages, tmp_path / "b.csv")
+        write_scorecards_csv(dataset, tmp_path / "s.csv")
+        assert parse_beverages_csv(tmp_path / "b.csv") == dataset.beverages
+        assert build_dataset(dataset.beverages, parse_scorecards_csv(tmp_path / "s.csv")) == dataset
+
+
+JSON_KEYS = st.text(st.sampled_from(['a', 'Z', 'é', '日', '🍺', '"', '\\', '\n', '\x00', '\x1f', '\u2028', ' ']), max_size=4)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+    JSON_KEYS,
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(JSON_KEYS, children, max_size=5),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_bytes_equal_json_dumps(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+    def test_enum_values_encode_as_json_does(self):
+        value = {"tags": [NoteTag.REAL_FLAVOUR, {"band": AbvBand.LOW}], NoteTag.OTHER: 1.5}
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert '"real_flavour"' in canonical_json(value)
+
+    @pytest.mark.parametrize("value", [object(), {"a": [1, {2, 3}]}, {"a": {"b": object()}}])
+    def test_unserializable_value_raises_type_error(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json(value)
 
 
 class TestSessionConfigFile:
