@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 import os as _os
 import sys as _sys
+from importlib import import_module as _import_module
 
 # OpenBLAS starts a thread pool when numpy loads, sized from these
 # variables, and reads them only then. beerfed's one BLAS call is a small
@@ -19,47 +20,42 @@ if "numpy" not in _sys.modules and not any(
         import numpy as _numpy  # noqa: F401
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
+import numpy as _numpy  # noqa: E402, F401  (every module needs it, so `import beerfed` loads it)
 
-from .model import (
-    AbvBand,
-    Beverage,
-    Dataset,
-    NoteTag,
-    Review,
-    StyleFamily,
-    Violation,
-    classify_abv,
-    validate_dataset,
-)
-from .protocol import (
-    CostParams,
-    ParticipantProfile,
-    RoundRecord,
-    SessionConfig,
-    communication_costs,
-    run_session,
-)
-from .receval import (
-    JudgeIndex,
-    MetricReport,
-    RecommendationSet,
-    RecommendationSlot,
-    SlotVerdict,
-    evaluate_model,
-    validate_recs,
-)
-from .scoring import (
-    AggregateRanking,
-    ScoreMatrix,
-    agreement,
-    aggregate,
-    build_score_matrix,
-    divisiveness,
-    judge_stats,
-    normalize,
-    per_style_distribution,
-    tag_report,
-)
+
+def _resolver(namespace: dict, sources: dict[str, str]):
+    """A PEP 562 module ``__getattr__`` for ``namespace``: a name in
+    ``sources`` imports the beerfed module ``sources[name]`` on first use
+    and is then bound in ``namespace``, so later lookups (and callers that
+    replace it) never reach the hook."""
+
+    def __getattr__(name: str):
+        if name not in sources:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(_import_module(f"beerfed.{sources[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+# each public name -> the module defining it; `import beerfed` loads none
+# of them, only numpy
+__getattr__ = _resolver(globals(), {
+    **dict.fromkeys(("AbvBand", "Beverage", "Dataset", "NoteTag", "Review", "StyleFamily", "Violation",
+                     "classify_abv", "validate_dataset"), "model"),
+    **dict.fromkeys(("CostParams", "ParticipantProfile", "RoundRecord", "SessionConfig",
+                     "communication_costs", "run_session"), "protocol"),
+    **dict.fromkeys(("JudgeIndex", "MetricReport", "RecommendationSet", "RecommendationSlot", "SlotVerdict",
+                     "evaluate_model", "validate_recs"), "receval"),
+    **dict.fromkeys(("AggregateRanking", "ScoreMatrix", "agreement", "aggregate", "build_score_matrix",
+                     "divisiveness", "judge_stats", "normalize", "per_style_distribution", "tag_report"),
+                    "scoring"),
+})
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "AbvBand",

@@ -4,6 +4,12 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 data
 validation error, 5 strict-mode evaluation error. ``main`` turns every
 failure into its exit code and diagnostic code through ``EXIT_TABLE``;
 only eval-recs' --strict handler returns 5 itself.
+
+Every command runs ``io`` and ``model``; the modules only some commands
+run (``protocol``, ``reports``, ``scoring``, ``receval``, ``decimal``) are
+imported on first use. Their stage functions stay attributes of this
+module, and the commands call them through it, so a caller that replaces
+``cli.<stage>`` replaces what runs.
 """
 
 from __future__ import annotations
@@ -13,10 +19,9 @@ import glob as globmod
 import json
 import math
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
-from . import __version__
+from . import __version__, _resolver
 from .errors import (
     ConfigurationError,
     DatasetValidationError,
@@ -32,17 +37,14 @@ from .io import (
     write_csv,
     write_session_outputs,
 )
-from .model import Severity, load_style_families, validate_dataset
-from .protocol import run_session
-from .receval import (
-    DEFAULT_K,
-    JudgeIndex,
-    evaluate_model,
-    load_recommendations,
-    normalize_name,
-)
-from .reports import analyze_dataset
-from .scoring import build_score_matrix, normalize
+from .model import DEFAULT_K, Severity, load_style_families, normalize_name, validate_dataset
+
+__getattr__ = _resolver(globals(), {
+    "run_session": "protocol", "analyze_dataset": "reports", "build_score_matrix": "scoring",
+    "normalize": "scoring", "JudgeIndex": "receval", "evaluate_model": "receval",
+    "load_recommendations": "receval",
+})
+_cli = sys.modules[__name__]  # stage lookups go through the module, see the docstring
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,7 +122,7 @@ def cmd_simulate(args, diag: Diagnostics) -> int:
     config = load_session_config(args.config, _load_families(args.families))
     if args.seed is not None:
         config.seed = args.seed
-    result = run_session(config)
+    result = _cli.run_session(config)
     paths = write_session_outputs(result, args.out)
     diag.emit(
         "info",
@@ -134,7 +136,7 @@ def cmd_simulate(args, diag: Diagnostics) -> int:
 
 def cmd_analyze(args, diag: Diagnostics) -> int:
     families, dataset, violations = _checked_dataset(args, diag, lenient=args.lenient)
-    paths = analyze_dataset(
+    paths = _cli.analyze_dataset(
         dataset,
         args.out_dir,
         violations,
@@ -148,6 +150,7 @@ def cmd_analyze(args, diag: Diagnostics) -> int:
 
 
 def _display(value: float | None) -> str:
+    from decimal import ROUND_HALF_EVEN, Decimal
     if value is None:
         return "NA"
     return str(Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN))
@@ -160,19 +163,19 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         raise ConfigurationError(f"--out {out_path}: the JSON table would overwrite the CSV table there")
     _, dataset, _ = _checked_dataset(args, diag)
 
-    matrix = build_score_matrix(dataset)
+    matrix = _cli.build_score_matrix(dataset)
     if not matrix.judges:
         raise InsufficientDataError("no judge has a scorecard to evaluate recommendations against",
                                     path=args.scorecards)
     if args.normalized:
         try:
-            matrix = normalize(matrix)
+            matrix = _cli.normalize(matrix)
         except DegenerateRowError as exc:
             diag.warning(f"{exc}; their scores map to 0.5", code="DEGENERATE")
-            matrix = normalize(matrix, lenient=True)
+            matrix = _cli.normalize(matrix, lenient=True)
     # plain floats: _display needs repr() of a Python float
     keys = [normalize_name(b.name) for b in dataset.beverages]
-    scorecards = JudgeIndex(
+    scorecards = _cli.JudgeIndex(
         {
             judge: {key: score for key, score in zip(keys, row) if not math.isnan(score)}
             for judge, row in zip(matrix.judges, matrix.cells.tolist())
@@ -187,7 +190,7 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
     rows = []
     for path in paths:
         try:
-            recs = load_recommendations(path)
+            recs = _cli.load_recommendations(path)
         except (IngestError, OSError) as exc:  # an IngestError's message names the file
             reason = str(exc) if isinstance(exc, IngestError) else f"{path}: {exc.strerror or exc}"
             if args.strict:
@@ -200,7 +203,7 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
             diag.warning(
                 f"{path}: profile {extra!r} has no scorecard; ignored", code="EVAL"
             )
-        report = evaluate_model(
+        report = _cli.evaluate_model(
             {pid: s for pid, s in recs.sets.items() if pid in known},
             scorecards,
             beverage_names,

@@ -11,17 +11,20 @@ Formats:
 
 Beverage name is the join key between scorecards and beverage lists,
 matched case-insensitively with collapsed whitespace. Serializers emit a
-canonical form (fixed column order, LF line endings, trailing newline,
-sorted JSON keys) so parse -> serialize round-trips byte-identically.
+canonical form (fixed column order, LF line endings, a cell holding "\\r"
+or "\\n" quoted, trailing newline, sorted JSON keys) so parse -> serialize
+round-trips byte-identically.
 
 A scorecard file repeats few distinct values (a 100-judge session has
 1,440 names and 41 scores over 144,000 rows), so ingest reads it in
-bounded blocks of whole lines, a column at a time (split by ``str.split``
-while no line needs csv quoting rules), into a columnar ``ReviewTable``:
-each distinct raw cell is validated and coded once, an error naming the
-first non-blank row that holds it, and each distinct name is joined to its
-beverage once. Output directories are written through ``staged_outputs``,
-all files or none.
+bounded blocks of whole lines, a column at a time (split by ``str.split``,
+LF or CRLF lines alike, while no line needs csv quoting rules), into a
+columnar ``ReviewTable``: each distinct raw cell is validated and coded
+once, an error naming the first non-blank row that holds it, and each
+distinct name is joined to its beverage once. Output directories are
+written through ``staged_outputs``, all files or none. Only
+``load_session_config`` imports ``protocol``, so analyze and eval-recs
+never load it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,10 +62,12 @@ from .model import (
     _json_str,
     _read_json,
     derive_note_tags,
+    normalize_name,
     style_bucketer,
 )
-from .protocol import CostParams, ParticipantProfile, SessionConfig, SessionResult
-from .receval import normalize_name
+
+if TYPE_CHECKING:
+    from .protocol import ParticipantProfile, SessionConfig, SessionResult
 
 BEVERAGE_COLUMNS = ("brewery", "beer_name", "beer_style", "abv_percent")
 BEVERAGE_OPTIONAL = ("ingredients", "tags")
@@ -214,12 +220,20 @@ def parse_beverages_csv(
     return beverages
 
 
+def _csv_writer(fh):
+    """``csv.writer`` with LF line endings that quotes a cell holding a
+    carriage return as it quotes one holding "\\n" (ending rows with "\\n"
+    alone, it leaves "\\r" bare and a reader ends the row there): it ends
+    each row with "\\r\\n", in one write that drops the "\\r"."""
+    return csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")), lineterminator="\r\n")
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
     """The one CSV writer: UTF-8, LF line endings and a header row; the csv
     module writes None as an empty cell, floats by repr and other values
     by str()."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -276,21 +290,23 @@ _CSV_BLOCK_ROWS = 8192  # records per block once csv.reader reads the file
 def _scorecard_blocks(fh, reader, width: int, positions: Sequence[int]) -> Iterator[tuple[list, Sequence]]:
     """The rest of a scorecard file, a block at a time, as each column's
     cells (None for a column the file lacks) and each row's line. A block
-    with no quote or carriage return, no line over csv's field limit and
-    ``width - 1`` commas on every line is split as ``csv.reader`` would
-    split it. The first block that is not, and all after it, are read by
-    ``csv.reader``; a fault it raises comes after the rows before it."""
+    with no quote, no line over csv's field limit, ``width - 1`` commas on
+    every line and either no carriage return or one ending every line
+    (CRLF, no other "\\r") is split as ``csv.reader`` would split it. The
+    first block that is not, and all after it, are read by ``csv.reader``;
+    a fault it raises comes after the rows before it."""
     limit, line = csv.field_size_limit(), reader.line_num + 1
     while block := fh.read(_BLOCK):
         block += fh.readline()
-        text = block.removesuffix("\n")
-        rows = text.split("\n")
-        if ('"' in block or "\r" in block or max(map(len, rows)) > limit
-                or set(map(str.count, rows, repeat(","))) != {width - 1}):
+        eol = "\r\n" if "\r" in block else "\n"
+        text = block.removesuffix(eol)
+        rows = text.split(eol)
+        if ('"' in block or (eol == "\r\n" and not text.count("\r") == text.count("\n") == len(rows) - 1)
+                or max(map(len, rows)) > limit or set(map(str.count, rows, repeat(","))) != {width - 1}):
             break
         n = len(rows)
         del rows  # before the cells exist: the two together would be the memory peak
-        cells = text.replace("\n", ",").split(",")
+        cells = text.replace(eol, ",").split(",")
         yield [cells[p::width] if p < width else None for p in positions], range(line, line + n)
         line += n
     else:
@@ -395,7 +411,7 @@ def _parse_score(cell: str, line: int) -> float:
 def _csv_cell(cell: str) -> str:
     """``cell`` as ``csv.writer`` writes it beside another (alone, "" is quoted)."""
     out = StringIO()
-    csv.writer(out, lineterminator="\n").writerow((cell, ""))
+    _csv_writer(out).writerow((cell, ""))
     return out.getvalue()[:-2]
 
 
@@ -418,7 +434,7 @@ def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
             header.append(column)
             columns.append((cells, codes))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        _csv_writer(fh).writerow(header)
         ends = [","] * (len(columns) - 1) + ["\n"]  # each cell carries the separator after it
         pieces = [np.array([_csv_cell(cell) + end for cell in cells], dtype=object)[codes]  # by reference
                   for (cells, codes), end in zip(columns, ends)]
@@ -497,6 +513,7 @@ _CONFIG_KEYS = {
 
 
 def _profile_from_dict(entry: dict) -> ParticipantProfile:
+    from .protocol import ParticipantProfile
     if not isinstance(entry, dict) or "id" not in entry:
         raise ConfigurationError("each federation entry must be an object with an id")
     pid = _json_str(entry, "id", "federation entry")
@@ -524,6 +541,7 @@ def load_session_config(
 ) -> SessionConfig:
     """Load a session config file; a pool_csv path is resolved relative to
     the config file's directory."""
+    from .protocol import CostParams, SessionConfig
     path = Path(path)
     with _read_json(path, ConfigurationError) as raw:
         if not isinstance(raw, dict):

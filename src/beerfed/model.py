@@ -32,6 +32,8 @@ SCORE_MAX = 5.0
 OBSERVED_ABV_MIN = 0.5
 OBSERVED_ABV_MAX = 12.5
 
+DEFAULT_K = 5  # slots per recommendation set
+
 
 class NoteTag(str, enum.Enum):
     REAL_FLAVOUR = "real_flavour"
@@ -239,6 +241,11 @@ def style_bucketer(families: list[StyleFamily] | None = None) -> Callable[[str],
         return fallback
 
     return bucket
+
+
+def normalize_name(name: str) -> str:
+    """Join key for beverage names: casefolded, whitespace collapsed."""
+    return " ".join(name.split()).casefold()
 
 
 @dataclass(frozen=True)

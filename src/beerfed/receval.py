@@ -38,14 +38,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import IngestError
-from .model import _json_str, _read_json
-
-DEFAULT_K = 5
-
-
-def normalize_name(name: str) -> str:
-    """Join key for beverage names: casefolded, whitespace collapsed."""
-    return " ".join(name.split()).casefold()
+from .model import DEFAULT_K, _json_str, _read_json, normalize_name
 
 
 @dataclass(frozen=True)

@@ -620,6 +620,31 @@ def test_cli_runs_without_scipy(sim_outputs, tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_each_subcommand_imports_only_the_modules_it_runs(sim_outputs, tmp_path):
+    """``import beerfed`` loads no beerfed module, and each subcommand only
+    the ones it runs, in a fresh process."""
+    make_rec_file(tmp_path, "model-x", {"A": ["Batch 00"]})
+    tables = (sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv")
+    calls = [  # (argv, the beerfed modules it loads); no argv: a bare `import beerfed`
+        ([], []),
+        (["simulate", str(write_config(tmp_path)), "--out", str(tmp_path / "sim")],
+         ["cli", "errors", "io", "model", "protocol"]),
+        (analyze_argv(*tables, tmp_path / "rep"), ["cli", "errors", "io", "model", "reports", "scoring"]),
+        (eval_argv(*tables, tmp_path), ["cli", "errors", "io", "model", "receval", "scoring"]),
+    ]
+    script = (
+        "import sys, beerfed\n"
+        "if sys.argv[1:]:\n"
+        "    from beerfed import cli\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('beerfed.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
+    for argv, modules in calls:
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.splitlines()[-1] == str([f"beerfed.{m}" for m in modules]), argv
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -924,6 +949,14 @@ class TestShortSessionsNeedLenient:
         federation = [{**judge, "score_noise_sd": 0.0} for judge in CONFIG["federation"]]
         config = write_config(tmp_path, federation=federation, base_quality_range=[3.5, 3.5])
         self.check(tmp_path, capsys, config)
+
+
+def test_pool_text_with_a_bare_carriage_return_simulates_then_analyzes(tmp_path):
+    pool = [dict(CONFIG["pool"][0], brewery="a\rb"), *CONFIG["pool"][1:]]
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", str(write_config(tmp_path, pool=pool)), "--out", str(sim)]) == 0
+    assert b'"a\rb"' in (sim / "beverages.csv").read_bytes()
+    assert cli.main([*analyze_argv(sim / "scorecards.csv", sim / "beverages.csv", tmp_path / "rep"), "--lenient"]) == 0
 
 
 class TestAllOrNothingOutputs:

@@ -328,6 +328,28 @@ class TestBlockIngestOracle:
         assert outcome == ingest_outcome(oracle_parse_scorecards, path)
         assert isinstance(outcome, str) == bool(faults)
 
+    @staticmethod
+    def no_records(*args):
+        raise AssertionError("a CRLF block went through csv.reader")
+
+    @pytest.mark.parametrize("block", [40, beerfed.io._BLOCK])
+    @pytest.mark.parametrize("fault", [None, "raw_score", "tags"])
+    def test_crlf_file_stays_on_the_block_path(self, tmp_path, monkeypatch, fault, block):
+        rows = [["judge_id", "beer_name", "raw_score", "tags"]]
+        rows += [[f"J{i % 97}", f"Beverage {i % 1440:04d}", f"{1 + i % 41 / 10:.1f}", ""] for i in range(12_000)]
+        if fault:
+            rows[11_000][rows[0].index(fault)] = {"raw_score": "6.0", "tags": "fake"}[fault]
+        path = tmp_path / "s.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\r\n").writerows(rows)
+        assert path.stat().st_size > beerfed.io._BLOCK
+        expected = ingest_outcome(oracle_parse_scorecards, path)
+        monkeypatch.setattr(beerfed.io, "_BLOCK", block)
+        monkeypatch.setattr(beerfed.io, "_records", self.no_records)
+        outcome = ingest_outcome(parse_scorecards_csv, path)
+        assert outcome == expected
+        assert isinstance(outcome, str) == bool(fault)
+
 
 class TestColumnarIngestOracle:
     """The one-pass table ingest against a row-by-row oracle."""
@@ -394,7 +416,7 @@ class TestRoundTrips:
         assert again.read_text(encoding="utf-8") == canonical
 
 
-TEXT_PIECES = ["Stout", "ale", " ", ",", '"', "\n", "\r\n", ";", "é", "Ærø", "日本", "🍺", "x"]
+TEXT_PIECES = ["Stout", "ale", " ", ",", '"', "\n", "\r\n", "\r", ";", "é", "Ærø", "日本", "🍺", "x"]
 
 
 def random_text(rng, pieces=TEXT_PIECES):
@@ -404,7 +426,8 @@ def random_text(rng, pieces=TEXT_PIECES):
 def random_text_dataset(rng):
     """Beverages and reviews already in the form ingest gives them, whose
     producers, names, styles, judges and notes hold commas, quotes, LF and
-    CRLF line breaks, semicolons and non-ASCII text."""
+    CRLF line breaks, bare carriage returns, semicolons and non-ASCII
+    text."""
     bucket = style_bucketer(None)
     tags = list(NoteTag)
     beverages = {}

@@ -1,8 +1,13 @@
 """The package's public surface: ``beerfed.__all__`` is pinned, and it
-names exactly what ``beerfed/__init__`` binds, so removing a name from one
-and not the other fails here."""
+names exactly what ``beerfed`` provides, so removing a name from one and
+not the other fails here. The names resolve on first use, so ``import
+beerfed`` itself binds no submodule."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import beerfed
 
@@ -45,12 +50,36 @@ PUBLIC = [
 
 def test_all_is_the_pinned_sorted_list():
     assert beerfed.__all__ == PUBLIC == sorted(PUBLIC)
-    assert [name for name in PUBLIC if not hasattr(beerfed, name)] == []
+    assert set(PUBLIC) <= set(dir(beerfed))
+
+
+def test_every_name_is_the_object_its_module_defines():
+    for name in [name for name in PUBLIC if name != "__version__"]:
+        value = getattr(beerfed, name)
+        assert value.__module__.startswith("beerfed.") and getattr(sys.modules[value.__module__], name) is value
 
 
 def test_all_names_every_public_binding():
+    for name in PUBLIC:
+        getattr(beerfed, name)
     bound = {
         name for name, value in vars(beerfed).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert bound | {"__version__"} == set(beerfed.__all__)
+    for module in [m for name, m in sys.modules.items() if name.startswith("beerfed.")]:
+        for name in set(vars(module)) - set(PUBLIC):  # no other name the modules define, submodules aside
+            value = getattr(beerfed, name, None)
+            assert name.startswith("_") or value is None or inspect.ismodule(value), name
+
+
+def test_import_binds_no_submodule():
+    script = (
+        "import inspect, sys, beerfed\n"
+        "print(sorted(m for m in sys.modules if m.startswith('beerfed.')),\n"
+        "      [n for n, v in vars(beerfed).items() if inspect.ismodule(v) and v.__name__.startswith('beerfed')],\n"
+        "      sorted(set(beerfed.__all__) - set(dir(beerfed))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["[]", "[]", "[]"]
