@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .io import (
     write_csv,
     write_session_outputs,
 )
-from .model import DEFAULT_K, Severity, load_style_families, normalize_name, validate_dataset
+from .model import DEFAULT_K, Severity, load_style_families, validate_dataset
 
 __getattr__ = _resolver(globals(), {
     "run_session": "protocol", "analyze_dataset": "reports", "build_score_matrix": "scoring",
@@ -173,21 +172,15 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         except DegenerateRowError as exc:
             diag.warning(f"{exc}; their scores map to 0.5", code="DEGENERATE")
             matrix = _cli.normalize(matrix, lenient=True)
-    # plain floats: _display needs repr() of a Python float
-    keys = [normalize_name(b.name) for b in dataset.beverages]
-    scorecards = _cli.JudgeIndex(
-        {
-            judge: {key: score for key, score in zip(keys, row) if not math.isnan(score)}
-            for judge, row in zip(matrix.judges, matrix.cells.tolist())
-        },
-        args.k,
-    )
-    beverage_names = {b.name for b in dataset.beverages}
+    names = [b.name for b in dataset.beverages]
+    scorecards = _cli.JudgeIndex.from_matrix(matrix, names, args.k)
+    beverage_names = set(names)
 
     paths = sorted(globmod.glob(args.recs_glob))
     if not paths:
         diag.warning(f"no recommendation files match {args.recs_glob!r}")
     rows = []
+    files_of: dict[str, str] = {}  # model id -> the first readable file that holds it
     for path in paths:
         try:
             recs = _cli.load_recommendations(path)
@@ -198,6 +191,10 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
                 return EXIT_STRICT_EVAL
             diag.warning(f"skipping {reason}", code="EVAL")
             continue
+        first = files_of.setdefault(recs.model_id, path)
+        if first != path:
+            diag.warning(f"{path}: model_id {recs.model_id!r} is also in {first}; both rows are kept",
+                         code="EVAL")
         known = set(scorecards)
         for extra in sorted(set(recs.sets) - known):
             diag.warning(

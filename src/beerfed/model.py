@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -231,12 +232,14 @@ def style_bucketer(families: list[StyleFamily] | None = None) -> Callable[[str],
     if families is None:
         families = DEFAULT_STYLE_FAMILIES
     fallback = validate_families(families)
+    patterns = [(family, [p.casefold() for p in family.patterns]) for family in families]
 
+    @cache  # each distinct raw style is bucketed once
     def bucket(raw_style: str) -> StyleFamily:
         needle = raw_style.casefold()
         if needle:
-            for family in families:
-                if any(p.casefold() in needle for p in family.patterns):
+            for family, casefolded in patterns:
+                if any(p in needle for p in casefolded):
                     return family
         return fallback
 

@@ -14,31 +14,36 @@ five quality metrics are computed from the raw, unnormalised scores:
                    averaged across judges
   coverage         valid slots / (J*K)
 
-Everything the metrics need from a judge's scorecard depends only on the
-scorecard and k, so it is computed once per run in a ``JudgeIndex``: the
-ascending scores (bisect gives mid-rank percentiles), the k-th best score
-(the threshold-mode cutoff), the fixed top-k set (score descending, ties at
-the cut by name ascending; ``top_k_set`` in ``tests/oracles.py`` is its
-reference, and the index applies that order only to the names scoring at
-or above the cutoff, which hold its first k) and the IDCG, the discounted
-sum of the k best scores (Jarvelin & Kekalainen 2002). Each value comes
-from the same expression, in the same order, that a per-model pass would
-evaluate, so ``evaluate_model`` gives bit-identical results whether a
-caller passes the index or a plain mapping (which is indexed on the spot).
+Everything the metrics read from the scorecards depends only on them and
+k, so a run builds one ``JudgeIndex`` from its score matrix and evaluates
+every model against it. Computed for all judges at once, the index holds
+each judge's k-th best score (the threshold-mode cutoff), fixed top-k set
+(score descending, ties at the cut by name ascending; ``top_k_set`` in
+``tests/oracles.py`` is its reference), mid-rank percentile of each score
+and IDCG, the discounted sum of the k best scores (Jarvelin & Kekalainen
+2002). Each master name and each distinct recommended name is normalized
+once per run, so a model costs work per slot. Every sum adds the same
+floats in the same order as a per-model pass, so ``evaluate_model`` gives
+bit-identical results whether a caller passes the index or a plain
+mapping (which is indexed on the spot).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import IngestError
 from .model import DEFAULT_K, _json_str, _read_json, normalize_name
+
+if TYPE_CHECKING:
+    from .scoring import ScoreMatrix
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,31 @@ class VerdictReason(str, Enum):
     BAD_RANK = "BAD_RANK"
 
 
+# bound once: looking up an Enum member by attribute costs more than the checks per slot
+_OK, _NOT_IN_LIST, _DUPLICATE, _BAD_RANK = VerdictReason
+
+
 @dataclass(frozen=True)
 class SlotVerdict:
     slot_index: int
     valid: bool
     reason: VerdictReason
     beverage_name: str = ""
+
+
+class _Names(dict):
+    """Name resolution against one master list: a name as given maps to
+    its normalized form if that is on the list, else to a false value.
+    Each distinct name, listed or recommended, is normalized once."""
+
+    def __init__(self, beverage_names: Iterable[str]):
+        super().__init__((raw, normalize_name(raw)) for raw in dict.fromkeys(beverage_names))
+        self.known = set(self.values()) - {""}
+
+    def __missing__(self, raw: str) -> str | None:
+        name = normalize_name(raw)
+        value = self[raw] = name if name in self.known else None
+        return value
 
 
 def validate_recs(
@@ -84,35 +108,35 @@ def validate_recs(
     an integer rank in 1..k not used before. When several rules are broken,
     the reported reason follows that order.
     """
-    return _verdicts(recs, {normalize_name(n) for n in beverage_names}, k)
+    reasons, _ = _reasons(recs, _Names(beverage_names).__getitem__, k)
+    return [SlotVerdict(i, reason is _OK, reason, slot.beverage_name)
+            for i, (slot, reason) in enumerate(zip(recs.slots, reasons))]
 
 
-def _verdicts(recs: RecommendationSet, known: set[str], k: int) -> list[SlotVerdict]:
-    """validate_recs against an already normalized master-name set."""
-    seen_names: set[str] = set()
+def _reasons(recs: RecommendationSet, resolve: Callable[[str], str | None],
+             k: int) -> tuple[list[VerdictReason], list[tuple[str, int]]]:
+    """Each slot's verdict reason, in slot order, and the (normalized name,
+    rank) of each valid slot; ``resolve`` maps a name to its normalized
+    form if that is on the master list, else to a false value."""
+    seen_names: set[str | None] = set()
     seen_ranks: set[int] = set()
-    verdicts = []
-    for i, slot in enumerate(recs.slots):
-        name = normalize_name(slot.beverage_name)
-        if not name or name not in known:
-            reason = VerdictReason.NOT_IN_LIST
+    reasons, picks = [], []
+    for slot in recs.slots:
+        name = resolve(slot.beverage_name)
+        rank = slot.rank
+        if not name:
+            reason = _NOT_IN_LIST
         elif name in seen_names:
-            reason = VerdictReason.DUPLICATE
-        elif (
-            not isinstance(slot.rank, int)
-            or isinstance(slot.rank, bool)
-            or not (1 <= slot.rank <= k)
-            or slot.rank in seen_ranks
-        ):
-            reason = VerdictReason.BAD_RANK
+            reason = _DUPLICATE
+        elif not isinstance(rank, int) or isinstance(rank, bool) or not (1 <= rank <= k) or rank in seen_ranks:
+            reason = _BAD_RANK
         else:
-            reason = VerdictReason.OK
-            seen_ranks.add(slot.rank)
+            reason = _OK
+            seen_ranks.add(rank)
+            picks.append((name, rank))
         seen_names.add(name)
-        verdicts.append(
-            SlotVerdict(i, reason is VerdictReason.OK, reason, slot.beverage_name)
-        )
-    return verdicts
+        reasons.append(reason)
+    return reasons, picks
 
 
 Scorecard = Mapping[str, float]  # normalized beverage name -> raw score
@@ -120,63 +144,83 @@ Scorecards = Mapping[str, Scorecard]  # judge id -> scorecard
 RecsByProfile = Mapping[str, RecommendationSet]
 
 
-@dataclass(frozen=True)
-class _JudgeEntry:
-    """What the metrics read from one judge's scorecard for a given k."""
-
-    card: Scorecard
-    ascending: tuple[float, ...]
-    top: frozenset[str]  # the fixed top-k set
-    cutoff: float  # the k-th best score (threshold-mode Hit@k)
-    idcg: float
-
-
 class JudgeIndex(Mapping[str, Scorecard]):
     """Immutable per-run index of judges' scorecards for one k.
 
-    A mapping from judge id to scorecard, in sorted judge order, that also
-    holds each judge's sorted scores, fixed top-k set, threshold cutoff and
-    IDCG, so evaluating many models against the same scorecards sorts each
-    scorecard once instead of once per model. Build it once and pass it
+    A mapping from judge id to scorecard, in sorted judge order (each card
+    is built on access), that also holds what every metric reads from the
+    scorecards, so evaluating many models against the same scorecards
+    ranks each scorecard once instead of once per model. Build it once,
+    with ``from_matrix`` or from a ``Scorecards`` mapping, and pass it
     wherever a ``Scorecards`` mapping is accepted.
     """
 
-    __slots__ = ("k", "_entries")
-
     def __init__(self, scorecards: Scorecards, k: int):
-        entries = {}
-        for judge in sorted(scorecards):
-            card = MappingProxyType(dict(scorecards[judge]))  # later edits cannot desync it
-            ascending = tuple(sorted(card.values()))
-            ideal = ascending[::-1][:k]
-            cutoff = ideal[-1] if ideal else math.inf
-            ahead = sorted((name for name, score in card.items() if score >= cutoff),
-                           key=lambda name: (-card[name], name))
-            entries[judge] = _JudgeEntry(
-                card=card,
-                ascending=ascending,
-                top=frozenset(ahead[:k]),
-                cutoff=cutoff,
-                idcg=sum(rel / math.log2(i + 1) for i, rel in enumerate(ideal, start=1)),
-            )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_entries", entries)
+        judges = sorted(scorecards)
+        keys = sorted({key for judge in judges for key in scorecards[judge]})
+        cells = [[scorecards[judge].get(key, np.nan) for key in keys] for judge in judges]
+        self._build(judges, keys, np.array(cells, dtype=float).reshape(len(judges), len(keys)), k, None, None)
+
+    @classmethod
+    def from_matrix(cls, matrix: ScoreMatrix, names: Sequence[str], k: int) -> JudgeIndex:
+        """The index of a score matrix whose columns are the beverages named
+        ``names``. Evaluating against the master list ``set(names)`` then
+        normalizes no name again. Columns sharing a normalized name must
+        hold no score (ingest rejects a scored ambiguous name)."""
+        resolve = _Names(names)
+        column = {resolve[raw]: c for c, raw in enumerate(names)}  # a shared name keeps its last column
+        keys = sorted(column)
+        kept = [column[key] for key in keys]
+        if len(kept) < len(names) and not np.isnan(np.delete(matrix.cells, kept, axis=1)).all():
+            raise ValueError("beverages sharing a normalized name must be unrated")
+        order = sorted(range(len(matrix.judges)), key=matrix.judges.__getitem__)
+        index = cls.__new__(cls)
+        index._build([matrix.judges[i] for i in order], keys, matrix.cells[order][:, kept], k,
+                     frozenset(names), resolve)
+        return index
+
+    def _build(self, judges: list[str], keys: list[str], cells: np.ndarray, k: int,
+               master: frozenset[str] | None, names: _Names | None) -> None:
+        """The one builder, for ``cells`` of judges x beverages (NaN where a
+        judge has no score), rows in sorted judge order and columns in the
+        sorted order of their distinct normalized names ``keys``."""
+        # a copy with an all-NaN last column: the column of a name no judge scored is -1
+        cells = np.concatenate([cells, np.full((len(judges), 1), np.nan)], axis=1)
+        n = (~np.isnan(cells)).sum(axis=1)
+        best = -np.sort(-cells, axis=1)  # each row's scores, best first, then its NaNs
+        width = min(k, len(keys))
+        ideal_len = np.minimum(n, width)  # the k best scores, or all when fewer
+        cutoff = np.where(ideal_len > 0, best[np.arange(len(judges)), np.maximum(ideal_len - 1, 0)], np.inf)
+        ahead = cells >= cutoff[:, None]  # at least the k-th best score; NaN compares False
+        # the fixed top-k set: every score above the cutoff, then the cutoff's
+        # ties in name (column) order until the set holds min(k, n) names
+        top = cells > cutoff[:, None]
+        ties = ahead & ~top
+        top |= ties & (np.cumsum(ties, axis=1) <= (ideal_len - top.sum(axis=1))[:, None])
+        pct: list[dict[float, float]] = [{} for _ in judges]  # each distinct score's percentile
+        for row in np.flatnonzero(n >= 2):  # mid-ranked: ties count half
+            scores, tied = np.unique(best[row, :n[row]], return_counts=True)  # ascending
+            below = np.cumsum(tied) - tied
+            pct[row] = dict(zip(scores.tolist(), ((below + 0.5 * (tied - 1)) / (n[row] - 1)).tolist()))
+        discounts = [math.log2(i + 1) for i in range(1, width + 1)]
+        idcg = [sum(rel / d for rel, d in zip(ideal[:size], discounts))
+                for ideal, size in zip(best[:, :width].tolist(), ideal_len.tolist())]
+        vars(self).update(k=k, _rows={judge: row for row, judge in enumerate(judges)}, _cells=cells,
+                          _column={key: c for c, key in enumerate(keys)}, _pct=pct, _top=top, _ahead=ahead,
+                          _idcg=idcg, _master=master, _names=names)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __getitem__(self, judge: str) -> Scorecard:
-        return self._entries[judge].card
+        row = self._cells[self._rows[judge]].tolist()
+        return MappingProxyType({key: score for key, score in zip(self._column, row) if score == score})
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries(self) -> Iterator[tuple[str, _JudgeEntry]]:
-        """(judge, entry) pairs in sorted judge order."""
-        return iter(self._entries.items())
+        return len(self._rows)
 
 
 @dataclass
@@ -190,6 +234,7 @@ class _Terms:
     ratings: list[float] = field(default_factory=list)  # per valid scored slot
     percentiles: list[float] = field(default_factory=list)  # per-judge means
     ndcgs: list[float] = field(default_factory=list)  # per judge
+    reasons: list[VerdictReason] = field(default_factory=list)  # per slot of every judge's set
 
     def share(self, count: int) -> float:
         """count over the J*K recommendation slots."""
@@ -210,41 +255,36 @@ def _one_pass(
     tie_mode: str = "fixed",
 ) -> _Terms:
     """Validate each judge's set once and collect the terms of all five
-    metrics against that judge's indexed scorecard (a plain mapping, or an
-    index built for another k, is indexed here first)."""
+    metrics from the index (a plain mapping, or an index built for another
+    k, is indexed here first)."""
     if tie_mode not in ("fixed", "threshold"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    if not (isinstance(scorecards, JudgeIndex) and scorecards.k == k):
-        scorecards = JudgeIndex(scorecards, k)
-    known = {normalize_name(n) for n in beverage_names}
-    terms = _Terms(len(scorecards), k)
-    for judge, entry in scorecards.entries():
-        card, ascending = entry.card, entry.ascending
+    index = scorecards if isinstance(scorecards, JudgeIndex) and scorecards.k == k else JudgeIndex(scorecards, k)
+    names = index._names if beverage_names == index._master else _Names(beverage_names)
+    terms = _Terms(len(index), k)
+    rows, cols, ranks, bounds = [], [], [], [0]  # the valid picks, judge by judge
+    for row, judge in enumerate(index._rows):
         recs = recs_by_profile.get(judge)
-        verdicts = [] if recs is None else _verdicts(recs, known, k)
-        picks = [
-            (recs.slots[v.slot_index].rank, normalize_name(v.beverage_name))
-            for v in verdicts
-            if v.valid
-        ]
-        scored = [name for _, name in picks if name in card]
-        terms.valid += len(picks)
-        terms.ratings.extend(card[name] for name in scored)
-        if tie_mode == "fixed":
-            terms.hits += len(entry.top.intersection(scored))
-        else:  # anything scoring at least the k-th best score
-            terms.hits += sum(card[name] >= entry.cutoff for name in scored)
-        if len(card) >= 2 and scored:  # mid-ranked: ties count half
-            values = []
-            for name in scored:
-                below = bisect_left(ascending, card[name])
-                tied_others = bisect_right(ascending, card[name]) - below - 1
-                values.append((below + 0.5 * tied_others) / (len(card) - 1))
+        if recs is not None:
+            reasons, picks = _reasons(recs, names.__getitem__, k)
+            terms.reasons += reasons
+            for name, rank in picks:
+                rows.append(row)
+                cols.append(index._column.get(name, -1))
+                ranks.append(rank)
+        bounds.append(len(rows))
+    scores = index._cells[rows, cols].tolist()  # NaN where the judge has no score
+    terms.valid = len(rows)
+    terms.hits = int((index._top if tie_mode == "fixed" else index._ahead)[rows, cols].sum())
+    terms.ratings = [score for score in scores if score == score]
+    # ranks 1..k without a valid pick add +0.0, so only the picks' ranks are summed
+    gains = [score / math.log2(rank + 1) if score == score else 0.0 for score, rank in zip(scores, ranks)]
+    for lo, hi, idcg, pct in zip(bounds, bounds[1:], index._idcg, index._pct):
+        values = [pct[score] for score in scores[lo:hi] if score in pct]  # NaN is in no table
+        if values:
             terms.percentiles.append(_mean(values))
-        # ranks 1..k without a valid pick add +0.0, so only the picks' ranks are summed
-        relevance = {rank: card.get(name, 0.0) for rank, name in picks}
-        dcg = sum(relevance[i] / math.log2(i + 1) for i in sorted(relevance))
-        terms.ndcgs.append(dcg / entry.idcg if entry.idcg > 0 else 0.0)
+        dcg = sum(gain for _, gain in sorted(zip(ranks[lo:hi], gains[lo:hi])))  # in rank order
+        terms.ndcgs.append(dcg / idcg if idcg > 0 else 0.0)
     return terms
 
 

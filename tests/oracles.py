@@ -22,6 +22,17 @@ def oname(s):
     return " ".join(s.split()).lower()
 
 
+def oracle_bucket(families, raw_style):
+    """The family of a raw style, decided afresh on every call: the first
+    family, in configured order, with a pattern that occurs in the style
+    (both casefolded); an empty style or no match gives the fallback."""
+    for family in families:
+        for pattern in family.patterns:
+            if raw_style and pattern.casefold() in raw_style.casefold():
+                return family
+    return [family for family in families if family.fallback][0]
+
+
 def oracle_classify_band(abv):
     for band, lo, hi in [("low", 0.0, 4.5), ("medium", 4.5, 6.5), ("high", 6.5, 9.0), ("very_high", 9.0, 100.0)]:
         if lo < abv <= hi:

@@ -532,9 +532,10 @@ class TestEvalRecs:
         assert f"Is a directory: '{out}'" in err and ".staging" not in err
 
     def test_each_scorecard_ranked_once_per_run(self, sim_outputs, tmp_path, eval_env, monkeypatch):
-        calls = []
-        entry = receval._JudgeEntry
-        monkeypatch.setattr(receval, "_JudgeEntry", lambda **fields: calls.append(fields) or entry(**fields))
+        rows = []  # the scorecards each index build ranks
+        build = receval.JudgeIndex._build
+        monkeypatch.setattr(receval.JudgeIndex, "_build",
+                            lambda self, judges, *rest: rows.append(list(judges)) or build(self, judges, *rest))
         (eval_env / "model-offlist.json").unlink()  # three models left
         rc = cli.main(
             [
@@ -545,7 +546,47 @@ class TestEvalRecs:
         )
         assert rc == 0
         assert len((tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()) == 4
-        assert len(calls) == 3  # once per judge A, B, C, not once per (model, judge)
+        assert rows == [["A", "B", "C"]]  # once per judge A, B, C, not once per (model, judge)
+
+    def test_each_name_normalized_once_per_run(self, sim_outputs, tmp_path, eval_env, monkeypatch):
+        (eval_env / "model-offlist.json").unlink()
+        (eval_env / "model-dupe.json").unlink()
+        tops = {j: top_names(sim_outputs / "scorecards.csv", j) for j in "ABC"}
+        # the third model spells its picks differently and adds one off the list
+        recased = {j: [f"  {n.upper()} " for n in picks[:4]] + ["Imaginary Pils"] for j, picks in tops.items()}
+        make_rec_file(eval_env, "model-recased", recased)
+        calls = []
+        normalize = receval.normalize_name
+        monkeypatch.setattr(receval, "normalize_name", lambda name: calls.append(name) or normalize(name))
+        rc = cli.main(
+            [
+                "eval-recs", str(eval_env / "*.json"),
+                str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+                "--out", str(tmp_path / "table.csv"),
+            ]
+        )
+        assert rc == 0 and not hasattr(cli, "normalize_name")
+        master = {r["beer_name"] for r in csv.DictReader(open(sim_outputs / "beverages.csv", encoding="utf-8"))}
+        recommended = {n for picks in [*tops.values(), *recased.values()] for n in picks}
+        assert sorted(calls) == sorted(master | recommended)  # each distinct name once, not once per model
+
+    def test_shared_model_id_warns_naming_both_files(self, sim_outputs, tmp_path, eval_env, capsys):
+        tops = {j: top_names(sim_outputs / "scorecards.csv", j) for j in "ABC"}
+        copy = write_rec_file(eval_env / "zz-copy.json", "model-perfect", tops)
+        out = tmp_path / "table.csv"
+        rc = cli.main(
+            [
+                "--json-errors", "eval-recs", str(eval_env / "*.json"),
+                str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"), "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        messages = [r["message"] for r in error_records(capsys) if r.get("code") == "EVAL"]
+        assert messages == [f"{copy}: model_id 'model-perfect' is also in {eval_env / 'model-perfect.json'}; "
+                            "both rows are kept"]
+        table = out.read_text(encoding="utf-8").splitlines()
+        perfect = [row for row in table if row.startswith("model-perfect,")]
+        assert len(table) == 6 and len(perfect) == 2 and perfect[0] == perfect[1]
 
 
 class TestEvalRecsDegenerateJudge:

@@ -30,7 +30,7 @@ bench_run = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_run)
 
 
-@pytest.mark.parametrize("workload", ["paper", "sparse"])
+@pytest.mark.parametrize("workload", ["paper", "stress", "sparse"])
 def test_pipeline_matches_golden_digests(tmp_path, workload):
     golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))[workload]
     assert golden["seed"] == workloads.DEFAULT_SEEDS[workload]

@@ -20,7 +20,7 @@ from beerfed.model import (
     validate_dataset,
 )
 from genutil import random_dataset, with_reviews
-from oracles import oracle_classify_band, oracle_validate_dataset
+from oracles import oracle_bucket, oracle_classify_band, oracle_validate_dataset
 
 
 class TestClassifyAbv:
@@ -84,6 +84,26 @@ class TestBucketStyle:
         families = [StyleFamily("Only", ("x",))]
         with pytest.raises(ConfigurationError):
             style_bucketer(families)
+
+    def test_bucketer_matches_per_call_reference(self, rng):
+        # a small alphabet with case pairs and a casefold expansion (SS), so
+        # patterns overlap, repeat across families and match case-insensitively
+        alphabet = list("abAB ß")
+
+        def text(low, high):
+            return "".join(rng.choice(alphabet, size=int(rng.integers(low, high))))
+
+        def patterns(most):
+            return tuple(p for p in (text(1, 4) for _ in range(int(rng.integers(0, most + 1)))) if p.strip())
+
+        for _ in range(60):
+            families = [StyleFamily(f"F{i}", patterns(2)) for i in range(int(rng.integers(1, 6)))]
+            families.insert(int(rng.integers(len(families) + 1)),
+                            StyleFamily(FALLBACK_FAMILY_NAME, patterns(1), fallback=True))
+            bucket = style_bucketer(families)
+            styles = [text(0, 7) for _ in range(30)]
+            for style in styles + styles[::-1]:  # each distinct style again, from the memo
+                assert bucket(style) is oracle_bucket(families, style)
 
     def test_two_fallbacks_rejected(self):
         families = [

@@ -6,6 +6,7 @@ from dataclasses import asdict
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beerfed
@@ -22,6 +23,7 @@ from beerfed.receval import (
     normalize_name,
     validate_recs,
 )
+from beerfed.scoring import ScoreMatrix, normalize
 from genutil import random_rec_instance
 from oracles import oracle_metrics, top_k_set
 
@@ -43,6 +45,12 @@ def card(**scores):
 
 def report(recs, cards, names=NAMES, **kw):
     return evaluate_model(recs, cards, names, model_id="m", **kw)
+
+
+def top_names(index, judge):
+    """The names in ``judge``'s fixed top-k set of ``index``."""
+    row = index._top[index._rows[judge]]
+    return {key for key, hit in zip(index._column, row) if hit}
 
 
 class TestValidateRecs:
@@ -440,13 +448,13 @@ class TestOracleEquivalence:
 
     def test_each_set_validated_once(self, rng, monkeypatch):
         calls = []
-        core = receval._verdicts
+        core = receval._reasons
 
-        def counting(recs, known, k):
+        def counting(recs, resolve, k):
             calls.append(recs.profile_id)
-            return core(recs, known, k)
+            return core(recs, resolve, k)
 
-        monkeypatch.setattr(receval, "_verdicts", counting)
+        monkeypatch.setattr(receval, "_reasons", counting)
         recs, _, cards, names = random_rec_instance(rng, n_judges=4)
         del recs["J2"]  # a profile without a set is never validated
         evaluate_model(recs, cards, names, model_id="m")
@@ -476,8 +484,9 @@ class TestJudgeIndex:
                 last_first = list(reversed(cards["J0"]))
                 cards["J0"] = {n: 4.5 if i < 2 else 4.0 if i < 7 else 2.0 for i, n in enumerate(last_first)}
             for k in (3, 5, 40):  # 40 exceeds every card
-                for judge, entry in JudgeIndex(cards, k).entries():
-                    assert entry.top == frozenset(top_k_set(cards[judge], k))
+                index = JudgeIndex(cards, k)
+                for judge in index:
+                    assert top_names(index, judge) == top_k_set(cards[judge], k)
                 plain = report(recs, cards, names, k=k, tie_mode=tie_mode)
                 assert report(recs, JudgeIndex(cards, k), names, k=k, tie_mode=tie_mode) == plain
                 # an index built for another k is rebuilt, never misread
@@ -489,11 +498,85 @@ class TestJudgeIndex:
                 )
 
     def test_each_scorecard_sorted_once_per_index(self, rng, monkeypatch):
-        calls = []
-        entry = receval._JudgeEntry
-        monkeypatch.setattr(receval, "_JudgeEntry", lambda **fields: calls.append(1) or entry(**fields))
+        rows = []  # the scorecards each index build ranks
+        build = JudgeIndex._build
+        monkeypatch.setattr(JudgeIndex, "_build", lambda self, judges, *rest: rows.append(len(judges))
+                            or build(self, judges, *rest))
         recs, _, cards, names = random_rec_instance(rng, n_judges=4)
         index = JudgeIndex(cards, 5)
         for _ in range(3):
             evaluate_model(recs, index, names, model_id="m")
-        assert len(calls) == 4
+        assert rows == [4]
+
+
+class TestMatrixIndex:
+    """JudgeIndex.from_matrix, the index eval-recs builds, against the
+    mapping form and the brute-force oracle."""
+
+    @staticmethod
+    def matrix(cards, names):
+        judges = sorted(cards, reverse=True)  # rows out of judge order
+        cells = [[cards[j].get(normalize_name(n), np.nan) for n in names] for j in judges]
+        return ScoreMatrix(judges, [f"b{c}" for c in range(len(names))], np.array(cells).reshape(len(judges), -1))
+
+    @staticmethod
+    def assert_equal_reports(recs, slots, cards, names, index, k, tie_mode):
+        plain = report(recs, cards, set(names), k=k, tie_mode=tie_mode)
+        assert report(recs, index, set(names), k=k, tie_mode=tie_mode) == plain
+        expected = oracle_metrics(slots, cards, set(names), k, tie_mode)
+        assert (plain.coverage, plain.mean_rating, plain.mean_percentile, plain.hit_rate, plain.ndcg) == (
+            expected["coverage"], expected["mean_rating"], expected["mean_percentile"],
+            expected["hit"], expected["ndcg"],
+        )
+
+    @pytest.mark.parametrize("tie_mode", ["fixed", "threshold"])
+    def test_matrix_and_mapping_indexes_agree(self, rng, tie_mode):
+        for trial in range(60):
+            # sets of 7 slots: oversized at k 3 and 5; k 40 exceeds every card
+            recs, slots, cards, names = random_rec_instance(rng, n_judges=int(rng.integers(1, 5)), k=7)
+            if trial % 2:  # heavily tied: three score levels per card
+                cards = {j: {n: int(rng.integers(30, 33)) / 10 for n in c} for j, c in cards.items()}
+            if trial % 3 == 0:  # some cells unscored
+                cards = {j: {n: v for n, v in c.items() if rng.random() < 0.7} for j, c in cards.items()}
+            names = sorted(names)
+            matrix = self.matrix(cards, names)
+            for k in (3, 5, 40):
+                index = JudgeIndex.from_matrix(matrix, names, k)
+                assert dict(index) == cards and list(index) == sorted(cards)
+                for judge in index:
+                    assert top_names(index, judge) == top_k_set(cards[judge], k)
+                self.assert_equal_reports(recs, slots, cards, names, index, k, tie_mode)
+                # an index built for another k is rebuilt, never misread
+                other = JudgeIndex.from_matrix(matrix, names, 5 if k != 5 else 3)
+                self.assert_equal_reports(recs, slots, cards, names, other, k, tie_mode)
+
+    def test_shared_name_is_valid_but_unrated(self):
+        # two producers' beverages normalize to one name that no judge scored
+        names = ["Alpha", "Beta", "Gamma", "Twin Ale", " twin  ALE", "Delta"]
+        cards = {"J0": card(Alpha=4.0, Beta=3.0, Gamma=2.0, Delta=1.0), "J1": card(Alpha=1.0, Beta=2.5)}
+        recs = {j: recs_of("Twin Ale", "Alpha", "Beta", profile=j) for j in cards}
+        slots = {j: [(s.beverage_name, s.rank) for s in recs[j].slots] for j in cards}
+        index = JudgeIndex.from_matrix(self.matrix(cards, names), names, 5)
+        assert [v.reason for v in validate_recs(recs["J0"], set(names))] == [VerdictReason.OK] * 3
+        assert "twin ale" not in index["J0"]
+        self.assert_equal_reports(recs, slots, cards, names, index, 5, "fixed")
+        assert report(recs, index, set(names)).coverage == 6 / 10  # the unrated pick still counts
+
+        scored = self.matrix(cards, names)
+        scored.cells[0, 3] = 3.5  # a score for one of the two: which beverage it means is unknown
+        with pytest.raises(ValueError, match="sharing a normalized name"):
+            JudgeIndex.from_matrix(scored, names, 5)
+
+    @pytest.mark.parametrize("tie_mode", ["fixed", "threshold"])
+    def test_normalized_degenerate_rows(self, rng, tie_mode):
+        recs, slots, cards, names = random_rec_instance(rng, n_judges=3)
+        names = sorted(names)
+        cards["J1"] = dict.fromkeys(cards["J1"], 3.0)  # one score only: a degenerate row
+        matrix = normalize(self.matrix(cards, names), lenient=True)
+        judges = sorted(cards, reverse=True)
+        normalized = {j: {normalize_name(n): v for n, v in zip(names, row.tolist()) if v == v}
+                      for j, row in zip(judges, matrix.cells)}
+        assert set(normalized["J1"].values()) == {0.5}
+        for k in (3, 5):
+            self.assert_equal_reports(recs, slots, normalized, names, JudgeIndex.from_matrix(matrix, names, k),
+                                      k, tie_mode)
