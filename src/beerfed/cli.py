@@ -172,9 +172,8 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         except DegenerateRowError as exc:
             diag.warning(f"{exc}; their scores map to 0.5", code="DEGENERATE")
             matrix = _cli.normalize(matrix, lenient=True)
-    names = [b.name for b in dataset.beverages]
-    scorecards = _cli.JudgeIndex.from_matrix(matrix, names, args.k)
-    beverage_names = set(names)
+    index = _cli.JudgeIndex(matrix, [b.name for b in dataset.beverages], args.k)
+    known = set(index.judges)
 
     paths = sorted(globmod.glob(args.recs_glob))
     if not paths:
@@ -195,20 +194,11 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         if first != path:
             diag.warning(f"{path}: model_id {recs.model_id!r} is also in {first}; both rows are kept",
                          code="EVAL")
-        known = set(scorecards)
         for extra in sorted(set(recs.sets) - known):
             diag.warning(
                 f"{path}: profile {extra!r} has no scorecard; ignored", code="EVAL"
             )
-        report = _cli.evaluate_model(
-            {pid: s for pid, s in recs.sets.items() if pid in known},
-            scorecards,
-            beverage_names,
-            k=args.k,
-            model_id=recs.model_id,
-            tie_mode=args.hit_ties,
-        )
-        rows.append(report)
+        rows.append(_cli.evaluate_model(recs.sets, index, model_id=recs.model_id, tie_mode=args.hit_ties))
 
     rows.sort(
         key=lambda r: (

@@ -204,18 +204,20 @@ def parse_beverages_csv(
     band, with errors reported by file line and column."""
     bucket = style_bucketer(families)
     beverages = []
-    seen: set[tuple[str, str]] = set()
+    # beverage id -> its first row and beverage: two (brewery, beer_name)
+    # pairs can share an id, as "a::b","c" and "a","b::c" do
+    seen: dict[str, tuple[int, Beverage]] = {}
     with _csv_file(path, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL) as (_, reader, width, positions):
         for row, fields in _records(reader, width, positions):
             beverage = _beverage_from_fields(*fields, bucket, row)
-            key = (normalize_name(beverage.producer), normalize_name(beverage.name))
-            if key in seen:
+            first, other = seen.setdefault(beverage.id, (row, beverage))
+            if other is not beverage:
                 raise IngestError(
-                    f"duplicate beverage {beverage.name!r} for {beverage.producer!r}",
+                    f"duplicate beverage id {beverage.id!r}: {beverage.name!r} for {beverage.producer!r}"
+                    f" and, at row {first}, {other.name!r} for {other.producer!r}",
                     row=row,
                     column="beer_name",
                 )
-            seen.add(key)
             beverages.append(beverage)
     return beverages
 

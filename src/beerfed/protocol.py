@@ -247,46 +247,6 @@ class RoundRecord:
         return frozenset(self.review_judges)
 
 
-@dataclass(frozen=True)
-class Roster:
-    """A validated federation as arrays in federation order, built once per
-    session: each member's probabilities and score parameters, each pool
-    style family's bias per member, and the experts' cumulative leader
-    table."""
-
-    ids: tuple[str, ...]
-    availability: np.ndarray
-    freeload: np.ndarray
-    noise_sd: np.ndarray
-    floor_affinity: np.ndarray
-    bias: dict[str, np.ndarray]
-    experts: tuple[int, ...]
-    leader_table: list[float]
-    others: dict[int, np.ndarray]  # expert position -> every other position
-
-    @classmethod
-    def of(cls, config: SessionConfig) -> Roster:
-        federation = config.federation
-        experts = tuple(i for i, p in enumerate(federation) if p.is_expert)
-        everyone = np.arange(len(federation))
-
-        def column(values) -> np.ndarray:
-            return np.array(list(values), dtype=float)
-
-        return cls(
-            ids=tuple(p.id for p in federation),
-            availability=column(p.availability_probability for p in federation),
-            freeload=column(p.freeload_probability for p in federation),
-            noise_sd=column(p.score_noise_sd for p in federation),
-            floor_affinity=column(p.score_floor_affinity for p in federation),
-            bias={family: column(p.score_bias.get(family, 0.0) for p in federation)
-                  for family in {b.style_family for b in config.pool}},
-            experts=experts,
-            leader_table=_leader_table([federation[i].leader_probability for i in experts]),
-            others={i: np.delete(everyone, i) for i in experts},
-        )
-
-
 @dataclass
 class SessionResult:
     config: SessionConfig
@@ -309,8 +269,20 @@ def run_session(config: SessionConfig) -> SessionResult:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     lo, hi = config.base_quality_range
     base_quality = {b.id: lo + (hi - lo) * rng.random() for b in config.pool}
-    roster = Roster.of(config)
-    ids = roster.ids
+    # the federation as arrays in federation order: each member's
+    # probabilities and score parameters, each pool style family's bias per
+    # member, and the experts' cumulative leader table
+    federation = config.federation
+    ids = [p.id for p in federation]
+    availability = np.array([p.availability_probability for p in federation], dtype=float)
+    freeload = np.array([p.freeload_probability for p in federation], dtype=float)
+    noise_sd = np.array([p.score_noise_sd for p in federation], dtype=float)
+    floor_affinity = np.array([p.score_floor_affinity for p in federation], dtype=float)
+    bias = {family: np.array([p.score_bias.get(family, 0.0) for p in federation], dtype=float)
+            for family in {b.style_family for b in config.pool}}
+    experts = [i for i, p in enumerate(federation) if p.is_expert]
+    leader_table = _leader_table([federation[i].leader_probability for i in experts])
+    others_of = {i: np.delete(np.arange(len(federation)), i) for i in experts}  # every other position
     pool = list(config.pool)
     rounds: list[RoundRecord] = []
     skips: list[Omitted] = []
@@ -320,16 +292,16 @@ def run_session(config: SessionConfig) -> SessionResult:
         if any(start <= clock < end for start, end in config.blackout_windows):
             continue
 
-        leader = roster.experts[_elect(roster.leader_table, rng)]
-        others = roster.others[leader]
+        leader = experts[_elect(leader_table, rng)]
+        others = others_of[leader]
         present = np.zeros(len(ids), dtype=bool)
-        present[others] = rng.random(len(others)) < roster.availability[others]
+        present[others] = rng.random(len(others)) < availability[others]
         available = np.flatnonzero(present)
         if not len(available):
             skips.append(Omitted(clock, OMIT_NO_PARTICIPANTS))
             continue
 
-        procurers = available[rng.random(len(available)) >= roster.freeload[available]]
+        procurers = available[rng.random(len(available)) >= freeload[available]]
         if not len(procurers):
             # Someone has to fetch the sample: promote one freeloader.
             procurers = available[[int(rng.integers(len(available)))]]
@@ -339,8 +311,8 @@ def run_session(config: SessionConfig) -> SessionResult:
         present[leader] = True
         reviewers = np.flatnonzero(present)
         scores = _draw_scores(
-            base_quality[beverage.id], roster.bias[beverage.style_family][reviewers],
-            roster.noise_sd[reviewers], roster.floor_affinity[reviewers], rng,
+            base_quality[beverage.id], bias[beverage.style_family][reviewers],
+            noise_sd[reviewers], floor_affinity[reviewers], rng,
         )
 
         broadcast, comprehension = communication_costs(len(rounds), config.cost_params)

@@ -15,17 +15,16 @@ five quality metrics are computed from the raw, unnormalised scores:
   coverage         valid slots / (J*K)
 
 Everything the metrics read from the scorecards depends only on them and
-k, so a run builds one ``JudgeIndex`` from its score matrix and evaluates
-every model against it. Computed for all judges at once, the index holds
-each judge's k-th best score (the threshold-mode cutoff), fixed top-k set
-(score descending, ties at the cut by name ascending; ``top_k_set`` in
-``tests/oracles.py`` is its reference), mid-rank percentile of each score
-and IDCG, the discounted sum of the k best scores (Jarvelin & Kekalainen
-2002). Each master name and each distinct recommended name is normalized
-once per run, so a model costs work per slot. Every sum adds the same
-floats in the same order as a per-model pass, so ``evaluate_model`` gives
-bit-identical results whether a caller passes the index or a plain
-mapping (which is indexed on the spot).
+k, so a run builds one ``JudgeIndex(matrix, names, k)`` from its score
+matrix, master list and k, and evaluates every model against it. Computed
+for all judges at once, the index holds each judge's k-th best score (the
+threshold-mode cutoff), fixed top-k set (score descending, ties at the cut
+by name ascending; ``top_k_set`` in ``tests/oracles.py`` is its
+reference), mid-rank percentile of each score and IDCG, the discounted sum
+of the k best scores (Jarvelin & Kekalainen 2002). Each master name and
+each distinct recommended name is normalized once per run, so a model
+costs work per slot. Every sum adds the same floats in the same order as
+``oracle_metrics`` in ``tests/oracles.py``, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,34 +137,22 @@ def _reasons(recs: RecommendationSet, resolve: Callable[[str], str | None],
     return reasons, picks
 
 
-Scorecard = Mapping[str, float]  # normalized beverage name -> raw score
-Scorecards = Mapping[str, Scorecard]  # judge id -> scorecard
 RecsByProfile = Mapping[str, RecommendationSet]
 
 
-class JudgeIndex(Mapping[str, Scorecard]):
-    """Immutable per-run index of judges' scorecards for one k.
+class JudgeIndex:
+    """Immutable per-run index of the judges' scorecards for one k.
 
-    A mapping from judge id to scorecard, in sorted judge order (each card
-    is built on access), that also holds what every metric reads from the
-    scorecards, so evaluating many models against the same scorecards
-    ranks each scorecard once instead of once per model. Build it once,
-    with ``from_matrix`` or from a ``Scorecards`` mapping, and pass it
-    wherever a ``Scorecards`` mapping is accepted.
+    Built from a score matrix whose columns are the beverages named
+    ``names``, it holds what every metric reads from the scorecards, so
+    evaluating many models ranks each scorecard once instead of once per
+    model. The evaluation's master list is ``set(names)``, each of whose
+    names is normalized once here. Columns sharing a normalized name must
+    hold no score (ingest rejects a scored ambiguous name). ``judges`` are
+    the matrix's judges in sorted order.
     """
 
-    def __init__(self, scorecards: Scorecards, k: int):
-        judges = sorted(scorecards)
-        keys = sorted({key for judge in judges for key in scorecards[judge]})
-        cells = [[scorecards[judge].get(key, np.nan) for key in keys] for judge in judges]
-        self._build(judges, keys, np.array(cells, dtype=float).reshape(len(judges), len(keys)), k, None, None)
-
-    @classmethod
-    def from_matrix(cls, matrix: ScoreMatrix, names: Sequence[str], k: int) -> JudgeIndex:
-        """The index of a score matrix whose columns are the beverages named
-        ``names``. Evaluating against the master list ``set(names)`` then
-        normalizes no name again. Columns sharing a normalized name must
-        hold no score (ingest rejects a scored ambiguous name)."""
+    def __init__(self, matrix: ScoreMatrix, names: Sequence[str], k: int):
         resolve = _Names(names)
         column = {resolve[raw]: c for c, raw in enumerate(names)}  # a shared name keeps its last column
         keys = sorted(column)
@@ -174,30 +160,21 @@ class JudgeIndex(Mapping[str, Scorecard]):
         if len(kept) < len(names) and not np.isnan(np.delete(matrix.cells, kept, axis=1)).all():
             raise ValueError("beverages sharing a normalized name must be unrated")
         order = sorted(range(len(matrix.judges)), key=matrix.judges.__getitem__)
-        index = cls.__new__(cls)
-        index._build([matrix.judges[i] for i in order], keys, matrix.cells[order][:, kept], k,
-                     frozenset(names), resolve)
-        return index
-
-    def _build(self, judges: list[str], keys: list[str], cells: np.ndarray, k: int,
-               master: frozenset[str] | None, names: _Names | None) -> None:
-        """The one builder, for ``cells`` of judges x beverages (NaN where a
-        judge has no score), rows in sorted judge order and columns in the
-        sorted order of their distinct normalized names ``keys``."""
-        # a copy with an all-NaN last column: the column of a name no judge scored is -1
-        cells = np.concatenate([cells, np.full((len(judges), 1), np.nan)], axis=1)
+        # rows in judge order, columns in name order, and an all-NaN last
+        # column: the column of a name no judge scored is -1
+        cells = np.concatenate([matrix.cells[order][:, kept], np.full((len(order), 1), np.nan)], axis=1)
         n = (~np.isnan(cells)).sum(axis=1)
         best = -np.sort(-cells, axis=1)  # each row's scores, best first, then its NaNs
         width = min(k, len(keys))
         ideal_len = np.minimum(n, width)  # the k best scores, or all when fewer
-        cutoff = np.where(ideal_len > 0, best[np.arange(len(judges)), np.maximum(ideal_len - 1, 0)], np.inf)
+        cutoff = np.where(ideal_len > 0, best[np.arange(len(order)), np.maximum(ideal_len - 1, 0)], np.inf)
         ahead = cells >= cutoff[:, None]  # at least the k-th best score; NaN compares False
         # the fixed top-k set: every score above the cutoff, then the cutoff's
         # ties in name (column) order until the set holds min(k, n) names
         top = cells > cutoff[:, None]
         ties = ahead & ~top
         top |= ties & (np.cumsum(ties, axis=1) <= (ideal_len - top.sum(axis=1))[:, None])
-        pct: list[dict[float, float]] = [{} for _ in judges]  # each distinct score's percentile
+        pct: list[dict[float, float]] = [{} for _ in order]  # each distinct score's percentile
         for row in np.flatnonzero(n >= 2):  # mid-ranked: ties count half
             scores, tied = np.unique(best[row, :n[row]], return_counts=True)  # ascending
             below = np.cumsum(tied) - tied
@@ -205,87 +182,16 @@ class JudgeIndex(Mapping[str, Scorecard]):
         discounts = [math.log2(i + 1) for i in range(1, width + 1)]
         idcg = [sum(rel / d for rel, d in zip(ideal[:size], discounts))
                 for ideal, size in zip(best[:, :width].tolist(), ideal_len.tolist())]
-        vars(self).update(k=k, _rows={judge: row for row, judge in enumerate(judges)}, _cells=cells,
+        vars(self).update(k=k, judges=tuple(matrix.judges[i] for i in order), _cells=cells,
                           _column={key: c for c, key in enumerate(keys)}, _pct=pct, _top=top, _ahead=ahead,
-                          _idcg=idcg, _master=master, _names=names)
+                          _idcg=idcg, _names=resolve)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __getitem__(self, judge: str) -> Scorecard:
-        row = self._cells[self._rows[judge]].tolist()
-        return MappingProxyType({key: score for key, score in zip(self._column, row) if score == score})
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
-@dataclass
-class _Terms:
-    """Raw terms of the five metrics for one model across all judges."""
-
-    judges: int
-    k: int
-    valid: int = 0
-    hits: int = 0
-    ratings: list[float] = field(default_factory=list)  # per valid scored slot
-    percentiles: list[float] = field(default_factory=list)  # per-judge means
-    ndcgs: list[float] = field(default_factory=list)  # per judge
-    reasons: list[VerdictReason] = field(default_factory=list)  # per slot of every judge's set
-
-    def share(self, count: int) -> float:
-        """count over the J*K recommendation slots."""
-        if not self.judges:
-            raise ValueError("at least one scorecard is required")
-        return count / (self.judges * self.k)
-
 
 def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
-
-
-def _one_pass(
-    recs_by_profile: RecsByProfile,
-    scorecards: Scorecards,
-    beverage_names: set[str],
-    k: int,
-    tie_mode: str = "fixed",
-) -> _Terms:
-    """Validate each judge's set once and collect the terms of all five
-    metrics from the index (a plain mapping, or an index built for another
-    k, is indexed here first)."""
-    if tie_mode not in ("fixed", "threshold"):
-        raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    index = scorecards if isinstance(scorecards, JudgeIndex) and scorecards.k == k else JudgeIndex(scorecards, k)
-    names = index._names if beverage_names == index._master else _Names(beverage_names)
-    terms = _Terms(len(index), k)
-    rows, cols, ranks, bounds = [], [], [], [0]  # the valid picks, judge by judge
-    for row, judge in enumerate(index._rows):
-        recs = recs_by_profile.get(judge)
-        if recs is not None:
-            reasons, picks = _reasons(recs, names.__getitem__, k)
-            terms.reasons += reasons
-            for name, rank in picks:
-                rows.append(row)
-                cols.append(index._column.get(name, -1))
-                ranks.append(rank)
-        bounds.append(len(rows))
-    scores = index._cells[rows, cols].tolist()  # NaN where the judge has no score
-    terms.valid = len(rows)
-    terms.hits = int((index._top if tie_mode == "fixed" else index._ahead)[rows, cols].sum())
-    terms.ratings = [score for score in scores if score == score]
-    # ranks 1..k without a valid pick add +0.0, so only the picks' ranks are summed
-    gains = [score / math.log2(rank + 1) if score == score else 0.0 for score, rank in zip(scores, ranks)]
-    for lo, hi, idcg, pct in zip(bounds, bounds[1:], index._idcg, index._pct):
-        values = [pct[score] for score in scores[lo:hi] if score in pct]  # NaN is in no table
-        if values:
-            terms.percentiles.append(_mean(values))
-        dcg = sum(gain for _, gain in sorted(zip(ranks[lo:hi], gains[lo:hi])))  # in rank order
-        terms.ndcgs.append(dcg / idcg if idcg > 0 else 0.0)
-    return terms
 
 
 QUANTIZATION_TOL = 1e-9
@@ -321,14 +227,14 @@ class MetricReport:
 
 def evaluate_model(
     recs_by_profile: RecsByProfile,
-    scorecards: Scorecards,
-    beverage_names: set[str],
-    k: int = DEFAULT_K,
+    index: JudgeIndex,
     *,
     model_id: str,
     tie_mode: str = "fixed",
 ) -> MetricReport:
-    """Compose the five metrics for one model across all profiles.
+    """Compose the five metrics for one model across the index's judges,
+    validating each judge's set once against the index's master list and
+    k; a set for any other profile is not read.
 
     With zero valid slots only coverage (0.0) is defined; the other four
     report as None rather than a misleading zero. ``tie_mode`` "fixed"
@@ -336,19 +242,42 @@ def evaluate_model(
     broken by name); "threshold" counts anything scoring at least the
     judge's k-th best score.
     """
-    terms = _one_pass(recs_by_profile, scorecards, beverage_names, k, tie_mode)
-    cov = terms.share(terms.valid)
-    if cov == 0.0:
-        return MetricReport(model_id, None, None, None, None, 0.0,
-                            len(scorecards), k)
+    if tie_mode not in ("fixed", "threshold"):
+        raise ValueError(f"unknown tie_mode {tie_mode!r}")
+    if not index.judges:
+        raise ValueError("at least one scorecard is required")
+    k, judges = index.k, len(index.judges)
+    rows, cols, ranks, bounds = [], [], [], [0]  # the valid picks, judge by judge
+    for row, judge in enumerate(index.judges):
+        recs = recs_by_profile.get(judge)
+        if recs is not None:
+            for name, rank in _reasons(recs, index._names.__getitem__, k)[1]:
+                rows.append(row)
+                cols.append(index._column.get(name, -1))
+                ranks.append(rank)
+        bounds.append(len(rows))
+    coverage = len(rows) / (judges * k)
+    if coverage == 0.0:
+        return MetricReport(model_id, None, None, None, None, 0.0, judges, k)
+    scores = index._cells[rows, cols].tolist()  # NaN where the judge has no score
+    hits = int((index._top if tie_mode == "fixed" else index._ahead)[rows, cols].sum())
+    # ranks 1..k without a valid pick add +0.0, so only the picks' ranks are summed
+    gains = [score / math.log2(rank + 1) if score == score else 0.0 for score, rank in zip(scores, ranks)]
+    percentiles, ndcgs = [], []  # per-judge means, per judge
+    for lo, hi, idcg, pct in zip(bounds, bounds[1:], index._idcg, index._pct):
+        values = [pct[score] for score in scores[lo:hi] if score in pct]  # NaN is in no table
+        if values:
+            percentiles.append(_mean(values))
+        dcg = sum(gain for _, gain in sorted(zip(ranks[lo:hi], gains[lo:hi])))  # in rank order
+        ndcgs.append(dcg / idcg if idcg > 0 else 0.0)
     return MetricReport(
         model_id=model_id,
-        mean_rating=_mean(terms.ratings),
-        mean_percentile=_mean(terms.percentiles),
-        hit_rate=terms.share(terms.hits),
-        ndcg=_mean(terms.ndcgs),
-        coverage=cov,
-        n_profiles=len(scorecards),
+        mean_rating=_mean([score for score in scores if score == score]),
+        mean_percentile=_mean(percentiles),
+        hit_rate=hits / (judges * k),
+        ndcg=_mean(ndcgs),
+        coverage=coverage,
+        n_profiles=judges,
         k=k,
     )
 

@@ -2,8 +2,11 @@
 
 import json
 
-from beerfed.model import Beverage, Dataset, Review
-from beerfed.receval import RecommendationSet, RecommendationSlot
+import numpy as np
+
+from beerfed.model import Beverage, Dataset, Review, normalize_name
+from beerfed.receval import JudgeIndex, RecommendationSet, RecommendationSlot
+from beerfed.scoring import ScoreMatrix
 
 FAMILIES = [
     "Pale ale & IPA",
@@ -110,3 +113,21 @@ def write_rec_file(path, model_id, picks_by_judge):
     ]
     path.write_text(json.dumps({"model_id": model_id, "profiles": profiles}), encoding="utf-8")
     return path
+
+
+def score_matrix(cards, names):
+    """The score matrix of scorecards ``cards`` ({judge: {normalized name:
+    score}}) with one column per beverage of ``names``, in list order, and
+    its rows out of judge order."""
+    keys = {normalize_name(n) for n in names}
+    assert all(key in keys for card in cards.values() for key in card), "a scored name is not on the list"
+    judges = sorted(cards, reverse=True)
+    cells = [[cards[j].get(normalize_name(n), np.nan) for n in names] for j in judges]
+    return ScoreMatrix(judges, [f"b{c}" for c in range(len(names))], np.array(cells).reshape(len(judges), -1))
+
+
+def index_of(cards, names, k=5):
+    """The JudgeIndex that evaluates against scorecards ``cards`` ({judge:
+    {normalized name: score}}) and the master list ``names`` for k."""
+    names = sorted(names)
+    return JudgeIndex(score_matrix(cards, names), names, k)

@@ -30,7 +30,7 @@ from beerfed.protocol import (
 )
 from beerfed.receval import evaluate_model
 from beerfed.scoring import ScoreMatrix, build_score_matrix, judge_stats, normalize
-from genutil import random_rec_instance, random_scores, write_rec_file
+from genutil import index_of, random_rec_instance, random_scores, write_rec_file
 from oracles import oracle_metrics, oracle_round_possible, oracle_sample_sd, oracle_spearman
 
 
@@ -123,7 +123,7 @@ def test_c02_metric_quantization():
     seen = set()
     for _ in range(1000):
         recs, _, cards, names = random_rec_instance(rng, n_judges=3, k=5)
-        report = evaluate_model(recs, cards, names, model_id="m")
+        report = evaluate_model(recs, index_of(cards, names), model_id="m")
         for value in (report.hit_rate, report.coverage):
             if value is None:
                 continue
@@ -146,7 +146,7 @@ def test_c03_metric_oracle_equivalence():
             rng, n_judges=int(rng.integers(1, 4)), n_beverages=int(rng.integers(7, 9))
         )
         expected = oracle_metrics(slots, cards, names)
-        report = evaluate_model(recs, cards, names, model_id="m")
+        report = evaluate_model(recs, index_of(cards, names), model_id="m")
         pairs = [
             (report.coverage, expected["coverage"]),
             (report.mean_rating, expected["mean_rating"]),

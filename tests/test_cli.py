@@ -532,10 +532,10 @@ class TestEvalRecs:
         assert f"Is a directory: '{out}'" in err and ".staging" not in err
 
     def test_each_scorecard_ranked_once_per_run(self, sim_outputs, tmp_path, eval_env, monkeypatch):
-        rows = []  # the scorecards each index build ranks
-        build = receval.JudgeIndex._build
-        monkeypatch.setattr(receval.JudgeIndex, "_build",
-                            lambda self, judges, *rest: rows.append(list(judges)) or build(self, judges, *rest))
+        built = []  # the judges of each index construction
+        init = receval.JudgeIndex.__init__
+        monkeypatch.setattr(receval.JudgeIndex, "__init__",
+                            lambda self, matrix, *rest: built.append(list(matrix.judges)) or init(self, matrix, *rest))
         (eval_env / "model-offlist.json").unlink()  # three models left
         rc = cli.main(
             [
@@ -546,7 +546,7 @@ class TestEvalRecs:
         )
         assert rc == 0
         assert len((tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()) == 4
-        assert rows == [["A", "B", "C"]]  # once per judge A, B, C, not once per (model, judge)
+        assert built == [["A", "B", "C"]]  # once per run, not once per model
 
     def test_each_name_normalized_once_per_run(self, sim_outputs, tmp_path, eval_env, monkeypatch):
         (eval_env / "model-offlist.json").unlink()
@@ -804,6 +804,32 @@ class TestInputBoundary:
         records = error_records(capsys)
         assert [r["code"] for r in records if r["level"] == "error"] == [code, "VALIDATION"]
         assert sorted(p.name for p in out.iterdir()) == ["model-x.json"]  # nothing written
+
+    # "a::b","c" and "a","b::c" both join to the beverage id "a::b::c"
+    ID_COLLISION = "brewery,beer_name,beer_style,abv_percent\na::b,c,IPA,5.0\na,b::c,Stout,6.0\n"
+    ID_COLLISION_MESSAGE = ("row 3, column beer_name: duplicate beverage id 'a::b::c': 'b::c' for 'a'"
+                            " and, at row 2, 'c' for 'a::b'")
+
+    @pytest.mark.parametrize("argv", [analyze_argv, lambda *paths: [*analyze_argv(*paths), "--lenient"], eval_argv],
+                             ids=["analyze", "analyze-lenient", "eval-recs"])
+    def test_beverages_sharing_an_id_exit_4_naming_both(self, sim_outputs, tmp_path, capsys, argv):
+        beverages = write_text(tmp_path / "beverages.csv", self.ID_COLLISION)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["--json-errors", *argv(sim_outputs / "scorecards.csv", beverages, out)]) == 4
+        (record,) = error_records(capsys)
+        assert record["code"] == "INGEST" and record["message"] == f"{beverages}: {self.ID_COLLISION_MESSAGE}"
+        assert list(out.iterdir()) == []
+
+    def test_pool_csv_beverages_sharing_an_id_exit_2_naming_both(self, tmp_path, capsys):
+        pool = write_text(tmp_path / "pool.csv", self.ID_COLLISION)
+        body = {key: value for key, value in CONFIG.items() if key != "pool"}
+        config = write_text(tmp_path / "session.json", json.dumps({**body, "pool_csv": "pool.csv"}))
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "sim")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert record["message"] == f"{config}: pool_csv: {pool}: {self.ID_COLLISION_MESSAGE}"
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("argv", [analyze_argv, eval_argv])
     def test_validate_dataset_runs_once_per_call(self, sim_outputs, tmp_path, monkeypatch, argv):

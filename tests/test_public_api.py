@@ -1,9 +1,11 @@
 """The package's public surface: ``beerfed.__all__`` is pinned, and it
 names exactly what ``beerfed`` provides, so removing a name from one and
 not the other fails here. The names resolve on first use, so ``import
-beerfed`` itself binds no submodule."""
+beerfed`` itself binds no submodule. The recommendation evaluators'
+signatures are pinned too, so each keeps one input form."""
 
 import inspect
+from collections.abc import Mapping
 import os
 import subprocess
 import sys
@@ -48,6 +50,16 @@ PUBLIC = [
 ]
 
 
+# the one way to evaluate recommendations: build the index from a score
+# matrix, then score each model against it
+SIGNATURES = {
+    "JudgeIndex": "(matrix: 'ScoreMatrix', names: 'Sequence[str]', k: 'int')",
+    "evaluate_model": "(recs_by_profile: 'RecsByProfile', index: 'JudgeIndex', *, model_id: 'str',"
+                      " tie_mode: 'str' = 'fixed') -> 'MetricReport'",
+    "validate_recs": "(recs: 'RecommendationSet', beverage_names: 'set[str]', k: 'int' = 5) -> 'list[SlotVerdict]'",
+}
+
+
 def test_all_is_the_pinned_sorted_list():
     assert beerfed.__all__ == PUBLIC == sorted(PUBLIC)
     assert set(PUBLIC) <= set(dir(beerfed))
@@ -83,3 +95,8 @@ def test_import_binds_no_submodule():
     env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.split() == ["[]", "[]", "[]"]
+
+
+def test_evaluation_signatures_are_pinned():
+    assert {name: str(inspect.signature(getattr(beerfed, name))) for name in SIGNATURES} == SIGNATURES
+    assert not issubclass(beerfed.JudgeIndex, Mapping)

@@ -6,7 +6,6 @@ from dataclasses import asdict
 from itertools import permutations
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import beerfed
@@ -23,8 +22,8 @@ from beerfed.receval import (
     normalize_name,
     validate_recs,
 )
-from beerfed.scoring import ScoreMatrix, normalize
-from genutil import random_rec_instance
+from beerfed.scoring import normalize
+from genutil import index_of, random_rec_instance, score_matrix
 from oracles import oracle_metrics, top_k_set
 
 NAMES = {"Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta", "Eta", "Theta"}
@@ -43,13 +42,23 @@ def card(**scores):
     return {normalize_name(k): v for k, v in scores.items()}
 
 
-def report(recs, cards, names=NAMES, **kw):
-    return evaluate_model(recs, cards, names, model_id="m", **kw)
+def report(recs, cards, names=NAMES, k=5, **kw):
+    return evaluate_model(recs, index_of(cards, names, k), model_id="m", **kw)
+
+
+def assert_matches_oracle(recs, slots, cards, names, index, tie_mode):
+    """The index's report equals the brute-force oracle's, which reads the
+    scorecards ``cards`` as a plain mapping."""
+    got = evaluate_model(recs, index, model_id="m", tie_mode=tie_mode)
+    expected = oracle_metrics(slots, cards, set(names), index.k, tie_mode)
+    assert (got.coverage, got.mean_rating, got.mean_percentile, got.hit_rate, got.ndcg) == (
+        expected["coverage"], expected["mean_rating"], expected["mean_percentile"], expected["hit"], expected["ndcg"],
+    )
 
 
 def top_names(index, judge):
     """The names in ``judge``'s fixed top-k set of ``index``."""
-    row = index._top[index._rows[judge]]
+    row = index._top[index.judges.index(judge)]
     return {key for key, hit in zip(index._column, row) if hit}
 
 
@@ -273,7 +282,7 @@ class TestEvaluateModel:
 
     def test_perfect_recommender(self):
         recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon", profile=f"J{i}") for i in range(3)}
-        report = evaluate_model(recs, self.cards(), NAMES, model_id="perfect")
+        report = evaluate_model(recs, index_of(self.cards(), NAMES), model_id="perfect")
         assert report.coverage == 1.0
         assert report.hit_rate == 1.0
         assert report.ndcg == pytest.approx(1.0)
@@ -288,11 +297,14 @@ class TestEvaluateModel:
             "J1": recs_of("Alpha", "Beta", "Gamma", "Delta", "Alpha"),
             "J2": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon"),
         }
-        report = evaluate_model(recs, self.cards(), NAMES, model_id="m")
+        report = evaluate_model(recs, index_of(self.cards(), NAMES), model_id="m")
         assert report.coverage == pytest.approx(13 / 15, abs=0)
+        # a set for a profile without a scorecard is not read
+        extra = {**recs, "J9": recs_of("Alpha", "Beta", profile="J9")}
+        assert evaluate_model(extra, index_of(self.cards(), NAMES), model_id="m") == report
 
     def test_empty_recommendations_only_coverage_defined(self):
-        report = evaluate_model({}, self.cards(), NAMES, model_id="empty")
+        report = evaluate_model({}, index_of(self.cards(), NAMES), model_id="empty")
         assert report.coverage == 0.0
         assert report.mean_rating is None
         assert report.mean_percentile is None
@@ -301,10 +313,11 @@ class TestEvaluateModel:
 
     def test_model_id_is_required_and_keyword_only(self):
         recs = {"J0": recs_of("Alpha", ranks=[1])}
+        index = index_of(self.cards(), NAMES)
         with pytest.raises(TypeError):
-            evaluate_model(recs, self.cards(), NAMES)
+            evaluate_model(recs, index)
         with pytest.raises(TypeError):
-            evaluate_model(recs, self.cards(), NAMES, 5, "m")
+            evaluate_model(recs, index, "m")
 
     def test_quantization_guard_rejects_corrupt_state(self):
         with pytest.raises(ValueError):
@@ -319,7 +332,8 @@ class TestEvaluateModel:
             invalid = [v for v in verdicts if not v.valid]
             if not invalid:
                 continue
-            before = evaluate_model(recs, cards, names, model_id="m")
+            index = index_of(cards, names)
+            before = evaluate_model(recs, index, model_id="m")
             idx = invalid[0].slot_index
             used_ranks = {s.rank for i, s in enumerate(slots) if i != idx}
             free_rank = next(r for r in range(1, 6) if r not in used_ranks)
@@ -330,7 +344,7 @@ class TestEvaluateModel:
             slots[idx] = RecommendationSlot(replacement, free_rank)
             patched = dict(recs)
             patched[judge] = RecommendationSet("m", judge, slots)
-            after = evaluate_model(patched, cards, names, model_id="m")
+            after = evaluate_model(patched, index, model_id="m")
             assert after.coverage >= before.coverage
             if before.hit_rate is not None:
                 assert after.hit_rate >= before.hit_rate - 1e-12
@@ -342,7 +356,8 @@ class TestEvaluateModel:
         # rank onto another slot would change validity itself)
         for _ in range(20):
             recs, _, cards, names = random_rec_instance(rng)
-            before = evaluate_model(recs, cards, names, model_id="m")
+            index = index_of(cards, names)
+            before = evaluate_model(recs, index, model_id="m")
             permuted = {}
             for judge, rset in recs.items():
                 slots = list(rset.slots)
@@ -352,7 +367,7 @@ class TestEvaluateModel:
                 for i, r in zip(ok, ranks):
                     slots[i] = RecommendationSlot(slots[i].beverage_name, int(r), slots[i].justification)
                 permuted[judge] = RecommendationSet("m", judge, slots)
-            after = evaluate_model(permuted, cards, names, model_id="m")
+            after = evaluate_model(permuted, index, model_id="m")
             assert after.coverage == pytest.approx(before.coverage)
             if before.hit_rate is None:
                 assert after.hit_rate is None
@@ -439,7 +454,7 @@ class TestOracleEquivalence:
             )
             for tie_mode in ("fixed", "threshold"):
                 expected = oracle_metrics(slots, cards, names, tie_mode=tie_mode)
-                report = evaluate_model(recs, cards, names, model_id="m", tie_mode=tie_mode)
+                report = evaluate_model(recs, index_of(cards, names), model_id="m", tie_mode=tie_mode)
                 assert report.coverage == expected["coverage"]
                 assert report.mean_rating == expected["mean_rating"]
                 assert report.mean_percentile == expected["mean_percentile"]
@@ -457,21 +472,21 @@ class TestOracleEquivalence:
         monkeypatch.setattr(receval, "_reasons", counting)
         recs, _, cards, names = random_rec_instance(rng, n_judges=4)
         del recs["J2"]  # a profile without a set is never validated
-        evaluate_model(recs, cards, names, model_id="m")
+        evaluate_model(recs, index_of(cards, names), model_id="m")
         assert sorted(calls) == ["J0", "J1", "J3"]
 
 
 class TestJudgeIndex:
-    def test_is_an_immutable_mapping_of_the_scorecards(self):
+    def test_is_immutable_with_sorted_judges(self):
         cards = {"B": card(Alpha=3.0), "A": card(Beta=4.0, Gamma=2.0)}
-        index = JudgeIndex(cards, 5)
-        assert list(index) == ["A", "B"]
-        assert dict(index) == cards and len(index) == 2 and index.k == 5
+        index = index_of(cards, NAMES)
+        assert index.judges == ("A", "B") and index.k == 5
         with pytest.raises(AttributeError):
             index.k = 3
 
     @pytest.mark.parametrize("tie_mode", ["fixed", "threshold"])
     def test_index_and_plain_mapping_give_equal_reports(self, rng, tie_mode):
+        # the index's top-k sets and reports against the oracles'
         for trial in range(80):
             recs, slots, cards, names = random_rec_instance(rng, n_judges=int(rng.integers(1, 5)))
             if trial % 2:  # heavily tied: three score levels per card
@@ -484,50 +499,26 @@ class TestJudgeIndex:
                 last_first = list(reversed(cards["J0"]))
                 cards["J0"] = {n: 4.5 if i < 2 else 4.0 if i < 7 else 2.0 for i, n in enumerate(last_first)}
             for k in (3, 5, 40):  # 40 exceeds every card
-                index = JudgeIndex(cards, k)
-                for judge in index:
+                index = index_of(cards, names, k)
+                for judge in index.judges:
                     assert top_names(index, judge) == top_k_set(cards[judge], k)
-                plain = report(recs, cards, names, k=k, tie_mode=tie_mode)
-                assert report(recs, JudgeIndex(cards, k), names, k=k, tie_mode=tie_mode) == plain
-                # an index built for another k is rebuilt, never misread
-                assert report(recs, JudgeIndex(cards, 5 if k != 5 else 3), names, k=k, tie_mode=tie_mode) == plain
-                expected = oracle_metrics(slots, cards, names, k, tie_mode)
-                assert (plain.coverage, plain.mean_rating, plain.mean_percentile, plain.hit_rate, plain.ndcg) == (
-                    expected["coverage"], expected["mean_rating"], expected["mean_percentile"],
-                    expected["hit"], expected["ndcg"],
-                )
+                assert_matches_oracle(recs, slots, cards, names, index, tie_mode)
 
     def test_each_scorecard_sorted_once_per_index(self, rng, monkeypatch):
-        rows = []  # the scorecards each index build ranks
-        build = JudgeIndex._build
-        monkeypatch.setattr(JudgeIndex, "_build", lambda self, judges, *rest: rows.append(len(judges))
-                            or build(self, judges, *rest))
+        built = []  # the judges of each index construction
+        init = JudgeIndex.__init__
+        monkeypatch.setattr(JudgeIndex, "__init__", lambda self, matrix, *rest: built.append(len(matrix.judges))
+                            or init(self, matrix, *rest))
         recs, _, cards, names = random_rec_instance(rng, n_judges=4)
-        index = JudgeIndex(cards, 5)
+        index = index_of(cards, names)
         for _ in range(3):
-            evaluate_model(recs, index, names, model_id="m")
-        assert rows == [4]
+            evaluate_model(recs, index, model_id="m")
+        assert built == [4]
 
 
 class TestMatrixIndex:
-    """JudgeIndex.from_matrix, the index eval-recs builds, against the
-    mapping form and the brute-force oracle."""
-
-    @staticmethod
-    def matrix(cards, names):
-        judges = sorted(cards, reverse=True)  # rows out of judge order
-        cells = [[cards[j].get(normalize_name(n), np.nan) for n in names] for j in judges]
-        return ScoreMatrix(judges, [f"b{c}" for c in range(len(names))], np.array(cells).reshape(len(judges), -1))
-
-    @staticmethod
-    def assert_equal_reports(recs, slots, cards, names, index, k, tie_mode):
-        plain = report(recs, cards, set(names), k=k, tie_mode=tie_mode)
-        assert report(recs, index, set(names), k=k, tie_mode=tie_mode) == plain
-        expected = oracle_metrics(slots, cards, set(names), k, tie_mode)
-        assert (plain.coverage, plain.mean_rating, plain.mean_percentile, plain.hit_rate, plain.ndcg) == (
-            expected["coverage"], expected["mean_rating"], expected["mean_percentile"],
-            expected["hit"], expected["ndcg"],
-        )
+    """The index of a score matrix against the brute-force oracle, which
+    reads the scorecards as a mapping."""
 
     @pytest.mark.parametrize("tie_mode", ["fixed", "threshold"])
     def test_matrix_and_mapping_indexes_agree(self, rng, tie_mode):
@@ -538,17 +529,12 @@ class TestMatrixIndex:
                 cards = {j: {n: int(rng.integers(30, 33)) / 10 for n in c} for j, c in cards.items()}
             if trial % 3 == 0:  # some cells unscored
                 cards = {j: {n: v for n, v in c.items() if rng.random() < 0.7} for j, c in cards.items()}
-            names = sorted(names)
-            matrix = self.matrix(cards, names)
             for k in (3, 5, 40):
-                index = JudgeIndex.from_matrix(matrix, names, k)
-                assert dict(index) == cards and list(index) == sorted(cards)
-                for judge in index:
+                index = index_of(cards, names, k)
+                assert index.judges == tuple(sorted(cards))
+                for judge in index.judges:
                     assert top_names(index, judge) == top_k_set(cards[judge], k)
-                self.assert_equal_reports(recs, slots, cards, names, index, k, tie_mode)
-                # an index built for another k is rebuilt, never misread
-                other = JudgeIndex.from_matrix(matrix, names, 5 if k != 5 else 3)
-                self.assert_equal_reports(recs, slots, cards, names, other, k, tie_mode)
+                assert_matches_oracle(recs, slots, cards, names, index, tie_mode)
 
     def test_shared_name_is_valid_but_unrated(self):
         # two producers' beverages normalize to one name that no judge scored
@@ -556,27 +542,26 @@ class TestMatrixIndex:
         cards = {"J0": card(Alpha=4.0, Beta=3.0, Gamma=2.0, Delta=1.0), "J1": card(Alpha=1.0, Beta=2.5)}
         recs = {j: recs_of("Twin Ale", "Alpha", "Beta", profile=j) for j in cards}
         slots = {j: [(s.beverage_name, s.rank) for s in recs[j].slots] for j in cards}
-        index = JudgeIndex.from_matrix(self.matrix(cards, names), names, 5)
+        index = JudgeIndex(score_matrix(cards, names), names, 5)
         assert [v.reason for v in validate_recs(recs["J0"], set(names))] == [VerdictReason.OK] * 3
-        assert "twin ale" not in index["J0"]
-        self.assert_equal_reports(recs, slots, cards, names, index, 5, "fixed")
-        assert report(recs, index, set(names)).coverage == 6 / 10  # the unrated pick still counts
+        assert top_names(index, "J0") == {"alpha", "beta", "gamma", "delta"}  # the unrated name is in no set
+        assert_matches_oracle(recs, slots, cards, names, index, "fixed")
+        assert evaluate_model(recs, index, model_id="m").coverage == 6 / 10  # the unrated pick still counts
 
-        scored = self.matrix(cards, names)
+        scored = score_matrix(cards, names)
         scored.cells[0, 3] = 3.5  # a score for one of the two: which beverage it means is unknown
         with pytest.raises(ValueError, match="sharing a normalized name"):
-            JudgeIndex.from_matrix(scored, names, 5)
+            JudgeIndex(scored, names, 5)
 
     @pytest.mark.parametrize("tie_mode", ["fixed", "threshold"])
     def test_normalized_degenerate_rows(self, rng, tie_mode):
         recs, slots, cards, names = random_rec_instance(rng, n_judges=3)
         names = sorted(names)
         cards["J1"] = dict.fromkeys(cards["J1"], 3.0)  # one score only: a degenerate row
-        matrix = normalize(self.matrix(cards, names), lenient=True)
+        matrix = normalize(score_matrix(cards, names), lenient=True)
         judges = sorted(cards, reverse=True)
         normalized = {j: {normalize_name(n): v for n, v in zip(names, row.tolist()) if v == v}
                       for j, row in zip(judges, matrix.cells)}
         assert set(normalized["J1"].values()) == {0.5}
         for k in (3, 5):
-            self.assert_equal_reports(recs, slots, normalized, names, JudgeIndex.from_matrix(matrix, names, k),
-                                      k, tie_mode)
+            assert_matches_oracle(recs, slots, normalized, names, JudgeIndex(matrix, names, k), tie_mode)
