@@ -135,6 +135,8 @@ def cmd_simulate(args, diag: Diagnostics) -> int:
 
 def cmd_analyze(args, diag: Diagnostics) -> int:
     families, dataset, violations = _checked_dataset(args, diag, lenient=args.lenient)
+    if not dataset.judges and not args.lenient:
+        raise InsufficientDataError("no judge has a scorecard to analyze", path=args.scorecards)
     paths = _cli.analyze_dataset(
         dataset,
         args.out_dir,

@@ -21,10 +21,14 @@ bounded blocks of whole lines, a column at a time (split by ``str.split``,
 LF or CRLF lines alike, while no line needs csv quoting rules), into a
 columnar ``ReviewTable``: each distinct raw cell is validated and coded
 once, an error naming the first non-blank row that holds it, and each
-distinct name is joined to its beverage once. Output directories are
-written through ``staged_outputs``, all files or none. Only
-``load_session_config`` imports ``protocol``, so analyze and eval-recs
-never load it.
+distinct name is joined to its beverage once. The session log is
+streamed a round at a time, each line encoded from the round's member
+codes through tables built once per session (each member's JSON id, the
+members in sorted-id order, one review tail per member and distinct
+score); scorecards are written a bounded block of rows per join.
+Output directories are written through ``staged_outputs``, all files or
+none. Only ``load_session_config`` imports ``protocol``, so analyze and
+eval-recs never load it.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import replace
 from functools import partial
 from io import StringIO
 from itertools import chain, count, islice, repeat
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -197,27 +201,28 @@ def _beverage_from_fields(
     )
 
 
+def _id_clash(seen: dict[str, tuple[str, Beverage]], beverage: Beverage, where: str) -> str | None:
+    """Record ``beverage`` as found at ``where``, or, when an earlier one
+    holds its id, say so naming both: two (brewery, beer_name) pairs can
+    share an id, as "a::b","c" and "a","b::c" do."""
+    first, other = seen.setdefault(beverage.id, (where, beverage))
+    if other is not beverage:
+        return (f"duplicate beverage id {beverage.id!r}: {beverage.name!r} for {beverage.producer!r}"
+                f" and, at {first}, {other.name!r} for {other.producer!r}")
+
+
 def parse_beverages_csv(
     path: str | Path, families: list[StyleFamily] | None = None
 ) -> list[Beverage]:
     """Ingest a beverage list: rows come back style-bucketed and ready to
     band, with errors reported by file line and column."""
     bucket = style_bucketer(families)
-    beverages = []
-    # beverage id -> its first row and beverage: two (brewery, beer_name)
-    # pairs can share an id, as "a::b","c" and "a","b::c" do
-    seen: dict[str, tuple[int, Beverage]] = {}
+    beverages, seen = [], {}
     with _csv_file(path, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL) as (_, reader, width, positions):
         for row, fields in _records(reader, width, positions):
             beverage = _beverage_from_fields(*fields, bucket, row)
-            first, other = seen.setdefault(beverage.id, (row, beverage))
-            if other is not beverage:
-                raise IngestError(
-                    f"duplicate beverage id {beverage.id!r}: {beverage.name!r} for {beverage.producer!r}"
-                    f" and, at row {first}, {other.name!r} for {other.producer!r}",
-                    row=row,
-                    column="beer_name",
-                )
+            if clash := _id_clash(seen, beverage, f"row {row}"):
+                raise IngestError(clash, row=row, column="beer_name")
             beverages.append(beverage)
     return beverages
 
@@ -287,6 +292,7 @@ def write_beverages_csv(beverages: Iterable[Beverage], path: str | Path) -> None
 
 _BLOCK = 1 << 18  # characters per scorecard block: a 144,000-row file read whole costs ~30 MB more
 _CSV_BLOCK_ROWS = 8192  # records per block once csv.reader reads the file
+_WRITE_ROWS = 1 << 14  # scorecard rows per write
 
 
 def _scorecard_blocks(fh, reader, width: int, positions: Sequence[int]) -> Iterator[tuple[list, Sequence]]:
@@ -418,7 +424,8 @@ def _csv_cell(cell: str) -> str:
 
 
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
-    """``write_csv``'s bytes, streamed from each distinct cell quoted once."""
+    """``write_csv``'s bytes, streamed a block of rows at a time from each
+    distinct cell quoted once."""
     table = dataset.reviews
     by_id = {b.id: b for b in dataset.beverages}
     values, score_codes = np.unique(table.score, return_inverse=True)  # the 41 grid scores
@@ -438,9 +445,10 @@ def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _csv_writer(fh).writerow(header)
         ends = [","] * (len(columns) - 1) + ["\n"]  # each cell carries the separator after it
-        pieces = [np.array([_csv_cell(cell) + end for cell in cells], dtype=object)[codes]  # by reference
-                  for (cells, codes), end in zip(columns, ends)]
-        fh.writelines(map("".join, zip(*pieces)))
+        texts = [np.array([_csv_cell(cell) + end for cell in cells], dtype=object) for (cells, _), end in zip(columns, ends)]
+        for start in range(0, len(table), _WRITE_ROWS):  # one join per block of rows, cells by reference
+            rows = np.stack([text[codes[start:start + _WRITE_ROWS]] for text, (_, codes) in zip(texts, columns)], axis=1)
+            fh.write("".join(rows.ravel().tolist()))
 
 
 def build_dataset(beverages: list[Beverage], scorecards: tuple[ReviewTable, tuple[int, ...]]) -> Dataset:
@@ -571,7 +579,7 @@ def load_session_config(
                 raise ConfigurationError(f"pool_csv: {exc}") from None
         else:
             bucket = style_bucketer(families)
-            pool = []
+            pool, seen = [], {}
             for i, entry in enumerate(raw["pool"]):
                 where = f"pool entry {i}"
                 if not isinstance(entry, dict):
@@ -586,6 +594,8 @@ def load_session_config(
                     beverage = _beverage_from_fields(brewery, name, style, abv, ingredients, tags, bucket, None)
                 except IngestError as exc:
                     raise ConfigurationError(f"{where}: {exc}") from None
+                if clash := _id_clash(seen, beverage, where):
+                    raise ConfigurationError(f"{where}: {clash}")
                 pool.append(beverage)
 
         cost = raw.get("cost_params", {})
@@ -638,38 +648,43 @@ def _encode(obj, newline: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-class _ReviewSuffixes(dict):
-    """(judge, score) -> that review's encoded ``"judge", "raw_score": score}``
-    tail, each encoded once."""
-
-    def __missing__(self, review: tuple[str, float]) -> str:
-        text = self[review] = f'{json.dumps(review[0])}, "raw_score": {json.dumps(review[1])}}}'
-        return text
-
-
-def round_log_lines(result: SessionResult) -> list[str]:
-    """One line per round, the bytes ``json.dumps(..., sort_keys=True)``
+def round_log_lines(result: SessionResult) -> Iterator[str]:
+    """Yield one line per round, the bytes ``json.dumps(..., sort_keys=True)``
     gives for the round as a dict (``round_dict`` in ``tests/oracles.py`` is
-    that reference). The round-level fields go through ``json.dumps``;
-    each review is the round's ``{"beverage_id": ..., "judge_id": `` prefix
-    and its memoised ``(judge, score)`` suffix."""
-    suffix = _ReviewSuffixes().__getitem__
-    lines = []
-    for r in result.rounds:
-        head = json.dumps({
-            "index": r.index,
-            "clock": r.clock,
-            "leader_id": r.leader_id,
-            "beverage_id": r.beverage_id,
-            "procurers": sorted(r.procurers),
-            "reviewers": sorted(r.reviewers),
-            "broadcast_cost": r.broadcast_cost,
-            "comprehension_cost": r.comprehension_cost,
-        }, sort_keys=True)
-        prefix = f'{{"beverage_id": {json.dumps(r.beverage_id)}, "judge_id": '
-        reviews = ", ".join(map(prefix.__add__, map(suffix, zip(r.review_judges, r.review_scores))))
-        lines.append(f'{head[:-1]}, "reviews": [{reviews}]}}')  # "reviews" sorts after every other key
-    return lines
+    that reference), encoded from the rounds' codes through tables built
+    once per federation: each member's JSON id, the members in sorted-id
+    order (a round's sorted procurers and reviewers are a mask read in that
+    order) and one ``judge, "raw_score": score}`` review tail per member and
+    distinct score of the session."""
+    rounds = result.rounds
+    values, score_codes = np.unique(np.concatenate([np.empty(0), *(r.scores for r in rounds)]), return_inverse=True)
+    values = [json.dumps(v) for v in values.tolist()]
+    members, start = None, 0
+    for r in rounds:
+        if r.members is not members:  # every round of a session shares one tuple
+            members = r.members
+            ids = list(map(encode_basestring_ascii, members))  # as json.dumps encodes a str
+            by_id = sorted(range(len(ids)), key=members.__getitem__)
+            rank = np.empty(len(ids), np.intp)
+            rank[by_id] = np.arange(len(ids))
+            sorted_ids = np.array(ids, dtype=object)[by_id]
+            tails = np.array([[f'{i}, "raw_score": {v}}}' for v in values] for i in ids], dtype=object)
+        procuring, reviewing = np.zeros(len(ids), bool), np.zeros(len(ids), bool)
+        procuring[rank[r.procurer_positions]] = True
+        reviewing[rank[r.reviewer_positions]] = True
+        codes = score_codes[start:start + len(r.scores)]
+        start += len(r.scores)
+        beverage = encode_basestring_ascii(r.beverage_id)
+        # one dumps for the four numbers: no JSON number holds ", "
+        broadcast, clock, comprehension, index = json.dumps(
+            [r.broadcast_cost, r.clock, r.comprehension_cost, r.index])[1:-1].split(", ")
+        prefix = f'{{"beverage_id": {beverage}, "judge_id": '
+        reviews = (", " + prefix).join(tails[r.reviewer_positions, codes].tolist())
+        yield (f'{{"beverage_id": {beverage}, "broadcast_cost": {broadcast}, "clock": {clock}, '
+               f'"comprehension_cost": {comprehension}, "index": {index}, "leader_id": {ids[r.leader_position]}, '
+               f'"procurers": [{", ".join(sorted_ids[procuring].tolist())}], '
+               f'"reviewers": [{", ".join(sorted_ids[reviewing].tolist())}], '
+               f'"reviews": [{prefix + reviews if reviews else ""}]}}')
 
 
 def write_session_outputs(result: SessionResult, out_dir: str | Path) -> dict[str, Path]:

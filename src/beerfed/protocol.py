@@ -39,13 +39,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import Beverage, Dataset, ReviewTable, positions
+from .model import Beverage, Dataset, ReviewTable
 
 PROB_SUM_TOL = 1e-9
 
@@ -227,24 +227,46 @@ class Omitted:
     reason: str
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """One round as logged; its reviews are two parallel columns, every
-    reviewer in federation order and that reviewer's score."""
+    """One round as logged, in codes: the leader, procurers and reviewers
+    are positions into ``members`` (the session's federation ids, shared by
+    every round), the reviewers ascending, which is review order, and
+    ``scores`` holds each reviewer's score. The arrays are read-only; the
+    ids and scores are views built on access, and ``==`` compares them."""
 
     index: int
     clock: int
-    leader_id: str
+    members: tuple[str, ...]
+    leader_position: int
     beverage_id: str
-    procurers: frozenset[str]
-    review_judges: tuple[str, ...]
-    review_scores: tuple[float, ...]
+    procurer_positions: np.ndarray
+    reviewer_positions: np.ndarray
+    scores: np.ndarray
     broadcast_cost: float
     comprehension_cost: float
 
-    @property
-    def reviewers(self) -> frozenset[str]:
-        return frozenset(self.review_judges)
+    def __post_init__(self):
+        for name, dtype in (("procurer_positions", np.intp), ("reviewer_positions", np.intp), ("scores", float)):
+            array = np.asarray(getattr(self, name), dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    # the logged ids and scores: a str, frozensets and tuples of ids, a tuple of floats
+    leader_id = property(lambda self: self.members[self.leader_position])
+    procurers = property(lambda self: frozenset(map(self.members.__getitem__, self.procurer_positions.tolist())))
+    reviewers = property(lambda self: frozenset(self.review_judges))
+    review_judges = property(lambda self: tuple(map(self.members.__getitem__, self.reviewer_positions.tolist())))
+    review_scores = property(lambda self: tuple(self.scores.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RoundRecord):
+            return NotImplemented
+        return _logged(self) == _logged(other)
+
+
+_logged = attrgetter("index", "clock", "leader_id", "beverage_id", "procurers", "review_judges", "review_scores",
+                     "broadcast_cost", "comprehension_cost")
 
 
 @dataclass
@@ -273,7 +295,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     # probabilities and score parameters, each pool style family's bias per
     # member, and the experts' cumulative leader table
     federation = config.federation
-    ids = [p.id for p in federation]
+    ids = tuple(p.id for p in federation)
     availability = np.array([p.availability_probability for p in federation], dtype=float)
     freeload = np.array([p.freeload_probability for p in federation], dtype=float)
     noise_sd = np.array([p.score_noise_sd for p in federation], dtype=float)
@@ -284,6 +306,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     leader_table = _leader_table([federation[i].leader_probability for i in experts])
     others_of = {i: np.delete(np.arange(len(federation)), i) for i in experts}  # every other position
     pool = list(config.pool)
+    sampled: list[Beverage] = []
     rounds: list[RoundRecord] = []
     skips: list[Omitted] = []
     for clock in range(config.clock_start, config.clock_end, config.round_duration):
@@ -315,33 +338,23 @@ def run_session(config: SessionConfig) -> SessionResult:
             noise_sd[reviewers], floor_affinity[reviewers], rng,
         )
 
-        broadcast, comprehension = communication_costs(len(rounds), config.cost_params)
-        rounds.append(RoundRecord(
-            index=len(rounds),
-            clock=clock,
-            leader_id=ids[leader],
-            beverage_id=beverage.id,
-            procurers=frozenset(ids[i] for i in procurers.tolist()),
-            review_judges=tuple(ids[i] for i in reviewers.tolist()),
-            review_scores=tuple(scores.tolist()),
-            broadcast_cost=broadcast,
-            comprehension_cost=comprehension,
-        ))
+        rounds.append(RoundRecord(len(rounds), clock, ids, leader, beverage.id, procurers, reviewers, scores,
+                                  *communication_costs(len(rounds), config.cost_params)))
+        sampled.append(beverage)
 
-    judge_ids = [
-        p.id
-        for p in config.federation
-        if p.is_expert or config.include_amateurs
-    ]
-    # the session's reviews as columns: round r's reviews name beverage r
-    judge = positions(list(chain.from_iterable(r.review_judges for r in rounds)), judge_ids)
-    beverage = np.repeat(np.arange(len(rounds)), [len(r.review_judges) for r in rounds])
-    score = np.fromiter(chain.from_iterable(r.review_scores for r in rounds), float, len(judge))
+    # the session's reviews as columns, each reviewer's federation position
+    # mapped to its place among the kept judges (-1: not kept); round r's
+    # reviews name beverage r
+    kept = [i for i, p in enumerate(federation) if p.is_expert or config.include_amateurs]
+    judge_of = np.full(len(ids), -1, dtype=np.intp)
+    judge_of[kept] = np.arange(len(kept))
+    judge = judge_of[np.concatenate([np.empty(0, np.intp), *(r.reviewer_positions for r in rounds)])]
+    beverage = np.repeat(np.arange(len(rounds)), [len(r.scores) for r in rounds])
+    score = np.concatenate([np.empty(0), *(r.scores for r in rounds)])
     keep = judge >= 0
     untagged = np.zeros(np.count_nonzero(keep), dtype=np.intp)
-    reviews = ReviewTable(tuple(judge_ids), tuple(r.beverage_id for r in rounds), (frozenset(),), (None,),
+    judge_ids = [ids[i] for i in kept]
+    reviews = ReviewTable(tuple(judge_ids), tuple(b.id for b in sampled), (frozenset(),), (None,),
                           judge[keep], beverage[keep], untagged, untagged, score[keep])
-    by_id = {b.id: b for b in config.pool}
-    beverages = [by_id[record.beverage_id] for record in rounds]
-    dataset = Dataset(beverages=beverages, reviews=reviews, judges=judge_ids)
+    dataset = Dataset(beverages=sampled, reviews=reviews, judges=judge_ids)
     return SessionResult(config=config, rounds=rounds, skips=skips, dataset=dataset)

@@ -68,8 +68,11 @@ def build_score_matrix(dataset: Dataset) -> ScoreMatrix:
     known = (j >= 0) & (b >= 0)
     flat = j[known] * len(beverages) + b[known]
     cells = np.full((len(judges), len(beverages)), np.nan)
-    _, first = np.unique(flat, return_index=True)  # index of each cell's first review
-    cells.flat[flat[first]] = table.score[known][first]
+    score = table.score[known]
+    if flat.size and np.bincount(flat).max() > 1:  # numpy sets no order for repeated-index assignment
+        _, first = np.unique(flat, return_index=True)  # index of each cell's first review
+        flat, score = flat[first], score[first]
+    cells.flat[flat] = score
     return ScoreMatrix(judges, beverages, cells)
 
 

@@ -279,7 +279,7 @@ def test_c05_protocol_invariants():
             assert len(record.review_scores) == len(record.review_judges)
 
         rerun = run_session(config)
-        assert round_log_lines(rerun) == round_log_lines(result)
+        assert list(round_log_lines(rerun)) == list(round_log_lines(result))
         sessions += 1
         rounds_seen += len(result.rounds)
     assert sessions + rejected == 200 and sessions > rejected > 0
@@ -355,7 +355,7 @@ def test_c08_judge_mean_calibration():
     config = load_session_config(bundled("calibration_session.json"))
     result = run_session(config)
     result2 = run_session(load_session_config(bundled("calibration_session.json")))
-    assert round_log_lines(result) == round_log_lines(result2)
+    assert list(round_log_lines(result)) == list(round_log_lines(result2))
 
     matrix = build_score_matrix(result.dataset)
     stats = judge_stats(matrix)

@@ -831,6 +831,17 @@ class TestInputBoundary:
         assert record["message"] == f"{config}: pool_csv: {pool}: {self.ID_COLLISION_MESSAGE}"
         assert not (tmp_path / "sim").exists()
 
+    def test_inline_pool_entries_sharing_an_id_exit_2_naming_both(self, tmp_path, capsys):
+        pool = [{"brewery": "a::b", "beer_name": "c", "beer_style": "IPA", "abv_percent": 5.0},
+                {"brewery": "a", "beer_name": "b::c", "beer_style": "Stout", "abv_percent": 6.0}]
+        config = write_config(tmp_path, pool=pool)
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "sim")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert record["message"] == (f"{config}: pool entry 1: duplicate beverage id 'a::b::c': 'b::c' for 'a'"
+                                     " and, at pool entry 0, 'c' for 'a::b'")
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("argv", [analyze_argv, eval_argv])
     def test_validate_dataset_runs_once_per_call(self, sim_outputs, tmp_path, monkeypatch, argv):
         calls = []
@@ -979,7 +990,35 @@ class TestInputBoundary:
         (record,) = error_records(capsys)
         assert record["code"] == "DEGENERATE" and record["message"].startswith(f"{scorecards}: ")
         assert read == [] and not (tmp_path / "eval").exists()
-        assert cli.main(analyze_argv(scorecards, beverages, tmp_path / "rep")) == 0
+        assert cli.main([*analyze_argv(scorecards, beverages, tmp_path / "rep"), "--lenient"]) == 0
+
+    def check_analyze_without_scores(self, tmp_path, capsys, scorecards, beverages):
+        """Plain analyze exits 4 DEGENERATE naming the scorecard file and
+        writes nothing; --lenient writes the nine empty tables."""
+        rep = tmp_path / "rep"
+        assert cli.main(["--json-errors", *analyze_argv(scorecards, beverages, rep)]) == 4
+        (record,) = error_records(capsys)
+        assert record["code"] == "DEGENERATE" and record["message"].startswith(f"{scorecards}: ")
+        assert not rep.exists()
+        assert cli.main([*analyze_argv(scorecards, beverages, rep), "--lenient"]) == 0
+        assert len(list(rep.iterdir())) == 9
+
+    def test_analyze_header_only_files_exits_4_unless_lenient(self, tmp_path, capsys):
+        beverages = write_text(tmp_path / "beverages.csv", "brewery,beer_name,beer_style,abv_percent\n")
+        scorecards = write_text(tmp_path / "scorecards.csv", "judge_id,beer_name,raw_score\n")
+        self.check_analyze_without_scores(tmp_path, capsys, scorecards, beverages)
+
+    def test_analyze_all_skipped_session_exits_4_unless_lenient(self, tmp_path, capsys):
+        # two experts who each turn up 1% of the time: every round is skipped
+        federation = [{"id": pid, "is_expert": True, "leader_probability": 0.5, "availability_probability": 0.01}
+                      for pid in ("A", "B")]
+        pool = [{"brewery": "P", "beer_name": "Batch 1", "beer_style": "Gose", "abv_percent": 4.5}]
+        config = write_config(tmp_path, seed=1, clock_start=600, clock_end=675, round_duration=1,
+                              federation=federation, pool=pool)
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", str(config), "--out", str(sim)]) == 0
+        assert "simulated 0 rounds (75 skipped)" in capsys.readouterr().err
+        self.check_analyze_without_scores(tmp_path, capsys, sim / "scorecards.csv", sim / "beverages.csv")
 
 
 class TestShortSessionsNeedLenient:

@@ -217,6 +217,13 @@ class TestRunRound:
         assert record.procurers == {"P1"}
         assert len(record.procurers) == 1 < len(record.reviewers)
         assert "L" not in record.procurers
+        # codes under the views: read-only arrays, compared by the ids and scores they stand for
+        assert record.reviewer_positions.tolist() == [0, 1, 2, 3] and record.procurer_positions.tolist() == [3]
+        with pytest.raises(ValueError, match="read-only"):
+            record.scores[0] = 1.0
+        copy = replace(record, members=tuple(list(record.members)), scores=record.scores.copy())
+        assert copy == record and copy.members is not record.members
+        assert replace(record, scores=record.scores + 0.1) != record
 
     def test_all_freeloaders_promotes_one(self):
         federation = [
@@ -239,13 +246,13 @@ class TestRunSession:
 
     def test_same_seed_is_byte_identical(self):
         config = simple_config(pool_of(25), seed=77)
-        log_a = round_log_lines(run_session(config))
-        log_b = round_log_lines(run_session(config))
+        log_a = list(round_log_lines(run_session(config)))
+        log_b = list(round_log_lines(run_session(config)))
         assert log_a == log_b
 
     def test_different_seed_differs(self):
-        a = round_log_lines(run_session(simple_config(pool_of(25), seed=1)))
-        b = round_log_lines(run_session(simple_config(pool_of(25), seed=2)))
+        a = list(round_log_lines(run_session(simple_config(pool_of(25), seed=1))))
+        b = list(round_log_lines(run_session(simple_config(pool_of(25), seed=2))))
         assert a != b
 
     def test_blackout_covering_window_yields_no_rounds(self):
@@ -350,7 +357,7 @@ def test_run_session_matches_per_reviewer_oracle():
             continue
         result = run_session(config)
         lines, reviews, skips = oracle_run_session(config)
-        assert round_log_lines(result) == lines
+        assert list(round_log_lines(result)) == lines
         assert [(r.judge_id, r.beverage_id, r.raw_score) for r in result.dataset.reviews] == reviews
         assert [(s.clock, s.reason) for s in result.skips] == skips
         # what the random configs exercised
@@ -375,8 +382,35 @@ def test_round_log_writer_matches_json_dumps():
     costs = CostParams(politeness_initial=1e308, broadcast_base=1e308, comprehension_growth=1e308)
     config = simple_config(pool, federation=federation, cost_params=costs)
     result = run_session(config)
-    empty = RoundRecord(9, 0, ids[0], ids[1], frozenset(), (), (), 0.5, 2.0)
+    empty = RoundRecord(9, 0, result.rounds[0].members, 0, ids[1], (), (), (), 0.5, 2.0)
     result = SessionResult(config, [*result.rounds, empty], [], Dataset())
     expected = [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
-    assert round_log_lines(result) == expected
+    assert list(round_log_lines(result)) == expected
     assert len(expected) == len(ids) + 1 and all("Infinity" in line for line in expected[2:-1])
+
+
+def test_round_log_sorts_ids_that_federation_order_does_not():
+    # federation order is not sorted-id order ("M10" < "M2"), some ids need
+    # JSON escapes, amateurs are logged but not kept, some reviewers have
+    # floor affinity and the costs overflow to Infinity
+    ids = ["M2", "M10", 'q"uote', "M1", "café", "Z", "back\\slash", "M20", "\U0001f37a", "M11", "a", "ctl\x00\n"]
+    federation = [
+        ParticipantProfile(pid, is_expert=i % 3 == 0, leader_probability=0.25 if i % 3 == 0 else 0.0,
+                           availability_probability=0.7, freeload_probability=0.4, score_noise_sd=0.8,
+                           score_floor_affinity=0.3 if i % 4 == 1 else 0.0)
+        for i, pid in enumerate(ids)
+    ]
+    costs = CostParams(politeness_initial=1e308, broadcast_base=1e308, comprehension_growth=1e308)
+    config = simple_config(pool_of(40), seed=5, federation=federation, cost_params=costs)
+    result = run_session(config)
+    lines = list(round_log_lines(result))
+    assert lines == [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
+    assert lines == oracle_run_session(config)[0]
+    rounds = [json.loads(line) for line in lines]
+    in_federation_order = [[j for j in ids if j in rec["reviewers"]] for rec in rounds]
+    assert sum(rec["reviewers"] != order for rec, order in zip(rounds, in_federation_order)) > 30
+    assert any(rec["procurers"] != [j for j in ids if j in rec["procurers"]] for rec in rounds)
+    logged = {j for rec in rounds for j in rec["reviewers"]}
+    assert set(result.dataset.judges) == set(ids[::3]) and logged == set(ids)
+    assert any(s == 1.0 for rec in rounds for s in (r["raw_score"] for r in rec["reviews"]))
+    assert len(rounds) == 40 and any("Infinity" in line for line in lines)

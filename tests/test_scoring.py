@@ -62,6 +62,17 @@ class TestBuildScoreMatrix:
             expected = oracle_score_matrix(ds.judges, m.beverages, ds.reviews)
             assert np.array_equal(m.cells, np.array(expected).reshape(m.cells.shape), equal_nan=True)
 
+    def test_matches_per_review_oracle_without_duplicates(self, rng, monkeypatch):
+        # no cell is reviewed twice, so the matrix is filled without np.unique
+        monkeypatch.setattr(scoring.np, "unique", None)
+        for _ in range(40):
+            ds = random_dataset(rng, int(rng.integers(1, 8)), int(rng.integers(1, 30)), rng.uniform(0.0, 0.6))
+            reviews = list(ds.reviews)
+            ds = with_reviews(ds, [reviews[i] for i in rng.permutation(len(reviews))])
+            m = build_score_matrix(ds)
+            expected = oracle_score_matrix(ds.judges, m.beverages, ds.reviews)
+            assert np.array_equal(m.cells, np.array(expected).reshape(m.cells.shape), equal_nan=True)
+
     def test_empty_dataset(self):
         assert build_score_matrix(Dataset()).cells.shape == (0, 0)
 
