@@ -41,11 +41,11 @@ def _resolver(namespace: dict, sources: dict[str, str]):
 # each public name -> the module defining it; `import beerfed` loads none
 # of them, only numpy
 __getattr__ = _resolver(globals(), {
-    **dict.fromkeys(("AbvBand", "Beverage", "Dataset", "NoteTag", "Review", "StyleFamily", "Violation",
+    **dict.fromkeys(("AbvBand", "Beverage", "Dataset", "NoteTag", "StyleFamily", "Violation",
                      "classify_abv", "validate_dataset"), "model"),
     **dict.fromkeys(("CostParams", "ParticipantProfile", "RoundRecord", "SessionConfig",
                      "communication_costs", "run_session"), "protocol"),
-    **dict.fromkeys(("JudgeIndex", "MetricReport", "RecommendationSet", "RecommendationSlot", "SlotVerdict",
+    **dict.fromkeys(("JudgeIndex", "MetricReport", "RecommendationSet", "SlotVerdict",
                      "evaluate_model", "validate_recs"), "receval"),
     **dict.fromkeys(("AggregateRanking", "ScoreMatrix", "agreement", "aggregate", "build_score_matrix",
                      "divisiveness", "judge_stats", "normalize", "per_style_distribution", "tag_report"),
@@ -68,8 +68,6 @@ __all__ = [
     "NoteTag",
     "ParticipantProfile",
     "RecommendationSet",
-    "RecommendationSlot",
-    "Review",
     "RoundRecord",
     "ScoreMatrix",
     "SessionConfig",

@@ -184,7 +184,7 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
     files_of: dict[str, str] = {}  # model id -> the first readable file that holds it
     for path in paths:
         try:
-            recs = _cli.load_recommendations(path)
+            model_id, sets = _cli.load_recommendations(path)
         except (IngestError, OSError) as exc:  # an IngestError's message names the file
             reason = str(exc) if isinstance(exc, IngestError) else f"{path}: {exc.strerror or exc}"
             if args.strict:
@@ -192,15 +192,15 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
                 return EXIT_STRICT_EVAL
             diag.warning(f"skipping {reason}", code="EVAL")
             continue
-        first = files_of.setdefault(recs.model_id, path)
+        first = files_of.setdefault(model_id, path)
         if first != path:
-            diag.warning(f"{path}: model_id {recs.model_id!r} is also in {first}; both rows are kept",
+            diag.warning(f"{path}: model_id {model_id!r} is also in {first}; both rows are kept",
                          code="EVAL")
-        for extra in sorted(set(recs.sets) - known):
+        for extra in sorted(set(sets) - known):
             diag.warning(
                 f"{path}: profile {extra!r} has no scorecard; ignored", code="EVAL"
             )
-        rows.append(_cli.evaluate_model(recs.sets, index, model_id=recs.model_id, tie_mode=args.hit_ties))
+        rows.append(_cli.evaluate_model(sets, index, model_id=model_id, tie_mode=args.hit_ties))
 
     rows.sort(
         key=lambda r: (

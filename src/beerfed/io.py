@@ -201,27 +201,35 @@ def _beverage_from_fields(
     )
 
 
-def _id_clash(seen: dict[str, tuple[str, Beverage]], beverage: Beverage, where: str) -> str | None:
+def _clash(seen: dict[str, tuple[str, Beverage]], names: dict[str, str] | None,
+           beverage: Beverage, where: str) -> str | None:
     """Record ``beverage`` as found at ``where``, or, when an earlier one
     holds its id, say so naming both: two (brewery, beer_name) pairs can
-    share an id, as "a::b","c" and "a","b::c" do."""
-    first, other = seen.setdefault(beverage.id, (where, beverage))
+    share an id, as "a::b","c" and "a","b::c" do. Given ``names`` (each
+    normalized name's id), a shared normalized name clashes too, as
+    scorecards could not tell the two beverages apart."""
+    what, key = "duplicate beverage id", beverage.id
+    first, other = seen.setdefault(key, (where, beverage))
+    if other is beverage and names is not None:
+        what, key = "ambiguous beverage name", normalize_name(beverage.name)
+        first, other = seen[names.setdefault(key, beverage.id)]
     if other is not beverage:
-        return (f"duplicate beverage id {beverage.id!r}: {beverage.name!r} for {beverage.producer!r}"
+        return (f"{what} {key!r}: {beverage.name!r} for {beverage.producer!r}"
                 f" and, at {first}, {other.name!r} for {other.producer!r}")
 
 
 def parse_beverages_csv(
-    path: str | Path, families: list[StyleFamily] | None = None
+    path: str | Path, families: list[StyleFamily] | None = None, unique_names: bool = False
 ) -> list[Beverage]:
     """Ingest a beverage list: rows come back style-bucketed and ready to
-    band, with errors reported by file line and column."""
+    band, with errors reported by file line and column. Two rows may share
+    a normalized name unless ``unique_names``."""
     bucket = style_bucketer(families)
-    beverages, seen = [], {}
+    beverages, seen, names = [], {}, {} if unique_names else None
     with _csv_file(path, BEVERAGE_COLUMNS, BEVERAGE_OPTIONAL) as (_, reader, width, positions):
         for row, fields in _records(reader, width, positions):
             beverage = _beverage_from_fields(*fields, bucket, row)
-            if clash := _id_clash(seen, beverage, f"row {row}"):
+            if clash := _clash(seen, names, beverage, f"row {row}"):
                 raise IngestError(clash, row=row, column="beer_name")
             beverages.append(beverage)
     return beverages
@@ -574,12 +582,12 @@ def load_session_config(
             if not isinstance(pool_csv, str) or "\0" in pool_csv:
                 raise ConfigurationError(f"pool_csv must be a file path string, got {pool_csv!r}")
             try:
-                pool = parse_beverages_csv((path.parent / pool_csv).resolve(), families)
+                pool = parse_beverages_csv((path.parent / pool_csv).resolve(), families, unique_names=True)
             except IngestError as exc:
                 raise ConfigurationError(f"pool_csv: {exc}") from None
         else:
             bucket = style_bucketer(families)
-            pool, seen = [], {}
+            pool, seen, names = [], {}, {}
             for i, entry in enumerate(raw["pool"]):
                 where = f"pool entry {i}"
                 if not isinstance(entry, dict):
@@ -594,7 +602,7 @@ def load_session_config(
                     beverage = _beverage_from_fields(brewery, name, style, abv, ingredients, tags, bucket, None)
                 except IngestError as exc:
                     raise ConfigurationError(f"{where}: {exc}") from None
-                if clash := _id_clash(seen, beverage, where):
+                if clash := _clash(seen, names, beverage, where):
                     raise ConfigurationError(f"{where}: {clash}")
                 pool.append(beverage)
 

@@ -13,11 +13,11 @@ import math
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -271,23 +271,6 @@ class Beverage:
         return classify_abv(self.abv)
 
 
-@dataclass(frozen=True)
-class Review:
-    judge_id: str
-    beverage_id: str
-    raw_score: float
-    note_tags: frozenset[NoteTag] = frozenset()
-    note_text: str | None = None
-
-    def __post_init__(self):
-        if not (SCORE_MIN <= self.raw_score <= SCORE_MAX):
-            raise ValueError(
-                f"raw score must lie in [{SCORE_MIN}, {SCORE_MAX}], got {self.raw_score!r}"
-            )
-        if abs(self.raw_score * 10 - round(self.raw_score * 10)) > 1e-6:
-            raise ValueError(f"raw score {self.raw_score!r} is not on the 0.1 grid")
-
-
 _REAL_WORD = re.compile(r"\breal\b", re.IGNORECASE)
 _ARTIFICIAL_WORD = re.compile(r"\bartificial\b", re.IGNORECASE)
 
@@ -312,13 +295,13 @@ def positions(values: Sequence, order: Sequence) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ReviewTable(Sequence[Review]):
+class ReviewTable:
     """Reviews as read-only columns over small vocabularies: row ``i`` is
     judge ``judge_ids[judge[i]]`` scoring beverage
     ``beverage_ids[beverage[i]]`` at ``score[i]``, tagged
     ``tag_sets[tags[i]]``, with note ``note_texts[notes[i]]``. A join or
     check on a vocabulary runs once per distinct value and reaches the rows
-    by one array lookup; indexing builds ``Review``s on demand."""
+    by one array lookup. Every score lies in [1, 5] on the 0.1 grid."""
 
     judge_ids: tuple[str, ...]
     beverage_ids: tuple[str, ...]
@@ -331,47 +314,29 @@ class ReviewTable(Sequence[Review]):
     score: np.ndarray
 
     def __post_init__(self):
-        for column in (self.judge, self.beverage, self.tags, self.notes, self.score):
+        score = self.score
+        off_grid = score * 10
+        with np.errstate(invalid="ignore"):  # an infinity fails the range test below
+            off_grid -= np.rint(off_grid)
+        bad = ~((score >= SCORE_MIN) & (score <= SCORE_MAX)) | (np.abs(off_grid, out=off_grid) > 1e-6)
+        if np.count_nonzero(bad):
+            row = int(bad.argmax())
+            raise ValueError(f"row {row}: raw score {float(score[row])!r} must lie in "
+                             f"[{SCORE_MIN}, {SCORE_MAX}] on the 0.1 grid")
+        for column in (self.judge, self.beverage, self.tags, self.notes, score):
             column.flags.writeable = False
-
-    @classmethod
-    def from_reviews(cls, reviews: Iterable[Review]) -> ReviewTable:
-        """The table of ``reviews``, each vocabulary in first-seen order."""
-        reviews = list(reviews)
-        columns = ([r.judge_id for r in reviews], [r.beverage_id for r in reviews],
-                   [r.note_tags for r in reviews], [r.note_text for r in reviews])
-        vocabularies = [tuple(dict.fromkeys(column)) for column in columns]
-        return cls(*vocabularies, *map(positions, columns, vocabularies),
-                   np.array([r.raw_score for r in reviews], dtype=float))
 
     def __len__(self) -> int:
         return len(self.score)
 
-    def __getitem__(self, index: int) -> Review:
-        row = range(len(self))[index]  # IndexError, negative indices
-        return Review(self.judge_ids[self.judge[row]], self.beverage_ids[self.beverage[row]],
-                      float(self.score[row]), self.tag_sets[self.tags[row]], self.note_texts[self.notes[row]])
-
-    def __eq__(self, other) -> bool:
-        """Equal to a table or list holding equal reviews in the same order,
-        whatever order its vocabularies are in."""
-        if not isinstance(other, (ReviewTable, list)):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 @dataclass
 class Dataset:
-    """Beverages, judges and every review as one ``ReviewTable`` (given
-    ``Review`` objects, ``reviews`` stores them as a table)."""
+    """Beverages, judges and every review as one ``ReviewTable``."""
 
-    beverages: list[Beverage] = field(default_factory=list)
-    reviews: ReviewTable | Iterable[Review] = ()
-    judges: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not isinstance(self.reviews, ReviewTable):
-            self.reviews = ReviewTable.from_reviews(self.reviews)
+    beverages: list[Beverage]
+    reviews: ReviewTable
+    judges: list[str]
 
 
 class Severity(str, enum.Enum):

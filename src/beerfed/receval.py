@@ -30,10 +30,10 @@ costs work per slot. Every sum adds the same floats in the same order as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,18 +44,12 @@ if TYPE_CHECKING:
     from .scoring import ScoreMatrix
 
 
-@dataclass(frozen=True)
-class RecommendationSlot:
-    beverage_name: str
-    rank: int | None = None
-    justification: str = ""
+class RecommendationSet(NamedTuple):
+    """One profile's ranked slots as parallel tuples: slot ``i`` names
+    ``names[i]`` at rank ``ranks[i]`` (None when the file gave no integer)."""
 
-
-@dataclass
-class RecommendationSet:
-    model_id: str
-    profile_id: str
-    slots: list[RecommendationSlot] = field(default_factory=list)
+    names: tuple[str, ...]
+    ranks: tuple[int | None, ...]
 
 
 class VerdictReason(str, Enum):
@@ -107,8 +101,8 @@ def validate_recs(
     the reported reason follows that order.
     """
     reasons, _ = _reasons(recs, _Names(beverage_names).__getitem__, k)
-    return [SlotVerdict(i, reason is _OK, reason, slot.beverage_name)
-            for i, (slot, reason) in enumerate(zip(recs.slots, reasons))]
+    return [SlotVerdict(i, reason is _OK, reason, name)
+            for i, (name, reason) in enumerate(zip(recs.names, reasons))]
 
 
 def _reasons(recs: RecommendationSet, resolve: Callable[[str], str | None],
@@ -119,9 +113,8 @@ def _reasons(recs: RecommendationSet, resolve: Callable[[str], str | None],
     seen_names: set[str | None] = set()
     seen_ranks: set[int] = set()
     reasons, picks = [], []
-    for slot in recs.slots:
-        name = resolve(slot.beverage_name)
-        rank = slot.rank
+    for raw, rank in zip(recs.names, recs.ranks):
+        name = resolve(raw)
         if not name:
             reason = _NOT_IN_LIST
         elif name in seen_names:
@@ -282,20 +275,14 @@ def evaluate_model(
     )
 
 
-@dataclass
-class ModelRecommendations:
-    model_id: str
-    sets: dict[str, RecommendationSet] = field(default_factory=dict)
-
-
-def load_recommendations(path: str | Path) -> ModelRecommendations:
-    """Read a recommendation file into per-profile sets.
+def load_recommendations(path: str | Path) -> tuple[str, dict[str, RecommendationSet]]:
+    """Read a recommendation file into its model id and per-profile sets.
 
     Schema: {"model_id": ..., "profiles": [{"profile_id": ...,
-    "recommendations": [{"beverage_name", "rank", "justification"}]}]}.
-    Structural problems raise IngestError naming the file; content
-    problems (bad names, ranks, duplicates) are preserved for validate_recs
-    to flag.
+    "recommendations": [{"beverage_name", "rank", "justification"}]}]};
+    a justification may hold any JSON value and is not read. Structural
+    problems raise IngestError naming the file; content problems (bad
+    names, ranks, duplicates) are preserved for validation to flag.
     """
     with _read_json(path, IngestError) as raw:
         if not isinstance(raw, dict) or "model_id" not in raw or "profiles" not in raw:
@@ -304,33 +291,25 @@ def load_recommendations(path: str | Path) -> ModelRecommendations:
         profiles = raw["profiles"]
         if not isinstance(profiles, list):
             raise IngestError("profiles must be a list")
-        out = ModelRecommendations(model_id)
+        sets: dict[str, RecommendationSet] = {}
         for entry in profiles:
             if not isinstance(entry, dict) or "profile_id" not in entry:
                 raise IngestError("each profile needs a profile_id")
             profile_id = _json_str(entry, "profile_id", "", IngestError)
-            if profile_id in out.sets:
+            if profile_id in sets:
                 raise IngestError(f"duplicate profile_id {profile_id!r}")
             items = entry.get("recommendations", [])
             if not isinstance(items, list):
                 raise IngestError("recommendations must be a list")
-            slots = []
+            names, ranks = [], []
             for item in items:
                 if not isinstance(item, dict):
                     raise IngestError("recommendations must be objects")
                 rank = item.get("rank")
                 if isinstance(rank, float) and rank.is_integer():
                     rank = int(rank)
-                if not isinstance(rank, int) or isinstance(rank, bool):
-                    rank = None
                 name = item.get("beverage_name", "")
-                slots.append(
-                    RecommendationSlot(
-                        # a non-string name is NOT_IN_LIST, like a missing one
-                        beverage_name=name if isinstance(name, str) else "",
-                        rank=rank,
-                        justification=str(item.get("justification", "")),
-                    )
-                )
-            out.sets[profile_id] = RecommendationSet(model_id, profile_id, slots)
-    return out
+                names.append(name if isinstance(name, str) else "")  # a non-string name is NOT_IN_LIST
+                ranks.append(rank if isinstance(rank, int) and not isinstance(rank, bool) else None)
+            sets[profile_id] = RecommendationSet(tuple(names), tuple(ranks))
+    return model_id, sets

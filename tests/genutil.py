@@ -1,11 +1,12 @@
-"""Seeded random-instance generators shared by property and acceptance tests."""
+"""Seeded random-instance generators and table builders shared by the tests."""
 
 import json
+from collections import namedtuple
 
 import numpy as np
 
-from beerfed.model import Beverage, Dataset, Review, normalize_name
-from beerfed.receval import JudgeIndex, RecommendationSet, RecommendationSlot
+from beerfed.model import Beverage, Dataset, ReviewTable, normalize_name, positions
+from beerfed.receval import JudgeIndex, RecommendationSet
 from beerfed.scoring import ScoreMatrix
 
 FAMILIES = [
@@ -17,10 +18,39 @@ FAMILIES = [
 ]
 
 
-def with_reviews(dataset, reviews):
-    """The dataset's beverages and judges with ``reviews`` in place of its
-    own (a dataset's reviews are read-only)."""
-    return Dataset(dataset.beverages, list(reviews), dataset.judges)
+# one review as tests build and read it
+Row = namedtuple("Row", "judge_id beverage_id raw_score note_tags note_text", defaults=(frozenset(), None))
+
+
+def review_table(rows):
+    """The ReviewTable of ``rows``, each (judge, beverage, score[, tags[,
+    note]]) as a ``Row`` takes them, every vocabulary in first-seen order."""
+    rows = [Row(*row) for row in rows]
+    coded = [[getattr(r, key) for r in rows] for key in ("judge_id", "beverage_id", "note_tags", "note_text")]
+    vocabularies = [tuple(dict.fromkeys(column)) for column in coded]
+    return ReviewTable(*vocabularies, *map(positions, coded, vocabularies),
+                       np.array([r.raw_score for r in rows], dtype=float))
+
+
+def review_rows(table):
+    """The table's reviews as ``Row``s, in row order."""
+    return [
+        Row(table.judge_ids[j], table.beverage_ids[b], score, table.tag_sets[t], table.note_texts[n])
+        for j, b, score, t, n in zip(*(column.tolist() for column in
+                                       (table.judge, table.beverage, table.score, table.tags, table.notes)))
+    ]
+
+
+def dataset_content(dataset):
+    """What two datasets built from the same data share: their beverages,
+    their review rows in order and their judges."""
+    return dataset.beverages, review_rows(dataset.reviews), dataset.judges
+
+
+def with_reviews(dataset, rows):
+    """The dataset's beverages and judges with the reviews ``rows`` in
+    place of its own (a dataset's reviews are read-only)."""
+    return Dataset(dataset.beverages, review_table(rows), dataset.judges)
 
 
 def random_scores(rng, n, lo=10, hi=50):
@@ -51,8 +81,8 @@ def random_dataset(rng, n_judges=3, n_beverages=8, missing_rate=0.0):
             if j not in keep:
                 keep.append(j)
         for j in keep:
-            reviews.append(Review(j, b.id, random_scores(rng, 1)[0]))
-    return Dataset(beverages=beverages, reviews=reviews, judges=judges)
+            reviews.append((j, b.id, random_scores(rng, 1)[0]))
+    return Dataset(beverages=beverages, reviews=review_table(reviews), judges=judges)
 
 
 def random_rec_instance(rng, n_judges=3, k=5, n_beverages=None):
@@ -87,21 +117,27 @@ def random_rec_instance(rng, n_judges=3, k=5, n_beverages=None):
             idx = rng.choice(n_beverages, size=k, replace=False)
             picks = [f"item {i:02d}" for i in idx]
         display = {f"item {i:02d}": f"Item {i:02d}" for i in range(n_beverages)}
-        slots = [RecommendationSlot(display[n], rank + 1) for rank, n in enumerate(picks)]
+        slots = [(display[n], rank + 1) for rank, n in enumerate(picks)]
 
         r = rng.random()
         if r < 0.12 and slots:
             slots = slots[:-1]  # short set: one slot missing
         elif r < 0.2:
-            slots[-1] = RecommendationSlot(slots[0].beverage_name, k)  # duplicate name
+            slots[-1] = (slots[0][0], k)  # duplicate name
         elif r < 0.26:
-            slots[-1] = RecommendationSlot("Off List Special", k)  # not in list
+            slots[-1] = ("Off List Special", k)  # not in list
         elif r < 0.3:
-            slots[-1] = RecommendationSlot(slots[-1].beverage_name, k + 3)  # bad rank
-        recs_by_profile[j] = RecommendationSet("model", j, slots)
-        slots_by_profile[j] = [(s.beverage_name, s.rank) for s in slots]
+            slots[-1] = (slots[-1][0], k + 3)  # bad rank
+        recs_by_profile[j] = rec_set(slots)
+        slots_by_profile[j] = slots
 
     return recs_by_profile, slots_by_profile, scorecards, set(names)
+
+
+def rec_set(slots):
+    """The RecommendationSet of ``slots``, (name, rank) pairs in slot order."""
+    names, ranks = zip(*slots) if slots else ((), ())
+    return RecommendationSet(names, ranks)
 
 
 def write_rec_file(path, model_id, picks_by_judge):
@@ -131,3 +167,45 @@ def index_of(cards, names, k=5):
     {normalized name: score}}) and the master list ``names`` for k."""
     names = sorted(names)
     return JudgeIndex(score_matrix(cards, names), names, k)
+
+
+POOL_PIECES = ["Ale", "Stout", "x", " ", ",", '"', "\n", "::", "é", "Ærø", "日本", "🍺"]
+
+
+def random_session_config(rng):
+    """A session config body for ``simulate``: 1-6 members with random
+    availability and freeload probabilities, leader probabilities spread
+    over the experts, a window of 1-200 rounds of 1, 5 or 20 minutes, and
+    1-12 pool entries whose text holds commas, quotes, line breaks, "::",
+    non-ASCII and case or whitespace variants of one name."""
+    members = []
+    for i in range(int(rng.integers(1, 7))):
+        availability = [0.0, 0.01, 0.02, 0.5, 1.0, float(rng.random())][int(rng.integers(6))]
+        members.append({
+            "id": f"m{i}", "is_expert": i == 0 or bool(rng.random() < 0.5),
+            "availability_probability": availability, "freeload_probability": float(rng.random()),
+            "score_noise_sd": float(rng.choice([0.0, 0.3, 1.0])),
+            "score_floor_affinity": float(rng.choice([0.0, 0.0, 0.2])),
+        })
+    experts = [m for m in members if m["is_expert"]]
+    weights = rng.random(len(experts)) * (rng.random(len(experts)) < 0.7)
+    weights[int(rng.integers(len(experts)))] += 0.1  # at least one expert can lead
+    for member, weight in zip(experts, (weights / weights.sum()).tolist()):
+        member["leader_probability"] = weight
+
+    def text():  # never blank
+        drawn = "".join(POOL_PIECES[int(i)] for i in rng.integers(len(POOL_PIECES), size=int(rng.integers(1, 5))))
+        return drawn if drawn.strip() else drawn + "x"
+
+    variants = ["Night Ale", "night ale", "NIGHT  ALE", " Night\nAle "]
+    pool = []
+    for _ in range(int(rng.integers(1, 13))):
+        name = variants[int(rng.integers(len(variants)))] if rng.random() < 0.1 else text()
+        pool.append({"brewery": text() if rng.random() < 0.5 else f"Brewery {int(rng.integers(3))}",
+                     "beer_name": name, "beer_style": text(),
+                     "abv_percent": float(100 - rng.uniform(0, 100)) if rng.random() < 0.9 else 100.0})
+    duration = [1, 5, 20][int(rng.integers(3))]
+    window = duration * min(int(rng.integers(1, 201)), 1440 // duration)  # within one day
+    start = int(rng.integers(0, 1440 - window + 1))
+    return {"seed": int(rng.integers(2**32)), "federation": members, "pool": pool, "clock_start": start,
+            "clock_end": start + window, "round_duration": duration, "include_amateurs": bool(rng.random() < 0.3)}

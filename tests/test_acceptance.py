@@ -30,7 +30,7 @@ from beerfed.protocol import (
 )
 from beerfed.receval import evaluate_model
 from beerfed.scoring import ScoreMatrix, build_score_matrix, judge_stats, normalize
-from genutil import index_of, random_rec_instance, random_scores, write_rec_file
+from genutil import index_of, random_rec_instance, random_scores, review_rows, write_rec_file
 from oracles import oracle_metrics, oracle_round_possible, oracle_sample_sd, oracle_spearman
 
 
@@ -431,7 +431,7 @@ def test_c10_end_to_end(tmp_path):
     # six synthetic recommenders built from the generated scorecards
     cards = {}
     reviews, _ = parse_scorecards_csv(sim / "scorecards.csv")
-    for review in reviews:  # beverages named by display name
+    for review in review_rows(reviews):  # beverages named by display name
         cards.setdefault(review.judge_id, {})[review.beverage_id] = review.raw_score
 
     def tops(judge, n=5, worst=False):

@@ -10,14 +10,16 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import beerfed
 from beerfed import cli, errors, receval
-from genutil import write_rec_file
+from genutil import random_session_config, write_rec_file
 
 CONFIG = {
     "seed": 42,
@@ -663,7 +665,8 @@ def test_cli_runs_without_scipy(sim_outputs, tmp_path):
 
 def test_each_subcommand_imports_only_the_modules_it_runs(sim_outputs, tmp_path):
     """``import beerfed`` loads no beerfed module, and each subcommand only
-    the ones it runs, in a fresh process."""
+    the ones it runs, in a fresh process, and so defines only the
+    dataclasses those modules hold."""
     make_rec_file(tmp_path, "model-x", {"A": ["Batch 00"]})
     tables = (sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv")
     calls = [  # (argv, the beerfed modules it loads); no argv: a bare `import beerfed`
@@ -674,16 +677,32 @@ def test_each_subcommand_imports_only_the_modules_it_runs(sim_outputs, tmp_path)
         (eval_argv(*tables, tmp_path), ["cli", "errors", "io", "model", "receval", "scoring"]),
     ]
     script = (
-        "import sys, beerfed\n"
+        "import dataclasses, sys, beerfed\n"
         "if sys.argv[1:]:\n"
         "    from beerfed import cli\n"
         "    assert cli.main(sys.argv[1:]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('beerfed.')))\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('beerfed.'))\n"
+        "print(loaded)\n"
+        "print(sorted(name for m in loaded for name, value in vars(sys.modules[m]).items()\n"
+        "             if dataclasses.is_dataclass(value) and value.__module__ == m))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
-    for argv, modules in calls:
+    for (argv, modules), records in zip(calls, RECORD_CLASSES):
         done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True)
-        assert done.stdout.splitlines()[-1] == str([f"beerfed.{m}" for m in modules]), argv
+        assert done.stdout.splitlines()[-2:] == [str([f"beerfed.{m}" for m in modules]), str(records)], argv
+
+
+# the dataclasses each call above defines: no per-review or per-slot record
+SESSION_RECORDS = ["Beverage", "CostParams", "Dataset", "Omitted", "ParticipantProfile", "ReviewTable",
+                   "RoundRecord", "SessionConfig", "SessionResult", "StyleFamily", "Violation"]
+ANALYSIS_RECORDS = ["AggregateRanking", "AgreementMatrix", "Beverage", "Dataset", "DivisiveEntry", "JudgeStats",
+                    "RankedBeverage", "ReviewTable", "ScoreMatrix", "StyleFamily", "TagFamilyComparison", "Violation"]
+RECORD_CLASSES = [
+    [],
+    SESSION_RECORDS,
+    ANALYSIS_RECORDS,
+    sorted([*ANALYSIS_RECORDS, "MetricReport", "SlotVerdict"]),
+]
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -841,6 +860,33 @@ class TestInputBoundary:
         assert record["message"] == (f"{config}: pool entry 1: duplicate beverage id 'a::b::c': 'b::c' for 'a'"
                                      " and, at pool entry 0, 'c' for 'a::b'")
         assert not (tmp_path / "sim").exists()
+
+    # two breweries' beverages whose names a scorecard row cannot tell apart
+    NAME_CLASH = "brewery,beer_name,beer_style,abv_percent\nX,Ale,IPA,5.0\nY,ale,Stout,6.0\n"
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["pool", "pool_csv"])
+    def test_pool_beverages_sharing_a_name_exit_2_naming_both(self, tmp_path, capsys, inline):
+        # simulate used to write this session and exit 0; analyze, analyze
+        # --lenient and eval-recs then each exited 4 INGEST on its scorecards
+        if inline:
+            pool = [{"brewery": "X", "beer_name": "Ale", "beer_style": "IPA", "abv_percent": 5.0},
+                    {"brewery": "Y", "beer_name": "ale", "beer_style": "Stout", "abv_percent": 6.0}]
+            config, where = write_config(tmp_path, pool=pool), ("pool entry 1", "pool entry 0")
+        else:
+            pool = write_text(tmp_path / "pool.csv", self.NAME_CLASH)
+            body = {key: value for key, value in CONFIG.items() if key != "pool"}
+            config = write_text(tmp_path / "session.json", json.dumps({**body, "pool_csv": "pool.csv"}))
+            where = (f"pool_csv: {pool}: row 3, column beer_name", "row 2")
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "sim")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert record["message"] == (f"{config}: {where[0]}: ambiguous beverage name 'ale': 'ale' for 'Y'"
+                                     f" and, at {where[1]}, 'Ale' for 'X'")
+        assert not (tmp_path / "sim").exists()
+        # a beverage list may hold such names: only a scored one is ambiguous
+        beverages = write_text(tmp_path / "beverages.csv", self.NAME_CLASH)
+        scorecards = write_text(tmp_path / "scorecards.csv", "judge_id,beer_name,raw_score\n")
+        assert cli.main([*analyze_argv(scorecards, beverages, tmp_path / "rep"), "--lenient"]) == 0
 
     @pytest.mark.parametrize("argv", [analyze_argv, eval_argv])
     def test_validate_dataset_runs_once_per_call(self, sim_outputs, tmp_path, monkeypatch, argv):
@@ -1055,6 +1101,47 @@ class TestShortSessionsNeedLenient:
         federation = [{**judge, "score_noise_sd": 0.0} for judge in CONFIG["federation"]]
         config = write_config(tmp_path, federation=federation, base_quality_range=[3.5, 3.5])
         self.check(tmp_path, capsys, config)
+
+
+def chain_outcome(capsys, argv):
+    """``cli.main(["--json-errors", *argv])`` and the codes of the errors it
+    reported."""
+    capsys.readouterr()
+    rc = cli.main(["--json-errors", *argv])
+    return rc, {r.get("code") for r in error_records(capsys) if r["level"] == "error"}
+
+
+def test_simulate_analyze_eval_recs_chain_agrees_on_random_sessions(tmp_path, capsys):
+    """Whatever session ``simulate`` writes, ``analyze --lenient`` reads,
+    and plain ``analyze`` and ``eval-recs`` either read it or reject it as
+    a dataset (never as input they cannot parse), eval-recs only when
+    analyze does too."""
+    seen = Counter()
+    rng = np.random.default_rng(2026)
+    for example in range(200):
+        body = random_session_config(rng)
+        work = tmp_path / str(example)
+        config = write_text(work / "session.json", json.dumps(body))
+        sim = work / "sim"
+        rc, codes = chain_outcome(capsys, ["simulate", str(config), "--out", str(sim)])
+        assert rc in (0, 2), (body, codes)
+        if rc == 2:
+            seen["simulate rejects the config"] += 1
+            continue
+        tables = (sim / "scorecards.csv", sim / "beverages.csv")
+        assert cli.main([*analyze_argv(*tables, work / "lenient"), "--lenient"]) == 0, body
+        analyzed, analyze_codes = chain_outcome(capsys, analyze_argv(*tables, work / "rep"))
+        names = [entry["beer_name"] for entry in body["pool"]]
+        make_rec_file(work, "model-x", {member["id"]: names[:5] for member in body["federation"]})
+        evaluated, eval_codes = chain_outcome(capsys, eval_argv(*tables, work))
+        assert analyzed in (0, 4) and evaluated in (0, 4), (body, analyze_codes, eval_codes)
+        assert analyze_codes | eval_codes <= {"DEGENERATE", "MISSING_REVIEWS", "VALIDATION"}, body
+        assert evaluated == 0 or analyzed == 4, (body, eval_codes)
+        seen[f"analyze {analyzed} {sorted(analyze_codes)}, eval-recs {evaluated}"] += 1
+    # what the random sessions exercised
+    assert seen["simulate rejects the config"] >= 20 and seen["analyze 0 [], eval-recs 0"] >= 20, seen
+    assert seen["analyze 4 ['MISSING_REVIEWS', 'VALIDATION'], eval-recs 4"] >= 5, seen
+    assert seen["analyze 4 ['DEGENERATE'], eval-recs 4"] >= 1, seen
 
 
 def test_pool_text_with_a_bare_carriage_return_simulates_then_analyzes(tmp_path):

@@ -21,8 +21,9 @@ from beerfed.io import (
     write_beverages_csv,
     write_scorecards_csv,
 )
-from beerfed.model import AbvBand, Beverage, Dataset, NoteTag, Review, derive_note_tags, style_bucketer, validate_dataset
+from beerfed.model import AbvBand, Beverage, Dataset, NoteTag, derive_note_tags, style_bucketer, validate_dataset
 from beerfed.scoring import build_score_matrix, tag_report
+from genutil import Row, dataset_content, review_rows, review_table
 from oracles import (
     oracle_load_dataset,
     oracle_parse_scorecards,
@@ -123,8 +124,9 @@ class TestIngestBeverages:
 
 class TestScorecards:
     def test_parse_rows(self, tmp_path):
-        rows, _ = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS))
-        assert len(rows) == 6
+        table, _ = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS))
+        rows = review_rows(table)
+        assert len(table) == len(rows) == 6
         assert rows[0].raw_score == 4.8
         assert rows[3].note_tags == {NoteTag.ARTIFICIAL_FLAVOUR}
 
@@ -163,7 +165,7 @@ class TestScorecards:
                 "B, Night  Shift , 4.0 ,real_flavour\nB,Dark Star,4.0,real_flavour\n")
         table, first_lines = parse_scorecards_csv(write(tmp_path, "s.csv", text))
         # before the join a review names its beverage by display name
-        assert [(r.judge_id, r.beverage_id, r.raw_score, r.note_tags, r.note_text) for r in table] == [
+        assert [(r.judge_id, r.beverage_id, r.raw_score, r.note_tags, r.note_text) for r in review_rows(table)] == [
             ("A", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),
             ("B", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),  # the blank line 3 is skipped
             ("B", "Dark Star", 4.0, {NoteTag.REAL_FLAVOUR}, None),
@@ -174,7 +176,7 @@ class TestScorecards:
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
         rows = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS))
         dataset = build_dataset(beverages, rows)
-        mango_reviews = [r for r in dataset.reviews if r.beverage_id == beverages[0].id]
+        mango_reviews = [r for r in review_rows(dataset.reviews) if r.beverage_id == beverages[0].id]
         assert mango_reviews[0].note_tags == {NoteTag.REAL_FLAVOUR}  # derived
         assert mango_reviews[1].note_tags == {NoteTag.ARTIFICIAL_FLAVOUR}  # explicit
 
@@ -222,7 +224,7 @@ class TestDatasetJoin:
 def review_tuples(dataset):
     return [
         (r.judge_id, r.beverage_id, r.raw_score, {t.value for t in r.note_tags}, r.note_text)
-        for r in dataset.reviews
+        for r in review_rows(dataset.reviews)
     ]
 
 
@@ -283,7 +285,7 @@ def ingest_outcome(parse, path):
         table, first_lines = parse(path)
     except IngestError as exc:
         return str(exc)
-    return list(table), table.judge_ids, table.beverage_ids, table.note_texts, set(table.tag_sets), first_lines
+    return review_rows(table), table.judge_ids, table.beverage_ids, table.note_texts, set(table.tag_sets), first_lines
 
 
 class TestBlockIngestOracle:
@@ -366,7 +368,7 @@ class TestColumnarIngestOracle:
             assert dataset.judges == judges and len(dataset.reviews) == len(reviews)
             found = [(v.code, v.subject, v.message) for v in validate_dataset(dataset)]
             assert found == oracle_validate_dataset(beverages, judges, reviews)
-            expected = oracle_score_matrix(judges, ids, [Review(*r[:3]) for r in reviews])
+            expected = oracle_score_matrix(judges, ids, [Row(*r[:3]) for r in reviews])
             assert np.array_equal(build_score_matrix(dataset).cells, np.array(expected).reshape(len(judges), len(ids)), equal_nan=True)
             write_scorecards_csv(dataset, tmp_path / "out.csv")
             assert (tmp_path / "out.csv").read_bytes().decode("utf-8") == oracle_scorecards_csv(beverages, reviews)
@@ -379,12 +381,14 @@ class TestColumnarIngestOracle:
 
     def test_reviews_view_is_read_only_and_rebuilds_reviews(self, tiny_dataset):
         reviews = tiny_dataset.reviews
-        assert len(reviews) == 18 and reviews[-1] == reviews[17] and list(reviews)[:2] == [reviews[0], reviews[1]]
-        rebuilt = Dataset(tiny_dataset.beverages, list(reviews), tiny_dataset.judges)
-        assert rebuilt.reviews == reviews and rebuilt == tiny_dataset
-        assert Dataset(tiny_dataset.beverages, list(reviews)[1:], tiny_dataset.judges) != tiny_dataset
-        with pytest.raises(IndexError):
-            reviews[18]
+        rows = review_rows(reviews)
+        assert len(reviews) == len(rows) == 18 and rows[-1] == rows[17] and rows[:2] == [rows[0], rows[1]]
+        rebuilt = Dataset(tiny_dataset.beverages, review_table(rows), tiny_dataset.judges)
+        assert review_rows(rebuilt.reviews) == rows and dataset_content(rebuilt) == dataset_content(tiny_dataset)
+        truncated = Dataset(tiny_dataset.beverages, review_table(rows[1:]), tiny_dataset.judges)
+        assert dataset_content(truncated) != dataset_content(tiny_dataset)
+        with pytest.raises(TypeError):  # a table holds columns, not review objects
+            reviews[17]
         with pytest.raises(ValueError):
             tiny_dataset.reviews.score[0] = 1.0
         assert not hasattr(reviews, "append")
@@ -448,9 +452,9 @@ def random_text_dataset(rng):
     for _ in range(int(rng.integers(0, 12))):
         note = random_text(rng).strip() if rng.random() < 0.5 else None
         tagged = frozenset(t for t in tags if rng.random() < 0.3)
-        reviews.append(Review(judges[int(rng.integers(len(judges)))], beverages[int(rng.integers(len(beverages)))].id,
-                              int(rng.integers(10, 51)) / 10, tagged or derive_note_tags(note), note or None))
-    return Dataset(beverages, reviews, sorted({r.judge_id for r in reviews}))
+        reviews.append(Row(judges[int(rng.integers(len(judges)))], beverages[int(rng.integers(len(beverages)))].id,
+                           int(rng.integers(10, 51)) / 10, tagged or derive_note_tags(note), note or None))
+    return Dataset(beverages, review_table(reviews), sorted({r.judge_id for r in reviews}))
 
 
 class TestWriterReaderRoundTrip:
@@ -464,7 +468,8 @@ class TestWriterReaderRoundTrip:
         write_beverages_csv(dataset.beverages, tmp_path / "b.csv")
         write_scorecards_csv(dataset, tmp_path / "s.csv")
         assert parse_beverages_csv(tmp_path / "b.csv") == dataset.beverages
-        assert build_dataset(dataset.beverages, parse_scorecards_csv(tmp_path / "s.csv")) == dataset
+        rebuilt = build_dataset(dataset.beverages, parse_scorecards_csv(tmp_path / "s.csv"))
+        assert dataset_content(rebuilt) == dataset_content(dataset)
 
 
 JSON_KEYS = st.text(st.sampled_from(['a', 'Z', 'é', '日', '🍺', '"', '\\', '\n', '\x00', '\x1f', '\u2028', ' ']), max_size=4)

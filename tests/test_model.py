@@ -10,7 +10,6 @@ from beerfed.model import (
     Beverage,
     Dataset,
     NoteTag,
-    Review,
     StyleFamily,
     Violation,
     classify_abv,
@@ -19,7 +18,7 @@ from beerfed.model import (
     style_bucketer,
     validate_dataset,
 )
-from genutil import random_dataset, with_reviews
+from genutil import Row, random_dataset, review_rows, review_table, with_reviews
 from oracles import oracle_bucket, oracle_classify_band, oracle_validate_dataset
 
 
@@ -143,28 +142,39 @@ class TestFamilyConfigFile:
             load_style_families(path)
 
 
+def one_score(score):
+    """The score of a one-review table holding ``score``."""
+    return review_rows(review_table([("A", "b", score)]))[0].raw_score
+
+
 class TestReviewInvariants:
+    """A ReviewTable checks every score, whoever builds it."""
+
     def test_score_range_enforced(self):
         with pytest.raises(ValueError):
-            Review("A", "b", 0.9)
+            one_score(0.9)
         with pytest.raises(ValueError):
-            Review("A", "b", 5.1)
+            one_score(5.1)
 
     def test_score_grid_enforced(self):
         with pytest.raises(ValueError):
-            Review("A", "b", 3.85)
-        assert Review("A", "b", 3.8).raw_score == 3.8
+            one_score(3.85)
+        assert one_score(3.8) == 3.8
 
     @pytest.mark.parametrize("score", [3.65, 0.95, 5.1, 0.0, float("nan"), float("inf")])
     def test_off_grid_out_of_range_and_nan_rejected(self, score):
         with pytest.raises(ValueError):
-            Review("A", "b", score)
+            one_score(score)
 
     def test_grid_scores_and_near_grid_values_accepted(self):
         for t in range(10, 51):
             score = float(f"{t // 10}.{t % 10}")  # as the scorecard parser reads it
-            assert Review("A", "b", score).raw_score == score
-        assert Review("A", "b", 3.8 + 1e-9).raw_score == 3.8 + 1e-9  # within the grid tolerance
+            assert one_score(score) == score
+        assert one_score(3.8 + 1e-9) == 3.8 + 1e-9  # within the grid tolerance
+
+    def test_error_names_the_first_bad_row(self):
+        with pytest.raises(ValueError, match=r"^row 2: raw score 5\.5 "):
+            review_table([("A", "b", 3.0), ("B", "b", 4.0), ("C", "b", 5.5), ("D", "b", 0.2)])
 
 
 class TestDeriveNoteTags:
@@ -191,43 +201,43 @@ class TestValidateDataset:
         assert validate_dataset(tiny_dataset) == []
 
     def test_single_review_flagged(self, tiny_dataset):
-        kept = [r for r in tiny_dataset.reviews if not (r.beverage_id == "b5" and r.judge_id != "A")]
+        kept = [r for r in review_rows(tiny_dataset.reviews) if not (r.beverage_id == "b5" and r.judge_id != "A")]
         codes = _codes(validate_dataset(with_reviews(tiny_dataset, kept)))
         assert codes == ["MISSING_REVIEWS"]
 
     def test_duplicate_review_flagged(self, tiny_dataset):
-        dataset = with_reviews(tiny_dataset, [*tiny_dataset.reviews, Review("A", "b0", 4.0)])
+        dataset = with_reviews(tiny_dataset, [*review_rows(tiny_dataset.reviews), Row("A", "b0", 4.0)])
         codes = _codes(validate_dataset(dataset))
         assert codes == ["DUP_REVIEW"]
 
     def test_dangling_references_flagged(self, tiny_dataset):
-        extra = [Review("A", "ghost", 3.0), Review("Z", "b0", 3.0)]
-        codes = _codes(validate_dataset(with_reviews(tiny_dataset, [*tiny_dataset.reviews, *extra])))
+        extra = [Row("A", "ghost", 3.0), Row("Z", "b0", 3.0)]
+        codes = _codes(validate_dataset(with_reviews(tiny_dataset, [*review_rows(tiny_dataset.reviews), *extra])))
         assert codes.count("DANGLING_REF") == 2
 
     def test_abv_warning_outside_observed_range(self, tiny_dataset):
         tiny_dataset.beverages.append(
             Beverage("b9", "Alpha Brewing", "Thin Air", "Pale Ale", "Pale ale & IPA", 0.4)
         )
-        extra = [Review("A", "b9", 3.0), Review("B", "b9", 3.2)]
-        violations = validate_dataset(with_reviews(tiny_dataset, [*tiny_dataset.reviews, *extra]))
+        extra = [Row("A", "b9", 3.0), Row("B", "b9", 3.2)]
+        violations = validate_dataset(with_reviews(tiny_dataset, [*review_rows(tiny_dataset.reviews), *extra]))
         assert _codes(violations) == ["ABV_RANGE_WARN"]
         assert violations[0].severity.value == "warning"
 
     def test_producer_limit_warning(self, tiny_dataset):
-        reviews = list(tiny_dataset.reviews)
+        reviews = review_rows(tiny_dataset.reviews)
         for i in range(3):
             bid = f"extra{i}"
             tiny_dataset.beverages.append(
                 Beverage(bid, "Alpha Brewing", f"Extra {i}", "Pilsner", "Lager & pils", 5.0)
             )
-            reviews.extend([Review("A", bid, 3.0), Review("B", bid, 3.1)])
+            reviews.extend([Row("A", bid, 3.0), Row("B", bid, 3.1)])
         violations = validate_dataset(with_reviews(tiny_dataset, reviews))
         assert _codes(violations) == ["PRODUCER_LIMIT_WARN"]
         assert violations[0].subject == "Alpha Brewing"
 
     def test_order_independent_and_idempotent(self, tiny_dataset, rng):
-        reviews = [*tiny_dataset.reviews, Review("A", "ghost", 3.0)]
+        reviews = [*review_rows(tiny_dataset.reviews), Row("A", "ghost", 3.0)]
         tiny_dataset.beverages.append(
             Beverage("b9", "Solo Works", "Lone Star", "Gose", "Gose", 20.0)
         )
@@ -242,14 +252,14 @@ class TestValidateDataset:
     def test_matches_per_review_oracle_on_hand_built_datasets(self, rng):
         for _ in range(60):
             ds = random_dataset(rng, int(rng.integers(1, 5)), int(rng.integers(0, 9)), rng.uniform(0.0, 0.6))
-            reviews = list(ds.reviews)
+            reviews = review_rows(ds.reviews)
             for _ in range(int(rng.integers(0, 8))):  # duplicates, unknown judges and beverages
-                r = reviews[int(rng.integers(len(reviews)))] if reviews else Review("J0", "ghost", 3.0)
+                r = reviews[int(rng.integers(len(reviews)))] if reviews else Row("J0", "ghost", 3.0)
                 judge = r.judge_id if rng.random() < 0.5 else f"stranger{int(rng.integers(2))}"
                 beverage = r.beverage_id if rng.random() < 0.5 else f"ghost{int(rng.integers(2))}"
-                reviews.insert(int(rng.integers(len(reviews) + 1)), Review(judge, beverage, 2.0))
+                reviews.insert(int(rng.integers(len(reviews) + 1)), Row(judge, beverage, 2.0))
             judges = [j for j in ds.judges if rng.random() < 0.8]  # judges with reviews left off the list
-            found = [(v.code, v.subject, v.message) for v in validate_dataset(Dataset(ds.beverages, reviews, judges))]
+            found = [(v.code, v.subject, v.message) for v in validate_dataset(Dataset(ds.beverages, review_table(reviews), judges))]
             tuples = [(r.judge_id, r.beverage_id) for r in reviews]
             assert found == oracle_validate_dataset(ds.beverages, judges, tuples)
 

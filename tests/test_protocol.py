@@ -24,6 +24,7 @@ from beerfed.protocol import (
     communication_costs,
     run_session,
 )
+from genutil import review_rows, review_table
 from oracles import oracle_round_possible, oracle_run_session, round_dict
 
 
@@ -275,7 +276,7 @@ class TestRunSession:
         config = simple_config(pool_of(10), federation=federation)
         result = run_session(config)
         assert result.dataset.judges == ["A", "B", "C"]
-        assert {r.judge_id for r in result.dataset.reviews} <= {"A", "B", "C"}
+        assert {r.judge_id for r in review_rows(result.dataset.reviews)} <= {"A", "B", "C"}
         # the round log still carries everyone
         all_reviewers = {judge for rec in result.rounds for judge in rec.review_judges}
         assert all_reviewers - {"A", "B", "C"}
@@ -358,7 +359,7 @@ def test_run_session_matches_per_reviewer_oracle():
         result = run_session(config)
         lines, reviews, skips = oracle_run_session(config)
         assert list(round_log_lines(result)) == lines
-        assert [(r.judge_id, r.beverage_id, r.raw_score) for r in result.dataset.reviews] == reviews
+        assert [(r.judge_id, r.beverage_id, r.raw_score) for r in review_rows(result.dataset.reviews)] == reviews
         assert [(s.clock, s.reason) for s in result.skips] == skips
         # what the random configs exercised
         by_id = {p.id: p for p in config.federation}
@@ -383,7 +384,7 @@ def test_round_log_writer_matches_json_dumps():
     config = simple_config(pool, federation=federation, cost_params=costs)
     result = run_session(config)
     empty = RoundRecord(9, 0, result.rounds[0].members, 0, ids[1], (), (), (), 0.5, 2.0)
-    result = SessionResult(config, [*result.rounds, empty], [], Dataset())
+    result = SessionResult(config, [*result.rounds, empty], [], Dataset([], review_table([]), []))
     expected = [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
     assert list(round_log_lines(result)) == expected
     assert len(expected) == len(ids) + 1 and all("Infinity" in line for line in expected[2:-1])

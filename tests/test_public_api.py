@@ -24,8 +24,6 @@ PUBLIC = [
     "NoteTag",
     "ParticipantProfile",
     "RecommendationSet",
-    "RecommendationSlot",
-    "Review",
     "RoundRecord",
     "ScoreMatrix",
     "SessionConfig",
@@ -63,6 +61,8 @@ SIGNATURES = {
 def test_all_is_the_pinned_sorted_list():
     assert beerfed.__all__ == PUBLIC == sorted(PUBLIC)
     assert set(PUBLIC) <= set(dir(beerfed))
+    # the per-row records are gone: reviews live in a ReviewTable, slots in a RecommendationSet
+    assert not any(hasattr(beerfed, name) for name in ("Review", "RecommendationSlot", "ModelRecommendations"))
 
 
 def test_every_name_is_the_object_its_module_defines():

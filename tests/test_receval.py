@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from itertools import permutations
 from pathlib import Path
 
@@ -15,7 +14,6 @@ from beerfed.receval import (
     JudgeIndex,
     MetricReport,
     RecommendationSet,
-    RecommendationSlot,
     VerdictReason,
     evaluate_model,
     load_recommendations,
@@ -23,19 +21,14 @@ from beerfed.receval import (
     validate_recs,
 )
 from beerfed.scoring import normalize
-from genutil import index_of, random_rec_instance, score_matrix
+from genutil import index_of, random_rec_instance, rec_set, score_matrix
 from oracles import oracle_metrics, top_k_set
 
 NAMES = {"Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta", "Eta", "Theta"}
 
 
-def slots_of(*names, ranks=None):
-    ranks = ranks or range(1, len(names) + 1)
-    return [RecommendationSlot(n, r) for n, r in zip(names, ranks)]
-
-
-def recs_of(*names, ranks=None, profile="J0"):
-    return RecommendationSet("model-x", profile, slots_of(*names, ranks=ranks))
+def recs_of(*names, ranks=None):
+    return RecommendationSet(names, tuple(ranks or range(1, len(names) + 1)))
 
 
 def card(**scores):
@@ -90,17 +83,7 @@ class TestValidateRecs:
         assert verdicts[0].reason == VerdictReason.NOT_IN_LIST
 
     def test_bad_ranks(self):
-        recs = RecommendationSet(
-            "m",
-            "J0",
-            [
-                RecommendationSlot("Alpha", 0),
-                RecommendationSlot("Beta", 6),
-                RecommendationSlot("Gamma", None),
-                RecommendationSlot("Delta", 2),
-                RecommendationSlot("Epsilon", 2),
-            ],
-        )
+        recs = RecommendationSet(("Alpha", "Beta", "Gamma", "Delta", "Epsilon"), (0, 6, None, 2, 2))
         verdicts = validate_recs(recs, NAMES)
         assert [v.reason for v in verdicts] == [
             VerdictReason.BAD_RANK,
@@ -122,8 +105,8 @@ class TestValidateRecs:
         script = (
             "import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from beerfed.receval import RecommendationSet, RecommendationSlot, validate_recs\n"
-            "recs = RecommendationSet('m', 'J0', [RecommendationSlot('Alpha', 1), RecommendationSlot('Beta', 10**9)])\n"
+            "from beerfed.receval import RecommendationSet, validate_recs\n"
+            "recs = RecommendationSet(('Alpha', 'Beta'), (1, 10**9))\n"
             "print([v.reason.value for v in validate_recs(recs, {'Alpha', 'Beta'}, k=10**9)])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
@@ -138,7 +121,7 @@ class TestCoverage:
         return {f"J{i}": dict(base) for i in range(3)}
 
     def test_full_coverage(self):
-        recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon", profile=f"J{i}") for i in range(3)}
+        recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon") for i in range(3)}
         assert report(recs, self.scorecards()).coverage == 1.0
 
     def test_thirteen_of_fifteen(self):
@@ -211,7 +194,7 @@ class TestHitAtK:
         }
 
     def test_exact_top_five_everywhere(self):
-        recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon", profile=f"J{i}") for i in range(3)}
+        recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon") for i in range(3)}
         assert report(recs, self.cards()).hit_rate == 1.0
 
     def test_five_of_fifteen(self):
@@ -281,7 +264,7 @@ class TestEvaluateModel:
         return {f"J{i}": dict(base) for i in range(3)}
 
     def test_perfect_recommender(self):
-        recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon", profile=f"J{i}") for i in range(3)}
+        recs = {f"J{i}": recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon") for i in range(3)}
         report = evaluate_model(recs, index_of(self.cards(), NAMES), model_id="perfect")
         assert report.coverage == 1.0
         assert report.hit_rate == 1.0
@@ -300,7 +283,7 @@ class TestEvaluateModel:
         report = evaluate_model(recs, index_of(self.cards(), NAMES), model_id="m")
         assert report.coverage == pytest.approx(13 / 15, abs=0)
         # a set for a profile without a scorecard is not read
-        extra = {**recs, "J9": recs_of("Alpha", "Beta", profile="J9")}
+        extra = {**recs, "J9": recs_of("Alpha", "Beta")}
         assert evaluate_model(extra, index_of(self.cards(), NAMES), model_id="m") == report
 
     def test_empty_recommendations_only_coverage_defined(self):
@@ -327,7 +310,7 @@ class TestEvaluateModel:
         for _ in range(30):
             recs, _, cards, names = random_rec_instance(rng)
             judge = sorted(cards)[0]
-            slots = list(recs[judge].slots)
+            slots = list(zip(*recs[judge]))  # (name, rank) per slot
             verdicts = validate_recs(recs[judge], names)
             invalid = [v for v in verdicts if not v.valid]
             if not invalid:
@@ -335,15 +318,15 @@ class TestEvaluateModel:
             index = index_of(cards, names)
             before = evaluate_model(recs, index, model_id="m")
             idx = invalid[0].slot_index
-            used_ranks = {s.rank for i, s in enumerate(slots) if i != idx}
+            used_ranks = {rank for i, (_, rank) in enumerate(slots) if i != idx}
             free_rank = next(r for r in range(1, 6) if r not in used_ranks)
-            used_names = {normalize_name(s.beverage_name) for i, s in enumerate(slots) if i != idx}
+            used_names = {normalize_name(name) for i, (name, _) in enumerate(slots) if i != idx}
             replacement = next(
                 n for n in sorted(names) if normalize_name(n) not in used_names
             )
-            slots[idx] = RecommendationSlot(replacement, free_rank)
+            slots[idx] = (replacement, free_rank)
             patched = dict(recs)
-            patched[judge] = RecommendationSet("m", judge, slots)
+            patched[judge] = rec_set(slots)
             after = evaluate_model(patched, index, model_id="m")
             assert after.coverage >= before.coverage
             if before.hit_rate is not None:
@@ -360,13 +343,13 @@ class TestEvaluateModel:
             before = evaluate_model(recs, index, model_id="m")
             permuted = {}
             for judge, rset in recs.items():
-                slots = list(rset.slots)
+                slots = list(zip(*rset))  # (name, rank) per slot
                 ok = [v.slot_index for v in validate_recs(rset, names) if v.valid]
-                ranks = [slots[i].rank for i in ok]
+                ranks = [slots[i][1] for i in ok]
                 rng.shuffle(ranks)
                 for i, r in zip(ok, ranks):
-                    slots[i] = RecommendationSlot(slots[i].beverage_name, int(r), slots[i].justification)
-                permuted[judge] = RecommendationSet("m", judge, slots)
+                    slots[i] = (slots[i][0], int(r))
+                permuted[judge] = rec_set(slots)
             after = evaluate_model(permuted, index, model_id="m")
             assert after.coverage == pytest.approx(before.coverage)
             if before.hit_rate is None:
@@ -405,22 +388,31 @@ class TestRecommendationFiles:
         return load_recommendations(path)
 
     def test_parse_and_canonical_roundtrip(self, tmp_path):
-        recs = self.load(tmp_path, self.BODY)
-        assert recs.model_id == "model-01"
-        assert recs.sets["A"].slots[0].rank == 1
-        assert recs.sets["A"].slots[0].justification == "fits"
+        model_id, sets = self.load(tmp_path, self.BODY)
+        assert model_id == "model-01"
+        assert sets["A"].ranks[0] == 1
+        assert sets == {"A": RecommendationSet(("Alpha", "Beta"), (1, 2))}
         # what the loader keeps, written back in the file schema, loads to the same sets
         canonical = json.dumps(
             {
-                "model_id": recs.model_id,
+                "model_id": model_id,
                 "profiles": [
-                    {"profile_id": pid, "recommendations": [asdict(slot) for slot in rec_set.slots]}
-                    for pid, rec_set in recs.sets.items()
+                    {"profile_id": pid,
+                     "recommendations": [{"beverage_name": n, "rank": r} for n, r in zip(*recs)]}
+                    for pid, recs in sets.items()
                 ],
             },
             sort_keys=True,
         )
-        assert self.load(tmp_path, canonical) == recs
+        assert self.load(tmp_path, canonical) == (model_id, sets)
+
+    def test_any_justification_value_is_accepted_and_ignored(self, tmp_path):
+        expected = self.load(tmp_path, self.BODY)
+        for value in (7, 2.5, None, True, [], ["a", 1], {}, {"why": ["fits"]}):
+            body = json.loads(self.BODY)
+            for item in body["profiles"][0]["recommendations"]:
+                item["justification"] = value
+            assert self.load(tmp_path, json.dumps(body)) == expected
 
     def test_malformed_json_raises(self, tmp_path):
         with pytest.raises(IngestError, match="recs.json: invalid JSON"):
@@ -435,14 +427,14 @@ class TestRecommendationFiles:
             '{"model_id": "m", "profiles": [{"profile_id": "A", "recommendations":'
             ' [{"beverage_name": "Alpha", "rank": "second"}]}]}'
         )
-        recs = self.load(tmp_path, body)
-        verdicts = validate_recs(recs.sets["A"], NAMES)
+        _, sets = self.load(tmp_path, body)
+        verdicts = validate_recs(sets["A"], NAMES)
         assert verdicts[0].reason == VerdictReason.BAD_RANK
 
     def test_load_from_disk(self, tmp_path):
-        recs = self.load(tmp_path, self.BODY)
-        assert recs.model_id == "model-01"
-        assert recs.sets["A"].slots[0].rank == 1
+        model_id, sets = self.load(tmp_path, self.BODY)
+        assert model_id == "model-01"
+        assert sets["A"].ranks[0] == 1
 
 
 class TestOracleEquivalence:
@@ -464,14 +456,15 @@ class TestOracleEquivalence:
     def test_each_set_validated_once(self, rng, monkeypatch):
         calls = []
         core = receval._reasons
-
-        def counting(recs, resolve, k):
-            calls.append(recs.profile_id)
-            return core(recs, resolve, k)
-
-        monkeypatch.setattr(receval, "_reasons", counting)
         recs, _, cards, names = random_rec_instance(rng, n_judges=4)
         del recs["J2"]  # a profile without a set is never validated
+        profile_of = {id(rset): judge for judge, rset in recs.items()}
+
+        def counting(rset, resolve, k):
+            calls.append(profile_of[id(rset)])
+            return core(rset, resolve, k)
+
+        monkeypatch.setattr(receval, "_reasons", counting)
         evaluate_model(recs, index_of(cards, names), model_id="m")
         assert sorted(calls) == ["J0", "J1", "J3"]
 
@@ -540,8 +533,8 @@ class TestMatrixIndex:
         # two producers' beverages normalize to one name that no judge scored
         names = ["Alpha", "Beta", "Gamma", "Twin Ale", " twin  ALE", "Delta"]
         cards = {"J0": card(Alpha=4.0, Beta=3.0, Gamma=2.0, Delta=1.0), "J1": card(Alpha=1.0, Beta=2.5)}
-        recs = {j: recs_of("Twin Ale", "Alpha", "Beta", profile=j) for j in cards}
-        slots = {j: [(s.beverage_name, s.rank) for s in recs[j].slots] for j in cards}
+        recs = {j: recs_of("Twin Ale", "Alpha", "Beta") for j in cards}
+        slots = {j: list(zip(*recs[j])) for j in cards}
         index = JudgeIndex(score_matrix(cards, names), names, 5)
         assert [v.reason for v in validate_recs(recs["J0"], set(names))] == [VerdictReason.OK] * 3
         assert top_names(index, "J0") == {"alpha", "beta", "gamma", "delta"}  # the unrated name is in no set

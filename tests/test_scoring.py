@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from beerfed.errors import DegenerateRowError, InsufficientDataError
-from beerfed.model import DEFAULT_STYLE_FAMILIES, Beverage, Dataset, NoteTag, Review
+from beerfed.model import DEFAULT_STYLE_FAMILIES, Beverage, Dataset, NoteTag
 from beerfed import scoring
 from beerfed.scoring import (
     MIN_COMMON_BEVERAGES,
@@ -19,7 +19,7 @@ from beerfed.scoring import (
     per_style_distribution,
     tag_report,
 )
-from genutil import random_dataset, with_reviews
+from genutil import Row, random_dataset, review_rows, review_table, with_reviews
 from oracles import (
     oracle_aggregate,
     oracle_column_stats,
@@ -48,18 +48,18 @@ class TestBuildScoreMatrix:
             ds = random_dataset(
                 rng, int(rng.integers(1, 6)), int(rng.integers(1, 12)), rng.uniform(0.0, 0.5)
             )
-            reviews = list(ds.reviews)
+            reviews = review_rows(ds.reviews)
             for _ in range(int(rng.integers(0, 6))):  # repeats of a scored pair, later score differs
                 first = reviews[int(rng.integers(len(reviews)))]
-                reviews.append(Review(first.judge_id, first.beverage_id, 5.0 if first.raw_score < 5.0 else 1.0))
-            reviews.insert(0, Review("ghost judge", ds.beverages[0].id, 2.0))
-            reviews.insert(int(rng.integers(len(reviews))), Review(ds.judges[0], "ghost beer", 2.0))
+                reviews.append(Row(first.judge_id, first.beverage_id, 5.0 if first.raw_score < 5.0 else 1.0))
+            reviews.insert(0, Row("ghost judge", ds.beverages[0].id, 2.0))
+            reviews.insert(int(rng.integers(len(reviews))), Row(ds.judges[0], "ghost beer", 2.0))
             if trial % 7 == 0:
                 reviews = []
             ds = with_reviews(ds, reviews)
             m = build_score_matrix(ds)
             assert m.judges == ds.judges and m.beverages == [b.id for b in ds.beverages]
-            expected = oracle_score_matrix(ds.judges, m.beverages, ds.reviews)
+            expected = oracle_score_matrix(ds.judges, m.beverages, review_rows(ds.reviews))
             assert np.array_equal(m.cells, np.array(expected).reshape(m.cells.shape), equal_nan=True)
 
     def test_matches_per_review_oracle_without_duplicates(self, rng, monkeypatch):
@@ -67,14 +67,14 @@ class TestBuildScoreMatrix:
         monkeypatch.setattr(scoring.np, "unique", None)
         for _ in range(40):
             ds = random_dataset(rng, int(rng.integers(1, 8)), int(rng.integers(1, 30)), rng.uniform(0.0, 0.6))
-            reviews = list(ds.reviews)
+            reviews = review_rows(ds.reviews)
             ds = with_reviews(ds, [reviews[i] for i in rng.permutation(len(reviews))])
             m = build_score_matrix(ds)
-            expected = oracle_score_matrix(ds.judges, m.beverages, ds.reviews)
+            expected = oracle_score_matrix(ds.judges, m.beverages, review_rows(ds.reviews))
             assert np.array_equal(m.cells, np.array(expected).reshape(m.cells.shape), equal_nan=True)
 
     def test_empty_dataset(self):
-        assert build_score_matrix(Dataset()).cells.shape == (0, 0)
+        assert build_score_matrix(Dataset([], review_table([]), [])).cells.shape == (0, 0)
 
 
 class TestNormalize:
@@ -442,7 +442,7 @@ class TestTagReport:
     def test_empty_without_tags(self):
         ds = Dataset(
             beverages=[Beverage("b", "P", "B", "IPA", "Pale ale & IPA", 5.0)],
-            reviews=[Review("A", "b", 3.0), Review("B", "b", 4.0)],
+            reviews=review_table([("A", "b", 3.0), ("B", "b", 4.0)]),
             judges=["A", "B"],
         )
         assert tag_report(ds) == []
@@ -459,10 +459,10 @@ class TestTagReport:
     def test_equal_means_flag_true(self):
         ds = Dataset(
             beverages=[Beverage("b", "P", "B", "Sour", "Sour & wild ale", 5.0)],
-            reviews=[
-                Review("A", "b", 4.0, note_tags=frozenset({NoteTag.REAL_FLAVOUR})),
-                Review("B", "b", 4.0, note_tags=frozenset({NoteTag.ARTIFICIAL_FLAVOUR})),
-            ],
+            reviews=review_table([
+                Row("A", "b", 4.0, note_tags=frozenset({NoteTag.REAL_FLAVOUR})),
+                Row("B", "b", 4.0, note_tags=frozenset({NoteTag.ARTIFICIAL_FLAVOUR})),
+            ]),
             judges=["A", "B"],
         )
         (row,) = tag_report(ds)
@@ -471,10 +471,10 @@ class TestTagReport:
     def test_one_sided_family_not_comparable(self):
         ds = Dataset(
             beverages=[Beverage("b", "P", "B", "Gose", "Gose", 4.5)],
-            reviews=[
-                Review("A", "b", 4.0, note_tags=frozenset({NoteTag.REAL_FLAVOUR})),
-                Review("B", "b", 3.0),
-            ],
+            reviews=review_table([
+                Row("A", "b", 4.0, note_tags=frozenset({NoteTag.REAL_FLAVOUR})),
+                Row("B", "b", 3.0),
+            ]),
             judges=["A", "B"],
         )
         (row,) = tag_report(ds)
