@@ -40,53 +40,19 @@ def _resolver(namespace: dict, sources: dict[str, str]):
 
 # each public name -> the module defining it; `import beerfed` loads none
 # of them, only numpy
-__getattr__ = _resolver(globals(), {
+_SOURCES = {
     **dict.fromkeys(("AbvBand", "Beverage", "Dataset", "NoteTag", "StyleFamily", "Violation",
                      "classify_abv", "validate_dataset"), "model"),
     **dict.fromkeys(("CostParams", "ParticipantProfile", "RoundRecord", "SessionConfig",
                      "communication_costs", "run_session"), "protocol"),
     **dict.fromkeys(("JudgeIndex", "MetricReport", "RecommendationSet", "SlotVerdict",
                      "evaluate_model", "validate_recs"), "receval"),
-    **dict.fromkeys(("AggregateRanking", "ScoreMatrix", "agreement", "aggregate", "build_score_matrix",
-                     "divisiveness", "judge_stats", "normalize", "per_style_distribution", "tag_report"),
-                    "scoring"),
-})
+    **dict.fromkeys(("ScoreMatrix", "agreement", "aggregate", "build_score_matrix", "divisiveness",
+                     "judge_stats", "normalize", "per_style_distribution", "tag_report"), "scoring"),
+}
+__getattr__ = _resolver(globals(), _SOURCES)
+__all__ = sorted(["__version__", *_SOURCES])
 
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
-
-
-__all__ = [
-    "AbvBand",
-    "AggregateRanking",
-    "Beverage",
-    "CostParams",
-    "Dataset",
-    "JudgeIndex",
-    "MetricReport",
-    "NoteTag",
-    "ParticipantProfile",
-    "RecommendationSet",
-    "RoundRecord",
-    "ScoreMatrix",
-    "SessionConfig",
-    "SlotVerdict",
-    "StyleFamily",
-    "Violation",
-    "__version__",
-    "aggregate",
-    "agreement",
-    "build_score_matrix",
-    "classify_abv",
-    "communication_costs",
-    "divisiveness",
-    "evaluate_model",
-    "judge_stats",
-    "normalize",
-    "per_style_distribution",
-    "run_session",
-    "tag_report",
-    "validate_dataset",
-    "validate_recs",
-]

@@ -60,6 +60,7 @@ from .model import (
     NoteTag,
     ReviewTable,
     StyleFamily,
+    _clash,
     _json_bool,
     _json_number,
     _json_pair,
@@ -199,23 +200,6 @@ def _beverage_from_fields(
         ingredients=ingredients,
         note_tags=_parse_tags(tags_raw, row, "tags"),
     )
-
-
-def _clash(seen: dict[str, tuple[str, Beverage]], names: dict[str, str] | None,
-           beverage: Beverage, where: str) -> str | None:
-    """Record ``beverage`` as found at ``where``, or, when an earlier one
-    holds its id, say so naming both: two (brewery, beer_name) pairs can
-    share an id, as "a::b","c" and "a","b::c" do. Given ``names`` (each
-    normalized name's id), a shared normalized name clashes too, as
-    scorecards could not tell the two beverages apart."""
-    what, key = "duplicate beverage id", beverage.id
-    first, other = seen.setdefault(key, (where, beverage))
-    if other is beverage and names is not None:
-        what, key = "ambiguous beverage name", normalize_name(beverage.name)
-        first, other = seen[names.setdefault(key, beverage.id)]
-    if other is not beverage:
-        return (f"{what} {key!r}: {beverage.name!r} for {beverage.producer!r}"
-                f" and, at {first}, {other.name!r} for {other.producer!r}")
 
 
 def parse_beverages_csv(
@@ -587,7 +571,7 @@ def load_session_config(
                 raise ConfigurationError(f"pool_csv: {exc}") from None
         else:
             bucket = style_bucketer(families)
-            pool, seen, names = [], {}, {}
+            pool = []
             for i, entry in enumerate(raw["pool"]):
                 where = f"pool entry {i}"
                 if not isinstance(entry, dict):
@@ -602,8 +586,6 @@ def load_session_config(
                     beverage = _beverage_from_fields(brewery, name, style, abv, ingredients, tags, bucket, None)
                 except IngestError as exc:
                     raise ConfigurationError(f"{where}: {exc}") from None
-                if clash := _clash(seen, names, beverage, where):
-                    raise ConfigurationError(f"{where}: {clash}")
                 pool.append(beverage)
 
         cost = raw.get("cost_params", {})

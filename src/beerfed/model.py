@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def classify_abv(abv: float) -> AbvBand:
     raise AssertionError("unreachable: bands partition (0, 100]")
 
 
-@dataclass(frozen=True)
-class StyleFamily:
+class StyleFamily(NamedTuple):
     """A coarse style bucket matched by case-insensitive substring patterns."""
 
     name: str
@@ -262,9 +261,9 @@ class Beverage:
     ingredients: frozenset[str] | None = None
     note_tags: frozenset[NoteTag] = frozenset()
 
-    def __post_init__(self):
-        if not math.isfinite(self.abv) or not (0.0 <= self.abv <= 100.0):
-            raise ValueError(f"beverage {self.id!r}: abv must lie in [0, 100], got {self.abv!r}")
+    def __post_init__(self):  # the domain of classify_abv; NaN fails the test
+        if not (0.0 < self.abv <= 100.0):
+            raise ValueError(f"beverage {self.id!r}: abv must lie in (0, 100], got {self.abv!r}")
 
     @property
     def abv_band(self) -> AbvBand:
@@ -286,6 +285,24 @@ def derive_note_tags(note_text: str | None) -> frozenset[NoteTag]:
     if _ARTIFICIAL_WORD.search(note_text):
         tags.add(NoteTag.ARTIFICIAL_FLAVOUR)
     return frozenset(tags) if tags else frozenset({NoteTag.OTHER})
+
+
+def _clash(seen: dict[str, tuple[str, Beverage]], names: dict[str, str] | None,
+           beverage: Beverage, where: str) -> str | None:
+    """Record ``beverage`` as found at ``where``, or, when an earlier one
+    holds its id, say so naming both: two (brewery, beer_name) pairs can
+    share an id, as "a::b","c" and "a","b::c" do. Given ``names`` (each
+    normalized name's id), a shared normalized name clashes too, as
+    scorecards could not tell the two beverages apart. An earlier entry is
+    told by its ``where``, not its identity: one object listed twice clashes."""
+    what, key = "duplicate beverage id", beverage.id
+    first, other = seen.setdefault(key, (where, beverage))
+    if first == where and names is not None:
+        what, key = "ambiguous beverage name", normalize_name(beverage.name)
+        first, other = seen[names.setdefault(key, beverage.id)]
+    if first != where:
+        return (f"{what} {key!r}: {beverage.name!r} for {beverage.producer!r}"
+                f" and, at {first}, {other.name!r} for {other.producer!r}")
 
 
 def positions(values: Sequence, order: Sequence) -> np.ndarray:
@@ -330,8 +347,7 @@ class ReviewTable:
         return len(self.score)
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     """Beverages, judges and every review as one ``ReviewTable``."""
 
     beverages: list[Beverage]
@@ -362,8 +378,7 @@ MAX_BEVERAGES_PER_PRODUCER = 4
 MIN_REVIEWS_PER_BEVERAGE = 2
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subject: str
     message: str

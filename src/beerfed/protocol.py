@@ -40,12 +40,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import Beverage, Dataset, ReviewTable
+from .model import Beverage, Dataset, ReviewTable, _clash
 
 PROB_SUM_TOL = 1e-9
 
@@ -171,9 +171,10 @@ class SessionConfig:
         lo, hi = self.base_quality_range
         if not (1.0 <= lo <= hi <= 5.0):
             raise ConfigurationError("base_quality_range must satisfy 1 <= lo <= hi <= 5")
-        names = [b.id for b in self.pool]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("pool beverage ids must be unique")
+        seen, names = {}, {}  # scorecards join on names, so no two may normalize alike
+        for i, beverage in enumerate(self.pool):
+            if clash := _clash(seen, names, beverage, f"pool entry {i}"):
+                raise ConfigurationError(f"pool entry {i}: {clash}")
 
 
 def _leader_table(probabilities: Sequence[float]) -> list[float]:
@@ -221,8 +222,7 @@ def _draw_scores(
     return np.rint(np.fmin(5.0, np.fmax(1.0, value)) * 10) / 10
 
 
-@dataclass(frozen=True)
-class Omitted:
+class Omitted(NamedTuple):
     clock: int
     reason: str
 
@@ -269,8 +269,7 @@ _logged = attrgetter("index", "clock", "leader_id", "beverage_id", "procurers", 
                      "broadcast_cost", "comprehension_cost")
 
 
-@dataclass
-class SessionResult:
+class SessionResult(NamedTuple):
     config: SessionConfig
     rounds: list[RoundRecord]
     skips: list[Omitted]

@@ -63,8 +63,7 @@ class VerdictReason(str, Enum):
 _OK, _NOT_IN_LIST, _DUPLICATE, _BAD_RANK = VerdictReason
 
 
-@dataclass(frozen=True)
-class SlotVerdict:
+class SlotVerdict(NamedTuple):
     slot_index: int
     valid: bool
     reason: VerdictReason

@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from .io import canonical_json, staged_outputs, write_csv
 from .model import (
     ABV_BAND_EDGES,
@@ -23,7 +21,7 @@ from .model import (
     classify_abv,
 )
 from .scoring import (
-    AggregateRanking,
+    RankedBeverage,
     agreement,
     aggregate,
     build_score_matrix,
@@ -37,10 +35,10 @@ from .scoring import (
 TOP_N = 10  # rows in the top10 and bottom10 tables
 
 
-def _ranking_rows(ranking: AggregateRanking) -> list[dict]:
+def _ranking_rows(ranking: list[RankedBeverage]) -> list[dict]:
     return [
         {"rank": i + 1, "beverage": e.name, "score": e.score, "reviews": e.review_count}
-        for i, e in enumerate(ranking.entries)
+        for i, e in enumerate(ranking)
     ]
 
 
@@ -83,7 +81,7 @@ def build_analysis_report(
         for band, _, _ in ABV_BAND_EDGES
     ]
 
-    per_style = per_style_distribution(norm, dataset, family_order)
+    per_style = per_style_distribution(norm_ranking, dataset, family_order)
     divisive = divisiveness(matrix, names=names)
     tags = tag_report(dataset)
 
@@ -106,17 +104,12 @@ def build_analysis_report(
         ],
         "agreement": {
             "judges": agree.judges,
-            "values": [
-                [None if np.isnan(v) else float(v) for v in row]
-                for row in agree.values
-            ],
+            "values": [[None if v != v else v for v in row] for row in agree.values.tolist()],
         },
         "ranking": ranking_rows,
         "top10": ranking_rows[:TOP_N],
         "bottom10": ranking_rows[-TOP_N:][::-1],
-        "per_style": {
-            family: scores for family, scores in per_style.items()
-        },
+        "per_style": per_style,
         "per_style_rows": [
             {"family": family, "score": score}
             for family, scores in per_style.items()
@@ -132,18 +125,7 @@ def build_analysis_report(
             for d in divisive
         ],
         "raw_ranking": _ranking_rows(raw_ranking),
-        "tag_report": [
-            {
-                "family": t.family,
-                "real_mean": t.real_mean,
-                "artificial_mean": t.artificial_mean,
-                "real_count": t.real_count,
-                "artificial_count": t.artificial_count,
-                "comparable": t.comparable,
-                "real_at_least_artificial": t.real_at_least_artificial,
-            }
-            for t in tags
-        ],
+        "tag_report": [t._asdict() for t in tags],
     }
 
 

@@ -1,5 +1,7 @@
 """Score analytics: normalization, aggregate rankings, judge statistics,
 inter-judge agreement, divisiveness, and the real-vs-artificial tag report.
+Every result record is a ``NamedTuple``; ``aggregate`` returns its list of
+``RankedBeverage`` rows, which ``per_style_distribution`` groups.
 
 Matrices are judges x beverages with NaN for missing cells; every statistic
 runs over filled cells only (no imputation). Raw scores sit on a 0.1 grid,
@@ -31,8 +33,7 @@ per-column result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .errors import DegenerateRowError, InsufficientDataError
 from .model import Dataset, NoteTag, positions
 
 
-@dataclass
-class ScoreMatrix:
+class ScoreMatrix(NamedTuple):
     """Judges x beverages scores (raw 1-5, or per-judge normalized); rows
     follow the judge list, columns the beverage list."""
 
@@ -117,17 +117,11 @@ def normalize(
     return ScoreMatrix(list(matrix.judges), list(matrix.beverages), out)
 
 
-@dataclass(frozen=True)
-class RankedBeverage:
+class RankedBeverage(NamedTuple):
     beverage_id: str
     name: str
     score: float
     review_count: int
-
-
-@dataclass
-class AggregateRanking:
-    entries: list[RankedBeverage]
 
 
 def _column_stats(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -154,7 +148,7 @@ def _column_stats(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def aggregate(
     matrix: ScoreMatrix,
     names: Mapping[str, str] | None = None,
-) -> AggregateRanking:
+) -> list[RankedBeverage]:
     """Mean score per beverage over filled cells, sorted descending
     (ties broken by beverage name ascending)."""
     names = names or {}
@@ -165,11 +159,10 @@ def aggregate(
         if n
     ]
     entries.sort(key=lambda e: (-e.score, e.name))
-    return AggregateRanking(entries)
+    return entries
 
 
-@dataclass(frozen=True)
-class JudgeStats:
+class JudgeStats(NamedTuple):
     judge_id: str
     mean: float
     sd: float
@@ -198,8 +191,7 @@ def judge_stats(matrix: ScoreMatrix, lenient: bool = False) -> list[JudgeStats]:
     return out
 
 
-@dataclass
-class AgreementMatrix:
+class AgreementMatrix(NamedTuple):
     judges: list[str]
     values: np.ndarray  # symmetric, unit diagonal; NaN where undefined
 
@@ -311,18 +303,18 @@ def agreement(matrix: ScoreMatrix, method: str = "spearman") -> AgreementMatrix:
 
 
 def per_style_distribution(
-    norm: ScoreMatrix, dataset: Dataset, family_order: list[str]
+    ranking: list[RankedBeverage], dataset: Dataset, family_order: list[str]
 ) -> dict[str, list[float]]:
-    """Aggregate (mean normalized) scores grouped by style family.
+    """The scores of ``ranking`` (``aggregate`` of the normalized matrix)
+    grouped by style family.
 
     Keys follow ``family_order`` (families without beverages keep empty
     lists); scores within a family are sorted descending. Families present
     in the dataset but missing from the order are appended.
     """
-    ranking = aggregate(norm)
     family_of = {b.id: b.style_family for b in dataset.beverages}
     groups: dict[str, list[float]] = {name: [] for name in family_order}
-    for entry in ranking.entries:
+    for entry in ranking:
         family = family_of.get(entry.beverage_id)
         if family is None:
             continue
@@ -330,8 +322,7 @@ def per_style_distribution(
     return groups
 
 
-@dataclass(frozen=True)
-class DivisiveEntry:
+class DivisiveEntry(NamedTuple):
     beverage_id: str
     name: str
     sd: float
@@ -357,8 +348,7 @@ def divisiveness(
     return entries
 
 
-@dataclass(frozen=True)
-class TagFamilyComparison:
+class TagFamilyComparison(NamedTuple):
     family: str
     real_mean: float | None
     artificial_mean: float | None

@@ -692,16 +692,15 @@ def test_each_subcommand_imports_only_the_modules_it_runs(sim_outputs, tmp_path)
         assert done.stdout.splitlines()[-2:] == [str([f"beerfed.{m}" for m in modules]), str(records)], argv
 
 
-# the dataclasses each call above defines: no per-review or per-slot record
-SESSION_RECORDS = ["Beverage", "CostParams", "Dataset", "Omitted", "ParticipantProfile", "ReviewTable",
-                   "RoundRecord", "SessionConfig", "SessionResult", "StyleFamily", "Violation"]
-ANALYSIS_RECORDS = ["AggregateRanking", "AgreementMatrix", "Beverage", "Dataset", "DivisiveEntry", "JudgeStats",
-                    "RankedBeverage", "ReviewTable", "ScoreMatrix", "StyleFamily", "TagFamilyComparison", "Violation"]
+# the dataclasses each call above defines: only records whose constructor
+# checks their fields, and SessionConfig; every other record is a NamedTuple
+SESSION_RECORDS = ["Beverage", "CostParams", "ParticipantProfile", "ReviewTable", "RoundRecord", "SessionConfig"]
+ANALYSIS_RECORDS = ["Beverage", "ReviewTable"]
 RECORD_CLASSES = [
     [],
     SESSION_RECORDS,
     ANALYSIS_RECORDS,
-    sorted([*ANALYSIS_RECORDS, "MetricReport", "SlotVerdict"]),
+    sorted([*ANALYSIS_RECORDS, "MetricReport"]),
 ]
 
 

@@ -263,6 +263,12 @@ class TestValidateDataset:
             tuples = [(r.judge_id, r.beverage_id) for r in reviews]
             assert found == oracle_validate_dataset(ds.beverages, judges, tuples)
 
+    @pytest.mark.parametrize("abv", [0.0, -1.0, 100.1, float("nan"), float("inf")])
+    def test_beverage_takes_only_an_abv_classify_abv_bands(self, abv):
+        # abv 0 used to construct, then end the lenient report in classify_abv's ValueError
+        with pytest.raises(ValueError, match=r"^beverage 'b': abv must lie in \(0, 100\], got "):
+            Beverage("b", "Alpha Brewing", "Zero", "Pale Ale", "Pale ale & IPA", abv)
+
     def test_violations_sort_deterministically(self):
         a = Violation("DUP_REVIEW", "x", "m")
         b = Violation("ABV_RANGE_WARN", "y", "m")

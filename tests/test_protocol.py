@@ -301,6 +301,23 @@ class TestRunSession:
         with pytest.raises(ConfigurationError):
             run_session(simple_config(pool_of(2), blackout_windows=[(100, 200)]))
 
+    @pytest.mark.parametrize("second,message", [
+        (Beverage("q::ale", "Q", "ale", "Stout", "Stout & porter", 6.0),
+         "pool entry 1: ambiguous beverage name 'ale': 'ale' for 'Q' and, at pool entry 0, 'Ale' for 'P'"),
+        (Beverage("p::ale", "P2", "Ale 2", "Stout", "Stout & porter", 6.0),
+         "pool entry 1: duplicate beverage id 'p::ale': 'Ale 2' for 'P2' and, at pool entry 0, 'Ale' for 'P'"),
+        (None, "pool entry 1: duplicate beverage id 'p::ale': 'Ale' for 'P' and, at pool entry 0, 'Ale' for 'P'"),
+    ], ids=["name", "id", "same-object"])
+    def test_pool_clash_rejected_naming_both_entries(self, second, message):
+        # a Python-API config used to pass with two names a scorecard cannot
+        # tell apart, and to reject a shared id without naming either entry;
+        # None lists the first beverage object twice
+        first = Beverage("p::ale", "P", "Ale", "IPA", "Pale ale & IPA", 5.0)
+        config = simple_config([first, second or first])
+        with pytest.raises(ConfigurationError) as info:
+            run_session(config)
+        assert str(info.value) == message
+
 
 @pytest.mark.parametrize("seed", range(10))
 def test_numpy_pcg64_block_draws_equal_scalar_draws(seed):

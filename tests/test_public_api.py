@@ -4,8 +4,11 @@ not the other fails here. The names resolve on first use, so ``import
 beerfed`` itself binds no submodule. The recommendation evaluators'
 signatures are pinned too, so each keeps one input form."""
 
+import dataclasses
 import inspect
+import pkgutil
 from collections.abc import Mapping
+from importlib import import_module
 import os
 import subprocess
 import sys
@@ -15,7 +18,6 @@ import beerfed
 
 PUBLIC = [
     "AbvBand",
-    "AggregateRanking",
     "Beverage",
     "CostParams",
     "Dataset",
@@ -100,3 +102,18 @@ def test_import_binds_no_submodule():
 def test_evaluation_signatures_are_pinned():
     assert {name: str(inspect.signature(getattr(beerfed, name))) for name in SIGNATURES} == SIGNATURES
     assert not issubclass(beerfed.JudgeIndex, Mapping)
+
+
+def test_only_records_that_check_their_fields_are_dataclasses():
+    """A record stays a dataclass only if its ``__post_init__`` checks or
+    converts its fields, or if code assigns to it after construction
+    (``cli`` sets ``SessionConfig.seed``); every other record is a
+    ``NamedTuple``, which costs a fraction of a dataclass to define."""
+    unchecked = [
+        f"{module.__name__}.{name}"
+        for module in (import_module(f"beerfed.{m.name}") for m in pkgutil.iter_modules(beerfed.__path__))
+        for name, value in vars(module).items()
+        if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.__name__
+        and "__post_init__" not in vars(value) and name != "SessionConfig"
+    ]
+    assert unchecked == []

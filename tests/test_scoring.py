@@ -159,17 +159,17 @@ class TestAggregate:
         m = matrix_from_rows([[1.0], [1.0], [1.0]])
         # on a normalized matrix 1.0 everywhere stays 1.0
         agg = aggregate(matrix_from_rows([[1.0, 0.2], [1.0, 0.4]]))
-        assert agg.entries[0].score == 1.0
+        assert agg[0].score == 1.0
 
     def test_unnormalised_mean_matches_hand_arithmetic(self):
         m = matrix_from_rows([[4.0], [4.1], [2.5]], beverages=["parfait"])
         agg = aggregate(m)
-        assert agg.entries[0].score == pytest.approx(10.6 / 3, abs=1e-12)
+        assert agg[0].score == pytest.approx(10.6 / 3, abs=1e-12)
 
     def test_missing_cell_means_over_remaining(self):
         m = matrix_from_rows([[0.5, 0.2], [nan, 0.4], [0.7, 0.9]])
         agg = aggregate(m)
-        by_id = {e.beverage_id: e for e in agg.entries}
+        by_id = {e.beverage_id: e for e in agg}
         assert by_id["b0"].score == pytest.approx(0.6)
         assert by_id["b0"].review_count == 2
 
@@ -177,13 +177,13 @@ class TestAggregate:
         m = matrix_from_rows([[0.5, 0.5, 0.1]], beverages=["x", "a", "m"])
         names = {"x": "Zephyr", "a": "Anthem", "m": "Mirage"}
         agg = aggregate(m, names)
-        assert [e.name for e in agg.entries] == ["Anthem", "Zephyr", "Mirage"]
+        assert [e.name for e in agg] == ["Anthem", "Zephyr", "Mirage"]
 
     def test_aggregate_within_judge_bounds(self, rng):
         ds = random_dataset(rng, n_judges=4, n_beverages=10, missing_rate=0.2)
         m = build_score_matrix(ds)
         n = normalize(m, lenient=True)
-        for e in aggregate(n).entries:
+        for e in aggregate(n):
             col = n.cells[:, n.beverages.index(e.beverage_id)]
             vals = col[~np.isnan(col)]
             assert vals.min() - 1e-12 <= e.score <= vals.max() + 1e-12
@@ -382,7 +382,7 @@ class TestPerStyleDistribution:
     def test_grouping_and_order(self, tiny_dataset):
         m = build_score_matrix(tiny_dataset)
         n = normalize(m)
-        groups = per_style_distribution(n, tiny_dataset, FAMILY_ORDER)
+        groups = per_style_distribution(aggregate(n), tiny_dataset, FAMILY_ORDER)
         assert len(groups["Stout & porter"]) == 2
         assert groups["Stout & porter"] == sorted(groups["Stout & porter"], reverse=True)
         assert groups["Gose"] == []
@@ -407,7 +407,7 @@ class TestPerStyleDistribution:
         fam_means = {f: sum(v) / len(v) for f, v in fam_means.items()}
         assert max(fam_means, key=fam_means.get) == "Stout & porter"
 
-        groups = per_style_distribution(normalize(m), tiny_dataset, FAMILY_ORDER)
+        groups = per_style_distribution(aggregate(normalize(m)), tiny_dataset, FAMILY_ORDER)
         means = {f: sum(v) / len(v) for f, v in groups.items() if v}
         assert max(means, key=means.get) == "Stout & porter"
 
@@ -507,7 +507,7 @@ class TestSmallInstanceOracle:
                 with pytest.raises(DegenerateRowError):
                     normalize(m)
                 continue
-            got = {e.beverage_id: e.score for e in aggregate(normalize(m)).entries}
+            got = {e.beverage_id: e.score for e in aggregate(normalize(m))}
             assert got.keys() == expected.keys()
             for b in expected:
                 assert got[b] == pytest.approx(expected[b], abs=1e-12)
