@@ -15,6 +15,7 @@ module, and the commands call them through it, so a caller that replaces
 from __future__ import annotations
 
 import argparse
+import gc
 import glob as globmod
 import json
 import sys
@@ -293,5 +294,13 @@ def main(argv: list[str] | None = None) -> int:
         return exit_code
 
 
+def run() -> int:
+    """The program entry: ``main``, then ``gc.freeze()``, so shutdown skips collecting the heap again."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

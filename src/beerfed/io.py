@@ -41,7 +41,7 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import replace
+from copy import copy
 from functools import partial
 from io import StringIO
 from itertools import chain, count, islice, repeat
@@ -347,7 +347,8 @@ def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]
                 for first, raw, col in zip(firsts, raws, cells):
                     raw.append(np.full(len(lines), first.setdefault("", start), np.int32) if col is None
                                else np.fromiter(map(first.setdefault, col, count(start)), np.int32, len(col)))
-                line_blocks.append(np.asarray(lines, np.int32))
+                line_blocks.append(np.arange(lines.start, lines.stop, dtype=np.int32) if isinstance(lines, range)
+                                   else np.asarray(lines, np.int32))  # asarray converts a range one element at a time
                 start += len(lines)
         except (csv.Error, UnicodeDecodeError, IngestError) as exc:  # reported unless a faulty cell comes first
             fault = exc
@@ -467,7 +468,9 @@ def build_dataset(beverages: list[Beverage], scorecards: tuple[ReviewTable, tupl
             raise IngestError(f"beverage name {name!r} is ambiguous (produced by {producers})",
                               row=line, column="beer_name")
         codes.append(ids.setdefault(matches[0].id if matches else key, len(ids)))
-    table = replace(table, beverage_ids=tuple(ids), beverage=np.array(codes, dtype=np.intp)[table.beverage])
+    table = copy(table)  # not replace(): __post_init__ checked these scores when they were parsed
+    vars(table).update(beverage_ids=tuple(ids), beverage=np.array(codes, dtype=np.intp)[table.beverage])
+    table.beverage.flags.writeable = False
     return Dataset(beverages, table, sorted(table.judge_ids))
 
 

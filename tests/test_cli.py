@@ -1,5 +1,7 @@
 import argparse
+import ast
 import csv
+import gc
 import importlib.resources
 import json
 import os
@@ -1458,3 +1460,57 @@ class TestInputProperties:
                       write_text(tmp / "beverages.csv", PROPERTY_BEVERAGES))
             argv = [*analyze_argv(*tables, tmp / "rep"), "--lenient", "--families", str(families)]
             assert cli.main(["--json-errors", *argv]) in (0, 2)
+
+
+class TestProgramEntry:
+    """``python -m beerfed.cli`` and the ``beerfed`` script run ``cli.run``:
+    ``main``, then a frozen heap, so that shutdown skips collecting it."""
+
+    @staticmethod
+    def child(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
+
+    @staticmethod
+    def analyze_args(sim_outputs, tmp_path):
+        return ["analyze", str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv"),
+                "--out-dir", str(tmp_path / "rep")]
+
+    def test_main_in_process_freezes_nothing(self, sim_outputs, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert cli.main(self.analyze_args(sim_outputs, tmp_path)) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("case, status", [("analyze", 0), ("bad-config", 2), ("bad-scorecard", 4)])
+    def test_module_entry_exits_and_reports_as_main(self, sim_outputs, tmp_path, capsys, case, status):
+        if case == "analyze":
+            argv = self.analyze_args(sim_outputs, tmp_path)
+        elif case == "bad-config":
+            argv = ["simulate", str(write_config(tmp_path, round_duration="5")), "--out", str(tmp_path / "x")]
+        else:
+            cards = write_text(tmp_path / "bad.csv", "judge_id,beer_name,raw_score\nA,Batch 00,6.0\n")
+            argv = ["analyze", str(cards), str(sim_outputs / "beverages.csv"), "--out-dir", str(tmp_path / "rep")]
+        assert cli.main(argv) == status
+        expected = capsys.readouterr().err
+        done = self.child("-m", "beerfed.cli", *argv)
+        assert (done.returncode, done.stderr) == (status, expected)
+
+    def test_run_keeps_atexit_handlers_and_freezes(self, sim_outputs, tmp_path):
+        script = (
+            "import atexit, gc, sys\n"
+            "from beerfed import cli\n"
+            "atexit.register(lambda: print('atexit ran, frozen:', gc.get_freeze_count() > 0))\n"
+            "sys.exit(cli.run())\n"
+        )
+        done = self.child("-c", script, *self.analyze_args(sim_outputs, tmp_path))
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == "atexit ran, frozen: True\n"
+
+    def test_console_script_and_module_share_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        block = next(node for node in tree.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test))
+        assert [ast.unparse(node) for node in block.body] == ["sys.exit(run())"]
+        assert scripts == {"beerfed": "beerfed.cli:run"}

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +222,17 @@ class TestDatasetJoin:
         assert (exc.value.row, exc.value.column) == (3, "beer_name")
         assert exc.value.path == tmp_path / "s.csv"
 
+    def test_scores_are_checked_once_per_load(self, tmp_path, monkeypatch):
+        checks = []
+        check = model.ReviewTable.__post_init__
+        monkeypatch.setattr(model.ReviewTable, "__post_init__", lambda table: checks.append(table) or check(table))
+        dataset = load_dataset(write(tmp_path, "b.csv", BEVERAGES), write(tmp_path, "s.csv", SCORECARDS))
+        assert len(checks) == 1
+        assert not dataset.reviews.beverage.flags.writeable
+        with pytest.raises(ValueError, match=r"^row 1: raw score 6\.0 must lie in "):
+            dataclasses.replace(dataset.reviews, score=np.array([3.0, 6.0, 4.0, 1.0, 2.0, 3.0]))
+        assert len(checks) == 2
+
 
 def review_tuples(dataset):
     return [
@@ -306,9 +319,10 @@ class TestBlockIngestOracle:
 
     @pytest.mark.parametrize(
         "faults",
-        [[], [(20_000, "judge_id")], [(35_000, "raw_score"), (36_000, "short")],
+        [[], [(12_000, "raw_score")], [(20_000, "judge_id")], [(35_000, "raw_score"), (36_000, "short")],
          [(33_000, "short"), (35_000, "raw_score")], [(20_000, "tags"), (20_000, "raw_score")]],
-        ids=["clean", "plain-block-fault", "csv-fault-first", "field-count-first", "column-order"],
+        ids=["clean", "second-block-fault", "plain-block-fault", "csv-fault-first", "field-count-first",
+             "column-order"],
     )
     def test_multi_block_file_matches_reference(self, tmp_path, faults):
         rows = [["judge_id", "beer_name", "raw_score", "tags"]]
@@ -329,6 +343,10 @@ class TestBlockIngestOracle:
         outcome = ingest_outcome(parse_scorecards_csv, path)
         assert outcome == ingest_outcome(oracle_parse_scorecards, path)
         assert isinstance(outcome, str) == bool(faults)
+        if faults:  # the first faulty row's file line (the header is line 1)
+            assert re.search(rf": row {faults[0][0] + 1}[,:] ", outcome)
+        if faults == [(12_000, "raw_score")]:
+            assert text.index("\n" + ",".join(rows[12_000]) + "\n") < 2 * beerfed.io._BLOCK
 
     @staticmethod
     def no_records(*args):
