@@ -17,11 +17,11 @@ round-trips byte-identically.
 
 A scorecard file repeats few distinct values (a 100-judge session has
 1,440 names and 41 scores over 144,000 rows), so ingest reads it in
-bounded blocks of whole lines, a column at a time (split by ``str.split``,
-LF or CRLF lines alike, while no line needs csv quoting rules), into a
-columnar ``ReviewTable``: each distinct raw cell is validated and coded
-once, an error naming the first non-blank row that holds it, and each
-distinct name is joined to its beverage once. The session log is
+bounded blocks of whole lines, LF or CRLF, split on commas alone until a
+block has a quote or a field over csv's limit, a column at a time, into
+a columnar ``ReviewTable``: each distinct raw cell is validated and
+coded once, an error naming the first non-blank row that holds it, and
+each distinct name is joined to its beverage once. The session log is
 streamed a round at a time, each line encoded from the round's member
 codes through tables built once per session (each member's JSON id, the
 members in sorted-id order, one review tail per member and distinct
@@ -287,43 +287,85 @@ _CSV_BLOCK_ROWS = 8192  # records per block once csv.reader reads the file
 _WRITE_ROWS = 1 << 14  # scorecard rows per write
 
 
-def _scorecard_blocks(fh, reader, width: int, positions: Sequence[int]) -> Iterator[tuple[list, Sequence]]:
-    """The rest of a scorecard file, a block at a time, as each column's
-    cells (None for a column the file lacks) and each row's line. A block
-    with no quote, no line over csv's field limit, ``width - 1`` commas on
-    every line and either no carriage return or one ending every line
-    (CRLF, no other "\\r") is split as ``csv.reader`` would split it. The
-    first block that is not, and all after it, are read by ``csv.reader``;
-    a fault it raises comes after the rows before it."""
-    limit, line = csv.field_size_limit(), reader.line_num + 1
+def _room(arrays: Sequence[np.ndarray], rows: int) -> None:
+    """Grow each array in place to hold ``rows`` (a pipe's size reads 0)."""
+    if rows > len(arrays[0]):
+        for array in arrays:
+            array.resize(2 * rows, refcheck=False)
+
+
+def _scorecard_blocks(fh, reader, width: int, positions: Sequence[int], firsts: list[dict],
+                      raws: list[np.ndarray], lines: np.ndarray) -> Iterator[int]:
+    """Code the rest of a scorecard file a block at a time into ``firsts``
+    (per column, each raw cell -> its raw code: the row, from 0, where it
+    first appears) and, per row, ``raws`` and ``lines``; yields the rows
+    coded so far. A plain block (no quote; no "\\r", or CRLF lines) is split
+    on commas alone: each line end sits in a joined cell holding a line's
+    last field and the next line's first, split once per file, and a line's
+    first and last codes are read at the row where its joined cell first
+    appears. It is read as ``csv.reader`` would read it when it splits into
+    ``width - 1`` cells per line plus one, every new joined cell holds a
+    line end and no field exceeds csv's field limit (a longer line may).
+    The first block that is not, and all after it, go to ``csv.reader``; a
+    fault it raises comes after the rows before it."""
+    limit, line, start, step = csv.field_size_limit(), reader.line_num + 1, 0, width - 1
+    head, tail = positions.index(0), positions.index(width - 1)  # the columns a joined cell holds
+    joined, arrays = {}, (*raws, lines)  # joined cell -> the first row whose first field it holds
     while block := fh.read(_BLOCK):
         block += fh.readline()
         eol = "\r\n" if "\r" in block else "\n"
         text = block.removesuffix(eol)
-        rows = text.split(eol)
-        if ('"' in block or (eol == "\r\n" and not text.count("\r") == text.count("\n") == len(rows) - 1)
-                or max(map(len, rows)) > limit or set(map(str.count, rows, repeat(","))) != {width - 1}):
+        n, cells, sizes = text.count(eol) + 1, text.split(","), list(map(len, firsts))
+        if ('"' in block or (eol == "\r\n" and not text.count("\r") == text.count("\n") == n - 1)
+                or len(cells) != n * step + 1):
             break
-        n = len(rows)
-        del rows  # before the cells exist: the two together would be the memory peak
-        cells = text.replace(eol, ",").split(",")
-        yield [cells[p::width] if p < width else None for p in positions], range(line, line + n)
-        line += n
+        _room(arrays, start + n)
+        if len(joined) > _CSV_BLOCK_ROWS:  # cells that rarely repeat: keep no more than a block's worth
+            joined.clear()
+        old = len(joined)
+        rows = np.fromiter(map(joined.setdefault, cells[step:-1:step], count(start + 1)), np.int32, n - 1)
+        if ok := set(map(str.count, islice(joined, old, None), repeat(eol))) <= {1}:  # before any code is recorded
+            raws[head][start] = firsts[head].setdefault(cells[0], start)
+            at = np.fromiter(islice(joined.values(), old, None), np.int32)  # the row of each new joined cell
+            parts = eol.join(islice(joined, old, None)).split(eol)  # its last field, then the next line's first
+            raws[tail][at - 1] = np.fromiter(map(firsts[tail].setdefault, parts[::2], (at - 1).tolist()), np.int32)
+            raws[head][at] = np.fromiter(map(firsts[head].setdefault, parts[1::2], at.tolist()), np.int32)
+            raws[head][start + 1:start + n] = raws[head][rows]
+            raws[tail][start:start + n - 1] = raws[tail][rows - 1]
+            raws[tail][start + n - 1] = firsts[tail].setdefault(cells[-1], start + n - 1)
+            for first, raw, p in zip(firsts, raws, positions):
+                if 0 < p < step:
+                    raw[start:start + n] = np.fromiter(map(first.setdefault, cells[p::step], count(start)), np.int32, n)
+                elif p == width:
+                    raw[start:start + n] = first.setdefault("", start)
+            ok = all(len(cell) <= limit for first, size in zip(firsts, sizes) for cell in islice(first, size, None))
+        if not ok:  # csv.reader codes this block afresh
+            firsts[:] = [dict(islice(first.items(), size)) for first, size in zip(firsts, sizes)]
+            break
+        lines[start:start + n] = np.arange(line, line + n, dtype=np.int32)
+        start, line = start + n, line + n
+        yield start
     else:
         return
     records = _records(csv.reader(chain(StringIO(block, newline=""), fh)), width, positions, line - 1)
     while True:
-        cells, lines, fault = [], [], None
+        cells, rows, fault = [], [], None
         try:
             for row, fields in islice(records, _CSV_BLOCK_ROWS):
                 cells += fields
-                lines.append(row)
+                rows.append(row)
         except (csv.Error, UnicodeDecodeError, IngestError) as exc:
             fault = exc
-        yield [cells[c::len(positions)] for c in range(len(positions))], lines
+        n = len(rows)
+        _room(arrays, start + n)
+        for k, (first, raw) in enumerate(zip(firsts, raws)):
+            raw[start:start + n] = np.fromiter(map(first.setdefault, cells[k::len(firsts)], count(start)), np.int32, n)
+        lines[start:start + n] = rows
+        start += n
+        yield start
         if fault:
             raise fault
-        if len(lines) < _CSV_BLOCK_ROWS:
+        if n < _CSV_BLOCK_ROWS:
             return
 
 
@@ -339,24 +381,20 @@ def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]
                _parse_score, partial(_parse_tags, column="tags"), lambda cell, line: cell.strip() or None)
     vocabs = judge_ids, names, _, tag_sets, note_texts = {}, {}, None, {frozenset(): 0}, {None: 0}  # value -> code
     firsts = [{} for _ in parsers]  # raw cell -> its raw code, the row it first appears on
-    raws = [[np.empty(0, np.int32)] for _ in parsers]  # each block's raw codes
-    line_blocks, start, fault = [np.empty(0, np.int32)], 0, None
+    start, fault = 0, None
     with _csv_file(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as (fh, reader, width, positions):
+        size = os.fstat(fh.fileno()).st_size // width + 1  # the most rows a file this size holds
+        raws, lines = [np.empty(size, np.int32) for _ in parsers], np.empty(size, np.int32)  # filled in place
         try:
-            for cells, lines in _scorecard_blocks(fh, reader, width, positions):
-                for first, raw, col in zip(firsts, raws, cells):
-                    raw.append(np.full(len(lines), first.setdefault("", start), np.int32) if col is None
-                               else np.fromiter(map(first.setdefault, col, count(start)), np.int32, len(col)))
-                line_blocks.append(np.arange(lines.start, lines.stop, dtype=np.int32) if isinstance(lines, range)
-                                   else np.asarray(lines, np.int32))  # asarray converts a range one element at a time
-                start += len(lines)
+            for start in _scorecard_blocks(fh, reader, width, positions, firsts, raws, lines):
+                pass
         except (csv.Error, UnicodeDecodeError, IngestError) as exc:  # reported unless a faulty cell comes first
             fault = exc
-        lines = np.concatenate(line_blocks)
-        for k, raw in enumerate(raws):  # one column's blocks at a time: memory is the bound here
-            raws[k] = np.concatenate(raw)
-        kept = ~np.logical_and.reduce([np.isin(raw, [code for cell, code in first.items() if not cell.strip()])
-                                       for first, raw in zip(firsts, raws)])  # not a blank row
+        for array in (*raws, lines):  # in place: freeing the unused rows too would raise malloc's mmap threshold
+            array.resize(start, refcheck=False)
+        blanks = [[code for cell, code in first.items() if not cell.strip()] for first in firsts]
+        kept = (~np.logical_and.reduce([np.isin(raw, blank) for raw, blank in zip(raws, blanks)]) if all(blanks)
+                else np.ones(start, bool))  # not a blank row: none is while some column has no blank cell
         codes, faults, first_lines = [], [], []
         for k, (parse, vocab, first, raw) in enumerate(zip(parsers, vocabs, firsts, raws)):
             lookup, bad = np.zeros(start, np.intp if vocab is not None else float), {}  # a score is its own code
@@ -369,8 +407,8 @@ def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]
                 lookup[code] = value if vocab is None else vocab.setdefault(value, len(vocab))
                 if vocab is names and len(names) > len(first_lines):
                     first_lines.append(int(lines[code]))
-            hit = np.flatnonzero(np.isin(raw, list(bad)) & kept)  # bad cells on non-blank rows
-            if hit.size:
+            hit = np.flatnonzero(np.isin(raw, list(bad)) & kept) if bad else ()  # bad cells on non-blank rows
+            if len(hit):
                 faults.append((int(hit[0]), k, bad[int(raw[hit[0]])]))
             codes.append(lookup[raw if kept.all() else raw[kept]])
             raws[k] = None

@@ -4,13 +4,14 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import beerfed.io
-from beerfed import model
+from beerfed import cli, model
 from beerfed.errors import ConfigurationError, IngestError
 from beerfed.io import (
     beverage_id_for,
@@ -320,9 +321,10 @@ class TestBlockIngestOracle:
     @pytest.mark.parametrize(
         "faults",
         [[], [(12_000, "raw_score")], [(20_000, "judge_id")], [(35_000, "raw_score"), (36_000, "short")],
-         [(33_000, "short"), (35_000, "raw_score")], [(20_000, "tags"), (20_000, "raw_score")]],
+         [(33_000, "short"), (35_000, "raw_score")], [(20_000, "tags"), (20_000, "raw_score")],
+         [(20_000, "short"), (20_001, "long")]],
         ids=["clean", "second-block-fault", "plain-block-fault", "csv-fault-first", "field-count-first",
-             "column-order"],
+             "column-order", "comma-moved"],
     )
     def test_multi_block_file_matches_reference(self, tmp_path, faults):
         rows = [["judge_id", "beer_name", "raw_score", "tags"]]
@@ -332,6 +334,8 @@ class TestBlockIngestOracle:
         for row, kind in faults:
             if kind == "short":
                 rows[row].pop()
+            elif kind == "long":  # with the short row before it, the block's comma count is right
+                rows[row].append("")
             else:
                 rows[row][rows[0].index(kind)] = {"judge_id": " ", "raw_score": "6.0", "tags": "fake"}[kind]
         path = tmp_path / "s.csv"
@@ -369,6 +373,104 @@ class TestBlockIngestOracle:
         outcome = ingest_outcome(parse_scorecards_csv, path)
         assert outcome == expected
         assert isinstance(outcome, str) == bool(fault)
+
+    @staticmethod
+    def block_starts(text):
+        """Where each block of the block reader starts: it reads ``_BLOCK``
+        characters after the header, then to the end of the line."""
+        starts, at = [], text.index("\n") + 1
+        while at < len(text):
+            starts.append(at)
+            at = text.find("\n", at + beerfed.io._BLOCK) + 1 or len(text)
+        return starts
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("case", ["optional-edges", "judge-is-score-first", "judge-is-score-last",
+                                      "empty-first", "empty-last", "comma-moved"])
+    def test_joined_cells_match_reference(self, tmp_path, monkeypatch, case, eol):
+        header = {"optional-edges": ["tags", "judge_id", "beer_name", "raw_score", "note"],
+                  "judge-is-score-last": ["raw_score", "beer_name", "judge_id"]}.get(
+            case, ["judge_id", "beer_name", "raw_score"])
+        cell = {"judge_id": lambda i: "4.5" if i % 7 == 0 else f"J{i % 97}",  # a judge spelled as a score
+                "beer_name": lambda i: f"Beverage {i % 1440:04d}", "raw_score": lambda i: f"{1 + i % 41 / 10:.1f}",
+                "tags": lambda i: "real_flavour" if i % 13 == 0 else "",
+                "note": lambda i: "real" if i % 11 == 0 else ""}
+        rows = [header] + [[cell[c](i) for c in header] for i in range(12_000)]
+        if case == "empty-first":
+            rows[11_000][0] = ""
+        elif case == "empty-last":
+            rows[11_000][-1] = ""
+        elif case == "comma-moved":  # one line a comma short, the next one over: the block's total is right
+            rows[11_000][1:3] = ["".join(rows[11_000][1:3])]
+            rows[11_001][1] += ","
+        path = tmp_path / "s.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(",".join(row) + eol for row in rows)  # unquoted, as a plain block holds it
+        assert path.stat().st_size > beerfed.io._BLOCK
+        expected, calls, records = ingest_outcome(oracle_parse_scorecards, path), [], beerfed.io._records
+        monkeypatch.setattr(beerfed.io, "_records", lambda *args: calls.append(args) or records(*args))
+        assert ingest_outcome(parse_scorecards_csv, path) == expected
+        assert isinstance(expected, str) == case.startswith(("empty", "comma"))
+        assert bool(calls) == (case == "comma-moved")  # only that block needs csv.reader
+
+    @pytest.mark.parametrize("where", ["middle-field", "first-field", "long-line"])
+    def test_field_limit_matches_reference(self, tmp_path, monkeypatch, where):
+        rows = [["judge_id", "beer_name", "raw_score"]]
+        rows += [[f"J{i % 97}", f"Beverage {i % 1440:04d}", f"{1 + i % 41 / 10:.1f}"] for i in range(20_000)]
+        limit = 64
+        rows[15_000] = {"middle-field": ["J1", "B" * (limit + 1), "3.0"],
+                        "first-field": ["J" * (limit + 1), "B", "3.0"],
+                        "long-line": ["J" * limit, "B" * limit, "3.0"]}[where]
+        path = tmp_path / "s.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        text = path.read_text(encoding="utf-8")
+        at = text.index("\n" + ",".join(rows[15_000]) + "\n") + 1
+        assert at > beerfed.io._BLOCK and at not in self.block_starts(text)  # in a later block, after a line end
+        old = csv.field_size_limit(limit)
+        try:
+            expected = ingest_outcome(oracle_parse_scorecards, path)
+            if where == "long-line":
+                monkeypatch.setattr(beerfed.io, "_records", self.no_records)
+            outcome = ingest_outcome(parse_scorecards_csv, path)
+        finally:
+            csv.field_size_limit(old)
+        assert outcome == expected
+        assert isinstance(outcome, str) == (where != "long-line")
+        if where != "long-line":
+            assert "field larger than field limit" in outcome
+
+    def test_each_joined_cell_split_once_per_file(self, tmp_path, monkeypatch):
+        experts = [{"id": f"E{i:02d}", "is_expert": True, "leader_probability": 0.04, "score_noise_sd": 0.6}
+                   for i in range(25)]
+        pool = [{"brewery": "B", "beer_name": f"Beer {i:03d}", "beer_style": "Stout", "abv_percent": 5.0}
+                for i in range(400)]
+        config = write(tmp_path, "c.json", json.dumps({"seed": 3, "federation": experts, "pool": pool,
+                                                       "clock_start": 0, "clock_end": 400, "round_duration": 1}))
+        assert cli.main(["simulate", str(config), "--out", str(tmp_path / "sim")]) == 0
+        path = tmp_path / "sim" / "scorecards.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        joined = [a.rsplit(",", 1)[1] + "\n" + b.split(",", 1)[0] for a, b in zip(lines, lines[1:])]
+        monkeypatch.setattr(beerfed.io, "_BLOCK", 1 << 14)
+        assert path.stat().st_size > 8 * beerfed.io._BLOCK and 10 * len(set(joined)) < len(joined)
+        expected = ingest_outcome(oracle_parse_scorecards, path)
+        monkeypatch.setattr(beerfed.io, "_records", self.no_records)
+        splits = []
+
+        def count_splits(frame, event, arg):  # str.split on joined cells: line ends, no comma
+            text = getattr(arg, "__self__", None)
+            if event == "c_call" and getattr(arg, "__name__", "") == "split" and isinstance(text, str) \
+                    and "\n" in text and "," not in text:
+                fields = text.split("\n")  # each cell's last field, then the next line's first
+                splits.extend(map("\n".join, zip(fields[::2], fields[1::2])))
+
+        sys.setprofile(count_splits)
+        try:
+            outcome = ingest_outcome(parse_scorecards_csv, path)
+        finally:
+            sys.setprofile(None)
+        assert outcome == expected
+        assert sorted(splits) == sorted(set(joined))
 
 
 class TestColumnarIngestOracle:
