@@ -45,8 +45,7 @@ _SOURCES = {
                      "classify_abv", "validate_dataset"), "model"),
     **dict.fromkeys(("CostParams", "ParticipantProfile", "RoundRecord", "SessionConfig",
                      "communication_costs", "run_session"), "protocol"),
-    **dict.fromkeys(("JudgeIndex", "MetricReport", "RecommendationSet", "SlotVerdict",
-                     "evaluate_model", "validate_recs"), "receval"),
+    **dict.fromkeys(("JudgeIndex", "MetricReport", "RecommendationSet", "evaluate_model"), "receval"),
     **dict.fromkeys(("ScoreMatrix", "agreement", "aggregate", "build_score_matrix", "divisiveness",
                      "judge_stats", "normalize", "per_style_distribution", "tag_report"), "scoring"),
 }

@@ -19,6 +19,7 @@ import gc
 import glob as globmod
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, _resolver
@@ -121,7 +122,7 @@ def _checked_dataset(args, diag: Diagnostics, lenient: bool = False):
 def cmd_simulate(args, diag: Diagnostics) -> int:
     config = load_session_config(args.config, _load_families(args.families))
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)  # checked again, as a new config
     result = _cli.run_session(config)
     paths = write_session_outputs(result, args.out)
     diag.emit(

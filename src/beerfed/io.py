@@ -42,6 +42,7 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from copy import copy
+from dataclasses import fields
 from functools import partial
 from io import StringIO
 from itertools import chain, count, islice, repeat
@@ -526,33 +527,30 @@ def load_dataset(
         raise
 
 
-_PROFILE_KEYS = {
-    "id",
-    "is_expert",
-    "leader_probability",
-    "freeload_probability",
-    "availability_probability",
-    "score_bias",
-    "score_noise_sd",
-    "score_floor_affinity",
-}
-
 # the inline pool's text fields, in _beverage_from_fields order
 _POOL_TEXT = ("brewery", "beer_name", "beer_style", "ingredients", "tags")
 
-_CONFIG_KEYS = {
-    "seed",
-    "federation",
-    "pool",
-    "pool_csv",
-    "clock_start",
-    "clock_end",
-    "round_duration",
-    "blackout_windows",
-    "cost_params",
-    "base_quality_range",
-    "include_amateurs",
+# the reader of a protocol record's field from a JSON object, by the field's annotation
+_JSON_READERS = {
+    "bool": _json_bool,
+    "float": _json_number,
+    "int": partial(_json_number, integer=True),
+    "Mapping[str, float]": lambda entry, key, where: {
+        name: _json_number(entry[key], name, f"{where}: {key}") for name in entry[key]},
+    "tuple[float, float]": lambda entry, key, where: _json_pair(entry[key], key),
+    "tuple[tuple[int, int], ...]": lambda entry, key, where: tuple(
+        _json_pair(w, f"{key}[{i}]", integer=True) for i, w in enumerate(entry[key])),
 }
+
+
+def _json_fields(record: type, entry: dict, where: str, **given) -> dict:
+    """``given`` plus each other field of the dataclass ``record`` that
+    ``entry`` holds, read in field order, so of two faulty fields the first
+    is reported; a field the entry leaves out takes the record's default."""
+    for f in fields(record):
+        if f.name in entry and f.name not in given:
+            given[f.name] = _JSON_READERS[f.type](entry, f.name, where)
+    return given
 
 
 def _profile_from_dict(entry: dict) -> ParticipantProfile:
@@ -561,22 +559,13 @@ def _profile_from_dict(entry: dict) -> ParticipantProfile:
         raise ConfigurationError("each federation entry must be an object with an id")
     pid = _json_str(entry, "id", "federation entry")
     where = f"participant {pid!r}"
-    unknown = set(entry) - _PROFILE_KEYS
+    unknown = set(entry) - {f.name for f in fields(ParticipantProfile)}
     if unknown:
         raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
     bias = entry.get("score_bias", {})
     if not isinstance(bias, dict):
         raise ConfigurationError(f"{where}: score_bias must be an object, got {bias!r}")
-    return ParticipantProfile(
-        id=pid,
-        is_expert=_json_bool(entry, "is_expert", where),
-        leader_probability=_json_number(entry, "leader_probability", where, 0.0),
-        freeload_probability=_json_number(entry, "freeload_probability", where, 0.0),
-        availability_probability=_json_number(entry, "availability_probability", where, 1.0),
-        score_bias={family: _json_number(bias, family, f"{where}: score_bias") for family in bias},
-        score_noise_sd=_json_number(entry, "score_noise_sd", where, 0.0),
-        score_floor_affinity=_json_number(entry, "score_floor_affinity", where, 0.0),
-    )
+    return ParticipantProfile(**_json_fields(ParticipantProfile, entry, where, id=pid))
 
 
 def load_session_config(
@@ -589,7 +578,7 @@ def load_session_config(
     with _read_json(path, ConfigurationError) as raw:
         if not isinstance(raw, dict):
             raise ConfigurationError("session config must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {"pool_csv", *(f.name for f in fields(SessionConfig))}
         if unknown:
             raise ConfigurationError(f"unknown key(s) {sorted(unknown)}")
         if "seed" not in raw or "federation" not in raw:
@@ -637,23 +626,8 @@ def load_session_config(
         except TypeError as exc:
             raise ConfigurationError(f"cost_params: {exc}") from None
 
-        config = SessionConfig(
-            federation=federation,
-            pool=pool,
-            seed=_json_number(raw, "seed", "", integer=True),
-            clock_start=_json_number(raw, "clock_start", "", 17 * 60, integer=True),
-            clock_end=_json_number(raw, "clock_end", "", 23 * 60, integer=True),
-            round_duration=_json_number(raw, "round_duration", "", 5, integer=True),
-            blackout_windows=[
-                _json_pair(w, f"blackout_windows[{i}]", integer=True)
-                for i, w in enumerate(raw.get("blackout_windows", []))
-            ],
-            cost_params=cost_params,
-            base_quality_range=_json_pair(raw.get("base_quality_range", [2.5, 4.8]), "base_quality_range"),
-            include_amateurs=_json_bool(raw, "include_amateurs", ""),
-        )
-        config.validate()
-    return config
+        return SessionConfig(**_json_fields(SessionConfig, raw, "", federation=federation, pool=pool,
+                                            cost_params=cost_params))
 
 
 def canonical_json(obj) -> str:
@@ -669,6 +643,10 @@ def _encode(obj, newline: str) -> str:
         return encode_basestring(obj)
     if kind is int or (kind is float and math.isfinite(obj)):
         return kind.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
     inner = newline + "  "
     if kind is dict and obj and all(type(key) is str for key in obj):
         items, brackets = [f"{encode_basestring(key)}: {_encode(obj[key], inner)}" for key in sorted(obj)], "{}"

@@ -145,11 +145,11 @@ def _json_str(entry: dict, key: str, where: str, error: type[BeerfedError] = Con
     return value
 
 
-def _json_number(entry: dict, key: str, where: str, default=None, *, integer: bool = False):
-    """A JSON number (``default`` when the key is absent) as a float, or as
-    an int when ``integer``; booleans, strings, null, NaN, infinities and
-    fractional integers are a ConfigurationError (no silent coercion)."""
-    value = entry.get(key, default)
+def _json_number(entry: dict, key: str, where: str, *, integer: bool = False):
+    """A required JSON number as a float, or as an int when ``integer``;
+    an absent key, booleans, strings, null, NaN, infinities and fractional
+    integers are a ConfigurationError (no silent coercion)."""
+    value = entry.get(key)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = int(value) if integer else float(value)
@@ -264,10 +264,6 @@ class Beverage:
     def __post_init__(self):  # the domain of classify_abv; NaN fails the test
         if not (0.0 < self.abv <= 100.0):
             raise ValueError(f"beverage {self.id!r}: abv must lie in (0, 100], got {self.abv!r}")
-
-    @property
-    def abv_band(self) -> AbvBand:
-        return classify_abv(self.abv)
 
 
 _REAL_WORD = re.compile(r"\breal\b", re.IGNORECASE)

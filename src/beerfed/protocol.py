@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -116,29 +115,31 @@ def communication_costs(round_index: int, params: CostParams) -> tuple[float, fl
     return broadcast, comprehension
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionConfig:
-    federation: list[ParticipantProfile]
-    pool: list[Beverage]
+    """A session's settings, checked when built: an instance that exists is
+    one ``run_session`` accepts. The three sequences are stored as tuples."""
+
+    federation: tuple[ParticipantProfile, ...]
+    pool: tuple[Beverage, ...]
     seed: int
     clock_start: int = 17 * 60
     clock_end: int = 23 * 60
     round_duration: int = 5
-    blackout_windows: list[tuple[int, int]] = field(default_factory=list)
+    blackout_windows: tuple[tuple[int, int], ...] = ()
     cost_params: CostParams = field(default_factory=CostParams)
     base_quality_range: tuple[float, float] = (2.5, 4.8)
     include_amateurs: bool = False
 
-    def experts(self) -> list[ParticipantProfile]:
-        return [p for p in self.federation if p.is_expert]
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name in ("federation", "pool", "blackout_windows"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         ids = [p.id for p in self.federation]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("participant ids must be unique")
-        experts = self.experts()
+        experts = [p for p in self.federation if p.is_expert]
         if not experts:
             raise ConfigurationError("federation needs at least one expert")
         total = sum(p.leader_probability for p in experts)
@@ -232,8 +233,7 @@ class RoundRecord:
     """One round as logged, in codes: the leader, procurers and reviewers
     are positions into ``members`` (the session's federation ids, shared by
     every round), the reviewers ascending, which is review order, and
-    ``scores`` holds each reviewer's score. The arrays are read-only; the
-    ids and scores are views built on access, and ``==`` compares them."""
+    ``scores`` holds each reviewer's score. The arrays are read-only."""
 
     index: int
     clock: int
@@ -251,22 +251,6 @@ class RoundRecord:
             array = np.asarray(getattr(self, name), dtype)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-
-    # the logged ids and scores: a str, frozensets and tuples of ids, a tuple of floats
-    leader_id = property(lambda self: self.members[self.leader_position])
-    procurers = property(lambda self: frozenset(map(self.members.__getitem__, self.procurer_positions.tolist())))
-    reviewers = property(lambda self: frozenset(self.review_judges))
-    review_judges = property(lambda self: tuple(map(self.members.__getitem__, self.reviewer_positions.tolist())))
-    review_scores = property(lambda self: tuple(self.scores.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RoundRecord):
-            return NotImplemented
-        return _logged(self) == _logged(other)
-
-
-_logged = attrgetter("index", "clock", "leader_id", "beverage_id", "procurers", "review_judges", "review_scores",
-                     "broadcast_cost", "comprehension_cost")
 
 
 class SessionResult(NamedTuple):
@@ -286,7 +270,6 @@ def run_session(config: SessionConfig) -> SessionResult:
     SKIPPED_NO_PARTICIPANTS. Round indices, and so the communication
     costs, count only the rounds that take place.
     """
-    config.validate()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     lo, hi = config.base_quality_range
     base_quality = {b.id: lo + (hi - lo) * rng.random() for b in config.pool}

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 import numpy as np
 
 from .errors import IngestError
-from .model import DEFAULT_K, _json_str, _read_json, normalize_name
+from .model import _json_str, _read_json, normalize_name
 
 if TYPE_CHECKING:
     from .scoring import ScoreMatrix
@@ -63,13 +63,6 @@ class VerdictReason(str, Enum):
 _OK, _NOT_IN_LIST, _DUPLICATE, _BAD_RANK = VerdictReason
 
 
-class SlotVerdict(NamedTuple):
-    slot_index: int
-    valid: bool
-    reason: VerdictReason
-    beverage_name: str = ""
-
-
 class _Names(dict):
     """Name resolution against one master list: a name as given maps to
     its normalized form if that is on the list, else to a false value.
@@ -85,30 +78,14 @@ class _Names(dict):
         return value
 
 
-def validate_recs(
-    recs: RecommendationSet,
-    beverage_names: set[str],
-    k: int = DEFAULT_K,
-) -> list[SlotVerdict]:
-    """Judge every slot of a recommendation set, never repairing it.
-
-    Produces one verdict per given slot, so the cost does not depend on k;
-    the set's missing slots number ``max(0, k - len(verdicts))``. A slot is
-    valid iff its name matches the master list (case-insensitive,
-    whitespace-normalized), has not appeared in an earlier slot, and carries
-    an integer rank in 1..k not used before. When several rules are broken,
-    the reported reason follows that order.
-    """
-    reasons, _ = _reasons(recs, _Names(beverage_names).__getitem__, k)
-    return [SlotVerdict(i, reason is _OK, reason, name)
-            for i, (name, reason) in enumerate(zip(recs.names, reasons))]
-
-
 def _reasons(recs: RecommendationSet, resolve: Callable[[str], str | None],
              k: int) -> tuple[list[VerdictReason], list[tuple[str, int]]]:
     """Each slot's verdict reason, in slot order, and the (normalized name,
     rank) of each valid slot; ``resolve`` maps a name to its normalized
-    form if that is on the master list, else to a false value."""
+    form if that is on the master list, else to a false value. A slot is
+    valid iff its name resolves, no earlier slot's name resolved alike, and
+    its rank is an integer in 1..k no earlier valid slot took; the first
+    rule a slot breaks, in that order, is its reason."""
     seen_names: set[str | None] = set()
     seen_ranks: set[int] = set()
     reasons, picks = [], []

@@ -49,9 +49,6 @@ class ScoreMatrix(NamedTuple):
     beverages: list[str]
     cells: np.ndarray
 
-    def filled(self) -> np.ndarray:
-        return ~np.isnan(self.cells)
-
 
 def build_score_matrix(dataset: Dataset) -> ScoreMatrix:
     """Arrange a dataset's reviews into a judges x beverages matrix.
@@ -195,10 +192,6 @@ class AgreementMatrix(NamedTuple):
     judges: list[str]
     values: np.ndarray  # symmetric, unit diagonal; NaN where undefined
 
-    def pair(self, a: str, b: str) -> float:
-        i, j = self.judges.index(a), self.judges.index(b)
-        return float(self.values[i, j])
-
 
 MIN_COMMON_BEVERAGES = 3  # at least 2: rank correlation needs two cells
 
@@ -262,7 +255,7 @@ def agreement(matrix: ScoreMatrix, method: str = "spearman") -> AgreementMatrix:
         raise ValueError(f"unknown agreement method {method!r}")
     n = len(matrix.judges)
     values = np.full((n, n), np.nan)
-    filled = matrix.filled()
+    filled = ~np.isnan(matrix.cells)
     # each filled cell as the index of its value among its judge's
     # distinct values (order-preserving; at most 41 on the raw grid)
     codes = np.zeros(matrix.cells.shape, dtype=np.intp)

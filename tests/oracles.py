@@ -2,11 +2,12 @@
 
 Everything here is written with plain dict/loop arithmetic, deliberately
 sharing no code with the package, so tests can cross-check the pipeline
-against a second derivation of the same definitions. The one exception is
+against a second derivation of the same definitions. The exceptions are
 ``oracle_parse_scorecards``, the package's former row-by-row scorecard
 ingest: it shares the header check, ``csv.reader`` loop and cell validators
 with ``beerfed.io``, so it checks the tokenizing, coding and error order of
-the block-and-column ingest, not the validators.
+the block-and-column ingest, not the validators; and ``slot_reasons``, which
+is not an oracle but the tests' one way to call the package's slot rules.
 """
 
 import csv
@@ -409,10 +410,10 @@ def oracle_tag_report(beverages, reviews):
     return out
 
 
-def oracle_round_possible(config):
-    """Whether any round of the session can take place: some expert can be
-    elected leader and some other member can be present beside them."""
-    members = config.federation
+def oracle_round_possible(members):
+    """Whether any round of a session of the federation ``members`` can take
+    place: some expert can be elected leader and some other member can be
+    present beside them."""
     return any(
         leader.is_expert and leader.leader_probability > 0
         and any(other.availability_probability > 0 for other in members if other.id != leader.id)
@@ -483,18 +484,28 @@ def oracle_run_session(config):
 
 def round_dict(record):
     """A ``RoundRecord`` as the dict whose ``json.dumps(..., sort_keys=True)``
-    bytes ``round_log_lines`` writes."""
+    bytes ``round_log_lines`` writes, read from the record's codes."""
+    judges = [record.members[i] for i in record.reviewer_positions.tolist()]
     return {
         "index": record.index,
         "clock": record.clock,
-        "leader_id": record.leader_id,
+        "leader_id": record.members[record.leader_position],
         "beverage_id": record.beverage_id,
-        "procurers": sorted(record.procurers),
-        "reviewers": sorted(record.reviewers),
+        "procurers": sorted(record.members[i] for i in record.procurer_positions.tolist()),
+        "reviewers": sorted(judges),
         "reviews": [
             {"judge_id": judge, "beverage_id": record.beverage_id, "raw_score": score}
-            for judge, score in zip(record.review_judges, record.review_scores)
+            for judge, score in zip(judges, record.scores.tolist())
         ],
         "broadcast_cost": record.broadcast_cost,
         "comprehension_cost": record.comprehension_cost,
     }
+
+
+def slot_reasons(recs, names, k=5):
+    """Each slot's ``VerdictReason`` for a recommendation set judged against
+    the master list ``names``: the package's own slot rules, which
+    ``oracle_valid_slots`` re-derives, called the way ``evaluate_model``
+    calls them."""
+    from beerfed.receval import _Names, _reasons
+    return _reasons(recs, _Names(names).__getitem__, k)[0]

@@ -17,9 +17,10 @@ import spans  # noqa: E402
 
 
 def test_bench_trace_hooks_still_resolve():
-    # the one exception was gone before this check: reports no longer validates
-    gone = {("beerfed.reports", "validate_dataset")}
+    # stages gone from the program: reports no longer validates, and no
+    # pipeline path judged slots through validate_recs, which was deleted
+    gone = {("beerfed.reports", "validate_dataset"), ("beerfed.receval", "validate_recs")}
     hooks = [(module, attr) for module, attr, *_ in spans.STAGES if (module, attr) not in gone]
-    assert len(hooks) == 19
+    assert len(hooks) == 18
     missing = [f"{m}.{a}" for m, a in hooks if not callable(getattr(importlib.import_module(m), a, None))]
     assert missing == []

@@ -114,6 +114,22 @@ class TestSimulate:
         cli.main(["simulate", str(config), "--seed", "99", "--out", str(out2)])
         assert read_all(out1 / "session_log.jsonl") != read_all(out2 / "session_log.jsonl")
 
+    @pytest.mark.parametrize("seed, checks", [([], 1), (["--seed", "99"], 2)], ids=["config-seed", "seed-flag"])
+    def test_config_is_checked_once_per_seed(self, tmp_path, monkeypatch, seed, checks):
+        # once as loaded, and once more for a --seed, which makes a new config
+        from beerfed.protocol import SessionConfig
+        calls, check = [], SessionConfig.__post_init__
+        monkeypatch.setattr(SessionConfig, "__post_init__", lambda self: calls.append(self.seed) or check(self))
+        assert cli.main(["simulate", str(write_config(tmp_path)), *seed, "--out", str(tmp_path / "x")]) == 0
+        assert calls == [42, 99][:checks]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_flag_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        argv = ["simulate", str(write_config(tmp_path)), "--seed", str(seed), "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_bad_probability_sum_exits_2(self, tmp_path, capsys):
         cfg = dict(CONFIG)
         cfg["federation"] = [
@@ -695,7 +711,7 @@ def test_each_subcommand_imports_only_the_modules_it_runs(sim_outputs, tmp_path)
 
 
 # the dataclasses each call above defines: only records whose constructor
-# checks their fields, and SessionConfig; every other record is a NamedTuple
+# checks their fields; every other record is a NamedTuple
 SESSION_RECORDS = ["Beverage", "CostParams", "ParticipantProfile", "ReviewTable", "RoundRecord", "SessionConfig"]
 ANALYSIS_RECORDS = ["Beverage", "ReviewTable"]
 RECORD_CLASSES = [

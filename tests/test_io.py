@@ -24,7 +24,8 @@ from beerfed.io import (
     write_beverages_csv,
     write_scorecards_csv,
 )
-from beerfed.model import AbvBand, Beverage, Dataset, NoteTag, derive_note_tags, style_bucketer, validate_dataset
+from beerfed.model import (AbvBand, Beverage, Dataset, NoteTag, classify_abv, derive_note_tags, style_bucketer,
+                           validate_dataset)
 from beerfed.scoring import build_score_matrix, tag_report
 from genutil import Row, dataset_content, review_rows, review_table
 from oracles import (
@@ -64,8 +65,8 @@ class TestIngestBeverages:
         sour = beverages[0]
         assert sour.producer == "Brewery52"
         assert sour.style_family == "Sour & wild ale"
-        assert sour.abv_band is AbvBand.LOW
-        assert beverages[1].abv_band is AbvBand.VERY_HIGH
+        assert classify_abv(sour.abv) is AbvBand.LOW
+        assert classify_abv(beverages[1].abv) is AbvBand.VERY_HIGH
 
     def test_header_order_insensitive(self, tmp_path):
         text = "abv_percent,beer_style,brewery,beer_name\n5.0,Pilsner,P,Quiet Field\n"
@@ -613,6 +614,16 @@ class TestCanonicalJson:
     def test_bytes_equal_json_dumps(self, value):
         assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
+    def test_null_and_booleans_never_reach_json_dumps(self, monkeypatch):
+        # null, true and false are written directly; json.dumps encodes only
+        # what the hand encoder leaves to it, here the one NaN
+        value = {"a": [None, True, False, {"b": None}], "c": (False,), "d": [1.5, "x", float("nan")]}
+        expected = [json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False) + "\n" for v in (value, None, True)]
+        dumps, leaves = json.dumps, []
+        monkeypatch.setattr(beerfed.io.json, "dumps", lambda obj, **kw: leaves.append(obj) or dumps(obj, **kw))
+        assert [canonical_json(v) for v in (value, None, True)] == expected
+        assert len(leaves) == 1 and math.isnan(leaves[0])
+
     def test_enum_values_encode_as_json_does(self):
         value = {"tags": [NoteTag.REAL_FLAVOUR, {"band": AbvBand.LOW}], NoteTag.OTHER: 1.5}
         assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -702,6 +713,86 @@ class TestSessionConfigFile:
             load_session_config(write(tmp_path, "c.json", json.dumps(body)))
         with pytest.raises(ConfigurationError, match="include_amateurs must be true or false"):
             load_session_config(write(tmp_path, "c.json", json.dumps(self.config_body(include_amateurs=value))))
+
+    # every field of each record with a default, set to another value
+    # the session check accepts when any one of them is left out
+    PROFILE = {"id": "X", "is_expert": True, "leader_probability": 0.0, "freeload_probability": 0.5,
+               "availability_probability": 0.5, "score_bias": {"Gose": 0.5}, "score_noise_sd": 0.5,
+               "score_floor_affinity": 0.5}
+    SESSION = {"clock_start": 600, "clock_end": 1400, "round_duration": 10, "blackout_windows": [[1100, 1110]],
+               "cost_params": {"politeness_initial": 0.2}, "base_quality_range": [3.0, 4.0], "include_amateurs": True}
+
+    @staticmethod
+    def defaults(record):
+        return {f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+                for f in dataclasses.fields(record)
+                if (f.default, f.default_factory) != (dataclasses.MISSING, dataclasses.MISSING)}
+
+    def test_a_left_out_profile_key_takes_the_records_default(self, tmp_path):
+        from beerfed.protocol import ParticipantProfile
+        defaults = self.defaults(ParticipantProfile)
+        assert set(defaults) == set(self.PROFILE) - {"id"}
+        for key, default in defaults.items():
+            # an expert with a leader probability would break the sum, so X leads as an amateur
+            full = dict(self.PROFILE, is_expert=False, leader_probability=0.5) if key == "leader_probability" \
+                else self.PROFILE
+            present, absent = (self.load_profile(tmp_path, entry)
+                               for entry in (full, {k: v for k, v in full.items() if k != key}))
+            assert getattr(absent, key) == default != getattr(present, key)
+
+    def load_profile(self, tmp_path, entry):
+        body = self.config_body()
+        body["federation"].append(entry)
+        return load_session_config(write(tmp_path, "c.json", json.dumps(body))).federation[-1]
+
+    def test_a_left_out_session_key_takes_the_records_default(self, tmp_path):
+        from beerfed.protocol import SessionConfig
+        defaults = self.defaults(SessionConfig)
+        assert set(defaults) == set(self.SESSION)
+        full = load_session_config(write(tmp_path, "c.json", json.dumps(self.config_body(**self.SESSION))))
+        for key, default in defaults.items():
+            body = self.config_body(**self.SESSION)
+            del body[key]
+            config = load_session_config(write(tmp_path, "c.json", json.dumps(body)))
+            assert getattr(config, key) == default != getattr(full, key)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rounds_per_hour": 4, "seed": "x"}, "unknown key(s) ['rounds_per_hour']"),
+        ({"federation": [{"id": "X", "chattiness": 1, "is_expert": 1}]}, "participant 'X': unknown key(s) ['chattiness']"),
+    ], ids=["session", "profile"])
+    def test_unknown_key_message(self, tmp_path, overrides, message):
+        path = write(tmp_path, "c.json", json.dumps(self.config_body(**overrides)))
+        with pytest.raises(ConfigurationError) as info:
+            load_session_config(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"id": "X", "leader_probability": "0.5", "is_expert": "yes"},
+         "participant 'X': is_expert must be true or false, got 'yes'"),
+        ({"id": "X", "score_noise_sd": "a", "score_bias": {"Gose": "x"}},
+         "participant 'X': score_bias: Gose must be a finite number, got 'x'"),
+        ({"id": "X", "is_expert": 1, "score_bias": []}, "participant 'X': score_bias must be an object, got []"),
+    ], ids=["flag-before-number", "bias-before-noise", "bias-object-first"])
+    def test_entry_with_two_faults_reports_the_first_field(self, tmp_path, entry, message):
+        body = self.config_body()
+        body["federation"].append(entry)
+        path = write(tmp_path, "c.json", json.dumps(body))
+        with pytest.raises(ConfigurationError) as info:
+            load_session_config(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"include_amateurs": "no", "seed": "x", "clock_start": 1.5}, "seed must be an integer, got 'x'"),
+        ({"base_quality_range": [1, "a"], "blackout_windows": [[1, "b"]], "round_duration": "z"},
+         "round_duration must be an integer, got 'z'"),
+        ({"cost_params": {"politeness_decay": "x"}, "seed": "x"},
+         "cost_params: politeness_decay must be a finite number, got 'x'"),
+    ], ids=["seed-first", "duration-before-windows", "cost-params-first"])
+    def test_session_with_two_faults_reports_the_first_field(self, tmp_path, overrides, message):
+        path = write(tmp_path, "c.json", json.dumps(self.config_body(**overrides)))
+        with pytest.raises(ConfigurationError) as info:
+            load_session_config(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_pool_and_pool_csv_mutually_exclusive(self, tmp_path):
         body = self.config_body(pool_csv="pool.csv")

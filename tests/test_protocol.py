@@ -2,7 +2,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -109,8 +109,8 @@ class TestGenerateScore:
         federation = [expert("A", 1.0, score_bias={"Stout & porter": 0.5}), ParticipantProfile("B")]
         stout = Beverage("s", "Pool Co", "S", "Stout", "Stout & porter", 9.0)
         config = simple_config([pool_of(1)[0], stout], federation=federation, base_quality_range=(3.0, 3.0))
-        scores = {(r.beverage_id, j): s for r in run_session(config).rounds
-                  for j, s in zip(r.review_judges, r.review_scores)}
+        scores = {(r.beverage_id, review["judge_id"]): review["raw_score"] for r in run_session(config).rounds
+                  for review in round_dict(r)["reviews"]}
         assert scores == {("p0", "A"): 3.0, ("p0", "B"): 3.0, ("s", "A"): 3.5, ("s", "B"): 3.0}
 
     def test_result_on_grid_and_in_range(self, rng):
@@ -179,7 +179,8 @@ class TestRunRound:
         assert result.skips == []  # dropped from the record entirely
         assert [(r.index, r.clock) for r in result.rounds] == [(0, 755)]
         # the blacked-out round drew nothing and took no beverage
-        assert result.rounds == run_session(simple_config(pool_of(3), clock_start=755, clock_end=760)).rounds
+        unblocked = run_session(simple_config(pool_of(3), clock_start=755, clock_end=760))
+        assert list(map(round_dict, result.rounds)) == list(map(round_dict, unblocked.rounds))
 
     def test_empty_pool_exhausts(self):
         result = run_session(simple_config(pool_of(0)))
@@ -212,19 +213,20 @@ class TestRunRound:
         ]
         (record,) = run_session(simple_config(pool_of(2), federation=federation, clock_end=605)).rounds
         assert isinstance(record, RoundRecord)
-        assert record.leader_id == "L"
-        assert record.reviewers == {"L", "F1", "F2", "P1"}
-        assert len(record.review_judges) == len(record.review_scores) == 4
-        assert record.procurers == {"P1"}
-        assert len(record.procurers) == 1 < len(record.reviewers)
-        assert "L" not in record.procurers
-        # codes under the views: read-only arrays, compared by the ids and scores they stand for
+        logged = round_dict(record)
+        assert logged["leader_id"] == "L"
+        assert set(logged["reviewers"]) == {"L", "F1", "F2", "P1"}
+        assert len(logged["reviews"]) == len(record.scores) == 4
+        assert set(logged["procurers"]) == {"P1"}
+        assert len(logged["procurers"]) == 1 < len(logged["reviewers"])
+        assert "L" not in logged["procurers"]
+        # the codes: read-only arrays, compared by the ids and scores they stand for
         assert record.reviewer_positions.tolist() == [0, 1, 2, 3] and record.procurer_positions.tolist() == [3]
         with pytest.raises(ValueError, match="read-only"):
             record.scores[0] = 1.0
         copy = replace(record, members=tuple(list(record.members)), scores=record.scores.copy())
-        assert copy == record and copy.members is not record.members
-        assert replace(record, scores=record.scores + 0.1) != record
+        assert round_dict(copy) == logged and copy.members is not record.members
+        assert round_dict(replace(record, scores=record.scores + 0.1)) != logged
 
     def test_all_freeloaders_promotes_one(self):
         federation = [
@@ -233,8 +235,9 @@ class TestRunRound:
             ParticipantProfile("F2", availability_probability=1.0, freeload_probability=1.0),
         ]
         (record,) = run_session(simple_config(pool_of(1), federation=federation, clock_end=605)).rounds
-        assert len(record.procurers) == 1
-        assert record.procurers <= {"F1", "F2"}
+        procurers = round_dict(record)["procurers"]
+        assert len(procurers) == 1
+        assert set(procurers) <= {"F1", "F2"}
 
 
 class TestRunSession:
@@ -278,12 +281,11 @@ class TestRunSession:
         assert result.dataset.judges == ["A", "B", "C"]
         assert {r.judge_id for r in review_rows(result.dataset.reviews)} <= {"A", "B", "C"}
         # the round log still carries everyone
-        all_reviewers = {judge for rec in result.rounds for judge in rec.review_judges}
+        all_reviewers = {judge for rec in result.rounds for judge in round_dict(rec)["reviewers"]}
         assert all_reviewers - {"A", "B", "C"}
 
     def test_amateurs_included_when_asked(self):
-        config = simple_config(pool_of(10), federation=default_federation())
-        config.include_amateurs = True
+        config = simple_config(pool_of(10), federation=default_federation(), include_amateurs=True)
         result = run_session(config)
         assert result.dataset.judges == ["A", "B", "C", "D", "E", "F", "G", "H"]
 
@@ -292,10 +294,16 @@ class TestRunSession:
         result = run_session(config)
         assert len(result.rounds) == 5
 
+    def test_config_is_frozen_and_holds_tuples(self):
+        config = simple_config(pool_of(3), blackout_windows=[(700, 710)])
+        with pytest.raises(FrozenInstanceError):
+            config.seed = 12
+        assert [type(config.federation), type(config.pool), type(config.blackout_windows)] == [tuple] * 3
+        assert config.blackout_windows == ((700, 710),) and config.seed == 11
+
     def test_invalid_probability_sum_rejected_before_rounds(self):
-        config = simple_config(pool_of(2), federation=[expert("A", 0.5), expert("B", 0.6)])
         with pytest.raises(ConfigurationError):
-            run_session(config)
+            run_session(simple_config(pool_of(2), federation=[expert("A", 0.5), expert("B", 0.6)]))
 
     def test_blackouts_outside_clock_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -313,9 +321,8 @@ class TestRunSession:
         # tell apart, and to reject a shared id without naming either entry;
         # None lists the first beverage object twice
         first = Beverage("p::ale", "P", "Ale", "IPA", "Pale ale & IPA", 5.0)
-        config = simple_config([first, second or first])
         with pytest.raises(ConfigurationError) as info:
-            run_session(config)
+            run_session(simple_config([first, second or first]))
         assert str(info.value) == message
 
 
@@ -336,9 +343,9 @@ FAMILIES = ["Pale ale & IPA", "Stout & porter", "Gose"]
 
 
 def random_config(seed):
-    """A small valid session with random probabilities, floor affinities,
-    blackouts, amateurs and, now and then, a bias or noise sd so large that
-    the score overflows before it is clamped."""
+    """The fields of a small session with random probabilities, floor
+    affinities, blackouts, amateurs and, now and then, a bias or noise sd so
+    large that the score overflows before it is clamped."""
     r = random.Random(seed)
     federation = []
     for i in range(r.randint(1, 9)):
@@ -358,21 +365,22 @@ def random_config(seed):
     end = r.randint(30, 300)
     blackouts = [(b, min(end, b + r.randint(1, 40))) for b in sorted(r.sample(range(end), r.randint(0, 2)))]
     pool = [Beverage(f"p{i}", "Pool Co", f"Pool {i}", "x", r.choice(FAMILIES), 5.0) for i in range(r.randint(0, 60))]
-    return SessionConfig(federation=federation, pool=pool, seed=r.getrandbits(64), clock_start=0,
-                         clock_end=end, round_duration=r.randint(1, 6), blackout_windows=blackouts,
-                         include_amateurs=r.random() < 0.5)
+    return dict(federation=federation, pool=pool, seed=r.getrandbits(64), clock_start=0,
+                clock_end=end, round_duration=r.randint(1, 6), blackout_windows=blackouts,
+                include_amateurs=r.random() < 0.5)
 
 
 @pytest.mark.filterwarnings("error")
 def test_run_session_matches_per_reviewer_oracle():
     seen = Counter()
     for seed in range(150):
-        config = random_config(seed)
-        if not oracle_round_possible(config):
+        fields = random_config(seed)
+        if not oracle_round_possible(fields["federation"]):
             with pytest.raises(ConfigurationError, match="no round can take place"):
-                run_session(config)
+                run_session(SessionConfig(**fields))
             seen["no round possible, rejected"] += 1
             continue
+        config = SessionConfig(**fields)
         result = run_session(config)
         lines, reviews, skips = oracle_run_session(config)
         assert list(round_log_lines(result)) == lines

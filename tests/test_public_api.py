@@ -29,7 +29,6 @@ PUBLIC = [
     "RoundRecord",
     "ScoreMatrix",
     "SessionConfig",
-    "SlotVerdict",
     "StyleFamily",
     "Violation",
     "__version__",
@@ -46,7 +45,6 @@ PUBLIC = [
     "run_session",
     "tag_report",
     "validate_dataset",
-    "validate_recs",
 ]
 
 
@@ -56,7 +54,6 @@ SIGNATURES = {
     "JudgeIndex": "(matrix: 'ScoreMatrix', names: 'Sequence[str]', k: 'int')",
     "evaluate_model": "(recs_by_profile: 'RecsByProfile', index: 'JudgeIndex', *, model_id: 'str',"
                       " tie_mode: 'str' = 'fixed') -> 'MetricReport'",
-    "validate_recs": "(recs: 'RecommendationSet', beverage_names: 'set[str]', k: 'int' = 5) -> 'list[SlotVerdict]'",
 }
 
 
@@ -106,14 +103,13 @@ def test_evaluation_signatures_are_pinned():
 
 def test_only_records_that_check_their_fields_are_dataclasses():
     """A record stays a dataclass only if its ``__post_init__`` checks or
-    converts its fields, or if code assigns to it after construction
-    (``cli`` sets ``SessionConfig.seed``); every other record is a
-    ``NamedTuple``, which costs a fraction of a dataclass to define."""
+    converts its fields; every other record is a ``NamedTuple``, which
+    costs a fraction of a dataclass to define."""
     unchecked = [
         f"{module.__name__}.{name}"
         for module in (import_module(f"beerfed.{m.name}") for m in pkgutil.iter_modules(beerfed.__path__))
         for name, value in vars(module).items()
         if isinstance(value, type) and dataclasses.is_dataclass(value) and value.__module__ == module.__name__
-        and "__post_init__" not in vars(value) and name != "SessionConfig"
+        and "__post_init__" not in vars(value)
     ]
     assert unchecked == []

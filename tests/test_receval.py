@@ -18,11 +18,10 @@ from beerfed.receval import (
     evaluate_model,
     load_recommendations,
     normalize_name,
-    validate_recs,
 )
 from beerfed.scoring import normalize
 from genutil import index_of, random_rec_instance, rec_set, score_matrix
-from oracles import oracle_metrics, top_k_set
+from oracles import oracle_metrics, slot_reasons, top_k_set
 
 NAMES = {"Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta", "Eta", "Theta"}
 
@@ -57,35 +56,35 @@ def top_names(index, judge):
 
 class TestValidateRecs:
     def test_all_valid(self):
-        verdicts = validate_recs(recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon"), NAMES)
-        assert [v.reason for v in verdicts] == [VerdictReason.OK] * 5
-        assert all(v.valid for v in verdicts)
+        reasons = slot_reasons(recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon"), NAMES)
+        assert reasons == [VerdictReason.OK] * 5
+        assert all(r is VerdictReason.OK for r in reasons)
 
     def test_short_set_padded_with_missing(self):
-        # one verdict per given slot; the fifth slot is missing, by count
-        verdicts = validate_recs(recs_of("Alpha", "Beta", "Gamma", "Delta"), NAMES)
-        assert len(verdicts) == 4 and max(0, 5 - len(verdicts)) == 1
-        assert [v.reason for v in verdicts] == [VerdictReason.OK] * 4
-        assert sum(v.valid for v in verdicts) == 4
+        # one reason per given slot; the fifth slot is missing, by count
+        reasons = slot_reasons(recs_of("Alpha", "Beta", "Gamma", "Delta"), NAMES)
+        assert len(reasons) == 4 and max(0, 5 - len(reasons)) == 1
+        assert reasons == [VerdictReason.OK] * 4
+        assert sum(r is VerdictReason.OK for r in reasons) == 4
 
     def test_duplicate_marks_later_occurrence_only(self):
         recs = recs_of("Alpha", "Beta", "Gamma", "Beta", "Delta")
-        verdicts = validate_recs(recs, NAMES)
-        assert verdicts[1].reason == VerdictReason.OK
-        assert verdicts[3].reason == VerdictReason.DUPLICATE
+        reasons = slot_reasons(recs, NAMES)
+        assert reasons[1] == VerdictReason.OK
+        assert reasons[3] == VerdictReason.DUPLICATE
 
     def test_name_matching_is_fuzzy_on_case_and_whitespace(self):
-        verdicts = validate_recs(recs_of("  alpha ", "BETA", "gAmMa", "Delta", "Epsilon"), NAMES)
-        assert all(v.valid for v in verdicts)
+        reasons = slot_reasons(recs_of("  alpha ", "BETA", "gAmMa", "Delta", "Epsilon"), NAMES)
+        assert all(r is VerdictReason.OK for r in reasons)
 
     def test_off_list_name(self):
-        verdicts = validate_recs(recs_of("Omega", "Beta", "Gamma", "Delta", "Epsilon"), NAMES)
-        assert verdicts[0].reason == VerdictReason.NOT_IN_LIST
+        reasons = slot_reasons(recs_of("Omega", "Beta", "Gamma", "Delta", "Epsilon"), NAMES)
+        assert reasons[0] == VerdictReason.NOT_IN_LIST
 
     def test_bad_ranks(self):
         recs = RecommendationSet(("Alpha", "Beta", "Gamma", "Delta", "Epsilon"), (0, 6, None, 2, 2))
-        verdicts = validate_recs(recs, NAMES)
-        assert [v.reason for v in verdicts] == [
+        reasons = slot_reasons(recs, NAMES)
+        assert reasons == [
             VerdictReason.BAD_RANK,
             VerdictReason.BAD_RANK,
             VerdictReason.BAD_RANK,
@@ -95,19 +94,19 @@ class TestValidateRecs:
 
     def test_oversized_set_keeps_extra_verdicts(self):
         recs = recs_of("Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta", ranks=[1, 2, 3, 4, 5, 5])
-        verdicts = validate_recs(recs, NAMES)
-        assert len(verdicts) == 6
-        assert verdicts[5].reason == VerdictReason.BAD_RANK
+        reasons = slot_reasons(recs, NAMES)
+        assert len(reasons) == 6
+        assert reasons[5] == VerdictReason.BAD_RANK
 
     def test_huge_k_returns_in_bounded_memory(self):
-        # the child's address space is capped, so a verdict per unused slot
+        # the child's address space is capped, so a reason per unused slot
         # fails here instead of exhausting memory
         script = (
             "import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
-            "from beerfed.receval import RecommendationSet, validate_recs\n"
+            "from beerfed.receval import RecommendationSet, _Names, _reasons\n"
             "recs = RecommendationSet(('Alpha', 'Beta'), (1, 10**9))\n"
-            "print([v.reason.value for v in validate_recs(recs, {'Alpha', 'Beta'}, k=10**9)])\n"
+            "print([r.value for r in _reasons(recs, _Names({'Alpha', 'Beta'}).__getitem__, 10**9)[0]])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
@@ -311,13 +310,12 @@ class TestEvaluateModel:
             recs, _, cards, names = random_rec_instance(rng)
             judge = sorted(cards)[0]
             slots = list(zip(*recs[judge]))  # (name, rank) per slot
-            verdicts = validate_recs(recs[judge], names)
-            invalid = [v for v in verdicts if not v.valid]
+            invalid = [i for i, r in enumerate(slot_reasons(recs[judge], names)) if r is not VerdictReason.OK]
             if not invalid:
                 continue
             index = index_of(cards, names)
             before = evaluate_model(recs, index, model_id="m")
-            idx = invalid[0].slot_index
+            idx = invalid[0]
             used_ranks = {rank for i, (_, rank) in enumerate(slots) if i != idx}
             free_rank = next(r for r in range(1, 6) if r not in used_ranks)
             used_names = {normalize_name(name) for i, (name, _) in enumerate(slots) if i != idx}
@@ -344,7 +342,7 @@ class TestEvaluateModel:
             permuted = {}
             for judge, rset in recs.items():
                 slots = list(zip(*rset))  # (name, rank) per slot
-                ok = [v.slot_index for v in validate_recs(rset, names) if v.valid]
+                ok = [i for i, r in enumerate(slot_reasons(rset, names)) if r is VerdictReason.OK]
                 ranks = [slots[i][1] for i in ok]
                 rng.shuffle(ranks)
                 for i, r in zip(ok, ranks):
@@ -428,8 +426,7 @@ class TestRecommendationFiles:
             ' [{"beverage_name": "Alpha", "rank": "second"}]}]}'
         )
         _, sets = self.load(tmp_path, body)
-        verdicts = validate_recs(sets["A"], NAMES)
-        assert verdicts[0].reason == VerdictReason.BAD_RANK
+        assert slot_reasons(sets["A"], NAMES)[0] == VerdictReason.BAD_RANK
 
     def test_load_from_disk(self, tmp_path):
         model_id, sets = self.load(tmp_path, self.BODY)
@@ -536,7 +533,7 @@ class TestMatrixIndex:
         recs = {j: recs_of("Twin Ale", "Alpha", "Beta") for j in cards}
         slots = {j: list(zip(*recs[j])) for j in cards}
         index = JudgeIndex(score_matrix(cards, names), names, 5)
-        assert [v.reason for v in validate_recs(recs["J0"], set(names))] == [VerdictReason.OK] * 3
+        assert slot_reasons(recs["J0"], set(names)) == [VerdictReason.OK] * 3
         assert top_names(index, "J0") == {"alpha", "beta", "gamma", "delta"}  # the unrated name is in no set
         assert_matches_oracle(recs, slots, cards, names, index, "fixed")
         assert evaluate_model(recs, index, model_id="m").coverage == 6 / 10  # the unrated pick still counts
