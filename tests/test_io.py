@@ -3,8 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -318,6 +320,22 @@ class TestBlockIngestOracle:
             patch.setattr(beerfed.io, "_BLOCK", block)
             patch.setattr(beerfed.io, "_CSV_BLOCK_ROWS", csv_rows)
             assert ingest_outcome(parse_scorecards_csv, path) == ingest_outcome(oracle_parse_scorecards, path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_pipe_grows_the_row_arrays(self, tmp_path):
+        # a pipe's size reads 0, so the arrays sized from it grow as rows arrive
+        rows = [f"J{i % 7},Beverage {i % 300:03d},{1 + i % 41 / 10:.1f}" for i in range(3_000)]
+        path = write(tmp_path, "s.csv", "judge_id,beer_name,raw_score\n" + "\n".join(rows) + "\n")
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            piped = ingest_outcome(parse_scorecards_csv, fifo)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert piped == ingest_outcome(parse_scorecards_csv, path) == ingest_outcome(oracle_parse_scorecards, path)
 
     @pytest.mark.parametrize(
         "faults",
