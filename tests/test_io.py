@@ -706,15 +706,18 @@ class TestSessionConfigFile:
             load_session_config(write(tmp_path, "c.json", json.dumps(body)))
 
     def test_unknown_key_rejected(self, tmp_path):
-        body = self.config_body(rounds_per_hour=4)
-        with pytest.raises(ConfigurationError):
-            load_session_config(write(tmp_path, "c.json", json.dumps(body)))
+        path = write(tmp_path, "c.json", json.dumps(self.config_body(rounds_per_hour=4, seed="x")))
+        with pytest.raises(ConfigurationError) as info:
+            load_session_config(path)
+        assert str(info.value) == f"{path}: unknown key(s) ['rounds_per_hour']"
 
     def test_unknown_profile_key_rejected(self, tmp_path):
         body = self.config_body()
-        body["federation"][0]["chattiness"] = 1.0
-        with pytest.raises(ConfigurationError):
-            load_session_config(write(tmp_path, "c.json", json.dumps(body)))
+        body["federation"][0].update(chattiness=1.0, is_expert=1)
+        path = write(tmp_path, "c.json", json.dumps(body))
+        with pytest.raises(ConfigurationError) as info:
+            load_session_config(path)
+        assert str(info.value) == f"{path}: participant 'A': unknown key(s) ['chattiness']"
 
     def test_json_booleans_load(self, tmp_path):
         body = self.config_body(include_amateurs=True)
@@ -773,16 +776,6 @@ class TestSessionConfigFile:
             del body[key]
             config = load_session_config(write(tmp_path, "c.json", json.dumps(body)))
             assert getattr(config, key) == default != getattr(full, key)
-
-    @pytest.mark.parametrize("overrides, message", [
-        ({"rounds_per_hour": 4, "seed": "x"}, "unknown key(s) ['rounds_per_hour']"),
-        ({"federation": [{"id": "X", "chattiness": 1, "is_expert": 1}]}, "participant 'X': unknown key(s) ['chattiness']"),
-    ], ids=["session", "profile"])
-    def test_unknown_key_message(self, tmp_path, overrides, message):
-        path = write(tmp_path, "c.json", json.dumps(self.config_body(**overrides)))
-        with pytest.raises(ConfigurationError) as info:
-            load_session_config(path)
-        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("entry, message", [
         ({"id": "X", "leader_probability": "0.5", "is_expert": "yes"},
