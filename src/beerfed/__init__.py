@@ -8,8 +8,9 @@ import sys as _sys
 from importlib import import_module as _import_module
 
 # OpenBLAS starts a thread pool when numpy loads, sized from these
-# variables, and reads them only then. beerfed's one BLAS call is a small
-# corrcoef, so unless the user chose a size (or numpy is already loaded),
+# variables, and reads them only then. beerfed's two BLAS calls are a small
+# corrcoef and the float32 product that counts common beverages in the
+# agreement, so unless the user chose a size (or numpy is already loaded),
 # numpy loads single-threaded and the variable is taken away again: child
 # processes and later code see the environment as the user left it.
 if "numpy" not in _sys.modules and not any(

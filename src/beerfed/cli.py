@@ -53,6 +53,12 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_STRICT_EVAL = 5
 
+# the most bytes a run's judge arrays may take: the score matrix (8 per
+# judge x beverage cell) and, for analyze, the agreement's values and
+# common counts (8 + 4 per judge pair). A larger dataset exits 4 before
+# any of them is allocated.
+SCORE_BYTES_BUDGET = 1 << 30
+
 # main() reports the first entry the raised exception is an instance of
 EXIT_TABLE: dict[type[Exception], tuple[int, str]] = {
     ConfigurationError: (EXIT_CONFIG, "CONFIG"),
@@ -102,11 +108,12 @@ def _load_families(path: str | None):
     return load_style_families(path) if path else None
 
 
-def _checked_dataset(args, diag: Diagnostics, lenient: bool = False):
+def _checked_dataset(args, diag: Diagnostics, lenient: bool = False, pair_bytes: int = 0):
     """Load the families and the dataset, validate the dataset once and
     report every finding; error-severity findings raise
-    DatasetValidationError unless ``lenient``. Returns (families, dataset,
-    violations)."""
+    DatasetValidationError unless ``lenient``, and so does a dataset whose
+    score matrix and ``pair_bytes`` per judge pair exceed
+    ``SCORE_BYTES_BUDGET``. Returns (families, dataset, violations)."""
     families = _load_families(args.families)
     dataset = load_dataset(args.beverages, args.scorecards, families)
     violations = validate_dataset(dataset)
@@ -116,6 +123,11 @@ def _checked_dataset(args, diag: Diagnostics, lenient: bool = False):
     blocking = sorted({v.code for v in violations if v.severity is Severity.ERROR})
     if blocking and not lenient:
         raise DatasetValidationError(f"dataset validation failed: {', '.join(blocking)}")
+    judges, beverages = len(dataset.judges), len(dataset.beverages)
+    need = 8 * judges * beverages + pair_bytes * judges * judges
+    if need > SCORE_BYTES_BUDGET:
+        raise DatasetValidationError(f"{judges} judges x {beverages} beverages need {need} bytes of score "
+                                     f"arrays, over the budget of {SCORE_BYTES_BUDGET}", path=args.scorecards)
     return families, dataset, violations
 
 
@@ -136,7 +148,7 @@ def cmd_simulate(args, diag: Diagnostics) -> int:
 
 
 def cmd_analyze(args, diag: Diagnostics) -> int:
-    families, dataset, violations = _checked_dataset(args, diag, lenient=args.lenient)
+    families, dataset, violations = _checked_dataset(args, diag, lenient=args.lenient, pair_bytes=12)
     if not dataset.judges and not args.lenient:
         raise InsufficientDataError("no judge has a scorecard to analyze", path=args.scorecards)
     paths = _cli.analyze_dataset(

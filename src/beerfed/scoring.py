@@ -10,18 +10,16 @@ so min-max normalization is done on integer tenths and stays exact.
 Agreement is exact for the same reason. Each judge's scores are coded as
 levels (at most 41 on the grid), so mid-ranks come from level counts and
 are multiples of 0.5: every centred rank is a multiple of 0.5 and every
-Spearman dot product an exactly summed multiple of 0.25. Only numpy's
-fixed ``corrcoef`` steps round (scale by 1/(n-1), divide by the y then
-the x standard deviation, clip), and they are the same steps for one
-correlation matrix of all fully scored judges (read from its lower
-triangle) as for a two-column ``corrcoef`` of one pair's ranks, so both
-paths give the textbook rank-then-correlate value bit for bit. Kendall's
-tau-b (Kendall 1945) needs only integer pair counts: concordant,
-discordant and tied pairs come from the pair's level contingency table and
-its cumulative sums, leaving one rounded expression,
-(con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie). One ``bincount`` builds
-the tables of a judge against all later judges, so the per-pair work is
-whole-array arithmetic on integers and the rounding is unchanged.
+Spearman dot product an exactly summed multiple of 0.25. Judges who scored
+every beverage get their Spearman values from one ``corrcoef`` of their
+row mid-ranks. Every other pair with ``MIN_COMMON_BEVERAGES`` common cells
+gets its level contingency table from one ``bincount`` per judge; its
+Spearman sums are integers from the table's level counts, and only
+``corrcoef``'s fixed steps round (scale by 1/(n-1), divide by the y then
+the x standard deviation, clip), so both paths give the textbook value
+bit for bit. Kendall's tau-b (Kendall 1945) needs only integer pair
+counts from the table and its cumulative sums, leaving one rounded
+expression, (con - dis) / sqrt(tot - xtie) / sqrt(tot - ytie).
 
 Per-beverage statistics are grouped by fill count: the columns filled
 exactly c times form one C-contiguous (m, c) block whose rows hold each
@@ -89,28 +87,20 @@ def normalize(
     """
     if method not in ("minmax", "zscore"):
         raise ValueError(f"unknown normalization method {method!r}")
-    out = np.full_like(matrix.cells, np.nan)
-    degenerate: list[str] = []
-    for i, judge in enumerate(matrix.judges):
-        row = matrix.cells[i]
-        mask = ~np.isnan(row)
-        if not mask.any():
-            continue
-        tenths = np.rint(row[mask] * 10).astype(np.int64)
-        lo, hi = int(tenths.min()), int(tenths.max())
-        if hi == lo:
-            if lenient:
-                out[i, mask] = 0.5 if method == "minmax" else 0.0
-            else:
-                degenerate.append(judge)
-            continue
-        if method == "minmax":
-            out[i, mask] = (tenths - lo) / (hi - lo)
-        else:
-            vals = row[mask]
-            out[i, mask] = (vals - vals.mean()) / vals.std(ddof=1)
-    if degenerate:
-        raise DegenerateRowError(degenerate)
+    cells = matrix.cells
+    filled = ~np.isnan(cells)
+    tenths = np.rint(cells * 10)
+    lo = np.fmin.reduce(tenths, axis=1, initial=np.inf)  # fmin and fmax skip NaN
+    hi = np.fmax.reduce(tenths, axis=1, initial=-np.inf)
+    flat = lo == hi  # a filled row with one level; an empty row has lo > hi
+    if flat.any() and not lenient:
+        raise DegenerateRowError([j for j, f in zip(matrix.judges, flat.tolist()) if f])
+    if method == "minmax":
+        out = (tenths - lo[:, None]) / np.where(flat, 1, hi - lo)[:, None]
+    else:
+        _, mean, sd, _ = _column_stats(cells.T)
+        out = (cells - mean[:, None]) / np.where(flat, 1, sd)[:, None]
+    out[filled & flat[:, None]] = 0.5 if method == "minmax" else 0.0
     return ScoreMatrix(list(matrix.judges), list(matrix.beverages), out)
 
 
@@ -172,20 +162,13 @@ def judge_stats(matrix: ScoreMatrix, lenient: bool = False) -> list[JudgeStats]:
     Judges with fewer than two scores raise InsufficientDataError, or are
     silently dropped when ``lenient``.
     """
-    out = []
-    for i, judge in enumerate(matrix.judges):
-        row = matrix.cells[i]
-        vals = row[~np.isnan(row)]
-        if vals.size < 2:
-            if lenient:
-                continue
-            raise InsufficientDataError(
-                f"judge {judge!r} has {vals.size} score(s); need at least 2"
-            )
-        out.append(
-            JudgeStats(judge, float(vals.mean()), float(vals.std(ddof=1)), int(vals.size))
-        )
-    return out
+    count, mean, sd, _ = _column_stats(matrix.cells.T)
+    short = np.flatnonzero(count < 2)
+    if short.size and not lenient:
+        i = short[0]
+        raise InsufficientDataError(f"judge {matrix.judges[i]!r} has {count[i]} score(s); need at least 2")
+    stats = zip(matrix.judges, mean.tolist(), sd.tolist(), count.tolist())
+    return [JudgeStats(*row) for row in stats if row[3] >= 2]
 
 
 class AgreementMatrix(NamedTuple):
@@ -202,32 +185,34 @@ def _midranks(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(counts) - counts + (counts + 1) / 2
 
 
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman's rho of two level-coded vectors; NaN if either is constant."""
-    cx, cy = np.bincount(x), np.bincount(y)
-    if cx.max() == x.size or cy.max() == y.size:
-        return np.nan
-    ranks = np.column_stack((_midranks(cx)[x], _midranks(cy)[y]))
-    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+# table and beverage cells one pair-table bincount may take: bounds memory
+# for many beverages, or off the 0.1 grid (far more than 41 levels)
+_PAIR_TABLE_CELLS = 1 << 22
 
 
-# table cells one Kendall bincount may build: bounds memory for a matrix
-# off the 0.1 grid, whose judges can have far more than 41 levels
-_KENDALL_TABLE_CELLS = 1 << 22
+def _spearman_rho(tables: np.ndarray) -> np.ndarray:
+    """Spearman's rho of each pair from its level contingency table, by
+    ``np.corrcoef``'s steps on the pair's mid-ranks: the exact centred
+    sums, each times 1/(n-1), divided by the y and then the x standard
+    deviation, clipped. NaN where either judge is constant over the pair's
+    common cells."""
+    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+    n = rows.sum(axis=1)
+    # twice each level's centred mid-rank, 2 * midrank - (n + 1): integers
+    dx = 2 * rows.cumsum(axis=1) - rows - n[:, None]
+    dy = 2 * cols.cumsum(axis=1) - cols - n[:, None]
+    sxy = np.einsum("pab,pa,pb->p", tables, dx, dy) / 4
+    sxx, syy = (rows * dx * dx).sum(axis=1) / 4, (cols * dy * dy).sum(axis=1) / 4
+    ok = (sxx > 0) & (syy > 0)
+    scale = 1 / (n[ok] - 1)
+    rho = np.full(len(tables), np.nan)
+    rho[ok] = sxy[ok] * scale / np.sqrt(syy[ok] * scale) / np.sqrt(sxx[ok] * scale)
+    return np.clip(rho, -1.0, 1.0)
 
 
-def _kendall_tau_b(
-    x: np.ndarray, x_filled: np.ndarray, ys: np.ndarray, ys_filled: np.ndarray, levels: int
-) -> np.ndarray:
-    """Kendall's tau-b of one level-coded row against each row of ``ys``
-    over their common cells, from the pair's level contingency table (all
-    tables from one ``bincount``, offset per pair); NaN where fewer than
-    ``MIN_COMMON_BEVERAGES`` cells are common or either row is constant
-    over them. Codes must lie below ``levels``."""
-    size = levels * levels
-    pair = np.arange(len(ys))[:, None] * size
-    cells = (pair + x * levels + ys)[x_filled & ys_filled]
-    tables = np.bincount(cells, minlength=len(ys) * size).reshape(-1, levels, levels)
+def _kendall_tau_b(tables: np.ndarray) -> np.ndarray:
+    """Kendall's tau-b of each pair from its level contingency table; NaN
+    where either judge is constant over the pair's common cells."""
     rows, cols = tables.sum(axis=2), tables.sum(axis=1)
     n = rows.sum(axis=1)
     tot = n * (n - 1) // 2
@@ -238,8 +223,8 @@ def _kendall_tau_b(
     below = tables[:, :0:-1].cumsum(axis=1)[:, ::-1].cumsum(axis=2)
     dis = np.einsum("pab,pab->p", tables[:, :-1, 1:], below[:, :, :-1])
     con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
-    ok = (n >= MIN_COMMON_BEVERAGES) & (xtie < tot) & (ytie < tot)
-    tau = np.full(len(ys), np.nan)
+    ok = (xtie < tot) & (ytie < tot)
+    tau = np.full(len(tables), np.nan)
     tau[ok] = con_minus_dis[ok] / np.sqrt(tot[ok] - xtie[ok]) / np.sqrt(tot[ok] - ytie[ok])
     return np.clip(tau, -1.0, 1.0)
 
@@ -273,24 +258,22 @@ def agreement(matrix: ScoreMatrix, method: str = "spearman") -> AgreementMatrix:
         lower = np.tril(np.corrcoef(ranks), -1)
         values[np.ix_(rows, rows)] = lower + lower.T
 
-    if method == "kendall":
-        levels = int(codes.max(initial=0)) + 1
-        step = max(1, _KENDALL_TABLE_CELLS // (levels * levels))
-        for i in range(n):
-            for lo in range(i + 1, n, step):
-                hi = min(lo + step, n)
-                values[i, lo:hi] = values[lo:hi, i] = _kendall_tau_b(
-                    codes[i], filled[i], codes[lo:hi], filled[lo:hi], levels
-                )
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dense[i] and dense[j]:
-                    continue
-                common = filled[i] & filled[j]
-                if common.sum() < MIN_COMMON_BEVERAGES:
-                    continue
-                values[i, j] = values[j, i] = _spearman(codes[i, common], codes[j, common])
+    # every other pair i < j with enough common cells, counted exactly in
+    # float32 (below 2**24 beverages), scored from its contingency table:
+    # one bincount builds judge i's tables against its later judges
+    mask = filled.astype(np.float32)
+    pending = np.triu(mask @ mask.T >= MIN_COMMON_BEVERAGES, 1) & ~(dense[:, None] & dense)
+    levels = int(codes.max(initial=0)) + 1
+    size = levels * levels
+    step = max(1, _PAIR_TABLE_CELLS // (size + filled.shape[1]))
+    score = _spearman_rho if method == "spearman" else _kendall_tau_b
+    for i in np.flatnonzero(pending.any(axis=1)).tolist():
+        later = np.flatnonzero(pending[i])
+        for lo in range(0, later.size, step):
+            j = later[lo:lo + step]
+            cells = (np.arange(j.size)[:, None] * size + codes[i] * levels + codes[j])[filled[i] & filled[j]]
+            tables = np.bincount(cells, minlength=j.size * size).reshape(-1, levels, levels)
+            values[i, j] = values[j, i] = score(tables)
     np.fill_diagonal(values, 1.0)
     return AgreementMatrix(list(matrix.judges), values)
 

@@ -1,6 +1,8 @@
 """Seeded random-instance generators and table builders shared by the tests."""
 
+import csv
 import json
+import random
 from collections import namedtuple
 
 import numpy as np
@@ -83,6 +85,27 @@ def random_dataset(rng, n_judges=3, n_beverages=8, missing_rate=0.0):
         for j in keep:
             reviews.append((j, b.id, random_scores(rng, 1)[0]))
     return Dataset(beverages=beverages, reviews=review_table(reviews), judges=judges)
+
+
+def festival_files(tmp_path, judges, beverages, per_judge):
+    """Write a festival-shaped scorecard and beverage list in ``tmp_path``:
+    judges ``J0``, ``J1``, ... each score ``per_judge`` distinct beverages
+    out of ``beer 0`` ... (brewery ``br{b//4}``, style IPA, ABV 5.0) with
+    one of 2.5, 3.0, 3.5, 4.0 and 4.5, all drawn with
+    ``random.Random(beverages)``. Returns the (scorecards, beverages)
+    paths."""
+    rng = random.Random(beverages)
+    cards, pool = tmp_path / "festival_scorecards.csv", tmp_path / "festival_beverages.csv"
+    with open(pool, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([("brewery", "beer_name", "beer_style", "abv_percent"),
+                                 *((f"br{b // 4}", f"beer {b}", "IPA", "5.0") for b in range(beverages))])
+    with open(cards, "w", newline="", encoding="utf-8") as f:
+        out = csv.writer(f)
+        out.writerow(("judge_id", "beer_name", "raw_score"))
+        for j in range(judges):
+            for b in rng.sample(range(beverages), per_judge):
+                out.writerow((f"J{j}", f"beer {b}", rng.choice(("2.5", "3.0", "3.5", "4.0", "4.5"))))
+    return cards, pool
 
 
 def random_rec_instance(rng, n_judges=3, k=5, n_beverages=None):

@@ -47,20 +47,25 @@ def oracle_sample_sd(values):
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
 
 
-def oracle_normalize(cells, lenient=False):
-    """cells: {judge: {beverage: raw}} -> same shape, min-max per judge."""
-    out = {}
+def oracle_normalize(cells, lenient=False, method="minmax"):
+    """cells: {judge: {beverage: raw}} -> same shape, min-max (or, with
+    ``method="zscore"``, mean and sample sd) per judge. Rows whose values
+    are all equal map to 0.5 (0.0) when ``lenient``; otherwise ValueError
+    carries the list of those judges in order."""
+    out, flat = {}, []
     for judge, row in cells.items():
-        if not row:
-            out[judge] = {}
-            continue
-        lo, hi = min(row.values()), max(row.values())
-        if hi == lo:
-            if not lenient:
-                raise ValueError(f"degenerate row {judge}")
-            out[judge] = {b: 0.5 for b in row}
-        else:
+        values = list(row.values())
+        lo, hi = min(values, default=0.0), max(values, default=0.0)
+        if values and hi == lo:
+            flat.append(judge)
+            out[judge] = {b: 0.5 if method == "minmax" else 0.0 for b in row}
+        elif method == "minmax":
             out[judge] = {b: (v - lo) / (hi - lo) for b, v in row.items()}
+        else:
+            mean = sum(values) / len(values) if values else 0.0
+            out[judge] = {b: (v - mean) / oracle_sample_sd(values) for b, v in row.items()}
+    if flat and not lenient:
+        raise ValueError(flat)
     return out
 
 

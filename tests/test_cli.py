@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import beerfed
 from beerfed import cli, errors, receval
-from genutil import random_session_config, write_rec_file
+from genutil import festival_files, random_session_config, write_rec_file
 
 CONFIG = {
     "seed": 42,
@@ -1082,6 +1082,40 @@ class TestInputBoundary:
         assert cli.main(["simulate", str(config), "--out", str(sim)]) == 0
         assert "simulated 0 rounds (75 skipped)" in capsys.readouterr().err
         self.check_analyze_without_scores(tmp_path, capsys, sim / "scorecards.csv", sim / "beverages.csv")
+
+    def test_scorecard_over_the_size_budget_exits_4(self, tmp_path, capsys, monkeypatch):
+        cards, pool = festival_files(tmp_path, 40, 10, 3)
+        matrix, pairs = 8 * 40 * 10, 12 * 40 * 40  # score matrix; agreement values and common counts
+        analyze = [*analyze_argv(cards, pool, tmp_path / "rep"), "--lenient"]
+        for budget, analyze_exit, eval_exit in ((matrix - 1, 4, 4), (matrix, 4, 0), (matrix + pairs, 0, 0)):
+            monkeypatch.setattr(cli, "SCORE_BYTES_BUDGET", budget)
+            for argv, code in ((analyze, analyze_exit), (eval_argv(cards, pool, tmp_path), eval_exit)):
+                assert cli.main(["--json-errors", *argv]) == code
+                if code:
+                    need = matrix + pairs if argv is analyze else matrix
+                    assert error_records(capsys)[-1] == {"level": "error", "code": "VALIDATION", "message": (
+                        f"{cards}: 40 judges x 10 beverages need {need} bytes of score arrays, "
+                        f"over the budget of {budget}")}
+                capsys.readouterr()
+
+    def test_festival_too_large_for_the_budget_exits_4_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 30,000 judges x 15,000 beverages: a 3.35 GiB score matrix
+        cards, pool = festival_files(tmp_path, 30_000, 15_000, 1)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage that allocates judge arrays was reached")
+
+        monkeypatch.setattr(cli, "analyze_dataset", unreachable)
+        monkeypatch.setattr(cli, "build_score_matrix", unreachable)
+        lenient = [*analyze_argv(cards, pool, tmp_path / "rep"), "--lenient"]
+        for argv in (analyze_argv(cards, pool, tmp_path / "rep"), lenient, eval_argv(cards, pool, tmp_path)):
+            assert cli.main(["--json-errors", *argv]) == 4
+            record = error_records(capsys)[-1]
+            assert record["level"] == "error" and record["code"] == "VALIDATION"
+            if argv is lenient:
+                assert record["message"].startswith(f"{cards}: 30000 judges x 15000 beverages need ")
+            else:  # plain validation stops first: most beverages have fewer than two reviews
+                assert "MISSING_REVIEWS" in record["message"]
 
 
 class TestShortSessionsNeedLenient:

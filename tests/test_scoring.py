@@ -19,7 +19,8 @@ from beerfed.scoring import (
     per_style_distribution,
     tag_report,
 )
-from genutil import Row, random_dataset, review_rows, review_table, with_reviews
+from beerfed.io import load_dataset
+from genutil import Row, festival_files, random_dataset, review_rows, review_table, with_reviews
 from oracles import (
     oracle_aggregate,
     oracle_column_stats,
@@ -40,6 +41,34 @@ def matrix_from_rows(rows, judges=None, beverages=None):
 
 nan = float("nan")
 FAMILY_ORDER = [f.name for f in DEFAULT_STYLE_FAMILIES]
+
+
+def keep_cells(rng, cells, fill):
+    """``cells`` with only ``fill[i]`` cells of row i kept, at random
+    positions; the rest are NaN."""
+    cells = np.array(cells, dtype=float)
+    cells[np.argsort(rng.random(cells.shape), axis=1) >= np.asarray(fill)[:, None]] = nan
+    return cells
+
+
+def many_judge_matrix(rng, n_judges=400, n_beverages=30):
+    """Judges with fill counts from 0 to ``n_beverages`` on the 0.1 grid,
+    among them empty, single-score and flat rows."""
+    fill = rng.integers(0, n_beverages + 1, size=n_judges)
+    fill[:3] = 0, 1, 2
+    cells = keep_cells(rng, rng.integers(10, 51, size=(n_judges, n_beverages)) / 10, fill)
+    flat = rng.random(n_judges) < 0.05
+    flat[2] = True
+    cells[flat] = np.where(np.isnan(cells[flat]), nan, 3.5)
+    return matrix_from_rows(cells[rng.permutation(n_judges)])
+
+
+def judge_rows(m):
+    """The matrix as {judge: {beverage: score}} over filled cells."""
+    return {
+        j: {b: float(m.cells[i, k]) for k, b in enumerate(m.beverages) if not np.isnan(m.cells[i, k])}
+        for i, j in enumerate(m.judges)
+    }
 
 
 class TestBuildScoreMatrix:
@@ -140,12 +169,22 @@ class TestNormalize:
 class TestColumnStats:
     @pytest.mark.parametrize("values", ["raw", "minmax", "zscore"])
     def test_grouped_reductions_equal_the_per_column_loop(self, rng, values):
-        for trial in range(60):
+        for trial in range(61):
             n_judges = 300 if trial == 0 else int(rng.integers(1, 40))  # 300 reaches pairwise blocks
             cells = rng.integers(10, 51, size=(n_judges, int(rng.integers(1, 30)))) / 10
             cells[rng.random(cells.shape) < rng.uniform(0.0, 0.9)] = nan
-            m = matrix_from_rows(cells)
-            if values != "raw":
+            m = many_judge_matrix(rng) if trial == 60 else matrix_from_rows(cells)
+            if values == "raw":  # judge_stats: the per-column loop over the judges
+                per_judge = oracle_column_stats(m.cells.T)
+                expected = [(j, mean, sd, n) for j, (n, mean, sd, _) in zip(m.judges, per_judge) if n >= 2]
+                assert judge_stats(m, lenient=True) == expected
+                short = [j for j, (n, *_) in zip(m.judges, per_judge) if n < 2]
+                if short:
+                    with pytest.raises(InsufficientDataError, match=f"^judge {short[0]!r} has"):
+                        judge_stats(m)
+                else:
+                    assert judge_stats(m) == expected
+            else:
                 m = normalize(m, lenient=True, method=values)
             grouped = zip(*(a.tolist() for a in scoring._column_stats(m.cells)))
             got = [
@@ -262,6 +301,20 @@ def random_tied_matrix(rng, n_judges, n_beverages, missing_rate):
     return matrix_from_rows(cells)
 
 
+def festival_matrix(rng, n_judges, n_beverages):
+    """Many judges who each score 1 to 5 of a few beverages, with ties."""
+    cells = random_tied_matrix(rng, n_judges, n_beverages, 0.0).cells
+    return matrix_from_rows(keep_cells(rng, cells, rng.integers(1, 6, size=n_judges)))
+
+
+def mixed_matrix(rng, n_judges, n_beverages):
+    """Judges who scored every beverage next to judges with missing cells,
+    so the correlation matrix and the pair tables fill one matrix."""
+    cells = random_tied_matrix(rng, n_judges, n_beverages, 0.0).cells
+    cells[(rng.random((n_judges, 1)) < 0.5) & (rng.random(cells.shape) < 0.4)] = nan
+    return matrix_from_rows(cells)
+
+
 ORACLES = {"spearman": oracle_spearman, "kendall": oracle_kendall_tau_b}
 
 
@@ -324,26 +377,46 @@ class TestAgreementKernels:
                     else:
                         assert got[i, j] == got[j, i] == pytest.approx(expected, abs=1e-12)
 
+    @staticmethod
+    def count_tables(monkeypatch):
+        """Wrap both table kernels: the returned list gets the number of
+        pair tables each call receives."""
+        received = []
+        for name in ("_spearman_rho", "_kendall_tau_b"):
+            kernel = getattr(scoring, name)
+            monkeypatch.setattr(scoring, name, lambda tables, kernel=kernel: received.append(len(tables)) or kernel(tables))
+        return received
+
     def test_chunked_kendall_tables_give_the_same_values(self, rng, monkeypatch):
-        # many levels per judge (off the 0.1 grid), so a small table budget
-        # splits each judge's later judges over several bincount calls
+        # many levels per judge (off the 0.1 grid), and a table budget that
+        # splits each judge's later judges over bincount calls of three
+        # pairs; both methods share the tables
         cells = rng.integers(0, 60, size=(9, 40)) / 7.0
         cells[rng.random(cells.shape) < 0.2] = nan
         m = matrix_from_rows(cells)
-        whole = agreement(m, method="kendall").values
-        monkeypatch.setattr(scoring, "_KENDALL_TABLE_CELLS", 2 * 60 * 60)
-        assert np.array_equal(agreement(m, method="kendall").values, whole, equal_nan=True)
-        for i in range(9):
-            for j in range(i + 1, 9):
-                assert whole[i, j] == pytest.approx(expected_pair(m, i, j, "kendall"), abs=1e-12, nan_ok=True)
+        whole = {method: agreement(m, method=method).values for method in ORACLES}
+        levels = max(np.unique(row[~np.isnan(row)]).size for row in cells)
+        monkeypatch.setattr(scoring, "_PAIR_TABLE_CELLS", 3 * (levels * levels + 40))
+        received = self.count_tables(monkeypatch)
+        for method, values in whole.items():
+            assert np.array_equal(agreement(m, method=method).values, values, equal_nan=True)
+            for i in range(9):
+                for j in range(i + 1, 9):
+                    assert values[i, j] == pytest.approx(expected_pair(m, i, j, method), abs=1e-12, nan_ok=True)
+        assert sum(received) == 2 * 36 and max(received) == 3
 
     def test_bit_identical_to_scipy_per_pair(self, rng):
         stats = pytest.importorskip("scipy.stats")
-        for _ in range(60):
-            m = random_tied_matrix(
+        matrices = [
+            random_tied_matrix(
                 rng, int(rng.integers(2, 7)), int(rng.integers(3, 40)),
                 rng.choice([0.0, rng.uniform(0.0, 0.4)]),
             )
+            for _ in range(60)
+        ]
+        matrices += [festival_matrix(rng, 40, int(rng.integers(5, 10))) for _ in range(3)]
+        matrices += [mixed_matrix(rng, int(rng.integers(4, 10)), int(rng.integers(3, 20))) for _ in range(10)]
+        for m in matrices:
             filled = ~np.isnan(m.cells)
             for method, reference in (("spearman", stats.spearmanr), ("kendall", stats.kendalltau)):
                 got = agreement(m, method=method).values
@@ -358,6 +431,27 @@ class TestAgreementKernels:
                             expected = reference(m.cells[i, common], m.cells[j, common])[0]
                         assert np.array_equal(got[i, j], expected, equal_nan=True)
                         assert np.array_equal(got[j, i], expected, equal_nan=True)
+
+    def test_tables_only_for_pairs_with_enough_common_cells(self, rng, monkeypatch, tmp_path):
+        received = self.count_tables(monkeypatch)
+        cards, pool = festival_files(tmp_path, 300, 12, 5)
+        matrices = [build_score_matrix(load_dataset(str(pool), str(cards)))]
+        matrices += [festival_matrix(rng, 60, int(rng.integers(5, 12))) for _ in range(5)]
+        matrices += [mixed_matrix(rng, int(rng.integers(2, 20)), int(rng.integers(1, 30))) for _ in range(20)]
+        for m in matrices:
+            filled = ~np.isnan(m.cells)
+            common = filled.astype(int) @ filled.T.astype(int)
+            pairs = int(np.triu(common >= MIN_COMMON_BEVERAGES, 1).sum())
+            # judges who scored every beverage and not all alike take corrcoef
+            dense = sum(row.all() and len(set(m.cells[i].tolist())) > 1 for i, row in enumerate(filled))
+            dense_pairs = dense * (dense - 1) // 2 if len(m.beverages) >= MIN_COMMON_BEVERAGES else 0
+            for method, skipped in (("kendall", 0), ("spearman", dense_pairs)):
+                received.clear()
+                agreement(m, method=method)
+                assert sum(received) == pairs - skipped
+        received.clear()
+        agreement(matrix_from_rows(rng.integers(10, 51, size=(100, 1440)) / 10))  # the stress shape
+        assert received == []
 
     @pytest.mark.parametrize("method", ["spearman", "kendall"])
     @pytest.mark.parametrize(
@@ -391,15 +485,7 @@ class TestPerStyleDistribution:
     def test_stouts_rank_first_in_fixture(self, tiny_dataset):
         # cross-checked with an independent group-by over the oracle pipeline
         m = build_score_matrix(tiny_dataset)
-        cells = {
-            j: {
-                b: m.cells[i, k]
-                for k, b in enumerate(m.beverages)
-                if not np.isnan(m.cells[i, k])
-            }
-            for i, j in enumerate(m.judges)
-        }
-        o_agg = oracle_aggregate(oracle_normalize(cells))
+        o_agg = oracle_aggregate(oracle_normalize(judge_rows(m)))
         fam = {b.id: b.style_family for b in tiny_dataset.beverages}
         fam_means = {}
         for b, v in o_agg.items():
@@ -493,16 +579,8 @@ class TestSmallInstanceOracle:
                 missing_rate=0.25,
             )
             m = build_score_matrix(ds)
-            cells = {
-                j: {
-                    b: float(m.cells[i, k])
-                    for k, b in enumerate(m.beverages)
-                    if not np.isnan(m.cells[i, k])
-                }
-                for i, j in enumerate(m.judges)
-            }
             try:
-                expected = oracle_aggregate(oracle_normalize(cells))
+                expected = oracle_aggregate(oracle_normalize(judge_rows(m)))
             except ValueError:
                 with pytest.raises(DegenerateRowError):
                     normalize(m)
@@ -511,3 +589,19 @@ class TestSmallInstanceOracle:
             assert got.keys() == expected.keys()
             for b in expected:
                 assert got[b] == pytest.approx(expected[b], abs=1e-12)
+
+        # many judges: every fill count, empty, single-score and flat rows
+        m = many_judge_matrix(rng)
+        for method in ("minmax", "zscore"):
+            for lenient in (False, True):
+                try:
+                    expected = oracle_normalize(judge_rows(m), lenient, method)
+                except ValueError as exc:
+                    with pytest.raises(DegenerateRowError) as err:
+                        normalize(m, lenient, method)
+                    assert err.value.judges == exc.args[0]
+                    continue
+                got = normalize(m, lenient, method)
+                assert judge_rows(got).keys() == expected.keys()
+                for judge, row in judge_rows(got).items():
+                    assert row == pytest.approx(expected[judge], abs=1e-12)
