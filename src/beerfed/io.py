@@ -20,15 +20,15 @@ A scorecard file repeats few distinct values (a 100-judge session has
 bounded blocks of whole lines, LF or CRLF, split on commas alone until a
 block has a quote or a field over csv's limit, a column at a time, into
 a columnar ``ReviewTable``: each distinct raw cell is validated and
-coded once, an error naming the first non-blank row that holds it, and
-each distinct name is joined to its beverage once. The session log is
-streamed a round at a time, each line encoded from the round's member
-codes through tables built once per session (each member's JSON id, the
-members in sorted-id order, one review tail per member and distinct
-score); scorecards are written a bounded block of rows per join.
-Output directories are written through ``staged_outputs``, all files or
-none. Only ``load_session_config`` imports ``protocol``, so analyze and
-eval-recs never load it.
+coded once, an error naming the first non-blank row that holds it; a
+name cell codes the beverage it joins, so an ambiguous name is one such
+error. The session log is streamed a round at a time, each line encoded
+from the round's member codes through tables built once per session
+(each member's JSON id, the members in sorted-id order, one review tail
+per member and distinct score); scorecards are written a bounded block
+of rows per join. Output directories are written through
+``staged_outputs``, all files or none. Only ``load_session_config``
+imports ``protocol``, so analyze and eval-recs never load it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager
-from copy import copy
 from dataclasses import fields
 from functools import partial
 from io import StringIO
@@ -66,6 +65,7 @@ from .model import (
     _json_number,
     _json_pair,
     _json_str,
+    _known_keys,
     _read_json,
     derive_note_tags,
     normalize_name,
@@ -370,17 +370,30 @@ def _scorecard_blocks(fh, reader, width: int, positions: Sequence[int], firsts: 
             return
 
 
-def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]]:
+def parse_scorecards_csv(path: str | Path, beverages: Sequence[Beverage]) -> ReviewTable:
     """Ingest a scorecard file a block and a column at a time (errors name
     the earliest faulty row, then column); blank rows are skipped and a row
-    with a note but no tags takes the tags its note implies. Returns the
-    reviews, naming each beverage by its display name until
-    ``build_dataset`` joins it, and the line where each display name first
-    appears."""
-    parsers = (lambda cell, line: _nonblank(cell, line, "judge_id").strip(),
-               lambda cell, line: " ".join(_nonblank(cell, line, "beer_name").split()),
+    with a note but no tags takes the tags its note implies. Each distinct
+    name cell is joined to ``beverages`` by normalized name: a review names
+    the id of the beverage it matches, or, matching none, its normalized
+    name, which validation flags (DANGLING_REF) instead of dropping data
+    silently; a name two producers share is an error at its row."""
+    by_name: dict[str, list[Beverage]] = {}
+    for b in beverages:
+        by_name.setdefault(normalize_name(b.name), []).append(b)
+
+    def join(cell: str, line: int) -> str:
+        key = normalize_name(_nonblank(cell, line, "beer_name"))
+        matches = by_name.get(key, ())
+        if len(matches) > 1:
+            producers = ", ".join(sorted(b.producer for b in matches))
+            raise IngestError(f"beverage name {' '.join(cell.split())!r} is ambiguous (produced by {producers})",
+                              row=line, column="beer_name")
+        return matches[0].id if matches else key
+
+    parsers = (lambda cell, line: _nonblank(cell, line, "judge_id").strip(), join,
                _parse_score, partial(_parse_tags, column="tags"), lambda cell, line: cell.strip() or None)
-    vocabs = judge_ids, names, _, tag_sets, note_texts = {}, {}, None, {frozenset(): 0}, {None: 0}  # value -> code
+    vocabs = judge_ids, beverage_ids, _, tag_sets, note_texts = {}, {}, None, {frozenset(): 0}, {None: 0}  # value -> code
     firsts = [{} for _ in parsers]  # raw cell -> its raw code, the row it first appears on
     start, fault = 0, None
     with _csv_file(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as (fh, reader, width, positions):
@@ -396,7 +409,7 @@ def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]
         blanks = [[code for cell, code in first.items() if not cell.strip()] for first in firsts]
         kept = (~np.logical_and.reduce([np.isin(raw, blank) for raw, blank in zip(raws, blanks)]) if all(blanks)
                 else np.ones(start, bool))  # not a blank row: none is while some column has no blank cell
-        codes, faults, first_lines = [], [], []
+        codes, faults = [], []
         for k, (parse, vocab, first, raw) in enumerate(zip(parsers, vocabs, firsts, raws)):
             lookup, bad = np.zeros(start, np.intp if vocab is not None else float), {}  # a score is its own code
             for cell, code in first.items():  # in the order of first rows
@@ -406,8 +419,6 @@ def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]
                     bad[code] = exc
                     continue
                 lookup[code] = value if vocab is None else vocab.setdefault(value, len(vocab))
-                if vocab is names and len(names) > len(first_lines):
-                    first_lines.append(int(lines[code]))
             hit = np.flatnonzero(np.isin(raw, list(bad)) & kept) if bad else ()  # bad cells on non-blank rows
             if len(hit):
                 faults.append((int(hit[0]), k, bad[int(raw[hit[0]])]))
@@ -419,15 +430,14 @@ def parse_scorecards_csv(path: str | Path) -> tuple[ReviewTable, tuple[int, ...]
             raise exc
         if fault:
             raise fault
-    judge, name, score, tags, notes = codes
+    judge, beverage, score, tags, notes = codes
     derive, texts = (tags == 0) & (notes != 0), tuple(note_texts)  # a note without tags: the tags it implies
     if derive.any():
         derived = np.zeros(len(texts), np.intp)
         for n in np.unique(notes[derive]).tolist():
             derived[n] = tag_sets.setdefault(derive_note_tags(texts[n]), len(tag_sets))
         tags = np.where(derive, derived[notes], tags)
-    table = ReviewTable(tuple(judge_ids), tuple(names), tuple(tag_sets), texts, judge, name, tags, notes, score)
-    return table, tuple(first_lines)
+    return ReviewTable(tuple(judge_ids), tuple(beverage_ids), tuple(tag_sets), texts, judge, beverage, tags, notes, score)
 
 
 def _parse_score(cell: str, line: int) -> float:
@@ -483,48 +493,14 @@ def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write("".join(rows.ravel().tolist()))
 
 
-def build_dataset(beverages: list[Beverage], scorecards: tuple[ReviewTable, tuple[int, ...]]) -> Dataset:
-    """Join parsed scorecards onto a beverage list by normalized name, once
-    per distinct name.
-
-    Rows naming a beverage that is not on the list keep the unmatched name
-    as their reference so validation can flag them (DANGLING_REF) instead
-    of dropping data silently. Ambiguous names (same normalized name from
-    two producers) are a hard ingest error at the name's first row.
-    """
-    by_name: dict[str, list[Beverage]] = {}
-    for b in beverages:
-        by_name.setdefault(normalize_name(b.name), []).append(b)
-
-    table, first_lines = scorecards
-    ids: dict[str, int] = {}  # beverage id -> code; names differing in case share one
-    codes = []
-    for name, line in zip(table.beverage_ids, first_lines):
-        key = normalize_name(name)
-        matches = by_name.get(key, [])
-        if len(matches) > 1:
-            producers = ", ".join(sorted(b.producer for b in matches))
-            raise IngestError(f"beverage name {name!r} is ambiguous (produced by {producers})",
-                              row=line, column="beer_name")
-        codes.append(ids.setdefault(matches[0].id if matches else key, len(ids)))
-    table = copy(table)  # not replace(): __post_init__ checked these scores when they were parsed
-    vars(table).update(beverage_ids=tuple(ids), beverage=np.array(codes, dtype=np.intp)[table.beverage])
-    table.beverage.flags.writeable = False
-    return Dataset(beverages, table, sorted(table.judge_ids))
-
-
 def load_dataset(
     beverages_path: str | Path,
     scorecards_path: str | Path,
     families: list[StyleFamily] | None = None,
 ) -> Dataset:
     beverages = parse_beverages_csv(beverages_path, families)
-    scorecards = parse_scorecards_csv(scorecards_path)
-    try:
-        return build_dataset(beverages, scorecards)
-    except IngestError as exc:  # an ambiguous name, at a scorecard row
-        exc.path = scorecards_path
-        raise
+    table = parse_scorecards_csv(scorecards_path, beverages)
+    return Dataset(beverages, table, sorted(table.judge_ids))
 
 
 # the inline pool's text fields, in _beverage_from_fields order
@@ -559,9 +535,7 @@ def _profile_from_dict(entry: dict) -> ParticipantProfile:
         raise ConfigurationError("each federation entry must be an object with an id")
     pid = _json_str(entry, "id", "federation entry")
     where = f"participant {pid!r}"
-    unknown = set(entry) - {f.name for f in fields(ParticipantProfile)}
-    if unknown:
-        raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
+    _known_keys(entry, (f.name for f in fields(ParticipantProfile)), where)
     bias = entry.get("score_bias", {})
     if not isinstance(bias, dict):
         raise ConfigurationError(f"{where}: score_bias must be an object, got {bias!r}")
@@ -578,9 +552,7 @@ def load_session_config(
     with _read_json(path, ConfigurationError) as raw:
         if not isinstance(raw, dict):
             raise ConfigurationError("session config must be a JSON object")
-        unknown = set(raw) - {"pool_csv", *(f.name for f in fields(SessionConfig))}
-        if unknown:
-            raise ConfigurationError(f"unknown key(s) {sorted(unknown)}")
+        _known_keys(raw, ("pool_csv", *(f.name for f in fields(SessionConfig))), "")
         if "seed" not in raw or "federation" not in raw:
             raise ConfigurationError("seed and federation are required")
         for key in ("federation", "pool", "blackout_windows"):
@@ -606,9 +578,7 @@ def load_session_config(
                 where = f"pool entry {i}"
                 if not isinstance(entry, dict):
                     raise ConfigurationError(f"{where} must be an object")
-                unknown = set(entry) - {*_POOL_TEXT, "abv_percent"}
-                if unknown:
-                    raise ConfigurationError(f"{where}: unknown key(s) {sorted(unknown)}")
+                _known_keys(entry, (*_POOL_TEXT, "abv_percent"), where)
                 text = {key: "" for key in _POOL_TEXT} | entry  # an absent text field reads ""
                 brewery, name, style, ingredients, tags = (_json_str(text, key, where) for key in _POOL_TEXT)
                 abv = _json_number(entry, "abv_percent", where)
@@ -621,10 +591,8 @@ def load_session_config(
         cost = raw.get("cost_params", {})
         if not isinstance(cost, dict):
             raise ConfigurationError(f"cost_params must be an object, got {cost!r}")
-        try:
-            cost_params = CostParams(**{key: _json_number(cost, key, "cost_params") for key in cost})
-        except TypeError as exc:
-            raise ConfigurationError(f"cost_params: {exc}") from None
+        _known_keys(cost, (f.name for f in fields(CostParams)), "cost_params")
+        cost_params = CostParams(**_json_fields(CostParams, cost, "cost_params"))
 
         return SessionConfig(**_json_fields(SessionConfig, raw, "", federation=federation, pool=pool,
                                             cost_params=cost_params))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,6 +161,19 @@ def _json_number(entry: dict, key: str, where: str, *, integer: bool = False):
     raise ConfigurationError(where, f"{key} must be {kind}, got {value!r}")
 
 
+def _known_keys(entry: dict, known: Iterable[str], where: str) -> None:
+    """A key of ``entry`` outside ``known`` is a ConfigurationError naming it."""
+    if unknown := set(entry) - set(known):
+        raise ConfigurationError(where, f"unknown key(s) {sorted(unknown)}")
+
+
+def _distinct_keys(pairs: list[tuple]) -> dict:
+    """A JSON object; a key given twice (json.loads keeps its last value) is a ValueError."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ValueError(f"duplicate key {next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)!r}")
+    return obj
+
+
 def _json_pair(value, where: str, *, integer: bool = False) -> tuple:
     """A [low, high] JSON list of two numbers."""
     if not isinstance(value, list) or len(value) != 2:
@@ -173,13 +186,14 @@ def _json_pair(value, where: str, *, integer: bool = False) -> tuple:
 def _read_json(path: str | Path, error: type[BeerfedError]) -> Iterator:
     """Give the parsed content of a UTF-8 JSON file to the ``with`` block
     that reads it; every BeerfedError raised here or in the block names the
-    file. Undecodable bytes, invalid JSON, nesting too deep to parse and a
-    ``\\u`` escape that leaves a lone surrogate (text no UTF-8 output can
-    hold) raise ``error``; a file that cannot be opened raises OSError."""
+    file. Undecodable bytes, invalid JSON, a key repeated in one object,
+    nesting too deep to parse and a ``\\u`` escape that leaves a lone
+    surrogate (text no UTF-8 output can hold) raise ``error``; a file that
+    cannot be opened raises OSError."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
-            value = json.loads(text)
+            value = json.loads(text, object_pairs_hook=_distinct_keys)
             if "\\u" in text:  # decoded UTF-8 holds no surrogate; only escapes can
                 json.dumps(value, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -205,9 +219,7 @@ def load_style_families(path: str | Path) -> list[StyleFamily]:
             if not isinstance(entry, dict) or "name" not in entry:
                 raise ConfigurationError(f"family entry {i} must be an object with a name")
             name = _json_str(entry, "name", f"family entry {i}")
-            unknown = set(entry) - {"name", "patterns", "fallback"}
-            if unknown:
-                raise ConfigurationError(f"family {name!r}: unknown key(s) {sorted(unknown)}")
+            _known_keys(entry, ("name", "patterns", "fallback"), f"family {name!r}")
             patterns = entry.get("patterns", [])
             if not isinstance(patterns, list) or not all(isinstance(p, str) for p in patterns):
                 raise ConfigurationError(f"family {name!r}: patterns must be a list of strings")

@@ -37,6 +37,7 @@ the order above.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
@@ -176,6 +177,12 @@ class SessionConfig:
         for i, beverage in enumerate(self.pool):
             if clash := _clash(seen, names, beverage, f"pool entry {i}"):
                 raise ConfigurationError(f"pool entry {i}: {clash}")
+        # the logged costs of the longest session the clock and pool allow: a session's are a prefix of them
+        clocks = range(self.clock_start, self.clock_end, self.round_duration)
+        rounds = min(len(self.pool), sum(not any(lo <= c < hi for lo, hi in self.blackout_windows) for c in clocks))
+        costs = [communication_costs(t, self.cost_params) for t in range(rounds)]
+        if not all(map(math.isfinite, (sum(b for b, _ in costs), sum(c for _, c in costs), *(b + c for b, c in costs)))):
+            raise ConfigurationError(f"cost_params: the communication costs of a {len(costs)}-round session overflow")
 
 
 def _leader_table(probabilities: Sequence[float]) -> list[float]:

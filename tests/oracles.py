@@ -295,22 +295,23 @@ def oracle_load_dataset(beverages, scorecards_path):
     return sorted({r[0] for r in reviews}), reviews
 
 
-def oracle_parse_scorecards(path):
+def oracle_parse_scorecards(path, beverages):
     """``parse_scorecards_csv`` one ``csv.reader`` row at a time, validating
     and coding each distinct raw judge, name, score and tags cell once
-    (errors still name their first row); a row with a note but no tags
-    takes the tags its note implies. Returns the ReviewTable and the line
-    where each display name first appears."""
+    (errors still name their first row); a name codes the id of the one
+    beverage whose collapsed casefolded name equals its own, that key when
+    none does, and is an error when several do. A row with a note but no
+    tags takes the tags its note implies. Returns the ReviewTable."""
     from beerfed.io import (SCORECARD_COLUMNS, SCORECARD_OPTIONAL, _csv_file, _parse_score, _parse_tags,
                             _records)
     from beerfed.errors import IngestError
     from beerfed.model import ReviewTable, derive_note_tags
 
     judge_of, name_of, score_of, tags_of, note_of = {}, {}, {}, {}, {}  # raw cell -> code (score: value)
-    judge_ids, names = {}, {}  # vocabulary -> code
+    judge_ids, beverage_ids = {}, {}  # vocabulary -> code
+    keyed = [(_collapse(bev.name).casefold(), bev) for bev in beverages]
     tag_sets = {frozenset(): 0}
     note_texts = {None: 0}
-    first_lines = []
     judge, beverage, score, tags, notes = [], [], [], [], []
     with _csv_file(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as (_, reader, width, positions):
         for line, (judge_raw, name_raw, score_cell, tags_raw, note_raw) in _records(reader, width, positions):
@@ -323,10 +324,13 @@ def oracle_parse_scorecards(path):
             if b is None:
                 if not name_raw.strip():
                     raise IngestError("beer_name must not be empty", row=line, column="beer_name")
-                name = " ".join(name_raw.split())
-                if name not in names:
-                    first_lines.append(line)
-                b = name_of[name_raw] = names.setdefault(name, len(names))
+                key = _collapse(name_raw).casefold()
+                matches = [bev for name, bev in keyed if name == key]
+                if len(matches) > 1:
+                    producers = ", ".join(sorted(bev.producer for bev in matches))
+                    raise IngestError(f"beverage name {_collapse(name_raw)!r} is ambiguous (produced by {producers})",
+                                      row=line, column="beer_name")
+                b = name_of[name_raw] = beverage_ids.setdefault(matches[0].id if matches else key, len(beverage_ids))
             value = score_of.get(score_cell)
             if value is None:
                 value = score_of[score_cell] = _parse_score(score_cell, line)
@@ -344,10 +348,10 @@ def oracle_parse_scorecards(path):
             tags.append(t)
             notes.append(n)
     table = ReviewTable(
-        tuple(judge_ids), tuple(names), tuple(tag_sets), tuple(note_texts),
+        tuple(judge_ids), tuple(beverage_ids), tuple(tag_sets), tuple(note_texts),
         *(np.array(codes, dtype=np.intp) for codes in (judge, beverage, tags, notes)), np.array(score, dtype=float),
     )
-    return table, tuple(first_lines)
+    return table
 
 
 def oracle_validate_dataset(beverages, judges, reviews):

@@ -15,6 +15,7 @@ from beerfed import cli
 from beerfed.errors import ConfigurationError
 from beerfed.io import (
     load_session_config,
+    parse_beverages_csv,
     parse_scorecards_csv,
     round_log_lines,
 )
@@ -433,9 +434,10 @@ def test_c10_end_to_end(tmp_path):
 
     # six synthetic recommenders built from the generated scorecards
     cards = {}
-    reviews, _ = parse_scorecards_csv(sim / "scorecards.csv")
-    for review in review_rows(reviews):  # beverages named by display name
-        cards.setdefault(review.judge_id, {})[review.beverage_id] = review.raw_score
+    beverages = parse_beverages_csv(sim / "beverages.csv")
+    name_of = {b.id: b.name for b in beverages}
+    for review in review_rows(parse_scorecards_csv(sim / "scorecards.csv", beverages)):  # by display name
+        cards.setdefault(review.judge_id, {})[name_of[review.beverage_id]] = review.raw_score
 
     def tops(judge, n=5, worst=False):
         ordered = sorted(cards[judge].items(), key=lambda kv: (-kv[1], kv[0]))

@@ -203,9 +203,12 @@ class TestSimulate:
              "leader_probability must be a finite number, got '0.5'"),
             (("federation", 0, "id"), None, "id must be a string, got None"),
             (("federation", 0, "id"), 7, "id must be a string, got 7"),
+            # each cost is finite, but the log and summary would hold Infinity
+            (("cost_params",), {"broadcast_base": 1e308, "politeness_initial": 10},
+             "cost_params: the communication costs of a 60-round session overflow"),
         ],
         ids=["bias-string", "noise-nan", "seed-bool", "clock-fraction", "duration-string", "leader-string",
-             "id-null", "id-number"],
+             "id-null", "id-number", "cost-overflow"],
     )
     def test_untyped_number_in_calibration_config_exits_2(self, tmp_path, capsys, path, value, message):
         data = Path(beerfed.__file__).parent / "data"
@@ -442,8 +445,10 @@ class TestEvalRecs:
             b'{"model_id": "m\\ud800", "profiles": []}',
             b'{"model_id": 5, "profiles": []}',
             b'{"model_id": "m", "profiles": [{"profile_id": ["A"], "recommendations": []}]}',
+            b'{"model_id": "m", "profiles": [], "model_id": "n"}',
         ],
-        ids=["latin-1", "recommendations-not-a-list", "lone-surrogate", "model-id-number", "profile-id-list"],
+        ids=["latin-1", "recommendations-not-a-list", "lone-surrogate", "model-id-number", "profile-id-list",
+             "duplicate-key"],
     )
     def test_unparseable_rec_file_skipped_or_strict_5(self, sim_outputs, tmp_path, eval_env, capsys, body):
         bad = eval_env / "bad.json"
@@ -762,17 +767,19 @@ class TestInputBoundary:
     @pytest.mark.parametrize("command", ["simulate", "analyze", "eval-recs"])
     def test_invalid_families_json_exits_2(self, sim_outputs, tmp_path, capsys, command):
         families = tmp_path / "families.json"
-        families.write_text('[{"name": ', encoding="utf-8")
         tables = (sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv", tmp_path / "out")
         argv = {
             "simulate": ["simulate", str(tmp_path / "session.json"), "--out", str(tmp_path / "out")],
             "analyze": analyze_argv(*tables),
             "eval-recs": eval_argv(*tables),
         }[command]
-        assert cli.main(["--json-errors", *argv, "--families", str(families)]) == 2
-        (record,) = error_records(capsys)
-        assert record["code"] == "CONFIG"
-        assert f"{families}: invalid JSON" in record["message"]
+        # a repeated key once let its last value win without a word
+        for text, reason in [('[{"name": ', ""), ('[{"name": "A", "name": "B"}]', "duplicate key 'name'")]:
+            families.write_text(text, encoding="utf-8")
+            assert cli.main(["--json-errors", *argv, "--families", str(families)]) == 2
+            (record,) = error_records(capsys)
+            assert record["code"] == "CONFIG"
+            assert f"{families}: invalid JSON: {reason}" in record["message"]
 
     @pytest.mark.parametrize("argv", [analyze_argv, eval_argv])
     def test_latin1_scorecard_exits_4_naming_the_file(self, sim_outputs, tmp_path, capsys, argv):
@@ -926,6 +933,12 @@ class TestInputBoundary:
         (record,) = error_records(capsys)
         assert record["code"] == "CONFIG" and record["message"].startswith(f"{config}: ")
         assert "surrogate" in record["message"]
+        assert not out.exists()
+        # a key given twice: the second seed once won without a word
+        config.write_text(json.dumps(CONFIG).replace('"seed": ', '"seed": 1, "seed": ', 1), encoding="utf-8")
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(out)]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG" and record["message"] == f"{config}: invalid JSON: duplicate key 'seed'"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [5, None, "pool\u0000.csv"], ids=["number", "null", "nul-byte"])

@@ -17,7 +17,6 @@ from beerfed import cli, model
 from beerfed.errors import ConfigurationError, IngestError
 from beerfed.io import (
     beverage_id_for,
-    build_dataset,
     canonical_json,
     load_dataset,
     load_session_config,
@@ -130,7 +129,8 @@ class TestIngestBeverages:
 
 class TestScorecards:
     def test_parse_rows(self, tmp_path):
-        table, _ = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS))
+        beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
+        table = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS), beverages)
         rows = review_rows(table)
         assert len(table) == len(rows) == 6
         assert rows[0].raw_score == 4.8
@@ -139,13 +139,13 @@ class TestScorecards:
     def test_two_decimal_score_rejected(self, tmp_path):
         text = "judge_id,beer_name,raw_score\nA,X,4.25\n"
         with pytest.raises(IngestError) as exc:
-            parse_scorecards_csv(write(tmp_path, "s.csv", text))
+            parse_scorecards_csv(write(tmp_path, "s.csv", text), [])
         assert exc.value.column == "raw_score"
 
     def test_out_of_range_score_rejected(self, tmp_path):
         text = "judge_id,beer_name,raw_score\nA,X,5.1\n"
         with pytest.raises(IngestError):
-            parse_scorecards_csv(write(tmp_path, "s.csv", text))
+            parse_scorecards_csv(write(tmp_path, "s.csv", text), [])
 
     @pytest.mark.parametrize(
         "bad_row,column",
@@ -163,26 +163,26 @@ class TestScorecards:
              bad_row, "A,Morning Shift,4.0,,", bad_row, ""]
         )
         with pytest.raises(IngestError) as exc:
-            parse_scorecards_csv(write(tmp_path, "s.csv", text))
+            parse_scorecards_csv(write(tmp_path, "s.csv", text), [])
         assert (exc.value.row, exc.value.column) == (4, column)
 
     def test_repeated_cells_parse_like_distinct_ones(self, tmp_path):
         text = ("judge_id,beer_name,raw_score,tags\nA, Night  Shift ,4.0,real_flavour\n , ,\t, \n"
                 "B, Night  Shift , 4.0 ,real_flavour\nB,Dark Star,4.0,real_flavour\n")
-        table, first_lines = parse_scorecards_csv(write(tmp_path, "s.csv", text))
-        # before the join a review names its beverage by display name
+        beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
+        table = parse_scorecards_csv(write(tmp_path, "s.csv", text), beverages)
+        # a joined name reads as its beverage's id, a dangling one as its normalized name
         assert [(r.judge_id, r.beverage_id, r.raw_score, r.note_tags, r.note_text) for r in review_rows(table)] == [
-            ("A", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),
-            ("B", "Night Shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),  # the blank line 3 is skipped
-            ("B", "Dark Star", 4.0, {NoteTag.REAL_FLAVOUR}, None),
+            ("A", "the works::night shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),
+            ("B", "the works::night shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),  # the blank line 3 is skipped
+            ("B", "dark star", 4.0, {NoteTag.REAL_FLAVOUR}, None),
         ]
-        assert first_lines == (2, 5)  # lines are physical: the blank line 3 still counts
+        assert table.beverage_ids == ("the works::night shift", "dark star")
 
     def test_note_derives_tags_when_tags_absent(self, tmp_path):
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
-        rows = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS))
-        dataset = build_dataset(beverages, rows)
-        mango_reviews = [r for r in review_rows(dataset.reviews) if r.beverage_id == beverages[0].id]
+        table = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS), beverages)
+        mango_reviews = [r for r in review_rows(table) if r.beverage_id == beverages[0].id]
         assert mango_reviews[0].note_tags == {NoteTag.REAL_FLAVOUR}  # derived
         assert mango_reviews[1].note_tags == {NoteTag.ARTIFICIAL_FLAVOUR}  # explicit
 
@@ -220,7 +220,9 @@ class TestDatasetJoin:
 
     def test_ambiguous_name_names_its_first_row(self, tmp_path):
         beverages = BEVERAGES + "Other Brewing,Night Shift,Gose,4.0\n"
-        scorecards = "judge_id,beer_name,raw_score\nA,Mango Sour,4.0\nA,night shift,4.0\nB,Night Shift,3.0\n"
+        # the later bad score does not hide the ambiguous name two rows before it
+        scorecards = "judge_id,beer_name,raw_score\nA,Mango Sour,4.0\nA,night shift,4.0\nB,Night Shift,3.0\n" \
+                     "B,Mango Sour,9.9\n"
         with pytest.raises(IngestError) as exc:
             load_dataset(write(tmp_path, "b.csv", beverages), write(tmp_path, "s.csv", scorecards))
         assert (exc.value.row, exc.value.column) == (3, "beer_name")
@@ -294,15 +296,35 @@ def random_scorecards(rng, style="plain", faults=0):
     return "\ufeff" * bom + out.getvalue()
 
 
-def ingest_outcome(parse, path):
-    """What a scorecard parser makes of a file: the error text, or every
-    review with the judge, name and note vocabularies in order, the set of
-    tag sets and each name's first line."""
+def random_beverages(rng):
+    """A beverage list for the names ``random_scorecards`` draws: each name
+    joins one beverage or, left out, dangles, and on one list in four a
+    name is shared by two producers (ambiguous)."""
+    names = [name for name in ("Mango Sour", "Night Shift", "Morning Shift", "Ghost Brew") if rng.random() < 0.7]
+    shared = names[int(rng.integers(len(names)))] if names and rng.random() < 0.25 else None
+    return beverage_list(names, [shared] if shared else [])
+
+
+def beverage_list(names, shared=()):
+    """One beverage from producer P per name, and one from Q per shared name."""
+    return [Beverage(beverage_id_for(producer, name), producer, name, "Ale", model.FALLBACK_FAMILY_NAME, 5.0)
+            for producer, group in (("P", names), ("Q", shared)) for name in group]
+
+
+# for the names "Beverage 0000" to "Beverage 1439" of the large test files:
+# the even ones join and the odd ones dangle; "Shared Ale" is ambiguous
+LARGE_FILE_BEVERAGES = beverage_list([f"Beverage {i:04d}" for i in range(0, 1440, 2)] + ["Shared Ale"], ["Shared Ale"])
+
+
+def ingest_outcome(parse, path, beverages):
+    """What a scorecard parser makes of a file joined to ``beverages``: the
+    error text, or every review with the judge, beverage and note
+    vocabularies in order and the set of tag sets."""
     try:
-        table, first_lines = parse(path)
+        table = parse(path, beverages)
     except IngestError as exc:
         return str(exc)
-    return review_rows(table), table.judge_ids, table.beverage_ids, table.note_texts, set(table.tag_sets), first_lines
+    return review_rows(table), table.judge_ids, table.beverage_ids, table.note_texts, set(table.tag_sets)
 
 
 class TestBlockIngestOracle:
@@ -315,11 +337,14 @@ class TestBlockIngestOracle:
            faults=st.sampled_from([0, 0, 1, 2]), block=st.sampled_from([1, 40, beerfed.io._BLOCK]),
            csv_rows=st.sampled_from([1, 3, beerfed.io._CSV_BLOCK_ROWS]))
     def test_matches_row_by_row_reference(self, tmp_path, seed, style, faults, block, csv_rows):
-        path = write(tmp_path, "s.csv", random_scorecards(np.random.default_rng(seed), style, faults))
+        rng = np.random.default_rng(seed)
+        path = write(tmp_path, "s.csv", random_scorecards(rng, style, faults))
+        beverages = random_beverages(rng)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(beerfed.io, "_BLOCK", block)
             patch.setattr(beerfed.io, "_CSV_BLOCK_ROWS", csv_rows)
-            assert ingest_outcome(parse_scorecards_csv, path) == ingest_outcome(oracle_parse_scorecards, path)
+            outcome = ingest_outcome(parse_scorecards_csv, path, beverages)
+        assert outcome == ingest_outcome(oracle_parse_scorecards, path, beverages)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_pipe_grows_the_row_arrays(self, tmp_path):
@@ -330,20 +355,23 @@ class TestBlockIngestOracle:
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
         writer.start()
+        beverages = beverage_list([f"Beverage {i:03d}" for i in range(0, 300, 3)])
         try:
-            piped = ingest_outcome(parse_scorecards_csv, fifo)
+            piped = ingest_outcome(parse_scorecards_csv, fifo, beverages)
         finally:
             writer.join(timeout=60)
         assert not writer.is_alive()
-        assert piped == ingest_outcome(parse_scorecards_csv, path) == ingest_outcome(oracle_parse_scorecards, path)
+        assert piped == ingest_outcome(parse_scorecards_csv, path, beverages) \
+            == ingest_outcome(oracle_parse_scorecards, path, beverages)
 
     @pytest.mark.parametrize(
         "faults",
         [[], [(12_000, "raw_score")], [(20_000, "judge_id")], [(35_000, "raw_score"), (36_000, "short")],
          [(33_000, "short"), (35_000, "raw_score")], [(20_000, "tags"), (20_000, "raw_score")],
-         [(20_000, "short"), (20_001, "long")]],
+         [(20_000, "short"), (20_001, "long")], [(20_000, "beer_name"), (20_000, "raw_score")],
+         [(35_000, "beer_name"), (36_000, "short")]],
         ids=["clean", "second-block-fault", "plain-block-fault", "csv-fault-first", "field-count-first",
-             "column-order", "comma-moved"],
+             "column-order", "comma-moved", "ambiguous-name-plain-block", "ambiguous-name-csv-block"],
     )
     def test_multi_block_file_matches_reference(self, tmp_path, faults):
         rows = [["judge_id", "beer_name", "raw_score", "tags"]]
@@ -356,18 +384,20 @@ class TestBlockIngestOracle:
             elif kind == "long":  # with the short row before it, the block's comma count is right
                 rows[row].append("")
             else:
-                rows[row][rows[0].index(kind)] = {"judge_id": " ", "raw_score": "6.0", "tags": "fake"}[kind]
+                rows[row][rows[0].index(kind)] = {"judge_id": " ", "beer_name": " shared  ALE", "raw_score": "6.0",
+                                                  "tags": "fake"}[kind]
         path = tmp_path / "s.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         text = path.read_text(encoding="utf-8")
         assert min(text.index('"'), text.index("\n ,,,\n")) > beerfed.io._BLOCK
         assert all(text.index("\n" + ",".join(rows[row]) + "\n") > beerfed.io._BLOCK for row, _ in faults)
-        outcome = ingest_outcome(parse_scorecards_csv, path)
-        assert outcome == ingest_outcome(oracle_parse_scorecards, path)
+        outcome = ingest_outcome(parse_scorecards_csv, path, LARGE_FILE_BEVERAGES)
+        assert outcome == ingest_outcome(oracle_parse_scorecards, path, LARGE_FILE_BEVERAGES)
         assert isinstance(outcome, str) == bool(faults)
         if faults:  # the first faulty row's file line (the header is line 1)
             assert re.search(rf": row {faults[0][0] + 1}[,:] ", outcome)
+            assert ("is ambiguous (produced by P, Q)" in outcome) == (faults[0][1] == "beer_name")
         if faults == [(12_000, "raw_score")]:
             assert text.index("\n" + ",".join(rows[12_000]) + "\n") < 2 * beerfed.io._BLOCK
 
@@ -386,10 +416,10 @@ class TestBlockIngestOracle:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\r\n").writerows(rows)
         assert path.stat().st_size > beerfed.io._BLOCK
-        expected = ingest_outcome(oracle_parse_scorecards, path)
+        expected = ingest_outcome(oracle_parse_scorecards, path, LARGE_FILE_BEVERAGES)
         monkeypatch.setattr(beerfed.io, "_BLOCK", block)
         monkeypatch.setattr(beerfed.io, "_records", self.no_records)
-        outcome = ingest_outcome(parse_scorecards_csv, path)
+        outcome = ingest_outcome(parse_scorecards_csv, path, LARGE_FILE_BEVERAGES)
         assert outcome == expected
         assert isinstance(outcome, str) == bool(fault)
 
@@ -426,9 +456,10 @@ class TestBlockIngestOracle:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(",".join(row) + eol for row in rows)  # unquoted, as a plain block holds it
         assert path.stat().st_size > beerfed.io._BLOCK
-        expected, calls, records = ingest_outcome(oracle_parse_scorecards, path), [], beerfed.io._records
+        expected = ingest_outcome(oracle_parse_scorecards, path, LARGE_FILE_BEVERAGES)
+        calls, records = [], beerfed.io._records
         monkeypatch.setattr(beerfed.io, "_records", lambda *args: calls.append(args) or records(*args))
-        assert ingest_outcome(parse_scorecards_csv, path) == expected
+        assert ingest_outcome(parse_scorecards_csv, path, LARGE_FILE_BEVERAGES) == expected
         assert isinstance(expected, str) == case.startswith(("empty", "comma"))
         assert bool(calls) == (case == "comma-moved")  # only that block needs csv.reader
 
@@ -448,10 +479,10 @@ class TestBlockIngestOracle:
         assert at > beerfed.io._BLOCK and at not in self.block_starts(text)  # in a later block, after a line end
         old = csv.field_size_limit(limit)
         try:
-            expected = ingest_outcome(oracle_parse_scorecards, path)
+            expected = ingest_outcome(oracle_parse_scorecards, path, LARGE_FILE_BEVERAGES)
             if where == "long-line":
                 monkeypatch.setattr(beerfed.io, "_records", self.no_records)
-            outcome = ingest_outcome(parse_scorecards_csv, path)
+            outcome = ingest_outcome(parse_scorecards_csv, path, LARGE_FILE_BEVERAGES)
         finally:
             csv.field_size_limit(old)
         assert outcome == expected
@@ -472,7 +503,8 @@ class TestBlockIngestOracle:
         joined = [a.rsplit(",", 1)[1] + "\n" + b.split(",", 1)[0] for a, b in zip(lines, lines[1:])]
         monkeypatch.setattr(beerfed.io, "_BLOCK", 1 << 14)
         assert path.stat().st_size > 8 * beerfed.io._BLOCK and 10 * len(set(joined)) < len(joined)
-        expected = ingest_outcome(oracle_parse_scorecards, path)
+        beverages = parse_beverages_csv(tmp_path / "sim" / "beverages.csv")
+        expected = ingest_outcome(oracle_parse_scorecards, path, beverages)
         monkeypatch.setattr(beerfed.io, "_records", self.no_records)
         splits = []
 
@@ -485,7 +517,7 @@ class TestBlockIngestOracle:
 
         sys.setprofile(count_splits)
         try:
-            outcome = ingest_outcome(parse_scorecards_csv, path)
+            outcome = ingest_outcome(parse_scorecards_csv, path, beverages)
         finally:
             sys.setprofile(None)
         assert outcome == expected
@@ -552,8 +584,7 @@ class TestRoundTrips:
         out = tmp_path / "s_out.csv"
         write_scorecards_csv(dataset, out)
         canonical = out.read_text(encoding="utf-8")
-        rows = parse_scorecards_csv(out)
-        dataset2 = build_dataset(dataset.beverages, rows)
+        dataset2 = Dataset(dataset.beverages, parse_scorecards_csv(out, dataset.beverages), dataset.judges)
         again = tmp_path / "s_again.csv"
         write_scorecards_csv(dataset2, again)
         assert again.read_text(encoding="utf-8") == canonical
@@ -607,7 +638,8 @@ class TestWriterReaderRoundTrip:
         write_beverages_csv(dataset.beverages, tmp_path / "b.csv")
         write_scorecards_csv(dataset, tmp_path / "s.csv")
         assert parse_beverages_csv(tmp_path / "b.csv") == dataset.beverages
-        rebuilt = build_dataset(dataset.beverages, parse_scorecards_csv(tmp_path / "s.csv"))
+        table = parse_scorecards_csv(tmp_path / "s.csv", dataset.beverages)
+        rebuilt = Dataset(dataset.beverages, table, sorted(table.judge_ids))
         assert dataset_content(rebuilt) == dataset_content(dataset)
 
 
@@ -706,10 +738,17 @@ class TestSessionConfigFile:
             load_session_config(write(tmp_path, "c.json", json.dumps(body)))
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = write(tmp_path, "c.json", json.dumps(self.config_body(rounds_per_hour=4, seed="x")))
-        with pytest.raises(ConfigurationError) as info:
-            load_session_config(path)
-        assert str(info.value) == f"{path}: unknown key(s) ['rounds_per_hour']"
+        # cost_params once passed its keys to CostParams: a typo ended in a
+        # TypeError's text, an unknown key with a string value in a number check
+        for overrides, message in [
+            ({"rounds_per_hour": 4, "seed": "x"}, "unknown key(s) ['rounds_per_hour']"),
+            ({"cost_params": {"politness_decay": 0.8}}, "cost_params: unknown key(s) ['politness_decay']"),
+            ({"cost_params": {"bogus": "x", "politeness_decay": "y"}}, "cost_params: unknown key(s) ['bogus']"),
+        ]:
+            path = write(tmp_path, "c.json", json.dumps(self.config_body(**overrides)))
+            with pytest.raises(ConfigurationError) as info:
+                load_session_config(path)
+            assert str(info.value) == f"{path}: {message}"
 
     def test_unknown_profile_key_rejected(self, tmp_path):
         body = self.config_body()

@@ -405,20 +405,22 @@ def test_round_log_writer_matches_json_dumps():
     ids = ['quote"d', "back\\slash", "caf\u00e9 \u4e2d", "ctl\x00\x1f\n\t\x7f", "line\u2028sep", "\U0001f37a"]
     federation = [expert(pid, 1.0 if i == 0 else 0.0) for i, pid in enumerate(ids)]
     pool = [Beverage(pid + "!", "Pool Co", f"Pool {i}", "Test Ale", "Gose", 5.0) for i, pid in enumerate(ids)]
-    costs = CostParams(politeness_initial=1e308, broadcast_base=1e308, comprehension_growth=1e308)
-    config = simple_config(pool, federation=federation, cost_params=costs)
+    config = simple_config(pool, federation=federation)
     result = run_session(config)
     empty = RoundRecord(9, 0, result.rounds[0].members, 0, ids[1], (), (), (), 0.5, 2.0)
-    result = SessionResult(config, [*result.rounds, empty], [], Dataset([], review_table([]), []))
+    # a config's costs stay finite, so rounds built by hand carry non-finite ones
+    rounds = [replace(r, broadcast_cost=math.inf, comprehension_cost=math.nan) if r.index >= 2 else r
+              for r in result.rounds]
+    result = SessionResult(config, [*rounds, empty], [], Dataset([], review_table([]), []))
     expected = [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
     assert list(round_log_lines(result)) == expected
-    assert len(expected) == len(ids) + 1 and all("Infinity" in line for line in expected[2:-1])
+    assert len(expected) == len(ids) + 1 and all("Infinity" in line and "NaN" in line for line in expected[2:-1])
 
 
 def test_round_log_sorts_ids_that_federation_order_does_not():
     # federation order is not sorted-id order ("M10" < "M2"), some ids need
     # JSON escapes, amateurs are logged but not kept, some reviewers have
-    # floor affinity and the costs overflow to Infinity
+    # floor affinity; rounds built by hand carry costs overflowed to Infinity
     ids = ["M2", "M10", 'q"uote', "M1", "café", "Z", "back\\slash", "M20", "\U0001f37a", "M11", "a", "ctl\x00\n"]
     federation = [
         ParticipantProfile(pid, is_expert=i % 3 == 0, leader_probability=0.25 if i % 3 == 0 else 0.0,
@@ -426,8 +428,7 @@ def test_round_log_sorts_ids_that_federation_order_does_not():
                            score_floor_affinity=0.3 if i % 4 == 1 else 0.0)
         for i, pid in enumerate(ids)
     ]
-    costs = CostParams(politeness_initial=1e308, broadcast_base=1e308, comprehension_growth=1e308)
-    config = simple_config(pool_of(40), seed=5, federation=federation, cost_params=costs)
+    config = simple_config(pool_of(40), seed=5, federation=federation)
     result = run_session(config)
     lines = list(round_log_lines(result))
     assert lines == [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
@@ -439,4 +440,9 @@ def test_round_log_sorts_ids_that_federation_order_does_not():
     logged = {j for rec in rounds for j in rec["reviewers"]}
     assert set(result.dataset.judges) == set(ids[::3]) and logged == set(ids)
     assert any(s == 1.0 for rec in rounds for s in (r["raw_score"] for r in rec["reviews"]))
-    assert len(rounds) == 40 and any("Infinity" in line for line in lines)
+    assert len(rounds) == 40
+    overflowed = [replace(r, broadcast_cost=math.inf, comprehension_cost=math.inf) if r.index % 2 else r
+                  for r in result.rounds]
+    lines = list(round_log_lines(result._replace(rounds=overflowed)))
+    assert lines == [json.dumps(round_dict(r), sort_keys=True) for r in overflowed]
+    assert sum("Infinity" in line for line in lines) == 20
