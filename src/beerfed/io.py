@@ -21,12 +21,12 @@ bounded blocks of whole lines, LF or CRLF, split on commas alone until a
 block has a quote or a field over csv's limit, a column at a time, into
 a columnar ``ReviewTable``: each distinct raw cell is validated and
 coded once, an error naming the first non-blank row that holds it; a
-name cell codes the beverage it joins, so an ambiguous name is one such
-error. The session log is streamed a round at a time, each line encoded
-from the round's member codes through tables built once per session
-(each member's JSON id, the members in sorted-id order, one review tail
-per member and distinct score); scorecards are written a bounded block
-of rows per join. Output directories are written through
+name cell codes its beverage's place in the list, so an ambiguous name
+is one such error. The session log is streamed a round at a time, each
+line encoded from the round's member codes through tables built once per
+session (each member's JSON id, the members in sorted-id order, one
+review tail per member and distinct score); scorecards are written a
+bounded block of rows per join. Output directories are written through
 ``staged_outputs``, all files or none. Only ``load_session_config``
 imports ``protocol``, so analyze and eval-recs never load it.
 """
@@ -370,30 +370,33 @@ def _scorecard_blocks(fh, reader, width: int, positions: Sequence[int], firsts: 
             return
 
 
-def parse_scorecards_csv(path: str | Path, beverages: Sequence[Beverage]) -> ReviewTable:
+def parse_scorecards_csv(path: str | Path, beverages: Sequence[Beverage]) -> Dataset:
     """Ingest a scorecard file a block and a column at a time (errors name
-    the earliest faulty row, then column); blank rows are skipped and a row
-    with a note but no tags takes the tags its note implies. Each distinct
-    name cell is joined to ``beverages`` by normalized name: a review names
-    the id of the beverage it matches, or, matching none, its normalized
-    name, which validation flags (DANGLING_REF) instead of dropping data
-    silently; a name two producers share is an error at its row."""
-    by_name: dict[str, list[Beverage]] = {}
-    for b in beverages:
-        by_name.setdefault(normalize_name(b.name), []).append(b)
+    the earliest faulty row, then column) into the ``Dataset`` of
+    ``beverages`` and the judges it names, sorted; blank rows are skipped
+    and a row with a note but no tags takes the tags its note implies. A
+    name cell codes the list place of the beverage whose normalized name
+    it shares, or else its normalized name's place past the list's end
+    (``ReviewTable.unknown``), which validation flags (DANGLING_REF)
+    instead of dropping data silently; a name two producers share is an
+    error at its row."""
+    by_name: dict[str, list[int]] = {}
+    for i, b in enumerate(beverages):
+        by_name.setdefault(normalize_name(b.name), []).append(i)
 
-    def join(cell: str, line: int) -> str:
+    def join(cell: str, line: int) -> int | str:
         key = normalize_name(_nonblank(cell, line, "beer_name"))
         matches = by_name.get(key, ())
         if len(matches) > 1:
-            producers = ", ".join(sorted(b.producer for b in matches))
+            producers = ", ".join(sorted(beverages[i].producer for i in matches))
             raise IngestError(f"beverage name {' '.join(cell.split())!r} is ambiguous (produced by {producers})",
                               row=line, column="beer_name")
-        return matches[0].id if matches else key
+        return matches[0] if matches else key  # a list place, or a name no beverage has
 
     parsers = (lambda cell, line: _nonblank(cell, line, "judge_id").strip(), join,
                _parse_score, partial(_parse_tags, column="tags"), lambda cell, line: cell.strip() or None)
-    vocabs = judge_ids, beverage_ids, _, tag_sets, note_texts = {}, {}, None, {frozenset(): 0}, {None: 0}  # value -> code
+    vocabs = judge_ids, places, _, tag_sets, note_texts = (  # value -> code; a beverage's list place codes itself
+        {}, dict(zip(range(len(beverages)), count())), None, {frozenset(): 0}, {None: 0})
     firsts = [{} for _ in parsers]  # raw cell -> its raw code, the row it first appears on
     start, fault = 0, None
     with _csv_file(path, SCORECARD_COLUMNS, SCORECARD_OPTIONAL) as (fh, reader, width, positions):
@@ -431,13 +434,17 @@ def parse_scorecards_csv(path: str | Path, beverages: Sequence[Beverage]) -> Rev
         if fault:
             raise fault
     judge, beverage, score, tags, notes = codes
+    judges = sorted(judge_ids)  # a judge's first-seen code becomes its place in this list
+    judge = np.array(list(map(dict(zip(judges, count())).get, judge_ids)), np.intp)[judge]
     derive, texts = (tags == 0) & (notes != 0), tuple(note_texts)  # a note without tags: the tags it implies
     if derive.any():
         derived = np.zeros(len(texts), np.intp)
         for n in np.unique(notes[derive]).tolist():
             derived[n] = tag_sets.setdefault(derive_note_tags(texts[n]), len(tag_sets))
         tags = np.where(derive, derived[notes], tags)
-    return ReviewTable(tuple(judge_ids), tuple(beverage_ids), tuple(tag_sets), texts, judge, beverage, tags, notes, score)
+    table = ReviewTable(tuple(islice(places, len(beverages), None)), tuple(tag_sets), texts, judge, beverage,
+                        tags, notes, score)
+    return Dataset(list(beverages), table, judges)
 
 
 def _parse_score(cell: str, line: int) -> float:
@@ -469,12 +476,11 @@ def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
     """``write_csv``'s bytes, streamed a block of rows at a time from each
     distinct cell quoted once."""
     table = dataset.reviews
-    by_id = {b.id: b for b in dataset.beverages}
     values, score_codes = np.unique(table.score, return_inverse=True)  # the 41 grid scores
     header = list(SCORECARD_COLUMNS)
-    columns = [  # (cell text per vocabulary entry, per-row codes)
-        (table.judge_ids, table.judge),
-        ([by_id[b].name if b in by_id else b for b in table.beverage_ids], table.beverage),
+    columns = [  # (cell text per code, per-row codes)
+        (dataset.judges, table.judge),
+        ([*(b.name for b in dataset.beverages), *table.unknown], table.beverage),
         ([f"{v:.1f}" for v in values.tolist()], score_codes),
     ]
     for column, cells, codes in (
@@ -498,9 +504,7 @@ def load_dataset(
     scorecards_path: str | Path,
     families: list[StyleFamily] | None = None,
 ) -> Dataset:
-    beverages = parse_beverages_csv(beverages_path, families)
-    table = parse_scorecards_csv(scorecards_path, beverages)
-    return Dataset(beverages, table, sorted(table.judge_ids))
+    return parse_scorecards_csv(scorecards_path, parse_beverages_csv(beverages_path, families))
 
 
 # the inline pool's text fields, in _beverage_from_fields order

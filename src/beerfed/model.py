@@ -15,9 +15,8 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -313,23 +312,17 @@ def _clash(seen: dict[str, tuple[str, Beverage]], names: dict[str, str] | None,
                 f" and, at {first}, {other.name!r} for {other.producer!r}")
 
 
-def positions(values: Sequence, order: Sequence) -> np.ndarray:
-    """Each value's place in ``order`` (its last, if repeated), or -1."""
-    where = {v: i for i, v in enumerate(order)}
-    return np.fromiter(map(where.get, values, repeat(-1)), np.intp, len(values))
-
-
 @dataclass(frozen=True, eq=False)
 class ReviewTable:
-    """Reviews as read-only columns over small vocabularies: row ``i`` is
-    judge ``judge_ids[judge[i]]`` scoring beverage
-    ``beverage_ids[beverage[i]]`` at ``score[i]``, tagged
-    ``tag_sets[tags[i]]``, with note ``note_texts[notes[i]]``. A join or
-    check on a vocabulary runs once per distinct value and reaches the rows
-    by one array lookup. Every score lies in [1, 5] on the 0.1 grid."""
+    """Reviews as read-only columns of codes: row ``i`` is the ``judge[i]``-th
+    judge of its ``Dataset`` scoring, at ``score[i]``, the
+    ``beverage[i]``-th beverage of its list or, from the list's length
+    ``n`` on, the name ``unknown[beverage[i] - n]`` that matched none;
+    tagged ``tag_sets[tags[i]]``, with note ``note_texts[notes[i]]``. A check
+    on a list entry runs once and reaches the rows by one array lookup.
+    Every score lies in [1, 5] on the 0.1 grid; no code is negative."""
 
-    judge_ids: tuple[str, ...]
-    beverage_ids: tuple[str, ...]
+    unknown: tuple[str, ...]
     tag_sets: tuple[frozenset[NoteTag], ...]
     note_texts: tuple[str | None, ...]
     judge: np.ndarray
@@ -348,6 +341,9 @@ class ReviewTable:
             row = int(bad.argmax())
             raise ValueError(f"row {row}: raw score {float(score[row])!r} must lie in "
                              f"[{SCORE_MIN}, {SCORE_MAX}] on the 0.1 grid")
+        for name in ("judge", "beverage", "tags", "notes"):
+            if np.count_nonzero(bad := (codes := getattr(self, name)) < 0):  # it would index from the end
+                raise ValueError(f"row {int(bad.argmax())}: {name} code {codes[bad.argmax()]} is negative")
         for column in (self.judge, self.beverage, self.tags, self.notes, score):
             column.flags.writeable = False
 
@@ -356,11 +352,23 @@ class ReviewTable:
 
 
 class Dataset(NamedTuple):
-    """Beverages, judges and every review as one ``ReviewTable``."""
+    """Beverages, judges and every review as one ``ReviewTable`` whose
+    judge and beverage codes are places in these two lists."""
 
     beverages: list[Beverage]
     reviews: ReviewTable
     judges: list[str]
+
+
+def _checked_codes(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The reviews' judge and beverage codes; one past the end of its list
+    (the beverages then the unknown names) is a ValueError."""
+    table = dataset.reviews
+    for name, codes, size in (("judge", table.judge, len(dataset.judges)),
+                              ("beverage", table.beverage, len(dataset.beverages) + len(table.unknown))):
+        if np.count_nonzero(bad := codes >= size):
+            raise ValueError(f"row {int(bad.argmax())}: {name} code {codes[bad.argmax()]} must lie below {size}")
+    return table.judge, table.beverage
 
 
 class Severity(str, enum.Enum):
@@ -401,46 +409,28 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     violations (empty iff the dataset is well-formed).
 
     Output is independent of beverage/review ordering, and the check itself
-    never mutates the dataset, so it is idempotent.
+    never mutates the dataset, so it is idempotent. A review code past the
+    end of its list is a ValueError.
     """
     violations: set[Violation] = set()
-    table = dataset.reviews
-    known_judge = positions(table.judge_ids, dataset.judges) >= 0
-    known_beverage = positions(table.beverage_ids, [b.id for b in dataset.beverages]) >= 0
+    judge, beverage = _checked_codes(dataset)
+    listed = len(dataset.beverages)  # a beverage code from here on names an unknown one
+    ids = [*(b.id for b in dataset.beverages), *dataset.reviews.unknown]
 
     # every distinct (judge, beverage) pair once, with its review count
-    width = max(1, len(table.beverage_ids))
-    pairs, counts = np.unique(table.judge * width + table.beverage, return_counts=True)
+    width = max(1, len(ids))
+    pairs, counts = np.unique(judge * width + beverage, return_counts=True)
+    per_code = np.bincount(beverage, minlength=listed).tolist()
     judge, beverage = np.divmod(pairs, width)
-    flagged = (counts > 1) | ~known_judge[judge] | ~known_beverage[beverage]
+    flagged = (counts > 1) | (beverage >= listed)
     for j, b, count in zip(judge[flagged].tolist(), beverage[flagged].tolist(), counts[flagged].tolist()):
-        judge_id, beverage_id = table.judge_ids[j], table.beverage_ids[b]
+        subject = f"{dataset.judges[j]}:{ids[b]}"
         if count > 1:
-            violations.add(
-                Violation(
-                    DUP_REVIEW,
-                    f"{judge_id}:{beverage_id}",
-                    f"{count} reviews for the same (judge, beverage) pair",
-                )
-            )
-        dangling = []
-        if not known_beverage[b]:
-            dangling.append(f"unknown beverage {beverage_id!r}")
-        if not known_judge[j]:
-            dangling.append(f"unknown judge {judge_id!r}")
-        if dangling:
-            violations.add(
-                Violation(
-                    DANGLING_REF,
-                    f"{judge_id}:{beverage_id}",
-                    "review references " + " and ".join(dangling),
-                )
-            )
+            violations.add(Violation(DUP_REVIEW, subject, f"{count} reviews for the same (judge, beverage) pair"))
+        if b >= listed:
+            violations.add(Violation(DANGLING_REF, subject, f"review references unknown beverage {ids[b]!r}"))
 
-    per_code = np.bincount(table.beverage, minlength=len(table.beverage_ids))
-    review_counts = dict(zip(table.beverage_ids, per_code.tolist()))
-    for beverage in dataset.beverages:
-        n = review_counts.get(beverage.id, 0)
+    for beverage, n in zip(dataset.beverages, per_code):
         if n < MIN_REVIEWS_PER_BEVERAGE:
             violations.add(
                 Violation(

@@ -342,8 +342,6 @@ def run_session(config: SessionConfig) -> SessionResult:
     score = np.concatenate([np.empty(0), *(r.scores for r in rounds)])
     keep = judge >= 0
     untagged = np.zeros(np.count_nonzero(keep), dtype=np.intp)
-    judge_ids = [ids[i] for i in kept]
-    reviews = ReviewTable(tuple(judge_ids), tuple(b.id for b in sampled), (frozenset(),), (None,),
-                          judge[keep], beverage[keep], untagged, untagged, score[keep])
-    dataset = Dataset(beverages=sampled, reviews=reviews, judges=judge_ids)
+    reviews = ReviewTable((), (frozenset(),), (None,), judge[keep], beverage[keep], untagged, untagged, score[keep])
+    dataset = Dataset(beverages=sampled, reviews=reviews, judges=[ids[i] for i in kept])
     return SessionResult(config=config, rounds=rounds, skips=skips, dataset=dataset)

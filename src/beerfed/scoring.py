@@ -36,7 +36,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DegenerateRowError, InsufficientDataError
-from .model import Dataset, NoteTag, positions
+from .model import Dataset, NoteTag, _checked_codes
 
 
 class ScoreMatrix(NamedTuple):
@@ -49,21 +49,20 @@ class ScoreMatrix(NamedTuple):
 
 
 def build_score_matrix(dataset: Dataset) -> ScoreMatrix:
-    """Arrange a dataset's reviews into a judges x beverages matrix.
+    """Arrange a dataset's reviews into a judges x beverages matrix, each
+    review in the cell its judge and beverage codes index.
 
-    Assumes a validated dataset: reviews with unknown references are
-    ignored, and the first review wins for duplicated (judge, beverage)
-    pairs.
+    Assumes a validated dataset: reviews of unknown beverages are ignored,
+    and the first review wins for duplicated (judge, beverage) pairs; a
+    code past the end of its list is a ValueError.
     """
     judges = list(dataset.judges)
     beverages = [b.id for b in dataset.beverages]
-    table = dataset.reviews
-    j = positions(table.judge_ids, judges)[table.judge]
-    b = positions(table.beverage_ids, beverages)[table.beverage]
-    known = (j >= 0) & (b >= 0)
+    j, b = _checked_codes(dataset)
+    known = b < len(beverages)
     flat = j[known] * len(beverages) + b[known]
     cells = np.full((len(judges), len(beverages)), np.nan)
-    score = table.score[known]
+    score = dataset.reviews.score[known]
     if flat.size and np.bincount(flat).max() > 1:  # numpy sets no order for repeated-index assignment
         _, first = np.unique(flat, return_index=True)  # index of each cell's first review
         flat, score = flat[first], score[first]
@@ -344,9 +343,9 @@ def tag_report(dataset: Dataset) -> list[TagFamilyComparison]:
     enforced.
     """
     table = dataset.reviews
-    family_of = {b.id: b.style_family for b in dataset.beverages}
-    names = sorted({family_of[b] for b in table.beverage_ids if b in family_of})
-    row_family = positions([family_of.get(b) for b in table.beverage_ids], names)[table.beverage]
+    names = sorted({b.style_family for b in dataset.beverages})
+    row_family = np.array([*(names.index(b.style_family) for b in dataset.beverages), *[-1] * len(table.unknown)],
+                          np.intp)[table.beverage]  # -1: an unknown beverage
     real: dict[str, np.ndarray] = {}
     artificial: dict[str, np.ndarray] = {}
     for tag, scores in ((NoteTag.REAL_FLAVOUR, real), (NoteTag.ARTIFICIAL_FLAVOUR, artificial)):

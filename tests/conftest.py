@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from beerfed.model import Beverage, Dataset, NoteTag
-from genutil import review_table
+from beerfed.model import Beverage, NoteTag
+from genutil import dataset_of
 
 
 @pytest.fixture
@@ -45,9 +45,9 @@ def tiny_dataset():
         ("C", "b2"): frozenset({NoteTag.ARTIFICIAL_FLAVOUR}),
         ("A", "b3"): frozenset({NoteTag.OTHER}),
     }
-    reviews = review_table(
+    reviews = [
         (j, f"b{i}", s, tag_for.get((j, f"b{i}"), frozenset()))
         for j, row in scores.items()
         for i, s in enumerate(row)
-    )
-    return Dataset(beverages=beverages, reviews=reviews, judges=["A", "B", "C"])
+    ]
+    return dataset_of(beverages, reviews, ["A", "B", "C"])

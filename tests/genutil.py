@@ -7,7 +7,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from beerfed.model import Beverage, Dataset, ReviewTable, normalize_name, positions
+from beerfed.model import Beverage, Dataset, ReviewTable, normalize_name
 from beerfed.receval import JudgeIndex, RecommendationSet
 from beerfed.scoring import ScoreMatrix
 
@@ -24,20 +24,45 @@ FAMILIES = [
 Row = namedtuple("Row", "judge_id beverage_id raw_score note_tags note_text", defaults=(frozenset(), None))
 
 
-def review_table(rows):
+def positions(values, order):
+    """Each value's place in ``order`` (its last, if repeated), or -1."""
+    where = {v: i for i, v in enumerate(order)}
+    return np.array([where.get(v, -1) for v in values], dtype=np.intp)
+
+
+def review_table(rows, beverage_ids, judges):
     """The ReviewTable of ``rows``, each (judge, beverage, score[, tags[,
-    note]]) as a ``Row`` takes them, every vocabulary in first-seen order."""
+    note]]) as a ``Row`` takes them, coded against a dataset's lists: a
+    judge by its place in ``judges`` (a judge off the list is a KeyError:
+    no code can name it), a beverage id by its place in ``beverage_ids`` or,
+    off that list, by the list's length plus its place in ``unknown``, the
+    ids off the list in first-seen order; tag sets and notes in first-seen
+    order."""
     rows = [Row(*row) for row in rows]
-    coded = [[getattr(r, key) for r in rows] for key in ("judge_id", "beverage_id", "note_tags", "note_text")]
+    listed = set(beverage_ids)
+    unknown = tuple(dict.fromkeys(r.beverage_id for r in rows if r.beverage_id not in listed))
+    place = {j: i for i, j in enumerate(judges)}
+    coded = [[getattr(r, key) for r in rows] for key in ("note_tags", "note_text")]
     vocabularies = [tuple(dict.fromkeys(column)) for column in coded]
-    return ReviewTable(*vocabularies, *map(positions, coded, vocabularies),
-                       np.array([r.raw_score for r in rows], dtype=float))
+    return ReviewTable(unknown, *vocabularies, np.array([place[r.judge_id] for r in rows], dtype=np.intp),
+                       positions([r.beverage_id for r in rows], [*beverage_ids, *unknown]),
+                       *map(positions, coded, vocabularies), np.array([r.raw_score for r in rows], dtype=float))
 
 
-def review_rows(table):
-    """The table's reviews as ``Row``s, in row order."""
+def dataset_of(beverages, rows, judges):
+    """The Dataset of ``beverages``, ``judges`` and the reviews ``rows``,
+    coded against those two lists as ``review_table`` codes them."""
+    return Dataset(beverages, review_table(rows, [b.id for b in beverages], judges), judges)
+
+
+def review_rows(dataset):
+    """The dataset's reviews as ``Row``s, in row order, each naming its
+    judge and its beverage's id (or, for a beverage off the list, the
+    unknown name it holds)."""
+    table = dataset.reviews
+    ids = [*(b.id for b in dataset.beverages), *table.unknown]
     return [
-        Row(table.judge_ids[j], table.beverage_ids[b], score, table.tag_sets[t], table.note_texts[n])
+        Row(dataset.judges[j], ids[b], score, table.tag_sets[t], table.note_texts[n])
         for j, b, score, t, n in zip(*(column.tolist() for column in
                                        (table.judge, table.beverage, table.score, table.tags, table.notes)))
     ]
@@ -46,13 +71,14 @@ def review_rows(table):
 def dataset_content(dataset):
     """What two datasets built from the same data share: their beverages,
     their review rows in order and their judges."""
-    return dataset.beverages, review_rows(dataset.reviews), dataset.judges
+    return dataset.beverages, review_rows(dataset), dataset.judges
 
 
 def with_reviews(dataset, rows):
     """The dataset's beverages and judges with the reviews ``rows`` in
-    place of its own (a dataset's reviews are read-only)."""
-    return Dataset(dataset.beverages, review_table(rows), dataset.judges)
+    place of its own, coded against its lists (a dataset's reviews are
+    read-only)."""
+    return dataset_of(dataset.beverages, rows, dataset.judges)
 
 
 def random_scores(rng, n, lo=10, hi=50):
@@ -84,7 +110,7 @@ def random_dataset(rng, n_judges=3, n_beverages=8, missing_rate=0.0):
                 keep.append(j)
         for j in keep:
             reviews.append((j, b.id, random_scores(rng, 1)[0]))
-    return Dataset(beverages=beverages, reviews=review_table(reviews), judges=judges)
+    return dataset_of(beverages, reviews, judges)
 
 
 def festival_files(tmp_path, judges, beverages, per_judge):

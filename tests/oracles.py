@@ -298,18 +298,20 @@ def oracle_load_dataset(beverages, scorecards_path):
 def oracle_parse_scorecards(path, beverages):
     """``parse_scorecards_csv`` one ``csv.reader`` row at a time, validating
     and coding each distinct raw judge, name, score and tags cell once
-    (errors still name their first row); a name codes the id of the one
-    beverage whose collapsed casefolded name equals its own, that key when
-    none does, and is an error when several do. A row with a note but no
-    tags takes the tags its note implies. Returns the ReviewTable."""
+    (errors still name their first row); a name codes the place in
+    ``beverages`` of the one beverage whose collapsed casefolded name
+    equals its own, the list's length plus that key's place among the
+    unmatched keys when none does (even a key equal to a beverage id), and
+    is an error when several do. A row with a note but no tags takes the
+    tags its note implies. Returns the Dataset, judges sorted."""
     from beerfed.io import (SCORECARD_COLUMNS, SCORECARD_OPTIONAL, _csv_file, _parse_score, _parse_tags,
                             _records)
     from beerfed.errors import IngestError
-    from beerfed.model import ReviewTable, derive_note_tags
+    from beerfed.model import Dataset, ReviewTable, derive_note_tags
 
     judge_of, name_of, score_of, tags_of, note_of = {}, {}, {}, {}, {}  # raw cell -> code (score: value)
-    judge_ids, beverage_ids = {}, {}  # vocabulary -> code
-    keyed = [(_collapse(bev.name).casefold(), bev) for bev in beverages]
+    unknown = {}  # unmatched key -> its place among them
+    keyed = [(_collapse(bev.name).casefold(), i, bev) for i, bev in enumerate(beverages)]
     tag_sets = {frozenset(): 0}
     note_texts = {None: 0}
     judge, beverage, score, tags, notes = [], [], [], [], []
@@ -319,18 +321,19 @@ def oracle_parse_scorecards(path, beverages):
             if j is None:
                 if not judge_raw.strip():
                     raise IngestError("judge_id must not be empty", row=line, column="judge_id")
-                j = judge_of[judge_raw] = judge_ids.setdefault(judge_raw.strip(), len(judge_ids))
+                j = judge_of[judge_raw] = judge_raw.strip()
             b = name_of.get(name_raw)
             if b is None:
                 if not name_raw.strip():
                     raise IngestError("beer_name must not be empty", row=line, column="beer_name")
                 key = _collapse(name_raw).casefold()
-                matches = [bev for name, bev in keyed if name == key]
+                matches = [(i, bev) for name, i, bev in keyed if name == key]
                 if len(matches) > 1:
-                    producers = ", ".join(sorted(bev.producer for bev in matches))
+                    producers = ", ".join(sorted(bev.producer for _, bev in matches))
                     raise IngestError(f"beverage name {_collapse(name_raw)!r} is ambiguous (produced by {producers})",
                                       row=line, column="beer_name")
-                b = name_of[name_raw] = beverage_ids.setdefault(matches[0].id if matches else key, len(beverage_ids))
+                b = name_of[name_raw] = (matches[0][0] if matches
+                                         else len(beverages) + unknown.setdefault(key, len(unknown)))
             value = score_of.get(score_cell)
             if value is None:
                 value = score_of[score_cell] = _parse_score(score_cell, line)
@@ -347,31 +350,30 @@ def oracle_parse_scorecards(path, beverages):
             score.append(value)
             tags.append(t)
             notes.append(n)
+    judges = sorted(set(judge))
+    place = {j: i for i, j in enumerate(judges)}
     table = ReviewTable(
-        tuple(judge_ids), tuple(beverage_ids), tuple(tag_sets), tuple(note_texts),
-        *(np.array(codes, dtype=np.intp) for codes in (judge, beverage, tags, notes)), np.array(score, dtype=float),
+        tuple(unknown), tuple(tag_sets), tuple(note_texts),
+        *(np.array(codes, dtype=np.intp) for codes in ([place[j] for j in judge], beverage, tags, notes)),
+        np.array(score, dtype=float),
     )
-    return table
+    return Dataset(list(beverages), table, judges)
 
 
-def oracle_validate_dataset(beverages, judges, reviews):
+def oracle_validate_dataset(beverages, reviews):
     """The dataset shape rules by a per-review loop; reviews are
-    (judge, beverage id, ...) tuples and the result is the sorted list of
-    (code, subject, message) findings."""
+    (judge, beverage id, ...) tuples, an id off the beverage list naming an
+    unknown beverage, and the result is the sorted list of (code, subject,
+    message) findings."""
     found = set()
     ids = {b.id for b in beverages}
     pair_counts, review_counts = {}, {}
     for judge, beverage, *_ in reviews:
         pair_counts[judge, beverage] = pair_counts.get((judge, beverage), 0) + 1
-        dangling = []
         if beverage in ids:
             review_counts[beverage] = review_counts.get(beverage, 0) + 1
         else:
-            dangling.append(f"unknown beverage {beverage!r}")
-        if judge not in judges:
-            dangling.append(f"unknown judge {judge!r}")
-        if dangling:
-            found.add(("DANGLING_REF", f"{judge}:{beverage}", "review references " + " and ".join(dangling)))
+            found.add(("DANGLING_REF", f"{judge}:{beverage}", f"review references unknown beverage {beverage!r}"))
     for (judge, beverage), n in pair_counts.items():
         if n > 1:
             found.add(("DUP_REVIEW", f"{judge}:{beverage}", f"{n} reviews for the same (judge, beverage) pair"))

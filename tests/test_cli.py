@@ -206,9 +206,22 @@ class TestSimulate:
             # each cost is finite, but the log and summary would hold Infinity
             (("cost_params",), {"broadcast_base": 1e308, "politeness_initial": 10},
              "cost_params: the communication costs of a 60-round session overflow"),
+            # the checks a record makes of its own values once they are read
+            (("federation", 0, "score_noise_sd"), -0.1, "session.json: A: score_noise_sd must be >= 0\n"),
+            (("cost_params", "politeness_initial"), -0.5, "session.json: politeness_initial must be >= 0\n"),
+            (("cost_params", "comprehension_base"), -1.0, "session.json: cost bases must be >= 0\n"),
+            (("cost_params", "comprehension_growth"), -0.05, "session.json: comprehension_growth must be >= 0\n"),
+            (("federation", 1, "id"), "A", "session.json: participant ids must be unique\n"),
+            (("round_duration",), 0, "session.json: round_duration must be positive\n"),
+            (("clock_end",), 1441, "session.json: clock window must satisfy 0 <= start < end <= 1440 minutes\n"),
+            (("cost_params",), "cheap", "session.json: cost_params must be an object, got 'cheap'\n"),
+            # json.dumps writes Infinity, which JSON reads as it reads 1e400
+            (("seed",), float("inf"), "session.json: seed must be an integer, got inf\n"),
         ],
         ids=["bias-string", "noise-nan", "seed-bool", "clock-fraction", "duration-string", "leader-string",
-             "id-null", "id-number", "cost-overflow"],
+             "id-null", "id-number", "cost-overflow", "noise-negative", "politeness-negative", "cost-base-negative",
+             "growth-negative", "duplicate-id", "duration-zero", "clock-past-midnight", "cost-params-string",
+             "seed-infinite"],
     )
     def test_untyped_number_in_calibration_config_exits_2(self, tmp_path, capsys, path, value, message):
         data = Path(beerfed.__file__).parent / "data"
@@ -421,7 +434,7 @@ class TestEvalRecs:
         row = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1]
         assert float(row[1]) <= 1.0  # ratings now on the normalized scale
 
-    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("k", ["0", "-1", "abc"])
     def test_k_below_one_is_a_usage_error(self, sim_outputs, tmp_path, eval_env, capsys, k):
         out = tmp_path / "table.csv"
         with pytest.raises(SystemExit) as exc:
@@ -434,23 +447,27 @@ class TestEvalRecs:
             )
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "usage:" in err and "must be a positive integer" in err
+        assert "usage:" in err and f"argument --k: must be a positive integer, got '{k}'\n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "body",
+        "body, reason",
         [
-            '{"model_id": "caf\xe9", "profiles": []}'.encode("latin-1"),
-            b'{"model_id": "m", "profiles": [{"profile_id": "A", "recommendations": 5}]}',
-            b'{"model_id": "m\\ud800", "profiles": []}',
-            b'{"model_id": 5, "profiles": []}',
-            b'{"model_id": "m", "profiles": [{"profile_id": ["A"], "recommendations": []}]}',
-            b'{"model_id": "m", "profiles": [], "model_id": "n"}',
+            ('{"model_id": "caf\xe9", "profiles": []}'.encode("latin-1"),
+             "invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 17: invalid continuation byte"),
+            (b'{"model_id": "m", "profiles": [{"profile_id": "A", "recommendations": 5}]}',
+             "recommendations must be a list"),
+            (b'{"model_id": "m\\ud800", "profiles": []}', "invalid JSON: lone surrogate \\ud800 in a string"),
+            (b'{"model_id": 5, "profiles": []}', "model_id must be a string, got 5"),
+            (b'{"model_id": "m", "profiles": [{"profile_id": ["A"], "recommendations": []}]}',
+             "profile_id must be a string, got ['A']"),
+            (b'{"model_id": "m", "profiles": [], "model_id": "n"}', "invalid JSON: duplicate key 'model_id'"),
+            (b'{"model_id": "m", "profiles": [{"profile_id": "A"}, {"profile_id": "A"}]}', "duplicate profile_id 'A'"),
         ],
         ids=["latin-1", "recommendations-not-a-list", "lone-surrogate", "model-id-number", "profile-id-list",
-             "duplicate-key"],
+             "duplicate-key", "duplicate-profile"],
     )
-    def test_unparseable_rec_file_skipped_or_strict_5(self, sim_outputs, tmp_path, eval_env, capsys, body):
+    def test_unparseable_rec_file_skipped_or_strict_5(self, sim_outputs, tmp_path, eval_env, capsys, body, reason):
         bad = eval_env / "bad.json"
         bad.write_bytes(body)
         argv = [
@@ -460,12 +477,12 @@ class TestEvalRecs:
         ]
         assert cli.main(argv) == 0
         (skip,) = [r for r in error_records(capsys) if r.get("code") == "EVAL"]
-        assert skip["level"] == "warning" and str(bad) in skip["message"]
+        assert skip["level"] == "warning" and skip["message"] == f"skipping {bad}: {reason}"
         assert len((tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()) == 5
 
         assert cli.main([*argv, "--strict"]) == 5
         (failure,) = [r for r in error_records(capsys) if r.get("code") == "EVAL"]
-        assert failure["level"] == "error" and str(bad) in failure["message"]
+        assert failure["level"] == "error" and failure["message"] == f"{bad}: {reason}"
 
 
     def test_non_string_beverage_name_is_not_in_list(self, tmp_path):
@@ -793,19 +810,19 @@ class TestInputBoundary:
         assert record["message"].startswith(f"{cards}: not UTF-8 text")
 
     @pytest.mark.parametrize(
-        "extra_beverage, bad_file, where",
+        "edit, bad_file, where",
         [
-            ("P,Odd One,Gose,strong", "beverages", "row 22, column abv_percent: abv_percent 'strong'"),
-            ("Q,Batch 00,Gose,4.0", "scorecards", "column beer_name: beverage name 'Batch 00' is ambiguous"),
+            (lambda text: text + "P,Odd One,Gose,strong\n", "beverages",
+             "row 22, column abv_percent: abv_percent 'strong'"),
+            (lambda text: text + "Q,Batch 00,Gose,4.0\n", "scorecards",
+             "column beer_name: beverage name 'Batch 00' is ambiguous"),
+            (lambda text: text.replace("beer_style", "brewery", 1), "beverages", ": row 1: duplicate column names in header"),
         ],
-        ids=["bad-abv", "ambiguous-name"],
+        ids=["bad-abv", "ambiguous-name", "duplicate-column"],
     )
-    def test_every_csv_ingest_error_names_its_file(self, sim_outputs, tmp_path, capsys, extra_beverage, bad_file, where):
+    def test_every_csv_ingest_error_names_its_file(self, sim_outputs, tmp_path, capsys, edit, bad_file, where):
         beverages = tmp_path / "beverages.csv"
-        beverages.write_text(
-            (sim_outputs / "beverages.csv").read_text(encoding="utf-8") + extra_beverage + "\n",
-            encoding="utf-8",
-        )
+        beverages.write_text(edit((sim_outputs / "beverages.csv").read_text(encoding="utf-8")), encoding="utf-8")
         cards = sim_outputs / "scorecards.csv"
         argv = ["--json-errors", *analyze_argv(cards, beverages, tmp_path / "out")]
         assert cli.main(argv) == 4

@@ -25,10 +25,10 @@ from beerfed.io import (
     write_beverages_csv,
     write_scorecards_csv,
 )
-from beerfed.model import (AbvBand, Beverage, Dataset, NoteTag, classify_abv, derive_note_tags, style_bucketer,
+from beerfed.model import (AbvBand, Beverage, NoteTag, classify_abv, derive_note_tags, style_bucketer,
                            validate_dataset)
 from beerfed.scoring import build_score_matrix, tag_report
-from genutil import Row, dataset_content, review_rows, review_table
+from genutil import Row, dataset_content, dataset_of, review_rows
 from oracles import (
     oracle_load_dataset,
     oracle_parse_scorecards,
@@ -130,9 +130,9 @@ class TestIngestBeverages:
 class TestScorecards:
     def test_parse_rows(self, tmp_path):
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
-        table = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS), beverages)
-        rows = review_rows(table)
-        assert len(table) == len(rows) == 6
+        dataset = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS), beverages)
+        rows = review_rows(dataset)
+        assert len(dataset.reviews) == len(rows) == 6 and dataset.beverages == beverages and dataset.judges == ["A", "B"]
         assert rows[0].raw_score == 4.8
         assert rows[3].note_tags == {NoteTag.ARTIFICIAL_FLAVOUR}
 
@@ -170,19 +170,20 @@ class TestScorecards:
         text = ("judge_id,beer_name,raw_score,tags\nA, Night  Shift ,4.0,real_flavour\n , ,\t, \n"
                 "B, Night  Shift , 4.0 ,real_flavour\nB,Dark Star,4.0,real_flavour\n")
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
-        table = parse_scorecards_csv(write(tmp_path, "s.csv", text), beverages)
+        dataset = parse_scorecards_csv(write(tmp_path, "s.csv", text), beverages)
         # a joined name reads as its beverage's id, a dangling one as its normalized name
-        assert [(r.judge_id, r.beverage_id, r.raw_score, r.note_tags, r.note_text) for r in review_rows(table)] == [
+        assert [(r.judge_id, r.beverage_id, r.raw_score, r.note_tags, r.note_text) for r in review_rows(dataset)] == [
             ("A", "the works::night shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),
             ("B", "the works::night shift", 4.0, {NoteTag.REAL_FLAVOUR}, None),  # the blank line 3 is skipped
             ("B", "dark star", 4.0, {NoteTag.REAL_FLAVOUR}, None),
         ]
-        assert table.beverage_ids == ("the works::night shift", "dark star")
+        # a joined name codes its place in the list, a dangling one the place past the list of its name
+        assert dataset.reviews.beverage.tolist() == [1, 1, 3] and dataset.reviews.unknown == ("dark star",)
 
     def test_note_derives_tags_when_tags_absent(self, tmp_path):
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
-        table = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS), beverages)
-        mango_reviews = [r for r in review_rows(table) if r.beverage_id == beverages[0].id]
+        dataset = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS), beverages)
+        mango_reviews = [r for r in review_rows(dataset) if r.beverage_id == beverages[0].id]
         assert mango_reviews[0].note_tags == {NoteTag.REAL_FLAVOUR}  # derived
         assert mango_reviews[1].note_tags == {NoteTag.ARTIFICIAL_FLAVOUR}  # explicit
 
@@ -202,6 +203,11 @@ class TestDatasetJoin:
         )
         codes = [v.code for v in validate_dataset(dataset)]
         assert "DANGLING_REF" in codes
+        # a name that normalizes to a beverage's id still names no beverage
+        dataset = load_dataset(write(tmp_path, "b.csv", "brewery,beer_name,beer_style,abv_percent\nP,Ale,IPA,5.0\n"),
+                               write(tmp_path, "s.csv", "judge_id,beer_name,raw_score\nA,Ale,3.0\nB,P::Ale,2.0\n"))
+        assert [(v.code, v.subject) for v in validate_dataset(dataset)] == [
+            ("DANGLING_REF", "B:p::ale"), ("MISSING_REVIEWS", "p::ale")]
 
     def test_join_is_case_and_space_insensitive(self, tmp_path):
         scorecards = SCORECARDS.replace("A,Mango Sour,4.8", "A,  MANGO   sour ,4.8")
@@ -243,7 +249,7 @@ class TestDatasetJoin:
 def review_tuples(dataset):
     return [
         (r.judge_id, r.beverage_id, r.raw_score, {t.value for t in r.note_tags}, r.note_text)
-        for r in review_rows(dataset.reviews)
+        for r in review_rows(dataset)
     ]
 
 
@@ -252,7 +258,8 @@ SCORECARD_STYLES = ("plain", "quote_all", "crlf", "bom")
 
 def random_scorecards(rng, style="plain", faults=0):
     """Scorecard text with repeated and differently spelled judges and
-    names (some naming no beverage), duplicate pairs, tags and notes (some
+    names (some naming no beverage, one spelled as the id of producer P's
+    beverage of that name), duplicate pairs, tags and notes (some
     holding commas, quotes or line breaks) in any column order, and blank
     rows. ``style`` writes it through ``csv.writer``: "plain" (cells quoted
     only where needed, LF lines, sometimes a byte-order mark), "quote_all"
@@ -263,7 +270,7 @@ def random_scorecards(rng, style="plain", faults=0):
     cells = {
         "judge_id": ["A", " A", "B ", "C", "dana"],
         "beer_name": ["Mango Sour", "  mango   SOUR ", "Night Shift", "NIGHT SHIFT", "Morning Shift",
-                      "Ghost Brew", "ghost  brew"],
+                      "Ghost Brew", "ghost  brew", "P::Mango Sour"],  # the last normalizes to a beverage id
         "raw_score": ["1", "1.0", "2.5", " 3.7 ", "4", "4.9", "5.0"],
         "tags": ["", "", "real_flavour", "artificial_flavour;other", " other ", "real_flavour;artificial_flavour"],
         "note": ["", "", "a real treat", "Artificial!", "  ", "plain", "really artificial",
@@ -319,12 +326,15 @@ LARGE_FILE_BEVERAGES = beverage_list([f"Beverage {i:04d}" for i in range(0, 1440
 def ingest_outcome(parse, path, beverages):
     """What a scorecard parser makes of a file joined to ``beverages``: the
     error text, or every review with the judge, beverage and note
-    vocabularies in order and the set of tag sets."""
+    unknown names and note vocabulary in order, the judge and beverage
+    codes and the set of tag sets."""
     try:
-        table = parse(path, beverages)
+        dataset = parse(path, beverages)
     except IngestError as exc:
         return str(exc)
-    return review_rows(table), table.judge_ids, table.beverage_ids, table.note_texts, set(table.tag_sets)
+    table = dataset.reviews
+    return (review_rows(dataset), dataset.judges, table.unknown, table.note_texts, table.judge.tolist(),
+            table.beverage.tolist(), set(table.tag_sets))
 
 
 class TestBlockIngestOracle:
@@ -538,7 +548,7 @@ class TestColumnarIngestOracle:
             assert review_tuples(dataset) == reviews
             assert dataset.judges == judges and len(dataset.reviews) == len(reviews)
             found = [(v.code, v.subject, v.message) for v in validate_dataset(dataset)]
-            assert found == oracle_validate_dataset(beverages, judges, reviews)
+            assert found == oracle_validate_dataset(beverages, reviews)
             expected = oracle_score_matrix(judges, ids, [Row(*r[:3]) for r in reviews])
             assert np.array_equal(build_score_matrix(dataset).cells, np.array(expected).reshape(len(judges), len(ids)), equal_nan=True)
             write_scorecards_csv(dataset, tmp_path / "out.csv")
@@ -552,11 +562,11 @@ class TestColumnarIngestOracle:
 
     def test_reviews_view_is_read_only_and_rebuilds_reviews(self, tiny_dataset):
         reviews = tiny_dataset.reviews
-        rows = review_rows(reviews)
+        rows = review_rows(tiny_dataset)
         assert len(reviews) == len(rows) == 18 and rows[-1] == rows[17] and rows[:2] == [rows[0], rows[1]]
-        rebuilt = Dataset(tiny_dataset.beverages, review_table(rows), tiny_dataset.judges)
-        assert review_rows(rebuilt.reviews) == rows and dataset_content(rebuilt) == dataset_content(tiny_dataset)
-        truncated = Dataset(tiny_dataset.beverages, review_table(rows[1:]), tiny_dataset.judges)
+        rebuilt = dataset_of(tiny_dataset.beverages, rows, tiny_dataset.judges)
+        assert review_rows(rebuilt) == rows and dataset_content(rebuilt) == dataset_content(tiny_dataset)
+        truncated = dataset_of(tiny_dataset.beverages, rows[1:], tiny_dataset.judges)
         assert dataset_content(truncated) != dataset_content(tiny_dataset)
         with pytest.raises(TypeError):  # a table holds columns, not review objects
             reviews[17]
@@ -584,7 +594,8 @@ class TestRoundTrips:
         out = tmp_path / "s_out.csv"
         write_scorecards_csv(dataset, out)
         canonical = out.read_text(encoding="utf-8")
-        dataset2 = Dataset(dataset.beverages, parse_scorecards_csv(out, dataset.beverages), dataset.judges)
+        dataset2 = parse_scorecards_csv(out, dataset.beverages)
+        assert dataset_content(dataset2) == dataset_content(dataset)
         again = tmp_path / "s_again.csv"
         write_scorecards_csv(dataset2, again)
         assert again.read_text(encoding="utf-8") == canonical
@@ -624,7 +635,7 @@ def random_text_dataset(rng):
         tagged = frozenset(t for t in tags if rng.random() < 0.3)
         reviews.append(Row(judges[int(rng.integers(len(judges)))], beverages[int(rng.integers(len(beverages)))].id,
                            int(rng.integers(10, 51)) / 10, tagged or derive_note_tags(note), note or None))
-    return Dataset(beverages, review_table(reviews), sorted({r.judge_id for r in reviews}))
+    return dataset_of(beverages, reviews, sorted({r.judge_id for r in reviews}))
 
 
 class TestWriterReaderRoundTrip:
@@ -638,9 +649,7 @@ class TestWriterReaderRoundTrip:
         write_beverages_csv(dataset.beverages, tmp_path / "b.csv")
         write_scorecards_csv(dataset, tmp_path / "s.csv")
         assert parse_beverages_csv(tmp_path / "b.csv") == dataset.beverages
-        table = parse_scorecards_csv(tmp_path / "s.csv", dataset.beverages)
-        rebuilt = Dataset(dataset.beverages, table, sorted(table.judge_ids))
-        assert dataset_content(rebuilt) == dataset_content(dataset)
+        assert dataset_content(parse_scorecards_csv(tmp_path / "s.csv", dataset.beverages)) == dataset_content(dataset)
 
 
 JSON_KEYS = st.text(st.sampled_from(['a', 'Z', 'é', '日', '🍺', '"', '\\', '\n', '\x00', '\x1f', '\u2028', ' ']), max_size=4)

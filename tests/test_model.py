@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +11,6 @@ from beerfed.model import (
     FALLBACK_FAMILY_NAME,
     AbvBand,
     Beverage,
-    Dataset,
     NoteTag,
     StyleFamily,
     Violation,
@@ -18,7 +20,8 @@ from beerfed.model import (
     style_bucketer,
     validate_dataset,
 )
-from genutil import Row, random_dataset, review_rows, review_table, with_reviews
+from beerfed.scoring import build_score_matrix
+from genutil import Row, dataset_of, random_dataset, review_rows, review_table, with_reviews
 from oracles import oracle_bucket, oracle_classify_band, oracle_validate_dataset
 
 
@@ -144,7 +147,7 @@ class TestFamilyConfigFile:
 
 def one_score(score):
     """The score of a one-review table holding ``score``."""
-    return review_rows(review_table([("A", "b", score)]))[0].raw_score
+    return review_rows(dataset_of([], [("A", "b", score)], ["A"]))[0].raw_score
 
 
 class TestReviewInvariants:
@@ -174,7 +177,7 @@ class TestReviewInvariants:
 
     def test_error_names_the_first_bad_row(self):
         with pytest.raises(ValueError, match=r"^row 2: raw score 5\.5 "):
-            review_table([("A", "b", 3.0), ("B", "b", 4.0), ("C", "b", 5.5), ("D", "b", 0.2)])
+            review_table([("A", "b", 3.0), ("B", "b", 4.0), ("C", "b", 5.5), ("D", "b", 0.2)], [], "ABCD")
 
 
 class TestDeriveNoteTags:
@@ -201,31 +204,46 @@ class TestValidateDataset:
         assert validate_dataset(tiny_dataset) == []
 
     def test_single_review_flagged(self, tiny_dataset):
-        kept = [r for r in review_rows(tiny_dataset.reviews) if not (r.beverage_id == "b5" and r.judge_id != "A")]
+        kept = [r for r in review_rows(tiny_dataset) if not (r.beverage_id == "b5" and r.judge_id != "A")]
         codes = _codes(validate_dataset(with_reviews(tiny_dataset, kept)))
         assert codes == ["MISSING_REVIEWS"]
 
     def test_duplicate_review_flagged(self, tiny_dataset):
-        dataset = with_reviews(tiny_dataset, [*review_rows(tiny_dataset.reviews), Row("A", "b0", 4.0)])
+        dataset = with_reviews(tiny_dataset, [*review_rows(tiny_dataset), Row("A", "b0", 4.0)])
         codes = _codes(validate_dataset(dataset))
         assert codes == ["DUP_REVIEW"]
 
     def test_dangling_references_flagged(self, tiny_dataset):
-        extra = [Row("A", "ghost", 3.0), Row("Z", "b0", 3.0)]
-        codes = _codes(validate_dataset(with_reviews(tiny_dataset, [*review_rows(tiny_dataset.reviews), *extra])))
+        extra = [Row("A", "ghost", 3.0), Row("B", "phantom", 3.0)]
+        codes = _codes(validate_dataset(with_reviews(tiny_dataset, [*review_rows(tiny_dataset), *extra])))
         assert codes.count("DANGLING_REF") == 2
+
+    def test_code_outside_the_lists_fails_loudly(self, tiny_dataset):
+        # a review names a judge or beverage by its place in the dataset's lists: no code may wrap or pass
+        table = with_reviews(tiny_dataset, [*review_rows(tiny_dataset), Row("A", "ghost", 3.0)]).reviews
+        dataset = tiny_dataset._replace(reviews=table)
+        for column in ("judge", "beverage"):
+            with pytest.raises(ValueError, match=rf"^row 5: {column} code -1 is negative$"):
+                dataclasses.replace(table, **{column: np.where(np.arange(len(table)) == 5, -1, getattr(table, column))})
+        for column, end in (("judge", 3), ("beverage", 7)):  # three judges; six beverages and one unknown name
+            past = dataset._replace(reviews=dataclasses.replace(table, **{column: np.where(
+                np.arange(len(table)) >= 5, end, getattr(table, column))}))
+            for check in (validate_dataset, build_score_matrix):
+                with pytest.raises(ValueError, match=rf"^row 5: {column} code {end} must lie below {end}$"):
+                    check(past)
+        assert _codes(validate_dataset(dataset)) == ["DANGLING_REF"]  # the unchanged codes pass
 
     def test_abv_warning_outside_observed_range(self, tiny_dataset):
         tiny_dataset.beverages.append(
             Beverage("b9", "Alpha Brewing", "Thin Air", "Pale Ale", "Pale ale & IPA", 0.4)
         )
         extra = [Row("A", "b9", 3.0), Row("B", "b9", 3.2)]
-        violations = validate_dataset(with_reviews(tiny_dataset, [*review_rows(tiny_dataset.reviews), *extra]))
+        violations = validate_dataset(with_reviews(tiny_dataset, [*review_rows(tiny_dataset), *extra]))
         assert _codes(violations) == ["ABV_RANGE_WARN"]
         assert violations[0].severity.value == "warning"
 
     def test_producer_limit_warning(self, tiny_dataset):
-        reviews = review_rows(tiny_dataset.reviews)
+        reviews = review_rows(tiny_dataset)
         for i in range(3):
             bid = f"extra{i}"
             tiny_dataset.beverages.append(
@@ -237,7 +255,7 @@ class TestValidateDataset:
         assert violations[0].subject == "Alpha Brewing"
 
     def test_order_independent_and_idempotent(self, tiny_dataset, rng):
-        reviews = [*review_rows(tiny_dataset.reviews), Row("A", "ghost", 3.0)]
+        reviews = [*review_rows(tiny_dataset), Row("A", "ghost", 3.0)]
         tiny_dataset.beverages.append(
             Beverage("b9", "Solo Works", "Lone Star", "Gose", "Gose", 20.0)
         )
@@ -252,16 +270,14 @@ class TestValidateDataset:
     def test_matches_per_review_oracle_on_hand_built_datasets(self, rng):
         for _ in range(60):
             ds = random_dataset(rng, int(rng.integers(1, 5)), int(rng.integers(0, 9)), rng.uniform(0.0, 0.6))
-            reviews = review_rows(ds.reviews)
-            for _ in range(int(rng.integers(0, 8))):  # duplicates, unknown judges and beverages
+            reviews = review_rows(ds)
+            for _ in range(int(rng.integers(0, 8))):  # duplicates and unknown beverages
                 r = reviews[int(rng.integers(len(reviews)))] if reviews else Row("J0", "ghost", 3.0)
-                judge = r.judge_id if rng.random() < 0.5 else f"stranger{int(rng.integers(2))}"
                 beverage = r.beverage_id if rng.random() < 0.5 else f"ghost{int(rng.integers(2))}"
-                reviews.insert(int(rng.integers(len(reviews) + 1)), Row(judge, beverage, 2.0))
-            judges = [j for j in ds.judges if rng.random() < 0.8]  # judges with reviews left off the list
-            found = [(v.code, v.subject, v.message) for v in validate_dataset(Dataset(ds.beverages, review_table(reviews), judges))]
+                reviews.insert(int(rng.integers(len(reviews) + 1)), Row(r.judge_id, beverage, 2.0))
+            found = [(v.code, v.subject, v.message) for v in validate_dataset(with_reviews(ds, reviews))]
             tuples = [(r.judge_id, r.beverage_id) for r in reviews]
-            assert found == oracle_validate_dataset(ds.beverages, judges, tuples)
+            assert found == oracle_validate_dataset(ds.beverages, tuples)
 
     @pytest.mark.parametrize("abv", [0.0, -1.0, 100.1, float("nan"), float("inf")])
     def test_beverage_takes_only_an_abv_classify_abv_bands(self, abv):

@@ -9,7 +9,7 @@ import pytest
 
 from beerfed.errors import ConfigurationError
 from beerfed.io import round_log_lines
-from beerfed.model import Beverage, Dataset
+from beerfed.model import Beverage
 from beerfed.protocol import (
     OMIT_NO_PARTICIPANTS,
     CostParams,
@@ -24,7 +24,7 @@ from beerfed.protocol import (
     communication_costs,
     run_session,
 )
-from genutil import review_rows, review_table
+from genutil import dataset_of, review_rows
 from oracles import oracle_round_possible, oracle_run_session, round_dict
 
 
@@ -279,7 +279,7 @@ class TestRunSession:
         config = simple_config(pool_of(10), federation=federation)
         result = run_session(config)
         assert result.dataset.judges == ["A", "B", "C"]
-        assert {r.judge_id for r in review_rows(result.dataset.reviews)} <= {"A", "B", "C"}
+        assert {r.judge_id for r in review_rows(result.dataset)} <= {"A", "B", "C"}
         # the round log still carries everyone
         all_reviewers = {judge for rec in result.rounds for judge in round_dict(rec)["reviewers"]}
         assert all_reviewers - {"A", "B", "C"}
@@ -384,7 +384,7 @@ def test_run_session_matches_per_reviewer_oracle():
         result = run_session(config)
         lines, reviews, skips = oracle_run_session(config)
         assert list(round_log_lines(result)) == lines
-        assert [(r.judge_id, r.beverage_id, r.raw_score) for r in review_rows(result.dataset.reviews)] == reviews
+        assert [(r.judge_id, r.beverage_id, r.raw_score) for r in review_rows(result.dataset)] == reviews
         assert [(s.clock, s.reason) for s in result.skips] == skips
         # what the random configs exercised
         by_id = {p.id: p for p in config.federation}
@@ -411,7 +411,7 @@ def test_round_log_writer_matches_json_dumps():
     # a config's costs stay finite, so rounds built by hand carry non-finite ones
     rounds = [replace(r, broadcast_cost=math.inf, comprehension_cost=math.nan) if r.index >= 2 else r
               for r in result.rounds]
-    result = SessionResult(config, [*rounds, empty], [], Dataset([], review_table([]), []))
+    result = SessionResult(config, [*rounds, empty], [], dataset_of([], [], []))
     expected = [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
     assert list(round_log_lines(result)) == expected
     assert len(expected) == len(ids) + 1 and all("Infinity" in line and "NaN" in line for line in expected[2:-1])

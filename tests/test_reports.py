@@ -64,7 +64,7 @@ class TestWriteTables:
 
     def test_violations_recorded_in_report_json(self, tiny_dataset, tmp_path):
         # drop two of b5's three reviews so it falls below the minimum
-        kept = [r for r in review_rows(tiny_dataset.reviews) if r.beverage_id != "b5" or r.judge_id == "A"]
+        kept = [r for r in review_rows(tiny_dataset) if r.beverage_id != "b5" or r.judge_id == "A"]
         dataset = with_reviews(tiny_dataset, kept)
         violations = validate_dataset(dataset)
         paths = analyze_dataset(dataset, tmp_path, violations, lenient=True)
@@ -75,7 +75,7 @@ class TestWriteTables:
     def test_undefined_agreement_cell_is_empty_string(self, tiny_dataset, tmp_path):
         # judges sharing fewer than three beverages have no defined agreement
         dataset = with_reviews(tiny_dataset, [
-            r for r in review_rows(tiny_dataset.reviews)
+            r for r in review_rows(tiny_dataset)
             if not (r.judge_id == "C" and r.beverage_id in ("b0", "b1", "b2", "b3"))
         ])
         paths = analyze_dataset(dataset, tmp_path, validate_dataset(dataset), lenient=True)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from beerfed.errors import DegenerateRowError, InsufficientDataError
-from beerfed.model import DEFAULT_STYLE_FAMILIES, Beverage, Dataset, NoteTag
+from beerfed.model import DEFAULT_STYLE_FAMILIES, Beverage, NoteTag
 from beerfed import scoring
 from beerfed.scoring import (
     MIN_COMMON_BEVERAGES,
@@ -20,7 +20,7 @@ from beerfed.scoring import (
     tag_report,
 )
 from beerfed.io import load_dataset
-from genutil import Row, festival_files, random_dataset, review_rows, review_table, with_reviews
+from genutil import Row, dataset_of, festival_files, random_dataset, review_rows, with_reviews
 from oracles import (
     oracle_aggregate,
     oracle_column_stats,
@@ -77,18 +77,18 @@ class TestBuildScoreMatrix:
             ds = random_dataset(
                 rng, int(rng.integers(1, 6)), int(rng.integers(1, 12)), rng.uniform(0.0, 0.5)
             )
-            reviews = review_rows(ds.reviews)
+            reviews = review_rows(ds)
             for _ in range(int(rng.integers(0, 6))):  # repeats of a scored pair, later score differs
                 first = reviews[int(rng.integers(len(reviews)))]
                 reviews.append(Row(first.judge_id, first.beverage_id, 5.0 if first.raw_score < 5.0 else 1.0))
-            reviews.insert(0, Row("ghost judge", ds.beverages[0].id, 2.0))
+            reviews.insert(0, Row(ds.judges[-1], "ghost beer", 2.0))
             reviews.insert(int(rng.integers(len(reviews))), Row(ds.judges[0], "ghost beer", 2.0))
             if trial % 7 == 0:
                 reviews = []
             ds = with_reviews(ds, reviews)
             m = build_score_matrix(ds)
             assert m.judges == ds.judges and m.beverages == [b.id for b in ds.beverages]
-            expected = oracle_score_matrix(ds.judges, m.beverages, review_rows(ds.reviews))
+            expected = oracle_score_matrix(ds.judges, m.beverages, review_rows(ds))
             assert np.array_equal(m.cells, np.array(expected).reshape(m.cells.shape), equal_nan=True)
 
     def test_matches_per_review_oracle_without_duplicates(self, rng, monkeypatch):
@@ -96,14 +96,14 @@ class TestBuildScoreMatrix:
         monkeypatch.setattr(scoring.np, "unique", None)
         for _ in range(40):
             ds = random_dataset(rng, int(rng.integers(1, 8)), int(rng.integers(1, 30)), rng.uniform(0.0, 0.6))
-            reviews = review_rows(ds.reviews)
+            reviews = review_rows(ds)
             ds = with_reviews(ds, [reviews[i] for i in rng.permutation(len(reviews))])
             m = build_score_matrix(ds)
-            expected = oracle_score_matrix(ds.judges, m.beverages, review_rows(ds.reviews))
+            expected = oracle_score_matrix(ds.judges, m.beverages, review_rows(ds))
             assert np.array_equal(m.cells, np.array(expected).reshape(m.cells.shape), equal_nan=True)
 
     def test_empty_dataset(self):
-        assert build_score_matrix(Dataset([], review_table([]), [])).cells.shape == (0, 0)
+        assert build_score_matrix(dataset_of([], [], [])).cells.shape == (0, 0)
 
 
 class TestNormalize:
@@ -526,11 +526,8 @@ class TestDivisiveness:
 
 class TestTagReport:
     def test_empty_without_tags(self):
-        ds = Dataset(
-            beverages=[Beverage("b", "P", "B", "IPA", "Pale ale & IPA", 5.0)],
-            reviews=review_table([("A", "b", 3.0), ("B", "b", 4.0)]),
-            judges=["A", "B"],
-        )
+        ds = dataset_of([Beverage("b", "P", "B", "IPA", "Pale ale & IPA", 5.0)],
+                        [("A", "b", 3.0), ("B", "b", 4.0)], ["A", "B"])
         assert tag_report(ds) == []
 
     def test_real_vs_artificial_flag(self, tiny_dataset):
@@ -543,26 +540,18 @@ class TestTagReport:
         assert sour.real_at_least_artificial is True
 
     def test_equal_means_flag_true(self):
-        ds = Dataset(
-            beverages=[Beverage("b", "P", "B", "Sour", "Sour & wild ale", 5.0)],
-            reviews=review_table([
-                Row("A", "b", 4.0, note_tags=frozenset({NoteTag.REAL_FLAVOUR})),
-                Row("B", "b", 4.0, note_tags=frozenset({NoteTag.ARTIFICIAL_FLAVOUR})),
-            ]),
-            judges=["A", "B"],
-        )
+        ds = dataset_of([Beverage("b", "P", "B", "Sour", "Sour & wild ale", 5.0)], [
+            Row("A", "b", 4.0, note_tags=frozenset({NoteTag.REAL_FLAVOUR})),
+            Row("B", "b", 4.0, note_tags=frozenset({NoteTag.ARTIFICIAL_FLAVOUR})),
+        ], ["A", "B"])
         (row,) = tag_report(ds)
         assert row.real_at_least_artificial is True
 
     def test_one_sided_family_not_comparable(self):
-        ds = Dataset(
-            beverages=[Beverage("b", "P", "B", "Gose", "Gose", 4.5)],
-            reviews=review_table([
-                Row("A", "b", 4.0, note_tags=frozenset({NoteTag.REAL_FLAVOUR})),
-                Row("B", "b", 3.0),
-            ]),
-            judges=["A", "B"],
-        )
+        ds = dataset_of([Beverage("b", "P", "B", "Gose", "Gose", 4.5)], [
+            Row("A", "b", 4.0, note_tags=frozenset({NoteTag.REAL_FLAVOUR})),
+            Row("B", "b", 3.0),
+        ], ["A", "B"])
         (row,) = tag_report(ds)
         assert not row.comparable
         assert row.real_at_least_artificial is None
