@@ -444,7 +444,7 @@ def parse_scorecards_csv(path: str | Path, beverages: Sequence[Beverage]) -> Dat
         tags = np.where(derive, derived[notes], tags)
     table = ReviewTable(tuple(islice(places, len(beverages), None)), tuple(tag_sets), texts, judge, beverage,
                         tags, notes, score)
-    return Dataset(list(beverages), table, judges)
+    return Dataset(beverages, table, judges)
 
 
 def _parse_score(cell: str, line: int) -> float:

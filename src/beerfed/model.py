@@ -166,10 +166,10 @@ def _known_keys(entry: dict, known: Iterable[str], where: str) -> None:
         raise ConfigurationError(where, f"unknown key(s) {sorted(unknown)}")
 
 
-def _distinct_keys(pairs: list[tuple]) -> dict:
-    """A JSON object; a key given twice (json.loads keeps its last value) is a ValueError."""
+def _distinct_keys(pairs: list[tuple], what: str = "key") -> dict:
+    """``dict(pairs)``; a ``what`` given twice (json.loads keeps a JSON object's last value) is a ValueError."""
     if len(obj := dict(pairs)) < len(pairs):
-        raise ValueError(f"duplicate key {next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)!r}")
+        raise ValueError(f"duplicate {what} {next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)!r}")
     return obj
 
 
@@ -312,6 +312,14 @@ def _clash(seen: dict[str, tuple[str, Beverage]], names: dict[str, str] | None,
                 f" and, at {first}, {other.name!r} for {other.producer!r}")
 
 
+def _check_codes(name: str, codes: np.ndarray, size: int) -> None:
+    """The one test of a code column: each code is a place in a list of
+    ``size`` entries; one below 0 or past the end is a ValueError."""
+    for bad, fault in ((codes < 0, "is negative"), (codes >= size, f"must lie below {size}")):
+        if np.count_nonzero(bad):
+            raise ValueError(f"row {int(bad.argmax())}: {name} code {codes[bad.argmax()]} {fault}")
+
+
 @dataclass(frozen=True, eq=False)
 class ReviewTable:
     """Reviews as read-only columns of codes: row ``i`` is the ``judge[i]``-th
@@ -320,7 +328,7 @@ class ReviewTable:
     ``n`` on, the name ``unknown[beverage[i] - n]`` that matched none;
     tagged ``tag_sets[tags[i]]``, with note ``note_texts[notes[i]]``. A check
     on a list entry runs once and reaches the rows by one array lookup.
-    Every score lies in [1, 5] on the 0.1 grid; no code is negative."""
+    Scores lie in [1, 5] on the 0.1 grid; tags and notes codes index their lists."""
 
     unknown: tuple[str, ...]
     tag_sets: tuple[frozenset[NoteTag], ...]
@@ -341,9 +349,8 @@ class ReviewTable:
             row = int(bad.argmax())
             raise ValueError(f"row {row}: raw score {float(score[row])!r} must lie in "
                              f"[{SCORE_MIN}, {SCORE_MAX}] on the 0.1 grid")
-        for name in ("judge", "beverage", "tags", "notes"):
-            if np.count_nonzero(bad := (codes := getattr(self, name)) < 0):  # it would index from the end
-                raise ValueError(f"row {int(bad.argmax())}: {name} code {codes[bad.argmax()]} is negative")
+        _check_codes("tags", self.tags, len(self.tag_sets))
+        _check_codes("notes", self.notes, len(self.note_texts))
         for column in (self.judge, self.beverage, self.tags, self.notes, score):
             column.flags.writeable = False
 
@@ -351,24 +358,24 @@ class ReviewTable:
         return len(self.score)
 
 
-class Dataset(NamedTuple):
-    """Beverages, judges and every review as one ``ReviewTable`` whose
-    judge and beverage codes are places in these two lists."""
+@dataclass(frozen=True)
+class Dataset:
+    """Beverages, judges and every review as one ``ReviewTable``, checked
+    when built: an instance holds tuples of distinct judges and beverage ids,
+    judge codes in ``[0, len(judges))`` and beverage codes in
+    ``[0, len(beverages) + len(reviews.unknown))``."""
 
-    beverages: list[Beverage]
+    beverages: tuple[Beverage, ...]
     reviews: ReviewTable
-    judges: list[str]
+    judges: tuple[str, ...]
 
-
-def _checked_codes(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The reviews' judge and beverage codes; one past the end of its list
-    (the beverages then the unknown names) is a ValueError."""
-    table = dataset.reviews
-    for name, codes, size in (("judge", table.judge, len(dataset.judges)),
-                              ("beverage", table.beverage, len(dataset.beverages) + len(table.unknown))):
-        if np.count_nonzero(bad := codes >= size):
-            raise ValueError(f"row {int(bad.argmax())}: {name} code {codes[bad.argmax()]} must lie below {size}")
-    return table.judge, table.beverage
+    def __post_init__(self):
+        for name in ("beverages", "judges"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        _distinct_keys([(j, j) for j in self.judges], "judge")
+        _distinct_keys([(b.id, b) for b in self.beverages], "beverage id")
+        _check_codes("judge", self.reviews.judge, len(self.judges))
+        _check_codes("beverage", self.reviews.beverage, len(self.beverages) + len(self.reviews.unknown))
 
 
 class Severity(str, enum.Enum):
@@ -409,11 +416,10 @@ def validate_dataset(dataset: Dataset) -> list[Violation]:
     violations (empty iff the dataset is well-formed).
 
     Output is independent of beverage/review ordering, and the check itself
-    never mutates the dataset, so it is idempotent. A review code past the
-    end of its list is a ValueError.
+    never mutates the dataset, so it is idempotent.
     """
     violations: set[Violation] = set()
-    judge, beverage = _checked_codes(dataset)
+    judge, beverage = dataset.reviews.judge, dataset.reviews.beverage
     listed = len(dataset.beverages)  # a beverage code from here on names an unknown one
     ids = [*(b.id for b in dataset.beverages), *dataset.reviews.unknown]
 

@@ -36,7 +36,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DegenerateRowError, InsufficientDataError
-from .model import Dataset, NoteTag, _checked_codes
+from .model import Dataset, NoteTag
 
 
 class ScoreMatrix(NamedTuple):
@@ -53,12 +53,11 @@ def build_score_matrix(dataset: Dataset) -> ScoreMatrix:
     review in the cell its judge and beverage codes index.
 
     Assumes a validated dataset: reviews of unknown beverages are ignored,
-    and the first review wins for duplicated (judge, beverage) pairs; a
-    code past the end of its list is a ValueError.
+    and the first review wins for duplicated (judge, beverage) pairs.
     """
     judges = list(dataset.judges)
     beverages = [b.id for b in dataset.beverages]
-    j, b = _checked_codes(dataset)
+    j, b = dataset.reviews.judge, dataset.reviews.beverage
     known = b < len(beverages)
     flat = j[known] * len(beverages) + b[known]
     cells = np.full((len(judges), len(beverages)), np.nan)

@@ -360,6 +360,22 @@ def oracle_parse_scorecards(path, beverages):
     return Dataset(list(beverages), table, judges)
 
 
+def oracle_dataset_faults(judges, beverage_ids, columns):
+    """Every reason a Dataset must refuse its parts, one review at a time:
+    a judge or beverage id listed again, and a code that is no place in its
+    list, as the messages the records raise; ``columns`` maps a code
+    column's name to its codes and its list's length."""
+    faults = {f"duplicate {what} {key!r}" for what, keys in (("judge", judges), ("beverage id", beverage_ids))
+              for i, key in enumerate(keys) if key in keys[:i]}
+    for name, (codes, size) in columns.items():
+        for row, code in enumerate(codes):
+            if code < 0:
+                faults.add(f"row {row}: {name} code {code} is negative")
+            elif code >= size:
+                faults.add(f"row {row}: {name} code {code} must lie below {size}")
+    return faults
+
+
 def oracle_validate_dataset(beverages, reviews):
     """The dataset shape rules by a per-review loop; reviews are
     (judge, beverage id, ...) tuples, an id off the beverage list naming an

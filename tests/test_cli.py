@@ -734,8 +734,9 @@ def test_each_subcommand_imports_only_the_modules_it_runs(sim_outputs, tmp_path)
 
 # the dataclasses each call above defines: only records whose constructor
 # checks their fields; every other record is a NamedTuple
-SESSION_RECORDS = ["Beverage", "CostParams", "ParticipantProfile", "ReviewTable", "RoundRecord", "SessionConfig"]
-ANALYSIS_RECORDS = ["Beverage", "ReviewTable"]
+SESSION_RECORDS = ["Beverage", "CostParams", "Dataset", "ParticipantProfile", "ReviewTable", "RoundRecord",
+                   "SessionConfig"]
+ANALYSIS_RECORDS = ["Beverage", "Dataset", "ReviewTable"]
 RECORD_CLASSES = [
     [],
     SESSION_RECORDS,

@@ -132,7 +132,8 @@ class TestScorecards:
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
         dataset = parse_scorecards_csv(write(tmp_path, "s.csv", SCORECARDS), beverages)
         rows = review_rows(dataset)
-        assert len(dataset.reviews) == len(rows) == 6 and dataset.beverages == beverages and dataset.judges == ["A", "B"]
+        assert len(dataset.reviews) == len(rows) == 6 and dataset.beverages == tuple(beverages)
+        assert dataset.judges == ("A", "B")
         assert rows[0].raw_score == 4.8
         assert rows[3].note_tags == {NoteTag.ARTIFICIAL_FLAVOUR}
 
@@ -194,7 +195,7 @@ class TestDatasetJoin:
             write(tmp_path, "b.csv", BEVERAGES), write(tmp_path, "s.csv", SCORECARDS)
         )
         assert validate_dataset(dataset) == []
-        assert dataset.judges == ["A", "B"]
+        assert dataset.judges == ("A", "B")
 
     def test_unknown_name_becomes_dangling_ref(self, tmp_path):
         scorecards = SCORECARDS + "B,Ghost Brew,3.0,,\n"
@@ -546,7 +547,7 @@ class TestColumnarIngestOracle:
             dataset = load_dataset(beverages_path, cards)
             judges, reviews = oracle_load_dataset(beverages, cards)
             assert review_tuples(dataset) == reviews
-            assert dataset.judges == judges and len(dataset.reviews) == len(reviews)
+            assert dataset.judges == tuple(judges) and len(dataset.reviews) == len(reviews)
             found = [(v.code, v.subject, v.message) for v in validate_dataset(dataset)]
             assert found == oracle_validate_dataset(beverages, reviews)
             expected = oracle_score_matrix(judges, ids, [Row(*r[:3]) for r in reviews])
@@ -648,7 +649,7 @@ class TestWriterReaderRoundTrip:
         dataset = random_text_dataset(np.random.default_rng(seed))
         write_beverages_csv(dataset.beverages, tmp_path / "b.csv")
         write_scorecards_csv(dataset, tmp_path / "s.csv")
-        assert parse_beverages_csv(tmp_path / "b.csv") == dataset.beverages
+        assert tuple(parse_beverages_csv(tmp_path / "b.csv")) == dataset.beverages
         assert dataset_content(parse_scorecards_csv(tmp_path / "s.csv", dataset.beverages)) == dataset_content(dataset)
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from beerfed.errors import ConfigurationError
 from beerfed.model import (
@@ -11,7 +11,9 @@ from beerfed.model import (
     FALLBACK_FAMILY_NAME,
     AbvBand,
     Beverage,
+    Dataset,
     NoteTag,
+    ReviewTable,
     StyleFamily,
     Violation,
     classify_abv,
@@ -22,7 +24,13 @@ from beerfed.model import (
 )
 from beerfed.scoring import build_score_matrix
 from genutil import Row, dataset_of, random_dataset, review_rows, review_table, with_reviews
-from oracles import oracle_bucket, oracle_classify_band, oracle_validate_dataset
+from oracles import (
+    oracle_bucket,
+    oracle_classify_band,
+    oracle_dataset_faults,
+    oracle_score_matrix,
+    oracle_validate_dataset,
+)
 
 
 class TestClassifyAbv:
@@ -179,6 +187,15 @@ class TestReviewInvariants:
         with pytest.raises(ValueError, match=r"^row 2: raw score 5\.5 "):
             review_table([("A", "b", 3.0), ("B", "b", 4.0), ("C", "b", 5.5), ("D", "b", 0.2)], [], "ABCD")
 
+    @pytest.mark.parametrize("column", ["tags", "notes"])
+    def test_tag_or_note_code_outside_its_list_fails_loudly(self, column):
+        # a tags code 3 with one tag set used to end tag_report in numpy's IndexError, and
+        # write_scorecards_csv dropped the column (zip cut its bincount short)
+        table = review_table([("A", "b", 3.0), ("A", "b", 4.0)], ["b"], "A")
+        for code, fault in ((3, "must lie below 1"), (-1, "is negative")):
+            with pytest.raises(ValueError, match=rf"^row 1: {column} code {code} {fault}$"):
+                dataclasses.replace(table, **{column: np.array([0, code])})
+
 
 class TestDeriveNoteTags:
     def test_real_keyword(self):
@@ -220,52 +237,56 @@ class TestValidateDataset:
 
     def test_code_outside_the_lists_fails_loudly(self, tiny_dataset):
         # a review names a judge or beverage by its place in the dataset's lists: no code may wrap or pass
-        table = with_reviews(tiny_dataset, [*review_rows(tiny_dataset), Row("A", "ghost", 3.0)]).reviews
-        dataset = tiny_dataset._replace(reviews=table)
+        # the end, and no list may hold a judge or a beverage id twice; building the Dataset checks both
+        dataset = with_reviews(tiny_dataset, [*review_rows(tiny_dataset), Row("A", "ghost", 3.0)])
+        table = dataset.reviews
         for column in ("judge", "beverage"):
             with pytest.raises(ValueError, match=rf"^row 5: {column} code -1 is negative$"):
-                dataclasses.replace(table, **{column: np.where(np.arange(len(table)) == 5, -1, getattr(table, column))})
+                dataclasses.replace(dataset, reviews=dataclasses.replace(
+                    table, **{column: np.where(np.arange(len(table)) == 5, -1, getattr(table, column))}))
         for column, end in (("judge", 3), ("beverage", 7)):  # three judges; six beverages and one unknown name
-            past = dataset._replace(reviews=dataclasses.replace(table, **{column: np.where(
-                np.arange(len(table)) >= 5, end, getattr(table, column))}))
-            for check in (validate_dataset, build_score_matrix):
-                with pytest.raises(ValueError, match=rf"^row 5: {column} code {end} must lie below {end}$"):
-                    check(past)
+            with pytest.raises(ValueError, match=rf"^row 5: {column} code {end} must lie below {end}$"):
+                dataclasses.replace(dataset, reviews=dataclasses.replace(table, **{column: np.where(
+                    np.arange(len(table)) >= 5, end, getattr(table, column))}))
+        b = tiny_dataset.beverages[0]
+        for judges, repeated in ((["A", "B", "A"], "judge 'A'"), (["A", "B"], "beverage id 'b0'")):
+            # [b, b] and A, B, A used to validate as MISSING_REVIEWS b0 alone, and give two rows named A
+            with pytest.raises(ValueError, match=rf"^duplicate {repeated}$"):
+                dataset_of([b, b], [Row("A", b.id, 3.0), Row("B", b.id, 4.0)], judges)
         assert _codes(validate_dataset(dataset)) == ["DANGLING_REF"]  # the unchanged codes pass
+        assert build_score_matrix(dataset).judges == ["A", "B", "C"]
 
     def test_abv_warning_outside_observed_range(self, tiny_dataset):
-        tiny_dataset.beverages.append(
-            Beverage("b9", "Alpha Brewing", "Thin Air", "Pale Ale", "Pale ale & IPA", 0.4)
-        )
+        beverages = [
+            *tiny_dataset.beverages, Beverage("b9", "Alpha Brewing", "Thin Air", "Pale Ale", "Pale ale & IPA", 0.4)
+        ]
         extra = [Row("A", "b9", 3.0), Row("B", "b9", 3.2)]
-        violations = validate_dataset(with_reviews(tiny_dataset, [*review_rows(tiny_dataset), *extra]))
+        violations = validate_dataset(dataset_of(beverages, [*review_rows(tiny_dataset), *extra], tiny_dataset.judges))
         assert _codes(violations) == ["ABV_RANGE_WARN"]
         assert violations[0].severity.value == "warning"
 
     def test_producer_limit_warning(self, tiny_dataset):
-        reviews = review_rows(tiny_dataset)
+        reviews, beverages = review_rows(tiny_dataset), list(tiny_dataset.beverages)
         for i in range(3):
             bid = f"extra{i}"
-            tiny_dataset.beverages.append(
+            beverages.append(
                 Beverage(bid, "Alpha Brewing", f"Extra {i}", "Pilsner", "Lager & pils", 5.0)
             )
             reviews.extend([Row("A", bid, 3.0), Row("B", bid, 3.1)])
-        violations = validate_dataset(with_reviews(tiny_dataset, reviews))
+        violations = validate_dataset(dataset_of(beverages, reviews, tiny_dataset.judges))
         assert _codes(violations) == ["PRODUCER_LIMIT_WARN"]
         assert violations[0].subject == "Alpha Brewing"
 
     def test_order_independent_and_idempotent(self, tiny_dataset, rng):
         reviews = [*review_rows(tiny_dataset), Row("A", "ghost", 3.0)]
-        tiny_dataset.beverages.append(
-            Beverage("b9", "Solo Works", "Lone Star", "Gose", "Gose", 20.0)
-        )
-        dataset = with_reviews(tiny_dataset, reviews)
+        beverages = [*tiny_dataset.beverages, Beverage("b9", "Solo Works", "Lone Star", "Gose", "Gose", 20.0)]
+        dataset = dataset_of(beverages, reviews, tiny_dataset.judges)
         baseline = validate_dataset(dataset)
         assert baseline == validate_dataset(dataset)
         for _ in range(5):
             rng.shuffle(reviews)
-            rng.shuffle(tiny_dataset.beverages)
-            assert validate_dataset(with_reviews(tiny_dataset, reviews)) == baseline
+            rng.shuffle(beverages)
+            assert validate_dataset(dataset_of(beverages, reviews, tiny_dataset.judges)) == baseline
 
     def test_matches_per_review_oracle_on_hand_built_datasets(self, rng):
         for _ in range(60):
@@ -278,6 +299,40 @@ class TestValidateDataset:
             found = [(v.code, v.subject, v.message) for v in validate_dataset(with_reviews(ds, reviews))]
             tuples = [(r.judge_id, r.beverage_id) for r in reviews]
             assert found == oracle_validate_dataset(ds.beverages, tuples)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_dataset_refuses_exactly_what_the_oracle_faults(self, data):
+        # one part, or none, is drawn loosely: its list may repeat, its codes run from two below to two past it
+        loose = data.draw(st.sampled_from([None, "judge", "beverage", "tags", "notes"]))
+        judges = data.draw(st.lists(st.sampled_from("ABCD"), max_size=4, unique=loose != "judge"))
+        beverages = [Beverage(f"b{i}", f"P{i % 2}", f"Beer {i}", "Gose", "Gose", abv) for i, abv in data.draw(
+            st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.4, 5.0, 13.0])), max_size=5,
+                     unique_by=None if loose == "beverage" else (lambda pair: pair[0])))]
+        unknown = ("ghost0", "ghost1")[:data.draw(st.integers(0, 2))]
+        tag_sets, note_texts = (frozenset(), frozenset({NoteTag.REAL_FLAVOUR})), (None, "real")
+        sizes = {"judge": len(judges), "beverage": len(beverages) + len(unknown), "tags": 2, "notes": 2}
+        n = data.draw(st.integers(0, 8))
+        columns = {name: (data.draw(st.lists(st.integers(-2, size + 1) if name == loose or not size
+                                             else st.integers(0, size - 1), min_size=n, max_size=n)), size)
+                   for name, size in sizes.items()}
+        codes = {name: np.array(column, dtype=np.intp) for name, (column, _) in columns.items()}
+        faults = oracle_dataset_faults(judges, [b.id for b in beverages], columns)
+        try:
+            table = ReviewTable(unknown, tag_sets, note_texts, codes["judge"], codes["beverage"], codes["tags"],
+                                codes["notes"], np.full(n, 3.0))
+            dataset = Dataset(beverages, table, judges)
+        except ValueError as exc:
+            assert str(exc) in faults
+            return
+        assert not faults
+        ids = [*(b.id for b in beverages), *unknown]
+        reviews = [Row(judges[j], ids[b], 3.0) for j, b in zip(columns["judge"][0], columns["beverage"][0])]
+        found = [(v.code, v.subject, v.message) for v in validate_dataset(dataset)]
+        assert found == oracle_validate_dataset(beverages, reviews)
+        expected = oracle_score_matrix(judges, ids[:len(beverages)], reviews)
+        assert np.array_equal(build_score_matrix(dataset).cells,
+                              np.array(expected).reshape(len(judges), len(beverages)), equal_nan=True)
 
     @pytest.mark.parametrize("abv", [0.0, -1.0, 100.1, float("nan"), float("inf")])
     def test_beverage_takes_only_an_abv_classify_abv_bands(self, abv):

@@ -278,7 +278,7 @@ class TestRunSession:
         federation = default_federation()
         config = simple_config(pool_of(10), federation=federation)
         result = run_session(config)
-        assert result.dataset.judges == ["A", "B", "C"]
+        assert result.dataset.judges == ("A", "B", "C")
         assert {r.judge_id for r in review_rows(result.dataset)} <= {"A", "B", "C"}
         # the round log still carries everyone
         all_reviewers = {judge for rec in result.rounds for judge in round_dict(rec)["reviewers"]}
@@ -287,7 +287,7 @@ class TestRunSession:
     def test_amateurs_included_when_asked(self):
         config = simple_config(pool_of(10), federation=default_federation(), include_amateurs=True)
         result = run_session(config)
-        assert result.dataset.judges == ["A", "B", "C", "D", "E", "F", "G", "H"]
+        assert result.dataset.judges == ("A", "B", "C", "D", "E", "F", "G", "H")
 
     def test_clock_end_stops_session(self):
         config = simple_config(pool_of(100), clock_start=600, clock_end=650, round_duration=10)

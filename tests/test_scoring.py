@@ -87,7 +87,7 @@ class TestBuildScoreMatrix:
                 reviews = []
             ds = with_reviews(ds, reviews)
             m = build_score_matrix(ds)
-            assert m.judges == ds.judges and m.beverages == [b.id for b in ds.beverages]
+            assert tuple(m.judges) == ds.judges and m.beverages == [b.id for b in ds.beverages]
             expected = oracle_score_matrix(ds.judges, m.beverages, review_rows(ds))
             assert np.array_equal(m.cells, np.array(expected).reshape(m.cells.shape), equal_nan=True)
 
