@@ -41,7 +41,6 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import fields
 from functools import partial
 from io import StringIO
 from itertools import chain, count, islice, repeat
@@ -510,7 +509,7 @@ def load_dataset(
 # the inline pool's text fields, in _beverage_from_fields order
 _POOL_TEXT = ("brewery", "beer_name", "beer_style", "ingredients", "tags")
 
-# the reader of a protocol record's field from a JSON object, by the field's annotation
+# the reader of a protocol record's field from a JSON object, by its annotation's text (a str or ForwardRef)
 _JSON_READERS = {
     "bool": _json_bool,
     "float": _json_number,
@@ -524,12 +523,12 @@ _JSON_READERS = {
 
 
 def _json_fields(record: type, entry: dict, where: str, **given) -> dict:
-    """``given`` plus each other field of the dataclass ``record`` that
-    ``entry`` holds, read in field order, so of two faulty fields the first
-    is reported; a field the entry leaves out takes the record's default."""
-    for f in fields(record):
-        if f.name in entry and f.name not in given:
-            given[f.name] = _JSON_READERS[f.type](entry, f.name, where)
+    """``given`` plus each other field of the protocol record ``record``
+    that ``entry`` holds, read in field order, so of two faulty fields the
+    first is reported; a field the entry leaves out takes the record's default."""
+    for name, annotation in record.__annotations__.items():
+        if name in entry and name not in given:
+            given[name] = _JSON_READERS[getattr(annotation, "__forward_arg__", annotation)](entry, name, where)
     return given
 
 
@@ -539,7 +538,7 @@ def _profile_from_dict(entry: dict) -> ParticipantProfile:
         raise ConfigurationError("each federation entry must be an object with an id")
     pid = _json_str(entry, "id", "federation entry")
     where = f"participant {pid!r}"
-    _known_keys(entry, (f.name for f in fields(ParticipantProfile)), where)
+    _known_keys(entry, ParticipantProfile.__annotations__, where)
     bias = entry.get("score_bias", {})
     if not isinstance(bias, dict):
         raise ConfigurationError(f"{where}: score_bias must be an object, got {bias!r}")
@@ -556,7 +555,7 @@ def load_session_config(
     with _read_json(path, ConfigurationError) as raw:
         if not isinstance(raw, dict):
             raise ConfigurationError("session config must be a JSON object")
-        _known_keys(raw, ("pool_csv", *(f.name for f in fields(SessionConfig))), "")
+        _known_keys(raw, ("pool_csv", *SessionConfig.__annotations__), "")
         if "seed" not in raw or "federation" not in raw:
             raise ConfigurationError("seed and federation are required")
         for key in ("federation", "pool", "blackout_windows"):
@@ -595,7 +594,7 @@ def load_session_config(
         cost = raw.get("cost_params", {})
         if not isinstance(cost, dict):
             raise ConfigurationError(f"cost_params must be an object, got {cost!r}")
-        _known_keys(cost, (f.name for f in fields(CostParams)), "cost_params")
+        _known_keys(cost, CostParams.__annotations__, "cost_params")
         cost_params = CostParams(**_json_fields(CostParams, cost, "cost_params"))
 
         return SessionConfig(**_json_fields(SessionConfig, raw, "", federation=federation, pool=pool,

@@ -327,8 +327,8 @@ class ReviewTable:
     ``beverage[i]``-th beverage of its list or, from the list's length
     ``n`` on, the name ``unknown[beverage[i] - n]`` that matched none;
     tagged ``tag_sets[tags[i]]``, with note ``note_texts[notes[i]]``. A check
-    on a list entry runs once and reaches the rows by one array lookup.
-    Scores lie in [1, 5] on the 0.1 grid; tags and notes codes index their lists."""
+    on a list entry runs once and reaches the rows by one array lookup. All columns have
+    one length, scores lie in [1, 5] on the 0.1 grid and tags and notes codes index their lists."""
 
     unknown: tuple[str, ...]
     tag_sets: tuple[frozenset[NoteTag], ...]
@@ -341,6 +341,9 @@ class ReviewTable:
 
     def __post_init__(self):
         score = self.score
+        for name in ("judge", "beverage", "tags", "notes"):
+            if (rows := len(getattr(self, name))) != len(score):
+                raise ValueError(f"{name} column has {rows} rows, score column has {len(score)}")
         off_grid = score * 10
         with np.errstate(invalid="ignore"):  # an infinity fails the range test below
             off_grid -= np.rint(off_grid)

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -54,48 +55,27 @@ OMIT_NO_PARTICIPANTS = "SKIPPED_NO_PARTICIPANTS"
 MINUTES_PER_DAY = 24 * 60
 
 
-def _check_probability(value: float, what: str) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ConfigurationError(f"{what} must lie in [0, 1], got {value!r}")
+class ParticipantProfile(NamedTuple):
+    """A federation member's probabilities and score parameters, checked by its ``SessionConfig``."""
 
-
-@dataclass(frozen=True)
-class ParticipantProfile:
     id: str
     is_expert: bool = False
     leader_probability: float = 0.0
     freeload_probability: float = 0.0
     availability_probability: float = 1.0
-    score_bias: Mapping[str, float] = field(default_factory=dict)
+    score_bias: Mapping[str, float] = MappingProxyType({})
     score_noise_sd: float = 0.0
     score_floor_affinity: float = 0.0
 
-    def __post_init__(self):
-        _check_probability(self.leader_probability, f"{self.id}: leader_probability")
-        _check_probability(self.freeload_probability, f"{self.id}: freeload_probability")
-        _check_probability(self.availability_probability, f"{self.id}: availability_probability")
-        _check_probability(self.score_floor_affinity, f"{self.id}: score_floor_affinity")
-        if self.score_noise_sd < 0:
-            raise ConfigurationError(f"{self.id}: score_noise_sd must be >= 0")
 
+class CostParams(NamedTuple):
+    """The communication cost parameters, checked by the ``SessionConfig`` that holds them."""
 
-@dataclass(frozen=True)
-class CostParams:
     politeness_initial: float = 0.5
     politeness_decay: float = 0.9
     broadcast_base: float = 1.0
     comprehension_base: float = 1.0
     comprehension_growth: float = 0.05
-
-    def __post_init__(self):
-        if self.politeness_initial < 0:
-            raise ConfigurationError("politeness_initial must be >= 0")
-        if not (0.0 < self.politeness_decay < 1.0):
-            raise ConfigurationError("politeness_decay must lie strictly in (0, 1)")
-        if self.broadcast_base < 0 or self.comprehension_base < 0:
-            raise ConfigurationError("cost bases must be >= 0")
-        if self.comprehension_growth < 0:
-            raise ConfigurationError("comprehension_growth must be >= 0")
 
 
 def communication_costs(round_index: int, params: CostParams) -> tuple[float, float]:
@@ -118,8 +98,8 @@ def communication_costs(round_index: int, params: CostParams) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """A session's settings, checked when built: an instance that exists is
-    one ``run_session`` accepts. The three sequences are stored as tuples."""
+    """A session's settings, its profiles and cost params included, checked when built:
+    an instance that exists is one ``run_session`` accepts. The three sequences are stored as tuples."""
 
     federation: tuple[ParticipantProfile, ...]
     pool: tuple[Beverage, ...]
@@ -128,13 +108,28 @@ class SessionConfig:
     clock_end: int = 23 * 60
     round_duration: int = 5
     blackout_windows: tuple[tuple[int, int], ...] = ()
-    cost_params: CostParams = field(default_factory=CostParams)
+    cost_params: CostParams = CostParams()
     base_quality_range: tuple[float, float] = (2.5, 4.8)
     include_amateurs: bool = False
 
     def __post_init__(self):
         for name in ("federation", "pool", "blackout_windows"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        for p in self.federation:
+            for name in ("leader_probability", "freeload_probability", "availability_probability", "score_floor_affinity"):
+                if not (0.0 <= (value := getattr(p, name)) <= 1.0):
+                    raise ConfigurationError(f"{p.id}: {name} must lie in [0, 1], got {value!r}")
+            if p.score_noise_sd < 0:
+                raise ConfigurationError(f"{p.id}: score_noise_sd must be >= 0")
+        cost = self.cost_params
+        if cost.politeness_initial < 0:
+            raise ConfigurationError("politeness_initial must be >= 0")
+        if not (0.0 < cost.politeness_decay < 1.0):
+            raise ConfigurationError("politeness_decay must lie strictly in (0, 1)")
+        if cost.broadcast_base < 0 or cost.comprehension_base < 0:
+            raise ConfigurationError("cost bases must be >= 0")
+        if cost.comprehension_growth < 0:
+            raise ConfigurationError("comprehension_growth must be >= 0")
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         ids = [p.id for p in self.federation]
@@ -180,7 +175,7 @@ class SessionConfig:
         # the logged costs of the longest session the clock and pool allow: a session's are a prefix of them
         clocks = range(self.clock_start, self.clock_end, self.round_duration)
         rounds = min(len(self.pool), sum(not any(lo <= c < hi for lo, hi in self.blackout_windows) for c in clocks))
-        costs = [communication_costs(t, self.cost_params) for t in range(rounds)]
+        costs = [communication_costs(t, cost) for t in range(rounds)]
         if not all(map(math.isfinite, (sum(b for b, _ in costs), sum(c for _, c in costs), *(b + c for b, c in costs)))):
             raise ConfigurationError(f"cost_params: the communication costs of a {len(costs)}-round session overflow")
 
@@ -235,12 +230,11 @@ class Omitted(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True, eq=False)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One round as logged, in codes: the leader, procurers and reviewers
     are positions into ``members`` (the session's federation ids, shared by
     every round), the reviewers ascending, which is review order, and
-    ``scores`` holds each reviewer's score. The arrays are read-only."""
+    ``scores`` holds each reviewer's score; ``run_session`` builds the arrays read-only."""
 
     index: int
     clock: int
@@ -252,12 +246,6 @@ class RoundRecord:
     scores: np.ndarray
     broadcast_cost: float
     comprehension_cost: float
-
-    def __post_init__(self):
-        for name, dtype in (("procurer_positions", np.intp), ("reviewer_positions", np.intp), ("scores", float)):
-            array = np.asarray(getattr(self, name), dtype)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
 
 
 class SessionResult(NamedTuple):
@@ -326,6 +314,8 @@ def run_session(config: SessionConfig) -> SessionResult:
             base_quality[beverage.id], bias[beverage.style_family][reviewers],
             noise_sd[reviewers], floor_affinity[reviewers], rng,
         )
+        for array in (procurers, reviewers, scores):  # intp, intp and float64
+            array.flags.writeable = False
 
         rounds.append(RoundRecord(len(rounds), clock, ids, leader, beverage.id, procurers, reviewers, scores,
                                   *communication_costs(len(rounds), config.cost_params)))

@@ -734,8 +734,7 @@ def test_each_subcommand_imports_only_the_modules_it_runs(sim_outputs, tmp_path)
 
 # the dataclasses each call above defines: only records whose constructor
 # checks their fields; every other record is a NamedTuple
-SESSION_RECORDS = ["Beverage", "CostParams", "Dataset", "ParticipantProfile", "ReviewTable", "RoundRecord",
-                   "SessionConfig"]
+SESSION_RECORDS = ["Beverage", "Dataset", "ReviewTable", "SessionConfig"]
 ANALYSIS_RECORDS = ["Beverage", "Dataset", "ReviewTable"]
 RECORD_CLASSES = [
     [],
@@ -969,6 +968,25 @@ class TestInputBoundary:
         (record,) = error_records(capsys)
         assert record["code"] == "CONFIG"
         assert f"pool_csv must be a file path string, got {value!r}" in record["message"]
+
+    def test_bad_probability_exits_2_naming_the_participant(self, tmp_path, capsys):
+        federation = [dict(CONFIG["federation"][0], leader_probability=2.0), *CONFIG["federation"][1:]]
+        config = write_config(tmp_path, federation=federation)
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "sim")]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert record["message"] == f"{config}: A: leader_probability must lie in [0, 1], got 2.0"
+        assert not (tmp_path / "sim").exists()
+
+    def test_missing_pool_csv_is_reported_before_a_bad_probability(self, tmp_path, capsys):
+        # the config checks its profiles with its other rules, after the pool is read
+        body = {key: value for key, value in CONFIG.items() if key != "pool"}
+        body["federation"] = [dict(CONFIG["federation"][0], leader_probability=2.0), *CONFIG["federation"][1:]]
+        config = write_text(tmp_path / "session.json", json.dumps({**body, "pool_csv": "pool.csv"}))
+        assert cli.main(["--json-errors", "simulate", str(config), "--out", str(tmp_path / "sim")]) == 3
+        (record,) = error_records(capsys)
+        assert record["code"] == "IO" and str(tmp_path / "pool.csv") in record["message"]
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("key, value", [("score_bias", {"Stout & porter": 1.7e308}), ("score_noise_sd", 1e308)])
     def test_huge_score_offsets_clamp_instead_of_overflowing(self, tmp_path, capsys, key, value):

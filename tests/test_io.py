@@ -794,9 +794,21 @@ class TestSessionConfigFile:
 
     @staticmethod
     def defaults(record):
+        if hasattr(record, "_field_defaults"):  # a NamedTuple
+            return dict(record._field_defaults)
         return {f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
                 for f in dataclasses.fields(record)
                 if (f.default, f.default_factory) != (dataclasses.MISSING, dataclasses.MISSING)}
+
+    def test_every_field_the_loader_reads_has_a_json_reader(self):
+        # a field without one ended a config that set it in a KeyError traceback
+        from beerfed.protocol import CostParams, ParticipantProfile, SessionConfig
+        passed = {ParticipantProfile: {"id"}, CostParams: set(), SessionConfig: {"federation", "pool", "cost_params"}}
+        read = {(record.__name__, name): getattr(annotation, "__forward_arg__", annotation)
+                for record, given in passed.items() for name, annotation in record.__annotations__.items()
+                if name not in given}
+        assert {key: text for key, text in read.items() if text not in beerfed.io._JSON_READERS} == {}
+        assert set(read.values()) == set(beerfed.io._JSON_READERS)  # and every reader is in use
 
     def test_a_left_out_profile_key_takes_the_records_default(self, tmp_path):
         from beerfed.protocol import ParticipantProfile

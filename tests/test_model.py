@@ -196,6 +196,16 @@ class TestReviewInvariants:
             with pytest.raises(ValueError, match=rf"^row 1: {column} code {code} {fault}$"):
                 dataclasses.replace(table, **{column: np.array([0, code])})
 
+    @pytest.mark.parametrize("column", ["judge", "beverage", "tags", "notes", "score"])
+    def test_columns_of_unequal_length_fail_loudly(self, column):
+        # a 2-row judge column beside 3-row others used to build: validate_dataset then raised
+        # numpy's broadcast error, build_score_matrix an IndexError, and tag_report returned []
+        table = review_table([("A", "b", 3.0), ("A", "b", 4.0), ("B", "b", 5.0)], ["b"], "AB")
+        # a cut score column leaves judge, the first column checked, the longer one
+        named, rows, scores = (column, 2, 3) if column != "score" else ("judge", 3, 2)
+        with pytest.raises(ValueError, match=rf"^{named} column has {rows} rows, score column has {scores}$"):
+            dataclasses.replace(table, **{column: getattr(table, column)[:2]})
+
 
 class TestDeriveNoteTags:
     def test_real_keyword(self):

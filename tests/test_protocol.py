@@ -148,7 +148,7 @@ class TestCommunicationCosts:
 
     def test_decay_of_one_rejected(self):
         with pytest.raises(ConfigurationError):
-            CostParams(politeness_decay=1.0)
+            simple_config(pool_of(1), cost_params=CostParams(politeness_decay=1.0))
 
     def test_negative_round_rejected(self):
         with pytest.raises(ValueError):
@@ -168,6 +168,72 @@ def simple_config(pool, seed=11, **kw):
     )
     defaults.update(kw)
     return SessionConfig(federation=federation, pool=pool, seed=seed, **defaults)
+
+
+class TestSessionChecksItsRecords:
+    """The config checks the profiles and cost params it holds; they are
+    plain NamedTuples, and each rule keeps the message it had when the
+    record checked itself."""
+
+    PROFILE_RULES = [
+        ("leader_probability", 2.0, "A: leader_probability must lie in [0, 1], got 2.0"),
+        ("freeload_probability", -0.1, "A: freeload_probability must lie in [0, 1], got -0.1"),
+        ("availability_probability", 1.5, "A: availability_probability must lie in [0, 1], got 1.5"),
+        ("score_floor_affinity", math.nan, "A: score_floor_affinity must lie in [0, 1], got nan"),
+        ("score_noise_sd", -1.0, "A: score_noise_sd must be >= 0"),
+    ]
+    COST_RULES = [
+        ("politeness_initial", -0.5, "politeness_initial must be >= 0"),
+        ("politeness_decay", 1.0, "politeness_decay must lie strictly in (0, 1)"),
+        ("politeness_decay", 0.0, "politeness_decay must lie strictly in (0, 1)"),
+        ("broadcast_base", -1.0, "cost bases must be >= 0"),
+        ("comprehension_base", -1.0, "cost bases must be >= 0"),
+        ("comprehension_growth", -0.05, "comprehension_growth must be >= 0"),
+    ]
+
+    @staticmethod
+    def message(build):
+        with pytest.raises(ConfigurationError) as info:
+            build()
+        return str(info.value)
+
+    @pytest.mark.parametrize("field, value, message", PROFILE_RULES, ids=[r[0] for r in PROFILE_RULES])
+    def test_profile_rule_raises_when_the_config_is_built(self, field, value, message):
+        federation = [expert("A", 0.1)._replace(**{field: value}), expert("B", 0.8), expert("C", 0.1)]
+        assert self.message(lambda: simple_config(pool_of(2), federation=federation)) == message
+        assert self.message(lambda: replace(simple_config(pool_of(2)), federation=federation)) == message
+        assert getattr(federation[0], field) is value  # the profile itself holds any value
+
+    @pytest.mark.parametrize("field, value, message", COST_RULES,
+                             ids=[f"{field}={value}" for field, value, _ in COST_RULES])
+    def test_cost_rule_raises_when_the_config_is_built(self, field, value, message):
+        cost = CostParams(**{field: value})
+        assert self.message(lambda: simple_config(pool_of(2), cost_params=cost)) == message
+        assert self.message(lambda: replace(simple_config(pool_of(2)), cost_params=cost)) == message
+
+    def test_profiles_are_checked_in_federation_order_before_their_ids(self):
+        federation = [expert("A", 1.0), ParticipantProfile("B", freeload_probability=2.0),
+                      ParticipantProfile("A", leader_probability=-1.0)]
+        assert self.message(lambda: simple_config(pool_of(2), federation=federation)) == \
+            "B: freeload_probability must lie in [0, 1], got 2.0"
+        assert self.message(lambda: simple_config(pool_of(2), federation=[federation[0], federation[2]])) == \
+            "A: leader_probability must lie in [0, 1], got -1.0"
+        assert self.message(lambda: simple_config(pool_of(2), federation=[federation[0], federation[0]])) == \
+            "participant ids must be unique"
+
+    def test_cost_rules_run_before_the_overflow_check(self):
+        # 1e10**159 overflows a float: unchecked, the overflow check would end in an OverflowError
+        with pytest.raises(OverflowError):
+            communication_costs(159, CostParams(politeness_decay=1e10))
+        assert self.message(lambda: simple_config(pool_of(200), cost_params=CostParams(politeness_decay=1e10))) == \
+            "politeness_decay must lie strictly in (0, 1)"
+
+    def test_defaults_are_shared_and_immutable(self):
+        a, b = ParticipantProfile("A"), ParticipantProfile("B")
+        assert a.score_bias == {} and a.score_bias is b.score_bias
+        with pytest.raises(TypeError):
+            a.score_bias["Gose"] = 1.0
+        assert simple_config(pool_of(1)).cost_params == CostParams() == (0.5, 0.9, 1.0, 1.0, 0.05)
 
 
 class TestRunRound:
@@ -224,9 +290,9 @@ class TestRunRound:
         assert record.reviewer_positions.tolist() == [0, 1, 2, 3] and record.procurer_positions.tolist() == [3]
         with pytest.raises(ValueError, match="read-only"):
             record.scores[0] = 1.0
-        copy = replace(record, members=tuple(list(record.members)), scores=record.scores.copy())
+        copy = record._replace(members=tuple(list(record.members)), scores=record.scores.copy())
         assert round_dict(copy) == logged and copy.members is not record.members
-        assert round_dict(replace(record, scores=record.scores + 0.1)) != logged
+        assert round_dict(record._replace(scores=record.scores + 0.1)) != logged
 
     def test_all_freeloaders_promotes_one(self):
         federation = [
@@ -361,7 +427,7 @@ def random_config(seed):
         ))
     weights = [r.choice([0.0, 1.0, 2.5]) if p.is_expert else 0.0 for p in federation]
     weights[0] = 1.0
-    federation = [replace(p, leader_probability=w / sum(weights)) for p, w in zip(federation, weights)]
+    federation = [p._replace(leader_probability=w / sum(weights)) for p, w in zip(federation, weights)]
     end = r.randint(30, 300)
     blackouts = [(b, min(end, b + r.randint(1, 40))) for b in sorted(r.sample(range(end), r.randint(0, 2)))]
     pool = [Beverage(f"p{i}", "Pool Co", f"Pool {i}", "x", r.choice(FAMILIES), 5.0) for i in range(r.randint(0, 60))]
@@ -407,9 +473,10 @@ def test_round_log_writer_matches_json_dumps():
     pool = [Beverage(pid + "!", "Pool Co", f"Pool {i}", "Test Ale", "Gose", 5.0) for i, pid in enumerate(ids)]
     config = simple_config(pool, federation=federation)
     result = run_session(config)
-    empty = RoundRecord(9, 0, result.rounds[0].members, 0, ids[1], (), (), (), 0.5, 2.0)
+    no_codes = np.empty(0, np.intp)
+    empty = RoundRecord(9, 0, result.rounds[0].members, 0, ids[1], no_codes, no_codes, np.empty(0), 0.5, 2.0)
     # a config's costs stay finite, so rounds built by hand carry non-finite ones
-    rounds = [replace(r, broadcast_cost=math.inf, comprehension_cost=math.nan) if r.index >= 2 else r
+    rounds = [r._replace(broadcast_cost=math.inf, comprehension_cost=math.nan) if r.index >= 2 else r
               for r in result.rounds]
     result = SessionResult(config, [*rounds, empty], [], dataset_of([], [], []))
     expected = [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
@@ -441,7 +508,7 @@ def test_round_log_sorts_ids_that_federation_order_does_not():
     assert set(result.dataset.judges) == set(ids[::3]) and logged == set(ids)
     assert any(s == 1.0 for rec in rounds for s in (r["raw_score"] for r in rec["reviews"]))
     assert len(rounds) == 40
-    overflowed = [replace(r, broadcast_cost=math.inf, comprehension_cost=math.inf) if r.index % 2 else r
+    overflowed = [r._replace(broadcast_cost=math.inf, comprehension_cost=math.inf) if r.index % 2 else r
                   for r in result.rounds]
     lines = list(round_log_lines(result._replace(rounds=overflowed)))
     assert lines == [json.dumps(round_dict(r), sort_keys=True) for r in overflowed]
