@@ -25,14 +25,14 @@ seeded with the session's 64-bit seed, consumed in this fixed order:
 
 Identical configs (seed included) therefore produce byte-identical logs.
 
-Steps 2b, 2c and 2f take their draws as arrays: PCG64 gives the same values,
-and leaves the same state, for ``rng.random(n)`` or
-``rng.standard_normal(n)`` as for n scalar calls (O'Neill 2014, "PCG",
-HMC-CS-2014-0905; pinned on the installed numpy by the tests). Step 2f
-draws its normals in blocks, each ending at a reviewer with floor affinity,
-who then draws the uniform: a round in which no reviewer has floor affinity
-draws one block of normals, and every round consumes the stream in exactly
-the order above.
+Steps 1, 2b, 2c and 2f draw arrays: PCG64 gives the same values, and
+leaves the same state, for ``rng.random(n)``, ``rng.standard_normal(n)`` or
+a normal draw into an ``out`` slice of n as for n scalar calls (O'Neill
+2014, "PCG", HMC-CS-2014-0905; pinned on the installed numpy by the tests).
+Step 2f draws its normals in blocks, each ending at a reviewer with floor
+affinity, who then draws the uniform, so every round consumes the stream in
+exactly the order above. The round loop only draws; once it ends, the whole
+session is scored in one array pass over its reviews.
 """
 
 from __future__ import annotations
@@ -78,15 +78,28 @@ class CostParams(NamedTuple):
     comprehension_growth: float = 0.05
 
 
+def _check_cost_params(cost: CostParams) -> None:
+    if cost.politeness_initial < 0:
+        raise ConfigurationError("politeness_initial must be >= 0")
+    if not (0.0 < cost.politeness_decay < 1.0):
+        raise ConfigurationError("politeness_decay must lie strictly in (0, 1)")
+    if cost.broadcast_base < 0 or cost.comprehension_base < 0:
+        raise ConfigurationError("cost bases must be >= 0")
+    if cost.comprehension_growth < 0:
+        raise ConfigurationError("comprehension_growth must be >= 0")
+
+
 def communication_costs(round_index: int, params: CostParams) -> tuple[float, float]:
     """Per-round message costs: broadcasting decays as politeness wears off,
-    comprehension grows linearly as the session goes on.
+    comprehension grows linearly as the session goes on. The params are
+    checked as a ``SessionConfig`` checks them.
 
     broadcast      = broadcast_base * (1 + p0 * decay**t)
     comprehension  = comprehension_base * (1 + growth * t)
     """
     if round_index < 0:
         raise ValueError(f"round index must be >= 0, got {round_index}")
+    _check_cost_params(params)
     broadcast = params.broadcast_base * (
         1.0 + params.politeness_initial * params.politeness_decay**round_index
     )
@@ -121,15 +134,7 @@ class SessionConfig:
                     raise ConfigurationError(f"{p.id}: {name} must lie in [0, 1], got {value!r}")
             if p.score_noise_sd < 0:
                 raise ConfigurationError(f"{p.id}: score_noise_sd must be >= 0")
-        cost = self.cost_params
-        if cost.politeness_initial < 0:
-            raise ConfigurationError("politeness_initial must be >= 0")
-        if not (0.0 < cost.politeness_decay < 1.0):
-            raise ConfigurationError("politeness_decay must lie strictly in (0, 1)")
-        if cost.broadcast_base < 0 or cost.comprehension_base < 0:
-            raise ConfigurationError("cost bases must be >= 0")
-        if cost.comprehension_growth < 0:
-            raise ConfigurationError("comprehension_growth must be >= 0")
+        _check_cost_params(self.cost_params)
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         ids = [p.id for p in self.federation]
@@ -175,7 +180,7 @@ class SessionConfig:
         # the logged costs of the longest session the clock and pool allow: a session's are a prefix of them
         clocks = range(self.clock_start, self.clock_end, self.round_duration)
         rounds = min(len(self.pool), sum(not any(lo <= c < hi for lo, hi in self.blackout_windows) for c in clocks))
-        costs = [communication_costs(t, cost) for t in range(rounds)]
+        costs = [communication_costs(t, self.cost_params) for t in range(rounds)]
         if not all(map(math.isfinite, (sum(b for b, _ in costs), sum(c for _, c in costs), *(b + c for b, c in costs)))):
             raise ConfigurationError(f"cost_params: the communication costs of a {len(costs)}-round session overflow")
 
@@ -195,36 +200,6 @@ def _elect(table: list[float], rng: np.random.Generator) -> int:
     return min(bisect_right(table, rng.random()), len(table) - 1)
 
 
-def _draw_scores(
-    base_quality: float,
-    bias: np.ndarray,
-    noise_sd: np.ndarray,
-    floor_affinity: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Step 2f for one beverage's reviewers, given as arrays in federation
-    order: each score is clamp(round_0.1(base + style bias + gaussian
-    noise), 1, 5), or the scale floor with probability score_floor_affinity.
-
-    The normals are drawn in blocks that end at each reviewer with floor
-    affinity, who then draws its uniform, so the stream is consumed in the
-    documented per-reviewer order.
-    """
-    floor = np.zeros(len(noise_sd), dtype=bool)
-    noise, start = [], 0
-    for i in np.flatnonzero(floor_affinity > 0).tolist():
-        noise.append(rng.standard_normal(i + 1 - start))
-        floor[i] = rng.random() < floor_affinity[i]
-        start = i + 1
-    noise.append(rng.standard_normal(len(noise_sd) - start))
-    # a huge bias or noise sd overflows to +-inf, which the clamp absorbs;
-    # fmax/fmin clamp a NaN to the floor, as Python's max/min did
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = (base_quality + bias) + np.concatenate(noise) * noise_sd
-    value[floor] = 1.0
-    return np.rint(np.fmin(5.0, np.fmax(1.0, value)) * 10) / 10
-
-
 class Omitted(NamedTuple):
     clock: int
     reason: str
@@ -234,7 +209,8 @@ class RoundRecord(NamedTuple):
     """One round as logged, in codes: the leader, procurers and reviewers
     are positions into ``members`` (the session's federation ids, shared by
     every round), the reviewers ascending, which is review order, and
-    ``scores`` holds each reviewer's score; ``run_session`` builds the arrays read-only."""
+    ``scores`` holds each reviewer's score. From ``run_session`` the arrays are
+    read-only, the reviewers and scores slices of the session's columns."""
 
     index: int
     clock: int
@@ -267,7 +243,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     lo, hi = config.base_quality_range
-    base_quality = {b.id: lo + (hi - lo) * rng.random() for b in config.pool}
+    base_quality = lo + (hi - lo) * rng.random(len(config.pool))
     # the federation as arrays in federation order: each member's
     # probabilities and score parameters, each pool style family's bias per
     # member, and the experts' cumulative leader table
@@ -277,15 +253,19 @@ def run_session(config: SessionConfig) -> SessionResult:
     freeload = np.array([p.freeload_probability for p in federation], dtype=float)
     noise_sd = np.array([p.score_noise_sd for p in federation], dtype=float)
     floor_affinity = np.array([p.score_floor_affinity for p in federation], dtype=float)
-    bias = {family: np.array([p.score_bias.get(family, 0.0) for p in federation], dtype=float)
-            for family in {b.style_family for b in config.pool}}
+    families: dict[str, int] = {}
+    family = np.array([families.setdefault(b.style_family, len(families)) for b in config.pool], dtype=np.intp)
+    bias = np.array([[p.score_bias.get(f, 0.0) for f in families] for p in federation], dtype=float)
     experts = [i for i, p in enumerate(federation) if p.is_expert]
     leader_table = _leader_table([federation[i].leader_probability for i in experts])
     others_of = {i: np.delete(np.arange(len(federation)), i) for i in experts}  # every other position
-    pool = list(config.pool)
-    sampled: list[Beverage] = []
-    rounds: list[RoundRecord] = []
-    skips: list[Omitted] = []
+    pool = list(range(len(config.pool)))
+    # the loop only draws: each review's reviewer, round, normal and floor draw go to session
+    # columns with room for every member in every round the clock and pool allow, and each
+    # round's clock, leader, procurers, pool position and slice of the columns to ``taken``
+    most = min(len(pool), len(range(config.clock_start, config.clock_end, config.round_duration))) * len(ids)
+    reviewer, round_of, noise, floor = np.empty(most, np.intp), np.empty(most, np.intp), np.empty(most), np.zeros(most, bool)
+    taken, skips, reviewed = [], [], 0
     for clock in range(config.clock_start, config.clock_end, config.round_duration):
         if not pool:
             break
@@ -305,33 +285,44 @@ def run_session(config: SessionConfig) -> SessionResult:
         if not len(procurers):
             # Someone has to fetch the sample: promote one freeloader.
             procurers = available[[int(rng.integers(len(available)))]]
-
+        procurers.flags.writeable = False
         beverage = pool.pop(int(rng.integers(len(pool))))
 
         present[leader] = True
-        reviewers = np.flatnonzero(present)
-        scores = _draw_scores(
-            base_quality[beverage.id], bias[beverage.style_family][reviewers],
-            noise_sd[reviewers], floor_affinity[reviewers], rng,
-        )
-        for array in (procurers, reviewers, scores):  # intp, intp and float64
-            array.flags.writeable = False
+        here = np.flatnonzero(present)
+        part = slice(reviewed, reviewed + len(here))
+        reviewer[part], round_of[part], start = here, len(taken), reviewed
+        for i in (reviewed + np.flatnonzero(floor_affinity[here] > 0)).tolist():
+            rng.standard_normal(out=noise[start:i + 1])
+            floor[i] = rng.random() < floor_affinity[reviewer[i]]
+            start = i + 1
+        rng.standard_normal(out=noise[start:part.stop])
+        taken.append((clock, leader, procurers, beverage, part))
+        reviewed = part.stop
 
-        rounds.append(RoundRecord(len(rounds), clock, ids, leader, beverage.id, procurers, reviewers, scores,
-                                  *communication_costs(len(rounds), config.cost_params)))
-        sampled.append(beverage)
-
-    # the session's reviews as columns, each reviewer's federation position
-    # mapped to its place among the kept judges (-1: not kept); round r's
-    # reviews name beverage r
+    # the session scored in one pass over its reviews: each score is
+    # clamp(round_0.1(base + style bias + gaussian noise), 1, 5), or the
+    # scale floor where the floor draw fell under the reviewer's affinity
+    reviewer, round_of = reviewer[:reviewed], round_of[:reviewed]
+    pooled = np.array([t[3] for t in taken], dtype=np.intp)[round_of]
+    # a huge bias or noise sd overflows to +-inf, which the clamp absorbs;
+    # fmax/fmin clamp a NaN to the floor, as Python's max/min did
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (base_quality[pooled] + bias[reviewer, family[pooled]]) + noise[:reviewed] * noise_sd[reviewer]
+    value[floor[:reviewed]] = 1.0
+    score = np.rint(np.fmin(5.0, np.fmax(1.0, value)) * 10) / 10
+    reviewer.flags.writeable = score.flags.writeable = False
+    rounds = [RoundRecord(t, clock, ids, leader, config.pool[b].id, procurers, reviewer[part], score[part],
+                          *communication_costs(t, config.cost_params))
+              for t, (clock, leader, procurers, b, part) in enumerate(taken)]
+    # each reviewer's federation position mapped to its place among the
+    # kept judges (-1: not kept); round r's reviews name beverage r
     kept = [i for i, p in enumerate(federation) if p.is_expert or config.include_amateurs]
     judge_of = np.full(len(ids), -1, dtype=np.intp)
     judge_of[kept] = np.arange(len(kept))
-    judge = judge_of[np.concatenate([np.empty(0, np.intp), *(r.reviewer_positions for r in rounds)])]
-    beverage = np.repeat(np.arange(len(rounds)), [len(r.scores) for r in rounds])
-    score = np.concatenate([np.empty(0), *(r.scores for r in rounds)])
+    judge = judge_of[reviewer]
     keep = judge >= 0
     untagged = np.zeros(np.count_nonzero(keep), dtype=np.intp)
-    reviews = ReviewTable((), (frozenset(),), (None,), judge[keep], beverage[keep], untagged, untagged, score[keep])
-    dataset = Dataset(beverages=sampled, reviews=reviews, judges=[ids[i] for i in kept])
+    reviews = ReviewTable((), (frozenset(),), (None,), judge[keep], round_of[keep], untagged, untagged, score[keep])
+    dataset = Dataset(beverages=[config.pool[t[3]] for t in taken], reviews=reviews, judges=[ids[i] for i in kept])
     return SessionResult(config=config, rounds=rounds, skips=skips, dataset=dataset)

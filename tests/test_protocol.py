@@ -18,7 +18,6 @@ from beerfed.protocol import (
     RoundRecord,
     SessionConfig,
     SessionResult,
-    _draw_scores,
     _elect,
     _leader_table,
     communication_costs,
@@ -94,16 +93,43 @@ class TestElectLeader:
         assert seq_a == seq_b
 
 
+def shared_profile_scores(base, beverages=1, **profile):
+    """Every score of a session in which A always leads and B always
+    reviews, both with one score profile, on a pool whose base quality is
+    ``base``: two reviews per beverage, in round order. A round has at least
+    two reviewers, the leader and one other member present."""
+    federation = [expert("A", 1.0, **profile), ParticipantProfile("B", **profile)]
+    config = simple_config(pool_of(beverages), seed=7, federation=federation, base_quality_range=(base, base),
+                           clock_start=0, clock_end=1440, round_duration=1)
+    rounds = run_session(config).rounds
+    assert len(rounds) == beverages and all(r.reviewer_positions.tolist() == [0, 1] for r in rounds)
+    return np.concatenate([r.scores for r in rounds]).tolist()
+
+
 class TestGenerateScore:
-    """The score kernel, one array per reviewer parameter."""
+    """Scores as ``run_session`` draws them, for one shared reviewer profile."""
 
-    def test_zero_noise_is_identity(self, rng):
-        zeros = np.zeros(3)
-        assert _draw_scores(3.7, zeros, zeros, zeros, rng).tolist() == [3.7] * 3
+    def test_zero_noise_is_identity(self):
+        assert shared_profile_scores(3.7, beverages=3) == [3.7] * 6
 
-    def test_clamped_at_scale_top(self, rng):
-        zeros = np.zeros(1)
-        assert _draw_scores(5.0, np.ones(1), zeros, zeros, rng).tolist() == [5.0]
+    def test_base_and_bias_are_summed_before_the_noise(self):
+        # replay the draws ahead of A's normal: base quality, election, B's
+        # availability and freeload, the beverage. A noise of -2**52 cancels
+        # the bias to within an ulp of it, so the grouping decides the score
+        rng = np.random.Generator(np.random.PCG64(7))
+        rng.random(), rng.random(), rng.random(1), rng.random(1), rng.integers(1)
+        z = rng.standard_normal()
+        assert z < 0
+        bias, sd = 2.0**52, 2.0**52 / -z
+        expected, regrouped = (round(min(5.0, max(1.0, value)) * 10) / 10 for value in
+                               ((3.7 + bias) + z * sd, 3.7 + (bias + z * sd)))
+        assert expected != regrouped
+        federation = [expert("A", 1.0, score_bias={"Pale ale & IPA": bias}, score_noise_sd=sd), ParticipantProfile("B")]
+        config = simple_config(pool_of(1), seed=7, federation=federation, base_quality_range=(3.7, 3.7))
+        assert run_session(config).rounds[0].scores.tolist() == [expected, 3.7]
+
+    def test_clamped_at_scale_top(self):
+        assert shared_profile_scores(5.0, score_bias={"Pale ale & IPA": 1.0}) == [5.0] * 2
 
     def test_bias_applies_per_family(self):
         federation = [expert("A", 1.0, score_bias={"Stout & porter": 0.5}), ParticipantProfile("B")]
@@ -113,18 +139,16 @@ class TestGenerateScore:
                   for review in round_dict(r)["reviews"]}
         assert scores == {("p0", "A"): 3.0, ("p0", "B"): 3.0, ("s", "A"): 3.5, ("s", "B"): 3.0}
 
-    def test_result_on_grid_and_in_range(self, rng):
-        n = 500
-        scores = _draw_scores(3.8, np.zeros(n), np.full(n, 1.5), np.full(n, 0.1), rng)
-        for s in scores.tolist():
+    def test_result_on_grid_and_in_range(self):
+        scores = shared_profile_scores(3.8, beverages=250, score_noise_sd=1.5, score_floor_affinity=0.1)
+        assert len(scores) == 500
+        for s in scores:
             assert 1.0 <= s <= 5.0
             assert round(s * 10) == pytest.approx(s * 10)
 
     def test_noisy_profile_reaches_scale_floor(self):
-        rng = np.random.Generator(np.random.PCG64(7))
-        n = 1000
-        scores = _draw_scores(3.5, np.zeros(n), np.full(n, 1.5), np.zeros(n), rng)
-        assert 1.0 in scores.tolist()
+        scores = shared_profile_scores(3.5, beverages=500, score_noise_sd=1.5)
+        assert 1.0 in scores
 
     def test_base_quality_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError, match="base_quality_range"):
@@ -222,9 +246,11 @@ class TestSessionChecksItsRecords:
             "participant ids must be unique"
 
     def test_cost_rules_run_before_the_overflow_check(self):
-        # 1e10**159 overflows a float: unchecked, the overflow check would end in an OverflowError
-        with pytest.raises(OverflowError):
-            communication_costs(159, CostParams(politeness_decay=1e10))
+        # unchecked, 1e10**159 would overflow a float and a decay of -2.0 would make round 3's broadcast
+        # cost -3.0: communication_costs checks its params as the config does
+        for round_index, decay in ((159, 1e10), (3, -2.0)):
+            assert self.message(lambda: communication_costs(round_index, CostParams(politeness_decay=decay))) == \
+                "politeness_decay must lie strictly in (0, 1)"
         assert self.message(lambda: simple_config(pool_of(200), cost_params=CostParams(politeness_decay=1e10))) == \
             "politeness_decay must lie strictly in (0, 1)"
 
@@ -394,15 +420,23 @@ class TestRunSession:
 
 @pytest.mark.parametrize("seed", range(10))
 def test_numpy_pcg64_block_draws_equal_scalar_draws(seed):
-    # the batched draw order rests on this: one array draw of n values
-    # gives the same values, and leaves the same state, as n scalar draws
+    # the batched draw order rests on this: one array draw of n values, or a
+    # normal draw into an out slice of n, gives the same values, and leaves
+    # the same state, as n scalar draws
     chunks = random.Random(seed).choices([("standard_normal", n) for n in (0, 1, 5, 100)]
                                          + [("random", n) for n in (0, 1, 5, 100)], k=40)
-    block, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    block, into, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(3))
     for method, n in chunks:
         values = getattr(block, method)(n)
         assert values.tolist() == [getattr(scalar, method)() for _ in range(n)]
         assert block.bit_generator.state == scalar.bit_generator.state
+        if method == "standard_normal":
+            column = np.full(200, np.nan)
+            into.standard_normal(out=column[50:50 + n])
+            assert column[50:50 + n].tolist() == values.tolist() and np.isnan(np.delete(column, range(50, 50 + n))).all()
+        else:
+            into.random(n)
+        assert into.bit_generator.state == scalar.bit_generator.state
 
 
 FAMILIES = ["Pale ale & IPA", "Stout & porter", "Gose"]
@@ -452,6 +486,12 @@ def test_run_session_matches_per_reviewer_oracle():
         assert list(round_log_lines(result)) == lines
         assert [(r.judge_id, r.beverage_id, r.raw_score) for r in review_rows(result.dataset)] == reviews
         assert [(s.clock, s.reason) for s in result.skips] == skips
+        for r in result.rounds:
+            assert not any(a.flags.writeable for a in (r.reviewer_positions, r.procurer_positions, r.scores))
+        kept = [p.is_expert or config.include_amateurs for p in config.federation]
+        assert result.dataset.reviews.score.tolist() == [
+            s for r in result.rounds for i, s in zip(r.reviewer_positions.tolist(), r.scores.tolist()) if kept[i]
+        ]
         # what the random configs exercised
         by_id = {p.id: p for p in config.federation}
         rounds = [json.loads(line) for line in lines]
