@@ -53,11 +53,18 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 EXIT_STRICT_EVAL = 5
 
-# the most bytes a run's judge arrays may take: the score matrix (8 per
-# judge x beverage cell) and, for analyze, the agreement's values and
-# common counts (8 + 4 per judge pair). A larger dataset exits 4 before
-# any of them is allocated.
+# the most bytes a run's judge arrays may hold at once, counted before any
+# is allocated; a larger dataset exits 4. Per judge x beverage cell,
+# eval-recs counts its score matrix (8) and analyze 36: the raw matrix and
+# beside it at most a normalization's or the agreement's working arrays,
+# such as the tenths, the normalized rows, a per-column statistic's copies
+# or the level codes and mid-ranks (8 each), and masks (1 each). Per judge
+# pair analyze counts 45: the agreement (8), a mask (1) and each pair's
+# JSON text of at most 24 bytes, as formatted (half the pairs, 12) and in
+# report.json's grid (24). The pair tables (at most 32 MiB of cells) and
+# the loaded dataset are not counted.
 SCORE_BYTES_BUDGET = 1 << 30
+ANALYZE_BYTES = (36, 45)  # per judge x beverage cell, per judge pair
 
 # main() reports the first entry the raised exception is an instance of
 EXIT_TABLE: dict[type[Exception], tuple[int, str]] = {
@@ -108,12 +115,13 @@ def _load_families(path: str | None):
     return load_style_families(path) if path else None
 
 
-def _checked_dataset(args, diag: Diagnostics, lenient: bool = False, pair_bytes: int = 0):
+def _checked_dataset(args, diag: Diagnostics, lenient: bool = False, cell_bytes: int = 8, pair_bytes: int = 0):
     """Load the families and the dataset, validate the dataset once and
     report every finding; error-severity findings raise
     DatasetValidationError unless ``lenient``, and so does a dataset whose
-    score matrix and ``pair_bytes`` per judge pair exceed
-    ``SCORE_BYTES_BUDGET``. Returns (families, dataset, violations)."""
+    ``cell_bytes`` per judge x beverage cell and ``pair_bytes`` per judge
+    pair exceed ``SCORE_BYTES_BUDGET``. Returns (families, dataset,
+    violations)."""
     families = _load_families(args.families)
     dataset = load_dataset(args.beverages, args.scorecards, families)
     violations = validate_dataset(dataset)
@@ -124,7 +132,7 @@ def _checked_dataset(args, diag: Diagnostics, lenient: bool = False, pair_bytes:
     if blocking and not lenient:
         raise DatasetValidationError(f"dataset validation failed: {', '.join(blocking)}")
     judges, beverages = len(dataset.judges), len(dataset.beverages)
-    need = 8 * judges * beverages + pair_bytes * judges * judges
+    need = cell_bytes * judges * beverages + pair_bytes * judges * judges
     if need > SCORE_BYTES_BUDGET:
         raise DatasetValidationError(f"{judges} judges x {beverages} beverages need {need} bytes of score "
                                      f"arrays, over the budget of {SCORE_BYTES_BUDGET}", path=args.scorecards)
@@ -148,7 +156,7 @@ def cmd_simulate(args, diag: Diagnostics) -> int:
 
 
 def cmd_analyze(args, diag: Diagnostics) -> int:
-    families, dataset, violations = _checked_dataset(args, diag, lenient=args.lenient, pair_bytes=12)
+    families, dataset, violations = _checked_dataset(args, diag, args.lenient, *ANALYZE_BYTES)
     if not dataset.judges and not args.lenient:
         raise InsufficientDataError("no judge has a scorecard to analyze", path=args.scorecards)
     paths = _cli.analyze_dataset(

@@ -26,8 +26,9 @@ is one such error. The session log is streamed a round at a time, each
 line encoded from the round's member codes through tables built once per
 session (each member's JSON id, the members in sorted-id order, one
 review tail per member and distinct score); scorecards are written a
-bounded block of rows per join. Output directories are written through
-``staged_outputs``, all files or none. Only ``load_session_config``
+bounded block of rows per join. Every other JSON file goes through the
+one encoder, ``canonical.canonical_json``. Output directories are written
+through ``staged_outputs``, all files or none. Only ``load_session_config``
 imports ``protocol``, so analyze and eval-recs never load it.
 """
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import re
 import shutil
@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from functools import partial
 from io import StringIO
 from itertools import chain, count, islice, repeat
-from json.encoder import encode_basestring, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .canonical import canonical_json, csv_texts
 from .errors import ConfigurationError, IngestError
 from .model import (
     Beverage,
@@ -227,14 +228,15 @@ def _csv_writer(fh):
     return csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")), lineterminator="\r\n")
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
-    """The one CSV writer: UTF-8, LF line endings and a header row; the csv
-    module writes None as an empty cell, floats by repr and other values
-    by str()."""
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list] = (), text: Iterable[str] = ()) -> None:
+    """The one CSV writer: UTF-8, LF line endings and a header row, then
+    ``rows`` (the csv module writes None as an empty cell, floats by repr
+    and other values by str()) or ``text``, rows joined from ``csv_texts``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv_writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(text)
 
 
 @contextmanager
@@ -464,13 +466,6 @@ def _parse_score(cell: str, line: int) -> float:
     return score
 
 
-def _csv_cell(cell: str) -> str:
-    """``cell`` as ``csv.writer`` writes it beside another (alone, "" is quoted)."""
-    out = StringIO()
-    _csv_writer(out).writerow((cell, ""))
-    return out.getvalue()[:-2]
-
-
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
     """``write_csv``'s bytes, streamed a block of rows at a time from each
     distinct cell quoted once."""
@@ -492,7 +487,7 @@ def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _csv_writer(fh).writerow(header)
         ends = [","] * (len(columns) - 1) + ["\n"]  # each cell carries the separator after it
-        texts = [np.array([_csv_cell(cell) + end for cell in cells], dtype=object) for (cells, _), end in zip(columns, ends)]
+        texts = [np.array([cell + end for cell in csv_texts(cells)], dtype=object) for (cells, _), end in zip(columns, ends)]
         for start in range(0, len(table), _WRITE_ROWS):  # one join per block of rows, cells by reference
             rows = np.stack([text[codes[start:start + _WRITE_ROWS]] for text, (_, codes) in zip(texts, columns)], axis=1)
             fh.write("".join(rows.ravel().tolist()))
@@ -599,33 +594,6 @@ def load_session_config(
 
         return SessionConfig(**_json_fields(SessionConfig, raw, "", federation=federation, pool=pool,
                                             cost_params=cost_params))
-
-
-def canonical_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) +
-    "\\n"``, without the pure-Python encoder ``indent`` forces on it."""
-    return _encode(obj, "\n") + "\n"
-
-
-def _encode(obj, newline: str) -> str:
-    """Containers indented by hand around C-encoded leaves."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring(obj)
-    if kind is int or (kind is float and math.isfinite(obj)):
-        return kind.__repr__(obj)
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    inner = newline + "  "
-    if kind is dict and obj and all(type(key) is str for key in obj):
-        items, brackets = [f"{encode_basestring(key)}: {_encode(obj[key], inner)}" for key in sorted(obj)], "{}"
-    elif kind in (list, tuple) and obj:
-        items, brackets = [_encode(item, inner) for item in obj], "[]"
-    else:  # enums, non-finite floats, empty containers, other keys; a JSON string holds no raw newline
-        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", newline)
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def round_log_lines(result: SessionResult) -> Iterator[str]:

@@ -9,9 +9,13 @@ real-vs-artificial tag comparison and any validation findings.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
-from .io import canonical_json, staged_outputs, write_csv
+from .canonical import (Encoded, csv_texts, grid_rows, json_cells, json_grid, json_list, json_records, json_texts,
+                        write_json)
+from .io import staged_outputs, write_csv
 from .model import (
     ABV_BAND_EDGES,
     DEFAULT_STYLE_FAMILIES,
@@ -60,10 +64,8 @@ def build_analysis_report(
     names = {b.id: b.name for b in dataset.beverages}
 
     matrix = build_score_matrix(dataset)
-    norm = normalize(matrix, lenient=lenient, method=norm_method)
-
     raw_ranking = aggregate(matrix, names)
-    norm_ranking = aggregate(norm, names)
+    norm_ranking = aggregate(normalize(matrix, lenient=lenient, method=norm_method), names)  # then freed
 
     stats_rows = judge_stats(matrix, lenient=lenient)
     agree = agreement(matrix, method=agreement_method)
@@ -75,11 +77,10 @@ def build_analysis_report(
     for extra in sorted(set(style_counter) - set(family_order)):
         style_counts.append({"family": extra, "count": style_counter[extra]})
 
-    band_counter = Counter(classify_abv(b.abv).value for b in dataset.beverages)
-    abv_bands = [
-        {"band": band.value, "count": band_counter.get(band.value, 0)}
-        for band, _, _ in ABV_BAND_EDGES
-    ]
+    band_counter = Counter()
+    for abv, n in Counter(b.abv for b in dataset.beverages).items():  # each distinct ABV banded once
+        band_counter[classify_abv(abv)] += n
+    abv_bands = [{"band": band.value, "count": band_counter[band]} for band, _, _ in ABV_BAND_EDGES]
 
     per_style = per_style_distribution(norm_ranking, dataset, family_order)
     divisive = divisiveness(matrix, names=names)
@@ -104,7 +105,7 @@ def build_analysis_report(
         ],
         "agreement": {
             "judges": agree.judges,
-            "values": [[None if v != v else v for v in row] for row in agree.values.tolist()],
+            "values": agree.values,
         },
         "ranking": ranking_rows,
         "top10": ranking_rows[:TOP_N],
@@ -129,41 +130,60 @@ def build_analysis_report(
     }
 
 
+# each CSV table: its name, the report table its rows come from, its columns
+RANK_COLUMNS = ("rank", "beverage", "score", "reviews")
+CSV_TABLES = (("style_counts", "style_counts", ("family", "count")), ("abv_bands", "abv_bands", ("band", "count")),
+              ("judge_stats", "judge_stats", ("judge", "mean", "sd", "count")), ("top10", "top10", RANK_COLUMNS),
+              ("bottom10", "bottom10", RANK_COLUMNS), ("per_style", "per_style_rows", ("family", "score")),
+              ("divisive", "divisive", ("beverage", "sd", "range", "reviews")))
+
+
 def write_report_tables(
     report: dict, out_dir: str | Path, violations: list[Violation] | None = None
 ) -> dict[str, Path]:
     """Write the eight CSV tables plus report.json, all or none of them;
-    returns paths by name."""
+    returns paths by name.
+
+    Each number is formatted once. A record table's values become one JSON
+    text column per key (``canonical.json_texts``), which report.json's records
+    and the CSV table holding the same numbers both join: ``top10`` and
+    ``bottom10`` are ``ranking``'s first rows and its last rows reversed,
+    as ``build_analysis_report`` makes them, and ``per_style`` holds the
+    ``per_style_rows`` scores by family. The agreement's upper triangle is
+    formatted once and mirrored, NaN written as null in JSON and as an
+    empty cell in CSV. report.json is streamed a block of rows at a time.
+    """
+    payload = dict(report, violations=[
+        {"code": v.code, "severity": v.severity.value, "subject": v.subject, "message": v.message}
+        for v in (violations or [])])
+    values = {name: {key: [r[key] for r in rows] for key in rows[0]} for name, rows in payload.items()
+              if type(rows) is list and rows and type(rows[0]) is dict and name not in ("top10", "bottom10")}
+    texts = {name: {key: json_texts(column) for key, column in columns.items()} for name, columns in values.items()}
+    for table in (values, texts):
+        for name, part in (("top10", slice(TOP_N)), ("bottom10", slice(-1, -TOP_N - 1, -1))):
+            if "ranking" in table:
+                table[name] = {key: column[part] for key, column in table["ranking"].items()}
+    agree = report["agreement"]
+    cells = json_cells(agree["values"], symmetric=True)
+    scores = iter(texts.get("per_style_rows", {}).get("score", ()))
+    payload.update({name: Encoded(partial(json_records, columns)) for name, columns in texts.items()},
+                   per_style={family: Encoded(partial(json_list, list(islice(scores, len(family_scores)))))
+                              for family, family_scores in report["per_style"].items()},
+                   agreement={"judges": agree["judges"], "values": Encoded(partial(json_grid, cells))})
     with staged_outputs(out_dir) as out:
         paths: dict[str, Path] = {}
-        rank_header = ["rank", "beverage", "score", "reviews"]
-        for name, header, rows in (
-            ("style_counts", ["family", "count"], report["style_counts"]),
-            ("abv_bands", ["band", "count"], report["abv_bands"]),
-            ("judge_stats", ["judge", "mean", "sd", "count"], report["judge_stats"]),
-            ("top10", rank_header, report["top10"]),
-            ("bottom10", rank_header, report["bottom10"]),
-            ("per_style", ["family", "score"], report["per_style_rows"]),
-            ("divisive", ["beverage", "sd", "range", "reviews"], report["divisive"]),
-        ):
+        for name, source, header in CSV_TABLES:
+            columns = [csv_texts(values[source][key], texts[source][key]) for key in header] if source in values else ()
+            row = ",".join(["%s"] * len(header)) + "\n"
             paths[name] = out / f"{name}.csv"
-            write_csv(paths[name], header, [[r[c] for c in header] for r in rows])
-        # judge ids are data, so the agreement matrix is written by position
-        judges = report["agreement"]["judges"]
+            write_csv(paths[name], header, (), ["".join(map(row.__mod__, zip(*columns)))])
+        # judge ids are data, so the agreement matrix is written by position; its
+        # cells' JSON texts are CSV's too, as its values are NaN or in [-1, 1]
+        heads = [judge + "," for judge in csv_texts(agree["judges"])]
         paths["agreement"] = out / "agreement.csv"
-        write_csv(
-            paths["agreement"],
-            ["judge", *judges],
-            [[judge, *row] for judge, row in zip(judges, report["agreement"]["values"])],
-        )
-
-        payload = dict(report)
-        payload["violations"] = [
-            {"code": v.code, "severity": v.severity.value, "subject": v.subject, "message": v.message}
-            for v in (violations or [])
-        ]
+        write_csv(paths["agreement"], ["judge", *agree["judges"]], (), grid_rows(cells, "", ",", heads, "\n"))
         paths["report"] = out / "report.json"
-        paths["report"].write_text(canonical_json(payload), encoding="utf-8")
+        write_json(paths["report"], payload)
     return {name: Path(out_dir) / p.name for name, p in paths.items()}
 
 

@@ -424,6 +424,43 @@ def oracle_scorecards_csv(beverages, reviews):
     return out.getvalue()
 
 
+def _oracle_csv(header, rows):
+    """CSV text one row at a time through ``csv.writer`` with "\\r\\n" line
+    ends (so a cell holding "\\r" is quoted), each end written as "\\n"."""
+    text = []
+    for row in [header, *rows]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        text.append(out.getvalue()[:-2] + "\n")
+    return "".join(text)
+
+
+def oracle_report_files(report, violations=()):
+    """{file name: text} of analyze's nine outputs, built row by row: the
+    agreement as nested lists with None for NaN, every CSV row through
+    ``csv.writer`` and report.json through ``json.dumps``."""
+    values = [[None if v != v else v for v in row] for row in np.asarray(report["agreement"]["values"]).tolist()]
+    files = {}
+    rank = ["rank", "beverage", "score", "reviews"]
+    for name, header, rows in (
+        ("style_counts", ["family", "count"], report["style_counts"]),
+        ("abv_bands", ["band", "count"], report["abv_bands"]),
+        ("judge_stats", ["judge", "mean", "sd", "count"], report["judge_stats"]),
+        ("top10", rank, report["top10"]),
+        ("bottom10", rank, report["bottom10"]),
+        ("per_style", ["family", "score"], report["per_style_rows"]),
+        ("divisive", ["beverage", "sd", "range", "reviews"], report["divisive"]),
+    ):
+        files[f"{name}.csv"] = _oracle_csv(header, [[r[c] for c in header] for r in rows])
+    judges = report["agreement"]["judges"]
+    files["agreement.csv"] = _oracle_csv(["judge", *judges], [[j, *row] for j, row in zip(judges, values)])
+    payload = dict(report, agreement={"judges": judges, "values": values}, violations=[
+        {"code": v.code, "severity": v.severity.value, "subject": v.subject, "message": v.message}
+        for v in violations])
+    files["report.json"] = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return files
+
+
 def oracle_tag_report(beverages, reviews):
     """{family: (real scores, artificial scores)} for families with at
     least one tagged review, scores in review order."""

@@ -712,9 +712,9 @@ def test_each_subcommand_imports_only_the_modules_it_runs(sim_outputs, tmp_path)
     calls = [  # (argv, the beerfed modules it loads); no argv: a bare `import beerfed`
         ([], []),
         (["simulate", str(write_config(tmp_path)), "--out", str(tmp_path / "sim")],
-         ["cli", "errors", "io", "model", "protocol"]),
-        (analyze_argv(*tables, tmp_path / "rep"), ["cli", "errors", "io", "model", "reports", "scoring"]),
-        (eval_argv(*tables, tmp_path), ["cli", "errors", "io", "model", "receval", "scoring"]),
+         ["canonical", "cli", "errors", "io", "model", "protocol"]),
+        (analyze_argv(*tables, tmp_path / "rep"), ["canonical", "cli", "errors", "io", "model", "reports", "scoring"]),
+        (eval_argv(*tables, tmp_path), ["canonical", "cli", "errors", "io", "model", "receval", "scoring"]),
     ]
     script = (
         "import dataclasses, sys, beerfed\n"
@@ -1134,18 +1134,48 @@ class TestInputBoundary:
 
     def test_scorecard_over_the_size_budget_exits_4(self, tmp_path, capsys, monkeypatch):
         cards, pool = festival_files(tmp_path, 40, 10, 3)
-        matrix, pairs = 8 * 40 * 10, 12 * 40 * 40  # score matrix; agreement values and common counts
+        matrix = 8 * 40 * 10  # eval-recs: its score matrix
+        analysis = 36 * 40 * 10 + 45 * 40 * 40  # analyze: every judge array it holds at once, and the texts
         analyze = [*analyze_argv(cards, pool, tmp_path / "rep"), "--lenient"]
-        for budget, analyze_exit, eval_exit in ((matrix - 1, 4, 4), (matrix, 4, 0), (matrix + pairs, 0, 0)):
+        for budget, analyze_exit, eval_exit in ((matrix - 1, 4, 4), (matrix, 4, 0), (analysis - 1, 4, 0),
+                                                (analysis, 0, 0)):
             monkeypatch.setattr(cli, "SCORE_BYTES_BUDGET", budget)
             for argv, code in ((analyze, analyze_exit), (eval_argv(cards, pool, tmp_path), eval_exit)):
                 assert cli.main(["--json-errors", *argv]) == code
                 if code:
-                    need = matrix + pairs if argv is analyze else matrix
+                    need = analysis if argv is analyze else matrix
                     assert error_records(capsys)[-1] == {"level": "error", "code": "VALIDATION", "message": (
                         f"{cards}: 40 judges x 10 beverages need {need} bytes of score arrays, "
                         f"over the budget of {budget}")}
                 capsys.readouterr()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the child's peak RSS from /proc")
+    def test_festival_just_under_a_lowered_budget_peaks_within_its_counted_bytes(self, tmp_path, monkeypatch):
+        # 1,000 judges x 500 beverages, 3 each: the child's peak RSS (VmHWM,
+        # which exec resets) less its RSS once beerfed.cli is loaded is what
+        # analyze added, and the budget's count must bound it
+        cards, pool = festival_files(tmp_path, 1000, 500, 3)
+        cell, pair = cli.ANALYZE_BYTES
+        need = cell * 1000 * 500 + pair * 1000 * 1000
+        argv = [*analyze_argv(cards, pool, tmp_path / "rep"), "--lenient"]
+        monkeypatch.setattr(cli, "SCORE_BYTES_BUDGET", need - 1)
+        assert cli.main(argv) == 4  # the file is just under a budget of its counted bytes
+        script = (
+            "import sys\n"
+            "def rss(key):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))\n"
+            "from beerfed import cli\n"
+            "start = rss('VmRSS')\n"
+            "cli.SCORE_BYTES_BUDGET = int(sys.argv[1])\n"
+            "print(cli.main(sys.argv[2:]), start, rss('VmHWM'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(beerfed.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, str(need), *argv], capture_output=True, text=True,
+                              env=env, check=True)
+        code, start, peak = map(int, done.stdout.split())
+        assert code == 0
+        assert 0 < peak - start <= need
 
     def test_festival_too_large_for_the_budget_exits_4_before_allocating(self, tmp_path, capsys, monkeypatch):
         # 30,000 judges x 15,000 beverages: a 3.35 GiB score matrix

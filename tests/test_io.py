@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import beerfed.canonical
 import beerfed.io
 from beerfed import cli, model
 from beerfed.errors import ConfigurationError, IngestError
@@ -693,6 +694,66 @@ class TestCanonicalJson:
     def test_unserializable_value_raises_type_error(self, value):
         with pytest.raises(TypeError, match="not JSON serializable"):
             canonical_json(value)
+
+
+# report-shaped values: records whose every column holds one kind of leaf,
+# flat lists, dicts of lists and 2-D float arrays (written with NaN as null)
+REPORT_NAMES = st.text(st.sampled_from(['a', 'é', '日', '🍺', '"', '\\', ',', ' ', '\r', '\n', '%', '\x00']), max_size=5)
+REPORT_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+REPORT_LEAVES = [REPORT_NAMES, REPORT_FLOATS, st.integers(-(10**20), 10**20), st.none(), st.booleans(),
+                 REPORT_FLOATS | st.none()]
+
+
+@st.composite
+def report_records(draw):
+    keys = draw(st.lists(REPORT_NAMES, min_size=1, max_size=4, unique=True))
+    columns = {key: draw(st.sampled_from(REPORT_LEAVES)) for key in keys}
+    return draw(st.lists(st.fixed_dictionaries(columns), max_size=8))
+
+
+@st.composite
+def float_grids(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return np.array(draw(st.lists(REPORT_FLOATS, min_size=rows * cols, max_size=rows * cols)), float).reshape(rows, cols)
+
+
+REPORT_VALUES = st.dictionaries(REPORT_NAMES, st.one_of(
+    report_records(), st.lists(REPORT_FLOATS, max_size=6), st.lists(REPORT_NAMES, max_size=6), float_grids(),
+    st.dictionaries(REPORT_NAMES, st.lists(REPORT_FLOATS, max_size=4), max_size=3)), max_size=5)
+
+
+def as_json_dumps_gets_it(value):
+    """``value`` with each 2-D float array as nested lists, None for NaN."""
+    if isinstance(value, np.ndarray):
+        return [[None if v != v else v for v in row] for row in value.tolist()]
+    if isinstance(value, dict):
+        return {key: as_json_dumps_gets_it(v) for key, v in value.items()}
+    return value
+
+
+class TestReportShapedJson:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=REPORT_VALUES)
+    def test_column_paths_and_the_stream_equal_json_dumps(self, value, tmp_path):
+        # records and flat lists go column-wise, grids a block of rows at a
+        # time; non-finite floats outside a grid still reach json.dumps
+        expected = json.dumps(as_json_dumps_gets_it(value), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert canonical_json(value) == expected
+        beerfed.canonical.write_json(tmp_path / "v.json", value)
+        assert (tmp_path / "v.json").read_bytes().decode("utf-8") == expected
+
+    def test_grids_of_many_blocks_equal_json_dumps(self, rng, monkeypatch):
+        monkeypatch.setattr(beerfed.canonical, "_GRID_CELLS", 7)  # blocks of one row
+        values = rng.normal(size=(9, 5)) ** 5
+        values[rng.random(values.shape) < 0.4] = math.nan
+        upper = np.triu(rng.normal(size=(6, 6)), 1)
+        upper[rng.random(upper.shape) < 0.3] = math.nan
+        symmetric = upper + upper.T  # NaN on both sides of the diagonal
+        np.fill_diagonal(symmetric, 1.0)
+        for grid in (values, symmetric, np.zeros((0, 0)), np.zeros((3, 0))):
+            assert canonical_json({"v": grid}) == json.dumps({"v": as_json_dumps_gets_it(grid)}, indent=2) + "\n"
+        assert (beerfed.canonical.json_cells(symmetric, symmetric=True) == beerfed.canonical.json_cells(symmetric)).all()
 
 
 class TestSessionConfigFile:

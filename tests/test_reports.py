@@ -1,11 +1,20 @@
 import csv
+import dataclasses
 import json
+import math
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beerfed.model import validate_dataset
-from beerfed.reports import analyze_dataset, build_analysis_report
-from genutil import review_rows, with_reviews
+import beerfed.canonical
+from beerfed import cli
+from beerfed.io import load_dataset, write_csv
+from beerfed.model import Violation, validate_dataset
+from beerfed.reports import analyze_dataset, build_analysis_report, write_report_tables
+from genutil import dataset_of, festival_files, review_rows, with_reviews
+from oracles import oracle_report_files
 
 
 @pytest.fixture
@@ -82,3 +91,107 @@ class TestWriteTables:
         with open(paths["agreement"], encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][3] == ""  # A vs C undefined
+
+
+# CSV cells csv.writer quotes (",", '"', a bare "\r", "\n") or treats with
+# care (a leading space, the empty string), beside plain and non-ASCII text
+CELLS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "\\"]), max_size=4)
+NUMBERS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf])
+AGREEMENT = st.floats(-1.0, 1.0) | st.sampled_from([-0.0, 5e-324, -1.0, math.nan])
+COUNTS = st.integers(0, 10**6)
+
+
+@st.composite
+def report_dicts(draw):
+    """Report-shaped dicts as ``build_analysis_report`` lays them out, with
+    odd names and numbers; top10, bottom10 and per_style_rows derived as it
+    derives them, and a symmetric agreement with a unit diagonal."""
+    def rows(**columns):
+        return draw(st.lists(st.fixed_dictionaries(columns), max_size=14))
+
+    judges = draw(st.lists(CELLS, max_size=5, unique=True))
+    values = np.ones((len(judges), len(judges)))
+    for i in range(len(judges)):
+        for j in range(i):
+            values[i, j] = values[j, i] = draw(AGREEMENT)
+    ranking = [dict(rank=i + 1, **row) for i, row in enumerate(rows(beverage=CELLS, score=NUMBERS, reviews=COUNTS))]
+    per_style = draw(st.dictionaries(CELLS, st.lists(NUMBERS, max_size=4), max_size=4))
+    return {
+        "meta": {"judges": judges, "lenient": draw(st.booleans())},
+        "style_counts": rows(family=CELLS, count=COUNTS),
+        "abv_bands": rows(band=CELLS, count=COUNTS),
+        "judge_stats": rows(judge=CELLS, mean=NUMBERS, sd=NUMBERS, count=COUNTS),
+        "agreement": {"judges": judges, "values": values},
+        "ranking": ranking,
+        "top10": ranking[:10],
+        "bottom10": ranking[-10:][::-1],
+        "per_style": per_style,
+        "per_style_rows": [{"family": f, "score": score} for f, scores in per_style.items() for score in scores],
+        "divisive": rows(beverage=CELLS, sd=NUMBERS, range=NUMBERS, reviews=COUNTS),
+        "raw_ranking": [dict(rank=i + 1, **row) for i, row in enumerate(rows(beverage=CELLS, score=NUMBERS,
+                                                                              reviews=COUNTS))],
+        "tag_report": rows(family=CELLS, real_mean=NUMBERS | st.none(), real_count=COUNTS,
+                           comparable=st.booleans(), real_at_least_artificial=st.booleans() | st.none()),
+    }
+
+
+def written(paths):
+    return {p.name: p.read_bytes().decode("utf-8") for p in paths.values()}
+
+
+class TestReportBytes:
+    """Every file equals what json.dumps and csv.writer write for the same
+    report (``oracle_report_files``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=report_dicts(), violations=st.lists(
+        st.builds(Violation, st.sampled_from(["MISSING_REVIEWS", "ABV_RANGE_WARN"]), CELLS, CELLS), max_size=3))
+    def test_tables_and_report_json_equal_the_oracle(self, report, violations):
+        with tempfile.TemporaryDirectory() as out:
+            paths = write_report_tables(report, out, violations)
+            assert written(paths) == oracle_report_files(report, violations)
+
+    def test_csv_tables_equal_write_csv(self, tiny_dataset, tmp_path):
+        names = [",x", 'a"b', "c\rd", "e\nf", " g", ""]
+        beverages = [dataclasses.replace(b, name=name) for b, name in zip(tiny_dataset.beverages, names)]
+        dataset = dataset_of(beverages, review_rows(tiny_dataset), tiny_dataset.judges)
+        report = build_analysis_report(dataset)
+        paths = write_report_tables(report, tmp_path / "out")
+        for name, columns in (("top10", ["rank", "beverage", "score", "reviews"]),
+                              ("divisive", ["beverage", "sd", "range", "reviews"])):
+            rows = report[name]
+            write_csv(tmp_path / f"{name}.csv", columns, [[r[c] for c in columns] for r in rows])
+            assert paths[name].read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+            assert '"c\rd"' in paths[name].read_bytes().decode("utf-8")
+
+    def test_zero_judge_lenient_run_writes_a_0x0_agreement(self, tmp_path, capsys):
+        beverages = tmp_path / "b.csv"
+        beverages.write_text("brewery,beer_name,beer_style,abv_percent\nP,Ale,IPA,5.0\n", encoding="utf-8")
+        scorecards = tmp_path / "s.csv"
+        scorecards.write_text("judge_id,beer_name,raw_score\n", encoding="utf-8")
+        out = tmp_path / "rep"
+        argv = ["analyze", str(scorecards), str(beverages), "--out-dir", str(out), "--lenient"]
+        assert cli.main(argv) == 0
+        dataset = load_dataset(beverages, scorecards)
+        report = build_analysis_report(dataset, lenient=True)
+        assert report["agreement"]["values"].shape == (0, 0)
+        files = {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()}
+        assert files == oracle_report_files(report, validate_dataset(dataset))
+        assert json.loads(files["report.json"])["agreement"] == {"judges": [], "values": []}
+
+
+class TestFestivalReport:
+    @pytest.mark.parametrize("method", ["spearman", "kendall"])
+    @pytest.mark.parametrize("norm", ["minmax", "zscore"])
+    def test_no_encoder_call_per_cell_or_row(self, tmp_path, monkeypatch, method, norm):
+        # 300 judges (90,000 agreement cells) and 150 beverages, 3 each: the
+        # encoder's recursion runs per container, never per cell or row
+        cards, pool = festival_files(tmp_path, 300, 150, 3)
+        dataset = load_dataset(pool, cards)
+        report = build_analysis_report(dataset, lenient=True, agreement_method=method, norm_method=norm)
+        violations = validate_dataset(dataset)
+        chunks, calls = beerfed.canonical._chunks, []
+        monkeypatch.setattr(beerfed.canonical, "_chunks", lambda obj, newline: calls.append(obj) or chunks(obj, newline))
+        paths = write_report_tables(report, tmp_path / "out", violations)
+        assert len(calls) < 100
+        assert written(paths) == oracle_report_files(report, violations)
