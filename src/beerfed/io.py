@@ -22,14 +22,15 @@ block has a quote or a field over csv's limit, a column at a time, into
 a columnar ``ReviewTable``: each distinct raw cell is validated and
 coded once, an error naming the first non-blank row that holds it; a
 name cell codes its beverage's place in the list, so an ambiguous name
-is one such error. The session log is streamed a round at a time, each
-line encoded from the round's member codes through tables built once per
-session (each member's JSON id, the members in sorted-id order, one
-review tail per member and distinct score); scorecards are written a
-bounded block of rows per join. Every other JSON file goes through the
-one encoder, ``canonical.canonical_json``. Output directories are written
-through ``staged_outputs``, all files or none. Only ``load_session_config``
-imports ``protocol``, so analyze and eval-recs never load it.
+is one such error. The session log is written a block of lines at a
+time, each line encoded from its round's member codes through tables
+built once per session (each member's JSON id, the members in sorted-id
+order, a review tail per member and 0.1-grid score, coded by its tenths);
+scorecards, a bounded block of rows per join. Every other JSON file goes
+through the one encoder, ``canonical.canonical_json``. Output directories
+are written through ``staged_outputs``, all files or none. Only
+``load_session_config`` imports ``protocol``, so analyze and eval-recs
+never load it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager
-from functools import partial
+from functools import lru_cache, partial
 from io import StringIO
 from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -89,10 +90,7 @@ def beverage_id_for(producer: str, name: str) -> str:
 
 def _parse_tags(raw: str, row: int | None, column: str) -> frozenset[NoteTag]:
     tags = set()
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, raw.split(";"))):
         try:
             tags.add(NoteTag(part))
         except ValueError:
@@ -177,7 +175,7 @@ def _beverage_from_fields(
     row: int | None,
 ) -> Beverage:
     _nonblank(producer, row, "brewery")
-    _nonblank(name, row, "beer_name")
+    name = _nonblank(" ".join(name.split()), row, "beer_name")  # collapsed once; normalize_name(name) is its casefold
     try:
         abv = float(abv_raw)
     except (TypeError, ValueError):
@@ -188,13 +186,11 @@ def _beverage_from_fields(
         raise IngestError(
             f"abv_percent must lie in (0, 100], got {abv!r}", row=row, column="abv_percent"
         )
-    ingredients = frozenset(
-        p.strip() for p in ingredients_raw.split(";") if p.strip()
-    ) or None
+    ingredients = frozenset(filter(None, map(str.strip, ingredients_raw.split(";")))) or None
     return Beverage(
-        id=beverage_id_for(producer, name),
+        id=f"{normalize_name(producer)}::{name.casefold()}",  # beverage_id_for(producer, name)
         producer=producer.strip(),
-        name=" ".join(name.split()),
+        name=name,
         raw_style=raw_style.strip(),
         style_family=bucket(raw_style).name,
         abv=abv,
@@ -287,6 +283,8 @@ def write_beverages_csv(beverages: Iterable[Beverage], path: str | Path) -> None
 _BLOCK = 1 << 18  # characters per scorecard block: a 144,000-row file read whole costs ~30 MB more
 _CSV_BLOCK_ROWS = 8192  # records per block once csv.reader reads the file
 _WRITE_ROWS = 1 << 14  # scorecard rows per write
+_LOG_LINES = 64  # session log lines per write
+_GRID = np.arange(10, 51) / 10  # the 41 scores of the 0.1 grid, each the float t / 10
 
 
 def _room(arrays: Sequence[np.ndarray], rows: int) -> None:
@@ -468,14 +466,14 @@ def _parse_score(cell: str, line: int) -> float:
 
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
     """``write_csv``'s bytes, streamed a block of rows at a time from each
-    distinct cell quoted once."""
+    distinct cell quoted once; a score, which a ``ReviewTable`` holds within
+    1e-7 of the 0.1 grid, is coded by its tenths."""
     table = dataset.reviews
-    values, score_codes = np.unique(table.score, return_inverse=True)  # the 41 grid scores
     header = list(SCORECARD_COLUMNS)
     columns = [  # (cell text per code, per-row codes)
         (dataset.judges, table.judge),
         ([*(b.name for b in dataset.beverages), *table.unknown], table.beverage),
-        ([f"{v:.1f}" for v in values.tolist()], score_codes),
+        ([f"{v:.1f}" for v in _GRID.tolist()], np.rint(table.score * 10).astype(np.intp) - 10),
     ]
     for column, cells, codes in (
         ("tags", [";".join(sorted(t.value for t in tags)) for tags in table.tag_sets], table.tags),
@@ -601,14 +599,23 @@ def round_log_lines(result: SessionResult) -> Iterator[str]:
     gives for the round as a dict (``round_dict`` in ``tests/oracles.py`` is
     that reference), encoded from the rounds' codes through tables built
     once per federation: each member's JSON id, the members in sorted-id
-    order (a round's sorted procurers and reviewers are a mask read in that
-    order) and one ``judge, "raw_score": score}`` review tail per member and
-    distinct score of the session."""
+    order (a round's procurers and reviewers are listed in that order, each
+    distinct set joined once) and one ``judge, "raw_score":
+    score}`` review tail per member and score: the 41 of the 0.1 grid, coded
+    by their tenths, or, if some score is not exactly ``t / 10``, the
+    session's distinct scores. The rounds' numbers take one ``json.dumps``."""
     rounds = result.rounds
-    values, score_codes = np.unique(np.concatenate([np.empty(0), *(r.scores for r in rounds)]), return_inverse=True)
+    scores = np.concatenate([np.empty(0), *(r.scores for r in rounds)])
+    tenths = np.rint(scores * 10)
+    if ((tenths >= 10) & (tenths <= 50) & (tenths / 10 == scores)).all():  # each exactly a grid score
+        values, score_codes = _GRID, tenths.astype(np.intp) - 10
+    else:  # NaN and infinities included
+        values, score_codes = np.unique(scores, return_inverse=True)
     values = [json.dumps(v) for v in values.tolist()]
+    numbers = json.dumps([[r.broadcast_cost, r.clock, r.comprehension_cost, r.index] for r in rounds])
+    numbers = numbers[2:-2].split("], [")  # one text per round: no JSON number holds "]" or ", "
     members, start = None, 0
-    for r in rounds:
+    for r, texts in zip(rounds, numbers):
         if r.members is not members:  # every round of a session shares one tuple
             members = r.members
             ids = list(map(encode_basestring_ascii, members))  # as json.dumps encodes a str
@@ -617,21 +624,18 @@ def round_log_lines(result: SessionResult) -> Iterator[str]:
             rank[by_id] = np.arange(len(ids))
             sorted_ids = np.array(ids, dtype=object)[by_id]
             tails = np.array([[f'{i}, "raw_score": {v}}}' for v in values] for i in ids], dtype=object)
-        procuring, reviewing = np.zeros(len(ids), bool), np.zeros(len(ids), bool)
-        procuring[rank[r.procurer_positions]] = True
-        reviewing[rank[r.reviewer_positions]] = True
+            listed = lru_cache(1024)(  # a set of positions, by its bytes and dtype -> its sorted JSON ids
+                lambda key, dtype: ", ".join(sorted_ids[np.sort(rank[np.frombuffer(key, dtype)])].tolist()))
+        procurers, reviewers = [listed(p.tobytes(), p.dtype) for p in (r.procurer_positions, r.reviewer_positions)]
         codes = score_codes[start:start + len(r.scores)]
         start += len(r.scores)
         beverage = encode_basestring_ascii(r.beverage_id)
-        # one dumps for the four numbers: no JSON number holds ", "
-        broadcast, clock, comprehension, index = json.dumps(
-            [r.broadcast_cost, r.clock, r.comprehension_cost, r.index])[1:-1].split(", ")
+        broadcast, clock, comprehension, index = texts.split(", ")
         prefix = f'{{"beverage_id": {beverage}, "judge_id": '
         reviews = (", " + prefix).join(tails[r.reviewer_positions, codes].tolist())
         yield (f'{{"beverage_id": {beverage}, "broadcast_cost": {broadcast}, "clock": {clock}, '
                f'"comprehension_cost": {comprehension}, "index": {index}, "leader_id": {ids[r.leader_position]}, '
-               f'"procurers": [{", ".join(sorted_ids[procuring].tolist())}], '
-               f'"reviewers": [{", ".join(sorted_ids[reviewing].tolist())}], '
+               f'"procurers": [{procurers}], "reviewers": [{reviewers}], '
                f'"reviews": [{prefix + reviews if reviews else ""}]}}')
 
 
@@ -648,8 +652,10 @@ def write_session_outputs(result: SessionResult, out_dir: str | Path) -> dict[st
         }
         write_beverages_csv(result.dataset.beverages, paths["beverages"])
         write_scorecards_csv(result.dataset, paths["scorecards"])
-        with open(paths["session_log"], "w", encoding="utf-8") as fh:  # line by line: no copy of the log
-            fh.writelines(line + "\n" for line in round_log_lines(result))
+        with open(paths["session_log"], "w", encoding="utf-8") as fh:  # a block of lines at a time: no copy of the log
+            lines = round_log_lines(result)
+            while block := list(islice(lines, _LOG_LINES)):
+                fh.write("\n".join(block) + "\n")
         # per-round total cost over time: the two costs move in opposite
         # directions, whether they balance is left for the reader to judge
         per_round_total = [r.broadcast_cost + r.comprehension_cost for r in result.rounds]

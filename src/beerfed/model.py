@@ -344,14 +344,16 @@ class ReviewTable:
         for name in ("judge", "beverage", "tags", "notes"):
             if (rows := len(getattr(self, name))) != len(score):
                 raise ValueError(f"{name} column has {rows} rows, score column has {len(score)}")
-        off_grid = score * 10
-        with np.errstate(invalid="ignore"):  # an infinity fails the range test below
-            off_grid -= np.rint(off_grid)
-        bad = ~((score >= SCORE_MIN) & (score <= SCORE_MAX)) | (np.abs(off_grid, out=off_grid) > 1e-6)
-        if np.count_nonzero(bad):
-            row = int(bad.argmax())
-            raise ValueError(f"row {row}: raw score {float(score[row])!r} must lie in "
-                             f"[{SCORE_MIN}, {SCORE_MAX}] on the 0.1 grid")
+        for start in range(0, len(score), 1 << 14):  # a block at a time: no full-length temporaries
+            block = score[start:start + (1 << 14)]
+            off_grid = block * 10
+            with np.errstate(invalid="ignore"):  # an infinity fails the range test below
+                off_grid -= np.rint(off_grid)
+            bad = ~((block >= SCORE_MIN) & (block <= SCORE_MAX)) | (np.abs(off_grid, out=off_grid) > 1e-6)
+            if np.count_nonzero(bad):
+                row = start + int(bad.argmax())
+                raise ValueError(f"row {row}: raw score {float(score[row])!r} must lie in "
+                                 f"[{SCORE_MIN}, {SCORE_MAX}] on the 0.1 grid")
         _check_codes("tags", self.tags, len(self.tag_sets))
         _check_codes("notes", self.notes, len(self.note_texts))
         for column in (self.judge, self.beverage, self.tags, self.notes, score):

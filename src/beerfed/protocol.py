@@ -253,6 +253,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     freeload = np.array([p.freeload_probability for p in federation], dtype=float)
     noise_sd = np.array([p.score_noise_sd for p in federation], dtype=float)
     floor_affinity = np.array([p.score_floor_affinity for p in federation], dtype=float)
+    floored = floor_affinity > 0 if floor_affinity.any() else None  # who draws step 2f's uniform; None: nobody
     families: dict[str, int] = {}
     family = np.array([families.setdefault(b.style_family, len(families)) for b in config.pool], dtype=np.intp)
     bias = np.array([[p.score_bias.get(f, 0.0) for f in families] for p in federation], dtype=float)
@@ -276,7 +277,7 @@ def run_session(config: SessionConfig) -> SessionResult:
         others = others_of[leader]
         present = np.zeros(len(ids), dtype=bool)
         present[others] = rng.random(len(others)) < availability[others]
-        available = np.flatnonzero(present)
+        available = present.nonzero()[0]
         if not len(available):
             skips.append(Omitted(clock, OMIT_NO_PARTICIPANTS))
             continue
@@ -289,10 +290,10 @@ def run_session(config: SessionConfig) -> SessionResult:
         beverage = pool.pop(int(rng.integers(len(pool))))
 
         present[leader] = True
-        here = np.flatnonzero(present)
+        here = present.nonzero()[0]
         part = slice(reviewed, reviewed + len(here))
         reviewer[part], round_of[part], start = here, len(taken), reviewed
-        for i in (reviewed + np.flatnonzero(floor_affinity[here] > 0)).tolist():
+        for i in () if floored is None else (reviewed + floored[here].nonzero()[0]).tolist():
             rng.standard_normal(out=noise[start:i + 1])
             floor[i] = rng.random() < floor_affinity[reviewer[i]]
             start = i + 1

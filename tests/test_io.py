@@ -247,6 +247,14 @@ class TestDatasetJoin:
             dataclasses.replace(dataset.reviews, score=np.array([3.0, 6.0, 4.0, 1.0, 2.0, 3.0]))
         assert len(checks) == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.9, 5.1, 3.0000011])
+    def test_score_check_names_the_first_bad_row_of_a_long_column(self, bad):
+        score = np.full(50_000, 3.0 + 9e-8)  # within the 1e-7 the grid allows
+        score[[20_000, 45_000]] = bad, 2.05  # past the check's first block
+        codes = np.zeros(len(score), np.intp)
+        with pytest.raises(ValueError, match=rf"^row 20000: raw score {re.escape(repr(bad))} must lie in "):
+            model.ReviewTable((), (frozenset(),), (None,), codes, codes, codes, codes, score)
+
 
 def review_tuples(dataset):
     return [
@@ -588,6 +596,16 @@ class TestRoundTrips:
         write_beverages_csv(parse_beverages_csv(out), again)
         assert again.read_text(encoding="utf-8") == canonical
         assert canonical == BEVERAGES  # the fixture is already canonical
+
+    def test_scorecards_of_scores_just_off_the_grid_keep_their_cells(self, tmp_path):
+        # a ReviewTable admits a score within 1e-7 of the grid; each is written as "%.1f" writes it
+        scores = [1.0 + 9e-8, 2.7 - 9e-8, 2.7 + 9e-8, 3.5 - 9e-8, 3.5 + 9e-8, 5.0 - 9e-8]
+        beverages = [Beverage(f"p::b{i}", "P", f"B{i}", "Ale", model.FALLBACK_FAMILY_NAME, 5.0) for i in range(len(scores))]
+        reviews = [(f"J{i}", b.id, score, frozenset(), None) for i, (b, score) in enumerate(zip(beverages, scores))]
+        write_scorecards_csv(dataset_of(beverages, reviews, [r[0] for r in reviews]), tmp_path / "s.csv")
+        text = (tmp_path / "s.csv").read_text(encoding="utf-8")
+        assert text == oracle_scorecards_csv(beverages, reviews)
+        assert [line.split(",")[2] for line in text.splitlines()[1:]] == ["1.0", "2.7", "2.7", "3.5", "3.5", "5.0"]
 
     def test_scorecards_roundtrip_byte_identical(self, tmp_path):
         dataset = load_dataset(

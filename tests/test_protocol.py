@@ -497,6 +497,7 @@ def test_run_session_matches_per_reviewer_oracle():
         rounds = [json.loads(line) for line in lines]
         with_floor = [any(by_id[j].score_floor_affinity > 0 for j in rec["reviewers"]) for rec in rounds]
         seen["mixed floor and no-floor rounds"] += len(set(with_floor)) == 2
+        seen["no member with floor affinity"] += not any(p.score_floor_affinity > 0 for p in config.federation) and bool(rounds)
         seen["blackouts"] += bool(config.blackout_windows) and bool(rounds)
         seen["skips"] += bool(skips)
         seen["freeloader promoted"] += any(by_id[rec["procurers"][0]].freeload_probability == 1.0 for rec in rounds)
@@ -504,7 +505,7 @@ def test_run_session_matches_per_reviewer_oracle():
         seen["huge bias or sd"] += any(
             p.score_noise_sd > 1e300 or any(abs(b) > 1e300 for b in p.score_bias.values()) for p in config.federation
         ) and bool(rounds)
-    assert min(seen.values()) >= 5 and len(seen) == 7, seen
+    assert min(seen.values()) >= 5 and len(seen) == 8, seen
 
 
 def test_round_log_writer_matches_json_dumps():
@@ -522,6 +523,18 @@ def test_round_log_writer_matches_json_dumps():
     expected = [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
     assert list(round_log_lines(result)) == expected
     assert len(expected) == len(ids) + 1 and all("Infinity" in line and "NaN" in line for line in expected[2:-1])
+
+
+def test_round_log_of_scores_off_the_grid_matches_json_dumps():
+    # rounds built by hand may hold any score: one that is not exactly t / 10 keeps json's text;
+    # their positions may have any integer dtype
+    config = simple_config(pool_of(3), federation=[expert("A", 1.0), expert("B", 0.0)])
+    rounds = [RoundRecord(t, 600 + 5 * t, ("A", "B"), 0, f"p{t}", both[:1], both, np.array(scores), 1.5, 1.0)
+              for t, (scores, both) in enumerate(zip([(3.14159, 2.0000001), (math.nan, math.inf), (-math.inf, 3.0)],
+                                                     map(np.array, [[0, 1]] * 3, [np.intp, np.int32, np.int8])))]
+    lines = list(round_log_lines(SessionResult(config, rounds, [], dataset_of([], [], []))))
+    assert lines == [json.dumps(round_dict(r), sort_keys=True) for r in rounds]
+    assert '"raw_score": 3.14159}' in lines[0] and '"raw_score": NaN}' in lines[1]
 
 
 def test_round_log_sorts_ids_that_federation_order_does_not():
