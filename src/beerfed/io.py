@@ -22,11 +22,12 @@ block has a quote or a field over csv's limit, a column at a time, into
 a columnar ``ReviewTable``: each distinct raw cell is validated and
 coded once, an error naming the first non-blank row that holds it; a
 name cell codes its beverage's place in the list, so an ambiguous name
-is one such error. The session log is written a block of lines at a
-time, each line encoded from its round's member codes through tables
-built once per session (each member's JSON id, the members in sorted-id
-order, a review tail per member and 0.1-grid score, coded by its tenths);
-scorecards, a bounded block of rows per join. Every other JSON file goes
+is one such error, and a score cell its tenths. The session log is
+written a block of lines at a time, each line encoded from its round's
+member codes through tables built once per session (each member's JSON
+id, the members in sorted-id order, a review tail per member and
+score); scorecards, a bounded block of rows per join. Both take a
+score's text from one table of 41, by its tenths. Every other JSON file goes
 through the one encoder, ``canonical.canonical_json``. Output directories
 are written through ``staged_outputs``, all files or none. Only
 ``load_session_config`` imports ``protocol``, so analyze and eval-recs
@@ -284,7 +285,7 @@ _BLOCK = 1 << 18  # characters per scorecard block: a 144,000-row file read whol
 _CSV_BLOCK_ROWS = 8192  # records per block once csv.reader reads the file
 _WRITE_ROWS = 1 << 14  # scorecard rows per write
 _LOG_LINES = 64  # session log lines per write
-_GRID = np.arange(10, 51) / 10  # the 41 scores of the 0.1 grid, each the float t / 10
+_GRID = [repr(t / 10) for t in range(10, 51)]  # each score's text, as csv and json write t / 10, at t - 10
 
 
 def _room(arrays: Sequence[np.ndarray], rows: int) -> None:
@@ -413,7 +414,7 @@ def parse_scorecards_csv(path: str | Path, beverages: Sequence[Beverage]) -> Dat
                 else np.ones(start, bool))  # not a blank row: none is while some column has no blank cell
         codes, faults = [], []
         for k, (parse, vocab, first, raw) in enumerate(zip(parsers, vocabs, firsts, raws)):
-            lookup, bad = np.zeros(start, np.intp if vocab is not None else float), {}  # a score is its own code
+            lookup, bad = np.zeros(start, np.intp if vocab is not None else np.uint8), {}  # a score is its own code
             for cell, code in first.items():  # in the order of first rows
                 try:
                     value = parse(cell, int(lines[code]))
@@ -446,7 +447,8 @@ def parse_scorecards_csv(path: str | Path, beverages: Sequence[Beverage]) -> Dat
     return Dataset(beverages, table, judges)
 
 
-def _parse_score(cell: str, line: int) -> float:
+def _parse_score(cell: str, line: int) -> int:
+    """The score's tenths, 10 to 50."""
     score_raw = cell.strip()
     if not _SCORE_RE.match(score_raw):
         raise IngestError(
@@ -461,19 +463,18 @@ def _parse_score(cell: str, line: int) -> float:
             row=line,
             column="raw_score",
         )
-    return score
+    return round(score * 10)
 
 
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
     """``write_csv``'s bytes, streamed a block of rows at a time from each
-    distinct cell quoted once; a score, which a ``ReviewTable`` holds within
-    1e-7 of the 0.1 grid, is coded by its tenths."""
+    distinct cell quoted once; a score's cell is ``_GRID``'s, by its tenths."""
     table = dataset.reviews
     header = list(SCORECARD_COLUMNS)
     columns = [  # (cell text per code, per-row codes)
         (dataset.judges, table.judge),
         ([*(b.name for b in dataset.beverages), *table.unknown], table.beverage),
-        ([f"{v:.1f}" for v in _GRID.tolist()], np.rint(table.score * 10).astype(np.intp) - 10),
+        (_GRID, table.score - 10),
     ]
     for column, cells, codes in (
         ("tags", [";".join(sorted(t.value for t in tags)) for tags in table.tag_sets], table.tags),
@@ -601,20 +602,12 @@ def round_log_lines(result: SessionResult) -> Iterator[str]:
     once per federation: each member's JSON id, the members in sorted-id
     order (a round's procurers and reviewers are listed in that order, each
     distinct set joined once) and one ``judge, "raw_score":
-    score}`` review tail per member and score: the 41 of the 0.1 grid, coded
-    by their tenths, or, if some score is not exactly ``t / 10``, the
-    session's distinct scores. The rounds' numbers take one ``json.dumps``."""
+    score}`` review tail per member and score, by its tenths. The rounds'
+    numbers take one ``json.dumps``."""
     rounds = result.rounds
-    scores = np.concatenate([np.empty(0), *(r.scores for r in rounds)])
-    tenths = np.rint(scores * 10)
-    if ((tenths >= 10) & (tenths <= 50) & (tenths / 10 == scores)).all():  # each exactly a grid score
-        values, score_codes = _GRID, tenths.astype(np.intp) - 10
-    else:  # NaN and infinities included
-        values, score_codes = np.unique(scores, return_inverse=True)
-    values = [json.dumps(v) for v in values.tolist()]
     numbers = json.dumps([[r.broadcast_cost, r.clock, r.comprehension_cost, r.index] for r in rounds])
     numbers = numbers[2:-2].split("], [")  # one text per round: no JSON number holds "]" or ", "
-    members, start = None, 0
+    members = None
     for r, texts in zip(rounds, numbers):
         if r.members is not members:  # every round of a session shares one tuple
             members = r.members
@@ -623,16 +616,14 @@ def round_log_lines(result: SessionResult) -> Iterator[str]:
             rank = np.empty(len(ids), np.intp)
             rank[by_id] = np.arange(len(ids))
             sorted_ids = np.array(ids, dtype=object)[by_id]
-            tails = np.array([[f'{i}, "raw_score": {v}}}' for v in values] for i in ids], dtype=object)
+            tails = np.array([[f'{i}, "raw_score": {v}}}' for v in _GRID] for i in ids], dtype=object)
             listed = lru_cache(1024)(  # a set of positions, by its bytes and dtype -> its sorted JSON ids
                 lambda key, dtype: ", ".join(sorted_ids[np.sort(rank[np.frombuffer(key, dtype)])].tolist()))
         procurers, reviewers = [listed(p.tobytes(), p.dtype) for p in (r.procurer_positions, r.reviewer_positions)]
-        codes = score_codes[start:start + len(r.scores)]
-        start += len(r.scores)
         beverage = encode_basestring_ascii(r.beverage_id)
         broadcast, clock, comprehension, index = texts.split(", ")
         prefix = f'{{"beverage_id": {beverage}, "judge_id": '
-        reviews = (", " + prefix).join(tails[r.reviewer_positions, codes].tolist())
+        reviews = (", " + prefix).join(tails[r.reviewer_positions, r.scores - 10].tolist())
         yield (f'{{"beverage_id": {beverage}, "broadcast_cost": {broadcast}, "clock": {clock}, '
                f'"comprehension_cost": {comprehension}, "index": {index}, "leader_id": {ids[r.leader_position]}, '
                f'"procurers": [{procurers}], "reviewers": [{reviewers}], '

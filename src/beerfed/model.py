@@ -24,10 +24,10 @@ from .errors import BeerfedError, ConfigurationError
 
 FALLBACK_FAMILY_NAME = "Specialty and hybrid styles"
 
-# Raw scores and ABV values are conventionally one-decimal; scores are
-# validated to the 0.1 grid so downstream normalization stays exact.
-SCORE_MIN = 1.0
-SCORE_MAX = 5.0
+# Raw scores are one-decimal points in [1, 5]; a ReviewTable holds each as
+# its integer tenths, SCORE_MIN to SCORE_MAX, so normalization stays exact.
+SCORE_MIN = 10
+SCORE_MAX = 50
 
 OBSERVED_ABV_MIN = 0.5
 OBSERVED_ABV_MAX = 12.5
@@ -323,12 +323,12 @@ def _check_codes(name: str, codes: np.ndarray, size: int) -> None:
 @dataclass(frozen=True, eq=False)
 class ReviewTable:
     """Reviews as read-only columns of codes: row ``i`` is the ``judge[i]``-th
-    judge of its ``Dataset`` scoring, at ``score[i]``, the
+    judge of its ``Dataset`` scoring, at ``score[i]`` tenths, the
     ``beverage[i]``-th beverage of its list or, from the list's length
     ``n`` on, the name ``unknown[beverage[i] - n]`` that matched none;
     tagged ``tag_sets[tags[i]]``, with note ``note_texts[notes[i]]``. A check
     on a list entry runs once and reaches the rows by one array lookup. All columns have
-    one length, scores lie in [1, 5] on the 0.1 grid and tags and notes codes index their lists."""
+    one length, scores are uint8 tenths in [10, 50] and tags and notes codes index their lists."""
 
     unknown: tuple[str, ...]
     tag_sets: tuple[frozenset[NoteTag], ...]
@@ -344,16 +344,11 @@ class ReviewTable:
         for name in ("judge", "beverage", "tags", "notes"):
             if (rows := len(getattr(self, name))) != len(score):
                 raise ValueError(f"{name} column has {rows} rows, score column has {len(score)}")
-        for start in range(0, len(score), 1 << 14):  # a block at a time: no full-length temporaries
-            block = score[start:start + (1 << 14)]
-            off_grid = block * 10
-            with np.errstate(invalid="ignore"):  # an infinity fails the range test below
-                off_grid -= np.rint(off_grid)
-            bad = ~((block >= SCORE_MIN) & (block <= SCORE_MAX)) | (np.abs(off_grid, out=off_grid) > 1e-6)
-            if np.count_nonzero(bad):
-                row = start + int(bad.argmax())
-                raise ValueError(f"row {row}: raw score {float(score[row])!r} must lie in "
-                                 f"[{SCORE_MIN}, {SCORE_MAX}] on the 0.1 grid")
+        if score.dtype != np.uint8:
+            raise ValueError(f"row 0: raw score column is {score.dtype}, must be uint8 tenths")
+        if np.count_nonzero(bad := (score < SCORE_MIN) | (score > SCORE_MAX)):
+            row = int(bad.argmax())
+            raise ValueError(f"row {row}: raw score {score[row]} tenths must lie in [{SCORE_MIN}, {SCORE_MAX}]")
         _check_codes("tags", self.tags, len(self.tag_sets))
         _check_codes("notes", self.notes, len(self.note_texts))
         for column in (self.judge, self.beverage, self.tags, self.notes, score):

@@ -89,6 +89,12 @@ def _check_cost_params(cost: CostParams) -> None:
         raise ConfigurationError("comprehension_growth must be >= 0")
 
 
+def _costs(round_index: int, params: CostParams) -> tuple[float, float]:
+    """``communication_costs`` unchecked, for params a ``SessionConfig`` has checked."""
+    return (params.broadcast_base * (1.0 + params.politeness_initial * params.politeness_decay**round_index),
+            params.comprehension_base * (1.0 + params.comprehension_growth * round_index))
+
+
 def communication_costs(round_index: int, params: CostParams) -> tuple[float, float]:
     """Per-round message costs: broadcasting decays as politeness wears off,
     comprehension grows linearly as the session goes on. The params are
@@ -100,13 +106,7 @@ def communication_costs(round_index: int, params: CostParams) -> tuple[float, fl
     if round_index < 0:
         raise ValueError(f"round index must be >= 0, got {round_index}")
     _check_cost_params(params)
-    broadcast = params.broadcast_base * (
-        1.0 + params.politeness_initial * params.politeness_decay**round_index
-    )
-    comprehension = params.comprehension_base * (
-        1.0 + params.comprehension_growth * round_index
-    )
-    return broadcast, comprehension
+    return _costs(round_index, params)
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class SessionConfig:
         # the logged costs of the longest session the clock and pool allow: a session's are a prefix of them
         clocks = range(self.clock_start, self.clock_end, self.round_duration)
         rounds = min(len(self.pool), sum(not any(lo <= c < hi for lo, hi in self.blackout_windows) for c in clocks))
-        costs = [communication_costs(t, self.cost_params) for t in range(rounds)]
+        costs = [_costs(t, self.cost_params) for t in range(rounds)]
         if not all(map(math.isfinite, (sum(b for b, _ in costs), sum(c for _, c in costs), *(b + c for b, c in costs)))):
             raise ConfigurationError(f"cost_params: the communication costs of a {len(costs)}-round session overflow")
 
@@ -209,7 +209,7 @@ class RoundRecord(NamedTuple):
     """One round as logged, in codes: the leader, procurers and reviewers
     are positions into ``members`` (the session's federation ids, shared by
     every round), the reviewers ascending, which is review order, and
-    ``scores`` holds each reviewer's score. From ``run_session`` the arrays are
+    ``scores`` holds each reviewer's score in uint8 tenths. From ``run_session`` the arrays are
     read-only, the reviewers and scores slices of the session's columns."""
 
     index: int
@@ -301,8 +301,8 @@ def run_session(config: SessionConfig) -> SessionResult:
         taken.append((clock, leader, procurers, beverage, part))
         reviewed = part.stop
 
-    # the session scored in one pass over its reviews: each score is
-    # clamp(round_0.1(base + style bias + gaussian noise), 1, 5), or the
+    # the session scored in one pass over its reviews: each score, in tenths, is
+    # rint(10 * clamp(base + style bias + gaussian noise, 1, 5)), or the
     # scale floor where the floor draw fell under the reviewer's affinity
     reviewer, round_of = reviewer[:reviewed], round_of[:reviewed]
     pooled = np.array([t[3] for t in taken], dtype=np.intp)[round_of]
@@ -311,10 +311,10 @@ def run_session(config: SessionConfig) -> SessionResult:
     with np.errstate(over="ignore", invalid="ignore"):
         value = (base_quality[pooled] + bias[reviewer, family[pooled]]) + noise[:reviewed] * noise_sd[reviewer]
     value[floor[:reviewed]] = 1.0
-    score = np.rint(np.fmin(5.0, np.fmax(1.0, value)) * 10) / 10
+    score = np.rint(np.fmin(5.0, np.fmax(1.0, value)) * 10).astype(np.uint8)
     reviewer.flags.writeable = score.flags.writeable = False
     rounds = [RoundRecord(t, clock, ids, leader, config.pool[b].id, procurers, reviewer[part], score[part],
-                          *communication_costs(t, config.cost_params))
+                          *_costs(t, config.cost_params))
               for t, (clock, leader, procurers, b, part) in enumerate(taken)]
     # each reviewer's federation position mapped to its place among the
     # kept judges (-1: not kept); round r's reviews name beverage r

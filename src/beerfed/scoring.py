@@ -4,8 +4,9 @@ Every result record is a ``NamedTuple``; ``aggregate`` returns its list of
 ``RankedBeverage`` rows, which ``per_style_distribution`` groups.
 
 Matrices are judges x beverages with NaN for missing cells; every statistic
-runs over filled cells only (no imputation). Raw scores sit on a 0.1 grid,
-so min-max normalization is done on integer tenths and stays exact.
+runs over filled cells only (no imputation). Reviews hold raw scores as
+integer tenths, which the matrix holds as ``tenths / 10``; min-max
+normalization is done on integer tenths again and stays exact.
 
 Agreement is exact for the same reason. Each judge's scores are coded as
 levels (at most 41 on the grid), so mid-ranks come from level counts and
@@ -61,7 +62,7 @@ def build_score_matrix(dataset: Dataset) -> ScoreMatrix:
     known = b < len(beverages)
     flat = j[known] * len(beverages) + b[known]
     cells = np.full((len(judges), len(beverages)), np.nan)
-    score = dataset.reviews.score[known]
+    score = dataset.reviews.score[known] / 10
     if flat.size and np.bincount(flat).max() > 1:  # numpy sets no order for repeated-index assignment
         _, first = np.unique(flat, return_index=True)  # index of each cell's first review
         flat, score = flat[first], score[first]
@@ -334,7 +335,8 @@ class TagFamilyComparison(NamedTuple):
 
 def tag_report(dataset: Dataset) -> list[TagFamilyComparison]:
     """Compare mean raw scores of real-flavour vs artificial-flavour tagged
-    reviews within each style family.
+    reviews within each style family. Each mean is exact, rounded once from
+    the sum of its tenths, so the order of the reviews cannot move its last bit.
 
     Only families with at least one tagged review appear; a family lacking
     one of the two tags is marked not comparable. The flag records the
@@ -350,14 +352,13 @@ def tag_report(dataset: Dataset) -> list[TagFamilyComparison]:
     for tag, scores in ((NoteTag.REAL_FLAVOUR, real), (NoteTag.ARTIFICIAL_FLAVOUR, artificial)):
         tagged = np.array([tag in s for s in table.tag_sets], dtype=bool)[table.tags] & (row_family >= 0)
         for f in np.flatnonzero(np.bincount(row_family[tagged])).tolist():  # the families present
-            scores[names[f]] = table.score[tagged & (row_family == f)]  # in review order
+            scores[names[f]] = table.score[tagged & (row_family == f)]
 
     report = []
     for family in sorted(set(real) | set(artificial)):
         r = real.get(family, ())
         a = artificial.get(family, ())
-        r_mean = float(np.mean(r)) if len(r) else None
-        a_mean = float(np.mean(a)) if len(a) else None
+        r_mean, a_mean = (int(t.sum()) / (10 * len(t)) if len(t) else None for t in (r, a))
         comparable = bool(len(r) and len(a))
         report.append(
             TagFamilyComparison(

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Time ``analyze --lenient`` on festival-shaped files: many judges, each
-scoring a few beverages (``genutil.festival_files``, 3 per judge). Not a
-test, so pytest does not collect it. Run from the repository root:
+scoring a few beverages (``genutil.festival_files``, 3 per judge unless a
+size says otherwise). Not a test, so pytest does not collect it. Run from
+the repository root:
 
-    python3 tests/festival_timing.py [--src SRC ...] [--sizes 2000x1000,4000x2000]
+    python3 tests/festival_timing.py [--src SRC ...] [--sizes 2000x1000,4000x2000,1500x60x60]
                                      [--repeat N] [--work DIR] [-- ANALYZE_ARGS]
+
+A size is JUDGESxBEVERAGES or JUDGESxBEVERAGESxPER_JUDGE: ``1500x60x60``
+is a dense file, every judge scoring every beverage.
 
 Each run is a fresh ``python -m beerfed.cli analyze --lenient`` child of
 this launcher, which never imports numpy or beerfed: Linux carries a
@@ -35,14 +39,14 @@ TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 
 
-def festival(work: Path, judges: int, beverages: int, src: str) -> tuple[Path, Path]:
+def festival(work: Path, judges: int, beverages: int, per_judge: int, src: str) -> tuple[Path, Path]:
     """The (scorecards, beverages) paths of one size, written on first use."""
-    where = work / f"{judges}x{beverages}"
+    where = work / f"{judges}x{beverages}x{per_judge}"
     cards, pool = where / "festival_scorecards.csv", where / "festival_beverages.csv"
     if not cards.exists():
         where.mkdir(parents=True, exist_ok=True)
         code = (f"import sys; sys.path[:0] = [{str(TESTS)!r}, {src!r}]; from pathlib import Path; "
-                f"from genutil import festival_files; festival_files(Path({str(where)!r}), {judges}, {beverages}, 3)")
+                f"from genutil import festival_files; festival_files(Path({str(where)!r}), {judges}, {beverages}, {per_judge})")
         subprocess.run([sys.executable, "-c", code], check=True)
     return cards, pool
 
@@ -71,7 +75,7 @@ def run(src: str, cards: Path, pool: Path, out: Path, extra: list[str]) -> tuple
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", help="a tree's src directory (default: this checkout's)")
-    parser.add_argument("--sizes", default="2000x1000,4000x2000", help="JUDGESxBEVERAGES, comma-separated")
+    parser.add_argument("--sizes", default="2000x1000,4000x2000", help="JUDGESxBEVERAGES[xPER_JUDGE], comma-separated")
     parser.add_argument("--repeat", type=int, default=3, help="runs per tree and size")
     parser.add_argument("--work", default=None, help="directory for the files (default: a temporary one)")
     parser.add_argument("extra", nargs="*", help="more analyze arguments, after --")
@@ -80,8 +84,8 @@ def main() -> None:
     work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="festival-"))
     try:
         for size in args.sizes.split(","):
-            judges, beverages = map(int, size.split("x"))
-            cards, pool = festival(work, judges, beverages, srcs[0])
+            judges, beverages, per_judge = [*map(int, size.split("x")), 3][:3]
+            cards, pool = festival(work, judges, beverages, per_judge, srcs[0])
             runs: dict[str, list[tuple[float, float]]] = {src: [] for src in srcs}
             digests: dict[str, set[str]] = {src: set() for src in srcs}
             for i in range(args.repeat):
@@ -93,7 +97,7 @@ def main() -> None:
             for src in srcs:
                 walls, peaks = zip(*runs[src])
                 print(json.dumps({
-                    "src": src, "judges": judges, "beverages": beverages, "args": args.extra,
+                    "src": src, "judges": judges, "beverages": beverages, "per_judge": per_judge, "args": args.extra,
                     "wall_s": statistics.median(walls), "peak_rss_mb": statistics.median(peaks),
                     "same_outputs_as_first": digests[src] == digests[srcs[0]] and len(digests[src]) == 1,
                     "runs": [[round(w, 3), round(p, 1)] for w, p in runs[src]],

@@ -30,9 +30,21 @@ def positions(values, order):
     return np.array([where.get(v, -1) for v in values], dtype=np.intp)
 
 
+def tenths(scores):
+    """Scores in points (such as 3.7) as the uint8 tenths a ReviewTable
+    holds; a score that is not exactly ``t / 10`` for a t in [0, 255] has
+    none and fails the assertion."""
+    scores = np.asarray(scores, dtype=float)
+    with np.errstate(invalid="ignore"):  # NaN and infinities fail the assertion
+        codes = np.rint(scores * 10).astype(np.uint8)
+    assert (codes / 10 == scores).all(), f"{scores} holds a score that is not t / 10"
+    return codes
+
+
 def review_table(rows, beverage_ids, judges):
     """The ReviewTable of ``rows``, each (judge, beverage, score[, tags[,
-    note]]) as a ``Row`` takes them, coded against a dataset's lists: a
+    note]]) as a ``Row`` takes them, each score in points (``tenths``
+    makes the table's column), the rest coded against a dataset's lists: a
     judge by its place in ``judges`` (a judge off the list is a KeyError:
     no code can name it), a beverage id by its place in ``beverage_ids`` or,
     off that list, by the list's length plus its place in ``unknown``, the
@@ -46,7 +58,7 @@ def review_table(rows, beverage_ids, judges):
     vocabularies = [tuple(dict.fromkeys(column)) for column in coded]
     return ReviewTable(unknown, *vocabularies, np.array([place[r.judge_id] for r in rows], dtype=np.intp),
                        positions([r.beverage_id for r in rows], [*beverage_ids, *unknown]),
-                       *map(positions, coded, vocabularies), np.array([r.raw_score for r in rows], dtype=float))
+                       *map(positions, coded, vocabularies), tenths([r.raw_score for r in rows]))
 
 
 def dataset_of(beverages, rows, judges):
@@ -58,13 +70,13 @@ def dataset_of(beverages, rows, judges):
 def review_rows(dataset):
     """The dataset's reviews as ``Row``s, in row order, each naming its
     judge and its beverage's id (or, for a beverage off the list, the
-    unknown name it holds)."""
+    unknown name it holds), and its score in points, ``tenths / 10``."""
     table = dataset.reviews
     ids = [*(b.id for b in dataset.beverages), *table.unknown]
     return [
         Row(dataset.judges[j], ids[b], score, table.tag_sets[t], table.note_texts[n])
         for j, b, score, t, n in zip(*(column.tolist() for column in
-                                       (table.judge, table.beverage, table.score, table.tags, table.notes)))
+                                       (table.judge, table.beverage, table.score / 10, table.tags, table.notes)))
     ]
 
 

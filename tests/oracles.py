@@ -309,7 +309,7 @@ def oracle_parse_scorecards(path, beverages):
     from beerfed.errors import IngestError
     from beerfed.model import Dataset, ReviewTable, derive_note_tags
 
-    judge_of, name_of, score_of, tags_of, note_of = {}, {}, {}, {}, {}  # raw cell -> code (score: value)
+    judge_of, name_of, score_of, tags_of, note_of = {}, {}, {}, {}, {}  # raw cell -> code (score: its tenths)
     unknown = {}  # unmatched key -> its place among them
     keyed = [(_collapse(bev.name).casefold(), i, bev) for i, bev in enumerate(beverages)]
     tag_sets = {frozenset(): 0}
@@ -355,7 +355,7 @@ def oracle_parse_scorecards(path, beverages):
     table = ReviewTable(
         tuple(unknown), tuple(tag_sets), tuple(note_texts),
         *(np.array(codes, dtype=np.intp) for codes in ([place[j] for j in judge], beverage, tags, notes)),
-        np.array(score, dtype=float),
+        np.array(score, dtype=np.uint8),
     )
     return Dataset(list(beverages), table, judges)
 
@@ -559,7 +559,7 @@ def round_dict(record):
         "reviewers": sorted(judges),
         "reviews": [
             {"judge_id": judge, "beverage_id": record.beverage_id, "raw_score": score}
-            for judge, score in zip(judges, record.scores.tolist())
+            for judge, score in zip(judges, (record.scores / 10).tolist())
         ],
         "broadcast_cost": record.broadcast_cost,
         "comprehension_cost": record.comprehension_cost,

@@ -21,7 +21,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import beerfed
 from beerfed import cli, errors, receval
-from genutil import festival_files, random_session_config, write_rec_file
+from beerfed.io import write_beverages_csv, write_scorecards_csv
+from beerfed.model import NoteTag
+from genutil import Row, festival_files, random_dataset, random_session_config, review_rows, with_reviews, write_rec_file
 
 CONFIG = {
     "seed": 42,
@@ -1272,6 +1274,66 @@ def test_simulate_analyze_eval_recs_chain_agrees_on_random_sessions(tmp_path, ca
     assert seen["simulate rejects the config"] >= 20 and seen["analyze 0 [], eval-recs 0"] >= 20, seen
     assert seen["analyze 4 ['MISSING_REVIEWS', 'VALIDATION'], eval-recs 4"] >= 5, seen
     assert seen["analyze 4 ['DEGENERATE'], eval-recs 4"] >= 1, seen
+
+
+def permutation_case(rng, work):
+    """A random dataset without repeated (judge, beverage) pairs written as
+    a beverage list, a scorecard and recommendation files under ``work``:
+    tied and sparse scores, tags, notes (some of them implying tags) and
+    names no beverage has. Returns the scorecard and beverage paths."""
+    dataset = random_dataset(rng, int(rng.integers(2, 7)), int(rng.integers(1, 13)), float(rng.uniform(0, 0.8)))
+    notes, tags = [None, "real fruit", "artificial, sweet", "fine"], list(NoteTag)
+    rows = [row._replace(raw_score=float(rng.choice([row.raw_score, 3.0])),  # ties
+                         note_tags=frozenset(tags[int(i)] for i in rng.choice(len(tags), int(rng.integers(0, 3)), replace=False))
+                         if rng.random() < 0.3 else frozenset(),
+                         note_text=notes[int(rng.integers(len(notes)))])
+            for row in review_rows(dataset)]
+    if rng.random() < 0.3:  # DANGLING_REF: eval-recs exits 4
+        rows += [Row(judge, f"ghost {g}", 2.5) for g, judge in enumerate(dataset.judges) if rng.random() < 0.5]
+    write_beverages_csv(dataset.beverages, work / "beverages.csv")
+    write_scorecards_csv(with_reviews(dataset, rows), work / "scorecards.csv")
+    names = [b.name for b in dataset.beverages]
+    for m in range(int(rng.integers(1, 4))):
+        picks = {j: [names[int(i)] for i in rng.integers(len(names), size=int(rng.integers(0, 7)))] + ["Nowhere"] * (m == 2)
+                 for j in dataset.judges}
+        write_rec_file(work / f"model-{m}.json", f"model-{m}", picks)
+    return work / "scorecards.csv", work / "beverages.csv"
+
+
+def outcome_files(argv, out):
+    """``cli.main(argv)``'s exit code and the name and bytes of each file in ``out``."""
+    rc = cli.main(argv)
+    return rc, sorted((p.name, p.read_bytes()) for p in out.iterdir()) if out.exists() else []
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_scorecard_row_order_changes_no_output_byte(seed, data):
+    """Any permutation of a scorecard's rows leaves every ``analyze`` file
+    and both ``eval-recs`` files byte-identical, on datasets without
+    DUP_REVIEW."""
+    rng = np.random.default_rng(seed)
+    flags = [data.draw(st.sampled_from(options)) for options in (
+        [[], ["--agreement", "kendall"]], [[], ["--norm", "zscore"]], [[], ["--normalized"]], [[], ["--hit-ties", "threshold"]])]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cards, pool = permutation_case(rng, work)
+        header, *lines = cards.read_text(encoding="utf-8").splitlines(keepends=True)
+        order = data.draw(st.permutations(range(len(lines))))
+        shuffled = write_text(work / "shuffled" / "scorecards.csv", header + "".join(lines[i] for i in order))
+        outcomes = []
+        for scorecards in (cards, shuffled):
+            report, table = scorecards.parent / "report", scorecards.parent / "table"
+            outcomes.append((
+                outcome_files(["analyze", str(scorecards), str(pool), "--out-dir", str(report), "--lenient",
+                               *flags[0], *flags[1]], report),
+                outcome_files(["eval-recs", str(work / "*.json"), str(scorecards), str(pool), "--out",
+                               str(table / "t.csv"), *flags[2], *flags[3]], table),
+            ))
+        (analyzed, evaluated), shuffled_outcome = outcomes
+        assert analyzed[0] == 0 and len(analyzed[1]) == 9 and evaluated[0] in (0, 4)
+        assert len(evaluated[1]) == 2 * (evaluated[0] == 0)
+        assert shuffled_outcome == outcomes[0]
 
 
 def test_pool_text_with_a_bare_carriage_return_simulates_then_analyzes(tmp_path):

@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +129,29 @@ class TestIngestBeverages:
             parse_beverages_csv(write(tmp_path, "b.csv", text))
 
 
+class TestScoreTenths:
+    """A score cell becomes its tenths without loss, and each of the 41
+    tenths has one text, the one both writers take from ``io._GRID``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(zeros=st.integers(0, 30), whole=st.integers(0, 9), tenth=st.none() | st.integers(0, 9),
+           pad=st.sampled_from(["", " ", "\t "]))
+    def test_every_accepted_text_parses_to_its_tenths(self, zeros, whole, tenth, pad):
+        text = "0" * zeros + str(whole) + ("" if tenth is None else f".{tenth}")
+        assert beerfed.io._SCORE_RE.match(text)  # leading zeros and no-decimal forms included
+        if 1 <= float(text) <= 5:
+            t = beerfed.io._parse_score(pad + text + pad, 2)
+            assert type(t) is int and 10 <= t <= 50 and t / 10 == float(text)
+        else:
+            with pytest.raises(IngestError, match=r"raw_score must lie in \[1, 5\], got "):
+                beerfed.io._parse_score(pad + text + pad, 2)
+
+    def test_each_of_the_41_tenths_has_one_text(self):
+        for t in range(10, 51):
+            assert repr(t / 10) == f"{t / 10:.1f}" == f"{t // 10}.{t % 10}" == json.dumps(t / 10) == beerfed.io._GRID[t - 10]
+        assert len(beerfed.io._GRID) == 41
+
+
 class TestScorecards:
     def test_parse_rows(self, tmp_path):
         beverages = parse_beverages_csv(write(tmp_path, "b.csv", BEVERAGES))
@@ -243,16 +267,34 @@ class TestDatasetJoin:
         dataset = load_dataset(write(tmp_path, "b.csv", BEVERAGES), write(tmp_path, "s.csv", SCORECARDS))
         assert len(checks) == 1
         assert not dataset.reviews.beverage.flags.writeable
-        with pytest.raises(ValueError, match=r"^row 1: raw score 6\.0 must lie in "):
-            dataclasses.replace(dataset.reviews, score=np.array([3.0, 6.0, 4.0, 1.0, 2.0, 3.0]))
+        assert dataset.reviews.score.dtype == np.uint8 and not dataset.reviews.score.flags.writeable
+        with pytest.raises(ValueError, match=r"^row 1: raw score 60 tenths must lie in \[10, 50\]$"):
+            dataclasses.replace(dataset.reviews, score=np.array([30, 60, 40, 10, 20, 30], np.uint8))
         assert len(checks) == 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.9, 5.1, 3.0000011])
     def test_score_check_names_the_first_bad_row_of_a_long_column(self, bad):
-        score = np.full(50_000, 3.0 + 9e-8)  # within the 1e-7 the grid allows
-        score[[20_000, 45_000]] = bad, 2.05  # past the check's first block
+        # a column of points is refused whatever it holds: every row of it is bad, so row 0 is named
+        score = np.full(50_000, 3.0)
+        score[[20_000, 45_000]] = bad, 2.05
         codes = np.zeros(len(score), np.intp)
-        with pytest.raises(ValueError, match=rf"^row 20000: raw score {re.escape(repr(bad))} must lie in "):
+        with pytest.raises(ValueError, match=r"^row 0: raw score column is float64, must be uint8 tenths$"):
+            model.ReviewTable((), (frozenset(),), (None,), codes, codes, codes, codes, score)
+
+    @pytest.mark.parametrize("row", [0, 20_000])
+    @pytest.mark.parametrize("bad", [0, 9, 51, 255])
+    def test_tenths_check_names_the_first_bad_row_of_a_long_column(self, bad, row):
+        score = np.full(50_000, 30, np.uint8)
+        score[[row, 45_000]] = bad, 8  # the first past 16,384 rows too
+        codes = np.zeros(len(score), np.intp)
+        with pytest.raises(ValueError, match=rf"^row {row}: raw score {bad} tenths must lie in \[10, 50\]$"):
+            model.ReviewTable((), (frozenset(),), (None,), codes, codes, codes, codes, score)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.int8, np.uint16])
+    def test_a_score_column_of_another_dtype_fails_at_row_0(self, dtype):
+        score = np.full(50_000, 30, dtype)  # every value a score's tenths
+        codes = np.zeros(len(score), np.intp)
+        with pytest.raises(ValueError, match=rf"^row 0: raw score column is {np.dtype(dtype)}, must be uint8 tenths$"):
             model.ReviewTable((), (frozenset(),), (None,), codes, codes, codes, codes, score)
 
 
@@ -565,8 +607,9 @@ class TestColumnarIngestOracle:
             assert (tmp_path / "out.csv").read_bytes().decode("utf-8") == oracle_scorecards_csv(beverages, reviews)
             means = {t.family: (t.real_mean, t.artificial_mean, t.real_count, t.artificial_count)
                      for t in tag_report(dataset)}
-            assert means == {
-                family: (*(float(np.mean(s)) if s else None for s in pair), *map(len, pair))
+            assert means == {  # each mean exact, then rounded once
+                family: (*(float(sum(map(Fraction, map(str, s))) / len(s)) if s else None for s in pair),
+                         *map(len, pair))
                 for family, pair in oracle_tag_report(beverages, reviews).items()
             }
 
@@ -597,15 +640,17 @@ class TestRoundTrips:
         assert again.read_text(encoding="utf-8") == canonical
         assert canonical == BEVERAGES  # the fixture is already canonical
 
-    def test_scorecards_of_scores_just_off_the_grid_keep_their_cells(self, tmp_path):
-        # a ReviewTable admits a score within 1e-7 of the grid; each is written as "%.1f" writes it
-        scores = [1.0 + 9e-8, 2.7 - 9e-8, 2.7 + 9e-8, 3.5 - 9e-8, 3.5 + 9e-8, 5.0 - 9e-8]
+    def test_scorecards_of_every_score_keep_their_cells(self, tmp_path):
+        # each of the 41 scores, from a table's tenths, is written as "%.1f" writes it and parses back
+        scores = [t / 10 for t in range(50, 9, -1)]
         beverages = [Beverage(f"p::b{i}", "P", f"B{i}", "Ale", model.FALLBACK_FAMILY_NAME, 5.0) for i in range(len(scores))]
-        reviews = [(f"J{i}", b.id, score, frozenset(), None) for i, (b, score) in enumerate(zip(beverages, scores))]
-        write_scorecards_csv(dataset_of(beverages, reviews, [r[0] for r in reviews]), tmp_path / "s.csv")
+        reviews = [(f"J{i:02d}", b.id, score, frozenset(), None) for i, (b, score) in enumerate(zip(beverages, scores))]
+        dataset = dataset_of(beverages, reviews, [r[0] for r in reviews])
+        write_scorecards_csv(dataset, tmp_path / "s.csv")
         text = (tmp_path / "s.csv").read_text(encoding="utf-8")
         assert text == oracle_scorecards_csv(beverages, reviews)
-        assert [line.split(",")[2] for line in text.splitlines()[1:]] == ["1.0", "2.7", "2.7", "3.5", "3.5", "5.0"]
+        assert [line.split(",")[2] for line in text.splitlines()[1:]] == [f"{t // 10}.{t % 10}" for t in range(50, 9, -1)]
+        assert np.array_equal(parse_scorecards_csv(tmp_path / "s.csv", beverages).reviews.score, dataset.reviews.score)
 
     def test_scorecards_roundtrip_byte_identical(self, tmp_path):
         dataset = load_dataset(

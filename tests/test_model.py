@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from beerfed.model import (
     validate_dataset,
 )
 from beerfed.scoring import build_score_matrix
-from genutil import Row, dataset_of, random_dataset, review_rows, review_table, with_reviews
+from genutil import Row, dataset_of, random_dataset, review_rows, review_table, tenths, with_reviews
 from oracles import (
     oracle_bucket,
     oracle_classify_band,
@@ -153,38 +154,47 @@ class TestFamilyConfigFile:
             load_style_families(path)
 
 
-def one_score(score):
-    """The score of a one-review table holding ``score``."""
-    return review_rows(dataset_of([], [("A", "b", score)], ["A"]))[0].raw_score
+def one_score(column):
+    """The score in points of a one-review table whose score column is ``column``."""
+    codes = np.zeros(len(column), np.intp)
+    return float(ReviewTable((), (frozenset(),), (None,), codes, codes, codes, codes, column).score[0]) / 10
 
 
 class TestReviewInvariants:
-    """A ReviewTable checks every score, whoever builds it."""
+    """A ReviewTable checks every score, whoever builds it: a uint8 column
+    of tenths in [10, 50], so no score can sit off the 0.1 grid."""
 
     def test_score_range_enforced(self):
-        with pytest.raises(ValueError):
-            one_score(0.9)
-        with pytest.raises(ValueError):
-            one_score(5.1)
+        for t in (0, 9, 51, 255):
+            with pytest.raises(ValueError, match=rf"^row 0: raw score {t} tenths must lie in \[10, 50\]$"):
+                one_score(np.array([t], np.uint8))
 
     def test_score_grid_enforced(self):
-        with pytest.raises(ValueError):
-            one_score(3.85)
-        assert one_score(3.8) == 3.8
+        # a column of points is refused, on the grid or off it
+        for column in ([3.85], [3.8]):
+            with pytest.raises(ValueError, match=r"^row 0: raw score column is float64, must be uint8 tenths$"):
+                one_score(np.array(column))
+        assert one_score(np.array([38], np.uint8)) == 3.8
 
     @pytest.mark.parametrize("score", [3.65, 0.95, 5.1, 0.0, float("nan"), float("inf")])
     def test_off_grid_out_of_range_and_nan_rejected(self, score):
-        with pytest.raises(ValueError):
-            one_score(score)
+        with pytest.raises(ValueError, match=r"^row 0: raw score column is float64, "):
+            one_score(np.array([score]))
+        if math.isfinite(score) and round(score * 10) / 10 == score:  # 5.1 and 0.0 have tenths, out of range
+            with pytest.raises(ValueError, match=rf"^row 0: raw score {round(score * 10)} tenths must lie in "):
+                one_score(tenths([score]))
 
-    def test_grid_scores_and_near_grid_values_accepted(self):
+    def test_grid_scores_accepted_and_near_grid_values_refused(self):
         for t in range(10, 51):
             score = float(f"{t // 10}.{t % 10}")  # as the scorecard parser reads it
-            assert one_score(score) == score
-        assert one_score(3.8 + 1e-9) == 3.8 + 1e-9  # within the grid tolerance
+            assert one_score(np.array([t], np.uint8)) == score == t / 10
+        with pytest.raises(ValueError, match=r"^row 0: raw score column is float64, "):
+            one_score(np.array([3.8 + 1e-9]))  # once within the float column's grid tolerance
+        with pytest.raises(AssertionError):  # the test helper has no tenths for it either
+            tenths([3.8 + 1e-9])
 
     def test_error_names_the_first_bad_row(self):
-        with pytest.raises(ValueError, match=r"^row 2: raw score 5\.5 "):
+        with pytest.raises(ValueError, match=r"^row 2: raw score 55 tenths "):
             review_table([("A", "b", 3.0), ("B", "b", 4.0), ("C", "b", 5.5), ("D", "b", 0.2)], [], "ABCD")
 
     @pytest.mark.parametrize("column", ["tags", "notes"])
@@ -330,7 +340,7 @@ class TestValidateDataset:
         faults = oracle_dataset_faults(judges, [b.id for b in beverages], columns)
         try:
             table = ReviewTable(unknown, tag_sets, note_texts, codes["judge"], codes["beverage"], codes["tags"],
-                                codes["notes"], np.full(n, 3.0))
+                                codes["notes"], np.full(n, 30, np.uint8))
             dataset = Dataset(beverages, table, judges)
         except ValueError as exc:
             assert str(exc) in faults

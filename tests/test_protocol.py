@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from beerfed import protocol
 from beerfed.errors import ConfigurationError
 from beerfed.io import round_log_lines
 from beerfed.model import Beverage
@@ -103,7 +104,8 @@ def shared_profile_scores(base, beverages=1, **profile):
                            clock_start=0, clock_end=1440, round_duration=1)
     rounds = run_session(config).rounds
     assert len(rounds) == beverages and all(r.reviewer_positions.tolist() == [0, 1] for r in rounds)
-    return np.concatenate([r.scores for r in rounds]).tolist()
+    assert all(r.scores.dtype == np.uint8 for r in rounds)
+    return (np.concatenate([r.scores for r in rounds]) / 10).tolist()  # in points
 
 
 class TestGenerateScore:
@@ -126,7 +128,7 @@ class TestGenerateScore:
         assert expected != regrouped
         federation = [expert("A", 1.0, score_bias={"Pale ale & IPA": bias}, score_noise_sd=sd), ParticipantProfile("B")]
         config = simple_config(pool_of(1), seed=7, federation=federation, base_quality_range=(3.7, 3.7))
-        assert run_session(config).rounds[0].scores.tolist() == [expected, 3.7]
+        assert run_session(config).rounds[0].scores.tolist() == [round(expected * 10), 37]
 
     def test_clamped_at_scale_top(self):
         assert shared_profile_scores(5.0, score_bias={"Pale ale & IPA": 1.0}) == [5.0] * 2
@@ -254,6 +256,21 @@ class TestSessionChecksItsRecords:
         assert self.message(lambda: simple_config(pool_of(200), cost_params=CostParams(politeness_decay=1e10))) == \
             "politeness_decay must lie strictly in (0, 1)"
 
+    def test_cost_params_are_checked_once_per_config(self, monkeypatch):
+        # the overflow check and run_session take every round's costs unchecked from the checked config
+        checks = []
+        check = protocol._check_cost_params
+        monkeypatch.setattr(protocol, "_check_cost_params", lambda params: checks.append(params) or check(params))
+        config = simple_config(pool_of(200), clock_start=0, clock_end=1440, round_duration=1)
+        assert checks == [config.cost_params]
+        result = run_session(config)
+        assert len(result.rounds) == 200 and checks == [config.cost_params]
+        assert [(r.broadcast_cost, r.comprehension_cost) for r in result.rounds] == [
+            communication_costs(t, config.cost_params) for t in range(200)]  # the public function checks each call
+        assert len(checks) == 201
+        replace(config, seed=3)
+        assert len(checks) == 202
+
     def test_defaults_are_shared_and_immutable(self):
         a, b = ParticipantProfile("A"), ParticipantProfile("B")
         assert a.score_bias == {} and a.score_bias is b.score_bias
@@ -315,10 +332,10 @@ class TestRunRound:
         # the codes: read-only arrays, compared by the ids and scores they stand for
         assert record.reviewer_positions.tolist() == [0, 1, 2, 3] and record.procurer_positions.tolist() == [3]
         with pytest.raises(ValueError, match="read-only"):
-            record.scores[0] = 1.0
+            record.scores[0] = 10
         copy = record._replace(members=tuple(list(record.members)), scores=record.scores.copy())
         assert round_dict(copy) == logged and copy.members is not record.members
-        assert round_dict(record._replace(scores=record.scores + 0.1)) != logged
+        assert round_dict(record._replace(scores=record.scores + 1)) != logged
 
     def test_all_freeloaders_promotes_one(self):
         federation = [
@@ -488,6 +505,8 @@ def test_run_session_matches_per_reviewer_oracle():
         assert [(s.clock, s.reason) for s in result.skips] == skips
         for r in result.rounds:
             assert not any(a.flags.writeable for a in (r.reviewer_positions, r.procurer_positions, r.scores))
+            assert r.scores.dtype == np.uint8
+        assert result.dataset.reviews.score.dtype == np.uint8 and not result.dataset.reviews.score.flags.writeable
         kept = [p.is_expert or config.include_amateurs for p in config.federation]
         assert result.dataset.reviews.score.tolist() == [
             s for r in result.rounds for i, s in zip(r.reviewer_positions.tolist(), r.scores.tolist()) if kept[i]
@@ -515,7 +534,7 @@ def test_round_log_writer_matches_json_dumps():
     config = simple_config(pool, federation=federation)
     result = run_session(config)
     no_codes = np.empty(0, np.intp)
-    empty = RoundRecord(9, 0, result.rounds[0].members, 0, ids[1], no_codes, no_codes, np.empty(0), 0.5, 2.0)
+    empty = RoundRecord(9, 0, result.rounds[0].members, 0, ids[1], no_codes, no_codes, np.empty(0, np.uint8), 0.5, 2.0)
     # a config's costs stay finite, so rounds built by hand carry non-finite ones
     rounds = [r._replace(broadcast_cost=math.inf, comprehension_cost=math.nan) if r.index >= 2 else r
               for r in result.rounds]
@@ -525,16 +544,17 @@ def test_round_log_writer_matches_json_dumps():
     assert len(expected) == len(ids) + 1 and all("Infinity" in line and "NaN" in line for line in expected[2:-1])
 
 
-def test_round_log_of_scores_off_the_grid_matches_json_dumps():
-    # rounds built by hand may hold any score: one that is not exactly t / 10 keeps json's text;
-    # their positions may have any integer dtype
-    config = simple_config(pool_of(3), federation=[expert("A", 1.0), expert("B", 0.0)])
-    rounds = [RoundRecord(t, 600 + 5 * t, ("A", "B"), 0, f"p{t}", both[:1], both, np.array(scores), 1.5, 1.0)
-              for t, (scores, both) in enumerate(zip([(3.14159, 2.0000001), (math.nan, math.inf), (-math.inf, 3.0)],
-                                                     map(np.array, [[0, 1]] * 3, [np.intp, np.int32, np.int8])))]
+def test_round_log_of_every_score_matches_json_dumps():
+    # rounds built by hand may hold any of the 41 scores, in tenths, and positions of any integer dtype
+    config = simple_config(pool_of(21), federation=[expert("A", 1.0), expert("B", 0.0)])
+    dtypes = [np.intp, np.int32, np.int8]
+    rounds = [RoundRecord(t, 600 + 5 * t, ("A", "B"), 0, f"p{t}", both[:1], both,
+                          np.array([10 + 2 * t, min(11 + 2 * t, 50)], np.uint8), 1.5, 1.0)
+              for t, both in enumerate(np.array([0, 1], dtypes[t % 3]) for t in range(21))]
     lines = list(round_log_lines(SessionResult(config, rounds, [], dataset_of([], [], []))))
     assert lines == [json.dumps(round_dict(r), sort_keys=True) for r in rounds]
-    assert '"raw_score": 3.14159}' in lines[0] and '"raw_score": NaN}' in lines[1]
+    assert {s for r in rounds for s in r.scores.tolist()} == set(range(10, 51))
+    assert '"raw_score": 1.0}' in lines[0] and '"raw_score": 1.1}' in lines[0] and '"raw_score": 5.0}' in lines[-1]
 
 
 def test_round_log_sorts_ids_that_federation_order_does_not():
