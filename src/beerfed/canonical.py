@@ -97,7 +97,7 @@ def json_cells(values: np.ndarray, symmetric: bool = False) -> np.ndarray:
     return cells
 
 
-_GRID_CELLS = 1 << 16  # cells per block of a grid's rows
+_GRID_CELLS = 1 << 16  # cells per block of a grid's or a table's rows
 
 
 def grid_rows(cells: np.ndarray, null: str, sep: str, heads: Sequence[str], tail: str) -> Iterator[str]:
@@ -157,15 +157,31 @@ def _chunks(obj, newline: str) -> Iterator[str]:
         yield json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", newline)
 
 
-_QUOTED = re.compile('[,"\r\n]').search  # a cell csv.writer quotes, doubling each quote
+_QUOTED = re.compile('[,"\r\n]').search  # a cell the csv module quotes, doubling each quote
 _CSV_LEAVES = {"null": "", "true": "True", "false": "False", **{json.dumps(x): repr(x) for x in (math.nan, math.inf, -math.inf)}}
 
 
-def csv_texts(values: Sequence, texts: Sequence[str] = ()) -> list[str]:
-    """What csv.writer writes for each of a column's ``values`` beside
+def csv_texts(values: Sequence, texts: Sequence[str] | None = None) -> list[str]:
+    """What the csv module writes for each of a column's ``values`` beside
     another cell (alone, "" is quoted): a str quoted as it quotes one, any
-    other leaf read off its JSON text in ``texts`` (``json_texts``), a
+    other leaf read off its JSON text (``texts``, else ``json_texts``'s), a
     finite number alike, None empty, other floats and bools by str()."""
     if values and type(values[0]) is str:
         return ['"' + cell.replace('"', '""') + '"' if _QUOTED(cell) else cell for cell in values]
+    texts = json_texts(values) if texts is None else texts
     return list(map(_CSV_LEAVES.get, texts, texts))
+
+
+def csv_lines(columns: Sequence[Sequence[str]], codes: Sequence[np.ndarray] | None = None) -> Iterator[str]:
+    """The rows of a table whose columns hold their cells' ``csv_texts``, a
+    block of rows per string: row i holds each column's text at i, or at
+    the column's code for row i in ``codes``. A block is one join of an
+    object array of the texts, each with the separator after it, so a
+    text repeated across rows is joined by reference."""
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    texts = [np.array([cell + end for cell in column], dtype=object) for column, end in zip(columns, ends)]
+    codes = [np.arange(len(text)) for text in texts] if codes is None else codes
+    step = max(1, _GRID_CELLS // max(len(texts), 1))
+    for lo in range(0, len(codes[0]) if codes else 0, step):
+        rows = np.stack([text[code[lo:lo + step]] for text, code in zip(texts, codes)], axis=1)
+        yield "".join(rows.ravel().tolist())

@@ -18,6 +18,7 @@ import argparse
 import gc
 import glob as globmod
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +32,10 @@ from .errors import (
     InsufficientDataError,
 )
 from .io import (
+    SESSION_FILES,
     canonical_json,
+    csv_lines,
+    csv_texts,
     load_dataset,
     load_session_config,
     staged_outputs,
@@ -43,7 +47,7 @@ from .model import DEFAULT_K, Severity, load_style_families, validate_dataset
 __getattr__ = _resolver(globals(), {
     "run_session": "protocol", "analyze_dataset": "reports", "build_score_matrix": "scoring",
     "normalize": "scoring", "JudgeIndex": "receval", "evaluate_model": "receval",
-    "load_recommendations": "receval",
+    "load_recommendations": "receval", "REPORT_FILES": "reports",
 })
 _cli = sys.modules[__name__]  # stage lookups go through the module, see the docstring
 
@@ -139,8 +143,19 @@ def _checked_dataset(args, diag: Diagnostics, lenient: bool = False, cell_bytes:
     return families, dataset, violations
 
 
+def _refuse_clash(outputs, inputs) -> None:
+    """Raise ConfigurationError, before anything is written, if an output path is one of the input files."""
+    inputs = [path for path in inputs if path and os.path.exists(path)]
+    for out in filter(os.path.isfile, outputs):
+        if clash := next((path for path in inputs if os.path.samefile(out, path)), None):
+            raise ConfigurationError(f"output {out} would replace the input file {clash}")
+
+
 def cmd_simulate(args, diag: Diagnostics) -> int:
     config = load_session_config(args.config, _load_families(args.families))
+    pool = json.loads(Path(args.config).read_text(encoding="utf-8")).get("pool_csv")  # an input too, if named
+    _refuse_clash([Path(args.out) / name for name in SESSION_FILES],
+                  [args.config, args.families, pool and Path(args.config).parent / pool])
     if args.seed is not None:
         config = replace(config, seed=args.seed)  # checked again, as a new config
     result = _cli.run_session(config)
@@ -159,6 +174,8 @@ def cmd_analyze(args, diag: Diagnostics) -> int:
     families, dataset, violations = _checked_dataset(args, diag, args.lenient, *ANALYZE_BYTES)
     if not dataset.judges and not args.lenient:
         raise InsufficientDataError("no judge has a scorecard to analyze", path=args.scorecards)
+    _refuse_clash([Path(args.out_dir) / name for name in _cli.REPORT_FILES],
+                  [args.scorecards, args.beverages, args.families])
     paths = _cli.analyze_dataset(
         dataset,
         args.out_dir,
@@ -202,7 +219,7 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
     paths = sorted(globmod.glob(args.recs_glob))
     if not paths:
         diag.warning(f"no recommendation files match {args.recs_glob!r}")
-    rows = []
+    rows, read = [], []  # the rows, and the files they were read from
     files_of: dict[str, str] = {}  # model id -> the first readable file that holds it
     for path in paths:
         try:
@@ -214,6 +231,7 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
                 return EXIT_STRICT_EVAL
             diag.warning(f"skipping {reason}", code="EVAL")
             continue
+        read.append(path)
         first = files_of.setdefault(model_id, path)
         if first != path:
             diag.warning(f"{path}: model_id {model_id!r} is also in {first}; both rows are kept",
@@ -231,14 +249,13 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         )
     )
 
+    _refuse_clash([out_path, json_path], [*read, args.scorecards, args.beverages, args.families])
     columns = [(h.format(k=args.k), key.format(k=args.k), field) for h, key, field in METRIC_COLUMNS]
     table = [{"model": r.model_id, **{key: getattr(r, field) for _, key, field in columns}} for r in rows]
+    cells = [[r.model_id for r in rows], *([_display(getattr(r, field)) for r in rows] for _, _, field in columns)]
     with staged_outputs(out_path.parent) as staging:
-        write_csv(
-            staging / out_path.name,
-            ["Model", *(header for header, _, _ in columns)],
-            [[r.model_id, *(_display(getattr(r, field)) for _, _, field in columns)] for r in rows],
-        )
+        write_csv(staging / out_path.name, ["Model", *(header for header, _, _ in columns)],
+                  csv_lines(list(map(csv_texts, cells))))
         (staging / json_path.name).write_text(canonical_json(table), encoding="utf-8")
     diag.emit("info", f"evaluated {len(rows)} model(s) -> {out_path}, {json_path}")
     return EXIT_OK

@@ -10,10 +10,13 @@ Formats:
   round record per line) and session_summary.json.
 
 Beverage name is the join key between scorecards and beverage lists,
-matched case-insensitively with collapsed whitespace. Serializers emit a
-canonical form (fixed column order, LF line endings, a cell holding "\\r"
-or "\\n" quoted, trailing newline, sorted JSON keys) so parse -> serialize
-round-trips byte-identically.
+matched case-insensitively with collapsed whitespace. Every CSV file is
+written by one writer, ``write_csv`` (UTF-8, LF line endings, a header
+row, then rows joined a block at a time by ``canonical.csv_lines``), and
+every cell's text, header cells included, comes from one quoting rule,
+``canonical.csv_texts`` (the csv module's minimal quoting, which also
+quotes a cell holding "\\r"), so parse -> serialize round-trips
+byte-identically.
 
 A scorecard file repeats few distinct values (a 100-judge session has
 1,440 names and 41 scores over 144,000 rows), so ingest reads it in
@@ -26,17 +29,18 @@ is one such error, and a score cell its tenths. The session log is
 written a block of lines at a time, each line encoded from its round's
 member codes through tables built once per session (each member's JSON
 id, the members in sorted-id order, a review tail per member and
-score); scorecards, a bounded block of rows per join. Both take a
-score's text from one table of 41, by its tenths. Every other JSON file goes
-through the one encoder, ``canonical.canonical_json``. Output directories
-are written through ``staged_outputs``, all files or none. Only
-``load_session_config`` imports ``protocol``, so analyze and eval-recs
-never load it.
+score); scorecard rows, from their codes into each distinct cell, quoted
+once. Both take a score's text from one table of 41, by its tenths.
+Every other JSON file goes through the one encoder (sorted keys),
+``canonical.canonical_json``. Output directories are written through
+``staged_outputs``, all files or none. Only ``load_session_config``
+imports ``protocol``, so analyze and eval-recs never load it.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import re
@@ -49,12 +53,11 @@ from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .canonical import canonical_json, csv_texts
+from .canonical import canonical_json, csv_lines, csv_texts
 from .errors import ConfigurationError, IngestError
 from .model import (
     Beverage,
@@ -81,6 +84,7 @@ BEVERAGE_COLUMNS = ("brewery", "beer_name", "beer_style", "abv_percent")
 BEVERAGE_OPTIONAL = ("ingredients", "tags")
 SCORECARD_COLUMNS = ("judge_id", "beer_name", "raw_score")
 SCORECARD_OPTIONAL = ("tags", "note")
+SESSION_FILES = ("beverages.csv", "scorecards.csv", "session_log.jsonl", "session_summary.json")
 
 _SCORE_RE = re.compile(r"^[0-9]+(\.[0-9])?$")
 
@@ -217,23 +221,12 @@ def parse_beverages_csv(
     return beverages
 
 
-def _csv_writer(fh):
-    """``csv.writer`` with LF line endings that quotes a cell holding a
-    carriage return as it quotes one holding "\\n" (ending rows with "\\n"
-    alone, it leaves "\\r" bare and a reader ends the row there): it ends
-    each row with "\\r\\n", in one write that drops the "\\r"."""
-    return csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")), lineterminator="\r\n")
-
-
-def write_csv(path: str | Path, header: list[str], rows: Iterable[list] = (), text: Iterable[str] = ()) -> None:
-    """The one CSV writer: UTF-8, LF line endings and a header row, then
-    ``rows`` (the csv module writes None as an empty cell, floats by repr
-    and other values by str()) or ``text``, rows joined from ``csv_texts``."""
+def write_csv(path: str | Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """The one CSV writer: UTF-8, LF line endings, the header's cells
+    (``csv_texts``) and then ``lines``, the rows' text (``csv_lines``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-        fh.writelines(text)
+        fh.write(",".join(csv_texts(header)) + "\n")
+        fh.writelines(lines)
 
 
 @contextmanager
@@ -247,7 +240,10 @@ def staged_outputs(out_dir: str | Path) -> Iterator[Path]:
     removed either way, so a failed write adds no file to ``out_dir``.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:  # a file holds the name
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out)) from None
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         yield staging
@@ -262,28 +258,17 @@ def staged_outputs(out_dir: str | Path) -> Iterator[Path]:
 
 def write_beverages_csv(beverages: Iterable[Beverage], path: str | Path) -> None:
     beverages = list(beverages)
-    with_ingredients = any(b.ingredients for b in beverages)
-    with_tags = any(b.note_tags for b in beverages)
-    header = list(BEVERAGE_COLUMNS)
-    if with_ingredients:
-        header.append("ingredients")
-    if with_tags:
-        header.append("tags")
-
-    def record(b: Beverage) -> list:
-        cells = [b.producer, b.name, b.raw_style, float(b.abv)]
-        if with_ingredients:
-            cells.append(";".join(sorted(b.ingredients or ())))
-        if with_tags:
-            cells.append(";".join(sorted(t.value for t in b.note_tags)))
-        return cells
-
-    write_csv(path, header, map(record, beverages))
+    columns = dict(zip(BEVERAGE_COLUMNS, ([b.producer for b in beverages], [b.name for b in beverages],
+                                          [b.raw_style for b in beverages], [float(b.abv) for b in beverages])))
+    if any(b.ingredients for b in beverages):
+        columns["ingredients"] = [";".join(sorted(b.ingredients or ())) for b in beverages]
+    if any(b.note_tags for b in beverages):
+        columns["tags"] = [";".join(sorted(t.value for t in b.note_tags)) for b in beverages]
+    write_csv(path, list(columns), csv_lines(list(map(csv_texts, columns.values()))))
 
 
 _BLOCK = 1 << 18  # characters per scorecard block: a 144,000-row file read whole costs ~30 MB more
 _CSV_BLOCK_ROWS = 8192  # records per block once csv.reader reads the file
-_WRITE_ROWS = 1 << 14  # scorecard rows per write
 _LOG_LINES = 64  # session log lines per write
 _GRID = [repr(t / 10) for t in range(10, 51)]  # each score's text, as csv and json write t / 10, at t - 10
 
@@ -467,29 +452,22 @@ def _parse_score(cell: str, line: int) -> int:
 
 
 def write_scorecards_csv(dataset: Dataset, path: str | Path) -> None:
-    """``write_csv``'s bytes, streamed a block of rows at a time from each
-    distinct cell quoted once; a score's cell is ``_GRID``'s, by its tenths."""
+    """``write_csv`` of the reviews, rows joined from their codes into each
+    distinct cell, quoted once; a score's cell is ``_GRID``'s, by its tenths."""
     table = dataset.reviews
-    header = list(SCORECARD_COLUMNS)
-    columns = [  # (cell text per code, per-row codes)
+    columns = dict(zip(SCORECARD_COLUMNS, (  # column -> (cell text per code, per-row codes)
         (dataset.judges, table.judge),
         ([*(b.name for b in dataset.beverages), *table.unknown], table.beverage),
         (_GRID, table.score - 10),
-    ]
+    )))
     for column, cells, codes in (
         ("tags", [";".join(sorted(t.value for t in tags)) for tags in table.tag_sets], table.tags),
         ("note", [note or "" for note in table.note_texts], table.notes),
     ):
         if any(cell for cell, n in zip(cells, np.bincount(codes, minlength=len(cells))) if n):
-            header.append(column)
-            columns.append((cells, codes))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _csv_writer(fh).writerow(header)
-        ends = [","] * (len(columns) - 1) + ["\n"]  # each cell carries the separator after it
-        texts = [np.array([cell + end for cell in csv_texts(cells)], dtype=object) for (cells, _), end in zip(columns, ends)]
-        for start in range(0, len(table), _WRITE_ROWS):  # one join per block of rows, cells by reference
-            rows = np.stack([text[codes[start:start + _WRITE_ROWS]] for text, (_, codes) in zip(texts, columns)], axis=1)
-            fh.write("".join(rows.ravel().tolist()))
+            columns[column] = (cells, codes)
+    cells, codes = zip(*columns.values())
+    write_csv(path, list(columns), csv_lines(list(map(csv_texts, cells)), codes))
 
 
 def load_dataset(
@@ -635,12 +613,7 @@ def write_session_outputs(result: SessionResult, out_dir: str | Path) -> dict[st
     session_summary.json into out_dir, all or none of them; returns the
     paths by name."""
     with staged_outputs(out_dir) as out:
-        paths = {
-            "beverages": out / "beverages.csv",
-            "scorecards": out / "scorecards.csv",
-            "session_log": out / "session_log.jsonl",
-            "session_summary": out / "session_summary.json",
-        }
+        paths = {Path(name).stem: out / name for name in SESSION_FILES}
         write_beverages_csv(result.dataset.beverages, paths["beverages"])
         write_scorecards_csv(result.dataset, paths["scorecards"])
         with open(paths["session_log"], "w", encoding="utf-8") as fh:  # a block of lines at a time: no copy of the log

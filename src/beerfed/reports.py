@@ -13,8 +13,8 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 
-from .canonical import (Encoded, csv_texts, grid_rows, json_cells, json_grid, json_list, json_records, json_texts,
-                        write_json)
+from .canonical import (Encoded, csv_lines, csv_texts, grid_rows, json_cells, json_grid, json_list, json_records,
+                        json_texts, write_json)
 from .io import staged_outputs, write_csv
 from .model import (
     ABV_BAND_EDGES,
@@ -136,6 +136,7 @@ CSV_TABLES = (("style_counts", "style_counts", ("family", "count")), ("abv_bands
               ("judge_stats", "judge_stats", ("judge", "mean", "sd", "count")), ("top10", "top10", RANK_COLUMNS),
               ("bottom10", "bottom10", RANK_COLUMNS), ("per_style", "per_style_rows", ("family", "score")),
               ("divisive", "divisive", ("beverage", "sd", "range", "reviews")))
+REPORT_FILES = (*(f"{name}.csv" for name, _, _ in CSV_TABLES), "agreement.csv", "report.json")
 
 
 def write_report_tables(
@@ -174,14 +175,13 @@ def write_report_tables(
         paths: dict[str, Path] = {}
         for name, source, header in CSV_TABLES:
             columns = [csv_texts(values[source][key], texts[source][key]) for key in header] if source in values else ()
-            row = ",".join(["%s"] * len(header)) + "\n"
             paths[name] = out / f"{name}.csv"
-            write_csv(paths[name], header, (), ["".join(map(row.__mod__, zip(*columns)))])
+            write_csv(paths[name], header, csv_lines(columns))
         # judge ids are data, so the agreement matrix is written by position; its
         # cells' JSON texts are CSV's too, as its values are NaN or in [-1, 1]
         heads = [judge + "," for judge in csv_texts(agree["judges"])]
         paths["agreement"] = out / "agreement.csv"
-        write_csv(paths["agreement"], ["judge", *agree["judges"]], (), grid_rows(cells, "", ",", heads, "\n"))
+        write_csv(paths["agreement"], ["judge", *agree["judges"]], grid_rows(cells, "", ",", heads, "\n"))
         paths["report"] = out / "report.json"
         write_json(paths["report"], payload)
     return {name: Path(out_dir) / p.name for name, p in paths.items()}

@@ -20,6 +20,10 @@ FAMILIES = [
 ]
 
 
+# cells csv.writer quotes (",", '"', a bare "\r", "\n") or treats with care
+# (a leading space, the empty string, a cell of two quotes), and non-ASCII text
+HOSTILE_CELLS = [",x", 'a"b', "c\rd", "e\nf", "\r\n", " g", "", '""', "Ærø 日本 🍺"]
+
 # one review as tests build and read it
 Row = namedtuple("Row", "judge_id beverage_id raw_score note_tags note_text", defaults=(frozenset(), None))
 

@@ -23,7 +23,9 @@ import beerfed
 from beerfed import cli, errors, receval
 from beerfed.io import write_beverages_csv, write_scorecards_csv
 from beerfed.model import NoteTag
-from genutil import Row, festival_files, random_dataset, random_session_config, review_rows, with_reviews, write_rec_file
+from genutil import (HOSTILE_CELLS, Row, festival_files, random_dataset, random_session_config, review_rows,
+                     with_reviews, write_rec_file)
+from oracles import _oracle_csv
 
 CONFIG = {
     "seed": 42,
@@ -631,6 +633,24 @@ class TestEvalRecs:
         table = out.read_text(encoding="utf-8").splitlines()
         perfect = [row for row in table if row.startswith("model-perfect,")]
         assert len(table) == 6 and len(perfect) == 2 and perfect[0] == perfect[1]
+
+
+    def test_metrics_csv_with_hostile_model_ids_equals_the_csv_oracle(self, sim_outputs, tmp_path):
+        tops = {j: top_names(sim_outputs / "scorecards.csv", j) for j in "ABC"}
+        recs = tmp_path / "recs"
+        recs.mkdir()
+        for i, model_id in enumerate(HOSTILE_CELLS):
+            write_rec_file(recs / f"m{i}.json", model_id, {j: picks[i % 3:] for j, picks in tops.items()})
+        out = tmp_path / "eval" / "metrics.csv"
+        argv = ["eval-recs", str(recs / "*.json"), str(sim_outputs / "scorecards.csv"),
+                str(sim_outputs / "beverages.csv"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        table = json.loads(out.with_suffix(".json").read_text(encoding="utf-8"))
+        keys = ["mean_rating", "mean_percentile", "hit_at_5", "ndcg_at_5", "coverage"]
+        rows = [[r["model"], *(cli._display(r[key]) for key in keys)] for r in table]
+        assert sorted(r[0] for r in rows) == sorted(HOSTILE_CELLS)
+        header = ["Model", "Mean rating", "Mean percentile", "Hit@5", "nDCG@5", "Coverage"]
+        assert out.read_bytes().decode("utf-8") == _oracle_csv(header, rows)
 
 
 class TestEvalRecsDegenerateJudge:
@@ -1336,12 +1356,121 @@ def test_scorecard_row_order_changes_no_output_byte(seed, data):
         assert shuffled_outcome == outcomes[0]
 
 
+UNREADABLE_RECS = ["{nope", '{"model_id": "m", "profiles": 5}', '{"profiles": []}']
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_recommendation_file_order_changes_no_output_byte(seed, data):
+    """Any reassignment of recommendation files with distinct model ids to
+    the names under the glob gives the same exit code and byte-identical
+    metrics.csv and metrics.json, with unreadable files among them and
+    with or without --strict."""
+    rng = np.random.default_rng(seed)
+    dataset = random_dataset(rng, int(rng.integers(2, 5)), int(rng.integers(2, 9)))
+    names = [b.name for b in dataset.beverages]
+    picks = [{j: [names[int(i)] for i in rng.integers(len(names), size=int(rng.integers(0, 6)))] + ["Nowhere"] * (m == 2)
+              for j in dataset.judges} for m in range(3)]
+    model_ids = data.draw(st.lists(st.sampled_from(HOSTILE_CELLS + ["m", "M", "z"]), min_size=1, max_size=6, unique=True))
+    bodies = [json.dumps({"model_id": model_id, "profiles": [  # models sharing picks tie on every metric
+        {"profile_id": j, "recommendations": [{"beverage_name": n, "rank": r + 1} for r, n in enumerate(chosen)]}
+        for j, chosen in picks[int(rng.integers(len(picks)))].items()]}) for model_id in model_ids]
+    bodies += data.draw(st.lists(st.sampled_from(UNREADABLE_RECS), max_size=2))
+    order = data.draw(st.permutations(range(len(bodies))))
+    strict = ["--strict"] * data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_beverages_csv(dataset.beverages, work / "beverages.csv")
+        write_scorecards_csv(dataset, work / "scorecards.csv")
+        outcomes = []
+        for run, placed in (("given", bodies), ("reassigned", [bodies[i] for i in order])):
+            for k, body in enumerate(placed):
+                write_text(work / run / f"r{k}.json", body)
+            table = work / f"{run}-table"
+            outcomes.append(outcome_files(["eval-recs", str(work / run / "*.json"), str(work / "scorecards.csv"),
+                                           str(work / "beverages.csv"), "--out", str(table / "t.csv"), *strict], table))
+        assert outcomes[0][0] in (0, 5) and len(outcomes[0][1]) == 2 * (outcomes[0][0] == 0)
+        assert outcomes[1] == outcomes[0]
+
+
 def test_pool_text_with_a_bare_carriage_return_simulates_then_analyzes(tmp_path):
     pool = [dict(CONFIG["pool"][0], brewery="a\rb"), *CONFIG["pool"][1:]]
     sim = tmp_path / "sim"
     assert cli.main(["simulate", str(write_config(tmp_path, pool=pool)), "--out", str(sim)]) == 0
     assert b'"a\rb"' in (sim / "beverages.csv").read_bytes()
     assert cli.main([*analyze_argv(sim / "scorecards.csv", sim / "beverages.csv", tmp_path / "rep"), "--lenient"]) == 0
+
+
+class TestOutputsNeverReplaceInputs:
+    """An output path that is one of the command's input files exits 2
+    (CONFIG) naming both, before anything is written; an output directory
+    that is a file exits 3 (IO) naming it."""
+
+    @staticmethod
+    def refused(capsys, argv, inputs):
+        before, _ = {path: path.read_bytes() for path in inputs}, capsys.readouterr()
+        assert cli.main(["--json-errors", *argv]) == 2
+        (record,) = error_records(capsys)
+        assert record["code"] == "CONFIG"
+        assert {path: path.read_bytes() for path in inputs} == before
+        return record["message"]
+
+    @staticmethod
+    def rec_dir(sim_outputs, tmp_path):
+        recs = tmp_path / "recs"
+        recs.mkdir()
+        for m in ("model-01", "model-02"):
+            make_rec_file(recs, m, {j: top_names(sim_outputs / "scorecards.csv", j) for j in "ABC"})
+        return recs
+
+    def test_eval_recs_json_twin_of_out_is_a_rec_file(self, sim_outputs, tmp_path, capsys):
+        recs = self.rec_dir(sim_outputs, tmp_path)
+        argv = ["eval-recs", str(recs / "*.json"), str(sim_outputs / "scorecards.csv"),
+                str(sim_outputs / "beverages.csv"), "--out", str(recs / "model-01.csv")]
+        message = self.refused(capsys, argv, [recs / "model-01.json", recs / "model-02.json"])
+        assert message == f"output {recs / 'model-01.json'} would replace the input file {recs / 'model-01.json'}"
+        assert sorted(p.name for p in recs.iterdir()) == ["model-01.json", "model-02.json"]
+
+    def test_eval_recs_out_is_the_scorecards(self, sim_outputs, tmp_path, capsys):
+        recs, cards = self.rec_dir(sim_outputs, tmp_path), sim_outputs / "scorecards.csv"
+        alias = tmp_path / "alias.csv"
+        alias.symlink_to(cards)  # the same file under another name
+        for out in (cards, alias):
+            argv = ["eval-recs", str(recs / "*.json"), str(cards), str(sim_outputs / "beverages.csv"), "--out", str(out)]
+            assert self.refused(capsys, argv, [cards]) == f"output {out} would replace the input file {cards}"
+            assert not out.with_suffix(".json").exists()
+
+    def test_simulate_out_holds_its_pool_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", str(write_config(tmp_path)), "--out", str(sim)]) == 0
+        pool = cfg / "beverages.csv"
+        write_text(pool, (sim / "beverages.csv").read_text(encoding="utf-8"))
+        config = write_text(cfg / "session.json", json.dumps({k: v for k, v in CONFIG.items() if k != "pool"}
+                                                             | {"pool_csv": "beverages.csv"}))
+        message = self.refused(capsys, ["simulate", str(config), "--out", str(cfg)], [pool, config])
+        assert message == f"output {pool} would replace the input file {pool}"
+        assert sorted(p.name for p in cfg.iterdir()) == ["beverages.csv", "session.json"]
+
+    def test_analyze_out_dir_holds_an_input(self, sim_outputs, tmp_path, capsys):
+        out = tmp_path / "rep"
+        cards = write_text(out / "top10.csv", (sim_outputs / "scorecards.csv").read_text(encoding="utf-8"))
+        argv = analyze_argv(cards, sim_outputs / "beverages.csv", out)
+        assert self.refused(capsys, argv, [cards]) == f"output {cards} would replace the input file {cards}"
+        assert [p.name for p in out.iterdir()] == ["top10.csv"]
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "eval-recs"])
+    def test_output_directory_that_is_a_file_exits_3_naming_it(self, sim_outputs, tmp_path, capsys, command):
+        blocker = write_text(tmp_path / "F", "a file\n")
+        tables = (sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv")
+        argv = {"simulate": ["simulate", str(write_config(tmp_path)), "--out", str(blocker)],
+                "analyze": analyze_argv(*tables, blocker),
+                "eval-recs": ["eval-recs", str(tmp_path / "*.json"), *map(str, tables), "--out", str(blocker / "m.csv")],
+                }[command]
+        assert cli.main(["--json-errors", *argv]) == 3
+        (record,) = [r for r in error_records(capsys) if r["level"] == "error"]
+        assert record["code"] == "IO" and record["message"] == f"[Errno 20] Not a directory: '{blocker}'"
+        assert blocker.read_text(encoding="utf-8") == "a file\n"
 
 
 class TestAllOrNothingOutputs:

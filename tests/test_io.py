@@ -18,6 +18,7 @@ import beerfed.io
 from beerfed import cli, model
 from beerfed.errors import ConfigurationError, IngestError
 from beerfed.io import (
+    BEVERAGE_COLUMNS,
     beverage_id_for,
     canonical_json,
     load_dataset,
@@ -30,8 +31,9 @@ from beerfed.io import (
 from beerfed.model import (AbvBand, Beverage, NoteTag, classify_abv, derive_note_tags, style_bucketer,
                            validate_dataset)
 from beerfed.scoring import build_score_matrix, tag_report
-from genutil import Row, dataset_content, dataset_of, review_rows
+from genutil import HOSTILE_CELLS, Row, dataset_content, dataset_of, review_rows
 from oracles import (
+    _oracle_csv,
     oracle_load_dataset,
     oracle_parse_scorecards,
     oracle_scorecards_csv,
@@ -664,6 +666,22 @@ class TestRoundTrips:
         again = tmp_path / "s_again.csv"
         write_scorecards_csv(dataset2, again)
         assert again.read_text(encoding="utf-8") == canonical
+
+
+class TestWritersEqualTheCsvOracle:
+    def test_beverages_csv_with_hostile_cells(self, tmp_path):
+        # each hostile cell as a producer, in a name, as a style and as an ingredient
+        tags = frozenset({NoteTag.OTHER, NoteTag.REAL_FLAVOUR})
+        beverages = [Beverage(f"p{i}::b{i}", cell, f"B{i}{cell}", cell, model.FALLBACK_FAMILY_NAME, 4.5 + i,
+                              frozenset({cell, "hops"}), tags if i % 2 else frozenset())
+                     for i, cell in enumerate(HOSTILE_CELLS)]
+        for listed, header in ((beverages, [*BEVERAGE_COLUMNS, "ingredients", "tags"]),
+                               ([dataclasses.replace(b, ingredients=None, note_tags=frozenset()) for b in beverages],
+                                list(BEVERAGE_COLUMNS))):
+            write_beverages_csv(listed, tmp_path / "b.csv")
+            rows = [[b.producer, b.name, b.raw_style, b.abv, ";".join(sorted(b.ingredients or ())),
+                     ";".join(sorted(t.value for t in b.note_tags))][:len(header)] for b in listed]
+            assert (tmp_path / "b.csv").read_bytes().decode("utf-8") == _oracle_csv(header, rows)
 
 
 TEXT_PIECES = ["Stout", "ale", " ", ",", '"', "\n", "\r\n", "\r", ";", "é", "Ærø", "日本", "🍺", "x"]
