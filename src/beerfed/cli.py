@@ -8,8 +8,10 @@ only eval-recs' --strict handler returns 5 itself.
 Every command runs ``io`` and ``model``; the modules only some commands
 run (``protocol``, ``reports``, ``scoring``, ``receval``, ``decimal``) are
 imported on first use. Their stage functions stay attributes of this
-module, and the commands call them through it, so a caller that replaces
-``cli.<stage>`` replaces what runs.
+module, and the commands look them up in its namespace (its globals, then
+``__getattr__``), so a caller that replaces ``cli.<stage>`` replaces what
+runs; never through ``sys.modules[__name__]``, which is another module when
+runpy runs this one without ``alter_sys`` (``python -m cProfile -m``).
 """
 
 from __future__ import annotations
@@ -49,7 +51,14 @@ __getattr__ = _resolver(globals(), {
     "normalize": "scoring", "JudgeIndex": "receval", "evaluate_model": "receval",
     "load_recommendations": "receval", "REPORT_FILES": "reports",
 })
-_cli = sys.modules[__name__]  # stage lookups go through the module, see the docstring
+
+
+class _Stages:  # stage lookups, see the docstring
+    def __getattr__(self, name: str):
+        return globals()[name] if name in globals() else __getattr__(name)
+
+
+_cli = _Stages()
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -224,9 +233,9 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
     for path in paths:
         try:
             model_id, sets = _cli.load_recommendations(path)
-        except (IngestError, OSError) as exc:  # an IngestError's message names the file
+        except (IngestError, OSError) as exc:  # an IngestError names its file; even --strict skips this run's own table
             reason = str(exc) if isinstance(exc, IngestError) else f"{path}: {exc.strerror or exc}"
-            if args.strict:
+            if args.strict and not any(os.path.exists(o) and os.path.samefile(path, o) for o in (out_path, json_path)):
                 diag.error(reason, code="EVAL")
                 return EXIT_STRICT_EVAL
             diag.warning(f"skipping {reason}", code="EVAL")

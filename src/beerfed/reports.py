@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
-from .canonical import (Encoded, csv_lines, csv_texts, grid_rows, json_cells, json_grid, json_list, json_records,
-                        json_texts, write_json)
+from .canonical import Encoded, csv_lines, csv_texts, grid_rows, json_cells, json_grid, json_records, json_texts, write_json
 from .io import staged_outputs, write_csv
 from .model import (
     ABV_BAND_EDGES,
@@ -145,31 +143,23 @@ def write_report_tables(
     """Write the eight CSV tables plus report.json, all or none of them;
     returns paths by name.
 
-    Each number is formatted once. A record table's values become one JSON
-    text column per key (``canonical.json_texts``), which report.json's records
-    and the CSV table holding the same numbers both join: ``top10`` and
-    ``bottom10`` are ``ranking``'s first rows and its last rows reversed,
-    as ``build_analysis_report`` makes them, and ``per_style`` holds the
-    ``per_style_rows`` scores by family. The agreement's upper triangle is
-    formatted once and mirrored, NaN written as null in JSON and as an
-    empty cell in CSV. report.json is streamed a block of rows at a time.
+    Each table is written as given; only ``build_analysis_report`` derives
+    one table from another. Each number is formatted once. A record table's
+    values become one JSON text column per key (``canonical.json_texts``),
+    which report.json's records and the CSV table holding the same numbers
+    both join. The agreement's upper triangle is formatted once and
+    mirrored, NaN written as null in JSON and as an empty cell in CSV.
+    report.json is streamed a block of rows at a time.
     """
     payload = dict(report, violations=[
         {"code": v.code, "severity": v.severity.value, "subject": v.subject, "message": v.message}
         for v in (violations or [])])
     values = {name: {key: [r[key] for r in rows] for key in rows[0]} for name, rows in payload.items()
-              if type(rows) is list and rows and type(rows[0]) is dict and name not in ("top10", "bottom10")}
+              if type(rows) is list and rows and type(rows[0]) is dict}
     texts = {name: {key: json_texts(column) for key, column in columns.items()} for name, columns in values.items()}
-    for table in (values, texts):
-        for name, part in (("top10", slice(TOP_N)), ("bottom10", slice(-1, -TOP_N - 1, -1))):
-            if "ranking" in table:
-                table[name] = {key: column[part] for key, column in table["ranking"].items()}
     agree = report["agreement"]
     cells = json_cells(agree["values"], symmetric=True)
-    scores = iter(texts.get("per_style_rows", {}).get("score", ()))
     payload.update({name: Encoded(partial(json_records, columns)) for name, columns in texts.items()},
-                   per_style={family: Encoded(partial(json_list, list(islice(scores, len(family_scores)))))
-                              for family, family_scores in report["per_style"].items()},
                    agreement={"judges": agree["judges"], "values": Encoded(partial(json_grid, cells))})
     with staged_outputs(out_dir) as out:
         paths: dict[str, Path] = {}

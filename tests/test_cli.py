@@ -1427,9 +1427,29 @@ class TestOutputsNeverReplaceInputs:
         recs = self.rec_dir(sim_outputs, tmp_path)
         argv = ["eval-recs", str(recs / "*.json"), str(sim_outputs / "scorecards.csv"),
                 str(sim_outputs / "beverages.csv"), "--out", str(recs / "model-01.csv")]
-        message = self.refused(capsys, argv, [recs / "model-01.json", recs / "model-02.json"])
-        assert message == f"output {recs / 'model-01.json'} would replace the input file {recs / 'model-01.json'}"
-        assert sorted(p.name for p in recs.iterdir()) == ["model-01.json", "model-02.json"]
+        for strict in ([], ["--strict"]):  # a twin that loads is an input, under --strict too
+            message = self.refused(capsys, [*argv, *strict], [recs / "model-01.json", recs / "model-02.json"])
+            assert message == f"output {recs / 'model-01.json'} would replace the input file {recs / 'model-01.json'}"
+            assert sorted(p.name for p in recs.iterdir()) == ["model-01.json", "model-02.json"]
+
+    def test_eval_recs_strict_rerun_skips_its_own_table(self, sim_outputs, tmp_path, capsys):
+        # the glob matches the first run's metrics.json, which is no rec file:
+        # each rerun skips it with the usual warning, also under --strict and
+        # through a symlinked directory, and writes the same bytes
+        recs = self.rec_dir(sim_outputs, tmp_path)
+        alias = tmp_path / "alias"
+        alias.symlink_to(recs)
+        tables = [str(sim_outputs / "scorecards.csv"), str(sim_outputs / "beverages.csv")]
+        assert cli.main(["eval-recs", str(recs / "*.json"), *tables, "--out", str(recs / "metrics.csv"), "--strict"]) == 0
+        first, _ = {p.name: p.read_bytes() for p in recs.iterdir()}, capsys.readouterr()
+        for glob, out in ((recs / "*.json", recs), (recs / "*", recs), (recs / "*.json", alias)):
+            argv = ["--json-errors", "eval-recs", str(glob), *tables, "--out", str(out / "metrics.csv"), "--strict"]
+            assert cli.main(argv) == 0
+            records = error_records(capsys)
+            assert [r["level"] for r in records] == ["warning"] * (len(records) - 1) + ["info"]
+            assert all(r["message"].startswith(f"skipping {recs / 'metrics.'}") for r in records[:-1])
+            assert len(records) == 2 + (glob.name == "*")  # the CSV table too
+            assert {p.name: p.read_bytes() for p in recs.iterdir()} == first
 
     def test_eval_recs_out_is_the_scorecards(self, sim_outputs, tmp_path, capsys):
         recs, cards = self.rec_dir(sim_outputs, tmp_path), sim_outputs / "scorecards.csv"
@@ -1814,6 +1834,31 @@ class TestProgramEntry:
         expected = capsys.readouterr().err
         done = self.child("-m", "beerfed.cli", *argv)
         assert (done.returncode, done.stderr) == (status, expected)
+
+    @pytest.mark.parametrize("launcher", [("-m", "cProfile", "-o", os.devnull, "-m", "beerfed.cli"),
+                                          ("-c", "import runpy; runpy.run_module('beerfed.cli', run_name='__main__')")],
+                             ids=["cProfile", "runpy"])
+    def test_subcommands_run_under_runpy_as_plainly(self, sim_outputs, tmp_path, launcher):
+        # runpy without alter_sys leaves the wrapper in sys.modules["__main__"]:
+        # every subcommand still exits 0 and writes a plain run's bytes
+        recs = tmp_path / "recs"
+        recs.mkdir()
+        make_rec_file(recs, "model-01", {j: top_names(sim_outputs / "scorecards.csv", j) for j in "ABC"})
+
+        def run(out, call):
+            sim = out / "sim"
+            assert call(["simulate", str(write_config(tmp_path)), "--out", str(sim)]) == 0
+            assert call(analyze_argv(sim / "scorecards.csv", sim / "beverages.csv", out / "rep")) == 0
+            assert call(["eval-recs", str(recs / "*.json"), str(sim / "scorecards.csv"), str(sim / "beverages.csv"),
+                         "--out", str(out / "metrics.csv")]) == 0
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def wrapped(argv):
+            done = self.child(*launcher, *argv)
+            assert done.returncode == 0, done.stderr[-2000:]
+            return done.returncode
+
+        assert run(tmp_path / "wrapped", wrapped) == run(tmp_path / "plain", cli.main)
 
     def test_run_keeps_atexit_handlers_and_freezes(self, sim_outputs, tmp_path):
         script = (

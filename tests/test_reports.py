@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.resources
 import json
 import math
 import tempfile
@@ -104,32 +105,34 @@ COUNTS = st.integers(0, 10**6)
 @st.composite
 def report_dicts(draw):
     """Report-shaped dicts as ``build_analysis_report`` lays them out, with
-    odd names and numbers; top10, bottom10 and per_style_rows derived as it
-    derives them, and a symmetric agreement with a unit diagonal."""
+    odd names and numbers; every table drawn on its own, so top10, bottom10,
+    per_style and per_style_rows need not be what the builder derives from
+    the ranking or from each other, and a symmetric agreement with a unit
+    diagonal."""
     def rows(**columns):
         return draw(st.lists(st.fixed_dictionaries(columns), max_size=14))
+
+    def ranked():
+        return rows(rank=COUNTS, beverage=CELLS, score=NUMBERS, reviews=COUNTS)
 
     judges = draw(st.lists(CELLS, max_size=5, unique=True))
     values = np.ones((len(judges), len(judges)))
     for i in range(len(judges)):
         for j in range(i):
             values[i, j] = values[j, i] = draw(AGREEMENT)
-    ranking = [dict(rank=i + 1, **row) for i, row in enumerate(rows(beverage=CELLS, score=NUMBERS, reviews=COUNTS))]
-    per_style = draw(st.dictionaries(CELLS, st.lists(NUMBERS, max_size=4), max_size=4))
     return {
         "meta": {"judges": judges, "lenient": draw(st.booleans())},
         "style_counts": rows(family=CELLS, count=COUNTS),
         "abv_bands": rows(band=CELLS, count=COUNTS),
         "judge_stats": rows(judge=CELLS, mean=NUMBERS, sd=NUMBERS, count=COUNTS),
         "agreement": {"judges": judges, "values": values},
-        "ranking": ranking,
-        "top10": ranking[:10],
-        "bottom10": ranking[-10:][::-1],
-        "per_style": per_style,
-        "per_style_rows": [{"family": f, "score": score} for f, scores in per_style.items() for score in scores],
+        "ranking": ranked(),
+        "top10": ranked(),
+        "bottom10": ranked(),
+        "per_style": draw(st.dictionaries(CELLS, st.lists(NUMBERS, max_size=4), max_size=4)),
+        "per_style_rows": rows(family=CELLS, score=NUMBERS),
         "divisive": rows(beverage=CELLS, sd=NUMBERS, range=NUMBERS, reviews=COUNTS),
-        "raw_ranking": [dict(rank=i + 1, **row) for i, row in enumerate(rows(beverage=CELLS, score=NUMBERS,
-                                                                              reviews=COUNTS))],
+        "raw_ranking": ranked(),
         "tag_report": rows(family=CELLS, real_mean=NUMBERS | st.none(), real_count=COUNTS,
                            comparable=st.booleans(), real_at_least_artificial=st.booleans() | st.none()),
     }
@@ -150,6 +153,21 @@ class TestReportBytes:
         with tempfile.TemporaryDirectory() as out:
             paths = write_report_tables(report, out, violations)
             assert written(paths) == oracle_report_files(report, violations)
+
+    def test_a_cut_paper_report_is_written_as_given(self, tmp_path):
+        # the calibration session's report with top10 cut to 3 rows and one
+        # family's per_style list cut by its first score: top10.csv keeps 3
+        # rows, and every other family keeps its own scores in report.json
+        config = importlib.resources.files("beerfed.data") / "calibration_session.json"
+        assert cli.main(["simulate", str(config), "--out", str(tmp_path / "sim")]) == 0
+        report = build_analysis_report(load_dataset(tmp_path / "sim" / "beverages.csv", tmp_path / "sim" / "scorecards.csv"))
+        cut = next(family for family, scores in report["per_style"].items() if scores)
+        report["top10"] = report["top10"][:3]
+        report["per_style"] = {**report["per_style"], cut: report["per_style"][cut][1:]}
+        files = written(write_report_tables(report, tmp_path / "out"))
+        assert files == oracle_report_files(report)
+        assert len(files["top10.csv"].splitlines()) == 1 + 3
+        assert json.loads(files["report.json"])["per_style"] == report["per_style"]
 
     def test_csv_tables_equal_write_csv(self, tiny_dataset, tmp_path):
         names = [",x", 'a"b', "c\rd", "e\nf", " g", ""]
