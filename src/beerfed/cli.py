@@ -152,11 +152,17 @@ def _checked_dataset(args, diag: Diagnostics, lenient: bool = False, cell_bytes:
     return families, dataset, violations
 
 
+def _same_file(path, candidates):
+    """The first of candidates that is the file at path, or None; a path that cannot be stat'ed is no file."""
+    if not os.path.exists(path):
+        return None
+    return next((c for c in candidates if c and os.path.exists(c) and os.path.samefile(path, c)), None)
+
+
 def _refuse_clash(outputs, inputs) -> None:
     """Raise ConfigurationError, before anything is written, if an output path is one of the input files."""
-    inputs = [path for path in inputs if path and os.path.exists(path)]
     for out in filter(os.path.isfile, outputs):
-        if clash := next((path for path in inputs if os.path.samefile(out, path)), None):
+        if clash := _same_file(out, inputs):
             raise ConfigurationError(f"output {out} would replace the input file {clash}")
 
 
@@ -235,7 +241,7 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
             model_id, sets = _cli.load_recommendations(path)
         except (IngestError, OSError) as exc:  # an IngestError names its file; even --strict skips this run's own table
             reason = str(exc) if isinstance(exc, IngestError) else f"{path}: {exc.strerror or exc}"
-            if args.strict and not any(os.path.exists(o) and os.path.samefile(path, o) for o in (out_path, json_path)):
+            if args.strict and not _same_file(path, (out_path, json_path)):
                 diag.error(reason, code="EVAL")
                 return EXIT_STRICT_EVAL
             diag.warning(f"skipping {reason}", code="EVAL")
@@ -246,17 +252,10 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
             diag.warning(f"{path}: model_id {model_id!r} is also in {first}; both rows are kept",
                          code="EVAL")
         for extra in sorted(set(sets) - known):
-            diag.warning(
-                f"{path}: profile {extra!r} has no scorecard; ignored", code="EVAL"
-            )
+            diag.warning(f"{path}: profile {extra!r} has no scorecard; ignored", code="EVAL")
         rows.append(_cli.evaluate_model(sets, index, model_id=model_id, tie_mode=args.hit_ties))
 
-    rows.sort(
-        key=lambda r: (
-            -(r.mean_rating if r.mean_rating is not None else float("-inf")),
-            r.model_id,
-        )
-    )
+    rows.sort(key=lambda r: (-(r.mean_rating if r.mean_rating is not None else float("-inf")), r.model_id))
 
     _refuse_clash([out_path, json_path], [*read, args.scorecards, args.beverages, args.families])
     columns = [(h.format(k=args.k), key.format(k=args.k), field) for h, key, field in METRIC_COLUMNS]

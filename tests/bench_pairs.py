@@ -3,8 +3,7 @@
 pairing rule. Not a test, so pytest does not collect it. Run from the
 repository root:
 
-    python3 tests/bench_pairs.py PARENT CHANGE [--workload paper|stress|sparse] [--pairs N]
-                                 [--seconds S] [--work DIR]
+    python3 tests/bench_pairs.py PARENT CHANGE [--workload paper|stress|sparse] [--pairs N] [--work DIR]
 
 PARENT and CHANGE are two checkouts, each with its own ``src/`` and
 ``bench/``. Each tree's ``src/`` is compiled with ``compileall`` into its
@@ -13,9 +12,10 @@ bench follows, with bytecode writing on, so that the same cache also holds
 the standard library and numpy modules the pipeline imports: with a cache
 prefix set, Python reads bytecode only from there. Then N pairs of each
 tree's unchanged ``bench/run.py --workload W --seconds S`` run one at a
-time, the parent first in even pairs and the change first in odd ones,
-with bytecode writing as the caller's environment sets it. Every run must
-print ``correct: true``.
+time, where S is ``run_seconds`` from the change's ``BENCHMARK.json``, the
+same on both sides: the parent first in even pairs and the change first in
+odd ones, with bytecode writing as the caller's environment sets it. Every
+run must print ``correct: true``.
 
 For each end-to-end metric in the change's ``BENCHMARK.json`` it prints
 each side's median and quartiles, the pairs in which the change is
@@ -64,25 +64,24 @@ def main() -> None:
     parser.add_argument("change", type=Path, help="the changed checkout")
     parser.add_argument("--workload", default="paper", help="the bench workload")
     parser.add_argument("--pairs", type=int, default=10, help="alternating parent/change pairs")
-    parser.add_argument("--seconds", type=float, default=25.0, help="bench/run.py --seconds of each run")
     parser.add_argument("--work", type=Path, default=None, help="directory for the bytecode caches")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     work = args.work.resolve() if args.work else Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     prefixes = {side: work / f"pycache-{side}" for side in trees}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     for side, tree in trees.items():
         env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefixes[side]))
         subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], env=env, check=True)
-        bench(tree, prefixes[side], args.workload, 1.0, write_bytecode=True)
+        bench(tree, prefixes[side], args.workload, 1.0, write_bytecode=True)  # the warm-up run
 
     runs: dict[str, list[dict]] = {side: [] for side in trees}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(bench(trees[side], prefixes[side], args.workload, args.seconds))
+            runs[side].append(bench(trees[side], prefixes[side], args.workload, spec["run_seconds"]))
         print(f"pair {i + 1}/{args.pairs}: " + "  ".join(
             f"{side} " + " ".join(f"{v:.4g}" for v in runs[side][-1].values()) for side in trees), flush=True)
 
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     print(f"{'metric':12s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s} "
           f"{'wins':>6s} {'gap>IQR':>7s} {'move':>7s} {'bound':>6s}")
     for metric in spec["end_to_end"]:
@@ -97,7 +96,7 @@ def main() -> None:
         print(f"{name:12s} {pm:12.4f} [{p1:.4f}, {p3:.4f}] {cm:12.4f} [{c1:.4f}, {c3:.4f}] "
               f"{wins:3d}/{len(parent):<2d} {'yes' if abs(cm - pm) > p3 - p1 else 'no':>7s} "
               f"{move:+7.1%} {'worse' if move > metric['bound'] else 'within':>6s}")
-    print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+    print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seconds": spec["run_seconds"],
                       "trees": {side: str(tree) for side, tree in trees.items()}, "runs": runs}))
 
 

@@ -1451,6 +1451,22 @@ class TestOutputsNeverReplaceInputs:
             assert len(records) == 2 + (glob.name == "*")  # the CSV table too
             assert {p.name: p.read_bytes() for p in recs.iterdir()} == first
 
+    def test_eval_recs_strict_dangling_rec_link_exits_5(self, sim_outputs, tmp_path, capsys):
+        # a glob match that cannot even be stat'ed is no table of this run:
+        # once the tables exist, --strict still exits 5, on every rerun
+        recs = self.rec_dir(sim_outputs, tmp_path)
+        (recs / "x.json").symlink_to(tmp_path / "gone.json")
+        argv = ["--json-errors", "eval-recs", str(recs / "*.json"), str(sim_outputs / "scorecards.csv"),
+                str(sim_outputs / "beverages.csv"), "--out", str(recs / "metrics.csv")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        for _ in range(2):
+            assert cli.main([*argv, "--strict"]) == 5
+            skipped, record = error_records(capsys)  # metrics.json sorts before x.json
+            assert skipped["message"].startswith(f"skipping {recs / 'metrics.json'}: ")
+            assert (record["level"], record["code"]) == ("error", "EVAL")
+            assert record["message"].startswith(f"{recs / 'x.json'}: ")
+
     def test_eval_recs_out_is_the_scorecards(self, sim_outputs, tmp_path, capsys):
         recs, cards = self.rec_dir(sim_outputs, tmp_path), sim_outputs / "scorecards.csv"
         alias = tmp_path / "alias.csv"
