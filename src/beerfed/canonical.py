@@ -72,6 +72,21 @@ def json_list(texts: list[str], newline: str) -> Iterator[str]:
     yield f"[{inner}{(',' + inner).join(texts)}{newline}]" if texts else "[]"
 
 
+def record_table(rows, newline: str) -> tuple[dict[str, list], dict[str, list[str]]] | None:
+    """The one record-table rule: a non-empty list or tuple of dicts sharing
+    one non-empty set of str keys, as its values and their JSON texts a
+    column at a time by key, for ``json_records``; else None."""
+    keys = rows[0].keys() if type(rows) in (list, tuple) and rows and type(rows[0]) is dict else ()
+    if not (keys and {*map(type, rows)} == {dict} and {*map(type, keys)} == {str}
+            and sum(map(len, rows)) == len(keys) * len(rows)):
+        return None
+    try:  # rows the first's size that each hold its keys hold no other key
+        values = {key: [row[key] for row in rows] for key in keys}
+    except KeyError:
+        return None
+    return values, {key: json_texts(column, newline + "    ") for key, column in values.items()}
+
+
 def json_records(columns: dict[str, list[str]], newline: str) -> Iterator[str]:
     """The list of records whose values' JSON texts ``columns`` holds by
     key, each record one format of the sorted keys applied to its texts."""
@@ -140,9 +155,9 @@ def _chunks(obj, newline: str) -> Iterator[str]:
             yield from _chunks(obj[key], inner)
         yield newline + "}"
     elif kind in (list, tuple) and obj:
-        keys = obj[0].keys() if type(obj[0]) is dict else ()
-        if keys and all(type(key) is str for key in keys) and all(type(r) is dict and r.keys() == keys for r in obj):
-            yield from json_records({key: json_texts([r[key] for r in obj], inner + "  ") for key in keys}, newline)
+        table = record_table(obj, newline)
+        if table:
+            yield from json_records(table[1], newline)
         else:
             yield from json_list(json_texts(obj, inner), newline)
     elif kind is np.ndarray and obj.ndim == 2 and obj.dtype == float:
@@ -163,13 +178,16 @@ _CSV_LEAVES = {"null": "", "true": "True", "false": "False", **{json.dumps(x): r
 
 def csv_texts(values: Sequence, texts: Sequence[str] | None = None) -> list[str]:
     """What the csv module writes for each of a column's ``values`` beside
-    another cell (alone, "" is quoted): a str quoted as it quotes one, any
-    other leaf read off its JSON text (``texts``, else ``json_texts``'s), a
-    finite number alike, None empty, other floats and bools by str()."""
-    if values and type(values[0]) is str:
-        return ['"' + cell.replace('"', '""') + '"' if _QUOTED(cell) else cell for cell in values]
-    texts = json_texts(values) if texts is None else texts
-    return list(map(_CSV_LEAVES.get, texts, texts))
+    another cell (alone, "" is quoted): a column of numbers, bools and None
+    read off its JSON texts (``texts``, else ``json_texts``'s), a finite
+    number alike, None empty, other floats and bools by str(); any other
+    column each value's str() (None empty), quoted as the module quotes it."""
+    kinds = {*map(type, values)}
+    if kinds <= {int, float, bool, type(None)}:
+        texts = json_texts(values) if texts is None else texts
+        return list(map(_CSV_LEAVES.get, texts, texts))
+    cells = values if kinds == {str} else ["" if value is None else str(value) for value in values]
+    return ['"' + cell.replace('"', '""') + '"' if _QUOTED(cell) else cell for cell in cells]
 
 
 def csv_lines(columns: Sequence[Sequence[str]], codes: Sequence[np.ndarray] | None = None) -> Iterator[str]:

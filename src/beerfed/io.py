@@ -89,10 +89,6 @@ SESSION_FILES = ("beverages.csv", "scorecards.csv", "session_log.jsonl", "sessio
 _SCORE_RE = re.compile(r"^[0-9]+(\.[0-9])?$")
 
 
-def beverage_id_for(producer: str, name: str) -> str:
-    return f"{normalize_name(producer)}::{normalize_name(name)}"
-
-
 def _parse_tags(raw: str, row: int | None, column: str) -> frozenset[NoteTag]:
     tags = set()
     for part in filter(None, map(str.strip, raw.split(";"))):
@@ -193,7 +189,7 @@ def _beverage_from_fields(
         )
     ingredients = frozenset(filter(None, map(str.strip, ingredients_raw.split(";")))) or None
     return Beverage(
-        id=f"{normalize_name(producer)}::{name.casefold()}",  # beverage_id_for(producer, name)
+        id=f"{normalize_name(producer)}::{name.casefold()}",
         producer=producer.strip(),
         name=name,
         raw_style=raw_style.strip(),

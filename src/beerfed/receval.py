@@ -33,15 +33,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import IngestError
 from .model import _json_str, _read_json, normalize_name
-
-if TYPE_CHECKING:
-    from .scoring import ScoreMatrix
+from .scoring import ScoreMatrix, _midranks
 
 
 class RecommendationSet(NamedTuple):
@@ -146,8 +144,7 @@ class JudgeIndex:
         pct: list[dict[float, float]] = [{} for _ in order]  # each distinct score's percentile
         for row in np.flatnonzero(n >= 2):  # mid-ranked: ties count half
             scores, tied = np.unique(best[row, :n[row]], return_counts=True)  # ascending
-            below = np.cumsum(tied) - tied
-            pct[row] = dict(zip(scores.tolist(), ((below + 0.5 * (tied - 1)) / (n[row] - 1)).tolist()))
+            pct[row] = dict(zip(scores.tolist(), ((_midranks(tied) - 1) / (n[row] - 1)).tolist()))
         discounts = [math.log2(i + 1) for i in range(1, width + 1)]
         idcg = [sum(rel / d for rel, d in zip(ideal[:size], discounts))
                 for ideal, size in zip(best[:, :width].tolist(), ideal_len.tolist())]

@@ -12,7 +12,7 @@ from collections import Counter
 from functools import partial
 from pathlib import Path
 
-from .canonical import Encoded, csv_lines, csv_texts, grid_rows, json_cells, json_grid, json_records, json_texts, write_json
+from .canonical import Encoded, csv_lines, csv_texts, grid_rows, json_cells, json_grid, json_records, record_table, write_json
 from .io import staged_outputs, write_csv
 from .model import (
     ABV_BAND_EDGES,
@@ -137,6 +137,16 @@ CSV_TABLES = (("style_counts", "style_counts", ("family", "count")), ("abv_bands
 REPORT_FILES = (*(f"{name}.csv" for name, _, _ in CSV_TABLES), "agreement.csv", "report.json")
 
 
+def _csv_columns(name: str, rows, header: tuple[str, ...]) -> dict[str, list]:
+    """The ``header`` columns of CSV table ``name``'s source, a list of records holding each."""
+    if type(rows) not in (list, tuple):
+        raise ValueError(f"{name}.csv: its source is not a list of records")
+    for i, row in enumerate(rows):
+        if missing := [key for key in header if type(row) is not dict or key not in row]:
+            raise ValueError(f"{name}.csv: source row {i} has no column {missing[0]!r}")
+    return {key: [row[key] for row in rows] for key in header}
+
+
 def write_report_tables(
     report: dict, out_dir: str | Path, violations: list[Violation] | None = None
 ) -> dict[str, Path]:
@@ -144,27 +154,30 @@ def write_report_tables(
     returns paths by name.
 
     Each table is written as given; only ``build_analysis_report`` derives
-    one table from another. Each number is formatted once. A record table's
-    values become one JSON text column per key (``canonical.json_texts``),
-    which report.json's records and the CSV table holding the same numbers
-    both join. The agreement's upper triangle is formatted once and
-    mirrored, NaN written as null in JSON and as an empty cell in CSV.
-    report.json is streamed a block of rows at a time.
+    one table from another. Each number is formatted once. A record table
+    (``canonical.record_table``) is encoded as one JSON text column per
+    key, which report.json's records and the CSV table holding the same
+    numbers both join; a CSV table whose source is not a list of records
+    holding its columns raises ValueError. The agreement's upper triangle
+    is formatted once and mirrored, NaN written as null in JSON and as an
+    empty cell in CSV. report.json is streamed a block of rows at a time.
     """
     payload = dict(report, violations=[
         {"code": v.code, "severity": v.severity.value, "subject": v.subject, "message": v.message}
         for v in (violations or [])])
-    values = {name: {key: [r[key] for r in rows] for key in rows[0]} for name, rows in payload.items()
-              if type(rows) is list and rows and type(rows[0]) is dict}
-    texts = {name: {key: json_texts(column) for key, column in columns.items()} for name, columns in values.items()}
+    # each table is a value of report.json's top-level object, whose lines start two spaces in
+    tables = {name: table for name, rows in payload.items() if (table := record_table(rows, "\n  "))}
     agree = report["agreement"]
     cells = json_cells(agree["values"], symmetric=True)
-    payload.update({name: Encoded(partial(json_records, columns)) for name, columns in texts.items()},
+    payload.update({name: Encoded(partial(json_records, texts)) for name, (_, texts) in tables.items()},
                    agreement={"judges": agree["judges"], "values": Encoded(partial(json_grid, cells))})
     with staged_outputs(out_dir) as out:
         paths: dict[str, Path] = {}
         for name, source, header in CSV_TABLES:
-            columns = [csv_texts(values[source][key], texts[source][key]) for key in header] if source in values else ()
+            values, texts = tables.get(source, ({}, {}))
+            if not set(header) <= values.keys():  # not one record table holding every column
+                values, texts = _csv_columns(name, report.get(source), header), {}
+            columns = [csv_texts(values[key], texts.get(key)) for key in header]
             paths[name] = out / f"{name}.csv"
             write_csv(paths[name], header, csv_lines(columns))
         # judge ids are data, so the agreement matrix is written by position; its

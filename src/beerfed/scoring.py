@@ -82,19 +82,24 @@ def normalize(
     deviation instead (unbounded, no clipping). Judges whose filled scores
     are all equal (or fewer than two) have no defined scale: that raises
     DegenerateRowError unless ``lenient``, in which case the whole row
-    maps to 0.5 (min-max) or 0.0 (z-score).
+    maps to 0.5 (min-max) or 0.0 (z-score). Min-max runs on integer
+    tenths, so a filled cell off the 0.1 grid raises ValueError naming its
+    judge; the z-score takes any float.
     """
     if method not in ("minmax", "zscore"):
         raise ValueError(f"unknown normalization method {method!r}")
     cells = matrix.cells
     filled = ~np.isnan(cells)
-    tenths = np.rint(cells * 10)
-    lo = np.fmin.reduce(tenths, axis=1, initial=np.inf)  # fmin and fmax skip NaN
-    hi = np.fmax.reduce(tenths, axis=1, initial=-np.inf)
-    flat = lo == hi  # a filled row with one level; an empty row has lo > hi
+    lo = np.fmin.reduce(cells, axis=1, initial=np.inf)  # fmin and fmax skip NaN
+    hi = np.fmax.reduce(cells, axis=1, initial=-np.inf)
+    flat = lo == hi  # a filled row with one value; an empty row has lo > hi
     if flat.any() and not lenient:
         raise DegenerateRowError([j for j, f in zip(matrix.judges, flat.tolist()) if f])
     if method == "minmax":
+        tenths = np.rint(cells * 10)
+        if (off := ((tenths / 10 != cells) & filled).any(axis=1)).any():
+            raise ValueError(f"judge {matrix.judges[off.argmax()]!r}: min-max needs scores on the 0.1 grid")
+        lo, hi = np.rint(lo * 10), np.rint(hi * 10)
         out = (tenths - lo[:, None]) / np.where(flat, 1, hi - lo)[:, None]
     else:
         _, mean, sd, _ = _column_stats(cells.T)

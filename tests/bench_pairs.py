@@ -22,8 +22,10 @@ each side's median and quartiles, the pairs in which the change is
 better, whether the gap between the medians exceeds the parent's
 interquartile range, and the change's relative move against the metric's
 bound. A claimed gain needs at least 9 wins in 10 and a gap beyond the
-IQR; a change that claims none must stay within each bound. The last line
-is one JSON object with every run's metrics.
+IQR; a change that claims none must stay within each bound. It also
+prints each tree's ``src/`` line count (``wc -l`` of its ``.py`` files),
+so the line-count rule is read from the same run. The last line is one
+JSON object with every run's metrics and both line counts.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def bench(tree: Path, prefix: Path, workload: str, seconds: float, write_bytecod
         raise SystemExit(f"{tree}: {' '.join(argv[1:])} exited {done.returncode} without correct: true\n"
                          + "\n".join(lines[-5:]) + done.stderr[-2000:])
     return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of the ``.py`` files under ``tree/src``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -96,8 +103,10 @@ def main() -> None:
         print(f"{name:12s} {pm:12.4f} [{p1:.4f}, {p3:.4f}] {cm:12.4f} [{c1:.4f}, {c3:.4f}] "
               f"{wins:3d}/{len(parent):<2d} {'yes' if abs(cm - pm) > p3 - p1 else 'no':>7s} "
               f"{move:+7.1%} {'worse' if move > metric['bound'] else 'within':>6s}")
+    lines = {side: src_lines(tree) for side, tree in trees.items()}
+    print(f"src lines: parent {lines['parent']}, change {lines['change']} ({lines['change'] - lines['parent']:+d})")
     print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seconds": spec["run_seconds"],
-                      "trees": {side: str(tree) for side, tree in trees.items()}, "runs": runs}))
+                      "trees": {side: str(tree) for side, tree in trees.items()}, "src_lines": lines, "runs": runs}))
 
 
 if __name__ == "__main__":

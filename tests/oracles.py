@@ -264,6 +264,12 @@ def _collapse(s):
     return " ".join(s.split())
 
 
+def oracle_beverage_id(producer, name):
+    """A beverage's id: its producer and its name, each collapsed and
+    casefolded, joined by "::"."""
+    return f"{_collapse(producer).casefold()}::{_collapse(name).casefold()}"
+
+
 def _note_tags(note):
     """Tags implied by a note: real / artificial by whole word, else other."""
     tags = {tag for word, tag in (("real", "real_flavour"), ("artificial", "artificial_flavour"))

@@ -19,7 +19,6 @@ from beerfed import cli, model
 from beerfed.errors import ConfigurationError, IngestError
 from beerfed.io import (
     BEVERAGE_COLUMNS,
-    beverage_id_for,
     canonical_json,
     load_dataset,
     load_session_config,
@@ -34,6 +33,7 @@ from beerfed.scoring import build_score_matrix, tag_report
 from genutil import HOSTILE_CELLS, Row, dataset_content, dataset_of, review_rows
 from oracles import (
     _oracle_csv,
+    oracle_beverage_id,
     oracle_load_dataset,
     oracle_parse_scorecards,
     oracle_scorecards_csv,
@@ -368,7 +368,7 @@ def random_beverages(rng):
 
 def beverage_list(names, shared=()):
     """One beverage from producer P per name, and one from Q per shared name."""
-    return [Beverage(beverage_id_for(producer, name), producer, name, "Ale", model.FALLBACK_FAMILY_NAME, 5.0)
+    return [Beverage(oracle_beverage_id(producer, name), producer, name, "Ale", model.FALLBACK_FAMILY_NAME, 5.0)
             for producer, group in (("P", names), ("Q", shared)) for name in group]
 
 
@@ -706,7 +706,7 @@ def random_text_dataset(rng):
             ingredients = frozenset(filter(None, (random_text(rng, TEXT_PIECES[:-1]).replace(";", "").strip()
                                                   for _ in range(int(rng.integers(3))))))
             beverages[name.casefold()] = Beverage(
-                id=beverage_id_for(producer, name), producer=producer, name=name, raw_style=style,
+                id=oracle_beverage_id(producer, name), producer=producer, name=name, raw_style=style,
                 style_family=bucket(style).name, abv=float(rng.uniform(0.1, 100.0)), ingredients=ingredients or None,
                 note_tags=frozenset(t for t in tags if rng.random() < 0.3),
             )

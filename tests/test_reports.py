@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import beerfed.canonical
 from beerfed import cli
+from beerfed.canonical import canonical_json
 from beerfed.io import load_dataset
 from beerfed.model import Violation, validate_dataset
 from beerfed.reports import analyze_dataset, build_analysis_report, write_report_tables
@@ -100,6 +101,9 @@ CELLS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "\\"]), m
 NUMBERS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf])
 AGREEMENT = st.floats(-1.0, 1.0) | st.sampled_from([-0.0, 5e-324, -1.0, math.nan])
 COUNTS = st.integers(0, 10**6)
+# values a record may hold beside its table's columns, or in place of one
+NESTED = st.recursive(CELLS | NUMBERS | COUNTS | st.booleans() | st.none(),
+                      lambda inner: st.lists(inner, max_size=3) | st.dictionaries(CELLS, inner, max_size=3), max_leaves=6)
 
 
 @st.composite
@@ -108,12 +112,14 @@ def report_dicts(draw):
     odd names and numbers; every table drawn on its own, so top10, bottom10,
     per_style and per_style_rows need not be what the builder derives from
     the ranking or from each other, and a symmetric agreement with a unit
-    diagonal."""
+    diagonal. Some tables hold a key in only some rows, and a score or a
+    mean may be a nested list or dict."""
     def rows(**columns):
-        return draw(st.lists(st.fixed_dictionaries(columns), max_size=14))
+        extra = draw(st.sampled_from([{}, {}, {"a": NESTED}, {"m": NESTED, "z": COUNTS}]))
+        return draw(st.lists(st.fixed_dictionaries(columns, optional=extra), max_size=14))
 
     def ranked():
-        return rows(rank=COUNTS, beverage=CELLS, score=NUMBERS, reviews=COUNTS)
+        return rows(rank=COUNTS, beverage=CELLS, score=NUMBERS | NESTED, reviews=COUNTS)
 
     judges = draw(st.lists(CELLS, max_size=5, unique=True))
     values = np.ones((len(judges), len(judges)))
@@ -124,7 +130,7 @@ def report_dicts(draw):
         "meta": {"judges": judges, "lenient": draw(st.booleans())},
         "style_counts": rows(family=CELLS, count=COUNTS),
         "abv_bands": rows(band=CELLS, count=COUNTS),
-        "judge_stats": rows(judge=CELLS, mean=NUMBERS, sd=NUMBERS, count=COUNTS),
+        "judge_stats": rows(judge=CELLS, mean=NUMBERS | NESTED, sd=NUMBERS, count=COUNTS),
         "agreement": {"judges": judges, "values": values},
         "ranking": ranked(),
         "top10": ranked(),
@@ -151,8 +157,11 @@ class TestReportBytes:
         st.builds(Violation, st.sampled_from(["MISSING_REVIEWS", "ABV_RANGE_WARN"]), CELLS, CELLS), max_size=3))
     def test_tables_and_report_json_equal_the_oracle(self, report, violations):
         with tempfile.TemporaryDirectory() as out:
-            paths = write_report_tables(report, out, violations)
-            assert written(paths) == oracle_report_files(report, violations)
+            files = written(write_report_tables(report, out, violations))
+        assert files == oracle_report_files(report, violations)
+        assert files["report.json"] == canonical_json(dict(report, violations=[
+            {"code": v.code, "severity": v.severity.value, "subject": v.subject, "message": v.message}
+            for v in violations]))
 
     def test_a_cut_paper_report_is_written_as_given(self, tmp_path):
         # the calibration session's report with top10 cut to 3 rows and one
@@ -195,6 +204,54 @@ class TestReportBytes:
         files = {p.name: p.read_bytes().decode("utf-8") for p in out.iterdir()}
         assert files == oracle_report_files(report, validate_dataset(dataset))
         assert json.loads(files["report.json"])["agreement"] == {"judges": [], "values": []}
+
+
+class TestRecordTables:
+    """A table is written as given: report.json holds what json.dumps
+    writes for it, and a CSV table whose source rows are not records
+    holding its columns raises ValueError naming the table, row and column."""
+
+    @pytest.fixture
+    def paper(self, tmp_path):
+        config = importlib.resources.files("beerfed.data") / "calibration_session.json"
+        assert cli.main(["simulate", str(config), "--out", str(tmp_path / "sim")]) == 0
+        return build_analysis_report(load_dataset(tmp_path / "sim" / "beverages.csv", tmp_path / "sim" / "scorecards.csv"))
+
+    def test_a_key_of_a_later_row_only_is_kept_in_report_json(self, paper, tmp_path):
+        paper["ranking"][5]["note"] = "late"
+        paper["divisive"][2]["note"] = "late"
+        files = written(write_report_tables(paper, tmp_path / "out"))
+        assert files == oracle_report_files(paper)
+        written_json = json.loads(files["report.json"])
+        assert written_json["ranking"][5]["note"] == written_json["divisive"][2]["note"] == "late"
+
+    def test_a_nested_value_is_indented_as_json_dumps_indents_it(self, paper, tmp_path):
+        paper["ranking"] = [dict(row, score=[row["score"], {"of": row["reviews"]}]) for row in paper["ranking"]]
+        files = written(write_report_tables(paper, tmp_path / "out"))
+        assert files["report.json"] == oracle_report_files(paper)["report.json"]
+
+    def test_a_nested_value_in_a_csv_table_is_one_quoted_cell(self, paper, tmp_path):
+        paper["top10"][0] = dict(paper["top10"][0], score={"mean": 1.5, "of": [1, 2]})
+        files = written(write_report_tables(paper, tmp_path / "out"))
+        assert files == oracle_report_files(paper)
+        assert files["top10.csv"].splitlines()[1].endswith('"{\'mean\': 1.5, \'of\': [1, 2]}",3')
+        assert len(files["top10.csv"].splitlines()) == 1 + 10
+
+    def test_a_later_row_missing_a_column_names_table_row_and_column(self, paper, tmp_path):
+        del paper["divisive"][4]["range"]
+        with pytest.raises(ValueError, match=r"divisive\.csv: source row 4 has no column 'range'"):
+            write_report_tables(paper, tmp_path / "out")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_rows_that_are_not_records_name_table_row_and_column(self, paper, tmp_path):
+        paper["top10"] = [list(row.values()) for row in paper["top10"]]
+        with pytest.raises(ValueError, match=r"top10\.csv: source row 0 has no column 'rank'"):
+            write_report_tables(paper, tmp_path / "out")
+
+    def test_a_source_that_is_not_a_list_is_named(self, paper, tmp_path):
+        paper["per_style_rows"] = paper["per_style"]
+        with pytest.raises(ValueError, match=r"per_style\.csv: its source is not a list of records"):
+            write_report_tables(paper, tmp_path / "out")
 
 
 class TestFestivalReport:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from beerfed.errors import DegenerateRowError, InsufficientDataError
 from beerfed.model import DEFAULT_STYLE_FAMILIES, Beverage, NoteTag
@@ -143,6 +143,36 @@ class TestNormalize:
         m = matrix_from_rows([[3.0, 4.0, 5.0]])
         n = normalize(m, method="zscore")
         assert n.cells[0].tolist() == [-1.0, 0.0, 1.0]
+
+    def test_zscore_of_off_grid_scores_is_not_degenerate(self):
+        # 1.01, 1.02 and 1.04 all round to 1.0, but they are three scores
+        m = matrix_from_rows([[1.01, 1.02, 1.04], [3.0, 4.0, 5.0]])
+        expected = oracle_normalize(judge_rows(m), method="zscore")
+        assert judge_rows(normalize(m, method="zscore")) == {j: pytest.approx(row, rel=1e-12) for j, row in expected.items()}
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_minmax_rejects_a_score_off_the_grid_naming_its_judge(self, lenient):
+        m = matrix_from_rows([[3.0, 4.0, 5.0], [1.01, 1.02, 1.04]], judges=["on grid", "off grid"])
+        with pytest.raises(ValueError, match="'off grid'.*0.1 grid") as exc:
+            normalize(m, lenient=lenient)
+        assert not isinstance(exc.value, DegenerateRowError)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(10, 49).flatmap(lambda tenths: st.lists(
+        st.integers(0, 4).map(lambda d: (10 * tenths + d) / 100) | st.just(nan), min_size=3, max_size=3)),
+        max_size=5), st.booleans())
+    def test_zscore_of_hundredths_within_a_tenth_matches_the_oracle(self, rows, lenient):
+        # each row's scores round to one tenth, yet differ unless equal
+        m = matrix_from_rows(rows or np.empty((0, 3)))
+        try:
+            expected = oracle_normalize(judge_rows(m), lenient, "zscore")
+        except ValueError as exc:
+            with pytest.raises(DegenerateRowError) as err:
+                normalize(m, lenient, "zscore")
+            assert err.value.judges == exc.args[0]
+            return
+        got = judge_rows(normalize(m, lenient, "zscore"))
+        assert got == {j: pytest.approx(row, rel=1e-9, abs=1e-12) for j, row in expected.items()}
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
