@@ -117,12 +117,6 @@ class Diagnostics:
             prefix = f"{level}: " if level != "info" else ""
             print(f"{prefix}{message}", file=sys.stderr)
 
-    def error(self, message: str, code: str | None = None) -> None:
-        self.emit("error", message, code)
-
-    def warning(self, message: str, code: str | None = None) -> None:
-        self.emit("warning", message, code)
-
 
 def _load_families(path: str | None):
     return load_style_families(path) if path else None
@@ -226,14 +220,14 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         try:
             matrix = _cli.normalize(matrix)
         except DegenerateRowError as exc:
-            diag.warning(f"{exc}; their scores map to 0.5", code="DEGENERATE")
+            diag.emit("warning", f"{exc}; their scores map to 0.5", code="DEGENERATE")
             matrix = _cli.normalize(matrix, lenient=True)
     index = _cli.JudgeIndex(matrix, [b.name for b in dataset.beverages], args.k)
     known = set(index.judges)
 
     paths = sorted(globmod.glob(args.recs_glob))
     if not paths:
-        diag.warning(f"no recommendation files match {args.recs_glob!r}")
+        diag.emit("warning", f"no recommendation files match {args.recs_glob!r}")
     rows, read = [], []  # the rows, and the files they were read from
     files_of: dict[str, str] = {}  # model id -> the first readable file that holds it
     for path in paths:
@@ -242,17 +236,16 @@ def cmd_eval_recs(args, diag: Diagnostics) -> int:
         except (IngestError, OSError) as exc:  # an IngestError names its file; even --strict skips this run's own table
             reason = str(exc) if isinstance(exc, IngestError) else f"{path}: {exc.strerror or exc}"
             if args.strict and not _same_file(path, (out_path, json_path)):
-                diag.error(reason, code="EVAL")
+                diag.emit("error", reason, code="EVAL")
                 return EXIT_STRICT_EVAL
-            diag.warning(f"skipping {reason}", code="EVAL")
+            diag.emit("warning", f"skipping {reason}", code="EVAL")
             continue
         read.append(path)
         first = files_of.setdefault(model_id, path)
         if first != path:
-            diag.warning(f"{path}: model_id {model_id!r} is also in {first}; both rows are kept",
-                         code="EVAL")
+            diag.emit("warning", f"{path}: model_id {model_id!r} is also in {first}; both rows are kept", code="EVAL")
         for extra in sorted(set(sets) - known):
-            diag.warning(f"{path}: profile {extra!r} has no scorecard; ignored", code="EVAL")
+            diag.emit("warning", f"{path}: profile {extra!r} has no scorecard; ignored", code="EVAL")
         rows.append(_cli.evaluate_model(sets, index, model_id=model_id, tie_mode=args.hit_ties))
 
     rows.sort(key=lambda r: (-(r.mean_rating if r.mean_rating is not None else float("-inf")), r.model_id))
@@ -336,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, diag)
     except tuple(EXIT_TABLE) as exc:
         exit_code, code = next(v for kind, v in EXIT_TABLE.items() if isinstance(exc, kind))
-        diag.error(str(exc), code=code)
+        diag.emit("error", str(exc), code=code)
         return exit_code
 
 

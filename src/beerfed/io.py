@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import csv
 import errno
-import json
 import os
 import re
 import shutil
@@ -57,7 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .canonical import canonical_json, csv_lines, csv_texts
+from .canonical import canonical_json, csv_lines, csv_texts, json_texts
 from .errors import ConfigurationError, IngestError
 from .model import (
     Beverage,
@@ -232,8 +231,13 @@ def staged_outputs(out_dir: str | Path) -> Iterator[Path]:
     Creates ``out_dir`` if needed and yields a fresh temporary directory
     inside it (so every move stays on one file system) for the block to
     write into. Only when the block finishes are the files moved into
-    ``out_dir``, each with ``os.replace``; the temporary directory is
-    removed either way, so a failed write adds no file to ``out_dir``.
+    ``out_dir``: first every target is checked (one that is a directory
+    raises IsADirectoryError naming it, before anything moves), then each
+    existing target is saved inside the temporary directory and the new
+    files replace the targets, each with ``os.replace``. If a move fails,
+    the moves made are undone in reverse, which puts the saved files back,
+    and the OSError names the caller's path. The temporary directory is
+    removed either way, so a failed run leaves ``out_dir`` as it found it.
     """
     out = Path(out_dir)
     try:
@@ -243,11 +247,20 @@ def staged_outputs(out_dir: str | Path) -> Iterator[Path]:
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
         yield staging
-        for path in sorted(staging.iterdir()):
+        names = sorted(path.name for path in staging.iterdir())
+        for target in (out / name for name in names):  # so no directory is saved, then removed with the staging one
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        saved = Path(tempfile.mkdtemp(dir=staging))
+        moves = [(out / name, saved / name) for name in names if os.path.lexists(out / name)]
+        moves += [(staging / name, out / name) for name in names]
+        for done, (source, target) in enumerate(moves):
             try:
-                os.replace(path, out / path.name)
-            except OSError as exc:  # name the caller's path, not the staging one
-                raise OSError(exc.errno, exc.strerror, str(out / path.name)) from None
+                os.replace(source, target)
+            except OSError as exc:
+                for moved_from, moved_to in reversed(moves[:done]):
+                    os.replace(moved_to, moved_from)
+                raise OSError(exc.errno, exc.strerror, str(out / target.name)) from None
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
@@ -575,14 +588,14 @@ def round_log_lines(result: SessionResult) -> Iterator[str]:
     that reference), encoded from the rounds' codes through tables built
     once per federation: each member's JSON id, the members in sorted-id
     order (a round's procurers and reviewers are listed in that order, each
-    distinct set joined once) and one ``judge, "raw_score":
-    score}`` review tail per member and score, by its tenths. The rounds'
-    numbers take one ``json.dumps``."""
+    distinct set joined once) and one ``judge, "raw_score": score}`` review
+    tail per member and score, by its tenths. Its numbers are ``json_texts``',
+    a column per field: json's own texts, NaN and infinities included."""
     rounds = result.rounds
-    numbers = json.dumps([[r.broadcast_cost, r.clock, r.comprehension_cost, r.index] for r in rounds])
-    numbers = numbers[2:-2].split("], [")  # one text per round: no JSON number holds "]" or ", "
+    fields = ("broadcast_cost", "clock", "comprehension_cost", "index")
+    numbers = zip(*(json_texts([getattr(r, field) for r in rounds]) for field in fields))
     members = None
-    for r, texts in zip(rounds, numbers):
+    for r, (broadcast, clock, comprehension, index) in zip(rounds, numbers):
         if r.members is not members:  # every round of a session shares one tuple
             members = r.members
             ids = list(map(encode_basestring_ascii, members))  # as json.dumps encodes a str
@@ -595,7 +608,6 @@ def round_log_lines(result: SessionResult) -> Iterator[str]:
                 lambda key, dtype: ", ".join(sorted_ids[np.sort(rank[np.frombuffer(key, dtype)])].tolist()))
         procurers, reviewers = [listed(p.tobytes(), p.dtype) for p in (r.procurer_positions, r.reviewer_positions)]
         beverage = encode_basestring_ascii(r.beverage_id)
-        broadcast, clock, comprehension, index = texts.split(", ")
         prefix = f'{{"beverage_id": {beverage}, "judge_id": '
         reviews = (", " + prefix).join(tails[r.reviewer_positions, r.scores - 10].tolist())
         yield (f'{{"beverage_id": {beverage}, "broadcast_cost": {broadcast}, "clock": {clock}, '

@@ -40,8 +40,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -185,15 +186,6 @@ class SessionConfig:
             raise ConfigurationError(f"cost_params: the communication costs of a {len(costs)}-round session overflow")
 
 
-def _leader_table(probabilities: Sequence[float]) -> list[float]:
-    """Cumulative leader probabilities, summed in order."""
-    acc, table = 0.0, []
-    for p in probabilities:
-        acc += p
-        table.append(acc)
-    return table
-
-
 def _elect(table: list[float], rng: np.random.Generator) -> int:
     """The first position whose cumulative probability exceeds one uniform
     draw, or the last when the draw reaches the total."""
@@ -258,7 +250,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     family = np.array([families.setdefault(b.style_family, len(families)) for b in config.pool], dtype=np.intp)
     bias = np.array([[p.score_bias.get(f, 0.0) for f in families] for p in federation], dtype=float)
     experts = [i for i, p in enumerate(federation) if p.is_expert]
-    leader_table = _leader_table([federation[i].leader_probability for i in experts])
+    leader_table = list(accumulate(federation[i].leader_probability for i in experts))  # summed in order
     others_of = {i: np.delete(np.arange(len(federation)), i) for i in experts}  # every other position
     pool = list(range(len(config.pool)))
     # the loop only draws: each review's reviewer, round, normal and floor draw go to session

@@ -183,10 +183,10 @@ class AgreementMatrix(NamedTuple):
 MIN_COMMON_BEVERAGES = 3  # at least 2: rank correlation needs two cells
 
 
-def _midranks(counts: np.ndarray) -> np.ndarray:
-    """Mid-rank of each level from how many cells sit on it: tied cells
-    share the mean of the ranks they span."""
-    return np.cumsum(counts) - counts + (counts + 1) / 2
+def _midranks(counts: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Mid-rank of each level from how many cells sit on it (along
+    ``axis``): tied cells share the mean of the ranks they span."""
+    return np.cumsum(counts, axis=axis) - counts + (counts + 1) / 2
 
 
 # table and beverage cells one pair-table bincount may take: bounds memory
@@ -202,9 +202,8 @@ def _spearman_rho(tables: np.ndarray) -> np.ndarray:
     common cells."""
     rows, cols = tables.sum(axis=2), tables.sum(axis=1)
     n = rows.sum(axis=1)
-    # twice each level's centred mid-rank, 2 * midrank - (n + 1): integers
-    dx = 2 * rows.cumsum(axis=1) - rows - n[:, None]
-    dy = 2 * cols.cumsum(axis=1) - cols - n[:, None]
+    # twice each level's centred mid-rank: integers, so the sums below are exact
+    dx, dy = ((2 * _midranks(c, axis=1) - (n + 1)[:, None]).astype(np.int64) for c in (rows, cols))
     sxy = np.einsum("pab,pa,pb->p", tables, dx, dy) / 4
     sxx, syy = (rows * dx * dx).sum(axis=1) / 4, (cols * dy * dy).sum(axis=1) / 4
     ok = (sxx > 0) & (syy > 0)

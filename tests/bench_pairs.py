@@ -21,11 +21,15 @@ For each end-to-end metric in the change's ``BENCHMARK.json`` it prints
 each side's median and quartiles, the pairs in which the change is
 better, whether the gap between the medians exceeds the parent's
 interquartile range, and the change's relative move against the metric's
-bound. A claimed gain needs at least 9 wins in 10 and a gap beyond the
-IQR; a change that claims none must stay within each bound. It also
+bound, and a verdict: ``worse`` beyond the bound, else ``unresolved``
+when the parent's interquartile range exceeds the bound times its median
+and not every change run is better than every parent run, else
+``within``. A claimed gain needs at least 9 wins in 10 and a gap beyond
+the IQR; a change that claims none must read ``within`` or, where the
+host's spread cannot resolve the bound, ``unresolved``. It also
 prints each tree's ``src/`` line count (``wc -l`` of its ``.py`` files),
 so the line-count rule is read from the same run. The last line is one
-JSON object with every run's metrics and both line counts.
+JSON object with every run's metrics, the verdicts and both line counts.
 """
 
 from __future__ import annotations
@@ -65,6 +69,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` (a share of the parent's median; ``sign`` is 1 where lower
+    is better, -1 where higher is), else ``unresolved`` when the parent's
+    interquartile range exceeds ``bound`` times its median, unless every
+    change run is better than every parent run, else ``within``."""
+    (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
+    if pm and sign * (cm - pm) / pm > bound:
+        return "worse"
+    if p3 - p1 > bound * abs(pm) and max(sign * c for c in change) >= min(sign * p for p in parent):
+        return "unresolved"
+    return "within"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent checkout")
@@ -90,7 +108,8 @@ def main() -> None:
             f"{side} " + " ".join(f"{v:.4g}" for v in runs[side][-1].values()) for side in trees), flush=True)
 
     print(f"{'metric':12s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s} "
-          f"{'wins':>6s} {'gap>IQR':>7s} {'move':>7s} {'bound':>6s}")
+          f"{'wins':>6s} {'gap>IQR':>7s} {'move':>7s} {'verdict':>10s}")
+    verdicts = {}
     for metric in spec["end_to_end"]:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         if not all(name in run for side in trees for run in runs[side]):
@@ -100,13 +119,15 @@ def main() -> None:
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         move = sign * (cm - pm) / pm if pm else 0.0  # > 0 is worse
+        verdicts[name] = verdict(parent, change, sign, metric["bound"])
         print(f"{name:12s} {pm:12.4f} [{p1:.4f}, {p3:.4f}] {cm:12.4f} [{c1:.4f}, {c3:.4f}] "
               f"{wins:3d}/{len(parent):<2d} {'yes' if abs(cm - pm) > p3 - p1 else 'no':>7s} "
-              f"{move:+7.1%} {'worse' if move > metric['bound'] else 'within':>6s}")
+              f"{move:+7.1%} {verdicts[name]:>10s}")
     lines = {side: src_lines(tree) for side, tree in trees.items()}
     print(f"src lines: parent {lines['parent']}, change {lines['change']} ({lines['change'] - lines['parent']:+d})")
     print(json.dumps({"workload": args.workload, "pairs": args.pairs, "seconds": spec["run_seconds"],
-                      "trees": {side: str(tree) for side, tree in trees.items()}, "src_lines": lines, "runs": runs}))
+                      "trees": {side: str(tree) for side, tree in trees.items()}, "src_lines": lines,
+                      "verdicts": verdicts, "runs": runs}))
 
 
 if __name__ == "__main__":

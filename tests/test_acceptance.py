@@ -7,6 +7,7 @@ import importlib.resources
 import json
 import math
 import time
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from beerfed.protocol import (
     ParticipantProfile,
     SessionConfig,
     _elect,
-    _leader_table,
     communication_costs,
     run_session,
 )
@@ -172,7 +172,7 @@ def test_c03_metric_oracle_equivalence():
 def test_c04_leader_election_calibration():
     rng = np.random.default_rng(20260401)
     experts = [("A", 0.1), ("B", 0.8), ("C", 0.1)]
-    table = _leader_table([p for _, p in experts])
+    table = list(accumulate([p for _, p in experts]))
     n = 100_000
     tally = {"A": 0, "B": 0, "C": 0}
     t0 = time.monotonic()

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import errno
 import gc
 import importlib.resources
 import json
@@ -21,8 +22,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import beerfed
 from beerfed import cli, errors, receval
-from beerfed.io import write_beverages_csv, write_scorecards_csv
+from beerfed.io import SESSION_FILES, write_beverages_csv, write_scorecards_csv
 from beerfed.model import NoteTag
+from beerfed.reports import REPORT_FILES
 from genutil import (HOSTILE_CELLS, Row, festival_files, random_dataset, random_session_config, review_rows,
                      with_reviews, write_rec_file)
 from oracles import _oracle_csv
@@ -1555,6 +1557,69 @@ class TestAllOrNothingOutputs:
         ]
         assert cli.main(self.eval_argv(sim_outputs, tmp_path)) == 0
         assert sorted(p.name for p in (tmp_path / "eval").iterdir()) == ["metrics.csv", "metrics.json"]
+
+    OUTPUTS = {"simulate": SESSION_FILES, "analyze": REPORT_FILES, "eval-recs": ("metrics.csv", "metrics.json")}
+
+    def reruns(self, sim_outputs, tmp_path, command):
+        """The command's output directory, a run writing it with other
+        options, and a run with the defaults, whose files differ."""
+        config, tables = write_config(tmp_path), (sim_outputs / "scorecards.csv", sim_outputs / "beverages.csv")
+        if command == "simulate":
+            argv = ["simulate", str(config), "--out", str(tmp_path / "sim2")]
+            return tmp_path / "sim2", [*argv, "--seed", "7"], argv
+        if command == "analyze":
+            argv = analyze_argv(*tables, tmp_path / "rep")
+            return tmp_path / "rep", [*argv, "--norm", "zscore", "--agreement", "kendall"], argv
+        argv = self.eval_argv(sim_outputs, tmp_path)
+        return tmp_path / "eval", [*argv, "--k", "3"], argv
+
+    @staticmethod
+    def snapshot(out):
+        return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+    @pytest.mark.parametrize("command, name", [(c, n) for c, names in OUTPUTS.items() for n in names])
+    def test_a_target_that_is_a_directory_changes_no_earlier_file(self, sim_outputs, tmp_path, capsys, command, name):
+        out, earlier, argv = self.reruns(sim_outputs, tmp_path, command)
+        assert cli.main(earlier) == 0
+        (out / name).unlink()
+        (out / name).mkdir()
+        (out / name / "kept.txt").write_text("a user's file", encoding="utf-8")
+        before = self.snapshot(out)
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert f"Is a directory: '{out / name}'" in capsys.readouterr().err
+        assert self.snapshot(out) == before
+        assert not list(out.glob(".staging-*"))
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_a_move_failing_at_any_step_changes_no_earlier_file(self, sim_outputs, tmp_path, capsys, monkeypatch,
+                                                                command):
+        out, earlier, argv = self.reruns(sim_outputs, tmp_path, command)
+        assert cli.main(earlier) == 0
+        before, replace, steps = self.snapshot(out), os.replace, 2 * len(self.OUTPUTS[command])  # save, then move
+
+        def run_failing_at(k):
+            calls = []
+
+            def kth_fails(source, target):
+                calls.append(Path(target))
+                if len(calls) == k:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                return replace(source, target)
+
+            monkeypatch.setattr(os, "replace", kth_fails)
+            capsys.readouterr()
+            return cli.main(argv), calls
+
+        for k in range(1, steps + 1):
+            code, calls = run_failing_at(k)
+            assert code == 3
+            assert f"{os.strerror(errno.EIO)}: '{out / calls[k - 1].name}'" in capsys.readouterr().err
+            assert self.snapshot(out) == before
+            assert not list(out.glob(".staging-*"))
+        code, calls = run_failing_at(0)  # no step fails
+        assert code == 0 and len(calls) == steps
+        assert sorted(self.snapshot(out)) == sorted(before) and self.snapshot(out) != before
 
 
 def parser_flags(parser):

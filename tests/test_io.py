@@ -762,7 +762,7 @@ class TestCanonicalJson:
         value = {"a": [None, True, False, {"b": None}], "c": (False,), "d": [1.5, "x", float("nan")]}
         expected = [json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False) + "\n" for v in (value, None, True)]
         dumps, leaves = json.dumps, []
-        monkeypatch.setattr(beerfed.io.json, "dumps", lambda obj, **kw: leaves.append(obj) or dumps(obj, **kw))
+        monkeypatch.setattr(beerfed.canonical.json, "dumps", lambda obj, **kw: leaves.append(obj) or dumps(obj, **kw))
         assert [canonical_json(v) for v in (value, None, True)] == expected
         assert len(leaves) == 1 and math.isnan(leaves[0])
 

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from beerfed.protocol import (
     SessionConfig,
     SessionResult,
     _elect,
-    _leader_table,
     communication_costs,
     run_session,
 )
@@ -58,7 +58,7 @@ def default_federation():
 
 class TestElectLeader:
     def test_degenerate_distribution(self, rng):
-        table = _leader_table([0.0, 1.0, 0.0])
+        table = list(accumulate([0.0, 1.0, 0.0]))
         assert all(_elect(table, rng) == 1 for _ in range(50))
 
     def test_sum_above_one_rejected(self):
@@ -78,7 +78,7 @@ class TestElectLeader:
         # independent tally over a fixed-seed stream
         rng = np.random.Generator(np.random.PCG64(99))
         weights = [0.1, 0.8, 0.1]
-        table = _leader_table(weights)
+        table = list(accumulate(weights))
         n = 20_000
         tally = Counter(_elect(table, rng) for _ in range(n))
         for i, p in enumerate(weights):
@@ -88,7 +88,7 @@ class TestElectLeader:
     def test_advances_rng_deterministically(self):
         a = np.random.Generator(np.random.PCG64(5))
         b = np.random.Generator(np.random.PCG64(5))
-        table = _leader_table([0.3, 0.7])
+        table = list(accumulate([0.3, 0.7]))
         seq_a = [_elect(table, a) for _ in range(100)]
         seq_b = [_elect(table, b) for _ in range(100)]
         assert seq_a == seq_b
@@ -542,6 +542,20 @@ def test_round_log_writer_matches_json_dumps():
     expected = [json.dumps(round_dict(r), sort_keys=True) for r in result.rounds]
     assert list(round_log_lines(result)) == expected
     assert len(expected) == len(ids) + 1 and all("Infinity" in line and "NaN" in line for line in expected[2:-1])
+
+
+def test_round_log_numbers_of_any_kind_match_json_dumps():
+    # rounds built by hand may carry numbers run_session never logs: NaN,
+    # both infinities, -0.0, ints and numpy floats, in columns of one kind or mixed
+    config = simple_config(pool_of(1), federation=[expert("A", 1.0), expert("B", 0.0)])
+    costs = [math.nan, math.inf, -math.inf, -0.0, 3, np.float64(0.1), np.float64(-math.inf), 2.5, 10**20]
+    no_codes = np.empty(0, np.intp)
+    mixed = [RoundRecord(t, 600 + 5 * t, ("A", "B"), 0, "p0", no_codes, no_codes, np.empty(0, np.uint8), b, c)
+             for t, (b, c) in enumerate(zip(costs, costs[::-1]))]
+    one_kind = [r._replace(broadcast_cost=7, comprehension_cost=np.float64(0.5)) for r in mixed]
+    for rounds in (mixed, one_kind, mixed[3:4]):
+        lines = list(round_log_lines(SessionResult(config, rounds, [], dataset_of([], [], []))))
+        assert lines == [json.dumps(round_dict(r), sort_keys=True) for r in rounds]
 
 
 def test_round_log_of_every_score_matches_json_dumps():

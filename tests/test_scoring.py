@@ -1,4 +1,6 @@
+import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -434,6 +436,28 @@ class TestAgreementKernels:
                 for j in range(i + 1, 9):
                     assert values[i, j] == pytest.approx(expected_pair(m, i, j, method), abs=1e-12, nan_ok=True)
         assert sum(received) == 2 * 36 and max(received) == 3
+
+    def test_spearman_table_sums_are_exact_past_float_precision(self, rng):
+        # 399,998 common cells: the centred sums pass 2**53, where float sums
+        # round; the value must be corrcoef's steps on exact integer sums
+        x = rng.integers(10, 51, 400_000)
+        cells = np.array([x, np.clip(x + rng.integers(-8, 9, x.size), 10, 50)]) / 10
+        cells[0, 0] = cells[1, 1] = nan  # not dense: the pair takes the table path
+        table = np.bincount([41, 1] @ (cells[:, 2:] * 10).round().astype(int) - 420, minlength=41 * 41)  # tenths 10..50
+        table = table.reshape(41, 41).tolist()
+        rows, cols = [sum(row) for row in table], [sum(col) for col in zip(*table)]
+        n = sum(rows)
+
+        def twice_centred_midranks(counts):  # 2 * midrank - (n + 1), in Python ints
+            return [2 * below + c - n for below, c in zip(accumulate([0, *counts]), counts)]
+
+        dx, dy = twice_centred_midranks(rows), twice_centred_midranks(cols)
+        sxy = sum(t * dx[a] * dy[b] for a, row in enumerate(table) for b, t in enumerate(row)) / 4
+        sxx, syy = sum(c * d * d for c, d in zip(rows, dx)) / 4, sum(c * d * d for c, d in zip(cols, dy)) / 4
+        scale = 1 / (n - 1)
+        expected = sxy * scale / math.sqrt(syy * scale) / math.sqrt(sxx * scale)
+        assert min(sxx, syy) * 4 > 2**53
+        assert agreement(matrix_from_rows(cells)).values[0, 1] == expected
 
     def test_bit_identical_to_scipy_per_pair(self, rng):
         stats = pytest.importorskip("scipy.stats")
